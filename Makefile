@@ -24,12 +24,13 @@ lint:
 	$(GO) run ./cmd/vetconj ./...
 	scripts/check_variant_registry.sh
 
-## race: race-detector pass over the lock-free hot paths and the
-## concurrent grid/batch workers that drive them, plus the band partition
-## backing the concurrent sharded screens and the read-side fan-out
-## (snapshot hub, SSE subscribers, admission, metrics registry).
+## race: race-detector pass over the whole module, then the catalogue,
+## pool and store concurrency tests fifty times over: the interleavings
+## that break them are rare (a reader falling KeepRevisions behind the
+## writer is a few percent of runs), so one pass proves little.
 race:
-	$(GO) test -race ./internal/lockfree/... ./internal/core/... ./internal/band/... ./internal/serve/... ./internal/observability/... ./internal/httpapi/...
+	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
 
 ## shard-smoke: screen a 131072-object catalogue through the sharded
 ## detector under a GOMEMLIMIT the modelled unsharded grid does not fit

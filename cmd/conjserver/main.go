@@ -61,6 +61,7 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -69,6 +70,18 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/store"
 )
+
+// deltaVariantNames lists the registered variants a background re-screen
+// can run: those that accept incremental passes.
+func deltaVariantNames() []string {
+	var names []string
+	for _, d := range satconj.Variants() {
+		if d.Caps.Has(satconj.CapScreenDelta) {
+			names = append(names, string(d.Name))
+		}
+	}
+	return names
+}
 
 func main() {
 	var (
@@ -80,7 +93,7 @@ func main() {
 
 		storeDir          = flag.String("store-dir", "", "directory for the persistent run/conjunction store (empty = no persistence)")
 		rescreenInterval  = flag.Duration("rescreen-interval", 0, "background catalogue re-screen cadence (0 = disabled)")
-		rescreenVariant   = flag.String("rescreen-variant", "grid", "detector for background re-screens: grid | hybrid")
+		rescreenVariant   = flag.String("rescreen-variant", "grid", "detector for background re-screens: "+strings.Join(deltaVariantNames(), " | "))
 		rescreenDuration  = flag.Float64("rescreen-duration", 3600, "screened window for background re-screens (seconds)")
 		rescreenThreshold = flag.Float64("rescreen-threshold", 0, "screening threshold for background re-screens (km, 0 = 2 km default)")
 

@@ -281,7 +281,8 @@ func (c *Catalog) ApplyDelta(d Delta) (*Revision, error) {
 // and duplicate-free. ok is false when the window is not answerable — `to`
 // is pruned or unknown, from > to, or the journal no longer covers
 // (from, to] — and the caller must fall back to a full screen. from == to
-// yields empty sets.
+// yields empty sets for every version the catalogue has ever had, pruned or
+// not: an empty window needs no membership data.
 func (c *Catalog) DirtyBetween(from, to Version) (dirty, removed []int32, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -289,12 +290,12 @@ func (c *Catalog) DirtyBetween(from, to Version) (dirty, removed []int32, ok boo
 }
 
 func (c *Catalog) dirtyBetweenLocked(from, to Version) (dirty, removed []int32, ok bool) {
+	if from == to {
+		return nil, nil, from >= 1 && to <= c.latestLocked().version
+	}
 	toRev, have := c.atLocked(to)
 	if !have || from > to {
 		return nil, nil, false
-	}
-	if from == to {
-		return nil, nil, true
 	}
 	if from < c.journalBase {
 		return nil, nil, false

@@ -195,6 +195,34 @@ func TestCatalogRetentionBounds(t *testing.T) {
 	}
 }
 
+func TestDirtyBetweenIdentityWindowSurvivesPruning(t *testing.T) {
+	// A reader that took Latest() and fell more than KeepRevisions behind
+	// still asks DirtyBetween(v, v); the empty window needs no membership
+	// data, so it stays answerable after revision v is pruned.
+	c, err := New(nil, time.Time{}, Options{KeepRevisions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := c.Latest().Version()
+	for i := int32(0); i < 5; i++ {
+		if _, err := c.ApplyDelta(Delta{Adds: []propagation.Satellite{sat(i, float64(i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.At(held); ok {
+		t.Fatalf("revision %d should be pruned with KeepRevisions=2", held)
+	}
+	if dirty, removed, ok := c.DirtyBetween(held, held); !ok || len(dirty) != 0 || len(removed) != 0 {
+		t.Fatalf("DirtyBetween(%d,%d) = %v, %v, %v; want empty and answerable", held, held, dirty, removed, ok)
+	}
+	// Versions the catalogue never had are still refused.
+	for _, v := range []Version{0, c.Version() + 1} {
+		if _, _, ok := c.DirtyBetween(v, v); ok {
+			t.Fatalf("DirtyBetween(%d,%d) reported ok for a version that never existed", v, v)
+		}
+	}
+}
+
 // TestCatalogConcurrentReadersAndWriter drives deltas while readers hold and
 // re-validate revision handles; run under -race this checks the
 // copy-on-write discipline has no mutation of published state.

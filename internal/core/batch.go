@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -127,23 +126,13 @@ func (r *run) processStepSerial(step uint32, gs *lockfree.GridSet, snap *lockfre
 	if err := r.cancelled(); err != nil {
 		return false, 0, 0, 0, 0, err
 	}
-	t := float64(step) * r.sps
-
 	tIns := time.Now()
 	gs.Reset()
-	for i := range r.sats {
-		pos, _ := r.prop.State(&r.sats[i], t)
-		key, ok := r.grid.KeyOf(pos)
-		if !ok {
-			r.oob.Add(1)
-			continue
-		}
-		if insErr := gs.Insert(key, int32(i), r.sats[i].ID, pos); insErr != nil {
-			return false, inserted, time.Since(tIns), 0, 0, fmt.Errorf("core: grid insertion: %w", insErr)
-		}
-		inserted++
-	}
+	inserted, err = r.buildRange(gs, float64(step)*r.sps, 0, len(r.sats))
 	ins = time.Since(tIns)
+	if err != nil {
+		return false, inserted, ins, 0, 0, err
+	}
 
 	// The whole step already runs on one goroutine, so the freeze does too.
 	tFz := time.Now()

@@ -1,20 +1,13 @@
 package core
 
-// Linked-list vs CSR candidate generation, the PR's headline trade: the
-// lock-free grid's Treiber lists make insertion cheap but scanning slow
-// (atomic next-link chasing through a cache-hostile arena), while freezing
-// into a CSR snapshot makes the 27-cell neighbour scan contiguous slice
-// iteration. The benchmarks measure one full sampling step's candidate
-// generation over an identical populated grid at fig10b scale (8,000
-// objects), so ns/op is directly the per-step detection cost:
+// Candidate generation over the frozen CSR snapshot. The benchmarks measure
+// one full sampling step's candidate generation over an identical populated
+// grid at fig10b scale (8,000 objects), so ns/op is directly the per-step
+// detection cost:
 //
-//   - Linked:      the pre-snapshot path (scan lists, insert pairs directly)
-//   - CSR:         freeze + scan + merge — what the detectors now run
-//   - CSRScanOnly: scan + merge alone, isolating the scan win from the
-//     freeze cost it pays for
-//
-// The equivalence of the two scans is asserted by
-// TestScanSnapshotMatchesLinked in snapshot_scan_test.go.
+//   - CSR:         freeze + scan + merge — what the detectors run
+//   - CSRScanOnly: scan + merge alone, isolating the scan from the freeze
+//     cost it pays for
 
 import (
 	"context"
@@ -34,28 +27,10 @@ func candgenRun(b *testing.B) *run {
 		b.Fatal(err)
 	}
 	b.Cleanup(r.release)
-	r.stepTime = 0
-	if err := r.exec.ParallelFor(r.ctx, len(r.sats), r.propagateFn); err != nil {
-		b.Fatal(err)
-	}
-	r.gset.ResetParallel(r.workers)
-	if err := r.insertAll(); err != nil {
+	if err := r.buildGrid(0); err != nil {
 		b.Fatal(err)
 	}
 	return r
-}
-
-func BenchmarkCandidateGen_Linked(b *testing.B) {
-	r := candgenRun(b)
-	scratch := &scanScratch{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.pairs.Reset()
-		if r.scanSlotsLinked(r.gset, 0, r.gset.Slots(), 0, scratch) {
-			b.Fatal("pair set overflow")
-		}
-	}
 }
 
 func BenchmarkCandidateGen_CSR(b *testing.B) {

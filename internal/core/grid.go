@@ -13,6 +13,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/propagation"
 	"repro/internal/spatial"
+	"repro/internal/vec3"
 )
 
 // Grid is the purely grid-based conjunction detector of §III: fine
@@ -102,8 +103,7 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 }
 
 // run holds the shared state of one screening execution (both variants).
-// Its grid set, pair set, state buffer, candidate buffer, and ID index are
-// pooled: release returns them, after which the run must not be used.
+// Its grid set, pair set, candidate buffer, and ID index are pooled: release returns them, after which the run must not be used.
 type run struct {
 	cfg         Config
 	pool        *pool.Pool
@@ -116,7 +116,6 @@ type run struct {
 	gset        *lockfree.GridSet
 	snap        *lockfree.GridSnapshot
 	pairs       *lockfree.PairSet
-	states      []propagation.State
 	pairBuf     []lockfree.Pair
 	scanBufs    [][]uint64 // per-worker packed candidate keys, merged once per step
 	workers     int
@@ -164,10 +163,9 @@ type run struct {
 	scanFull  atomic.Bool
 	insertErr atomic.Value
 
-	propagateFn func(lo, hi int)
-	insertFn    func(lo, hi int)
-	scanWFn     func(w, lo, hi int)
-	mergeFn     func(lo, hi int)
+	buildFn func(lo, hi int)
+	scanWFn func(w, lo, hi int)
+	mergeFn func(lo, hi int)
 
 	// win is the AABB-tree detector's per-window state (aabb.go); nil for
 	// the grid/hybrid detectors.
@@ -253,7 +251,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		cellSize:    cellSize,
 		grid:        grid,
 		pairs:       pl.GetPairSet(pairHint),
-		states:      pl.GetStates(len(sats)),
 		workers:     exec.Workers(),
 		exec:        exec,
 		prop:        cfg.propagator(),
@@ -264,8 +261,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		sink:        cfg.Sink,
 		observer:    cfg.Observer,
 	}
-	r.propagateFn = r.propagateRange
-	r.insertFn = r.insertRange
+	r.buildFn = r.buildSharedRange
 	r.scanWFn = r.scanWorkerRange
 	r.mergeFn = r.mergeRange
 	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
@@ -377,7 +373,6 @@ func (r *run) release() {
 	r.pool.PutGridSet(r.gset)
 	r.pool.PutSnapshot(r.snap)
 	r.pool.PutPairSet(r.pairs)
-	r.pool.PutStates(r.states)
 	r.pool.PutPairBuf(r.pairBuf)
 	r.pool.PutIDIndex(r.idx)
 	for w := range r.scanBufs {
@@ -386,7 +381,7 @@ func (r *run) release() {
 	r.pool.PutKeplerCache(r.kcache)
 	r.pool.PutBitset(r.dirty)
 	r.pool.PutBitset(r.touched)
-	r.gset, r.pairs, r.states, r.pairBuf, r.idx = nil, nil, nil, nil, nil
+	r.gset, r.pairs, r.pairBuf, r.idx = nil, nil, nil, nil
 	r.snap, r.scanBufs, r.kcache = nil, nil, nil
 	r.dirty, r.touched = nil, nil
 }
@@ -435,15 +430,10 @@ func (r *run) sampleStepsSequential() error {
 		if err := r.cancelled(); err != nil {
 			return err
 		}
-		r.stepTime = float64(step) * r.sps
 		oobBefore := r.oob.Load()
 
 		tIns := time.Now()
-		if err := r.exec.ParallelFor(r.ctx, len(r.sats), r.propagateFn); err != nil {
-			return err
-		}
-		r.gset.ResetParallel(r.workers)
-		if err := r.insertAll(); err != nil {
+		if err := r.buildGrid(step); err != nil {
 			return err
 		}
 		r.stats.Insertion += time.Since(tIns)
@@ -462,41 +452,63 @@ func (r *run) sampleStepsSequential() error {
 	return nil
 }
 
-// propagateRange advances satellites [lo, hi) to the published step time.
-// With a warm-capable propagator the previous sample's eccentric anomaly
-// (advanced by the cached per-sample mean-anomaly delta) seeds the Kepler
-// solve; ranges are disjoint across workers, so the cache needs no
-// synchronisation beyond the executor's join.
-func (r *run) propagateRange(lo, hi int) {
-	t := r.stepTime
-	if r.warm != nil {
-		for i := lo; i < hi; i++ {
-			kc := &r.kcache[i]
-			pos, vel, ecc := r.warm.StateWarm(&r.sats[i], t, kc.E+kc.DeltaM)
-			r.states[i].Pos, r.states[i].Vel = pos, vel
-			kc.E = ecc
-		}
-		return
-	}
+// buildRange is the build kernel of a sampling step, for satellites
+// [lo, hi) at time t into gs: propagate, key, insert, one object at a time,
+// so a position goes from registers into its grid entry and nowhere else.
+// Only the position is computed — binning needs nothing more, and the
+// refiner re-propagates the few pairs whose velocity matters. With a warm
+// cache the previous sample's eccentric anomaly (advanced by the cached
+// per-sample mean-anomaly delta) seeds the solve; ranges are disjoint
+// across workers, so the cache needs no synchronisation beyond the
+// executor's join. Without one (J2, batched steps) the propagator's cold
+// State feeds the same tail. inserted counts the objects that landed in
+// the grid; the rest are out of bounds.
+func (r *run) buildRange(gs *lockfree.GridSet, t float64, lo, hi int) (inserted int, err error) {
 	for i := lo; i < hi; i++ {
-		r.states[i].Pos, r.states[i].Vel = r.prop.State(&r.sats[i], t)
+		s := &r.sats[i]
+		var pos vec3.V
+		if r.warm != nil {
+			kc := &r.kcache[i]
+			pos, kc.E = r.warm.PositionWarm(s, t, kc.E+kc.DeltaM)
+		} else {
+			pos, _ = r.prop.State(s, t)
+		}
+		key, ok := r.grid.KeyOf(pos)
+		if !ok {
+			continue
+		}
+		if err := gs.Insert(key, int32(i), s.ID, pos); err != nil {
+			return inserted, fmt.Errorf("core: grid insertion: %w", err)
+		}
+		inserted++
+	}
+	if oob := hi - lo - inserted; oob > 0 {
+		r.oob.Add(uint64(oob))
+	}
+	return inserted, nil
+}
+
+// buildSharedRange is buildRange into the run's shared grid at the published
+// step time. The first failure is latched; a run aborts on it, so the latch
+// never resets.
+func (r *run) buildSharedRange(lo, hi int) {
+	if _, err := r.buildRange(r.gset, r.stepTime, lo, hi); err != nil {
+		r.insertErr.CompareAndSwap(nil, err)
 	}
 }
 
-// insertRange inserts satellites [lo, hi) into the shared grid set. The
-// first failure is latched; a run aborts on it, so the latch never resets.
-func (r *run) insertRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		key, ok := r.grid.KeyOf(r.states[i].Pos)
-		if !ok {
-			r.oob.Add(1)
-			continue
-		}
-		if err := r.gset.Insert(key, int32(i), r.sats[i].ID, r.states[i].Pos); err != nil {
-			r.insertErr.CompareAndSwap(nil, err)
-			return
-		}
+// buildGrid rebuilds the shared grid for one step: the parallel insertion of
+// §IV-A2, fed straight from propagation.
+func (r *run) buildGrid(step int) error {
+	r.stepTime = float64(step) * r.sps
+	r.gset.ResetParallel(r.workers)
+	if err := r.exec.ParallelFor(r.ctx, len(r.sats), r.buildFn); err != nil {
+		return err
 	}
+	if err, ok := r.insertErr.Load().(error); ok {
+		return err
+	}
+	return nil
 }
 
 // scanWorkerRange scans snapshot slots [lo, hi) for candidate pairs at the
@@ -527,17 +539,6 @@ func (r *run) mergeRange(lo, hi int) {
 			}
 		}
 	}
-}
-
-// insertAll performs the parallel grid insertion of §IV-A2.
-func (r *run) insertAll() error {
-	if err := r.exec.ParallelFor(r.ctx, len(r.sats), r.insertFn); err != nil {
-		return err
-	}
-	if err, ok := r.insertErr.Load().(error); ok {
-		return fmt.Errorf("core: grid insertion: %w", err)
-	}
-	return nil
 }
 
 // generateCandidates performs the conjunction-detection scan of §IV-A3 for
@@ -629,54 +630,6 @@ func (r *run) scanSnapshot(sn *lockfree.GridSnapshot, lo, hi int, step uint32, b
 	return buf
 }
 
-// scanSlotsLinked is the pre-snapshot candidate scan: it walks the live
-// grid set's per-cell linked lists directly and inserts pairs straight into
-// the shared pair set, returning true on overflow. The detectors now scan
-// the frozen CSR snapshot instead (scanSnapshot); this path is kept as the
-// equivalence oracle and the baseline of the linked-vs-CSR microbenchmark.
-func (r *run) scanSlotsLinked(gs *lockfree.GridSet, lo, hi int, step uint32, scratch *scanScratch) (overflow bool) {
-	half := !r.cfg.UseFullNeighborhood
-	for s := lo; s < hi; s++ {
-		key, head := gs.SlotKey(s)
-		if key == lockfree.EmptySlot || head < 0 {
-			continue
-		}
-		// Gather this cell's satellites.
-		cellIDs := scratch.cellIDs[:0]
-		for e := head; e >= 0; e = gs.Next(e) {
-			cellIDs = append(cellIDs, gs.Entry(e).ID)
-		}
-		scratch.cellIDs = cellIDs
-		// Pairs within the cell.
-		for i := 0; i < len(cellIDs); i++ {
-			for j := i + 1; j < len(cellIDs); j++ {
-				if _, err := r.pairs.Insert(cellIDs[i], cellIDs[j], step); err != nil {
-					return true
-				}
-			}
-		}
-		// Pairs with neighbouring cells.
-		coord := spatial.UnpackKey(key)
-		var neighbors []uint64
-		if half {
-			neighbors = r.grid.HalfNeighborKeys(coord, scratch.nbuf[:0])
-		} else {
-			neighbors = r.grid.NeighborKeys(coord, scratch.nbuf[:0])
-		}
-		for _, nk := range neighbors {
-			for e := gs.Head(nk); e >= 0; e = gs.Next(e) {
-				nid := gs.Entry(e).ID
-				for _, cid := range cellIDs {
-					if _, err := r.pairs.Insert(cid, nid, step); err != nil {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
 // growPairs swaps the conjunction set for one of at least double the slots,
 // preserving its contents — the §V-B overflow remedy. The replacement comes
 // from the pool (a previously grown set is the common hit), and the full set
@@ -707,9 +660,9 @@ func (r *run) growPairs() {
 // merges them into the result — the Sink contract's serialisation point.
 //
 // The phase is batched by satellite: candidates are sorted by (A, B, Step)
-// so each worker chunk sees runs of identical satellites, which the
-// per-chunk pairEvaluator turns into warm-started Kepler solves instead of
-// cold contour solves. Before any Brent evaluation, the analytic pre-filter
+// so each worker chunk sees runs of identical satellites, and the per-chunk
+// pairEvaluator warm-starts the Kepler solves within each candidate instead
+// of solving cold. Before any Brent evaluation, the analytic pre-filter
 // (refine.go) rejects candidates whose separation provably stays above the
 // pair threshold over the whole interval; rejections are counted separately
 // from refinements. Workers re-check the run context every 16 candidates so

@@ -71,15 +71,10 @@ func (r *run) sampleStepsPipelined() error {
 		if err = r.cancelled(); err != nil {
 			break
 		}
-		r.stepTime = float64(step) * r.sps
 		oobBefore := r.oob.Load()
 
 		tIns := time.Now()
-		if err = r.exec.ParallelFor(r.ctx, len(r.sats), r.propagateFn); err != nil {
-			break
-		}
-		r.gset.ResetParallel(r.workers)
-		if err = r.insertAll(); err != nil {
+		if err = r.buildGrid(step); err != nil {
 			break
 		}
 		r.stats.Insertion += time.Since(tIns)

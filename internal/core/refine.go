@@ -133,9 +133,9 @@ func (r *refiner) refineOffsets(f func(float64) float64, tCenter, lo, hi float64
 
 // evalSat is one side of a pairEvaluator: the satellite plus its warm-start
 // state — the eccentric anomaly solved at tLast seeds the guess for the next
-// solve, so a run of refinements over the same satellite costs a couple of
-// Newton iterations per propagation instead of a cold contour solve (the
-// KeplerCache idea of the sampling loop, applied to the refine phase).
+// solve, so the evaluations of one refinement cost a Newton iteration or two
+// per propagation instead of a cold contour solve (the KeplerCache idea of
+// the sampling loop, applied to the refine phase).
 type evalSat struct {
 	sat    *propagation.Satellite
 	acc    float64 // μ/r_p²: the orbit's peak gravitational acceleration, km/s²
@@ -146,8 +146,8 @@ type evalSat struct {
 
 // pairEvaluator computes squared pair separations for the batched refiner.
 // One evaluator lives per refine worker chunk; bind switches it between
-// pairs, preserving a side's warm cache when the satellite is unchanged —
-// which the (A, B, Step) candidate sort makes the common case.
+// candidates, keeping a side's orbit constants when the satellite is
+// unchanged — which the (A, B, Step) candidate sort makes the common case.
 type pairEvaluator struct {
 	prop   propagation.Propagator
 	warm   propagation.WarmStarter // nil: always cold State calls
@@ -163,8 +163,12 @@ func newPairEvaluator(prop propagation.Propagator) *pairEvaluator {
 	return ev
 }
 
-// bind points the evaluator at a pair and reports whether satellite a was
-// rebound — the batch boundary the PhaseRefine counters expose.
+// bind points the evaluator at a candidate and reports whether satellite a
+// was rebound — the batch boundary the PhaseRefine counters expose. Both
+// sides start cold: a warm solve's last bits depend on the guess it started
+// from, so carrying the anomaly over would make a candidate's TCA depend on
+// which candidates the chunk refined before it — and a delta screen, which
+// refines a subset, must reproduce the full screen's values bit for bit.
 func (e *pairEvaluator) bind(a, b *propagation.Satellite) bool {
 	rebound := e.a.sat != a
 	if rebound {
@@ -173,6 +177,7 @@ func (e *pairEvaluator) bind(a, b *propagation.Satellite) bool {
 	if e.b.sat != b {
 		e.b = evalSat{sat: b, acc: peakAccel(b)}
 	}
+	e.a.warmed, e.b.warmed = false, false
 	return rebound
 }
 

@@ -122,11 +122,14 @@ func (c Contour) Solve(m, e float64) float64 {
 		num += z * w
 		den += w
 	}
-	if den == 0 { //lint:floateq-ok — exact-zero cancellation guard
-		// Pathological cancellation; the Newton fallback is always safe.
+	ecc := real(num / den)
+	if math.IsNaN(ecc) || math.IsInf(ecc, 0) {
+		// Pathological cancellation (den = 0), or the root sits on a sample
+		// point of the contour itself (f = 0 there: at tiny e the circle
+		// through ℓ + e touches the root whenever sin E rounds to 1). The
+		// Newton fallback is always safe.
 		return newtonSolve(m, e)
 	}
-	ecc := real(num / den)
 	// The contour result is exact to roundoff for interior roots; a short
 	// Newton polish guards the rare near-boundary cases (root close to the
 	// circle at extreme eccentricity) at negligible cost and makes the
@@ -241,18 +244,30 @@ func (d Danby) Solve(m, e float64) float64 {
 // SolveFrom solves Kepler's equation starting from an explicit guess of the
 // eccentric anomaly — the warm-start entry point for samplers whose
 // consecutive mean anomalies differ by a small fixed delta (the previous
-// step's E advanced by n·s_ps lands within ~e·n·s_ps of the root). The guess
-// is re-centred to within π of the normalised mean anomaly (the root always
-// satisfies |E − M| ≤ e < π, so this also heals the wrap when M crosses 2π
-// between steps), then refined by Newton to the same 1e-13 residual the
-// contour solver polishes to. A guess too cold to converge in a few
-// iterations falls back to Default(), so accuracy never degrades below the
-// cold-start solver.
+// step's E advanced by n·s_ps lands within ~e·n·s_ps of the root). It is
+// SolveFromSincos without the sine and cosine.
 func SolveFrom(m, e, guess float64) float64 {
-	if e < 1e-14 {
-		return mathx.NormalizeAngle(m)
-	}
+	ecc, _, _ := SolveFromSincos(m, e, guess)
+	return ecc
+}
+
+// SolveFromSincos is the warm-started solve, returning sin E and cos E with
+// the root: the Newton iteration evaluates them anyway, and every caller that
+// wants a position needs exactly that pair next, so handing them back saves
+// the second sincos of an object-step.
+//
+// The guess is re-centred to within π of the normalised mean anomaly (the
+// root always satisfies |E − M| ≤ e < π, so this also heals the wrap when M
+// crosses 2π between steps), then refined by Newton to the same 1e-13
+// residual the contour solver polishes to. A guess too cold to converge in a
+// few iterations falls back to Default(), so accuracy never degrades below
+// the cold-start solver.
+func SolveFromSincos(m, e, guess float64) (ecc, sinE, cosE float64) {
 	mn := mathx.NormalizeAngle(m)
+	if e < 1e-14 {
+		sinE, cosE = math.Sincos(mn)
+		return mn, sinE, cosE
+	}
 	g := mathx.NormalizeAngle(guess)
 	switch {
 	case g-mn > math.Pi:
@@ -265,7 +280,7 @@ func SolveFrom(m, e, guess float64) float64 {
 		se, ce := math.Sincos(g)
 		f := g - e*se - mn
 		if math.Abs(f) < tol {
-			return mathx.NormalizeAngle(g)
+			return mathx.NormalizeAngle(g), se, ce
 		}
 		d := f / (1 - e*ce)
 		g -= d
@@ -275,13 +290,29 @@ func SolveFrom(m, e, guess float64) float64 {
 		// residual is bounded by (e/2)·d². Skipping the verify saves one
 		// sincos per solve — the dominant cost of a warm solve.
 		if 0.5*e*d*d < tol {
-			return mathx.NormalizeAngle(g)
+			// sin and cos of the accepted iterate g−d follow from the pair
+			// just evaluated by angle addition. For |d| < 1e-3 the series
+			// below truncate at d⁷/5040 < 2e-25 and d⁶/720 < 2e-21, far
+			// under one ulp; a larger last step (only near-circular orbits
+			// pass the remainder test with one) pays a real sincos.
+			if math.Abs(d) < 1e-3 {
+				d2 := d * d
+				sd := d * (1 - d2/6*(1-d2/20))
+				cd := 1 - d2/2*(1-d2/12)
+				se, ce = se*cd-ce*sd, ce*cd+se*sd
+			} else {
+				se, ce = math.Sincos(g)
+			}
+			return mathx.NormalizeAngle(g), se, ce
 		}
 	}
 	if Residual(g, mn, e) < 1e-12 {
-		return mathx.NormalizeAngle(g)
+		ecc = mathx.NormalizeAngle(g)
+	} else {
+		ecc = Default().Solve(mn, e)
 	}
-	return Default().Solve(mn, e)
+	sinE, cosE = math.Sincos(ecc)
+	return ecc, sinE, cosE
 }
 
 // Residual returns |E − e·sin E − M| with both sides angle-normalised; the

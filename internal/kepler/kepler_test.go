@@ -94,6 +94,21 @@ func TestSolveEdgeMeanAnomalies(t *testing.T) {
 	}
 }
 
+func TestContourRootOnSamplePoint(t *testing.T) {
+	// At tiny e the root E = M + e·sin E lands on the contour's θ = 0 sample
+	// wherever sin E rounds to 1, f vanishes there and the trapezoid sum
+	// divides by zero; the solver must fall back, not return NaN.
+	s := Contour{}
+	for _, e := range []float64{1e-13, 1e-12, 1e-11} {
+		for _, m := range []float64{math.Pi / 2, 1.564450908391925, 3 * math.Pi / 2, 4.713325099182625} {
+			ecc := s.Solve(m, e)
+			if math.IsNaN(ecc) || Residual(ecc, m, e) > 1e-12 {
+				t.Errorf("m=%v e=%v: E = %v", m, e, ecc)
+			}
+		}
+	}
+}
+
 func TestSolveUnnormalizedInput(t *testing.T) {
 	s := Contour{}
 	a := s.Solve(1.0, 0.3)

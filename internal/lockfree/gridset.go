@@ -64,8 +64,6 @@ type GridSet struct {
 	heads   []atomic.Int32
 	entries []Entry
 	mask    uint64 // len(keys) - 1; capacity is a power of two
-	probes  atomic.Uint64
-	inserts atomic.Uint64
 }
 
 // NewGridSet returns a grid set with at least slotHint slots (rounded up to
@@ -98,15 +96,13 @@ func (g *GridSet) Slots() int { return len(g.keys) }
 // EntryCapacity returns the size of the preallocated entry arena.
 func (g *GridSet) EntryCapacity() int { return len(g.entries) }
 
-// Reset marks every slot empty and clears the instrumentation counters so
-// the set can be reused for the next sampling step without reallocation.
+// Reset marks every slot empty so the set can be reused for the next
+// sampling step without reallocation.
 func (g *GridSet) Reset() {
 	for i := range g.keys {
 		g.keys[i].Store(EmptySlot)
 		g.heads[i].Store(nilEntry)
 	}
-	g.probes.Store(0)
-	g.inserts.Store(0)
 }
 
 // ResetParallel is Reset split across the given number of goroutines; with
@@ -136,8 +132,6 @@ func (g *GridSet) ResetParallel(workers int) {
 		}(lo, hi)
 	}
 	wg.Wait()
-	g.probes.Store(0)
-	g.inserts.Store(0)
 }
 
 // Insert records the satellite with identifier id at position pos into the
@@ -161,9 +155,7 @@ func (g *GridSet) Insert(cellKey uint64, entryIdx int32, id int32, pos vec3.V) e
 	e.Pos = pos
 
 	slot := hash.Mix64(cellKey) & g.mask
-	g.inserts.Add(1)
 	for probed := uint64(0); probed <= g.mask; probed++ {
-		g.probes.Add(1)
 		k := g.keys[slot].Load()
 		if k == EmptySlot {
 			if g.keys[slot].CompareAndSwap(EmptySlot, cellKey) {
@@ -231,32 +223,38 @@ func (g *GridSet) SlotKey(s int) (key uint64, head int32) {
 	return g.keys[s].Load(), g.heads[s].Load()
 }
 
-// Stats reports instrumentation counters for the current fill.
+// Stats reports fill statistics for the current contents.
 type Stats struct {
 	Slots        int     // slot capacity
 	Inserts      uint64  // insertions since the last reset
-	Probes       uint64  // total probe steps since the last reset
+	Probes       uint64  // total probe steps of those insertions
 	AvgProbes    float64 // probes per insertion
 	OccupiedSlot int     // number of occupied slots (distinct cells)
 }
 
-// Stats scans the table and returns fill statistics.
+// Stats walks the table and returns fill statistics. Nothing is counted on
+// the insert path — a counter there would be a cache line every inserter
+// writes — because the table itself records the numbers: every successful
+// insertion left one entry on a cell list, and an insertion into the cell at
+// slot s walked from the key's home slot to s, displacement + 1 probes
+// (keys never move, and nothing between home and s was empty when any of
+// them arrived). Call it after the insertion phase, like the other readers.
 func (g *GridSet) Stats() Stats {
-	occ := 0
-	for i := range g.keys {
-		if g.keys[i].Load() != EmptySlot {
-			occ++
+	st := Stats{Slots: len(g.keys)}
+	for s := range g.keys {
+		k := g.keys[s].Load()
+		if k == EmptySlot {
+			continue
+		}
+		st.OccupiedSlot++
+		probes := ((uint64(s) - hash.Mix64(k)) & g.mask) + 1
+		for e := g.heads[s].Load(); e != nilEntry; e = g.entries[e].next.Load() {
+			st.Inserts++
+			st.Probes += probes
 		}
 	}
-	ins := g.inserts.Load()
-	st := Stats{
-		Slots:        len(g.keys),
-		Inserts:      ins,
-		Probes:       g.probes.Load(),
-		OccupiedSlot: occ,
-	}
-	if ins > 0 {
-		st.AvgProbes = float64(st.Probes) / float64(ins)
+	if st.Inserts > 0 {
+		st.AvgProbes = float64(st.Probes) / float64(st.Inserts)
 	}
 	return st
 }

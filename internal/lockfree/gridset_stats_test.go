@@ -1,14 +1,17 @@
 package lockfree
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/hash"
+	"repro/internal/mathx"
 	"repro/internal/vec3"
 )
 
-// Stats counter coverage: the probe/insert counters feed the slot-factor
-// ablation (DESIGN.md §5) and the paperbench occupancy tables, so their
-// arithmetic is pinned here.
+// Stats coverage: the probe/insert numbers feed the slot-factor ablation
+// (DESIGN.md §5) and the paperbench occupancy tables, so their arithmetic is
+// pinned here. Insert counts nothing; Stats reads both off the table.
 
 func TestGridSetStatsExactCounters(t *testing.T) {
 	g := NewGridSet(1024, 16) // roomy table: no probe chains expected
@@ -65,6 +68,83 @@ func TestGridSetStatsProbeChainsUnderLoad(t *testing.T) {
 	if st.AvgProbes <= 1 {
 		t.Errorf("AvgProbes = %v, want > 1 under load", st.AvgProbes)
 	}
+}
+
+func TestGridSetStatsMatchHandCount(t *testing.T) {
+	// Count inserts and probe steps by hand — a plain open-addressing model
+	// of the Insert walk (Eq. 2), one probe per slot inspected — over crowded
+	// tables with repeated cell keys, and demand the table walk report the
+	// same totals, after sequential and after concurrent insertion (the
+	// probes of an insertion depend only on where its key ends up, and keys
+	// that arrive in the same order end up in the same slots).
+	const n = 300
+	rng := mathx.NewSplitMix64(17)
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64() % 120 // ~2.5 satellites per cell
+	}
+	g := NewGridSet(128, n) // ~110 cells in 128 slots: long probe chains
+	model := make([]uint64, g.Slots())
+	for i := range model {
+		model[i] = EmptySlot
+	}
+	var wantInserts, wantProbes uint64
+	for i, k := range keys {
+		wantInserts++
+		for slot := hash.Mix64(k) & g.mask; ; slot = (slot + 1) & g.mask {
+			wantProbes++
+			if model[slot] == EmptySlot {
+				model[slot] = k
+			}
+			if model[slot] == k {
+				break
+			}
+		}
+		if err := g.Insert(k, int32(i), int32(i), vec3.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wantProbes < 2*wantInserts {
+		t.Fatalf("model counted %d probes for %d inserts: table not crowded enough to test chains", wantProbes, wantInserts)
+	}
+	check := func(phase string) {
+		t.Helper()
+		if st := g.Stats(); st.Inserts != wantInserts || st.Probes != wantProbes {
+			t.Errorf("%s: Stats = %d inserts / %d probes, hand count %d / %d", phase, st.Inserts, st.Probes, wantInserts, wantProbes)
+		}
+	}
+	check("sequential")
+
+	// Concurrent re-run: seat each cell key first, in the model's order, so
+	// every key owns the same slot; then race the remaining insertions.
+	g.Reset()
+	seated := map[uint64]bool{}
+	var rest []int
+	for i, k := range keys {
+		if seated[k] {
+			rest = append(rest, i)
+			continue
+		}
+		seated[k] = true
+		if err := g.Insert(k, int32(i), int32(i), vec3.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := w; j < len(rest); j += 4 {
+				i := rest[j]
+				if err := g.Insert(keys[i], int32(i), int32(i), vec3.Zero); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("concurrent")
 }
 
 func TestGridSetStatsEmpty(t *testing.T) {

@@ -15,7 +15,25 @@ import (
 const TwoPi = 2 * math.Pi
 
 // NormalizeAngle reduces a to the half-open interval [0, 2π).
+//
+// Angles already in [0, 4π) — every mean anomaly of a screen shorter than
+// one orbit, every Newton iterate — reduce by a compare and at most one
+// subtraction. That is bit-identical to the math.Mod reduction: Mod is exact,
+// and so is a − 2π for a ∈ [2π, 4π) (Sterbenz), so both produce the same
+// float64. Everything else takes the Mod path.
 func NormalizeAngle(a float64) float64 {
+	if a >= 0 {
+		if a < TwoPi {
+			return a
+		}
+		if a < 2*TwoPi {
+			return a - TwoPi
+		}
+	}
+	return normalizeAngleMod(a)
+}
+
+func normalizeAngleMod(a float64) float64 {
 	a = math.Mod(a, TwoPi)
 	if a < 0 {
 		a += TwoPi

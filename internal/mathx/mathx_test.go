@@ -22,6 +22,27 @@ func TestNormalizeAngle(t *testing.T) {
 	}
 }
 
+// The compare-and-subtract fast path must return the very float64 the Mod
+// reduction does: the detectors' cell keys depend on it bit for bit.
+func TestNormalizeAngleFastPathBitIdentical(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		math.Nextafter(TwoPi, 0), TwoPi, math.Nextafter(TwoPi, 10),
+		math.Nextafter(2*TwoPi, 0), 2 * TwoPi, math.Nextafter(2*TwoPi, 100),
+		-math.SmallestNonzeroFloat64, -TwoPi, 1e9, -1e9,
+	}
+	rng := NewSplitMix64(7)
+	for i := 0; i < 100000; i++ {
+		edges = append(edges, (rng.Float64()*3-0.5)*2*TwoPi) // [-2π, 10π)
+	}
+	for _, a := range edges {
+		got, want := NormalizeAngle(a), normalizeAngleMod(a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeAngle(%v) = %v, Mod reduction gives %v", a, got, want)
+		}
+	}
+}
+
 func TestWrapPi(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{0, 0},

@@ -124,6 +124,9 @@ type WarmStarter interface {
 	// falls back to the full solver). It returns the state plus the solved
 	// eccentric anomaly, which seeds the next sample's guess.
 	StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64)
+	// PositionWarm is StateWarm without the velocity — all a sampling step
+	// needs to bin an object into its grid cell.
+	PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64)
 }
 
 // TwoBody is unperturbed Keplerian propagation: M(t) = M₀ + n·t, E from the
@@ -151,14 +154,28 @@ func (p TwoBody) State(s *Satellite, t float64) (pos, vel vec3.V) {
 // over warm-starting — the solver ablations compare cold solvers, so the
 // warm path must not silently substitute Newton for them.
 func (p TwoBody) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64) {
-	m := s.Elements.MeanAnomaly + s.meanMotion*t
-	if p.Solver != nil {
-		ecc = p.Solver.Solve(m, s.ecc)
-	} else {
-		ecc = kepler.SolveFrom(m, s.ecc, guess)
-	}
-	pos, vel = stateFromEccentric(s, ecc)
+	ecc, se, ce := p.solveWarm(s, t, guess)
+	pos, vel = stateFromSincos(s, se, ce)
 	return pos, vel, ecc
+}
+
+// PositionWarm implements WarmStarter.
+func (p TwoBody) PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64) {
+	ecc, se, ce := p.solveWarm(s, t, guess)
+	return positionFromSincos(s, se, ce), ecc
+}
+
+// solveWarm solves Kepler's equation at t and returns sin E and cos E with
+// the root. The warm solve hands back the pair its last Newton iterate
+// produced, so a warm object-step costs one sincos in total.
+func (p TwoBody) solveWarm(s *Satellite, t, guess float64) (ecc, se, ce float64) {
+	m := s.Elements.MeanAnomaly + s.meanMotion*t
+	if p.Solver == nil {
+		return kepler.SolveFromSincos(m, s.ecc, guess)
+	}
+	ecc = p.Solver.Solve(m, s.ecc)
+	se, ce = math.Sincos(ecc)
+	return ecc, se, ce
 }
 
 // stateFromEccentric evaluates the conic directly at eccentric anomaly E
@@ -173,23 +190,34 @@ func (p TwoBody) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc
 // are the standard conic parameterisations); they differ only in roundoff.
 func stateFromEccentric(s *Satellite, ecc float64) (pos, vel vec3.V) {
 	se, ce := math.Sincos(ecc)
+	return stateFromSincos(s, se, ce)
+}
+
+// positionFromSincos is the position half of stateFromEccentric, from sin E
+// and cos E.
+func positionFromSincos(s *Satellite, se, ce float64) vec3.V {
 	rp := s.sma * (ce - s.ecc) // position component along P̂
 	rq := s.smb * se           // position component along Q̂
-	inv := 1 / (s.sma * (1 - s.ecc*ce))
-	vp := -s.velP * se * inv
-	vq := s.velQ * ce * inv
 	bp, bq := s.basisP, s.basisQ
-	pos = vec3.V{
+	return vec3.V{
 		X: rp*bp.X + rq*bq.X,
 		Y: rp*bp.Y + rq*bq.Y,
 		Z: rp*bp.Z + rq*bq.Z,
 	}
+}
+
+// stateFromSincos is stateFromEccentric from sin E and cos E.
+func stateFromSincos(s *Satellite, se, ce float64) (pos, vel vec3.V) {
+	inv := 1 / (s.sma * (1 - s.ecc*ce))
+	vp := -s.velP * se * inv
+	vq := s.velQ * ce * inv
+	bp, bq := s.basisP, s.basisQ
 	vel = vec3.V{
 		X: vp*bp.X + vq*bq.X,
 		Y: vp*bp.Y + vq*bq.Y,
 		Z: vp*bp.Z + vq*bq.Z,
 	}
-	return pos, vel
+	return positionFromSincos(s, se, ce), vel
 }
 
 // stateFromTrue evaluates the conic at true anomaly f with basis (bp, bq).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,5 +211,59 @@ func TestOpenEmptyAndMissingDir(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreConcurrentAppendAndRead is the store's service shape: the
+// rescreener appends runs while HTTP handlers list and query them. Run under
+// -race it checks every read path against a concurrent Append; readers must
+// only ever see whole runs, in ID order.
+func TestStoreConcurrentAppendAndRead(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const runs, conjs = 16, 3
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := s.Len()
+				if hdrs := s.Runs(0); len(hdrs) < n {
+					t.Errorf("Runs returned %d headers after Len reported %d", len(hdrs), n)
+					return
+				}
+				if n > 0 {
+					if run, ok := s.Run(uint64(n)); !ok || len(run.Conjunctions) != conjs {
+						t.Errorf("run %d: ok=%v with %d conjunctions, want %d", n, ok, len(run.Conjunctions), conjs)
+						return
+					}
+				}
+				if m := s.Query(Query{}); len(m)%conjs != 0 || len(m) < n*conjs {
+					t.Errorf("Query saw %d matches with %d runs committed: a partial run is visible", len(m), n)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < runs; i++ {
+		if id, err := s.Append(sampleRun(conjs, float64(i))); err != nil || id != uint64(i+1) {
+			t.Errorf("append %d: id=%d err=%v", i, id, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Len() != runs {
+		t.Fatalf("Len = %d, want %d", s.Len(), runs)
 	}
 }
