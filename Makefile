@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race fuzz bench bench-alloc store-bench perf-smoke shard-smoke load-smoke
+.PHONY: all build test lint race fuzz bench bench-alloc store-bench perf-smoke shard-smoke load-smoke delta-smoke
 
 all: build lint test
 
@@ -75,3 +75,9 @@ perf-smoke:
 ## below ref/4. Refresh deliberately with scripts/load_smoke.sh -update.
 load-smoke:
 	scripts/load_smoke.sh
+
+## delta-smoke: the socket-level delta path — a conjserver stack on
+## loopback taking deltas, each published snapshot checked against a
+## from-scratch screen; exits non-zero on any failed op (~2 s).
+delta-smoke:
+	bash bench/run.sh --verify --smoke

@@ -94,23 +94,16 @@ func (d *AABB) screen(ctx context.Context, sats []propagation.Satellite, delta *
 	if sps <= 0 {
 		sps = DefaultAABBSeconds
 	}
-	run, err := newRun(ctx, cfg, sats, sps, false)
+	run, err := newRun(ctx, cfg, sats, sps, false, delta)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Variant: VariantAABB, Backend: "cpu"}
 	if run == nil { // degenerate population (<2 satellites)
-		if delta != nil {
-			res.Conjunctions = degenerateDeltaMerge(delta)
-		}
+		res.Conjunctions = degenerateDeltaMerge(delta)
 		return res, nil
 	}
 	defer run.release()
-	if delta != nil {
-		if err := run.setDelta(delta); err != nil {
-			return nil, err
-		}
-	}
 	res.Backend = run.exec.ExecutorName()
 
 	w := cfg.WindowSteps
@@ -403,7 +396,7 @@ func (r *run) windowPropagateRange(lo, hi int) {
 			kc := &r.kcache[i]
 			for k := 0; k < width; k++ {
 				t := float64(base+k) * r.sps
-				pos, vel, ecc := r.warm.StateWarm(&r.sats[i], t, kc.E+kc.DeltaM)
+				pos, vel, ecc := r.warm.StateWarm(&r.sats[i], t, kc.E+kc.DeltaE)
 				samples[k].Pos, samples[k].Vel = pos, vel
 				kc.E = ecc
 			}

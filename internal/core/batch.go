@@ -140,11 +140,7 @@ func (r *run) processStepSerial(step uint32, gs *lockfree.GridSet, snap *lockfre
 	fz = time.Since(tFz)
 
 	tCD := time.Now()
-	if r.dirty != nil {
-		scratch.pairs = r.scanSnapshotDirty(snap, 0, snap.Slots(), step, scratch.pairs[:0], scratch)
-	} else {
-		scratch.pairs = r.scanSnapshot(snap, 0, snap.Slots(), step, scratch.pairs[:0], scratch)
-	}
+	scratch.pairs = r.scanSnapshot(snap, 0, snap.Slots(), step, scratch.pairs[:0], scratch)
 	for _, key := range scratch.pairs {
 		if _, insErr := r.pairs.InsertPacked(key); insErr != nil {
 			overflow = true

@@ -72,7 +72,7 @@ func benchSlotFactor(b *testing.B, factor float64) {
 		_ = res
 	}
 	// Probe statistics come from a dedicated single run (stable metric).
-	run, err := newRun(context.Background(), Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1, GridSlotFactor: factor}, sats, 1, true)
+	run, err := newRun(context.Background(), Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1, GridSlotFactor: factor}, sats, 1, true, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func candgenRun(b *testing.B) *run {
 	b.Helper()
 	sats := benchShellPopulation(b, candgenObjects)
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: 1}
-	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, true)
+	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, true, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -84,7 +84,7 @@ type Config struct {
 	// (§V-B/§V-E): "we calculate as many points in time in parallel as
 	// fit into the memory". ≤1 processes steps sequentially (each step
 	// internally parallel). The memory planner (internal/model) supplies
-	// p for a given budget.
+	// p for a given budget. Delta passes always sample in step order.
 	ParallelSteps int
 	// WindowSteps is the AABB-tree variant's window width W: one set of
 	// position-time boxes (and one tree build) covers W consecutive
@@ -110,7 +110,8 @@ type Config struct {
 	// DisablePipeline forces the strictly sequential step loop even when
 	// the run could overlap step N's snapshot scan with step N+1's
 	// propagate/build (see sampleStepsPipelined). Results are identical;
-	// the knob exists for ablations and the differential battery.
+	// the knob exists for ablations and the differential battery. A delta
+	// pass has no scan to overlap and ignores it, like UseFullNeighborhood.
 	DisablePipeline bool
 	// Uncertainty, when non-nil, screens each pair against the effective
 	// threshold d + u(a) + u(b) instead of the uniform d (§III: the
@@ -229,7 +230,8 @@ type Conjunction struct {
 }
 
 // PhaseStats records where the run spent its time — the §V-C1 breakdown —
-// plus pipeline counters.
+// plus pipeline counters. On a delta pass (delta.go) Insertion is stamp +
+// probe, Freeze zero and Detection the merge alone.
 type PhaseStats struct {
 	Insertion   time.Duration // propagation + grid insertion (INS)
 	Freeze      time.Duration // grid compaction into the CSR scan snapshot (FRZ)
@@ -247,7 +249,7 @@ type PhaseStats struct {
 	Refinements       int    // Brent searches performed
 	RefineBatches     int    // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds       uint64 // satellite samples outside the simulation cube
-	GridSlots         int    // grid hash slot capacity
+	GridSlots         int    // grid hash slot capacity (delta passes: the stamp table's)
 	PairSlots         int    // final conjunction hash slot capacity
 	PairSetGrowths    int    // times the conjunction hash set overflowed and doubled
 	FilterStats       filters.Stats

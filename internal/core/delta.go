@@ -1,21 +1,22 @@
 package core
 
 // Incremental (delta) screening: re-screening a catalogue version that
-// differs from an already-screened one by a small dirty set of k changed
-// objects. The full population is propagated and inserted into the grid
-// exactly as in a full screen — a dirty object can approach anything — but
-// the candidate scan emits a pair only when at least one member is dirty,
-// so candidate generation and refinement cost O(N·k) pair work instead of
-// O(N²). The refined conjunctions are then merged with the prior result:
-// prior entries whose pair touches a dirty or removed object are stale and
-// dropped (their replacements, if any, are in the fresh set), everything
-// else is retained verbatim. The delta-vs-full differential test
-// (delta_test.go) pins this merge against a fresh full screen over random
-// delta sequences.
+// differs from an already-screened one by a small dirty set of k objects.
+// Only pairs with a dirty member can be new, so the grid is used inside out
+// (stamp-and-probe, DESIGN.md §11): per sampling step each dirty object
+// stamps its own cell and the in-cube cells around it in a small lock-free
+// grid set, and every object looks at the one cell it is in — finding a
+// stamp exactly when the two cells are adjacent, the full scan's criterion.
+// The refined conjunctions are merged with the prior result: prior entries
+// touching a dirty or removed object are stale and dropped, the rest are
+// retained verbatim. delta_test.go pins candidates and merge against a fresh
+// full screen over chained deltas.
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/lockfree"
 	"repro/internal/propagation"
@@ -35,9 +36,11 @@ type DeltaInput struct {
 }
 
 // ScreenDelta runs the grid pipeline incrementally; see DeltaInput for the
-// contract. The result is equivalent to a full Screen of the same
-// population (the differential test asserts it), at the candidate cost of
-// the dirty set only.
+// contract. The result is equivalent to a full Screen of the same population
+// at the candidate cost of the dirty set only. Steps are sampled in order
+// with the warm Kepler cache, whatever ParallelSteps, DisablePipeline and
+// UseFullNeighborhood say. Past the crossover (stampingPays) the delta is
+// validated and a plain full screen runs instead, with PriorRetained = 0.
 func (d *Grid) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
 	return d.screen(ctx, sats, &delta)
 }
@@ -63,38 +66,63 @@ func bitsetHas(b []uint64, id int32) bool {
 	return b[w]>>(uint(id)&63)&1 != 0
 }
 
-// setDelta arms the run's dirty-pair filter: the candidate scan consults
-// r.dirty, the final merge consults r.touched (dirty ∪ removed). Both
-// bitsets are pooled and handed back by release with the run's other
-// structures.
-func (r *run) setDelta(delta *DeltaInput) error {
-	maxID := int32(-1)
+// Stamp-table geometry: own cell plus 26 neighbours, and 8 slots per stamp so
+// the probe of an unstamped cell — nearly every probe — ends on its first slot.
+const (
+	stampsPerObject    = 27
+	stampSlotsPerEntry = 8
+)
+
+// stampingPays is the crossover between stamping and a full screen: 27
+// insertions per dirty object per step, into a table that outgrows the cache
+// with k, against one per object. Measured (DESIGN.md §11), the passes cost
+// the same at k = N/8 when sampling is all the work, and stamping is still
+// ahead there when candidate volume is. Computed from the pass's own inputs.
+func stampingPays(dirty, objects int) bool { return 8*dirty <= objects }
+
+// validate checks a delta against the population's ID index — IDs in the
+// packed-pair range, nothing removed still present — and returns the largest
+// ID named, −1 for an empty delta.
+func (delta *DeltaInput) validate(idx map[int32]int32) (maxID int32, err error) {
+	maxID = -1
 	for _, id := range delta.Dirty {
 		if id < 0 || id > lockfree.MaxID {
-			return fmt.Errorf("core: delta dirty ID %d out of range", id)
+			return 0, fmt.Errorf("core: delta dirty ID %d out of range", id)
 		}
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
 	}
 	for _, id := range delta.Removed {
 		if id < 0 || id > lockfree.MaxID {
-			return fmt.Errorf("core: delta removed ID %d out of range", id)
+			return 0, fmt.Errorf("core: delta removed ID %d out of range", id)
 		}
-		if _, present := r.idx[id]; present {
-			return fmt.Errorf("core: delta removed ID %d is still in the population", id)
+		if _, present := idx[id]; present {
+			return 0, fmt.Errorf("core: delta removed ID %d is still in the population", id)
 		}
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
 	}
-	words := 0
-	if maxID >= 0 {
-		words = bitsetWords(maxID)
+	return maxID, nil
+}
+
+// setDelta validates the delta and arms the run: candidate emission consults
+// r.dirty (and, when stamping, walks r.dirtyIdx into the stamp table), the
+// final merge consults r.touched (dirty ∪ removed). Everything drawn here is
+// pooled and handed back by release with the run's other structures.
+func (r *run) setDelta(delta *DeltaInput) error {
+	maxID, err := delta.validate(r.idx)
+	if err != nil {
+		return err
 	}
+	words := bitsetWords(maxID) // 0 for the empty delta's −1
 	r.dirty = r.pool.GetBitset(words)
 	r.touched = r.pool.GetBitset(words)
+	if r.stamping = r.grid != nil && stampingPays(len(delta.Dirty), len(r.sats)); r.stamping {
+		r.dirtyIdx = make([]int32, 0, len(delta.Dirty))
+	}
 	for _, id := range delta.Dirty {
+		// A repeated ID stamps once, one absent from the population never.
+		if i, present := r.idx[id]; present && r.stamping && !bitsetHas(r.dirty, id) {
+			r.dirtyIdx = append(r.dirtyIdx, i)
+		}
 		bitsetSet(r.dirty, id)
 		bitsetSet(r.touched, id)
 	}
@@ -102,7 +130,120 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		bitsetSet(r.touched, id)
 	}
 	r.stats.DirtyObjects = len(delta.Dirty)
+	if k := len(r.dirtyIdx); r.stamping {
+		r.gset = r.pool.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k)
+		r.stats.GridSlots = r.gset.Slots()
+		r.dirtyKeys = r.pool.GetKeyBuf(k)[:k]
+	}
 	return nil
+}
+
+// sampleStepsStamped is the delta pass's step loop: reset the stamp table,
+// stamp every dirty object, let every object probe its own cell, merge the
+// per-worker candidate buffers as the full scan does. Insertion accounts
+// stamp + probe (propagation included), Detection the merge. Positions come
+// from positionAt, so they and the out-of-bounds count are the full screen's.
+func (r *run) sampleStepsStamped() error {
+	stampFn, probeFn := r.stampRange, r.probeRange
+	for step := 0; step < r.steps; step++ {
+		if err := r.cancelled(); err != nil {
+			return err
+		}
+		oobBefore := r.oob.Load()
+		tIns := time.Now()
+		r.stepTime, r.scanStep = float64(step)*r.sps, uint32(step)
+		r.gset.Reset()
+		if err := r.exec.ParallelFor(r.ctx, len(r.dirtyIdx), stampFn); err != nil {
+			return err
+		}
+		if err, ok := r.insertErr.Load().(error); ok {
+			return err
+		}
+		for w := range r.scanBufs {
+			r.scanBufs[w] = r.scanBufs[w][:0]
+		}
+		// Dirty objects probe too (dirty–dirty pairs), now that every stamp is
+		// in, from the cell they stamped: their position is already taken.
+		for j, key := range r.dirtyKeys {
+			if key != lockfree.EmptySlot {
+				r.scanBufs[0] = r.appendStamped(r.scanBufs[0], key, r.sats[r.dirtyIdx[j]].ID)
+			}
+		}
+		if err := r.exec.ParallelForWorkers(r.ctx, len(r.sats), probeFn); err != nil {
+			return err
+		}
+		r.stats.Insertion += time.Since(tIns)
+		tCD := time.Now()
+		if err := r.mergeScanBufs(); err != nil {
+			return err
+		}
+		r.stats.Detection += time.Since(tCD)
+		r.observeStep(step, len(r.sats)-int(r.oob.Load()-oobBefore))
+	}
+	return nil
+}
+
+// stampRange stamps dirty objects [lo, hi) of r.dirtyIdx at the published
+// step time; object j owns stamp-table entries 27·j … 27·j+26. Only in-cube
+// cells are stamped (the scan's bounds rule); an object outside the cube stamps
+// nothing and counts out of bounds. The first insertion failure is latched.
+func (r *run) stampRange(lo, hi int) {
+	var nbuf [stampsPerObject - 1]uint64
+	for j := lo; j < hi; j++ {
+		i := int(r.dirtyIdx[j])
+		pos := r.positionAt(i, r.stepTime)
+		coord, ok := r.grid.CoordOf(pos)
+		if !ok {
+			r.dirtyKeys[j] = lockfree.EmptySlot
+			r.oob.Add(1)
+			continue
+		}
+		r.dirtyKeys[j] = spatial.PackKey(coord)
+		id, entry := r.sats[i].ID, int32(stampsPerObject*j)
+		err := r.gset.Insert(r.dirtyKeys[j], entry, id, pos)
+		for n, key := range r.grid.NeighborKeys(coord, nbuf[:0]) {
+			if err == nil {
+				err = r.gset.Insert(key, entry+1+int32(n), id, pos)
+			}
+		}
+		if err != nil {
+			r.insertErr.CompareAndSwap(nil, fmt.Errorf("core: grid insertion: %w", err))
+			return
+		}
+	}
+}
+
+// probeRange lets the clean objects of [lo, hi) look up the one cell they are
+// in, into worker w's buffer; sampleStepsStamped probed the dirty ones already.
+func (r *run) probeRange(w, lo, hi int) {
+	buf, oob := r.scanBufs[w], 0
+	for i := lo; i < hi; i++ {
+		id := r.sats[i].ID
+		if bitsetHas(r.dirty, id) {
+			continue
+		}
+		key, ok := r.grid.KeyOf(r.positionAt(i, r.stepTime))
+		if !ok {
+			oob++
+			continue
+		}
+		buf = r.appendStamped(buf, key, id)
+	}
+	r.scanBufs[w] = buf
+	if oob > 0 {
+		r.oob.Add(uint64(oob))
+	}
+}
+
+// appendStamped appends to buf a packed (id, dirty object) candidate for
+// every stamp in the cell with the given key, the object's own stamp aside.
+func (r *run) appendStamped(buf []uint64, key uint64, id int32) []uint64 {
+	for e := r.gset.Head(key); e >= 0; e = r.gset.Next(e) {
+		if other := r.gset.Entry(e).ID; other != id {
+			buf = append(buf, lockfree.PackPair(id, other, r.scanStep))
+		}
+	}
+	return buf
 }
 
 // mergeWithPrior folds the retained prior conjunctions into the freshly
@@ -125,72 +266,20 @@ func (r *run) mergeWithPrior(fresh []Conjunction, prior []Conjunction) []Conjunc
 
 // degenerateDeltaMerge handles the <2-satellite population, where no run is
 // built: the result is the prior with every touched pair dropped (with at
-// most one object left, nothing fresh can exist).
+// most one object left, nothing fresh can exist), and nothing without a delta.
 func degenerateDeltaMerge(delta *DeltaInput) []Conjunction {
-	touched := make(map[int32]struct{}, len(delta.Dirty)+len(delta.Removed))
-	for _, id := range delta.Dirty {
-		touched[id] = struct{}{}
+	if delta == nil {
+		return nil
 	}
-	for _, id := range delta.Removed {
-		touched[id] = struct{}{}
+	touched := func(id int32) bool {
+		return slices.Contains(delta.Dirty, id) || slices.Contains(delta.Removed, id)
 	}
 	var out []Conjunction
 	for _, c := range delta.Prior {
-		if _, hit := touched[c.A]; hit {
-			continue
+		if !touched(c.A) && !touched(c.B) {
+			out = append(out, c)
 		}
-		if _, hit := touched[c.B]; hit {
-			continue
-		}
-		out = append(out, c)
 	}
 	sortConjunctions(out)
 	return out
-}
-
-// scanSnapshotDirty is scanSnapshot with the delta filter applied at
-// emission: a pair is appended only when at least one member is dirty. The
-// walk itself is identical — every cell is still visited, because a clean
-// cell can neighbour a dirty object — so the saving is the pair volume
-// (candidate keys, pair-set pressure, refinement), which is the O(N²) term.
-func (r *run) scanSnapshotDirty(sn *lockfree.GridSnapshot, lo, hi int, step uint32, buf []uint64, scratch *scanScratch) []uint64 {
-	half := !r.cfg.UseFullNeighborhood
-	dirty := r.dirty
-	for s := lo; s < hi; s++ {
-		key, cell := sn.SlotCell(s)
-		if key == lockfree.EmptySlot || len(cell) == 0 {
-			continue
-		}
-		for i := 0; i < len(cell); i++ {
-			di := bitsetHas(dirty, cell[i])
-			for j := i + 1; j < len(cell); j++ {
-				if di || bitsetHas(dirty, cell[j]) {
-					buf = append(buf, lockfree.PackPair(cell[i], cell[j], step))
-				}
-			}
-		}
-		var neighbors []uint64
-		if coord := spatial.UnpackKey(key); r.grid.Interior(coord) {
-			if half {
-				neighbors = spatial.HalfNeighborKeysInterior(key, scratch.nbuf[:0])
-			} else {
-				neighbors = spatial.NeighborKeysInterior(key, scratch.nbuf[:0])
-			}
-		} else if half {
-			neighbors = r.grid.HalfNeighborKeys(coord, scratch.nbuf[:0])
-		} else {
-			neighbors = r.grid.NeighborKeys(coord, scratch.nbuf[:0])
-		}
-		for _, nk := range neighbors {
-			for _, nid := range sn.CellByKey(nk) {
-				nd := bitsetHas(dirty, nid)
-				for _, cid := range cell {
-					if nd || bitsetHas(dirty, cid) {
-						buf = append(buf, lockfree.PackPair(cid, nid, step))
-					}
-				}
-			}
-		}
-	}
-	return buf
 }

@@ -10,20 +10,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/lockfree"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/pool"
 	"repro/internal/propagation"
 )
-
-// deltaScreener is the surface shared by the grid and hybrid detectors.
-type deltaScreener interface {
-	ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error)
-	ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error)
-}
 
 // mutateOnce applies one synthetic catalogue delta in place: a couple of
 // removals, a couple of element updates, one fresh shell object, and one
@@ -112,35 +109,86 @@ func assertConjunctionsEqual(t *testing.T, name string, got, want []Conjunction)
 	}
 }
 
+// dirtyCandidates counts the (pair, step) candidates of a fresh full sampling
+// of sats under the variant's configuration that have a dirty member — what a
+// delta pass must emit, no more and no fewer. The sharded variant delegates
+// its delta pass to the grid over the whole population, so the grid's
+// candidates are its reference too.
+func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagation.Satellite, dirty []int32) int {
+	t.Helper()
+	sps := cfg.SecondsPerSample
+	if sps <= 0 {
+		sps = map[Variant]float64{VariantHybrid: DefaultHybridSeconds, VariantAABB: DefaultAABBSeconds}[variant]
+	}
+	if sps <= 0 {
+		sps = DefaultGridSeconds
+	}
+	r, err := newRun(context.Background(), cfg, sats, sps, variant != VariantAABB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.release()
+	if variant == VariantAABB {
+		w := cfg.WindowSteps
+		if w <= 0 {
+			w = DefaultWindowSteps
+		}
+		err = r.sampleWindows(min(w, r.steps))
+	} else {
+		err = r.sampleAllSteps()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	isDirty := make(map[int32]bool, len(dirty))
+	for _, id := range dirty {
+		isDirty[id] = true
+	}
+	n := 0
+	for _, p := range r.collectPairs() {
+		if isDirty[p.A] || isDirty[p.B] {
+			n++
+		}
+	}
+	return n
+}
+
 func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 	const span = 1800.0
 	cases := []struct {
-		name string
-		mk   func(p *pool.Pool) deltaScreener
+		name    string
+		variant Variant
+		cfg     Config
 	}{
-		{"grid", func(p *pool.Pool) deltaScreener {
-			return NewGrid(Config{DurationSeconds: span, HalfExtentKm: 9000, Workers: 4, Pool: p})
-		}},
-		{"grid-batched", func(p *pool.Pool) deltaScreener {
-			return NewGrid(Config{DurationSeconds: span, HalfExtentKm: 9000, Workers: 4, ParallelSteps: 4, Pool: p})
-		}},
-		{"hybrid", func(p *pool.Pool) deltaScreener {
-			return NewHybrid(Config{DurationSeconds: span, HalfExtentKm: 9000, Workers: 4, Pool: p})
-		}},
-		{"aabb", func(p *pool.Pool) deltaScreener {
-			return NewAABB(Config{DurationSeconds: span, Workers: 4, Pool: p})
-		}},
-		{"aabb-short-window", func(p *pool.Pool) deltaScreener {
-			return NewAABB(Config{DurationSeconds: span, Workers: 4, WindowSteps: 3, Pool: p})
-		}},
+		{"grid", VariantGrid, Config{HalfExtentKm: 9000}},
+		// Batched full screens sample cold and out of order; the delta pass
+		// ignores ParallelSteps and must still agree with them.
+		{"grid-batched", VariantGrid, Config{HalfExtentKm: 9000, ParallelSteps: 4}},
+		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}},
+		{"sharded-grid", VariantSharded, Config{Shards: 3}},
+		{"aabb", VariantAABB, Config{}},
+		{"aabb-short-window", VariantAABB, Config{WindowSteps: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := pool.New()
-			det := tc.mk(pl)
+			cfg := tc.cfg
+			cfg.DurationSeconds, cfg.Workers, cfg.Pool = span, 4, pl
+			desc, _ := Lookup(tc.variant)
+			det := desc.New(cfg).(DeltaDetector)
+			stamps := tc.variant != VariantAABB // the tree has no stamp table and no crossover
+			refVariant, refCfg := tc.variant, cfg
+			if tc.variant == VariantSharded {
+				refVariant, refCfg.Shards = VariantGrid, 0
+			}
 			ctx := context.Background()
 
+			// The engineered encounters plus enough shell objects that the
+			// four-object deltas of mutateOnce stay below the crossover.
 			sats := seededEncounterPopulation(11, span)
+			for _, s := range denseShellPopulation(32, 12) {
+				sats = append(sats, propagation.MustSatellite(int32(len(sats)), s.Elements))
+			}
 			nextID := int32(len(sats))
 			full, err := det.ScreenContext(ctx, sats)
 			if err != nil {
@@ -149,9 +197,37 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 			prior := full.Conjunctions
 
 			rng := mathx.NewSplitMix64(23)
-			for round := 0; round < 4; round++ {
+			var twins [2]int32
+			for round := 0; round < 7; round++ {
 				var dirty, removed []int32
-				sats, dirty, removed = mutateOnce(rng, sats, &nextID, span)
+				switch round {
+				case 4:
+					// Removal only: nothing is dirty, so nothing is sampled.
+					removed = []int32{sats[3].ID, sats[9].ID}
+					sats = append(sats[:3:3], append(sats[4:9:9], sats[10:]...)...)
+				case 5:
+					// Two new objects on one orbit 0.8 km apart radially, both
+					// dirty and in the same or adjacent cells at every step: the
+					// pair is found from both sides and must be reported once.
+					el := sats[0].Elements
+					el.Inclination += 0.3
+					twins = [2]int32{nextID, nextID + 1}
+					sats = append(sats, propagation.MustSatellite(twins[0], el))
+					el.SemiMajorAxis += 0.8
+					sats = append(sats, propagation.MustSatellite(twins[1], el))
+					dirty = twins[:]
+					nextID += 2
+				case 6:
+					// Above the crossover: a third of the objects.
+					for i := 0; i < len(sats); i += 3 {
+						el := sats[i].Elements
+						el.MeanAnomaly = mathx.NormalizeAngle(el.MeanAnomaly + 0.01)
+						sats[i] = propagation.MustSatellite(sats[i].ID, el)
+						dirty = append(dirty, sats[i].ID)
+					}
+				default:
+					sats, dirty, removed = mutateOnce(rng, sats, &nextID, span)
+				}
 
 				fresh, err := det.ScreenContext(ctx, sats)
 				if err != nil {
@@ -165,9 +241,36 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 				if inc.Stats.DirtyObjects != len(dirty) {
 					t.Fatalf("round %d: DirtyObjects = %d, want %d", round, inc.Stats.DirtyObjects, len(dirty))
 				}
-				if inc.Stats.CandidatePairs > fresh.Stats.CandidatePairs {
-					t.Fatalf("round %d: delta emitted more candidates (%d) than the full screen (%d)",
-						round, inc.Stats.CandidatePairs, fresh.Stats.CandidatePairs)
+				wantCand, wantSteps := dirtyCandidates(t, refVariant, refCfg, sats, dirty), fresh.Stats.Steps
+				switch {
+				case !stamps:
+				case round == 4:
+					wantSteps = 0
+				case round == 6:
+					wantCand = fresh.Stats.CandidatePairs
+					if inc.Stats.PriorRetained != 0 {
+						t.Fatalf("round %d: a pass above the crossover retained %d prior conjunctions", round, inc.Stats.PriorRetained)
+					}
+				case tc.variant == VariantSharded:
+					wantSteps = stepCount(span, DefaultGridSeconds) // one pass, not one per shard
+				}
+				if inc.Stats.CandidatePairs != wantCand {
+					t.Fatalf("round %d: delta emitted %d candidates, the fresh screen has %d with a dirty member",
+						round, inc.Stats.CandidatePairs, wantCand)
+				}
+				if inc.Stats.Steps != wantSteps {
+					t.Fatalf("round %d: %d steps sampled, want %d", round, inc.Stats.Steps, wantSteps)
+				}
+				if round == 5 {
+					found := 0
+					for _, c := range inc.Conjunctions {
+						if c.A == twins[0] && c.B == twins[1] {
+							found++
+						}
+					}
+					if found == 0 {
+						t.Fatalf("round %d: dirty–dirty pair %v not reported", round, twins)
+					}
 				}
 				// Chain: the incremental output becomes the next prior.
 				prior = inc.Conjunctions
@@ -220,5 +323,210 @@ func TestScreenDeltaDegeneratePopulation(t *testing.T) {
 	// retained even though the population cannot re-confirm it.
 	if len(res.Conjunctions) != 1 || res.Conjunctions[0].A != 1 {
 		t.Fatalf("degenerate merge = %v", res.Conjunctions)
+	}
+}
+
+// edgeTwins returns an equatorial pair 0.8 km apart radially whose argument
+// of latitude is theta at tMeet. In a 7000 km half extent of 9.8 km cells
+// (in-cube x from −7007 km to +7016.8 km) the outer one, at 7007.5 km, spends
+// the 22 s around theta = 0 in the outermost shell of cells and the 22 s
+// around theta = π outside the cube; the inner one never leaves.
+func edgeTwins(idOuter, idInner int32, theta, tMeet float64) (outer, inner propagation.Satellite) {
+	at := func(a float64) orbit.Elements {
+		el := orbit.Elements{SemiMajorAxis: a, Eccentricity: 1e-5, Inclination: 0.01}
+		el.MeanAnomaly = mathx.NormalizeAngle(theta - el.MeanMotion()*tMeet)
+		return el
+	}
+	return propagation.MustSatellite(idOuter, at(7007.5)), propagation.MustSatellite(idInner, at(7006.7))
+}
+
+// TestScreenDeltaAtCubeEdge: stamps on the outermost shell of cells are
+// clipped to the cube like the scan's neighbourhoods, and a dirty object
+// outside the cube stamps nothing and is counted — so the out-of-bounds
+// tally and the conjunctions are the full screen's.
+func TestScreenDeltaAtCubeEdge(t *testing.T) {
+	const span = 1800.0
+	for _, variant := range []Variant{VariantGrid, VariantHybrid} {
+		t.Run(string(variant), func(t *testing.T) {
+			pl := pool.New()
+			desc, _ := Lookup(variant)
+			det := desc.New(Config{DurationSeconds: span, SecondsPerSample: 1, HalfExtentKm: 7000, Workers: 2, Pool: pl}).(DeltaDetector)
+			ctx := context.Background()
+
+			// A background well inside the cube, the two clean inner twins in
+			// place, and the two outer objects a quarter orbit away from
+			// where the delta will put them.
+			sats := denseShellPopulation(24, 5)
+			for i := range sats {
+				el := sats[i].Elements
+				el.SemiMajorAxis -= 50
+				sats[i] = propagation.MustSatellite(sats[i].ID, el)
+			}
+			onShell, shellTwin := edgeTwins(100, 101, 0, span/2)
+			leaves, leavesTwin := edgeTwins(102, 103, math.Pi, span/2)
+			before100, _ := edgeTwins(100, 101, math.Pi/2, span/2)
+			before102, _ := edgeTwins(102, 103, -math.Pi/2, span/2)
+			sats = append(sats, before100, shellTwin, before102, leavesTwin)
+			full, err := det.ScreenContext(ctx, sats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sats[24], sats[26] = onShell, leaves
+
+			fresh, err := det.ScreenContext(ctx, sats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, err := det.ScreenDelta(ctx, sats, DeltaInput{Prior: full.Conjunctions, Dirty: []int32{100, 102}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertConjunctionsEqual(t, string(variant), inc.Conjunctions, fresh.Conjunctions)
+			if oob := fresh.Stats.OutOfBounds; oob < 10 || oob > 40 || inc.Stats.OutOfBounds != oob {
+				t.Fatalf("OutOfBounds = %d, full screen %d (want equal, about 22: object 102 around t = %g s)",
+					inc.Stats.OutOfBounds, oob, span/2)
+			}
+			// (The exit pair's closest approach falls in the out-of-cube window,
+			// which neither screen samples; equality above is its check.)
+			met := false
+			for _, c := range inc.Conjunctions {
+				met = met || (c.A == 100 && c.B == 101 && math.Abs(c.TCA-span/2) < 15)
+			}
+			if !met {
+				t.Fatal("the pair meeting in the outermost shell of cells was not reported")
+			}
+			if out := pl.Stats().Outstanding(); out != 0 {
+				t.Fatalf("pool leak: %d structures outstanding", out)
+			}
+		})
+	}
+}
+
+// stepRecorder is an Observer that records the step indices it is told of.
+type stepRecorder struct {
+	mu    sync.Mutex
+	steps []StepInfo
+}
+
+func (o *stepRecorder) OnStep(s StepInfo) {
+	o.mu.Lock()
+	o.steps = append(o.steps, s)
+	o.mu.Unlock()
+}
+
+func (o *stepRecorder) OnPhase(PhaseInfo) {}
+
+// TestScreenDeltaObserverSeesEveryStepInOrder: one delta step loop, in step
+// order, whatever the scheduling knobs say (run it under -race: the stamp
+// and probe phases share the table across four workers).
+func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
+	const span = 300.0
+	sats := denseShellPopulation(400, 9)
+	for _, cfg := range []Config{{}, {ParallelSteps: 4}, {DisablePipeline: true, UseFullNeighborhood: true}} {
+		obs := &stepRecorder{}
+		cfg.DurationSeconds, cfg.Workers, cfg.Observer, cfg.Pool = span, 4, obs, pool.New()
+		dirty := []int32{sats[3].ID, sats[200].ID, sats[399].ID}
+		res, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: dirty})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := stepCount(span, DefaultGridSeconds)
+		if len(obs.steps) != steps || res.Stats.Steps != steps {
+			t.Fatalf("%d OnStep calls, Stats.Steps = %d, want %d", len(obs.steps), res.Stats.Steps, steps)
+		}
+		for i, s := range obs.steps {
+			if s.Step != i || s.Completed != i+1 || s.Steps != steps || s.GridEntries != len(sats) {
+				t.Fatalf("OnStep call %d = %+v", i, s)
+			}
+		}
+	}
+}
+
+// TestScreenDeltaPoolDraw: a delta pass draws one stamp-sized grid set and
+// neither a freeze snapshot nor a population-sized grid set, and hands
+// everything back on every exit — completion, cancellation mid-window and a
+// latched insertion failure.
+func TestScreenDeltaPoolDraw(t *testing.T) {
+	const span = 300.0
+	sats := denseShellPopulation(2000, 13)
+	dirty := []int32{sats[1].ID, sats[700].ID}
+	delta := &DeltaInput{Dirty: dirty}
+	base := Config{DurationSeconds: span, Workers: 2}
+
+	exits := map[string]func(t *testing.T, cfg Config){
+		"completed": func(t *testing.T, cfg Config) {
+			if _, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, *delta); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"cancelled": func(t *testing.T, cfg Config) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg.Observer = &cancelAtStep{at: 5, cancel: cancel}
+			if _, err := NewHybrid(cfg).ScreenDelta(ctx, sats, *delta); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		},
+		"insertion-full": func(t *testing.T, cfg Config) {
+			r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, true, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.release()
+			// The stamp table cannot fill by construction; swap in one that
+			// can, with the arena intact, to drive the latch.
+			cfg.Pool.PutGridSet(r.gset)
+			r.gset = lockfree.NewGridSet(2, stampsPerObject*len(dirty))
+			cfg.Pool.GetGridSet(0, 0) // keeps the counters level with the set put back above
+			if err := r.sampleAllSteps(); !errors.Is(err, lockfree.ErrFull) {
+				t.Fatalf("err = %v, want ErrFull", err)
+			}
+		},
+	}
+	t.Run("beside-an-idle-full-grid", func(t *testing.T) {
+		// A full screen leaves its population-sized grid set idle in the
+		// pool, inside the slot-oversize window of the stamp table's request;
+		// the pass must still get a table of its own size.
+		cfg := base
+		cfg.Pool = pool.New()
+		if _, err := NewGrid(cfg).Screen(sats); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, *delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := lockfree.NewGridSet(stampSlotsPerEntry*stampsPerObject*len(dirty), 0).Slots(); res.Stats.GridSlots != want {
+			t.Fatalf("stamp table has %d slots, want %d", res.Stats.GridSlots, want)
+		}
+	})
+	for name, exit := range exits {
+		t.Run(name, func(t *testing.T) {
+			pl := pool.New()
+			cfg := base
+			cfg.Pool = pl
+			exit(t, cfg)
+			if out := pl.Stats().Outstanding(); out != 0 {
+				t.Fatalf("%d pooled structures outstanding", out)
+			}
+			// What the pass drew is what it put back: probe the free lists.
+			hits := func() int64 { return pl.Stats().Hits }
+			h := hits()
+			pl.PutSnapshot(pl.GetSnapshot(1, 1))
+			if hits() != h {
+				t.Error("the pass drew a freeze snapshot")
+			}
+			pl.PutGridSet(pl.GetGridSet(2*len(sats), len(sats)))
+			if hits() != h {
+				t.Error("the pass drew a population-sized grid set")
+			}
+			if name != "insertion-full" {
+				k := len(dirty)
+				pl.PutGridSet(pl.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k))
+				if hits() != h+1 {
+					t.Error("the pass left no stamp-sized grid set behind")
+				}
+			}
+		})
 	}
 }

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/lockfree"
+	"repro/internal/mathx"
 	"repro/internal/pool"
 	"repro/internal/propagation"
 	"repro/internal/spatial"
@@ -50,32 +54,24 @@ func (d *Grid) ScreenContext(ctx context.Context, sats []propagation.Satellite) 
 	return d.screen(ctx, sats, nil)
 }
 
-// screen runs the grid pipeline; a non-nil delta switches the candidate
-// scan to dirty-pair emission and merges the prior result at the end (see
-// delta.go).
+// screen runs the grid pipeline; a delta below the crossover samples by
+// stamp-and-probe and merges the prior result at the end (see delta.go).
 func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
 	cfg := d.cfg
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
 		sps = DefaultGridSeconds
 	}
-	run, err := newRun(ctx, cfg, sats, sps, true)
+	run, err := newRun(ctx, cfg, sats, sps, true, delta)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Variant: VariantGrid, Backend: "cpu"}
 	if run == nil { // degenerate population (<2 satellites)
-		if delta != nil {
-			res.Conjunctions = degenerateDeltaMerge(delta)
-		}
+		res.Conjunctions = degenerateDeltaMerge(delta)
 		return res, nil
 	}
 	defer run.release()
-	if delta != nil {
-		if err := run.setDelta(delta); err != nil {
-			return nil, err
-		}
-	}
 	res.Backend = run.exec.ExecutorName()
 	if err := run.sampleAllSteps(); err != nil {
 		return nil, err
@@ -91,7 +87,7 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 	if err != nil {
 		return nil, err
 	}
-	if delta != nil {
+	if run.stamping {
 		conjs = run.mergeWithPrior(conjs, delta.Prior)
 	}
 	run.stats.Refine += time.Since(tRef)
@@ -129,11 +125,12 @@ type run struct {
 	refiner     *refiner
 	uncertainty UncertaintyMap
 
-	// Delta (incremental) screening state; nil on full screens, which keeps
-	// the steady-state hot path branch-free at pair granularity (the scan
-	// dispatches once per worker range, not per pair). See delta.go.
-	dirty   []uint64 // pooled bitset: IDs whose pairs the scan emits
-	touched []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
+	// Delta screening state (delta.go); zero on full screens.
+	dirty     []uint64 // pooled bitset: IDs whose pairs a delta pass emits
+	touched   []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
+	stamping  bool     // grid delta pass below the crossover: gset is the stamp table
+	dirtyIdx  []int32  // stamping: population index of each distinct dirty object present
+	dirtyKeys []uint64 // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -182,8 +179,10 @@ const satelliteUploadBytes = 120
 // with the pooled structures returned. withGrid allocates the spatial grid,
 // the grid set and the freeze snapshot; the AABB-tree detector passes false
 // and builds its bounding-volume hierarchy instead, sharing everything else
-// (validation, pair set, per-worker scan buffers, warm caches, refiner).
-func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, withGrid bool) (*run, error) {
+// (validation, pair set, per-worker scan buffers, warm caches, refiner). A
+// delta is validated here; on the grid, below the crossover, the stamp table
+// replaces the N-sized grid set and the snapshot.
+func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, withGrid bool, delta *DeltaInput) (*run, error) {
 	tAlloc := time.Now()
 	if cfg.DurationSeconds <= 0 {
 		return nil, ErrNoDuration
@@ -265,7 +264,13 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	r.scanWFn = r.scanWorkerRange
 	r.mergeFn = r.mergeRange
 	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
-	if withGrid {
+	if delta != nil {
+		if err := r.setDelta(delta); err != nil {
+			r.release()
+			return nil, err
+		}
+	}
+	if withGrid && !r.stamping {
 		// The freeze phase's CSR snapshot is sized to the grid it compacts.
 		r.gset = pl.GetGridSet(int(slotFactor*float64(len(sats))), len(sats))
 		r.stats.GridSlots = r.gset.Slots()
@@ -279,15 +284,15 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	// Sequential sampling visits steps in order, so consecutive samples of
 	// one satellite differ by the fixed mean-anomaly delta n·s_ps — the
 	// warm-start precondition. Batched sampling interleaves steps and keeps
-	// the cold path.
-	if ws, ok := r.prop.(propagation.WarmStarter); ok && cfg.ParallelSteps <= 1 {
+	// the cold path; a stamping delta pass is never batched.
+	if ws, ok := r.prop.(propagation.WarmStarter); ok && (cfg.ParallelSteps <= 1 || r.stamping) {
 		r.warm = ws
 		r.kcache = pl.GetKeplerCache(len(sats))
 		for i := range sats {
 			dm := sats[i].MeanMotion() * sps
-			// Seed E so the first step's guess E+DeltaM is the mean anomaly
+			// Seed E so the first step's guess E+DeltaE is the mean anomaly
 			// itself (the e → 0 root); SolveFrom handles the rest.
-			r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaM: dm}
+			r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 		}
 	}
 	if err := r.cancelled(); err != nil {
@@ -381,9 +386,10 @@ func (r *run) release() {
 	r.pool.PutKeplerCache(r.kcache)
 	r.pool.PutBitset(r.dirty)
 	r.pool.PutBitset(r.touched)
+	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.pairs, r.pairBuf, r.idx = nil, nil, nil, nil
 	r.snap, r.scanBufs, r.kcache = nil, nil, nil
-	r.dirty, r.touched = nil, nil
+	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
 // collectPairs drains the pair set into a pooled buffer owned (and later
@@ -398,21 +404,27 @@ func (r *run) collectPairs() []lockfree.Pair {
 // Config.ParallelSteps > 1 whole steps run concurrently (see batch.go);
 // otherwise steps run in order — pipelined (step N's scan overlapping step
 // N+1's build, see pipeline.go) when the run has the workers for it,
-// strictly sequentially otherwise.
+// strictly sequentially otherwise. A stamping delta pass has its own loop
+// (delta.go), and samples nothing when nothing is dirty: no candidate is new.
 func (r *run) sampleAllSteps() error {
 	tSample := time.Now()
 	var err error
-	if r.cfg.ParallelSteps > 1 {
+	r.stats.Steps = r.steps
+	switch {
+	case r.stamping && len(r.dirtyIdx) == 0:
+		r.stats.Steps = 0
+	case r.stamping:
+		err = r.sampleStepsStamped()
+	case r.cfg.ParallelSteps > 1:
 		err = r.sampleStepsBatched()
-	} else if r.pipelineEligible() {
+	case r.pipelineEligible():
 		err = r.sampleStepsPipelined()
-	} else {
+	default:
 		err = r.sampleStepsSequential()
 	}
 	if err != nil {
 		return err
 	}
-	r.stats.Steps = r.steps
 	r.observePhase(PhaseSample, time.Since(tSample), 0)
 	// The freeze share of the sample phase, reported separately so stream
 	// consumers can watch the build/freeze/scan split (see observer.go).
@@ -452,32 +464,43 @@ func (r *run) sampleStepsSequential() error {
 	return nil
 }
 
-// buildRange is the build kernel of a sampling step, for satellites
-// [lo, hi) at time t into gs: propagate, key, insert, one object at a time,
-// so a position goes from registers into its grid entry and nowhere else.
-// Only the position is computed — binning needs nothing more, and the
-// refiner re-propagates the few pairs whose velocity matters. With a warm
-// cache the previous sample's eccentric anomaly (advanced by the cached
-// per-sample mean-anomaly delta) seeds the solve; ranges are disjoint
-// across workers, so the cache needs no synchronisation beyond the
-// executor's join. Without one (J2, batched steps) the propagator's cold
-// State feeds the same tail. inserted counts the objects that landed in
-// the grid; the rest are out of bounds.
+// positionAt is the position kernel every sampling step shares: object i at
+// time t, position only — binning needs nothing more, and the refiner
+// re-propagates the few pairs whose velocity matters. With a warm cache the
+// previous sample's eccentric anomaly seeds the solve, advanced by n·s_ps for
+// the first two samples (the seed below the first is synthetic) and by the
+// step last observed, E_k − E_{k−1}, from then on, which keeps the guess
+// inside the solver's one-sincos acceptance even at coarse steps. Full and
+// delta passes call this once per object per step, in step order, and so see
+// bit-identical positions. Without a cache (J2, batched steps): cold State.
+func (r *run) positionAt(i int, t float64) vec3.V {
+	s := &r.sats[i]
+	if r.warm == nil {
+		pos, _ := r.prop.State(s, t)
+		return pos
+	}
+	kc := &r.kcache[i]
+	prev := kc.E
+	pos, ecc := r.warm.PositionWarm(s, t, prev+kc.DeltaE)
+	kc.E = ecc
+	if t > 0 {
+		kc.DeltaE = mathx.WrapPi(ecc - prev)
+	}
+	return pos
+}
+
+// buildRange is the build kernel of a sampling step, for satellites [lo, hi)
+// at time t into gs: propagate, key, insert, one object at a time, so a
+// position goes from registers into its grid entry and nowhere else. inserted
+// counts the objects that landed in the grid; the rest are out of bounds.
 func (r *run) buildRange(gs *lockfree.GridSet, t float64, lo, hi int) (inserted int, err error) {
 	for i := lo; i < hi; i++ {
-		s := &r.sats[i]
-		var pos vec3.V
-		if r.warm != nil {
-			kc := &r.kcache[i]
-			pos, kc.E = r.warm.PositionWarm(s, t, kc.E+kc.DeltaM)
-		} else {
-			pos, _ = r.prop.State(s, t)
-		}
+		pos := r.positionAt(i, t)
 		key, ok := r.grid.KeyOf(pos)
 		if !ok {
 			continue
 		}
-		if err := gs.Insert(key, int32(i), s.ID, pos); err != nil {
+		if err := gs.Insert(key, int32(i), r.sats[i].ID, pos); err != nil {
 			return inserted, fmt.Errorf("core: grid insertion: %w", err)
 		}
 		inserted++
@@ -519,11 +542,7 @@ func (r *run) buildGrid(step int) error {
 // while the build side freezes into the other.
 func (r *run) scanWorkerRange(w, lo, hi int) {
 	scratch := scanScratchPool.Get().(*scanScratch)
-	if r.dirty != nil {
-		r.scanBufs[w] = r.scanSnapshotDirty(r.scanSnap, lo, hi, r.scanStep, r.scanBufs[w], scratch)
-	} else {
-		r.scanBufs[w] = r.scanSnapshot(r.scanSnap, lo, hi, r.scanStep, r.scanBufs[w], scratch)
-	}
+	r.scanBufs[w] = r.scanSnapshot(r.scanSnap, lo, hi, r.scanStep, r.scanBufs[w], scratch)
 	scanScratchPool.Put(scratch)
 }
 
@@ -641,12 +660,10 @@ func (r *run) growPairs() {
 	// run's deferred release() then owns bigger and returns it to the pool
 	// instead of leaking it on the panic edge.
 	r.pairs = bigger
-	for _, p := range old.Items(nil) {
-		if _, err := bigger.Insert(p.A, p.B, p.Step); err != nil {
-			// Doubling always fits the existing items; reaching this means
-			// memory corruption, so fail loudly.
-			panic(fmt.Sprintf("core: re-insertion into doubled pair set failed: %v", err))
-		}
+	if err := bigger.InsertAll(old); err != nil {
+		// Doubling always fits the existing items; reaching this means
+		// memory corruption, so fail loudly.
+		panic(fmt.Sprintf("core: re-insertion into doubled pair set failed: %v", err))
 	}
 	r.pool.PutPairSet(old)
 	r.stats.PairSetGrowths++
@@ -921,17 +938,43 @@ func max32(a, b int32) int32 {
 
 // sortPairsBySatellite orders candidates by (A, B, Step) so refinements of
 // one satellite sit adjacent — the batching key the warm refiner exploits.
-// The candidate buffer is pooled and order-free, so sorting in place is safe.
+// PackPair puts A, B and Step in descending bit significance, so that is
+// ascending packed-key order, and a pair set holds no ties: an in-place
+// most-significant-digit radix sorts it with no scratch (the pooled buffer is
+// order-free). Each level buckets on the eight highest bits in which its keys
+// still differ — IDs and steps fill a fraction of their fields, so fixed digit
+// positions would mostly sort zeros — and buckets of ≤ 32 finish by comparison.
 func sortPairsBySatellite(pairs []lockfree.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
+	key := func(p lockfree.Pair) uint64 { return lockfree.PackPair(p.A, p.B, p.Step) }
+	if len(pairs) <= 32 {
+		slices.SortFunc(pairs, func(a, b lockfree.Pair) int { return cmp.Compare(key(a), key(b)) })
+		return
+	}
+	var differ uint64
+	for _, p := range pairs[1:] {
+		differ |= key(p) ^ key(pairs[0])
+	}
+	shift := max(bits.Len64(differ)-8, 0)
+	var next, end [256]int // next unplaced index and end index of each bucket
+	for _, p := range pairs {
+		end[key(p)>>shift&255]++
+	}
+	for b, at := 0, 0; b < 256; b++ {
+		next[b], end[b] = at, at+end[b]
+		at = end[b]
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			p := pairs[next[b]]
+			d := key(p) >> shift & 255
+			pairs[next[b]], pairs[next[d]] = pairs[next[d]], p
+			next[d]++
 		}
-		if pairs[i].B != pairs[j].B {
-			return pairs[i].B < pairs[j].B
-		}
-		return pairs[i].Step < pairs[j].Step
-	})
+	}
+	for b, lo := 0, 0; shift > 0 && b < 256; b++ {
+		sortPairsBySatellite(pairs[lo:end[b]])
+		lo = end[b]
+	}
 }
 
 // sortConjunctions orders by (A, B, TCA) for deterministic output.

@@ -64,32 +64,24 @@ func (d *Hybrid) ScreenContext(ctx context.Context, sats []propagation.Satellite
 	return d.screen(ctx, sats, nil)
 }
 
-// screen runs the hybrid pipeline; a non-nil delta switches the candidate
-// scan to dirty-pair emission and merges the prior result at the end (see
-// delta.go).
+// screen runs the hybrid pipeline; a delta below the crossover samples by
+// stamp-and-probe and merges the prior result at the end (see delta.go).
 func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
 	cfg := d.cfg
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
 		sps = DefaultHybridSeconds
 	}
-	run, err := newRun(ctx, cfg, sats, sps, true)
+	run, err := newRun(ctx, cfg, sats, sps, true, delta)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Variant: VariantHybrid, Backend: "cpu"}
 	if run == nil {
-		if delta != nil {
-			res.Conjunctions = degenerateDeltaMerge(delta)
-		}
+		res.Conjunctions = degenerateDeltaMerge(delta)
 		return res, nil
 	}
 	defer run.release()
-	if delta != nil {
-		if err := run.setDelta(delta); err != nil {
-			return nil, err
-		}
-	}
 	res.Backend = run.exec.ExecutorName()
 	if err := run.sampleAllSteps(); err != nil {
 		return nil, err
@@ -147,7 +139,7 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 	if err != nil {
 		return nil, err
 	}
-	if delta != nil {
+	if run.stamping {
 		conjs = run.mergeWithPrior(conjs, delta.Prior)
 	}
 	run.stats.Refine += time.Since(tRef)

@@ -1,0 +1,211 @@
+package core
+
+// The shared position kernel's extrapolated warm guess, the packed-key
+// candidate sort and the pair-set growth copy: each replaces something
+// simpler, and each is pinned against what it replaced.
+
+import (
+	"context"
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/kepler"
+	"repro/internal/lockfree"
+	"repro/internal/mathx"
+	"repro/internal/orbit"
+	"repro/internal/pool"
+	"repro/internal/population"
+	"repro/internal/propagation"
+)
+
+// newtonConverges reports whether plain Newton from guess reaches the warm
+// solver's tolerance within its eight evaluations. kepler.SolveFromSincos
+// walks the same iterates and accepts no later than this does, so a true
+// here means it returned from its loop and never reached the cold fallback.
+func newtonConverges(m, e, guess float64) bool {
+	mn := mathx.NormalizeAngle(m)
+	g := mathx.NormalizeAngle(guess)
+	switch {
+	case g-mn > math.Pi:
+		g -= mathx.TwoPi
+	case mn-g > math.Pi:
+		g += mathx.TwoPi
+	}
+	for i := 0; i < 8; i++ {
+		se, ce := math.Sincos(g)
+		f := g - e*se - mn
+		if math.Abs(f) < 1e-13 {
+			return true
+		}
+		g -= f / (1 - e*ce)
+	}
+	return false
+}
+
+// kernelRun is a run over sats with the warm cache armed, ready for
+// positionAt to be stepped by hand.
+func kernelRun(t *testing.T, sats []propagation.Satellite, sps float64) *run {
+	t.Helper()
+	cfg := Config{DurationSeconds: 1e4, SecondsPerSample: sps, Workers: 1, Pool: pool.New()}
+	r, err := newRun(context.Background(), cfg, sats, sps, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.warm == nil {
+		t.Fatal("two-body run without a warm cache")
+	}
+	return r
+}
+
+func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
+	// 100 objects × 100 steps per (e, s_ps): 10⁴ solves each, a quarter of
+	// the objects phased to pass perigee — M through 2π, E moving 1/(1−e)
+	// times faster than M — mid-run. Every root the extrapolated guess
+	// reaches must satisfy the solver's residual bound and be the root the
+	// constant n·s_ps guess reaches.
+	const objects, steps = 100, 100
+	for _, e := range []float64{0, 1e-3, 0.1, 0.7, 0.95} {
+		for _, sps := range []float64{1, 9} {
+			rng := mathx.NewSplitMix64(uint64(1000*e) + uint64(sps))
+			sats := make([]propagation.Satellite, objects)
+			for i := range sats {
+				el := orbit.Elements{
+					SemiMajorAxis: rng.UniformRange(6900, 7400) / (1 - e), // perigee stays in LEO
+					Eccentricity:  e,
+					Inclination:   rng.UniformRange(0.1, 3.0),
+					MeanAnomaly:   rng.UniformRange(0, mathx.TwoPi),
+				}
+				if i%4 == 0 {
+					el.MeanAnomaly = mathx.NormalizeAngle(-el.MeanMotion() * sps * rng.UniformRange(5, steps-5))
+				}
+				sats[i] = propagation.MustSatellite(int32(i), el)
+			}
+			r := kernelRun(t, sats, sps)
+			constant := make([]float64, objects) // E of the previous step under the constant guess
+			for i := range sats {
+				constant[i] = r.kcache[i].E
+			}
+			for step := 0; step < steps; step++ {
+				tSec := float64(step) * sps
+				for i := range sats {
+					s := &sats[i]
+					m := s.Elements.MeanAnomaly + s.MeanMotion()*tSec
+					if guess := r.kcache[i].E + r.kcache[i].DeltaE; !newtonConverges(m, e, guess) {
+						t.Fatalf("e=%g sps=%g object %d step %d: guess %v is too cold for Newton", e, sps, i, step, guess)
+					}
+					pos := r.positionAt(i, tSec)
+					got := r.kcache[i].E
+					if res := kepler.Residual(got, m, e); res > 1e-13 {
+						t.Fatalf("e=%g sps=%g object %d step %d: residual %g", e, sps, i, step, res)
+					}
+					_, constant[i] = propagation.TwoBody{}.PositionWarm(s, tSec, constant[i]+s.MeanMotion()*sps)
+					// Two roots inside the same residual bound: dE ≤ 2e-13/(1 − e).
+					if d := mathx.AngleDiff(got, constant[i]); d*(1-e) > 2e-13 {
+						t.Fatalf("e=%g sps=%g object %d step %d: E = %v, constant guess reaches %v", e, sps, i, step, got, constant[i])
+					}
+					if cold, _ := (propagation.TwoBody{}).State(s, tSec); pos.Dist(cold) > 1e-6 {
+						t.Fatalf("e=%g sps=%g object %d step %d: position %v, cold %v", e, sps, i, step, pos, cold)
+					}
+				}
+			}
+			r.release()
+		}
+	}
+}
+
+func TestExtrapolatedGuessNeverFallsBackOnShellPopulation(t *testing.T) {
+	sats, err := population.Generate(population.Config{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sps := range []float64{DefaultGridSeconds, DefaultHybridSeconds} {
+		r := kernelRun(t, sats, sps)
+		for step := 0; step < 70; step++ {
+			tSec := float64(step) * sps
+			for i := range sats {
+				s := &sats[i]
+				m := s.Elements.MeanAnomaly + s.MeanMotion()*tSec
+				if guess := r.kcache[i].E + r.kcache[i].DeltaE; !newtonConverges(m, s.Elements.Eccentricity, guess) {
+					t.Fatalf("sps=%g object %d (e=%g) step %d: the solve fell back to the cold solver",
+						sps, i, s.Elements.Eccentricity, step)
+				}
+				r.positionAt(i, tSec)
+			}
+		}
+		r.release()
+	}
+}
+
+func TestSortPairsBySatelliteMatchesComparator(t *testing.T) {
+	// 10⁵ distinct triples: uniform ones, a dense block sharing A (buckets
+	// far above the comparison cutoff at every level), and the field corners.
+	rng := mathx.NewSplitMix64(77)
+	seen := map[uint64]bool{}
+	var pairs []lockfree.Pair
+	add := func(a, b int32, step uint32) {
+		if a > b {
+			a, b = b, a
+		}
+		if k := lockfree.PackPair(a, b, step); a != b && !seen[k] {
+			seen[k] = true
+			pairs = append(pairs, lockfree.Pair{A: a, B: b, Step: step})
+		}
+	}
+	for _, a := range []int32{0, 1, lockfree.MaxID - 1} {
+		for _, b := range []int32{1, 2, lockfree.MaxID} {
+			for _, step := range []uint32{0, 1, lockfree.MaxStep} {
+				add(a, b, step)
+			}
+		}
+	}
+	for len(pairs) < 60000 {
+		add(int32(rng.Intn(lockfree.MaxID+1)), int32(rng.Intn(lockfree.MaxID+1)), uint32(rng.Intn(lockfree.MaxStep+1)))
+	}
+	for len(pairs) < 100000 {
+		add(7, int32(8+rng.Intn(1500)), uint32(rng.Intn(601)))
+	}
+	want := append([]lockfree.Pair(nil), pairs...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].A != want[j].A {
+			return want[i].A < want[j].A
+		}
+		if want[i].B != want[j].B {
+			return want[i].B < want[j].B
+		}
+		return want[i].Step < want[j].Step
+	})
+	sortPairsBySatellite(pairs)
+	for i := range want {
+		if pairs[i] != want[i] {
+			t.Fatalf("position %d: %+v, the (A, B, Step) comparator puts %+v there", i, pairs[i], want[i])
+		}
+	}
+}
+
+func TestGrowPairsKeepsEveryKey(t *testing.T) {
+	pl := pool.New()
+	r := &run{pool: pl, pairs: pl.GetPairSet(64)}
+	rng := mathx.NewSplitMix64(5)
+	keys := map[uint64]bool{}
+	for r.stats.PairSetGrowths < 3 {
+		key := lockfree.PackPair(int32(rng.Intn(5000)), int32(5000+rng.Intn(5000)), uint32(rng.Intn(600)))
+		if _, err := r.pairs.InsertPacked(key); err != nil {
+			r.growPairs()
+			continue
+		}
+		keys[key] = true
+	}
+	if r.pairs.Len() != len(keys) {
+		t.Fatalf("%d keys after three doublings, inserted %d", r.pairs.Len(), len(keys))
+	}
+	for key := range keys {
+		if p := lockfree.UnpackPair(key); !r.pairs.Contains(p.A, p.B, p.Step) {
+			t.Fatalf("key %+v lost across a doubling", p)
+		}
+	}
+	pl.PutPairSet(r.pairs)
+	if out := pl.Stats().Outstanding(); out != 0 {
+		t.Fatalf("%d pair sets outstanding", out)
+	}
+}

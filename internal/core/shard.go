@@ -52,7 +52,7 @@ const VariantSharded Variant = "sharded-grid"
 func init() {
 	Register(VariantSharded, Descriptor{
 		Description: "radial-band sharding over the grid detector: bounded per-shard memory, halo-deduplicated merge, model-driven shard count (§V-B)",
-		Caps:        CapSink | CapObserver,
+		Caps:        CapScreenDelta | CapSink | CapObserver,
 		New:         func(cfg Config) Detector { return NewSharded(cfg, VariantGrid) },
 	})
 }
@@ -83,6 +83,19 @@ func (d *Sharded) Screen(sats []propagation.Satellite) (*Result, error) {
 // actual peak structure sizes, since at most ShardConcurrency shards are
 // live at once.
 func (d *Sharded) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
+	return d.screen(ctx, sats, nil)
+}
+
+// ScreenDelta re-screens incrementally by delegation: a delta pass builds no
+// N-sized structure (delta.go), so it needs no bands — the inner detector's
+// delta pass runs once over the whole population, in the cube every shard
+// screens in, so a sharded full screen's result is a valid Prior. Past the
+// crossover the delta is validated and the sharded full screen runs instead.
+func (d *Sharded) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
+	return d.screen(ctx, sats, &delta)
+}
+
+func (d *Sharded) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
 	cfg := d.cfg
 	if cfg.DurationSeconds <= 0 {
 		return nil, ErrNoDuration
@@ -92,6 +105,9 @@ func (d *Sharded) ScreenContext(ctx context.Context, sats []propagation.Satellit
 		return nil, fmt.Errorf("core: sharded detector: unknown inner variant %q", d.inner)
 	}
 	name := Variant("sharded-" + string(d.inner))
+	if delta != nil && stampingPays(len(delta.Dirty), len(sats)) {
+		return d.screenUnsharded(ctx, desc, name, sats, delta)
+	}
 
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
@@ -112,19 +128,23 @@ func (d *Sharded) ScreenContext(ctx context.Context, sats []propagation.Satellit
 		shards = model.ShardCountForBudget(len(sats), cfg.DurationSeconds, threshold, sps, 0)
 	}
 	if shards < 2 || len(sats) < 2 {
-		return d.screenUnsharded(ctx, desc, name, sats)
+		return d.screenUnsharded(ctx, desc, name, sats, delta)
 	}
 	// Padding each object's radial interval by d_eff/2 makes any
 	// conjunctable pair co-resident somewhere (band package doc); the 1 µm
 	// slack absorbs the float rounding of the halved threshold.
 	asn := band.Partition(sats, shards, effThreshold/2+1e-9)
 	if asn.Bands() < 2 {
-		return d.screenUnsharded(ctx, desc, name, sats)
+		return d.screenUnsharded(ctx, desc, name, sats, delta)
 	}
 
 	pl := cfg.pool()
 	idx := pl.GetIDIndex(len(sats))
-	if err := validatePopulation(idx, sats); err != nil {
+	err := validatePopulation(idx, sats)
+	if err == nil && delta != nil {
+		_, err = delta.validate(idx)
+	}
+	if err != nil {
 		pl.PutIDIndex(idx)
 		return nil, err
 	}
@@ -253,17 +273,29 @@ func (d *Sharded) ScreenContext(ctx context.Context, sats []propagation.Satellit
 		return nil, err
 	}
 	agg.Shards = asn.Bands()
+	if delta != nil {
+		agg.DirtyObjects = len(delta.Dirty)
+	}
 	sortConjunctions(merged)
 	return &Result{Variant: name, Backend: backend, Conjunctions: merged, Stats: agg}, nil
 }
 
-// screenUnsharded is the single-shard fallback: the plain inner detector,
-// relabelled so callers still see the variant they asked for.
-func (d *Sharded) screenUnsharded(ctx context.Context, desc Descriptor, name Variant, sats []propagation.Satellite) (*Result, error) {
+// screenUnsharded is the single-shard fallback: the plain inner detector —
+// its delta pass when there is a delta — relabelled so callers still see the
+// variant they asked for.
+func (d *Sharded) screenUnsharded(ctx context.Context, desc Descriptor, name Variant, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
 	cfg := d.cfg
 	cfg.Shards = 1 // a sharded inner must not re-derive a shard count
 	cfg.ShardConcurrency = 0
-	res, err := desc.New(cfg).ScreenContext(ctx, sats)
+	var res *Result
+	var err error
+	if det := desc.New(cfg); delta == nil {
+		res, err = det.ScreenContext(ctx, sats)
+	} else if inc, ok := det.(DeltaDetector); ok {
+		res, err = inc.ScreenDelta(ctx, sats, *delta)
+	} else {
+		err = fmt.Errorf("core: sharded detector: inner variant %q has no incremental mode", d.inner)
+	}
 	if err != nil {
 		return nil, err
 	}

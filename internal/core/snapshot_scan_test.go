@@ -104,7 +104,7 @@ func TestWarmStartRespectsExplicitSolver(t *testing.T) {
 	sats := benchShellPopulation(t, 2)
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 5, Workers: 1}
 
-	rDefault, err := newRun(context.Background(), cfg, sats, 1, true)
+	rDefault, err := newRun(context.Background(), cfg, sats, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWarmStartRespectsExplicitSolver(t *testing.T) {
 
 	coarse := cfg
 	coarse.Propagator = propagation.TwoBody{Solver: coarseSolver{}}
-	rCoarse, err := newRun(context.Background(), coarse, sats, 1, true)
+	rCoarse, err := newRun(context.Background(), coarse, sats, 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

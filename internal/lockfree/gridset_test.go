@@ -146,6 +146,21 @@ func TestGridSetReset(t *testing.T) {
 	if ids := collectCell(g, 1); !ids[9] {
 		t.Error("insert after reset failed")
 	}
+	// Reset writes occupied slots only; a cell that claims a recycled slot
+	// must still start from an empty list, round after round.
+	for round := int32(0); round < 3; round++ {
+		g.Reset()
+		for k := int32(0); k < 4; k++ {
+			if err := g.Insert(uint64(100*round+k), k, 10*round+k, vec3.Zero); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := int32(0); k < 4; k++ {
+			if ids := collectCell(g, uint64(100*round+k)); len(ids) != 1 || !ids[10*round+k] {
+				t.Fatalf("round %d cell %d holds %v", round, k, ids)
+			}
+		}
+	}
 }
 
 func TestGridSetResetParallelEquivalent(t *testing.T) {

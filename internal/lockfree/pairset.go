@@ -151,6 +151,21 @@ func (p *PairSet) InsertPacked(key uint64) (added bool, err error) {
 	return false, ErrFull
 }
 
+// InsertAll inserts every pair stored in src into p, straight from src's
+// slots — how a full set moves into its larger replacement. src must be
+// quiesced; p may have concurrent inserters. The first failed insertion
+// stops the copy and is returned.
+func (p *PairSet) InsertAll(src *PairSet) error {
+	for i := range src.slots {
+		if k := src.slots[i].Load(); k != EmptySlot {
+			if _, err := p.InsertPacked(k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Contains reports whether the (a, b, step) candidate is present.
 func (p *PairSet) Contains(a, b int32, step uint32) bool {
 	key := PackPair(a, b, step)

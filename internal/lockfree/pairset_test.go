@@ -256,6 +256,32 @@ func TestPairSetReset(t *testing.T) {
 	}
 }
 
+func TestPairSetInsertAll(t *testing.T) {
+	src, dst := NewPairSet(64), NewPairSet(128)
+	for i := int32(0); i < 40; i++ {
+		if _, err := src.Insert(i, i+1, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Insert(0, 1, 0); err != nil { // already there: folded, not doubled
+		t.Fatal(err)
+	}
+	if err := dst.InsertAll(src); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Len() != 40 {
+		t.Fatalf("%d pairs copied, want 40", dst.Len())
+	}
+	for i := int32(0); i < 40; i++ {
+		if !dst.Contains(i, i+1, uint32(i)) {
+			t.Fatalf("pair %d lost in the copy", i)
+		}
+	}
+	if err := NewPairSet(16).InsertAll(src); err != ErrFull {
+		t.Fatalf("copy into a smaller set: err = %v, want ErrFull", err)
+	}
+}
+
 func BenchmarkPairSetInsert(b *testing.B) {
 	p := NewPairSet(2 * b.N)
 	rng := mathx.NewSplitMix64(2)

@@ -151,7 +151,11 @@ func nextPow2(n int) int {
 
 // GetGridSet returns a grid set with at least slotHint slots (rounded up to
 // a power of two) and room for maxEntries entries. The set's fill state is
-// unspecified; Reset before relying on emptiness.
+// unspecified; Reset before relying on emptiness. The oversize window applies
+// to the entry arena as well as the slots: a delta pass's stamp table (a few
+// hundred entries, reset every step) must not be served — and a concurrent
+// full screen starved — by an idle N-entry grid whose slot count happens to
+// sit inside the window.
 func (p *Pool) GetGridSet(slotHint, maxEntries int) *lockfree.GridSet {
 	p.gets.Add(1)
 	if !p.disabled {
@@ -159,7 +163,8 @@ func (p *Pool) GetGridSet(slotHint, maxEntries int) *lockfree.GridSet {
 		p.mu.Lock()
 		best := -1
 		for i, g := range p.gridSets {
-			if g.Slots() < want || g.EntryCapacity() < maxEntries || g.Slots() > oversizeFactor*want {
+			if g.Slots() < want || g.EntryCapacity() < maxEntries ||
+				g.Slots() > oversizeFactor*want || g.EntryCapacity() > oversizeFactor*(maxEntries+1) {
 				continue
 			}
 			if best < 0 || g.Slots() < p.gridSets[best].Slots() {

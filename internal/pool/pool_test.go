@@ -191,3 +191,22 @@ func TestConcurrentGetPut(t *testing.T) {
 		t.Fatalf("Outstanding = %d after quiesce", out)
 	}
 }
+
+// TestGridSetOversizeWindowCoversEntries: a small request must not be served
+// by a set whose slots fit the window but whose entry arena is far larger —
+// the shape of a delta pass's stamp table next to an idle population grid.
+func TestGridSetOversizeWindowCoversEntries(t *testing.T) {
+	p := New()
+	p.PutGridSet(p.GetGridSet(16000, 8000)) // 16384 slots, 8000 entries
+	small := p.GetGridSet(8*27*16, 27*16)   // wants 4096 slots: 16384 is inside 8×
+	if small.Slots() != 4096 || small.EntryCapacity() != 27*16 {
+		t.Fatalf("got %d slots / %d entries, want a fresh 4096 / %d", small.Slots(), small.EntryCapacity(), 27*16)
+	}
+	p.PutGridSet(small)
+	if again := p.GetGridSet(8*27*16, 27*16); again != small {
+		t.Fatal("the right-sized set was not reused")
+	}
+	if big := p.GetGridSet(16000, 8000); big.Slots() != 16384 || p.Stats().Hits != 2 {
+		t.Fatalf("the population-sized set was not reused: %d slots, %+v", big.Slots(), p.Stats())
+	}
+}

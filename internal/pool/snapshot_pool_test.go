@@ -101,7 +101,7 @@ func TestKeplerCacheLengthAndReuse(t *testing.T) {
 	if len(c) != 100 {
 		t.Fatalf("cache length %d, want 100", len(c))
 	}
-	c[0] = propagation.KeplerCache{E: 1, DeltaM: 2}
+	c[0] = propagation.KeplerCache{E: 1, DeltaE: 2}
 	p.PutKeplerCache(c)
 	got := p.GetKeplerCache(50)
 	if len(got) != 50 {

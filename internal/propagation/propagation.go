@@ -104,13 +104,16 @@ func defaultKeplerSolver() kepler.Solver { return kepler.Default() }
 
 // KeplerCache carries one satellite's warm-start state across consecutive
 // sampling steps: the eccentric anomaly solved at the previous sample and
-// the fixed per-sample mean-anomaly advance n·s_ps. The detectors keep one
-// entry per satellite (pooled alongside the state buffers) and predict the
-// next sample's root as E + DeltaM, which a couple of Newton iterations
-// polish — instead of a cold contour solve per satellite per step.
+// the advance predicted to the next one. The detectors keep one entry per
+// satellite (pooled alongside the state buffers) and predict the next
+// sample's root as E + DeltaE, which a Newton iteration or two polishes —
+// instead of a cold contour solve per satellite per step. DeltaE is seeded
+// with the mean-anomaly advance n·s_ps; a sampler may then replace it with
+// the advance it last observed, E_k − E_{k−1}, which tracks the root e·ΔM
+// closer than the constant.
 type KeplerCache struct {
 	E      float64 // eccentric anomaly at the previous sample (rad)
-	DeltaM float64 // mean-anomaly advance per sample, n·s_ps (rad)
+	DeltaE float64 // predicted eccentric-anomaly advance to the next sample (rad)
 }
 
 // WarmStarter is implemented by propagators whose Kepler solve can be

@@ -266,14 +266,17 @@ func Screen(sats []Satellite, o Options) (*Result, error) {
 	return ScreenContext(context.Background(), sats, o)
 }
 
-// ScreenDelta incrementally re-screens after a catalogue delta: the grid
-// still holds the full population, but candidate pairs are emitted — and
-// refined — only when at least one member is dirty, and conjunctions among
-// untouched objects are carried over from delta.Prior. With k changed
-// objects the refinement work scales with N·k instead of N², while the
-// result matches a full Screen of the same population (the delta
-// differential battery in internal/core pins this). Variants advertising
-// CapScreenDelta only.
+// ScreenDelta incrementally re-screens after a catalogue delta: candidate
+// pairs are generated — and refined — only when at least one member is
+// dirty, and conjunctions among untouched objects are carried over from
+// delta.Prior. The grid variants do it by stamp-and-probe (each dirty object
+// registers in the 27 cells it can interact with, every object looks at its
+// own), so a pass with k changed objects costs one propagation of the
+// population per step plus O(k) stamps, and the refinement work scales with
+// N·k instead of N², while the result matches a full Screen of the same
+// population (the delta differential battery in internal/core pins this).
+// A delta touching more than an eighth of the population is screened in
+// full instead. Variants advertising CapScreenDelta only.
 func ScreenDelta(sats []Satellite, o Options, delta DeltaInput) (*Result, error) {
 	return ScreenDeltaContext(context.Background(), sats, o, delta)
 }
