@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race fuzz bench bench-alloc store-bench perf-smoke shard-smoke load-smoke delta-smoke
+.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench perf-smoke shard-smoke load-smoke delta-smoke
 
 all: build lint test
 
@@ -23,6 +23,12 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vetconj ./...
 	scripts/check_variant_registry.sh
+
+## loc: non-test, non-testdata Go lines of the repository and of
+## internal/core against the checked-in ceilings (scripts/loc_ceiling.txt);
+## fails when either grew past its ceiling.
+loc:
+	scripts/loc.sh
 
 ## race: race-detector pass over the whole module, then the catalogue,
 ## pool and store concurrency tests fifty times over: the interleavings

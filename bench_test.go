@@ -54,16 +54,6 @@ func BenchmarkFig10Small_HybridCPU(b *testing.B) {
 	benchScreen(b, sats, Options{Variant: VariantHybrid, ThresholdKm: 2, DurationSeconds: 300})
 }
 
-func BenchmarkFig10Small_GridSimGPU(b *testing.B) {
-	sats := benchPopulation(b, 1000)
-	benchScreen(b, sats, Options{Variant: VariantGrid, ThresholdKm: 2, DurationSeconds: 300, Device: SimulatedRTX3090()})
-}
-
-func BenchmarkFig10Small_HybridSimGPU(b *testing.B) {
-	sats := benchPopulation(b, 1000)
-	benchScreen(b, sats, Options{Variant: VariantHybrid, ThresholdKm: 2, DurationSeconds: 300, Device: SimulatedRTX3090()})
-}
-
 // --- Fig. 10b: medium populations (legacy is out of its depth here) ----
 
 func BenchmarkFig10Medium_GridCPU(b *testing.B) {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	conjdetect -tle population.tle -variant hybrid -threshold 2 -duration 3600
-//	conjdetect -n 10000 -seed 1 -variant grid -duration 600 -gpu
+//	conjdetect -n 10000 -seed 1 -variant grid -duration 600
 //	conjdetect -n 2000 -variant legacy -duration 600
 package main
 
@@ -33,7 +33,6 @@ func main() {
 		duration  = flag.Float64("duration", 3600, "screening span (seconds)")
 		sps       = flag.Float64("sps", 0, "seconds per sample (0 = variant default)")
 		workers   = flag.Int("workers", 0, "CPU workers (0 = all)")
-		gpu       = flag.Bool("gpu", false, "run on the simulated RTX 3090 backend")
 		useJ2     = flag.Bool("j2", false, "propagate with the secular J2 perturbation")
 		eventsTol = flag.Float64("events-tol", 10, "merge window (s) for multi-step duplicates; 0 prints raw conjunctions")
 		maxPrint  = flag.Int("max-print", 50, "print at most this many conjunctions (0 = all)")
@@ -65,9 +64,6 @@ func main() {
 		SecondsPerSample: *sps,
 		Workers:          *workers,
 		UseJ2:            *useJ2,
-	}
-	if *gpu {
-		opts.Device = satconj.SimulatedRTX3090()
 	}
 	if *sigma > 0 {
 		opts.Uncertainty = satconj.UniformUncertainty(*sigma)

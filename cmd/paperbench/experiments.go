@@ -11,7 +11,6 @@ import (
 	"time"
 
 	satconj "repro"
-	"repro/internal/gpusim"
 	"repro/internal/mathx"
 	"repro/internal/model"
 	"repro/internal/population"
@@ -29,12 +28,7 @@ func runTab1(ctx *benchCtx) error {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	t.AddRow("Go heap in use", fmt.Sprintf("%d MiB", ms.HeapInuse>>20))
-	dev := gpusim.RTX3090()
-	t.AddRow("GPU name", dev.Name)
-	t.AddRow("GPU SMs (simulated blocks resident)", dev.SMs)
-	t.AddRow("GPU threads per block", dev.ThreadsPerBlock)
-	t.AddRow("GPU memory (simulated budget)", fmt.Sprintf("%d GB", dev.MemoryBytes>>30))
-	t.AddRow("Note", "GPU rows describe the gpusim substitute, not silicon (DESIGN.md §2)")
+	t.AddRow("Note", "the paper's GPU rows are not reproduced (DESIGN.md §2)")
 	return t.WriteASCII(os.Stdout)
 }
 
@@ -303,12 +297,10 @@ func screenOnce(ctx *benchCtx, sats []satconj.Satellite, o satconj.Options) (*sa
 	return res, elapsed, rec, nil
 }
 
-// fig10Variants builds the sweep's (variant, backend) runs from the
-// detector registry: the O(n²) baselines first (bare names, capped at
-// legacyCap objects), then every other registered variant on the CPU pool
-// and — when its descriptor advertises the device capability — on the
-// simulated GPU. A newly registered detector joins every fig10 sweep with
-// no edits here.
+// fig10Variants builds the sweep's runs from the detector registry: the
+// O(n²) baselines first (bare names, capped at legacyCap objects), then
+// every other registered variant on the CPU pool. A newly registered
+// detector joins every fig10 sweep with no edits here.
 func fig10Variants(ctx *benchCtx, includeLegacy bool, legacyCap int) []variantRun {
 	base := satconj.Options{ThresholdKm: ctx.threshold, DurationSeconds: ctx.duration}
 	var vs []variantRun
@@ -338,14 +330,6 @@ func fig10Variants(ctx *benchCtx, includeLegacy bool, legacyCap int) []variantRu
 			o.Variant = name
 			return screenTimed(ctx, s, o)
 		}})
-		if d.Caps.Has(satconj.CapDevice) {
-			vs = append(vs, variantRun{string(name) + "-sim-gpu", func(s []satconj.Satellite) (*satconj.Result, time.Duration, error) {
-				o := base
-				o.Variant = name
-				o.Device = satconj.SimulatedRTX3090()
-				return screenTimed(ctx, s, o)
-			}})
-		}
 	}
 	return vs
 }
@@ -623,35 +607,29 @@ func runTDP(ctx *benchCtx) error {
 	if err != nil {
 		return err
 	}
+	_, elapsed, err := screenTimed(ctx, sats, satconj.Options{
+		Variant: satconj.VariantHybrid, ThresholdKm: ctx.threshold, DurationSeconds: ctx.duration})
+	if err != nil {
+		return err
+	}
+	secs := elapsed.Seconds()
+	t := report.NewTable(fmt.Sprintf("Energy model at n=%d (runtime × TDP; one run on this host, so the rows differ only by TDP)", n),
+		"Configuration", "Runtime [s]", "TDP [W]", "Energy [J]")
 	// TDP figures from Table I / §V-C3.
-	type host struct {
+	for _, h := range []struct {
 		name string
 		tdpW float64
-		opts satconj.Options
-	}
-	hosts := []host{
-		{"this host as 'AMD 5950X' (105 W)", 105, satconj.Options{Variant: satconj.VariantHybrid}},
-		{"this host as '2× Xeon 9242' (700 W)", 700, satconj.Options{Variant: satconj.VariantHybrid}},
-		{"simulated RTX 3090 (350 W)", 350, satconj.Options{Variant: satconj.VariantHybrid, Device: satconj.SimulatedRTX3090()}},
-	}
-	t := report.NewTable(fmt.Sprintf("Energy model at n=%d (runtime × TDP; identical silicon, so CPU rows differ only by TDP)", n),
-		"Configuration", "Runtime [s]", "TDP [W]", "Energy [J]")
-	for _, h := range hosts {
-		o := h.opts
-		o.ThresholdKm = ctx.threshold
-		o.DurationSeconds = ctx.duration
-		_, elapsed, err := screenTimed(ctx, sats, o)
-		if err != nil {
-			return err
-		}
-		secs := elapsed.Seconds()
+	}{
+		{"this host as 'AMD 5950X' (105 W)", 105},
+		{"this host as '2× Xeon 9242' (700 W)", 700},
+	} {
 		t.AddRow(h.name, fmt.Sprintf("%.3f", secs), h.tdpW, fmt.Sprintf("%.0f", secs*h.tdpW))
 	}
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Println("\nNOTE: all rows execute on this host; the table reproduces the paper's")
-	fmt.Println("energy *accounting method*, not its silicon comparison (DESIGN.md §2).")
+	fmt.Println("\nNOTE: the table reproduces the paper's energy *accounting method*, not its")
+	fmt.Println("silicon comparison; the GPU row is not reproduced (DESIGN.md §2).")
 	return nil
 }
 

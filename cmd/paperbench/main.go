@@ -51,7 +51,7 @@ var experiments = []experiment{
 	{"fig10c", "Fig. 10c — runtime, large populations with memory-driven s_ps degradation", runFig10c},
 	{"timeshare", "§V-C1 — relative time consumption per phase", runTimeshare},
 	{"threads", "§V-C2 — CPU thread-count speedup", runThreads},
-	{"tdp", "§V-C3 — CPU/GPU energy comparison (TDP model)", runTDP},
+	{"tdp", "§V-C3 — energy comparison (TDP model, CPU rows)", runTDP},
 	{"accuracy", "§V-D — accuracy: conjunction counts and pair agreement", runAccuracy},
 	{"treecmp", "4D AABB tree vs grid family — head-to-head on contrasting populations", runTreecmp},
 	{"cube", "§II ablation — Cube-method statistical baseline vs deterministic screening", runCube},

@@ -22,8 +22,8 @@
 // and reported when no tracked mutex is held at the call.
 //
 // PairSet.InsertPacked is deliberately NOT guarded, although the issue
-// brief groups it with delivery: the merge paths (mergeRange,
-// processStepSerial) call it lock-free by design — the set is a CAS-based
+// brief groups it with delivery: the merge path (mergeRange) calls it
+// lock-free by design — the set is a CAS-based
 // structure and its overflow contract (lockfree.ErrFull) is enforced by the
 // errfull analyzer instead. Demanding a lock there would wrap a lock-free
 // structure in the mutex it exists to avoid; see DESIGN.md §12.

@@ -54,7 +54,7 @@ func NewAABB(cfg Config) *AABB { return &AABB{cfg: cfg} }
 func init() {
 	Register(VariantAABB, Descriptor{
 		Description: "4D AABB tree: windowed position-time boxes, BVH overlap candidates, shared refine path",
-		Caps:        CapScreenDelta | CapDevice | CapSink | CapObserver,
+		Caps:        CapScreenDelta | CapSink | CapObserver,
 		New:         func(cfg Config) Detector { return NewAABB(cfg) },
 	})
 }
@@ -104,7 +104,6 @@ func (d *AABB) screen(ctx context.Context, sats []propagation.Satellite, delta *
 		return res, nil
 	}
 	defer run.release()
-	res.Backend = run.exec.ExecutorName()
 
 	w := cfg.WindowSteps
 	if w <= 0 {
@@ -144,7 +143,7 @@ func (d *AABB) screen(ctx context.Context, sats []propagation.Satellite, delta *
 
 // aabbWindow is the per-window state the range closures below read: the
 // window's step span, the window-contiguous sample buffer, the per-satellite
-// boxes, and the tree built over them. The executor's fork/join provides the
+// boxes, and the tree built over them. The worker pool's fork/join provides the
 // happens-before edge between the build side's writes and the workers'
 // reads, exactly as with the grid run's published step state.
 type aabbWindow struct {
@@ -353,7 +352,7 @@ func (r *run) sampleWindows(w int) error {
 
 		// Propagation and hull construction — the insertion share.
 		tIns := time.Now()
-		if err := r.exec.ParallelFor(r.ctx, n, propFn); err != nil {
+		if err := parallelFor(r.ctx, r.workers, n, propFn); err != nil {
 			return err
 		}
 		r.stats.Insertion += time.Since(tIns)
@@ -368,7 +367,7 @@ func (r *run) sampleWindows(w int) error {
 		for wk := range r.scanBufs {
 			r.scanBufs[wk] = r.scanBufs[wk][:0]
 		}
-		if err := r.exec.ParallelForWorkers(r.ctx, n, queryFn); err != nil {
+		if err := parallelForWorkers(r.ctx, r.workers, n, queryFn); err != nil {
 			return err
 		}
 		if err := r.mergeScanBufs(); err != nil {

@@ -2,7 +2,7 @@ package core
 
 // The allocation-budget gate of the pooling layer: a steady-state screening
 // window must stay within a checked-in allocation ceiling, and every Screen
-// exit — success or error, any variant or executor — must hand all pooled
+// exit — success or error, any variant — must hand all pooled
 // structures back. CI runs this file like any other test, so a regression
 // that re-introduces per-step or per-run churn fails the build, not just a
 // benchmark graph.
@@ -53,9 +53,6 @@ func poolVariants() map[string]screenFn {
 		},
 		"hybrid": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
 			return NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
-		},
-		"batched": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
-			return NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 300, Workers: 2, ParallelSteps: 4, Pool: p}).Screen(sats)
 		},
 		"grown-pair-set": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
 			// PairSlotHint 2 forces repeated pooled growth mid-run.
@@ -118,7 +115,7 @@ func TestScreenErrorPathsRestorePoolBalance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, variant := range []string{"grid", "hybrid", "batched"} {
+			for _, variant := range []string{"grid", "hybrid"} {
 				p := pool.New()
 				cfg := tc.cfg
 				cfg.Pool = p
@@ -128,9 +125,6 @@ func TestScreenErrorPathsRestorePoolBalance(t *testing.T) {
 					_, err = NewGrid(cfg).Screen(tc.sats)
 				case "hybrid":
 					_, err = NewHybrid(cfg).Screen(tc.sats)
-				case "batched":
-					cfg.ParallelSteps = 4
-					_, err = NewGrid(cfg).Screen(tc.sats)
 				}
 				if err == nil {
 					t.Fatalf("%s: expected an error", variant)

@@ -37,7 +37,7 @@ func BenchmarkNeighborhood_Full26(b *testing.B) {
 	sats := benchShellPopulation(b, 4000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, UseFullNeighborhood: true}).Screen(sats); err != nil {
+		if _, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, ablation: ablation{fullNeighborhood: true}}).Screen(sats); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 package core
 
 // Cancellation stress battery for the context-aware pipeline. Runs under
-// the CI race job (which covers ./internal/core/...): cancelling grid,
-// batched, and hybrid screens at deterministic and randomised points must
-// unwind promptly with context.Canceled, and the shared pool must balance
+// the CI race job (which covers ./internal/core/...): cancelling grid (one-
+// and two-slot ring) and hybrid screens at deterministic and randomised
+// points must unwind promptly with context.Canceled, and the shared pool must balance
 // on every exit path — the PR-2 "balanced at return" invariant extended to
 // "balanced under cancellation".
 
@@ -19,15 +19,12 @@ import (
 	"repro/internal/propagation"
 )
 
-// cancelVariants enumerates the three executors the battery exercises over
-// a shared pool. extraSteps is how many observer steps may still land after
-// the cancellation fires: the batched executor reports a whole successful
-// round at once, so up to ParallelSteps-1 trailing steps are legitimate.
+// cancelVariants enumerates the three step-loop shapes the battery exercises
+// over a shared pool.
 func cancelVariants(p *pool.Pool) []struct {
-	name       string
-	cfg        Config
-	extraSteps int
-	screen     func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error)
+	name   string
+	cfg    Config
+	screen func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error)
 } {
 	gridScreen := func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error) {
 		return NewGrid(cfg).ScreenContext(ctx, sats)
@@ -36,18 +33,17 @@ func cancelVariants(p *pool.Pool) []struct {
 		return NewHybrid(cfg).ScreenContext(ctx, sats)
 	}
 	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2, Pool: p}
-	batched := base
-	batched.ParallelSteps = 4
+	oneSlot := base
+	oneSlot.ablation.oneSlotRing = true
 	hybrid := Config{ThresholdKm: 2, DurationSeconds: 1500, Workers: 2, Pool: p}
 	return []struct {
-		name       string
-		cfg        Config
-		extraSteps int
-		screen     func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error)
+		name   string
+		cfg    Config
+		screen func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error)
 	}{
-		{"grid-sequential", base, 0, gridScreen},
-		{"grid-batched", batched, batched.ParallelSteps - 1, gridScreen},
-		{"hybrid", hybrid, 0, hybridScreen},
+		{"grid-two-slot", base, gridScreen},
+		{"grid-one-slot", oneSlot, gridScreen},
+		{"hybrid", hybrid, hybridScreen},
 	}
 }
 
@@ -79,8 +75,8 @@ func (c *cancelAtStep) steps() int {
 
 // TestCancelDuringSamplingUnwindsPromptly cancels each variant from inside
 // the observer at a known step and checks the cooperative-cancellation
-// contract: context.Canceled comes back, at most one more sampling round is
-// processed after the cancel, and the pool balances.
+// contract: context.Canceled comes back, no further step is observed after
+// the cancel, and the pool balances.
 func TestCancelDuringSamplingUnwindsPromptly(t *testing.T) {
 	sats := engineeredPopulation(t)
 	p := pool.New()
@@ -102,9 +98,8 @@ func TestCancelDuringSamplingUnwindsPromptly(t *testing.T) {
 			if res != nil {
 				t.Errorf("%s cancel@%d: got a result alongside the error", v.name, at)
 			}
-			if got := obs.steps(); got > at+v.extraSteps {
-				t.Errorf("%s cancel@%d: %d steps observed, want <= %d (~one round after cancel)",
-					v.name, at, got, at+v.extraSteps)
+			if got := obs.steps(); got > at {
+				t.Errorf("%s cancel@%d: %d steps observed, want <= %d", v.name, at, got, at)
 			}
 			// "Prompt" at this scale: the full 1500-step run takes far
 			// longer than the handful of steps before the cancel.
@@ -144,7 +139,7 @@ func (c *cancelOnEmit) emissions() int {
 
 // TestCancelMidRefineAbortsAndBalancesPool cancels from inside the sink on
 // the first emitted conjunction, so the cancellation lands mid-refinement —
-// after the batched refiner has bound evaluators and possibly between two
+// after the warm refiner has bound evaluators and possibly between two
 // candidates of one worker chunk. The screen must abort with
 // context.Canceled (no partial Result), even though at least one
 // conjunction was already confirmed and streamed, and the shared pool must

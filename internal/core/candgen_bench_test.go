@@ -36,13 +36,14 @@ func candgenRun(b *testing.B) *run {
 func BenchmarkCandidateGen_CSR(b *testing.B) {
 	r := candgenRun(b)
 	scratch := &scanScratch{}
+	var keys []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.pairs.Reset()
 		r.snap.Freeze(r.gset, r.workers)
-		scratch.pairs = r.scanSnapshot(r.snap, 0, r.snap.Slots(), 0, scratch.pairs[:0], scratch)
-		for _, key := range scratch.pairs {
+		keys = r.scanSnapshot(r.snap, 0, r.snap.Slots(), 0, keys[:0], scratch)
+		for _, key := range keys {
 			if _, err := r.pairs.InsertPacked(key); err != nil {
 				b.Fatal(err)
 			}
@@ -53,13 +54,14 @@ func BenchmarkCandidateGen_CSR(b *testing.B) {
 func BenchmarkCandidateGen_CSRScanOnly(b *testing.B) {
 	r := candgenRun(b)
 	scratch := &scanScratch{}
+	var keys []uint64
 	r.snap.Freeze(r.gset, r.workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.pairs.Reset()
-		scratch.pairs = r.scanSnapshot(r.snap, 0, r.snap.Slots(), 0, scratch.pairs[:0], scratch)
-		for _, key := range scratch.pairs {
+		keys = r.scanSnapshot(r.snap, 0, r.snap.Slots(), 0, keys[:0], scratch)
+		for _, key := range keys {
 			if _, err := r.pairs.InsertPacked(key); err != nil {
 				b.Fatal(err)
 			}

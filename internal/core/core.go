@@ -17,7 +17,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -66,26 +65,8 @@ type Config struct {
 	// from the population (callers with an Extra-P model estimate pass it
 	// here). The set grows automatically on overflow either way.
 	PairSlotHint int
-	// UseFullNeighborhood enumerates all 26 neighbour cells per occupied
-	// cell, as the paper describes literally. The default scan enumerates
-	// the 13-cell half neighbourhood instead, visiting each adjacent cell
-	// pair once — results are identical because the pair set dedups, and
-	// the neighbour-lookup constant (the dominant scan cost) halves. The
-	// full enumeration is kept as the paper-fidelity ablation.
-	UseFullNeighborhood bool
 	// Filters configures the hybrid variant's orbital filter chain.
 	Filters filters.Config
-	// Executor selects the parallel backend: nil runs on a CPU worker pool
-	// of Workers goroutines; a *gpusim.Device runs the same pipeline with
-	// the simulated SIMT block decomposition and transfer accounting.
-	Executor Executor
-	// ParallelSteps processes this many sampling steps concurrently, each
-	// with its own grid instance — the paper's parallelisation factor p
-	// (§V-B/§V-E): "we calculate as many points in time in parallel as
-	// fit into the memory". ≤1 processes steps sequentially (each step
-	// internally parallel). The memory planner (internal/model) supplies
-	// p for a given budget. Delta passes always sample in step order.
-	ParallelSteps int
 	// WindowSteps is the AABB-tree variant's window width W: one set of
 	// position-time boxes (and one tree build) covers W consecutive
 	// sampling steps. ≤0 selects DefaultWindowSteps. Other variants
@@ -101,18 +82,6 @@ type Config struct {
 	// is concurrency × the per-shard footprint. ≤0 selects
 	// min(4, ⌈GOMAXPROCS/2⌉). Sharded variants only.
 	ShardConcurrency int
-	// DisablePrefilter skips the analytic pre-refinement filter (refine.go)
-	// and sends every surviving candidate straight to Brent minimisation.
-	// The filter is sound (it only rejects pairs whose separation provably
-	// stays above threshold), so results are identical either way; the knob
-	// exists for ablations and the differential battery.
-	DisablePrefilter bool
-	// DisablePipeline forces the strictly sequential step loop even when
-	// the run could overlap step N's snapshot scan with step N+1's
-	// propagate/build (see sampleStepsPipelined). Results are identical;
-	// the knob exists for ablations and the differential battery. A delta
-	// pass has no scan to overlap and ignores it, like UseFullNeighborhood.
-	DisablePipeline bool
 	// Uncertainty, when non-nil, screens each pair against the effective
 	// threshold d + u(a) + u(b) instead of the uniform d (§III: the
 	// threshold should cover the position uncertainties). The grid is
@@ -131,66 +100,26 @@ type Config struct {
 	// Observer, when non-nil, receives per-step and per-phase progress
 	// while the run is in flight. See the Observer contract in observer.go.
 	Observer Observer
+
+	// ablation holds the switches only this package's tests can set.
+	ablation ablation
 }
 
-// Executor abstracts the data-parallel backend of §V-E. The CPU backend
-// chunks ranges across a goroutine pool ("a thread is responsible for
-// propagating and grid-inserting multiple tuples"); the gpusim backend maps
-// ranges onto simulated 512-thread blocks.
-//
-// Implementations must be safe for concurrent ParallelFor /
-// ParallelForWorkers calls from multiple goroutines: the pipelined step
-// loop overlaps one step's snapshot scan with the next step's propagate and
-// insert, each a separate parallel dispatch. Both in-tree executors are
-// stateless per call and satisfy this already.
-type Executor interface {
-	// ParallelFor partitions [0, n) into ranges and runs fn on them
-	// concurrently. fn must be safe for concurrent invocation on disjoint
-	// ranges. Cancellation is cooperative: when ctx is cancelled the
-	// executor stops dispatching unstarted ranges, waits for in-flight
-	// ranges to finish (callers release pooled structures on return, so no
-	// fn may still be running), and returns ctx.Err(). A nil-Done context
-	// must add no overhead.
-	ParallelFor(ctx context.Context, n int, fn func(lo, hi int)) error
-	// ParallelForWorkers is ParallelFor with worker-identified ranges: fn
-	// additionally receives the index w ∈ [0, Workers()) of the worker
-	// executing the range, and no two concurrent invocations share a w.
-	// Callers use it to give each worker private scratch (the scan phase's
-	// per-worker candidate buffers) that is merged after the join, instead
-	// of contending on shared structures. Cancellation contract as above.
-	ParallelForWorkers(ctx context.Context, n int, fn func(w, lo, hi int)) error
-	// Workers reports the backend's concurrency for sizing scratch space.
-	Workers() int
-	// ExecutorName identifies the backend in results.
-	ExecutorName() string
+// ablation turns off one design decision at a time so the differential
+// battery can show each leaves the results where they were.
+type ablation struct {
+	// fullNeighborhood scans all 26 neighbour cells per occupied cell, as the
+	// paper describes literally, instead of the 13-cell half neighbourhood
+	// that visits each adjacent cell pair once (the pair set dedups either way).
+	fullNeighborhood bool
+	// noPrefilter sends every candidate to Brent, skipping the analytic
+	// pre-refinement filter (refine.go), which only rejects pairs whose
+	// separation provably stays above threshold.
+	noPrefilter bool
+	// oneSlotRing scans each step inline even when the run has the workers to
+	// overlap the scan with the next step's build (see sampleSteps).
+	oneSlotRing bool
 }
-
-// transferAccounter is implemented by executors that model host↔device
-// copies (the gpusim device); the detectors feed it the upload of the
-// satellite data and the download of the conjunction set.
-type transferAccounter interface {
-	TransferH2D(bytes int64)
-	TransferD2H(bytes int64)
-}
-
-// cpuExecutor is the default backend: a flat goroutine pool.
-type cpuExecutor struct{ workers int }
-
-// ParallelFor implements Executor.
-func (e cpuExecutor) ParallelFor(ctx context.Context, n int, fn func(lo, hi int)) error {
-	return parallelFor(ctx, e.workers, n, fn)
-}
-
-// ParallelForWorkers implements Executor.
-func (e cpuExecutor) ParallelForWorkers(ctx context.Context, n int, fn func(w, lo, hi int)) error {
-	return parallelForWorkers(ctx, e.workers, n, fn)
-}
-
-// Workers implements Executor.
-func (e cpuExecutor) Workers() int { return e.workers }
-
-// ExecutorName implements Executor.
-func (e cpuExecutor) ExecutorName() string { return "cpu" }
 
 func (c Config) threshold() float64 {
 	if c.ThresholdKm <= 0 {
@@ -255,10 +184,9 @@ type PhaseStats struct {
 	FilterStats       filters.Stats
 }
 
-// Total returns the accounted wall time of the phases. Under the pipelined
-// step loop the detection share overlaps insertion wall time, so phase
-// *shares* remain the meaningful quantity (as in §V-C1), not their sum
-// against the wall clock.
+// Total returns the accounted wall time of the phases. On a two-slot ring
+// the detection share overlaps insertion wall time, so phase *shares* remain
+// the meaningful quantity (as in §V-C1), not their sum against the wall clock.
 func (p PhaseStats) Total() time.Duration {
 	return p.Insertion + p.Freeze + p.Detection + p.Refine + p.Coplanarity
 }
@@ -288,7 +216,7 @@ func (p PhaseStats) PhaseSeconds() []PhaseSecond {
 // Result is the outcome of a screening run.
 type Result struct {
 	Variant      Variant
-	Backend      string        // executor that ran the pipeline
+	Backend      string        // "cpu", or "cpu-sequential" for the legacy baseline
 	Conjunctions []Conjunction // sorted by (A, B, TCA)
 	Stats        PhaseStats
 }

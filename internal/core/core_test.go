@@ -222,7 +222,7 @@ func TestEngineeredPopulationAllVariantsAgree(t *testing.T) {
 
 func TestHalfNeighborhoodSameResults(t *testing.T) {
 	sats := engineeredPopulation(t)
-	full, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, UseFullNeighborhood: true}).Screen(sats)
+	full, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, ablation: ablation{fullNeighborhood: true}}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,9 @@ type DeltaInput struct {
 
 // ScreenDelta runs the grid pipeline incrementally; see DeltaInput for the
 // contract. The result is equivalent to a full Screen of the same population
-// at the candidate cost of the dirty set only. Steps are sampled in order
-// with the warm Kepler cache, whatever ParallelSteps, DisablePipeline and
-// UseFullNeighborhood say. Past the crossover (stampingPays) the delta is
-// validated and a plain full screen runs instead, with PriorRetained = 0.
+// at the candidate cost of the dirty set only. Past the crossover
+// (stampingPays) the delta is validated and a plain full screen runs instead,
+// with PriorRetained = 0.
 func (d *Grid) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
 	return d.screen(ctx, sats, &delta)
 }
@@ -153,7 +152,7 @@ func (r *run) sampleStepsStamped() error {
 		tIns := time.Now()
 		r.stepTime, r.scanStep = float64(step)*r.sps, uint32(step)
 		r.gset.Reset()
-		if err := r.exec.ParallelFor(r.ctx, len(r.dirtyIdx), stampFn); err != nil {
+		if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), stampFn); err != nil {
 			return err
 		}
 		if err, ok := r.insertErr.Load().(error); ok {
@@ -169,7 +168,7 @@ func (r *run) sampleStepsStamped() error {
 				r.scanBufs[0] = r.appendStamped(r.scanBufs[0], key, r.sats[r.dirtyIdx[j]].ID)
 			}
 		}
-		if err := r.exec.ParallelForWorkers(r.ctx, len(r.sats), probeFn); err != nil {
+		if err := parallelForWorkers(r.ctx, r.workers, len(r.sats), probeFn); err != nil {
 			return err
 		}
 		r.stats.Insertion += time.Since(tIns)
@@ -187,7 +186,7 @@ func (r *run) sampleStepsStamped() error {
 // step time; object j owns stamp-table entries 27·j … 27·j+26. Only in-cube
 // cells are stamped (the scan's bounds rule); an object outside the cube stamps
 // nothing and counts out of bounds. The first insertion failure is latched.
-func (r *run) stampRange(lo, hi int) {
+func (r *run) stampRange(_, lo, hi int) {
 	var nbuf [stampsPerObject - 1]uint64
 	for j := lo; j < hi; j++ {
 		i := int(r.dirtyIdx[j])

@@ -161,9 +161,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 		cfg     Config
 	}{
 		{"grid", VariantGrid, Config{HalfExtentKm: 9000}},
-		// Batched full screens sample cold and out of order; the delta pass
-		// ignores ParallelSteps and must still agree with them.
-		{"grid-batched", VariantGrid, Config{HalfExtentKm: 9000, ParallelSteps: 4}},
 		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}},
 		{"sharded-grid", VariantSharded, Config{Shards: 3}},
 		{"aabb", VariantAABB, Config{}},
@@ -417,12 +414,12 @@ func (o *stepRecorder) OnStep(s StepInfo) {
 func (o *stepRecorder) OnPhase(PhaseInfo) {}
 
 // TestScreenDeltaObserverSeesEveryStepInOrder: one delta step loop, in step
-// order, whatever the scheduling knobs say (run it under -race: the stamp
+// order, whatever the ablation switches say (run it under -race: the stamp
 // and probe phases share the table across four workers).
 func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 	const span = 300.0
 	sats := denseShellPopulation(400, 9)
-	for _, cfg := range []Config{{}, {ParallelSteps: 4}, {DisablePipeline: true, UseFullNeighborhood: true}} {
+	for _, cfg := range []Config{{}, {ablation: ablation{oneSlotRing: true, fullNeighborhood: true}}} {
 		obs := &stepRecorder{}
 		cfg.DurationSeconds, cfg.Workers, cfg.Observer, cfg.Pool = span, 4, obs, pool.New()
 		dirty := []int32{sats[3].ID, sats[200].ID, sats[399].ID}

@@ -1,10 +1,9 @@
 package core
 
 // Cross-variant differential battery: the same seeded population screened
-// by every detector flavour — grid (single worker, batched, pooled warm,
-// pooling disabled, pre-filter off, pipelining off), hybrid (sequential and
-// batched), and two alternative-index screeners built on the k-d tree and octree — must
-// report the same physical encounters. Agreement is tolerance-aware: TCAs
+// by every detector flavour — grid (single worker, pooled warm, pooling
+// disabled, pre-filter off, one-slot ring), hybrid, and an alternative-index
+// screener built on the k-d tree — must report the same physical encounters. Agreement is tolerance-aware: TCAs
 // within one (coarsest) sampling step, PCAs within threshold slack; exact
 // equality is not required because the variants sample at different rates
 // and flag candidates at different steps.
@@ -17,7 +16,6 @@ import (
 	"repro/internal/kdtree"
 	"repro/internal/lockfree"
 	"repro/internal/mathx"
-	"repro/internal/octree"
 	"repro/internal/orbit"
 	"repro/internal/pool"
 	"repro/internal/propagation"
@@ -78,16 +76,13 @@ func assertEventsAgree(t *testing.T, name string, got, want []Conjunction, tcaTo
 	match(got, want, "spurious")
 }
 
-// treePairFn enumerates all point pairs within radius for one sampling step.
-type treePairFn func(pts []kdtree.Point, radius float64, emit func(a, b int32))
-
 // screenWithTree is a full conjunction screener whose candidate generator is
-// an exact radius query over a per-step rebuilt spatial index — the §IV-A
+// an exact radius query over a per-step rebuilt k-d tree — the §IV-A
 // alternative the paper dismisses on cost (see kdtree_ablation_test.go).
 // Candidate identification aside, it shares the pipeline with the grid
 // detector: Eq. 1 radius, per-step flagging, Brent PCA/TCA refinement. Its
 // output is therefore a structure-independent differential reference.
-func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64, pairsAt treePairFn) *Result {
+func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64) *Result {
 	prop := propagation.TwoBody{}
 	cell := spatial.CellSize(threshold, sps)
 	steps := stepCount(span, sps)
@@ -105,8 +100,8 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64, 
 			pts[i] = kdtree.Point{ID: sats[i].ID, Pos: pos}
 		}
 		s := uint32(step)
-		pairsAt(pts, cell, func(a, b int32) {
-			seen[lockfree.PackPair(a, b, s)] = lockfree.Pair{A: min32(a, b), B: max32(a, b), Step: s}
+		kdtree.Build(pts).PairsWithin(cell, func(a, b kdtree.Point) { // Build reorders pts; every step refills it
+			seen[lockfree.PackPair(a.ID, b.ID, s)] = lockfree.Pair{A: min32(a.ID, b.ID), B: max32(a.ID, b.ID), Step: s}
 		})
 	}
 	var out []Conjunction
@@ -124,24 +119,10 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64, 
 	return &Result{Conjunctions: out}
 }
 
-func kdPairs(pts []kdtree.Point, radius float64, emit func(a, b int32)) {
-	work := make([]kdtree.Point, len(pts))
-	copy(work, pts) // Build reorders its input; keep the caller's step buffer
-	kdtree.Build(work).PairsWithin(radius, func(a, b kdtree.Point) { emit(a.ID, b.ID) })
-}
-
-func octreePairs(pts []kdtree.Point, radius float64, emit func(a, b int32)) {
-	work := make([]octree.Point, len(pts))
-	for i, p := range pts {
-		work[i] = octree.Point{ID: p.ID, Pos: p.Pos}
-	}
-	octree.Build(work).PairsWithin(radius, func(a, b octree.Point) { emit(a.ID, b.ID) })
-}
-
 // TestVariantsDifferentialAgreement is the cross-variant battery.
 func TestVariantsDifferentialAgreement(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential sweep screens the population nine times; skipped with -short")
+		t.Skip("differential sweep screens the population a dozen times; skipped with -short")
 	}
 	const (
 		span      = 1800.0
@@ -164,9 +145,6 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 		"grid-single-worker": func() (*Result, error) {
 			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 1}).Screen(sats)
 		},
-		"grid-batched": func() (*Result, error) {
-			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, ParallelSteps: 8}).Screen(sats)
-		},
 		"grid-pool-disabled": func() (*Result, error) {
 			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, Pool: pool.Disabled()}).Screen(sats)
 		},
@@ -180,28 +158,22 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 			return det.Screen(sats)
 		},
 		"grid-prefilter-off": func() (*Result, error) {
-			// Ablation knob: with the analytic pre-filter disabled every
+			// Ablation: with the analytic pre-filter disabled every
 			// candidate goes to Brent; the event set must not move.
 			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
-				Workers: 2, DisablePrefilter: true}).Screen(sats)
+				Workers: 2, ablation: ablation{noPrefilter: true}}).Screen(sats)
 		},
 		"grid-no-pipeline": func() (*Result, error) {
-			// Ablation knob: the strictly sequential per-step loop instead of
-			// the two-slot pipelined stepper the Workers: 2 reference uses.
+			// Ablation: every scan inline on a one-slot ring instead of the
+			// two-slot ring the Workers: 2 reference uses.
 			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
-				Workers: 2, DisablePipeline: true}).Screen(sats)
+				Workers: 2, ablation: ablation{oneSlotRing: true}}).Screen(sats)
 		},
 		"hybrid": func() (*Result, error) {
 			return NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen(sats)
 		},
-		"hybrid-batched": func() (*Result, error) {
-			return NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2, ParallelSteps: 4}).Screen(sats)
-		},
 		"kdtree": func() (*Result, error) {
-			return screenWithTree(sats, threshold, 1, span, kdPairs), nil
-		},
-		"octree": func() (*Result, error) {
-			return screenWithTree(sats, threshold, 1, span, octreePairs), nil
+			return screenWithTree(sats, threshold, 1, span), nil
 		},
 	}
 	// Tolerances: one hybrid sampling step (the coarsest variant, 9 s) of

@@ -33,7 +33,7 @@ func NewGrid(cfg Config) *Grid { return &Grid{cfg: cfg} }
 func init() {
 	Register(VariantGrid, Descriptor{
 		Description: "purely grid-based screening: fine sampling, Eq. 1 cells, every candidate refined (§III)",
-		Caps:        CapScreenDelta | CapDevice | CapSink | CapObserver,
+		Caps:        CapScreenDelta | CapSink | CapObserver,
 		New:         func(cfg Config) Detector { return NewGrid(cfg) },
 	})
 }
@@ -72,7 +72,6 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 		return res, nil
 	}
 	defer run.release()
-	res.Backend = run.exec.ExecutorName()
 	if err := run.sampleAllSteps(); err != nil {
 		return nil, err
 	}
@@ -115,9 +114,8 @@ type run struct {
 	pairBuf     []lockfree.Pair
 	scanBufs    [][]uint64 // per-worker packed candidate keys, merged once per step
 	workers     int
-	exec        Executor
 	prop        propagation.Propagator
-	warm        propagation.WarmStarter   // non-nil: sequential warm-start path
+	warm        propagation.WarmStarter   // non-nil: positionAt warm-starts the Kepler solve
 	kcache      []propagation.KeplerCache // per-satellite warm-start state
 	steps       int
 	oob         atomic.Uint64
@@ -135,8 +133,7 @@ type run struct {
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
 	// are nil unless the caller asked for streaming/progress. obsMu
-	// serialises Observer calls arriving from batch workers, and stepsDone
-	// counts completed steps across them.
+	// serialises the Observer calls of a run; stepsDone counts completed steps.
 	ctx       context.Context
 	done      <-chan struct{}
 	sink      Sink
@@ -148,30 +145,24 @@ type run struct {
 	// closure inside the step loop costs a heap allocation per step — at a
 	// 1 s sampling step that alone dwarfs the pooled structures' savings —
 	// so the loop instead publishes its step state here and reuses the same
-	// three closures for every step. The executor's fork/join provides the
+	// three closures for every step. The worker pool's fork/join provides the
 	// happens-before edge between these writes and the workers' reads.
 	// stepTime belongs to the build side (main step goroutine); scanStep,
 	// scanSnap, scanFull and the scan buffers belong to the scan side, which
-	// under the pipelined loop is a separate goroutine — the job/result
-	// channel handoff orders the two sides.
+	// on a two-slot ring is a separate goroutine — the job/result channel
+	// handoff orders the two sides.
 	stepTime  float64
 	scanStep  uint32
 	scanSnap  *lockfree.GridSnapshot // frozen snapshot the current scan reads
 	scanFull  atomic.Bool
 	insertErr atomic.Value
 
-	buildFn func(lo, hi int)
-	scanWFn func(w, lo, hi int)
-	mergeFn func(lo, hi int)
+	buildFn, scanFn, mergeFn func(w, lo, hi int)
 
 	// win is the AABB-tree detector's per-window state (aabb.go); nil for
 	// the grid/hybrid detectors.
 	win *aabbWindow
 }
-
-// satelliteUploadBytes approximates one satellite's device footprint: the
-// six elements plus the propagation cache (a_s + a_k of §V-B).
-const satelliteUploadBytes = 120
 
 // newRun validates inputs and allocates every structure up front — the
 // paper's step 1. A nil run (with nil error) signals a trivially empty
@@ -236,10 +227,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	if pairHint <= 0 {
 		pairHint = defaultPairSlots(len(sats), steps)
 	}
-	exec := cfg.Executor
-	if exec == nil {
-		exec = cpuExecutor{workers: cfg.workers()}
-	}
 	r := &run{
 		cfg:         cfg,
 		pool:        pl,
@@ -250,8 +237,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		cellSize:    cellSize,
 		grid:        grid,
 		pairs:       pl.GetPairSet(pairHint),
-		workers:     exec.Workers(),
-		exec:        exec,
+		workers:     cfg.workers(),
 		prop:        cfg.propagator(),
 		steps:       steps,
 		uncertainty: cfg.Uncertainty,
@@ -260,9 +246,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		sink:        cfg.Sink,
 		observer:    cfg.Observer,
 	}
-	r.buildFn = r.buildSharedRange
-	r.scanWFn = r.scanWorkerRange
-	r.mergeFn = r.mergeRange
+	r.buildFn, r.scanFn, r.mergeFn = r.buildRange, r.scanRange, r.mergeRange
 	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
 	if delta != nil {
 		if err := r.setDelta(delta); err != nil {
@@ -281,11 +265,10 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	for w := range r.scanBufs {
 		r.scanBufs[w] = pl.GetKeyBuf(0)
 	}
-	// Sequential sampling visits steps in order, so consecutive samples of
-	// one satellite differ by the fixed mean-anomaly delta n·s_ps — the
-	// warm-start precondition. Batched sampling interleaves steps and keeps
-	// the cold path; a stamping delta pass is never batched.
-	if ws, ok := r.prop.(propagation.WarmStarter); ok && (cfg.ParallelSteps <= 1 || r.stamping) {
+	// Every loop samples in step order, so consecutive samples of one
+	// satellite differ by the fixed mean-anomaly delta n·s_ps — the
+	// warm-start precondition.
+	if ws, ok := r.prop.(propagation.WarmStarter); ok {
 		r.warm = ws
 		r.kcache = pl.GetKeplerCache(len(sats))
 		for i := range sats {
@@ -298,10 +281,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	if err := r.cancelled(); err != nil {
 		r.release()
 		return nil, err
-	}
-	// Device backends pay the satellite upload once, at allocation time.
-	if ta, ok := exec.(transferAccounter); ok {
-		ta.TransferH2D(int64(len(sats)) * satelliteUploadBytes)
 	}
 	r.observePhase(PhaseAllocate, time.Since(tAlloc), 0)
 	return r, nil
@@ -322,8 +301,8 @@ func (r *run) cancelled() error {
 	}
 }
 
-// observeStep reports one finished sampling step. obsMu serialises callers:
-// the sequential step loop holds it trivially, batch workers contend for it.
+// observeStep reports one finished sampling step, under obsMu like every
+// Observer call of the run.
 func (r *run) observeStep(step, gridEntries int) {
 	if r.observer == nil {
 		return
@@ -393,19 +372,18 @@ func (r *run) release() {
 }
 
 // collectPairs drains the pair set into a pooled buffer owned (and later
-// released) by the run.
+// released) by the run, in (A, B, Step) order: the candidates of one pair are
+// one run of the list and the refinements of one satellite sit adjacent.
 func (r *run) collectPairs() []lockfree.Pair {
 	r.pairBuf = r.pairs.AppendItems(r.pool.GetPairBuf(r.pairs.Len()), r.workers)
+	sortPairsBySatellite(r.pairBuf)
 	return r.pairBuf
 }
 
 // sampleAllSteps runs step 2 for every sampling step: propagate, insert,
-// and identify candidate pairs into the conjunction set. With
-// Config.ParallelSteps > 1 whole steps run concurrently (see batch.go);
-// otherwise steps run in order — pipelined (step N's scan overlapping step
-// N+1's build, see pipeline.go) when the run has the workers for it,
-// strictly sequentially otherwise. A stamping delta pass has its own loop
-// (delta.go), and samples nothing when nothing is dirty: no candidate is new.
+// and identify candidate pairs into the conjunction set. A stamping delta
+// pass has its own loop (delta.go), and samples nothing when nothing is
+// dirty: no candidate is new. Every other run takes sampleSteps.
 func (r *run) sampleAllSteps() error {
 	tSample := time.Now()
 	var err error
@@ -415,12 +393,8 @@ func (r *run) sampleAllSteps() error {
 		r.stats.Steps = 0
 	case r.stamping:
 		err = r.sampleStepsStamped()
-	case r.cfg.ParallelSteps > 1:
-		err = r.sampleStepsBatched()
-	case r.pipelineEligible():
-		err = r.sampleStepsPipelined()
 	default:
-		err = r.sampleStepsSequential()
+		err = r.sampleSteps()
 	}
 	if err != nil {
 		return err
@@ -432,38 +406,6 @@ func (r *run) sampleAllSteps() error {
 	return nil
 }
 
-// sampleStepsSequential is the one-step-at-a-time sampling loop, with
-// intra-step parallelism and a cancellation check per step. Each step is
-// build → freeze → scan → merge: lock-free insertion into the grid, CSR
-// compaction of the result, a contiguous atomics-free candidate scan into
-// per-worker buffers, and one merge into the shared pair set.
-func (r *run) sampleStepsSequential() error {
-	for step := 0; step < r.steps; step++ {
-		if err := r.cancelled(); err != nil {
-			return err
-		}
-		oobBefore := r.oob.Load()
-
-		tIns := time.Now()
-		if err := r.buildGrid(step); err != nil {
-			return err
-		}
-		r.stats.Insertion += time.Since(tIns)
-
-		tFz := time.Now()
-		r.snap.Freeze(r.gset, r.workers)
-		r.stats.Freeze += time.Since(tFz)
-
-		tCD := time.Now()
-		if err := r.generateCandidates(r.snap, uint32(step)); err != nil {
-			return err
-		}
-		r.stats.Detection += time.Since(tCD)
-		r.observeStep(step, len(r.sats)-int(r.oob.Load()-oobBefore))
-	}
-	return nil
-}
-
 // positionAt is the position kernel every sampling step shares: object i at
 // time t, position only — binning needs nothing more, and the refiner
 // re-propagates the few pairs whose velocity matters. With a warm cache the
@@ -472,7 +414,7 @@ func (r *run) sampleStepsSequential() error {
 // step last observed, E_k − E_{k−1}, from then on, which keeps the guess
 // inside the solver's one-sincos acceptance even at coarse steps. Full and
 // delta passes call this once per object per step, in step order, and so see
-// bit-identical positions. Without a cache (J2, batched steps): cold State.
+// bit-identical positions. Without a cache (J2, numeric): cold State.
 func (r *run) positionAt(i int, t float64) vec3.V {
 	s := &r.sats[i]
 	if r.warm == nil {
@@ -490,42 +432,35 @@ func (r *run) positionAt(i int, t float64) vec3.V {
 }
 
 // buildRange is the build kernel of a sampling step, for satellites [lo, hi)
-// at time t into gs: propagate, key, insert, one object at a time, so a
-// position goes from registers into its grid entry and nowhere else. inserted
-// counts the objects that landed in the grid; the rest are out of bounds.
-func (r *run) buildRange(gs *lockfree.GridSet, t float64, lo, hi int) (inserted int, err error) {
+// at the published step time into the run's grid: propagate, key, insert, one
+// object at a time, so a position goes from registers into its grid entry and
+// nowhere else. Objects outside the cube count out of bounds. The first
+// insertion failure is latched; a run aborts on it, so the latch never resets.
+func (r *run) buildRange(_, lo, hi int) {
+	inserted := 0
 	for i := lo; i < hi; i++ {
-		pos := r.positionAt(i, t)
+		pos := r.positionAt(i, r.stepTime)
 		key, ok := r.grid.KeyOf(pos)
 		if !ok {
 			continue
 		}
-		if err := gs.Insert(key, int32(i), r.sats[i].ID, pos); err != nil {
-			return inserted, fmt.Errorf("core: grid insertion: %w", err)
+		if err := r.gset.Insert(key, int32(i), r.sats[i].ID, pos); err != nil {
+			r.insertErr.CompareAndSwap(nil, fmt.Errorf("core: grid insertion: %w", err))
+			return
 		}
 		inserted++
 	}
 	if oob := hi - lo - inserted; oob > 0 {
 		r.oob.Add(uint64(oob))
 	}
-	return inserted, nil
 }
 
-// buildSharedRange is buildRange into the run's shared grid at the published
-// step time. The first failure is latched; a run aborts on it, so the latch
-// never resets.
-func (r *run) buildSharedRange(lo, hi int) {
-	if _, err := r.buildRange(r.gset, r.stepTime, lo, hi); err != nil {
-		r.insertErr.CompareAndSwap(nil, err)
-	}
-}
-
-// buildGrid rebuilds the shared grid for one step: the parallel insertion of
+// buildGrid rebuilds the grid for one step: the parallel insertion of
 // §IV-A2, fed straight from propagation.
 func (r *run) buildGrid(step int) error {
 	r.stepTime = float64(step) * r.sps
 	r.gset.ResetParallel(r.workers)
-	if err := r.exec.ParallelFor(r.ctx, len(r.sats), r.buildFn); err != nil {
+	if err := parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn); err != nil {
 		return err
 	}
 	if err, ok := r.insertErr.Load().(error); ok {
@@ -534,13 +469,12 @@ func (r *run) buildGrid(step int) error {
 	return nil
 }
 
-// scanWorkerRange scans snapshot slots [lo, hi) for candidate pairs at the
+// scanRange scans snapshot slots [lo, hi) for candidate pairs at the
 // published step, appending packed pair keys to worker w's private buffer.
 // No shared state is touched: the merge phase folds the buffers into the
-// pair set after the scan joins. The snapshot comes from the published
-// scanSnap — under the pipelined loop that is one slot of the snapshot ring
-// while the build side freezes into the other.
-func (r *run) scanWorkerRange(w, lo, hi int) {
+// pair set after the scan joins. The snapshot is the published scanSnap — one
+// slot of the snapshot ring, while the build side may freeze into the other.
+func (r *run) scanRange(w, lo, hi int) {
 	scratch := scanScratchPool.Get().(*scanScratch)
 	r.scanBufs[w] = r.scanSnapshot(r.scanSnap, lo, hi, r.scanStep, r.scanBufs[w], scratch)
 	scanScratchPool.Put(scratch)
@@ -549,7 +483,7 @@ func (r *run) scanWorkerRange(w, lo, hi int) {
 // mergeRange folds the per-worker candidate buffers [lo, hi) into the shared
 // pair set, flagging overflow. Whole buffers are the work unit so two workers
 // never interleave within one buffer.
-func (r *run) mergeRange(lo, hi int) {
+func (r *run) mergeRange(_, lo, hi int) {
 	for w := lo; w < hi; w++ {
 		for _, key := range r.scanBufs[w] {
 			if _, err := r.pairs.InsertPacked(key); err != nil {
@@ -574,7 +508,7 @@ func (r *run) generateCandidates(snap *lockfree.GridSnapshot, step uint32) error
 	for w := range r.scanBufs {
 		r.scanBufs[w] = r.scanBufs[w][:0]
 	}
-	if err := r.exec.ParallelForWorkers(r.ctx, snap.Slots(), r.scanWFn); err != nil {
+	if err := parallelForWorkers(r.ctx, r.workers, snap.Slots(), r.scanFn); err != nil {
 		return err
 	}
 	return r.mergeScanBufs()
@@ -586,7 +520,7 @@ func (r *run) generateCandidates(snap *lockfree.GridSnapshot, step uint32) error
 func (r *run) mergeScanBufs() error {
 	for {
 		r.scanFull.Store(false)
-		if err := r.exec.ParallelFor(r.ctx, len(r.scanBufs), r.mergeFn); err != nil {
+		if err := parallelForWorkers(r.ctx, r.workers, len(r.scanBufs), r.mergeFn); err != nil {
 			return err
 		}
 		if !r.scanFull.Load() {
@@ -600,7 +534,6 @@ func (r *run) mergeScanBufs() error {
 // free list keeps the steady state from allocating one per worker per step.
 type scanScratch struct {
 	cellIDs []int32
-	pairs   []uint64 // batch path's packed-key buffer (see batch.go)
 	nbuf    [26]uint64
 }
 
@@ -613,7 +546,7 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // majority away from the cube faces) resolve their neighbour keys by pure
 // key arithmetic, skipping the unpack/clamp/repack of the boundary path.
 func (r *run) scanSnapshot(sn *lockfree.GridSnapshot, lo, hi int, step uint32, buf []uint64, scratch *scanScratch) []uint64 {
-	half := !r.cfg.UseFullNeighborhood
+	half := !r.cfg.ablation.fullNeighborhood
 	for s := lo; s < hi; s++ {
 		key, cell := sn.SlotCell(s)
 		if key == lockfree.EmptySlot || len(cell) == 0 {
@@ -670,27 +603,27 @@ func (r *run) growPairs() {
 }
 
 // refineCandidates runs the parallel PCA/TCA phase over the candidate list.
-// interval, when non-nil, supplies a per-pair custom search window (the
-// hybrid variant's node-window intervals); a nil function or a false ok
-// falls back to the grid rule. Confirmed conjunctions stream to the run's
-// sink (if any) as each worker chunk completes, under the same mutex that
-// merges them into the result — the Sink contract's serialisation point.
+// interval, when non-nil, supplies a custom search window for candidate k of
+// the list (the hybrid variant's node-window intervals); a nil function or a
+// false ok falls back to the grid rule. Confirmed conjunctions stream to the
+// run's sink (if any) as each worker chunk completes, under the same mutex
+// that merges them into the result — the Sink contract's serialisation point.
 //
-// The phase is batched by satellite: candidates are sorted by (A, B, Step)
-// so each worker chunk sees runs of identical satellites, and the per-chunk
-// pairEvaluator warm-starts the Kepler solves within each candidate instead
-// of solving cold. Before any Brent evaluation, the analytic pre-filter
-// (refine.go) rejects candidates whose separation provably stays above the
-// pair threshold over the whole interval; rejections are counted separately
-// from refinements. Workers re-check the run context every 16 candidates so
-// large refine phases abort promptly under cancellation.
-func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(p lockfree.Pair) (center, radius float64, ok bool)) ([]Conjunction, error) {
-	sortPairsBySatellite(pairs)
+// The phase is batched by satellite: candidates arrive in (A, B, Step) order
+// (collectPairs), so each worker chunk sees runs of identical satellites, and
+// the per-chunk pairEvaluator warm-starts the Kepler solves within each
+// candidate instead of solving cold. Before any Brent evaluation, the
+// analytic pre-filter (refine.go) rejects candidates whose separation
+// provably stays above the pair threshold over the whole interval; rejections
+// are counted separately from refinements. Workers re-check the run context
+// every 16 candidates so large refine phases abort promptly under
+// cancellation.
+func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(k int) (center, radius float64, ok bool)) ([]Conjunction, error) {
 	var mu sync.Mutex
 	var all []Conjunction
 	var refinements, prefiltered, batches atomic.Int64
-	usePrefilter := !r.cfg.DisablePrefilter
-	perr := r.exec.ParallelFor(r.ctx, len(pairs), func(lo, hi int) {
+	usePrefilter := !r.cfg.ablation.noPrefilter
+	perr := parallelFor(r.ctx, r.workers, len(pairs), func(lo, hi int) {
 		ev := newPairEvaluator(r.prop)
 		f := ev.dist2Offset // hoisted: binding the method per pair would allocate
 		var out []Conjunction
@@ -708,7 +641,7 @@ func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(p lockfree.P
 			center := float64(p.Step) * r.sps
 			radius := 0.0
 			if interval != nil {
-				if c2, rad, ok := interval(p); ok {
+				if c2, rad, ok := interval(k); ok {
 					center, radius = c2, rad
 				}
 			}
@@ -760,10 +693,6 @@ func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(p lockfree.P
 		return nil, perr
 	}
 	sortConjunctions(all)
-	// Device backends download the conjunction set once, at the end.
-	if ta, ok := r.exec.(transferAccounter); ok {
-		ta.TransferD2H(int64(len(pairs)) * 16)
-	}
 	return all, nil
 }
 
@@ -775,13 +704,22 @@ func (r *run) finishStats() PhaseStats {
 	return st
 }
 
-// parallelFor splits [0, n) across workers goroutines and waits. Ranges are
-// dispatched as bounded chunks pulled from a shared cursor so cancellation
-// takes effect between chunks; in-flight chunks always run to completion
-// before return (the Executor contract — callers release pooled structures
-// the moment ParallelFor returns). The single-worker uncancellable path
-// stays a direct call with zero allocations.
+// parallelFor is parallelForWorkers for callers with no per-worker state.
 func parallelFor(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
+	return parallelForWorkers(ctx, workers, n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// parallelForWorkers splits [0, n) across workers goroutines and waits. Each
+// goroutine is pinned to a distinct w in [0, workers) and passes it to fn, so
+// callers can give every worker a private scratch buffer with no
+// synchronisation. Ranges are dispatched as bounded chunks pulled from a
+// shared cursor so cancellation takes effect between chunks: once ctx is
+// cancelled no unstarted chunk runs, in-flight chunks run to completion
+// (callers release pooled structures the moment this returns) and the result
+// is ctx.Err(). It is safe to call from several goroutines at once — the
+// scan of one step and the build of the next do. The single-worker
+// uncancellable path stays a direct call with zero allocations.
+func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -791,7 +729,7 @@ func parallelFor(ctx context.Context, workers, n int, fn func(lo, hi int)) error
 	}
 	if workers <= 1 {
 		if done == nil {
-			fn(0, n)
+			fn(0, 0, n)
 			return nil
 		}
 		// Sequential but cooperative: bounded chunks with a cancellation
@@ -804,11 +742,7 @@ func parallelFor(ctx context.Context, workers, n int, fn func(lo, hi int)) error
 				return ctx.Err()
 			default:
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(0, lo, min(lo+chunk, n))
 		}
 		return nil
 	}
@@ -833,83 +767,9 @@ func parallelFor(ctx context.Context, workers, n int, fn func(lo, hi int)) error
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
+				fn(w, lo, min(lo+chunk, n))
 			}
 		}()
-	}
-	wg.Wait()
-	if done != nil {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	return nil
-}
-
-// parallelForWorkers is parallelFor with worker identity: each goroutine is
-// pinned to a distinct w in [0, workers) and passes it to fn, so callers can
-// give every worker a private scratch buffer with no synchronisation. The
-// chunking, cancellation, and run-to-completion semantics match parallelFor.
-func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
-	if n <= 0 {
-		return nil
-	}
-	done := ctx.Done()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if done == nil {
-			fn(0, 0, n)
-			return nil
-		}
-		chunk := (n + 15) / 16
-		for lo := 0; lo < n; lo += chunk {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(0, lo, hi)
-		}
-		return nil
-	}
-	chunk := (n + 4*workers - 1) / (4 * workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(w, lo, hi)
-			}
-		}(w)
 	}
 	wg.Wait()
 	if done != nil {
@@ -936,8 +796,7 @@ func max32(a, b int32) int32 {
 	return b
 }
 
-// sortPairsBySatellite orders candidates by (A, B, Step) so refinements of
-// one satellite sit adjacent — the batching key the warm refiner exploits.
+// sortPairsBySatellite orders candidates by (A, B, Step) for collectPairs.
 // PackPair puts A, B and Step in descending bit significance, so that is
 // ascending packed-key order, and a pair set holds no ties: an in-place
 // most-significant-digit radix sorts it with no scratch (the pooled buffer is

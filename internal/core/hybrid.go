@@ -28,7 +28,7 @@ func NewHybrid(cfg Config) *Hybrid { return &Hybrid{cfg: cfg} }
 func init() {
 	Register(VariantHybrid, Descriptor{
 		Description: "grid pre-filter with coarse sampling plus the classical orbital filter chain (§III, default)",
-		Caps:        CapScreenDelta | CapDevice | CapSink | CapObserver,
+		Caps:        CapScreenDelta | CapSink | CapObserver,
 		New:         func(cfg Config) Detector { return NewHybrid(cfg) },
 	})
 }
@@ -37,10 +37,12 @@ func init() {
 // paper's s_ps = 9 before any memory-driven reduction).
 const DefaultHybridSeconds = 9.0
 
-// pairDecision caches the per-pair (time-independent) filter verdict so a
-// pair flagged at many sampling steps is classified once.
+// pairDecision is the (time-independent) filter verdict of one satellite
+// pair, which is one run of equal (A, B) in the sorted candidate list: a pair
+// flagged at many sampling steps is classified once.
 type pairDecision struct {
 	class filters.Class
+	end   int // the run is candidates [previous decision's end, end)
 	nodes []nodeTiming
 }
 
@@ -82,7 +84,6 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 		return res, nil
 	}
 	defer run.release()
-	res.Backend = run.exec.ExecutorName()
 	if err := run.sampleAllSteps(); err != nil {
 		return nil, err
 	}
@@ -92,17 +93,23 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 
 	// Step 3: the orbital filter chain, once per distinct satellite pair
 	// (§III step 3; its cost is the "determining if orbits are coplanar"
-	// share of §V-C1).
+	// share of §V-C1). A pair's candidates are kept or dropped as one run;
+	// runOf remembers which decision each kept candidate came from.
 	tFil := time.Now()
 	decisions, err := run.classifyPairs(pairs)
 	if err != nil {
 		return nil, err
 	}
-	kept := pairs[:0]
-	for _, p := range pairs {
-		if decisions[lockfree.PackPair(p.A, p.B, 0)].class != filters.Rejected {
-			kept = append(kept, p)
+	kept, runOf, lo := pairs[:0], []int32(nil), 0
+	for i := range decisions {
+		hi := decisions[i].end
+		if decisions[i].class != filters.Rejected {
+			kept = append(kept, pairs[lo:hi]...)
+			for range hi - lo {
+				runOf = append(runOf, int32(i))
+			}
 		}
+		lo = hi
 	}
 	run.stats.FilterRejected = len(pairs) - len(kept)
 	run.stats.Coplanarity += time.Since(tFil)
@@ -111,19 +118,18 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 	// Step 4: refinement. Node-crossing pairs search the node window; the
 	// coplanar ones use the grid rule exactly like the grid variant.
 	tRef := time.Now()
-	interval := func(p lockfree.Pair) (center, radius float64, ok bool) {
-		dec := decisions[lockfree.PackPair(p.A, p.B, 0)]
+	interval := func(k int) (center, radius float64, ok bool) {
+		dec := &decisions[runOf[k]]
 		if dec.class != filters.NodeCrossing {
 			return 0, 0, false
 		}
-		ts := float64(p.Step) * run.sps
+		ts := float64(kept[k].Step) * run.sps
 		gridRadius := 2 * run.cellSize / 7.0 // generous fallback bound, ~km/s
 		best, bestDist := 0.0, math.Inf(1)
 		bestRadius := 0.0
 		for _, n := range dec.nodes {
 			// Crossing of the node ray nearest to the sampling step.
-			k := math.Round((ts - n.refTime) / n.period)
-			tc := n.refTime + k*n.period
+			tc := n.refTime + math.Round((ts-n.refTime)/n.period)*n.period
 			if d := math.Abs(tc - ts); d < bestDist {
 				best, bestDist, bestRadius = tc, d, n.radius
 			}
@@ -150,38 +156,44 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 	return res, nil
 }
 
-// classifyPairs runs filters.Classify over the distinct pairs in parallel
-// and precomputes the node-crossing schedules.
-func (r *run) classifyPairs(pairs []lockfree.Pair) (map[uint64]pairDecision, error) {
-	// Collect distinct pairs.
-	uniq := make(map[uint64]lockfree.Pair, len(pairs))
-	for _, p := range pairs {
-		uniq[lockfree.PackPair(p.A, p.B, 0)] = p
+// classifyPairs runs filters.Classify once per run of equal (A, B) in the
+// sorted candidate list, in parallel, and precomputes the node-crossing
+// schedules. Decision i is the verdict of the i-th run.
+func (r *run) classifyPairs(pairs []lockfree.Pair) ([]pairDecision, error) {
+	// Two passes over the run boundaries, so the decisions — tens of
+	// megabytes on a dense population — are allocated once, at their size.
+	starts := func(k int) bool { return k == 0 || pairs[k].A != pairs[k-1].A || pairs[k].B != pairs[k-1].B }
+	runs := 0
+	for k := range pairs {
+		if starts(k) {
+			runs++
+		}
 	}
-	keys := make([]uint64, 0, len(uniq))
-	for k := range uniq {
-		keys = append(keys, k)
+	decs := make([]pairDecision, 0, runs)
+	for k := range pairs {
+		if starts(k) {
+			decs = append(decs, pairDecision{})
+		}
+		decs[len(decs)-1].end = k + 1
 	}
-	decs := make([]pairDecision, len(keys))
 	var mu sync.Mutex
-	perr := r.exec.ParallelFor(r.ctx, len(keys), func(lo, hi int) {
+	perr := parallelFor(r.ctx, r.workers, len(decs), func(lo, hi int) {
 		var local filters.Stats
 		for i := lo; i < hi; i++ {
-			p := uniq[keys[i]]
+			dec := &decs[i]
+			p := pairs[dec.end-1]
 			a := &r.sats[r.idx[p.A]]
 			b := &r.sats[r.idx[p.B]]
 			g := filters.Classify(a.Elements, b.Elements, r.cfg.Filters.WithThreshold(r.pairThreshold(p.A, p.B)))
 			local.Add(g)
-			dec := pairDecision{class: g.Class}
+			dec.class = g.Class
 			if g.Class == filters.NodeCrossing {
 				for _, n := range g.Nodes {
-					if !n.Passes {
-						continue
+					if n.Passes {
+						dec.nodes = append(dec.nodes, nodeTimingFor(a, b, n))
 					}
-					dec.nodes = append(dec.nodes, nodeTimingFor(a, b, n))
 				}
 			}
-			decs[i] = dec
 		}
 		mu.Lock()
 		r.stats.FilterStats.Merge(local)
@@ -190,11 +202,7 @@ func (r *run) classifyPairs(pairs []lockfree.Pair) (map[uint64]pairDecision, err
 	if perr != nil {
 		return nil, perr
 	}
-	out := make(map[uint64]pairDecision, len(keys))
-	for i, k := range keys {
-		out[k] = decs[i]
-	}
-	return out, nil
+	return decs, nil
 }
 
 // nodeTimingFor converts one passing node's geometry into a crossing

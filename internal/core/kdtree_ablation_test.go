@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/kdtree"
 	"repro/internal/lockfree"
-	"repro/internal/octree"
 	"repro/internal/propagation"
 	"repro/internal/spatial"
 	"repro/internal/vec3"
@@ -198,64 +197,6 @@ func BenchmarkStepCandidates_KDTree(b *testing.B) {
 		tr.PairsWithin(cell, func(a, bb kdtree.Point) { count++ })
 	}
 	b.ReportMetric(float64(count), "pairs")
-}
-
-func BenchmarkStepCandidates_Octree(b *testing.B) {
-	sats := benchShellPopulation(b, 8000)
-	const threshold, sps = 2.0, 1.0
-	cell := spatial.CellSize(threshold, sps)
-	ptsKD := stepPositions(sats, 500)
-	pts := make([]octree.Point, len(ptsKD))
-	for i, p := range ptsKD {
-		pts[i] = octree.Point{ID: p.ID, Pos: p.Pos}
-	}
-	work := make([]octree.Point, len(pts))
-	var count int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, pts)
-		tr := octree.Build(work)
-		count = 0
-		tr.PairsWithin(cell, func(a, bb octree.Point) { count++ })
-	}
-	b.ReportMetric(float64(count), "pairs")
-}
-
-// TestOctreeCandidatesMatchKDTree cross-validates the two alternative
-// indexes against each other at the detection radius.
-func TestOctreeCandidatesMatchKDTree(t *testing.T) {
-	sats := denseShellPopulation(512, 31)
-	const radius = 55.0
-	pts := stepPositions(sats, 700)
-
-	kdPairs := map[[2]int32]bool{}
-	kdWork := make([]kdtree.Point, len(pts))
-	copy(kdWork, pts)
-	kdtree.Build(kdWork).PairsWithin(radius, func(a, b kdtree.Point) {
-		kdPairs[orderPair(a.ID, b.ID)] = true
-	})
-
-	ocPts := make([]octree.Point, len(pts))
-	for i, p := range pts {
-		ocPts[i] = octree.Point{ID: p.ID, Pos: p.Pos}
-	}
-	ocPairs := map[[2]int32]bool{}
-	octree.Build(ocPts).PairsWithin(radius, func(a, b octree.Point) {
-		ocPairs[orderPair(a.ID, b.ID)] = true
-	})
-
-	if len(kdPairs) == 0 {
-		t.Fatal("no pairs found; test population too sparse")
-	}
-	if len(kdPairs) != len(ocPairs) {
-		t.Fatalf("kd %d pairs vs octree %d", len(kdPairs), len(ocPairs))
-	}
-	for p := range kdPairs {
-		if !ocPairs[p] {
-			t.Errorf("pair %v found by kd but not octree", p)
-		}
-	}
 }
 
 var _ = vec3.Zero // keep the import stable if the test shrinks

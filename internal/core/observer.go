@@ -36,9 +36,8 @@ type Phase string
 // hybrid variant. PhaseFreeze is reported by every variant so stream
 // consumers see a schema-stable phase set: the grid/hybrid detectors report
 // the accumulated per-step grid-compaction time (a component of the sample
-// phase, emitted right after PhaseSample), while the legacy and sieve
-// baselines — which have no grid to freeze — emit it with zero elapsed
-// rather than omitting it.
+// phase, emitted right after PhaseSample), while the legacy baseline — which
+// has no grid to freeze — emits it with zero elapsed rather than omitting it.
 const (
 	PhaseAllocate Phase = "allocate" // step 1: validation + upfront allocation
 	PhaseSample   Phase = "sample"   // step 2: propagate + insert + candidates
@@ -51,7 +50,7 @@ const (
 type StepInfo struct {
 	Step        int    // index of the step that just finished
 	Steps       int    // total steps of the run
-	Completed   int    // steps finished so far (completion order varies under batching)
+	Completed   int    // steps finished so far
 	GridEntries int    // satellites inserted into the step's grid
 	PairSetLen  int    // candidate (pair, step) entries accumulated so far
 	OutOfBounds uint64 // cumulative out-of-cube samples
@@ -106,9 +105,9 @@ func (o ObserverFuncs) OnPhase(p PhaseInfo) {
 }
 
 // EmitZeroFreeze reports a zero-elapsed freeze phase for detectors that
-// have no grid to compact (the legacy and sieve baselines' registry
-// adapters call it), keeping the Observer's phase set — and with it the
-// /v1/screen/stream event schema — identical across variants.
+// have no grid to compact (the legacy baseline's registry adapter calls it),
+// keeping the Observer's phase set — and with it the /v1/screen/stream event
+// schema — identical across variants.
 func EmitZeroFreeze(obs Observer) {
 	if obs != nil {
 		// Runs on the single screening goroutine before any worker exists;

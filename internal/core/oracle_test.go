@@ -112,10 +112,6 @@ func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
 	detectors := map[string]func([]propagation.Satellite) (*Result, error){
 		"grid":   NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen,
 		"hybrid": NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen,
-		"grid-batched": NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
-			Workers: 2, ParallelSteps: 8}).Screen,
-		"hybrid-batched": NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span,
-			Workers: 2, ParallelSteps: 4}).Screen,
 		// Second run on a private warm pool: the whole pipeline executes
 		// from recycled structures and must match the oracle identically.
 		"grid-warm-pool": func(s []propagation.Satellite) (*Result, error) {

@@ -1,17 +1,16 @@
 package core
 
-// Step pipelining: the sequential sampling loop's per-step barrier keeps the
-// scan phase (read-only over a frozen snapshot) serialised behind the next
-// step's propagate/build, even though the two touch disjoint structures —
-// the snapshot freeze copies everything the scan reads out of the live grid,
-// so the grid is free to rebuild the moment Freeze returns. This file
-// overlaps them: a two-slot snapshot ring lets the build side freeze step
-// N+1 into one slot while a dedicated scan goroutine walks step N's frozen
-// snapshot in the other.
+// The full-screen step loop. Each step is build → freeze → scan: lock-free
+// insertion into the grid, CSR compaction of the result into a snapshot, and
+// an atomics-free candidate scan of the snapshot merged into the pair set.
+// The freeze copies everything the scan reads out of the live grid, so the
+// grid is free to rebuild the moment Freeze returns: with a second snapshot
+// the scan of step N can run beside the build of step N+1. Steps therefore
+// freeze into a ring of snapshots, ring[step&1], of one slot or two.
 //
-// Ownership is handed off over a pair of depth-1 channels, never shared: at
-// most one scan job is in flight, the build side freezes only into the slot
-// the in-flight scan is NOT reading, and every exit path (error,
+// On two slots ownership is handed off over a pair of depth-1 channels, never
+// shared: at most one scan job is in flight, the build side freezes only into
+// the slot the in-flight scan is NOT reading, and every exit path (error,
 // cancellation, completion) drains the outstanding job before returning so
 // release() never races a live scan and the pool stays balanced.
 
@@ -21,16 +20,7 @@ import (
 	"repro/internal/lockfree"
 )
 
-// pipelineEligible reports whether the run overlaps scan and build.
-// Batched runs (ParallelSteps > 1) have their own concurrency scheme;
-// single-worker runs have no parallelism to overlap with (and the
-// steady-state allocation budget is measured there); single-step runs have
-// nothing to pipeline.
-func (r *run) pipelineEligible() bool {
-	return !r.cfg.DisablePipeline && r.workers >= 2 && r.steps > 1
-}
-
-// scanJob hands a frozen snapshot to the scan goroutine.
+// scanJob hands a frozen snapshot to the scan.
 type scanJob struct {
 	step    uint32
 	snap    *lockfree.GridSnapshot
@@ -45,29 +35,39 @@ type scanResult struct {
 	err     error
 }
 
-// sampleStepsPipelined is the pipelined form of sampleStepsSequential:
-// identical per-step work (propagate → insert → freeze → scan → merge, in
-// step order, warm-start caches intact), but step N's scan runs on a
-// dedicated goroutine while the main goroutine builds step N+1. Detection
-// time therefore overlaps insertion wall time; as with the batched path,
-// the phase *shares* remain the meaningful quantity.
-func (r *run) sampleStepsPipelined() error {
-	// The second ring slot; r.snap is the first. Same size, same pool, same
-	// deferred return as the batch path's per-step snapshots.
-	snap2 := r.pool.GetSnapshot(r.gset.Slots(), len(r.sats))
-	defer r.pool.PutSnapshot(snap2)
-	ring := [2]*lockfree.GridSnapshot{r.snap, snap2}
+// sampleSteps runs every sampling step in order, warm-start caches intact.
+// The ring gets its second slot, and the scan its own goroutine, when the run
+// has workers to overlap with and more than one step to overlap; otherwise
+// (one worker is also where the steady-state allocation budget is measured)
+// each scan runs inline. Detection time on two slots overlaps insertion wall
+// time, so the phase *shares* remain the meaningful quantity.
+func (r *run) sampleSteps() error {
+	ring := [2]*lockfree.GridSnapshot{r.snap, r.snap}
+	var jobs chan scanJob
+	var results chan scanResult
+	if r.workers >= 2 && r.steps > 1 && !r.cfg.ablation.oneSlotRing {
+		snap2 := r.pool.GetSnapshot(r.gset.Slots(), len(r.sats))
+		defer r.pool.PutSnapshot(snap2)
+		ring[1] = snap2
+		// One long-lived scan goroutine per run, fed over depth-1 channels
+		// (the depth lets build N+1 start before result N is consumed).
+		// Spawning a goroutine per step would cost an allocation per step.
+		jobs, results = make(chan scanJob, 1), make(chan scanResult, 1)
+		go r.scanLoop(jobs, results)
+	}
 
-	// One long-lived scan goroutine per run, fed over depth-1 channels (the
-	// depth lets build N+1 start before result N is consumed). Spawning a
-	// goroutine per step would cost an allocation per sampling step.
-	jobs := make(chan scanJob, 1)
-	results := make(chan scanResult, 1)
-	go r.scanLoop(jobs, results)
-
-	inFlight := false
 	var err error
-	for step := 0; step < r.steps; step++ {
+	// settle accounts one finished scan; the first error of the run stands.
+	settle := func(res scanResult) {
+		r.stats.Detection += res.cd
+		if err == nil {
+			if err = res.err; err == nil {
+				r.observeStep(res.step, res.entries)
+			}
+		}
+	}
+	inFlight := false
+	for step := 0; step < r.steps && err == nil; step++ {
 		if err = r.cancelled(); err != nil {
 			break
 		}
@@ -79,54 +79,53 @@ func (r *run) sampleStepsPipelined() error {
 		}
 		r.stats.Insertion += time.Since(tIns)
 
-		// Freeze into the slot the in-flight scan (over ring[(step-1)&1])
-		// is not reading.
+		// On two slots the in-flight scan reads ring[(step-1)&1].
 		tFz := time.Now()
 		sn := ring[step&1]
 		sn.Freeze(r.gset, r.workers)
 		r.stats.Freeze += time.Since(tFz)
 
+		job := scanJob{step: uint32(step), snap: sn, entries: len(r.sats) - int(r.oob.Load()-oobBefore)}
+		if jobs == nil {
+			settle(r.scan(job))
+			continue
+		}
 		// Join scan N−1 before dispatching scan N: at most one job is ever
 		// in flight, and the observer still sees steps complete in order.
 		if inFlight {
-			res := <-results
 			inFlight = false
-			r.stats.Detection += res.cd
-			if res.err != nil {
-				err = res.err
+			if settle(<-results); err != nil {
 				break
 			}
-			r.observeStep(res.step, res.entries)
 		}
-		jobs <- scanJob{step: uint32(step), snap: sn, entries: len(r.sats) - int(r.oob.Load()-oobBefore)}
+		jobs <- job
 		inFlight = true
 	}
-	close(jobs)
+	if jobs != nil {
+		close(jobs)
+	}
 	// Drain the outstanding scan on every exit path: the scan goroutine
 	// touches the pair set and scan buffers until its result is posted, and
 	// release() runs as soon as screen unwinds.
 	if inFlight {
-		res := <-results
-		r.stats.Detection += res.cd
-		if err == nil {
-			if res.err != nil {
-				err = res.err
-			} else {
-				r.observeStep(res.step, res.entries)
-			}
-		}
+		settle(<-results)
 	}
 	return err
 }
 
-// scanLoop is the scan goroutine: one generateCandidates per job, results
-// posted in job order. It exits when the job channel closes and touches no
-// run state afterwards, so the build side owns everything again as soon as
-// the last result is drained.
+// scan generates the candidates of one frozen step and times it.
+func (r *run) scan(j scanJob) scanResult {
+	tCD := time.Now()
+	err := r.generateCandidates(j.snap, j.step)
+	return scanResult{step: int(j.step), entries: j.entries, cd: time.Since(tCD), err: err}
+}
+
+// scanLoop is the scan goroutine: one scan per job, results posted in job
+// order. It exits when the job channel closes and touches no run state
+// afterwards, so the build side owns everything again as soon as the last
+// result is drained.
 func (r *run) scanLoop(jobs <-chan scanJob, results chan<- scanResult) {
 	for j := range jobs {
-		tCD := time.Now()
-		err := r.generateCandidates(j.snap, j.step)
-		results <- scanResult{step: int(j.step), entries: j.entries, cd: time.Since(tCD), err: err}
+		results <- r.scan(j)
 	}
 }

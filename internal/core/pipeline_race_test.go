@@ -1,0 +1,105 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/mathx"
+	"repro/internal/pool"
+	"repro/internal/propagation"
+)
+
+// TestPipelinedScreenConcurrentRaceStress stresses the two-slot ring:
+// Workers >= 2 gives sampleSteps a scan goroutine that walks one
+// snapshot-ring slot while the main goroutine freezes the next step into the
+// other. Concurrent runs share one pool (snapshot slots recycle across runs),
+// PairSlotHint is forced tiny so the scan goroutine grows the pair set
+// mid-flight, and a randomised cancellation timer is armed on most runs so
+// the drain-on-every-exit-path logic — the join of the in-flight scan before
+// release() — is exercised under -race at every point of the step loop.
+// Every outcome must be a correct result or context.Canceled, and the pool
+// must balance once the stampede drains. Style follows lockfree/race_test.go.
+func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
+	sats := engineeredPopulation(t)
+	windows := []struct {
+		duration float64
+		events   int
+	}{
+		{500, 1},
+		{900, 2},
+		{1400, 3},
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 4 {
+		workers = 4
+	}
+	const itersPerWorker = 3
+
+	p := pool.New()
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var cancelled, completed int
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := mathx.NewSplitMix64(uint64(4000 + g))
+			for iter := 0; iter < itersPerWorker; iter++ {
+				w := windows[(g+iter)%len(windows)]
+				det := NewGrid(Config{
+					ThresholdKm:      2,
+					SecondsPerSample: 1,
+					DurationSeconds:  w.duration,
+					Workers:          2, // >= 2: the ring gets its second slot
+					PairSlotHint:     2, // force pair-set growth on the scan goroutine
+					Pool:             p,
+				})
+				ctx, cancel := context.WithCancel(context.Background())
+				// Most runs arm a cancellation timer at a pseudo-random
+				// point; every third run is left uncancelled so complete
+				// pipelined runs also execute under contention.
+				var timer *time.Timer
+				if iter%3 != 0 {
+					delay := time.Duration(rng.Intn(60)) * time.Millisecond
+					timer = time.AfterFunc(delay, cancel)
+				}
+				res, err := det.ScreenContext(ctx, append([]propagation.Satellite(nil), sats...))
+				if timer != nil {
+					timer.Stop()
+				}
+				cancel()
+				switch {
+				case err == nil && res != nil:
+					if got := len(res.Events(10)); got != w.events {
+						t.Errorf("goroutine %d window %.0fs: %d events, want %d", g, w.duration, got, w.events)
+					}
+					mu.Lock()
+					completed++
+					mu.Unlock()
+				case errors.Is(err, context.Canceled) && res == nil:
+					mu.Lock()
+					cancelled++
+					mu.Unlock()
+				default:
+					t.Errorf("goroutine %d: res=%v err=%v, want a result or context.Canceled", g, res, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if completed == 0 {
+		t.Error("no pipelined run ever completed under contention")
+	}
+	t.Logf("outcomes: %d cancelled, %d completed", cancelled, completed)
+	if out := p.Stats().Outstanding(); out != 0 {
+		t.Errorf("pool left %d structures outstanding after pipelined stress", out)
+	}
+	if p.Stats().Hits == 0 {
+		t.Error("pipelined runs never reused a pooled structure")
+	}
+}

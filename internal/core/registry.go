@@ -9,9 +9,9 @@ package core
 // no `case Variant…` dispatch creeps back in elsewhere).
 //
 // Detectors in this package register themselves from init functions;
-// out-of-package detectors (the legacy and sieve baselines) register from
-// their own packages, which import core already — an importer that wants
-// them listed pulls them in with a blank import.
+// the out-of-package detector (the legacy baseline) registers from its own
+// package, which imports core already — an importer that wants it listed
+// pulls it in with a blank import.
 
 import (
 	"context"
@@ -23,15 +23,12 @@ import (
 )
 
 // Names of the registered detector variants. The grid/hybrid pair is
-// declared in core.go; the baselines and the AABB tree are named here so
+// declared in core.go; the baseline and the AABB tree are named here so
 // every layer can refer to them without importing their packages.
 const (
 	// VariantLegacy is the sequential all-on-all filter-chain baseline
 	// (internal/legacy).
 	VariantLegacy Variant = "legacy"
-	// VariantSieve is the "smart sieve" time-stepped all-on-all baseline
-	// (internal/sieve).
-	VariantSieve Variant = "sieve"
 	// VariantAABB is the 4D AABB-tree detector (aabb.go).
 	VariantAABB Variant = "aabb"
 )
@@ -44,9 +41,6 @@ const (
 	// CapScreenDelta: the detector implements DeltaDetector and accepts
 	// incremental re-screens.
 	CapScreenDelta Capability = 1 << iota
-	// CapDevice: the detector runs on a Config.Executor device backend
-	// (the simulated GPU) as well as the CPU pool.
-	CapDevice
 	// CapSink: the detector streams conjunctions to Config.Sink while the
 	// run is in flight.
 	CapSink
@@ -86,8 +80,7 @@ type Descriptor struct {
 	// cap their population sizes without naming them.
 	Baseline bool
 	// New constructs the detector from a Config. Fields outside the
-	// descriptor's capabilities (Executor without CapDevice, …) are the
-	// caller's responsibility to reject; the constructors ignore them.
+	// descriptor's capabilities (a Sink without CapSink, …) are ignored.
 	New func(Config) Detector
 }
 

@@ -1,7 +1,7 @@
-// This battery runs from an external test package on purpose: legacy and
-// sieve import core, so in-package core tests can never see them without
+// This battery runs from an external test package on purpose: legacy
+// imports core, so in-package core tests can never see it without
 // an import cycle — `go test ./internal/core` registers only the
-// in-package detectors (grid, hybrid, aabb). The blank imports below load
+// in-package detectors (grid, hybrid, aabb). The blank import below loads
 // the full registry exactly as the satconj facade does, and the battery
 // then auto-iterates whatever is registered: a future detector joins the
 // differential net by registering itself, with no edits here.
@@ -14,13 +14,12 @@ import (
 
 	"repro/internal/core"
 	_ "repro/internal/legacy"
-	_ "repro/internal/sieve"
 )
 
 // TestRegistryHasAllFamilies pins the full registry as seen through the
-// blank imports: all five detector families, each constructible.
+// blank import: every detector family, each constructible.
 func TestRegistryHasAllFamilies(t *testing.T) {
-	want := []core.Variant{core.VariantAABB, core.VariantGrid, core.VariantHybrid, core.VariantLegacy, core.VariantSharded, core.VariantSieve}
+	want := []core.Variant{core.VariantAABB, core.VariantGrid, core.VariantHybrid, core.VariantLegacy, core.VariantSharded}
 	names := core.VariantNames()
 	if len(names) != len(want) {
 		t.Fatalf("registered variants = %v, want %v", names, want)
@@ -42,8 +41,8 @@ func TestRegistryHasAllFamilies(t *testing.T) {
 			baselines++
 		}
 	}
-	if baselines != 2 {
-		t.Errorf("baseline count = %d, want 2 (legacy, sieve)", baselines)
+	if baselines != 1 {
+		t.Errorf("baseline count = %d, want 1 (legacy)", baselines)
 	}
 }
 

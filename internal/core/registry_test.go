@@ -8,8 +8,8 @@ import (
 
 // TestRegistryContents checks the in-package detectors self-registered with
 // well-formed descriptors and that the enumeration order is deterministic.
-// (The legacy and sieve baselines register from their own packages; the
-// external battery in registry_battery_test.go covers the full set.)
+// (The legacy baseline registers from its own package; the external
+// battery in registry_battery_test.go covers the full set.)
 func TestRegistryContents(t *testing.T) {
 	for _, name := range []Variant{VariantGrid, VariantHybrid, VariantAABB} {
 		d, ok := Lookup(name)
@@ -68,7 +68,7 @@ func TestCapabilityHas(t *testing.T) {
 	if !c.Has(CapScreenDelta) || !c.Has(CapSink) || !c.Has(CapScreenDelta|CapSink) {
 		t.Error("Has misses present flags")
 	}
-	if c.Has(CapDevice) || c.Has(CapScreenDelta|CapDevice) {
+	if c.Has(CapObserver) || c.Has(CapScreenDelta|CapObserver) {
 		t.Error("Has reports absent flags")
 	}
 }

@@ -10,43 +10,57 @@ import (
 	"testing"
 
 	"repro/internal/kepler"
+	"repro/internal/pool"
 	"repro/internal/propagation"
 )
 
 func TestGenerateCandidatesGrowRetry(t *testing.T) {
-	// A deliberately tiny pair set forces the merge's grow-and-retry loop;
+	// A deliberately tiny pair set overflows in the middle of the run, in the
+	// merge of whichever goroutine scans, and forces the grow-and-retry loop;
 	// the final candidate set must match a roomy run's exactly.
-	sats := denseShellPopulation(800, 21) // narrow shell: plenty of candidates
-	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 20, Workers: 2}
-	tiny := base
-	tiny.PairSlotHint = 2
-
+	sats := denseShellPopulation(1500, 21) // narrow shell: 187 candidates, 8 conjunctions
+	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2, Pool: pool.New()}
 	roomy, err := NewGrid(base).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := NewGrid(tiny).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
+	if len(roomy.Conjunctions) == 0 {
+		t.Fatal("no conjunctions: the comparison would be vacuous")
 	}
-	if grown.Stats.PairSetGrowths == 0 {
-		t.Fatal("2-slot hint never grew — the retry path was not exercised")
+	for name, oneSlot := range map[string]bool{"one-slot-ring": true, "two-slot-ring": false} {
+		t.Run(name, func(t *testing.T) {
+			tiny := base
+			tiny.PairSlotHint = 64
+			tiny.ablation.oneSlotRing = oneSlot
+			grown, err := NewGrid(tiny).Screen(sats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grown.Stats.PairSetGrowths == 0 {
+				t.Fatal("64-slot hint never grew — the retry path was not exercised")
+			}
+			if grown.Stats.CandidatePairs != roomy.Stats.CandidatePairs {
+				t.Fatalf("grown run found %d candidates, roomy run %d",
+					grown.Stats.CandidatePairs, roomy.Stats.CandidatePairs)
+			}
+			assertConjunctionsEqual(t, name, grown.Conjunctions, roomy.Conjunctions)
+		})
 	}
-	if grown.Stats.CandidatePairs != roomy.Stats.CandidatePairs {
-		t.Fatalf("grown run found %d candidates, roomy run %d",
-			grown.Stats.CandidatePairs, roomy.Stats.CandidatePairs)
-	}
-	assertSameConjunctions(t, roomy.Conjunctions, grown.Conjunctions)
 }
 
+// coldOnly hides a propagator's WarmStarter methods, so a run over it solves
+// every sample cold.
+type coldOnly struct{ propagation.Propagator }
+
 func TestWarmStartMatchesColdScreen(t *testing.T) {
-	// Sequential sampling warm-starts the Kepler solve; batched sampling
-	// stays cold. Both must report the same conjunctions (within refinement
-	// tolerance — the solvers agree to ~1e-12 rad).
+	// A WarmStarter propagator warm-starts the Kepler solve; the same
+	// propagator behind coldOnly solves cold. Both must report the same
+	// conjunctions (within refinement tolerance — the solvers agree to
+	// ~1e-12 rad).
 	sats := benchShellPopulation(t, 500)
 	warmCfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2}
 	coldCfg := warmCfg
-	coldCfg.ParallelSteps = 4 // batched ⇒ cold path
+	coldCfg.Propagator = coldOnly{propagation.TwoBody{}}
 
 	warm, err := NewGrid(warmCfg).Screen(sats)
 	if err != nil {
@@ -61,45 +75,41 @@ func TestWarmStartMatchesColdScreen(t *testing.T) {
 
 func TestColdPropagatorsThroughBuildKernel(t *testing.T) {
 	// Propagators without a warm solve — J2, and two-body with an explicit
-	// solver — feed State into the same build kernel in all three step
-	// loops. The loops differ only in scheduling, so the candidates and the
-	// conjunctions must come out equal, and non-empty.
+	// solver — feed State into the same build kernel on a one-slot and a
+	// two-slot ring. The two differ only in scheduling, so the candidates and
+	// the conjunctions must come out equal, and non-empty.
 	sats := denseShellPopulation(1500, 21)
 	for name, prop := range map[string]propagation.Propagator{
 		"j2":              propagation.J2{},
 		"explicit-solver": propagation.TwoBody{Solver: kepler.Newton{}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			pipelined := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2, Propagator: prop}
-			sequential := pipelined
-			sequential.DisablePipeline = true
-			batched := pipelined
-			batched.ParallelSteps = 3
+			twoSlot := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2, Propagator: prop}
+			oneSlot := twoSlot
+			oneSlot.ablation.oneSlotRing = true
 
-			want, err := NewGrid(sequential).Screen(sats)
+			want, err := NewGrid(oneSlot).Screen(sats)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want.Conjunctions) == 0 {
 				t.Fatal("no conjunctions: the comparison would be vacuous")
 			}
-			for loop, cfg := range map[string]Config{"pipelined": pipelined, "batched": batched} {
-				got, err := NewGrid(cfg).Screen(sats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Stats.CandidatePairs != want.Stats.CandidatePairs {
-					t.Errorf("%s: %d candidates, sequential loop %d", loop, got.Stats.CandidatePairs, want.Stats.CandidatePairs)
-				}
-				assertConjunctionsEqual(t, loop, got.Conjunctions, want.Conjunctions)
+			got, err := NewGrid(twoSlot).Screen(sats)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if got.Stats.CandidatePairs != want.Stats.CandidatePairs {
+				t.Errorf("two-slot ring: %d candidates, one-slot ring %d", got.Stats.CandidatePairs, want.Stats.CandidatePairs)
+			}
+			assertConjunctionsEqual(t, "two-slot ring", got.Conjunctions, want.Conjunctions)
 		})
 	}
 }
 
 func TestWarmStartRespectsExplicitSolver(t *testing.T) {
 	// An explicitly configured solver must reach every solve even on the
-	// sequential (warm-capable) path: a deliberately coarse solver has to
+	// warm-capable path: a deliberately coarse solver has to
 	// change the sampled positions relative to the default.
 	sats := benchShellPopulation(t, 2)
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 5, Workers: 1}
@@ -110,7 +120,7 @@ func TestWarmStartRespectsExplicitSolver(t *testing.T) {
 	}
 	defer rDefault.release()
 	if rDefault.warm == nil {
-		t.Fatal("default two-body sequential run did not take the warm path")
+		t.Fatal("default two-body run did not take the warm path")
 	}
 
 	coarse := cfg

@@ -88,17 +88,11 @@ const (
 
 // conjQuery is the validated query surface of GET /v1/conjunctions.
 type conjQuery struct {
-	store.Query // run/object/tca/max_pca + limit (store path)
+	store.Query // run/object/tca/max_pca + limit, for the store and the snapshot path alike
 
 	offset int
 	since  uint64
 	hasRun bool
-	// Presence flags for the float filters: the snapshot path honours any
-	// supplied bound (tca_max=0 means "TCA at most 0", not "no bound"),
-	// unlike store.Query's zero-means-unbounded convention.
-	hasTCAMin bool
-	hasTCAMax bool
-	hasMaxPCA bool
 }
 
 // parseConjQuery validates every query parameter up front. Malformed
@@ -130,21 +124,21 @@ func (h *Handler) parseConjQuery(w http.ResponseWriter, r *http.Request) (conjQu
 			badQueryParam(w, "tca_min", s)
 			return q, false
 		}
-		q.hasTCAMin = true
+		q.HasTCAMin = true
 	}
 	if s := vals.Get("tca_max"); s != "" {
 		if q.TCAMax, err = strconv.ParseFloat(s, 64); err != nil || math.IsNaN(q.TCAMax) {
 			badQueryParam(w, "tca_max", s)
 			return q, false
 		}
-		q.hasTCAMax = true
+		q.HasTCAMax = true
 	}
 	if s := vals.Get("max_pca_km"); s != "" {
 		if q.MaxPCAKm, err = strconv.ParseFloat(s, 64); err != nil || math.IsNaN(q.MaxPCAKm) {
 			badQueryParam(w, "max_pca_km", s)
 			return q, false
 		}
-		q.hasMaxPCA = true
+		q.HasMaxPCA = true
 	}
 	if s := vals.Get("limit"); s != "" {
 		n, perr := strconv.Atoi(s)
@@ -258,20 +252,12 @@ func (h *Handler) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *se
 		}
 	}
 
-	f := serve.Filter{}
-	if q.HasObject {
-		f.Object, f.HasObject = q.Object, true
-	}
-	if q.hasMaxPCA {
-		f.MaxPCAKm, f.HasMaxPCA = q.MaxPCAKm, true
-	}
-	if q.hasTCAMin {
-		f.TCAMin, f.HasTCAMin = q.TCAMin, true
-	}
-	if q.hasTCAMax {
-		f.TCAMax, f.HasTCAMax = q.TCAMax, true
-	}
-	page, total := snap.Select(f, q.offset, q.Limit)
+	page, total := snap.Select(serve.Filter{
+		Object: q.Object, HasObject: q.HasObject,
+		MaxPCAKm: q.MaxPCAKm, HasMaxPCA: q.HasMaxPCA,
+		TCAMin: q.TCAMin, HasTCAMin: q.HasTCAMin,
+		TCAMax: q.TCAMax, HasTCAMax: q.HasTCAMax,
+	}, q.offset, q.Limit)
 	out := SnapshotConjunctionsResponse{
 		Version:     snap.Version,
 		Epoch:       snap.Epoch,

@@ -274,7 +274,6 @@ type VariantJSON struct {
 	Baseline    bool   `json:"baseline,omitempty"`
 	Default     bool   `json:"default,omitempty"`
 	ScreenDelta bool   `json:"screen_delta"`
-	Device      bool   `json:"device"`
 	Sink        bool   `json:"sink"`
 	Observer    bool   `json:"observer"`
 }
@@ -291,7 +290,6 @@ func (h *Handler) listVariants(w http.ResponseWriter, _ *http.Request) {
 			Baseline:    d.Baseline,
 			Default:     d.Name == satconj.VariantHybrid,
 			ScreenDelta: d.Caps.Has(satconj.CapScreenDelta),
-			Device:      d.Caps.Has(satconj.CapDevice),
 			Sink:        d.Caps.Has(satconj.CapSink),
 			Observer:    d.Caps.Has(satconj.CapObserver),
 		}

@@ -9,9 +9,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func rescreenOnce(t *testing.T, h *Handler, rs *Rescreener) {
@@ -377,41 +380,71 @@ func TestPollAndReplayTruncationReported(t *testing.T) {
 }
 
 // TestSnapshotFilterBoundsHonoured pins presence-based filter semantics
-// on the snapshot path: any supplied tca_min/tca_max/max_pca_km bound is
-// applied — zero and negative values included — rather than zero meaning
-// "no filter", and NaN bounds are malformed instead of silently inert.
+// on both paths of GET /v1/conjunctions — the published snapshot and, with
+// run=, the store: any supplied tca_min/tca_max/max_pca_km bound is applied,
+// zero and negative values included, rather than zero meaning "no filter",
+// an absent one is not, and NaN bounds are malformed instead of silently
+// inert. The same query string selects the same pairs either way.
 func TestSnapshotFilterBoundsHonoured(t *testing.T) {
-	h := NewServer(Config{})
-	h.hub.Publish(serve.NewSnapshot(3, time.Now(), time.Now(), 4, false, []core.Conjunction{
+	conjs := []core.Conjunction{
 		{A: 1, B: 2, TCA: 10, PCA: 0.5},
 		{A: 1, B: 3, TCA: 20, PCA: 1.5},
-	}))
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	runID, err := st.Append(store.Run{Conjunctions: conjs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(Config{Store: st})
+	h.hub.Publish(serve.NewSnapshot(3, time.Now(), time.Now(), 4, false, conjs))
+
 	for _, tc := range []struct {
 		query string
-		total int
+		want  [][2]int32
 	}{
-		{"tca_max=0", 0},
-		{"max_pca_km=0", 0},
-		{"tca_min=-5", 2},
-		{"tca_min=15", 1},
-		{"tca_max=15", 1},
-		{"max_pca_km=1", 1},
+		{"limit=10", [][2]int32{{1, 2}, {1, 3}}}, // no bound at all
+		{"tca_max=0", nil},
+		{"max_pca_km=0", nil},
+		{"max_pca_km=-1", nil},
+		{"tca_min=-5", [][2]int32{{1, 2}, {1, 3}}},
+		{"tca_min=15", [][2]int32{{1, 3}}},
+		{"tca_max=15", [][2]int32{{1, 2}}},
+		{"max_pca_km=1", [][2]int32{{1, 2}}},
 	} {
-		rec := doJSON(t, h, "GET", "/v1/conjunctions?"+tc.query, nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", tc.query, rec.Code, rec.Body.String())
+		var snap SnapshotConjunctionsResponse
+		var stored ConjunctionsResponse
+		for path, into := range map[string]any{
+			"/v1/conjunctions?" + tc.query:                             &snap,
+			fmt.Sprintf("/v1/conjunctions?run=%d&%s", runID, tc.query): &stored,
+		} {
+			rec := doJSON(t, h, "GET", path, nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var resp SnapshotConjunctionsResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
+		var fromSnap, fromStore [][2]int32
+		for _, m := range snap.Matches {
+			fromSnap = append(fromSnap, [2]int32{m.A, m.B})
 		}
-		if resp.Total != tc.total {
-			t.Errorf("%q: total %d, want %d", tc.query, resp.Total, tc.total)
+		for _, m := range stored.Matches {
+			fromStore = append(fromStore, [2]int32{m.A, m.B})
+		}
+		if !reflect.DeepEqual(fromSnap, tc.want) || !reflect.DeepEqual(fromStore, tc.want) {
+			t.Errorf("%q: snapshot path %v, store path %v, want %v", tc.query, fromSnap, fromStore, tc.want)
 		}
 	}
 	for _, q := range []string{"tca_min=NaN", "tca_max=nan", "max_pca_km=NaN"} {
-		if rec := doJSON(t, h, "GET", "/v1/conjunctions?"+q, nil); rec.Code != http.StatusBadRequest {
-			t.Errorf("%q: status %d, want 400", q, rec.Code)
+		for _, prefix := range []string{"", fmt.Sprintf("run=%d&", runID)} {
+			if rec := doJSON(t, h, "GET", "/v1/conjunctions?"+prefix+q, nil); rec.Code != http.StatusBadRequest {
+				t.Errorf("%q: status %d, want 400", prefix+q, rec.Code)
+			}
 		}
 	}
 }

@@ -47,16 +47,17 @@ import (
 	"repro/internal/propagation"
 )
 
-// Per-kind idle caps: a batched run holds ParallelSteps private grids, so
-// the grid freelist must absorb a whole batch; maps retain their buckets
+// Per-kind idle caps. A run holds one grid set and a ring of at most two
+// snapshots, and a sharded screen by default runs at most four shards at once,
+// so the freelists keep what four runs can hand back; maps retain their buckets
 // forever, so only a few are kept.
 const (
-	maxIdleGridSets  = 64
+	maxIdleGridSets  = 4
 	maxIdlePairSets  = 16
 	maxIdleBuffers   = 16
 	maxIdleIndexes   = 8
-	maxIdleSnapshots = 64  // batched runs hold ParallelSteps snapshots, like grids
-	maxIdleKeyBufs   = 128 // runs hold one per worker; device backends have many workers
+	maxIdleSnapshots = 8
+	maxIdleKeyBufs   = 128 // runs hold one per worker
 	maxIdleBitsets   = 8   // delta screens hold two (dirty + touched) per run
 )
 

@@ -64,7 +64,7 @@ func BenchmarkQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	q := Query{Object: 7, HasObject: true, MaxPCAKm: 1.5}
+	q := Query{Object: 7, HasObject: true, MaxPCAKm: 1.5, HasMaxPCA: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -59,15 +59,19 @@ type Run struct {
 	Conjunctions   []core.Conjunction
 }
 
-// Query selects conjunctions across runs. Zero values mean "unbounded".
+// Query selects conjunctions across runs. A filter value applies only when
+// its Has flag is set, so zero and negative bounds mean what they say.
 type Query struct {
 	Run       uint64  // restrict to one run ID (0 = all runs)
-	Object    int32   // restrict to pairs involving this ID...
-	HasObject bool    // ...but only when HasObject is set (0 is a valid ID)
+	Object    int32   // restrict to pairs involving this ID
+	HasObject bool    // (0 is a valid ID)
 	TCAMin    float64 // inclusive lower bound on TCA, seconds
-	TCAMax    float64 // inclusive upper bound (<= 0 = unbounded)
-	MaxPCAKm  float64 // inclusive upper bound on PCA (<= 0 = unbounded)
-	Limit     int     // cap on returned matches (<= 0 = unlimited)
+	HasTCAMin bool
+	TCAMax    float64 // inclusive upper bound on TCA, seconds
+	HasTCAMax bool
+	MaxPCAKm  float64 // inclusive upper bound on PCA
+	HasMaxPCA bool
+	Limit     int // cap on returned matches (<= 0 = unlimited)
 }
 
 // Match is one conjunction qualified by the run that produced it.
@@ -334,13 +338,13 @@ func (s *Store) Query(q Query) []Match {
 			if q.HasObject && c.A != q.Object && c.B != q.Object {
 				continue
 			}
-			if c.TCA < q.TCAMin {
+			if q.HasTCAMin && c.TCA < q.TCAMin {
 				continue
 			}
-			if q.TCAMax > 0 && c.TCA > q.TCAMax {
+			if q.HasTCAMax && c.TCA > q.TCAMax {
 				continue
 			}
-			if q.MaxPCAKm > 0 && c.PCA > q.MaxPCAKm {
+			if q.HasMaxPCA && c.PCA > q.MaxPCAKm {
 				continue
 			}
 			out = append(out, Match{RunID: r.ID, Conjunction: c})

@@ -119,10 +119,10 @@ func TestQuery(t *testing.T) {
 	if got := s.Query(Query{Object: 1, HasObject: true, Run: 1}); len(got) != 2 {
 		t.Fatalf("object-1 filter: %d matches, want 2", len(got))
 	}
-	if got := s.Query(Query{TCAMin: 300, TCAMax: 1100}); len(got) != 4 {
+	if got := s.Query(Query{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}); len(got) != 4 {
 		t.Fatalf("TCA window: %d matches, want 4 (300,400,1000,1100)", len(got))
 	}
-	if got := s.Query(Query{MaxPCAKm: 0.25}); len(got) != 4 {
+	if got := s.Query(Query{MaxPCAKm: 0.25, HasMaxPCA: true}); len(got) != 4 {
 		t.Fatalf("PCA cap: %d matches, want 4 (two runs × PCA 0.1,0.2)", len(got))
 	}
 	if got := s.Query(Query{Limit: 3}); len(got) != 3 {

@@ -18,8 +18,6 @@
 //     the per-step grid.
 //   - VariantLegacy — the classical all-on-all filter-chain screener, the
 //     O(n²) baseline the paper compares against.
-//   - VariantSieve — the "smart sieve" time-stepped all-on-all baseline
-//     with Cartesian rejection cascades (§II related work).
 //
 // # Quick start
 //
@@ -47,17 +45,15 @@ import (
 	"repro/internal/ccsds"
 	"repro/internal/core"
 	"repro/internal/cube"
-	"repro/internal/gpusim"
 	"repro/internal/orbit"
 	"repro/internal/population"
 	"repro/internal/propagation"
 	"repro/internal/risk"
 	"repro/internal/tle"
 
-	// The baseline screeners self-register with the core detector registry;
-	// nothing in this package names them directly any more.
+	// The baseline screener self-registers with the core detector registry;
+	// nothing in this package names it directly.
 	_ "repro/internal/legacy"
-	_ "repro/internal/sieve"
 )
 
 // Re-exported element and object types.
@@ -74,8 +70,6 @@ type (
 	PhaseStats = core.PhaseStats
 	// Variant names a screening algorithm.
 	Variant = core.Variant
-	// Device is a simulated SIMT accelerator (see package gpusim).
-	Device = gpusim.Device
 	// Sink receives conjunctions as refinement confirms them, while the
 	// screening is still running; see core.Sink for the contract.
 	Sink = core.Sink
@@ -114,9 +108,6 @@ const (
 	VariantAABB = core.VariantAABB
 	// VariantLegacy is the sequential all-on-all filter-chain baseline.
 	VariantLegacy = core.VariantLegacy
-	// VariantSieve is the "smart sieve" baseline (Rodríguez et al. 2002):
-	// time-stepped all-on-all with cheap Cartesian rejection cascades.
-	VariantSieve = core.VariantSieve
 	// VariantSharded is the million-object wrapper: the population is
 	// partitioned into radial orbital bands screened independently by the
 	// grid detector, with boundary (halo) objects replicated into adjacent
@@ -139,9 +130,6 @@ const (
 	// CapScreenDelta: the variant accepts incremental re-screens
 	// (ScreenDelta).
 	CapScreenDelta = core.CapScreenDelta
-	// CapDevice: the variant runs on the simulated GPU backend
-	// (Options.Device).
-	CapDevice = core.CapDevice
 	// CapSink: the variant streams conjunctions to Options.Sink in flight.
 	CapSink = core.CapSink
 	// CapObserver: the variant reports step/phase progress to
@@ -175,15 +163,8 @@ type Options struct {
 	// UseJ2 propagates with the secular J2 perturbation instead of pure
 	// two-body motion.
 	UseJ2 bool
-	// Device, when non-nil, runs the pipeline on the simulated GPU
-	// backend instead of the CPU worker pool (grid/hybrid only).
-	Device *Device
 	// PairSlotHint presizes the conjunction hash set (0 = automatic).
 	PairSlotHint int
-	// ParallelSteps processes this many sampling steps concurrently, each
-	// with its own grid (the paper's parallelisation factor p; grid and
-	// hybrid variants only). ≤1 runs steps sequentially.
-	ParallelSteps int
 	// WindowSteps sets the AABB variant's box window width W — sampling
 	// steps covered per tree build; ≤0 selects the default (16). Other
 	// variants ignore it.
@@ -203,11 +184,10 @@ type Options struct {
 	// and PerObjectUncertainty.
 	Uncertainty UncertaintyMap
 	// Sink, when non-nil, streams each conjunction out as refinement
-	// confirms it, before Screen returns (grid, hybrid, and legacy
-	// variants; the sieve baseline only materialises results).
+	// confirms it, before Screen returns (variants advertising CapSink).
 	Sink Sink
 	// Observer, when non-nil, receives step and phase progress while the
-	// screening is in flight (grid, hybrid, and legacy variants).
+	// screening is in flight (variants advertising CapObserver).
 	Observer Observer
 }
 
@@ -313,8 +293,7 @@ func ScreenContext(ctx context.Context, sats []Satellite, o Options) (*Result, e
 }
 
 // lookup resolves the Options' variant through the registry (empty selects
-// the hybrid default) and rejects option/capability mismatches before any
-// detector is constructed.
+// the hybrid default).
 func (o Options) lookup() (VariantDescriptor, error) {
 	name := o.Variant
 	if name == "" {
@@ -324,9 +303,6 @@ func (o Options) lookup() (VariantDescriptor, error) {
 	if !ok {
 		return VariantDescriptor{}, fmt.Errorf("satconj: unknown variant %q (registered: %s)",
 			o.Variant, strings.Join(core.VariantNames(), ", "))
-	}
-	if o.Device != nil && !desc.Caps.Has(core.CapDevice) {
-		return VariantDescriptor{}, fmt.Errorf("satconj: the %s variant has no device backend", desc.Name)
 	}
 	return desc, nil
 }
@@ -344,14 +320,13 @@ func (o Options) propagator() propagation.Propagator {
 }
 
 func (o Options) coreConfig(prop propagation.Propagator) core.Config {
-	cfg := core.Config{
+	return core.Config{
 		ThresholdKm:      o.ThresholdKm,
 		SecondsPerSample: o.SecondsPerSample,
 		DurationSeconds:  o.DurationSeconds,
 		Workers:          o.Workers,
 		Propagator:       prop,
 		PairSlotHint:     o.PairSlotHint,
-		ParallelSteps:    o.ParallelSteps,
 		WindowSteps:      o.WindowSteps,
 		Shards:           o.Shards,
 		ShardConcurrency: o.ShardConcurrency,
@@ -359,10 +334,6 @@ func (o Options) coreConfig(prop propagation.Propagator) core.Config {
 		Sink:             o.Sink,
 		Observer:         o.Observer,
 	}
-	if o.Device != nil {
-		cfg.Executor = o.Device
-	}
-	return cfg
 }
 
 // PopulationConfig configures the synthetic population generator (§V-A).
@@ -436,9 +407,6 @@ func SaveTLE(w io.Writer, sats []Satellite) error {
 	}
 	return tle.WriteCatalog(w, sets)
 }
-
-// SimulatedRTX3090 returns the paper's benchmark GPU as a simulated device.
-func SimulatedRTX3090() *Device { return gpusim.RTX3090() }
 
 // WriteCDMs emits one CCSDS Conjunction Data Message per conjunction — the
 // hand-off artifact to the detailed assessment process downstream of the

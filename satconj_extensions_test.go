@@ -9,27 +9,6 @@ import (
 	"time"
 )
 
-func TestScreenSieveVariant(t *testing.T) {
-	sats := crossingPair(t, 600)
-	res, err := Screen(sats, Options{Variant: VariantSieve, ThresholdKm: 2, DurationSeconds: 1200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := res.Events(10)
-	if len(ev) != 1 {
-		t.Fatalf("sieve events = %d, want 1", len(ev))
-	}
-	if math.Abs(ev[0].TCA-600) > 3 {
-		t.Errorf("TCA = %v", ev[0].TCA)
-	}
-	if res.Variant != VariantSieve || res.Backend != "cpu-sequential" {
-		t.Errorf("variant/backend = %q/%q", res.Variant, res.Backend)
-	}
-	if _, err := Screen(sats, Options{Variant: VariantSieve, DurationSeconds: 10, Device: SimulatedRTX3090()}); err == nil {
-		t.Error("sieve with device accepted")
-	}
-}
-
 func TestScreenWithUncertainty(t *testing.T) {
 	// 10 km engineered miss detected only once the pair carries 2×5 km
 	// uncertainty on top of the 2 km threshold.
@@ -53,21 +32,6 @@ func TestScreenWithUncertainty(t *testing.T) {
 	}
 	if len(widened.Events(10)) != 1 {
 		t.Error("uncertainty-widened screen missed the encounter")
-	}
-}
-
-func TestScreenWithParallelSteps(t *testing.T) {
-	sats := crossingPair(t, 700)
-	seq, err := Screen(sats, Options{Variant: VariantGrid, ThresholdKm: 2, DurationSeconds: 1400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Screen(sats, Options{Variant: VariantGrid, ThresholdKm: 2, DurationSeconds: 1400, ParallelSteps: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Conjunctions) != len(par.Conjunctions) {
-		t.Fatalf("sequential %d vs batched %d conjunctions", len(seq.Conjunctions), len(par.Conjunctions))
 	}
 }
 

@@ -49,27 +49,6 @@ func TestScreenUnknownVariant(t *testing.T) {
 	}
 }
 
-func TestScreenLegacyRejectsDevice(t *testing.T) {
-	if _, err := Screen(nil, Options{Variant: VariantLegacy, DurationSeconds: 10, Device: SimulatedRTX3090()}); err == nil {
-		t.Error("legacy with device accepted")
-	}
-}
-
-func TestScreenOnSimulatedDevice(t *testing.T) {
-	sats := crossingPair(t, 500)
-	dev := SimulatedRTX3090()
-	res, err := Screen(sats, Options{Variant: VariantGrid, ThresholdKm: 2, DurationSeconds: 1000, Device: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Backend, "3090") {
-		t.Errorf("Backend = %q", res.Backend)
-	}
-	if len(res.Events(10)) != 1 {
-		t.Error("device run missed the encounter")
-	}
-}
-
 func TestScreenWithJ2(t *testing.T) {
 	sats := crossingPair(t, 500)
 	// The pair was engineered to meet under two-body motion; J2's secular
