@@ -33,10 +33,13 @@ loc:
 ## race: race-detector pass over the whole module, then the catalogue,
 ## pool and store concurrency tests fifty times over: the interleavings
 ## that break them are rare (a reader falling KeepRevisions behind the
-## writer is a few percent of runs), so one pass proves little.
+## writer is a few percent of runs), so one pass proves little. The scan's
+## sweep-vs-reference test rides along: racing inserters give it a different
+## slot and list order every run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
+	$(GO) test -race -count=50 -run 'TestSweepMatchesNeighborReference' ./internal/core
 
 ## shard-smoke: screen a 131072-object catalogue through the sharded
 ## detector under a GOMEMLIMIT the modelled unsharded grid does not fit

@@ -3,29 +3,31 @@
 // every line the analyzer must flag.
 package a
 
+type Cell struct {
+	Key    uint64
+	Lo, Hi int32
+}
+
 type GridSnapshot struct {
-	keys  []uint64
-	start []int32
-	mask  uint64
+	cells []Cell
+	ids   []int32
 	n     int
 }
 
 // Freeze and Reset are the whitelisted transitions: Freeze publishes the
 // snapshot, Reset is the pool's recycle wipe.
-func (s *GridSnapshot) Freeze() { s.mask = uint64(len(s.keys) - 1) }
+func (s *GridSnapshot) Freeze() { s.n = len(s.ids) }
 func (s *GridSnapshot) Reset()  { s.n = 0 }
 
 // fill stores through the receiver; ensure mutates only transitively, which
 // the fixpoint must still classify as mutating.
-func (s *GridSnapshot) fill(i int)   { s.keys[i] = 1 }
+func (s *GridSnapshot) fill(i int)   { s.ids[i] = 1 }
 func (s *GridSnapshot) ensure(n int) { s.fill(n) }
 
 // Read-only methods stay callable on a frozen snapshot.
-func (s *GridSnapshot) Entries() int { return s.n }
-func (s *GridSnapshot) CellRange(k uint64) (int32, int32) {
-	i := int32(k & s.mask)
-	return s.start[i], s.start[i+1]
-}
+func (s *GridSnapshot) Entries() int  { return s.n }
+func (s *GridSnapshot) Cells() []Cell { return s.cells }
+func (s *GridSnapshot) IDs() []int32  { return s.ids }
 
 type Pool struct{}
 
@@ -44,7 +46,7 @@ func read(s *GridSnapshot) {}
 func buildThenFreeze(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.fill(0)
-	s.keys[1] = 2
+	s.ids[1] = 2
 	s.ensure(3)
 	s.Freeze()
 	_ = s.Entries()
@@ -55,13 +57,13 @@ func buildThenFreeze(p *Pool) {
 func storeAfterFreeze(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.Freeze()
-	s.mask = 3 // want "store to s after Freeze"
+	s.n = 3 // want "store to s after Freeze"
 }
 
 func elementStoreAfterFreeze(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.Freeze()
-	s.keys[0] = 1 // want "store to s after Freeze"
+	s.ids[0] = 1 // want "store to s after Freeze"
 }
 
 func mutatorAfterFreeze(p *Pool) {
@@ -75,20 +77,20 @@ func freezeOnOneArmStillProtects(p *Pool, cond bool) {
 	if cond {
 		s.Freeze()
 	}
-	s.mask = 1 // want "store to s after Freeze"
+	s.n = 1 // want "store to s after Freeze"
 }
 
 func frozenOnLoopBackEdge(p *Pool, n int) {
 	s := p.GetSnapshot(8)
 	for i := 0; i < n; i++ {
-		s.keys[0] = 1 // want "store to s after Freeze"
+		s.ids[0] = 1 // want "store to s after Freeze"
 		s.Freeze()
 	}
 }
 
 func fieldPathStoreAfterFreeze(r *run) {
 	r.snap.Freeze()
-	r.snap.mask = 1 // want "store to r.snap after Freeze"
+	r.snap.n = 1 // want "store to r.snap after Freeze"
 }
 
 // --- frozen phase: reads stay silent ---
@@ -97,15 +99,24 @@ func readAfterFreeze(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.Freeze()
 	_ = s.Entries()
-	_, _ = s.CellRange(7)
+	_, _ = s.Cells(), s.IDs()
 	read(s)
+}
+
+// sortAfterFreeze is the scan's shape: the frozen cells are read into a
+// buffer of the caller's, and only that buffer is written.
+func sortAfterFreeze(p *Pool, buf []Cell) {
+	s := p.GetSnapshot(8)
+	s.Freeze()
+	buf = append(buf[:0], s.Cells()...)
+	buf[0], buf[1] = buf[1], buf[0]
 }
 
 func resetReturnsToMutable(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.Freeze()
 	s.Reset()
-	s.mask = 1
+	s.n = 1
 }
 
 // --- recycled phase: any use is a violation ---
@@ -119,7 +130,7 @@ func methodAfterRecycle(p *Pool) {
 func storeAfterRecycle(p *Pool) {
 	s := p.GetSnapshot(8)
 	p.PutSnapshot(s)
-	s.mask = 1 // want "store to s after PutSnapshot"
+	s.n = 1 // want "store to s after PutSnapshot"
 }
 
 func passAfterRecycle(p *Pool) {
@@ -132,7 +143,7 @@ func rebindAfterRecycle(p *Pool) {
 	s := p.GetSnapshot(8)
 	p.PutSnapshot(s)
 	s = p.GetSnapshot(16)
-	s.mask = 2
+	s.n = 2
 	_ = s
 }
 
@@ -149,5 +160,5 @@ func releasePattern(r *run) {
 func suppressedWrite(p *Pool) {
 	s := p.GetSnapshot(8)
 	s.Freeze()
-	s.mask = 1 //lint:frozenwrite-ok fixture-only: proves the suppression path
+	s.n = 1 //lint:frozenwrite-ok fixture-only: proves the suppression path
 }

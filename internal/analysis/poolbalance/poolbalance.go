@@ -533,7 +533,7 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // unwrap strips parentheses and type assertions so
-// `pool.Get().(*scanScratch)` classifies as the Get call it wraps.
+// `pool.Get().(*scratch)` classifies as the Get call it wraps.
 func unwrap(e ast.Expr) ast.Expr {
 	for {
 		switch w := e.(type) {

@@ -364,9 +364,6 @@ func (r *run) sampleWindows(w int) error {
 
 		// Overlap query and per-step post-check — the detection share.
 		tCD := time.Now()
-		for wk := range r.scanBufs {
-			r.scanBufs[wk] = r.scanBufs[wk][:0]
-		}
 		if err := parallelForWorkers(r.ctx, r.workers, n, queryFn); err != nil {
 			return err
 		}
@@ -421,8 +418,7 @@ func (r *run) windowPropagateRange(lo, hi int) {
 // the surviving packed pair keys to worker w's private buffer. In delta
 // mode pairs with no dirty member are skipped before the post-check.
 func (r *run) windowQueryRange(w, lo, hi int) {
-	scratch := scanScratchPool.Get().(*scanScratch)
-	stack := scratch.cellIDs[:0]
+	stack := make([]int32, 0, 64) // tree depth + 1; on the goroutine stack
 	buf := r.scanBufs[w]
 	win := r.win
 	tree := &win.tree
@@ -472,7 +468,5 @@ func (r *run) windowQueryRange(w, lo, hi int) {
 			}
 		}
 	}
-	scratch.cellIDs = stack
 	r.scanBufs[w] = buf
-	scanScratchPool.Put(scratch)
 }

@@ -30,29 +30,6 @@ func benchShellPopulation(b testing.TB, n int) []propagation.Satellite {
 	return sats
 }
 
-// Full 26-neighbour enumeration vs the 13-cell half neighbourhood (the
-// default): results are identical (the pair set dedups); the half variant
-// halves the neighbour-lookup constant.
-func BenchmarkNeighborhood_Full26(b *testing.B) {
-	sats := benchShellPopulation(b, 4000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, ablation: ablation{fullNeighborhood: true}}).Screen(sats); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNeighborhood_Half13(b *testing.B) {
-	sats := benchShellPopulation(b, 4000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60}).Screen(sats); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Grid hash slot factor: the paper's 2× versus a tight 1.25× and a roomy 4×.
 // Probe lengths (and thus insertion cost) rise as the factor shrinks.
 func BenchmarkGridSlotFactor_1_25(b *testing.B) { benchSlotFactor(b, 1.25) }

@@ -108,10 +108,6 @@ type Config struct {
 // ablation turns off one design decision at a time so the differential
 // battery can show each leaves the results where they were.
 type ablation struct {
-	// fullNeighborhood scans all 26 neighbour cells per occupied cell, as the
-	// paper describes literally, instead of the 13-cell half neighbourhood
-	// that visits each adjacent cell pair once (the pair set dedups either way).
-	fullNeighborhood bool
 	// noPrefilter sends every candidate to Brent, skipping the analytic
 	// pre-refinement filter (refine.go), which only rejects pairs whose
 	// separation provably stays above threshold.
@@ -163,8 +159,8 @@ type Conjunction struct {
 // probe, Freeze zero and Detection the merge alone.
 type PhaseStats struct {
 	Insertion   time.Duration // propagation + grid insertion (INS)
-	Freeze      time.Duration // grid compaction into the CSR scan snapshot (FRZ)
-	Detection   time.Duration // candidate generation: snapshot scan + merge (CD)
+	Freeze      time.Duration // grid compaction into the scan snapshot (FRZ)
+	Detection   time.Duration // candidate generation: cell sort + sweep + merge (CD)
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 

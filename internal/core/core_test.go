@@ -220,26 +220,6 @@ func TestEngineeredPopulationAllVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestHalfNeighborhoodSameResults(t *testing.T) {
-	sats := engineeredPopulation(t)
-	full, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, ablation: ablation{fullNeighborhood: true}}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Conjunctions) != len(half.Conjunctions) {
-		t.Fatalf("full %d vs half %d conjunctions", len(full.Conjunctions), len(half.Conjunctions))
-	}
-	for i := range full.Conjunctions {
-		if full.Conjunctions[i] != half.Conjunctions[i] {
-			t.Fatalf("conjunction %d differs: %+v vs %+v", i, full.Conjunctions[i], half.Conjunctions[i])
-		}
-	}
-}
-
 func TestPairSetGrowthRecovers(t *testing.T) {
 	// Force the conjunction set to start tiny; the detector must grow it
 	// and still find everything.

@@ -158,9 +158,6 @@ func (r *run) sampleStepsStamped() error {
 		if err, ok := r.insertErr.Load().(error); ok {
 			return err
 		}
-		for w := range r.scanBufs {
-			r.scanBufs[w] = r.scanBufs[w][:0]
-		}
 		// Dirty objects probe too (dirty–dirty pairs), now that every stamp is
 		// in, from the cell they stamped: their position is already taken.
 		for j, key := range r.dirtyKeys {

@@ -419,7 +419,7 @@ func (o *stepRecorder) OnPhase(PhaseInfo) {}
 func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 	const span = 300.0
 	sats := denseShellPopulation(400, 9)
-	for _, cfg := range []Config{{}, {ablation: ablation{oneSlotRing: true, fullNeighborhood: true}}} {
+	for _, cfg := range []Config{{}, {ablation: ablation{oneSlotRing: true}}} {
 		obs := &stepRecorder{}
 		cfg.DurationSeconds, cfg.Workers, cfg.Observer, cfg.Pool = span, 4, obs, pool.New()
 		dirty := []int32{sats[3].ID, sats[200].ID, sats[399].ID}
@@ -509,7 +509,7 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 			// What the pass drew is what it put back: probe the free lists.
 			hits := func() int64 { return pl.Stats().Hits }
 			h := hits()
-			pl.PutSnapshot(pl.GetSnapshot(1, 1))
+			pl.PutSnapshot(pl.GetSnapshot(1))
 			if hits() != h {
 				t.Error("the pass drew a freeze snapshot")
 			}

@@ -101,7 +101,7 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64) 
 		}
 		s := uint32(step)
 		kdtree.Build(pts).PairsWithin(cell, func(a, b kdtree.Point) { // Build reorders pts; every step refills it
-			seen[lockfree.PackPair(a.ID, b.ID, s)] = lockfree.Pair{A: min32(a.ID, b.ID), B: max32(a.ID, b.ID), Step: s}
+			seen[lockfree.PackPair(a.ID, b.ID, s)] = lockfree.Pair{A: min(a.ID, b.ID), B: max(a.ID, b.ID), Step: s}
 		})
 	}
 	var out []Conjunction

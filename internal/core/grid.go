@@ -112,7 +112,8 @@ type run struct {
 	snap        *lockfree.GridSnapshot
 	pairs       *lockfree.PairSet
 	pairBuf     []lockfree.Pair
-	scanBufs    [][]uint64 // per-worker packed candidate keys, merged once per step
+	cellBuf     []lockfree.Cell // the scan's two sort buffers, back to back: a step's cells in key order land in one
+	scanBufs    [][]uint64      // per-worker packed candidate keys, merged once per step
 	workers     int
 	prop        propagation.Propagator
 	warm        propagation.WarmStarter   // non-nil: positionAt warm-starts the Kepler solve
@@ -148,12 +149,13 @@ type run struct {
 	// three closures for every step. The worker pool's fork/join provides the
 	// happens-before edge between these writes and the workers' reads.
 	// stepTime belongs to the build side (main step goroutine); scanStep,
-	// scanSnap, scanFull and the scan buffers belong to the scan side, which
-	// on a two-slot ring is a separate goroutine — the job/result channel
-	// handoff orders the two sides.
+	// scanCells, scanIDs, scanFull and the sort and scan buffers belong to the
+	// scan side, which on a two-slot ring is a separate goroutine — the
+	// job/result channel handoff orders the two sides.
 	stepTime  float64
 	scanStep  uint32
-	scanSnap  *lockfree.GridSnapshot // frozen snapshot the current scan reads
+	scanCells []lockfree.Cell // the current scan's cells, in key order
+	scanIDs   []int32         // the frozen ID array their ranges index
 	scanFull  atomic.Bool
 	insertErr atomic.Value
 
@@ -255,10 +257,11 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		}
 	}
 	if withGrid && !r.stamping {
-		// The freeze phase's CSR snapshot is sized to the grid it compacts.
+		// A step has at most one cell and one entry per object.
 		r.gset = pl.GetGridSet(int(slotFactor*float64(len(sats))), len(sats))
 		r.stats.GridSlots = r.gset.Slots()
-		r.snap = pl.GetSnapshot(r.gset.Slots(), len(sats))
+		r.snap = pl.GetSnapshot(len(sats))
+		r.cellBuf = pl.GetCellBuf(2 * len(sats))[:2*len(sats)]
 	}
 	// The scan phase gets one private candidate buffer per worker.
 	r.scanBufs = make([][]uint64, r.workers)
@@ -356,6 +359,7 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 func (r *run) release() {
 	r.pool.PutGridSet(r.gset)
 	r.pool.PutSnapshot(r.snap)
+	r.pool.PutCellBuf(r.cellBuf)
 	r.pool.PutPairSet(r.pairs)
 	r.pool.PutPairBuf(r.pairBuf)
 	r.pool.PutIDIndex(r.idx)
@@ -367,7 +371,7 @@ func (r *run) release() {
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.pairs, r.pairBuf, r.idx = nil, nil, nil, nil
-	r.snap, r.scanBufs, r.kcache = nil, nil, nil
+	r.snap, r.cellBuf, r.scanBufs, r.kcache = nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
@@ -469,15 +473,12 @@ func (r *run) buildGrid(step int) error {
 	return nil
 }
 
-// scanRange scans snapshot slots [lo, hi) for candidate pairs at the
-// published step, appending packed pair keys to worker w's private buffer.
-// No shared state is touched: the merge phase folds the buffers into the
-// pair set after the scan joins. The snapshot is the published scanSnap — one
-// slot of the snapshot ring, while the build side may freeze into the other.
+// scanRange sweeps sorted cells [lo, hi) of the published step for candidate
+// pairs, appending packed pair keys to worker w's private buffer. No shared
+// state is touched: the merge phase folds the buffers into the pair set after
+// the scan joins.
 func (r *run) scanRange(w, lo, hi int) {
-	scratch := scanScratchPool.Get().(*scanScratch)
-	r.scanBufs[w] = r.scanSnapshot(r.scanSnap, lo, hi, r.scanStep, r.scanBufs[w], scratch)
-	scanScratchPool.Put(scratch)
+	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, lo, hi, r.scanStep, r.scanBufs[w])
 }
 
 // mergeRange folds the per-worker candidate buffers [lo, hi) into the shared
@@ -495,20 +496,17 @@ func (r *run) mergeRange(_, lo, hi int) {
 }
 
 // generateCandidates performs the conjunction-detection scan of §IV-A3 for
-// one step, in two sub-phases over the frozen snapshot. The scan walks every
-// occupied slot's contiguous CSR cell — each satellite pairs with every
-// other satellite in its own cell and the neighbouring cells — appending
-// packed keys to per-worker buffers with no shared writes. The merge then
-// folds those buffers into the pair set; on overflow the set grows and only
-// the merge re-runs (InsertPacked is idempotent, so re-merging buffers whose
-// keys partially landed is safe, and the scan output is still valid).
+// one step over the frozen snapshot: sort the occupied cells by key into one
+// of the run's buffers (the snapshot is only read), sweep them into the
+// per-worker buffers with no shared writes, merge. The sort is serial and sits
+// here rather than in Freeze so that, on a two-slot ring, it runs beside the
+// next step's build instead of between build and scan.
 func (r *run) generateCandidates(snap *lockfree.GridSnapshot, step uint32) error {
 	r.scanStep = step
-	r.scanSnap = snap
-	for w := range r.scanBufs {
-		r.scanBufs[w] = r.scanBufs[w][:0]
-	}
-	if err := parallelForWorkers(r.ctx, r.workers, snap.Slots(), r.scanFn); err != nil {
+	n := len(r.cellBuf) / 2
+	r.scanCells = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
+	r.scanIDs = snap.IDs()
+	if err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn); err != nil {
 		return err
 	}
 	return r.mergeScanBufs()
@@ -516,7 +514,8 @@ func (r *run) generateCandidates(snap *lockfree.GridSnapshot, step uint32) error
 
 // mergeScanBufs folds the per-worker candidate buffers into the shared pair
 // set, growing the set and re-merging on overflow (InsertPacked is
-// idempotent, so buffers whose keys partially landed re-merge safely).
+// idempotent, so buffers whose keys partially landed re-merge safely), and
+// leaves them empty for the next step.
 func (r *run) mergeScanBufs() error {
 	for {
 		r.scanFull.Store(false)
@@ -524,62 +523,14 @@ func (r *run) mergeScanBufs() error {
 			return err
 		}
 		if !r.scanFull.Load() {
-			return nil
+			break
 		}
 		r.growPairs()
 	}
-}
-
-// scanScratch carries per-worker buffers across scan calls. The process-wide
-// free list keeps the steady state from allocating one per worker per step.
-type scanScratch struct {
-	cellIDs []int32
-	nbuf    [26]uint64
-}
-
-var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
-
-// scanSnapshot scans slot range [lo, hi) of the frozen snapshot sn for
-// candidate pairs at the given step, appending their packed keys to buf. The
-// cell bodies are contiguous CSR slices, so the inner loops are plain array
-// iteration — no atomics, no pointer chasing. Interior cells (the vast
-// majority away from the cube faces) resolve their neighbour keys by pure
-// key arithmetic, skipping the unpack/clamp/repack of the boundary path.
-func (r *run) scanSnapshot(sn *lockfree.GridSnapshot, lo, hi int, step uint32, buf []uint64, scratch *scanScratch) []uint64 {
-	half := !r.cfg.ablation.fullNeighborhood
-	for s := lo; s < hi; s++ {
-		key, cell := sn.SlotCell(s)
-		if key == lockfree.EmptySlot || len(cell) == 0 {
-			continue
-		}
-		// Pairs within the cell.
-		for i := 0; i < len(cell); i++ {
-			for j := i + 1; j < len(cell); j++ {
-				buf = append(buf, lockfree.PackPair(cell[i], cell[j], step))
-			}
-		}
-		// Pairs with neighbouring cells.
-		var neighbors []uint64
-		if coord := spatial.UnpackKey(key); r.grid.Interior(coord) {
-			if half {
-				neighbors = spatial.HalfNeighborKeysInterior(key, scratch.nbuf[:0])
-			} else {
-				neighbors = spatial.NeighborKeysInterior(key, scratch.nbuf[:0])
-			}
-		} else if half {
-			neighbors = r.grid.HalfNeighborKeys(coord, scratch.nbuf[:0])
-		} else {
-			neighbors = r.grid.NeighborKeys(coord, scratch.nbuf[:0])
-		}
-		for _, nk := range neighbors {
-			for _, nid := range sn.CellByKey(nk) {
-				for _, cid := range cell {
-					buf = append(buf, lockfree.PackPair(cid, nid, step))
-				}
-			}
-		}
+	for w := range r.scanBufs {
+		r.scanBufs[w] = r.scanBufs[w][:0]
 	}
-	return buf
+	return nil
 }
 
 // growPairs swaps the conjunction set for one of at least double the slots,
@@ -669,7 +620,7 @@ func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(k int) (cent
 			refinements.Add(1)
 			tca, pca, outcome := r.refiner.refineOffsets(f, center, oLo, oHi, loClamped, hiClamped, threshold)
 			if outcome == refineBelowThreshold {
-				out = append(out, Conjunction{A: min32(p.A, p.B), B: max32(p.A, p.B), Step: p.Step, TCA: tca, PCA: pca})
+				out = append(out, Conjunction{A: min(p.A, p.B), B: max(p.A, p.B), Step: p.Step, TCA: tca, PCA: pca})
 			}
 		}
 		if len(out) > 0 {
@@ -780,20 +731,6 @@ func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi i
 		}
 	}
 	return nil
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sortPairsBySatellite orders candidates by (A, B, Step) for collectPairs.

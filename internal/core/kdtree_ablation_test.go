@@ -121,8 +121,9 @@ func orderPair(a, b int32) [2]int32 {
 	return [2]int32{a, b}
 }
 
-// Per-step cost: grid reset+insert+scan vs k-d rebuild+query. The paper's
-// claim is that the rebuild makes the tree more expensive per iteration.
+// Per-step cost: grid reset+insert+freeze+sort+sweep vs k-d rebuild+query.
+// The paper's claim is that the rebuild makes the tree more expensive per
+// iteration.
 func BenchmarkStepCandidates_Grid(b *testing.B) {
 	sats := benchShellPopulation(b, 8000)
 	const threshold, sps = 2.0, 1.0
@@ -133,7 +134,10 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 	}
 	pts := stepPositions(sats, 500)
 	gset := lockfree.NewGridSet(2*len(sats), len(sats))
+	snap := lockfree.NewGridSnapshot(gset.Slots(), len(sats))
+	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	pairs := lockfree.NewPairSet(1 << 18)
+	var keys []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,34 +152,12 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		var cellIDs []int32
-		var nbuf [26]uint64
-		for s := 0; s < gset.Slots(); s++ {
-			key, head := gset.SlotKey(s)
-			if key == lockfree.EmptySlot || head < 0 {
-				continue
-			}
-			cellIDs = cellIDs[:0]
-			for e := head; e >= 0; e = gset.Next(e) {
-				cellIDs = append(cellIDs, gset.Entry(e).ID)
-			}
-			for x := 0; x < len(cellIDs); x++ {
-				for y := x + 1; y < len(cellIDs); y++ {
-					if _, err := pairs.Insert(cellIDs[x], cellIDs[y], 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			coord := spatial.UnpackKey(key)
-			for _, nk := range grid.HalfNeighborKeys(coord, nbuf[:0]) {
-				for e := gset.Head(nk); e >= 0; e = gset.Next(e) {
-					nid := gset.Entry(e).ID
-					for _, cid := range cellIDs {
-						if _, err := pairs.Insert(cid, nid, 0); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
+		snap.Freeze(gset, 1)
+		cells := sortCells(snap.Cells(), bufA, bufB, grid.MaxAbsCoord())
+		keys = sweepCells(cells, snap.IDs(), 0, len(cells), 0, keys[:0])
+		for _, key := range keys {
+			if _, err := pairs.InsertPacked(key); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ type Phase string
 const (
 	PhaseAllocate Phase = "allocate" // step 1: validation + upfront allocation
 	PhaseSample   Phase = "sample"   // step 2: propagate + insert + candidates
-	PhaseFreeze   Phase = "freeze"   // step 2 component: CSR snapshot compaction
+	PhaseFreeze   Phase = "freeze"   // step 2 component: snapshot compaction
 	PhaseFilter   Phase = "filter"   // step 3: orbital filter chain (hybrid)
 	PhaseRefine   Phase = "refine"   // step 4: PCA/TCA determination
 )

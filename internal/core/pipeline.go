@@ -1,7 +1,7 @@
 package core
 
 // The full-screen step loop. Each step is build → freeze → scan: lock-free
-// insertion into the grid, CSR compaction of the result into a snapshot, and
+// insertion into the grid, compaction of the result into a snapshot, and
 // an atomics-free candidate scan of the snapshot merged into the pair set.
 // The freeze copies everything the scan reads out of the live grid, so the
 // grid is free to rebuild the moment Freeze returns: with a second snapshot
@@ -22,16 +22,15 @@ import (
 
 // scanJob hands a frozen snapshot to the scan.
 type scanJob struct {
-	step    uint32
-	snap    *lockfree.GridSnapshot
-	entries int // grid occupancy of the step, for the observer
+	step uint32
+	snap *lockfree.GridSnapshot
 }
 
 // scanResult reports one completed scan back to the build side.
 type scanResult struct {
 	step    int
-	entries int
-	cd      time.Duration // scan + merge span (the CD share)
+	entries int           // grid occupancy of the step, for the observer
+	cd      time.Duration // sort + sweep + merge span (the CD share)
 	err     error
 }
 
@@ -46,7 +45,7 @@ func (r *run) sampleSteps() error {
 	var jobs chan scanJob
 	var results chan scanResult
 	if r.workers >= 2 && r.steps > 1 && !r.cfg.ablation.oneSlotRing {
-		snap2 := r.pool.GetSnapshot(r.gset.Slots(), len(r.sats))
+		snap2 := r.pool.GetSnapshot(len(r.sats))
 		defer r.pool.PutSnapshot(snap2)
 		ring[1] = snap2
 		// One long-lived scan goroutine per run, fed over depth-1 channels
@@ -71,8 +70,6 @@ func (r *run) sampleSteps() error {
 		if err = r.cancelled(); err != nil {
 			break
 		}
-		oobBefore := r.oob.Load()
-
 		tIns := time.Now()
 		if err = r.buildGrid(step); err != nil {
 			break
@@ -85,7 +82,7 @@ func (r *run) sampleSteps() error {
 		sn.Freeze(r.gset, r.workers)
 		r.stats.Freeze += time.Since(tFz)
 
-		job := scanJob{step: uint32(step), snap: sn, entries: len(r.sats) - int(r.oob.Load()-oobBefore)}
+		job := scanJob{step: uint32(step), snap: sn}
 		if jobs == nil {
 			settle(r.scan(job))
 			continue
@@ -117,7 +114,7 @@ func (r *run) sampleSteps() error {
 func (r *run) scan(j scanJob) scanResult {
 	tCD := time.Now()
 	err := r.generateCandidates(j.snap, j.step)
-	return scanResult{step: int(j.step), entries: j.entries, cd: time.Since(tCD), err: err}
+	return scanResult{step: int(j.step), entries: j.snap.Entries(), cd: time.Since(tCD), err: err}
 }
 
 // scanLoop is the scan goroutine: one scan per job, results posted in job

@@ -29,9 +29,9 @@ func (g goroutineCeiling) OnStep(s StepInfo) {
 func (goroutineCeiling) OnPhase(PhaseInfo) {}
 
 // TestFullScreenPoolDraw: a one-worker run draws one freeze snapshot and
-// starts no goroutine, a two-worker run draws the ring's second slot, and
-// every exit — completion, cancellation at step k, a latched insertion
-// failure — hands back what it drew.
+// starts no goroutine, a two-worker run draws the ring's second slot, either
+// draws the scan's cell buffer, and every exit — completion, cancellation at
+// step k, a latched insertion failure — hands back what it drew.
 func TestFullScreenPoolDraw(t *testing.T) {
 	sats := denseShellPopulation(400, 13)
 	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, GridSlotFactor: 2}
@@ -72,20 +72,23 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				if out := pl.Stats().Outstanding(); out != 0 {
 					t.Fatalf("%d pooled structures outstanding", out)
 				}
-				// What the run drew is what it put back: empty the snapshot
-				// free list, counting.
-				slots := lockfree.NewGridSet(int(cfg.GridSlotFactor*float64(len(sats))), len(sats)).Slots()
-				drawn := 0
-				for {
-					before := pl.Stats().Hits
-					pl.GetSnapshot(slots, len(sats))
-					if pl.Stats().Hits == before {
-						break
+				// What the run drew is what it put back: empty the snapshot and
+				// cell-buffer free lists, counting.
+				drained := func(get func()) (drawn int) {
+					for {
+						before := pl.Stats().Hits
+						get()
+						if pl.Stats().Hits == before {
+							return drawn
+						}
+						drawn++
 					}
-					drawn++
 				}
-				if drawn != workers {
+				if drawn := drained(func() { pl.GetSnapshot(len(sats)) }); drawn != workers {
 					t.Errorf("the run drew %d freeze snapshots, want %d", drawn, workers)
+				}
+				if drawn := drained(func() { pl.GetCellBuf(2 * len(sats)) }); drawn != 1 {
+					t.Errorf("the run drew %d cell buffers, want the scan's one", drawn)
 				}
 			})
 		}

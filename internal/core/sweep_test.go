@@ -1,0 +1,270 @@
+package core
+
+// The key-order scan against a reference that knows nothing about key order:
+// a map of cells and all 26 Grid.NeighborKeys lookups per cell.
+
+import (
+	"cmp"
+	"context"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/lockfree"
+	"repro/internal/mathx"
+	"repro/internal/orbit"
+	"repro/internal/population"
+	"repro/internal/propagation"
+	"repro/internal/spatial"
+	"repro/internal/vec3"
+)
+
+// sortedFrozenCells puts object i (ID i) into cell coords[i] of a grid set
+// from four racing inserters — slot and intra-cell order differ run to run —
+// freezes it in parallel and returns the cells in key order with the ID array.
+func sortedFrozenCells(t testing.TB, g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
+	t.Helper()
+	n := len(coords)
+	gset := lockfree.NewGridSet(max(2*n, 1<<14), n) // 2¹⁴ slots: the parallel freeze
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += 4 {
+				if err := gset.Insert(spatial.PackKey(coords[i]), int32(i), int32(i), vec3.Zero); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := lockfree.NewGridSnapshot(0, 0)
+	snap.Freeze(gset, 4)
+	cells := sortCells(snap.Cells(), make([]lockfree.Cell, n), make([]lockfree.Cell, n), g.MaxAbsCoord())
+	return cells, snap.IDs()
+}
+
+// referencePairs is the candidate set by definition: all pairs sharing a cell
+// or in adjacent cells, found by hashing all 26 neighbour keys of every cell.
+func referencePairs(g *spatial.Grid, coords []spatial.Coord) []uint64 {
+	byCell := map[uint64][]int32{}
+	for i, c := range coords {
+		byCell[spatial.PackKey(c)] = append(byCell[spatial.PackKey(c)], int32(i))
+	}
+	set := map[uint64]bool{}
+	for key, ids := range byCell {
+		for _, a := range ids {
+			for _, b := range ids {
+				if a < b {
+					set[lockfree.PackPair(a, b, 0)] = true
+				}
+			}
+			for _, nk := range g.NeighborKeys(spatial.UnpackKey(key), nil) {
+				for _, b := range byCell[nk] {
+					set[lockfree.PackPair(a, b, 0)] = true
+				}
+			}
+		}
+	}
+	pairs := make([]uint64, 0, len(set))
+	for p := range set {
+		pairs = append(pairs, p)
+	}
+	slices.Sort(pairs)
+	return pairs
+}
+
+// sweepPopulations are the cell populations the sweep tests share.
+func sweepPopulations(t testing.TB) map[string]struct {
+	grid   *spatial.Grid
+	coords []spatial.Coord
+} {
+	t.Helper()
+	newGrid := func(cell, halfExtent float64) *spatial.Grid {
+		g, err := spatial.NewGrid(cell, halfExtent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	small := newGrid(10, 200)     // maxIdx 20: one radix digit per axis
+	finest := newGrid(1, 1<<20-2) // maxIdx = maxCoord−1: two digits per axis, fields next to 0 and all ones
+	rng := mathx.NewSplitMix64(5)
+	random := func(n int, span int32) []spatial.Coord {
+		cs := make([]spatial.Coord, n)
+		for i := range cs {
+			cs[i] = spatial.Coord{X: int32(rng.Intn(int(2*span+1))) - span, Y: int32(rng.Intn(int(2*span+1))) - span, Z: int32(rng.Intn(int(2*span+1))) - span}
+		}
+		return cs
+	}
+	var block, shellCells []spatial.Coord
+	m := finest.MaxAbsCoord()
+	for dx := int32(-1); dx <= 1; dx++ {
+		for dy := int32(-1); dy <= 1; dy++ {
+			for dz := int32(-1); dz <= 1; dz++ {
+				block = append(block, spatial.Coord{X: 4 + dx, Y: -7 + dy, Z: dz}, spatial.Coord{X: 4 + dx, Y: -7 + dy, Z: dz})
+				// Every face, edge and corner cell of the cube (one of dx, dy,
+				// dz non-zero), its inward neighbour, and the cell a carry out
+				// of the z or y field would wrongly reach.
+				if dx != 0 || dy != 0 || dz != 0 {
+					c := spatial.Coord{X: dx * m, Y: dy * m, Z: dz * m}
+					in := spatial.Coord{X: dx * (m - 1), Y: dy * (m - 1), Z: dz * (m - 1)}
+					shellCells = append(shellCells, c, in, spatial.Coord{X: c.X, Y: c.Y + 1, Z: -c.Z}, spatial.Coord{X: c.X + 1, Y: -c.Y, Z: c.Z})
+				}
+			}
+		}
+	}
+	inCube := shellCells[:0]
+	for _, c := range shellCells {
+		if max(c.X, -c.X, c.Y, -c.Y, c.Z, -c.Z) <= m {
+			inCube = append(inCube, c)
+		}
+	}
+
+	// A debris cloud a minute after breakup: hundreds of objects per cell.
+	frags, err := population.Fragmentation(population.FragmentationConfig{
+		Parent:        orbit.Elements{SemiMajorAxis: 7100, Eccentricity: 0.001, Inclination: 1.7, RAAN: 1, ArgPerigee: 0.5, MeanAnomaly: 0.3},
+		TimeOfBreakup: -60, N: 600, DeltaVKmS: 0.05, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell := newGrid(spatial.CellSize(2, 1), 8000)
+	debris := make([]spatial.Coord, len(frags))
+	for i := range frags {
+		pos, _ := propagation.TwoBody{}.State(&frags[i], 0)
+		c, ok := shell.CoordOf(pos)
+		if !ok {
+			t.Fatalf("fragment %d outside the cube", i)
+		}
+		debris[i] = c
+	}
+
+	return map[string]struct {
+		grid   *spatial.Grid
+		coords []spatial.Coord
+	}{
+		"random-dense":     {small, random(1500, 4)},
+		"random-sparse":    {small, random(1500, 20)},
+		"random-finest":    {finest, random(400, 3)},
+		"block-3x3x3":      {small, block},
+		"one-cell":         {small, []spatial.Coord{{X: 2, Y: 2, Z: 2}, {X: 2, Y: 2, Z: 2}, {X: 2, Y: 2, Z: 2}}},
+		"one-object":       {small, []spatial.Coord{{}}},
+		"two-cells":        {small, []spatial.Coord{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 0, Z: 2}}},
+		"two-cells-apart":  {small, []spatial.Coord{{X: 1, Y: 1, Z: 1}, {X: 1, Y: 1, Z: 3}}},
+		"straddling-zero":  {small, random(300, 1)},
+		"cube-shell":       {finest, inCube},
+		"cube-shell-small": {small, append(random(2000, 20), random(2000, 20)...)},
+		"debris":           {shell, debris},
+	}
+}
+
+// TestSweepMatchesNeighborReference: insert concurrently, freeze, sort, sweep
+// in parallel ranges — the result is exactly the reference pair set, each
+// pair once (the half neighbourhood visits an adjacent cell pair from one
+// side only). `make race` repeats it fifty times under the race detector.
+func TestSweepMatchesNeighborReference(t *testing.T) {
+	for name, p := range sweepPopulations(t) {
+		t.Run(name, func(t *testing.T) {
+			cells, ids := sortedFrozenCells(t, p.grid, p.coords)
+			// Swept the way a run does: three workers pulling ranges.
+			bufs := make([][]uint64, 3)
+			err := parallelForWorkers(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
+				bufs[w] = sweepCells(cells, ids, lo, hi, 0, bufs[w])
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := slices.Concat(bufs...)
+			slices.Sort(got)
+			want := referencePairs(p.grid, p.coords)
+			if name == "debris" && len(want) < 50*len(p.coords) {
+				t.Fatalf("debris cloud has %d pairs over %d objects: not dense", len(want), len(p.coords))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("sweep emitted %d pairs (%d distinct), reference has %d", len(got), len(slices.Compact(slices.Clone(got))), len(want))
+			}
+		})
+	}
+}
+
+// TestSweepSplitInvariant: however [0, n) is cut into ranges — empty and
+// single-cell ones included — the ranges' pairs add up to the one-range sweep.
+func TestSweepSplitInvariant(t *testing.T) {
+	rng := mathx.NewSplitMix64(17)
+	for name, p := range sweepPopulations(t) {
+		cells, ids := sortedFrozenCells(t, p.grid, p.coords)
+		n := len(cells)
+		want := sweepCells(cells, ids, 0, n, 0, nil)
+		slices.Sort(want)
+		singles := make([]int, n+1)
+		for i := range singles {
+			singles[i] = i
+		}
+		partitions := [][]int{singles, {0, 0, n, n}, {0, n / 2, n / 2, n}}
+		for trial := 0; trial < 8; trial++ {
+			cuts := []int{0, n}
+			for k := rng.Intn(6); k > 0; k-- {
+				cuts = append(cuts, rng.Intn(n+1))
+			}
+			slices.Sort(cuts)
+			partitions = append(partitions, cuts)
+		}
+		for _, cuts := range partitions {
+			var got []uint64
+			for i := 1; i < len(cuts); i++ {
+				got = sweepCells(cells, ids, cuts[i-1], cuts[i], 0, got)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: cuts %v give %d pairs, one range %d", name, cuts, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestSortCells: the output is the input in ascending key order, whichever
+// buffer it lands in, and the input is left as it was.
+func TestSortCells(t *testing.T) {
+	rng := mathx.NewSplitMix64(23)
+	landed := map[string]bool{}
+	for _, maxIdx := range []int32{1, 1023, 1024, 1<<20 - 2} { // 1023: the last one-digit axis (2,047 cells)
+		for _, n := range []int{0, 1, 2, 100_000} {
+			src := make([]lockfree.Cell, n)
+			for i := range src {
+				c := spatial.Coord{X: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Y: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Z: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx}
+				src[i] = lockfree.Cell{Key: spatial.PackKey(c), Lo: int32(i), Hi: int32(i + 1)}
+			}
+			if n >= 2 { // the extreme corners, wherever they were drawn
+				src[0].Key = spatial.PackKey(spatial.Coord{X: maxIdx, Y: maxIdx, Z: maxIdx})
+				src[n-1].Key = spatial.PackKey(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
+			}
+			before := slices.Clone(src)
+			want := slices.Clone(src)
+			slices.SortStableFunc(want, func(x, y lockfree.Cell) int { return cmp.Compare(x.Key, y.Key) })
+
+			a, b := make([]lockfree.Cell, n, n+3), make([]lockfree.Cell, n)
+			got := sortCells(src, a, b, maxIdx)
+			if !slices.Equal(got, want) {
+				t.Fatalf("maxIdx %d, %d cells: output is not the stably sorted input", maxIdx, n)
+			}
+			if !slices.Equal(src, before) {
+				t.Fatalf("maxIdx %d, %d cells: the input was written", maxIdx, n)
+			}
+			if n > 0 {
+				switch &got[0] {
+				case &a[0]:
+					landed["a"] = true
+				case &b[0]:
+					landed["b"] = true
+				default:
+					t.Fatalf("maxIdx %d, %d cells: output is neither buffer", maxIdx, n)
+				}
+			}
+		}
+	}
+	if !landed["a"] || !landed["b"] {
+		t.Fatalf("results landed in %v: both buffers should have been exercised", landed)
+	}
+}

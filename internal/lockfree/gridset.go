@@ -97,12 +97,16 @@ func (g *GridSet) Slots() int { return len(g.keys) }
 func (g *GridSet) EntryCapacity() int { return len(g.entries) }
 
 // Reset marks every slot empty so the set can be reused for the next
-// sampling step without reallocation. Only occupied slots are written: an
-// empty slot's head is nil already (push runs after the key is claimed), and
-// a sparse table — a delta pass's stamp table is at most one-eighth full —
-// then resets at the speed of its loads, not of two atomic stores per slot.
-func (g *GridSet) Reset() {
-	for i := range g.keys {
+// sampling step without reallocation.
+func (g *GridSet) Reset() { g.resetRange(0, len(g.keys)) }
+
+// resetRange empties slots [lo, hi). Only occupied slots are written: an
+// empty slot's head is nil already (push runs after the key is claimed), an
+// atomic store is an exchange, and no table here is more than about half
+// full — a delta pass's stamp table at most one-eighth — so a reset runs at
+// the speed of its loads, not of two atomic stores per slot.
+func (g *GridSet) resetRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
 		if g.keys[i].Load() != EmptySlot {
 			g.keys[i].Store(EmptySlot)
 			g.heads[i].Store(nilEntry)
@@ -111,7 +115,7 @@ func (g *GridSet) Reset() {
 }
 
 // ResetParallel is Reset split across the given number of goroutines; with
-// millions of slots the memset dominates per-step cost otherwise.
+// millions of slots the sweep dominates per-step cost otherwise.
 func (g *GridSet) ResetParallel(workers int) {
 	if workers <= 1 || len(g.keys) < 1<<14 {
 		g.Reset()
@@ -119,22 +123,12 @@ func (g *GridSet) ResetParallel(workers int) {
 	}
 	var wg sync.WaitGroup
 	chunk := (len(g.keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(g.keys) {
-			hi = len(g.keys)
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < len(g.keys); lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(lo int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				g.keys[i].Store(EmptySlot)
-				g.heads[i].Store(nilEntry)
-			}
-		}(lo, hi)
+			g.resetRange(lo, min(lo+chunk, len(g.keys)))
+		}(lo)
 	}
 	wg.Wait()
 }

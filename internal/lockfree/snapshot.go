@@ -1,110 +1,71 @@
 package lockfree
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/hash"
-)
+// Cell is one occupied grid cell of a frozen snapshot: its packed key and the
+// [Lo, Hi) range of its satellites inside the snapshot's ID array.
+type Cell struct {
+	Key    uint64
+	Lo, Hi int32
+}
 
-// GridSnapshot is the frozen, scan-friendly form of a GridSet: the same
-// cells, compacted from the Fig. 6 per-cell linked lists into a CSR
-// (compressed sparse row) layout — per-slot counts, a prefix sum, and one
-// contiguous column array of satellite IDs — with positions gathered into an
-// SoA x[]/y[]/z[] layout alongside.
+// GridSnapshot is the frozen, scan-friendly form of a GridSet: a compact list
+// of the occupied cells and one contiguous array of satellite IDs, each cell
+// a range of it — the Fig. 6 per-cell linked lists with the links and the
+// empty slots taken out.
 //
 // The linked lists are what make lock-free *insertion* cheap; they are also
-// what makes *scanning* slow, because the 27-cell neighbour scan chases
-// atomic next-links through a cache-hostile arena. Freezing after the
-// insertion phase turns every cell into a contiguous int32 slice, so the
-// scan reads straight lines of memory with no atomics at all, and the SoA
-// position arrays give downstream distance work (and future device kernels)
-// a coalesced layout.
+// what makes *scanning* slow, because a neighbour scan chases atomic
+// next-links through a cache-hostile arena. Freezing after the insertion
+// phase turns every cell into a contiguous int32 slice, so the scan reads
+// straight lines of memory with no atomics at all. Cells appear in slot
+// order, which is hash order; a reader that wants them in key order sorts a
+// copy (the candidate scan does), the snapshot itself is never written after
+// Freeze returns.
 //
 // Lifecycle per sampling step: build (GridSet.Insert, concurrent) → freeze
 // (Freeze, requires insertion quiescence) → scan (read-only, any
 // concurrency). A snapshot is reusable: Freeze re-sizes its buffers in
 // place, so pooled snapshots serve step after step without allocation.
 type GridSnapshot struct {
-	keys  []uint64 // slot-indexed copy of the grid's keys (EmptySlot = unoccupied)
-	start []int32  // CSR row starts: cell of slot s occupies ids[start[s]:start[s+1]]
-	ids   []int32  // CSR columns: satellite IDs, cells contiguous
-	x     []float64
-	y     []float64
-	z     []float64
-	// chunkTotals backs the parallel prefix sum (one partial per worker
-	// chunk); kept on the snapshot so repeated freezes allocate nothing.
-	chunkTotals []int32
-	// filter is an occupancy Bloom filter over the frozen keys: a single
-	// hash (the same Mix64 the probe uses), four bits per table slot.
-	// CellByKey tests it before probing, so absent neighbours — the common
-	// case in a sparse shell's 26-cell scan — reject on one L1-resident
-	// load instead of walking a linear-probe chain. This is the payoff of
-	// immutability: the live CAS table cannot maintain such an index under
-	// concurrent insertion, but a frozen copy builds it in one sweep.
-	filter []uint64
-	fmask  uint64
-	mask   uint64
+	cells []Cell
+	ids   []int32
+	// counts backs the parallel freeze (cells and entries of each worker's
+	// slot range); kept on the snapshot so repeated freezes allocate nothing.
+	counts [][2]int32
 }
 
-// NewGridSnapshot returns a snapshot with capacity for the given slot and
-// entry counts. Freeze grows the buffers on demand, so the hints only
-// pre-empt reallocation.
+// NewGridSnapshot returns a snapshot with capacity for a grid of the given
+// slot and entry counts. Freeze grows the buffers on demand, so the hints
+// only pre-empt reallocation.
 func NewGridSnapshot(slotCap, entryCap int) *GridSnapshot {
-	if slotCap < 0 {
-		slotCap = 0
-	}
-	if entryCap < 0 {
-		entryCap = 0
-	}
 	sn := &GridSnapshot{}
-	sn.ensure(slotCap, entryCap)
+	sn.ensure(max(min(slotCap, entryCap), 0), max(entryCap, 0))
 	return sn
 }
 
-// ensure sizes the buffers for a freeze of slots slots and up to entries
-// entries. keys and start are allocated together so their capacities never
-// diverge.
-func (sn *GridSnapshot) ensure(slots, entries int) {
-	if cap(sn.keys) < slots || cap(sn.start) < slots+1 {
-		sn.keys = make([]uint64, slots)
-		sn.start = make([]int32, slots+1)
+// ensure gives the buffers room for the given cell and entry counts and
+// empties them.
+func (sn *GridSnapshot) ensure(cells, entries int) {
+	if cap(sn.cells) < cells {
+		sn.cells = make([]Cell, 0, cells)
 	}
-	sn.keys = sn.keys[:slots]
-	sn.start = sn.start[:slots+1]
 	if cap(sn.ids) < entries {
-		sn.ids = make([]int32, entries)
-		sn.x = make([]float64, entries)
-		sn.y = make([]float64, entries)
-		sn.z = make([]float64, entries)
+		sn.ids = make([]int32, 0, entries)
 	}
-	sn.ids = sn.ids[:entries]
-	sn.x = sn.x[:entries]
-	sn.y = sn.y[:entries]
-	sn.z = sn.z[:entries]
-	words := slots >> 4 // 4 bits per slot; slot counts are powers of two
-	if words < 16 {
-		words = 16
-	}
-	if cap(sn.filter) < words {
-		sn.filter = make([]uint64, words)
-	}
-	sn.filter = sn.filter[:words]
-	sn.fmask = uint64(words)*64 - 1
+	sn.cells, sn.ids = sn.cells[:0], sn.ids[:0]
 }
 
-// Slots returns the slot count of the last frozen grid.
-func (sn *GridSnapshot) Slots() int { return len(sn.keys) }
+// Cells returns the occupied cells of the last freeze, in slot order. The
+// slice aliases the snapshot: read-only, and valid until the next Freeze.
+func (sn *GridSnapshot) Cells() []Cell { return sn.cells }
+
+// IDs returns the satellite-ID array the cells' ranges index; cell c holds
+// IDs()[c.Lo:c.Hi]. Read-only, valid until the next Freeze.
+func (sn *GridSnapshot) IDs() []int32 { return sn.ids }
 
 // Entries returns the number of entries captured by the last freeze.
-func (sn *GridSnapshot) Entries() int {
-	if len(sn.start) == 0 {
-		return 0
-	}
-	return int(sn.start[len(sn.start)-1])
-}
-
-// SlotCapacity returns the slot capacity (for pool fit checks).
-func (sn *GridSnapshot) SlotCapacity() int { return cap(sn.keys) }
+func (sn *GridSnapshot) Entries() int { return len(sn.ids) }
 
 // EntryCapacity returns the entry capacity (for pool fit checks).
 func (sn *GridSnapshot) EntryCapacity() int { return cap(sn.ids) }
@@ -113,10 +74,11 @@ func (sn *GridSnapshot) EntryCapacity() int { return cap(sn.ids) }
 // count the sequential pass wins over goroutine fan-out.
 const freezeParallelThreshold = 1 << 14
 
-// Freeze compacts g into the snapshot using up to workers goroutines: pass 1
-// copies slot keys and counts each cell's list length, a prefix sum turns
-// the counts into CSR row starts, and pass 2 walks the lists again, writing
-// IDs and SoA positions into each cell's contiguous range.
+// Freeze compacts g into the snapshot using up to workers goroutines. One
+// worker appends every occupied slot's cell and IDs in a single pass. Several
+// workers first count the cells and entries of their slot ranges, a
+// workers-element prefix turns the counts into each range's offsets, and the
+// same append then runs per range into its own part of the buffers.
 //
 // g must be insertion-quiescent (the same precondition as Reset). Within a
 // cell, entries appear in list order — the reverse of Treiber-push order —
@@ -125,175 +87,77 @@ const freezeParallelThreshold = 1 << 14
 // does not).
 func (sn *GridSnapshot) Freeze(g *GridSet, workers int) {
 	slots := len(g.keys)
-	sn.ensure(slots, len(g.entries))
-	sn.mask = g.mask
-	if workers > slots {
-		workers = slots
-	}
+	// No cell is empty and every entry is one arena slot, so the arena
+	// bounds both counts — whatever this step's occupancy, no regrowth.
+	sn.ensure(len(g.entries), len(g.entries))
+	workers = min(workers, slots)
 	if workers <= 1 || slots < freezeParallelThreshold {
-		sn.countRange(g, 0, slots)
-		sn.buildFilter()
-		acc := int32(0)
-		for s := 0; s < slots; s++ {
-			acc += sn.start[s+1]
-			sn.start[s+1] = acc
-		}
-		sn.fillRange(g, 0, slots)
+		sn.cells, sn.ids = appendCells(g, 0, slots, sn.cells, sn.ids)
 		return
 	}
 
 	chunk := (slots + workers - 1) / workers
-	if cap(sn.chunkTotals) < workers {
-		sn.chunkTotals = make([]int32, workers)
+	if cap(sn.counts) < workers {
+		sn.counts = make([][2]int32, workers)
 	}
-	totals := sn.chunkTotals[:workers]
+	counts := sn.counts[:workers]
 	var wg sync.WaitGroup
 	forEachChunk := func(fn func(w, lo, hi int)) {
 		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > slots {
-				hi = slots
-			}
-			if lo >= hi {
-				break
-			}
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(w int) {
 				defer wg.Done()
-				fn(w, lo, hi)
-			}(w, lo, hi)
+				fn(w, min(w*chunk, slots), min((w+1)*chunk, slots))
+			}(w)
 		}
 		wg.Wait()
 	}
 
-	// Pass 1: copy keys, count list lengths (disjoint slot ranges, plain
-	// writes; the caller's quiescence guarantee orders them against inserts).
-	forEachChunk(func(_, lo, hi int) { sn.countRange(g, lo, hi) })
-
-	// The occupancy filter is rebuilt serially: bits from different chunks
-	// land in shared words, and racing plain read-modify-writes would drop
-	// bits (a false negative is a missed candidate pair). One sequential
-	// sweep of the key copy is cheap next to the two list-walking passes.
-	sn.buildFilter()
-
-	// Parallel prefix sum over the counts: a local inclusive scan per chunk,
-	// a short sequential scan over the chunk totals, then a parallel offset
-	// add — the standard three-phase scan.
+	// Disjoint slot ranges, plain writes; the caller's quiescence guarantee
+	// orders them against inserts.
+	forEachChunk(func(w, lo, hi int) { counts[w] = countCells(g, lo, hi) })
+	var total [2]int32
+	for w, c := range counts {
+		counts[w] = total
+		total[0] += c[0]
+		total[1] += c[1]
+	}
+	// Each range appends at its offsets; the counts are exact, so no append
+	// grows the shared arrays and no two ranges overlap.
 	forEachChunk(func(w, lo, hi int) {
-		acc := int32(0)
-		for s := lo; s < hi; s++ {
-			acc += sn.start[s+1]
-			sn.start[s+1] = acc
-		}
-		totals[w] = acc
+		appendCells(g, lo, hi, sn.cells[:counts[w][0]], sn.ids[:counts[w][1]])
 	})
-	offset := int32(0)
-	for w := range totals {
-		offset, totals[w] = offset+totals[w], offset
-	}
-	forEachChunk(func(w, lo, hi int) {
-		if totals[w] == 0 {
-			return
-		}
-		for s := lo; s < hi; s++ {
-			sn.start[s+1] += totals[w]
-		}
-	})
-
-	// Pass 2: walk each list once more, writing into the cell's CSR range.
-	forEachChunk(func(_, lo, hi int) { sn.fillRange(g, lo, hi) })
+	sn.cells, sn.ids = sn.cells[:total[0]], sn.ids[:total[1]]
 }
 
-// buildFilter rewrites the occupancy Bloom filter from the frozen key copy.
-func (sn *GridSnapshot) buildFilter() {
-	clear(sn.filter)
-	for _, k := range sn.keys {
-		if k != EmptySlot {
-			b := hash.Mix64(k) & sn.fmask
-			sn.filter[b>>6] |= 1 << (b & 63)
-		}
-	}
-}
-
-// countRange copies keys and stores each slot's list length at start[s+1]
-// (start[0] stays 0; the prefix sum shifts counts into row starts).
-func (sn *GridSnapshot) countRange(g *GridSet, lo, hi int) {
-	if lo == 0 {
-		sn.start[0] = 0
-	}
+// countCells returns the number of occupied slots in [lo, hi) and the total
+// length of their lists.
+func countCells(g *GridSet, lo, hi int) (n [2]int32) {
 	for s := lo; s < hi; s++ {
-		key := g.keys[s].Load()
-		sn.keys[s] = key
-		n := int32(0)
-		if key != EmptySlot {
-			for e := g.heads[s].Load(); e >= 0; e = g.entries[e].next.Load() {
-				n++
-			}
-		}
-		sn.start[s+1] = n
-	}
-}
-
-// fillRange writes IDs and SoA positions for slots [lo, hi) into their CSR
-// ranges.
-func (sn *GridSnapshot) fillRange(g *GridSet, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		if sn.keys[s] == EmptySlot {
+		if g.keys[s].Load() == EmptySlot {
 			continue
 		}
-		at := sn.start[s]
+		n[0]++
 		for e := g.heads[s].Load(); e >= 0; e = g.entries[e].next.Load() {
-			ent := &g.entries[e]
-			sn.ids[at] = ent.ID
-			sn.x[at] = ent.Pos.X
-			sn.y[at] = ent.Pos.Y
-			sn.z[at] = ent.Pos.Z
-			at++
+			n[1]++
 		}
 	}
+	return n
 }
 
-// SlotCell returns slot s's cell key (EmptySlot when unoccupied) and its
-// contiguous satellite-ID slice. The slice aliases the snapshot; callers
-// must not retain it past the next Freeze.
-func (sn *GridSnapshot) SlotCell(s int) (key uint64, ids []int32) {
-	return sn.keys[s], sn.ids[sn.start[s]:sn.start[s+1]]
-}
-
-// CellRange returns the [lo, hi) range of cell s inside the ID/SoA arrays.
-func (sn *GridSnapshot) CellRange(s int) (lo, hi int32) {
-	return sn.start[s], sn.start[s+1]
-}
-
-// CellByKey returns the ID slice of the cell with the given packed key, or
-// nil when the cell is absent. An occupancy-filter test rejects most absent
-// keys on a single load; survivors probe the frozen key copy exactly as
-// GridSet.Head probes the live table (Eq. 2 linear probing), but on plain
-// memory.
-func (sn *GridSnapshot) CellByKey(key uint64) []int32 {
-	h := hash.Mix64(key)
-	if b := h & sn.fmask; sn.filter[b>>6]&(1<<(b&63)) == 0 {
-		return nil
-	}
-	slot := h & sn.mask
-	for probed := uint64(0); probed <= sn.mask; probed++ {
-		k := sn.keys[slot]
-		if k == EmptySlot {
-			return nil
+// appendCells appends the cell and the IDs of every occupied slot in
+// [lo, hi); a cell's range starts at the length ids had when it was reached.
+func appendCells(g *GridSet, lo, hi int, cells []Cell, ids []int32) ([]Cell, []int32) {
+	for s := lo; s < hi; s++ {
+		key := g.keys[s].Load()
+		if key == EmptySlot {
+			continue
 		}
-		if k == key {
-			return sn.ids[sn.start[slot]:sn.start[slot+1]]
+		at := int32(len(ids))
+		for e := g.heads[s].Load(); e >= 0; e = g.entries[e].next.Load() {
+			ids = append(ids, g.entries[e].ID)
 		}
-		slot = (slot + 1) & sn.mask
+		cells = append(cells, Cell{Key: key, Lo: at, Hi: int32(len(ids))})
 	}
-	return nil
-}
-
-// Positions returns the frozen SoA arrays: ids[i] sits at (x[i], y[i],
-// z[i]). Cells occupy contiguous ranges (see CellRange). The slices alias
-// the snapshot's buffers and are valid until the next Freeze — the layout
-// distance-prefilter passes and device kernels consume.
-func (sn *GridSnapshot) Positions() (ids []int32, x, y, z []float64) {
-	n := sn.Entries()
-	return sn.ids[:n], sn.x[:n], sn.y[:n], sn.z[:n]
+	return cells, ids
 }

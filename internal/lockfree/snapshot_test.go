@@ -1,19 +1,58 @@
 package lockfree
 
 import (
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/mathx"
 	"repro/internal/vec3"
 )
 
-// snapCell returns the snapshot cell for key as a set, mirroring collectCell.
-func snapCell(sn *GridSnapshot, key uint64) map[int32]bool {
-	ids := map[int32]bool{}
-	for _, id := range sn.CellByKey(key) {
-		ids[id] = true
+// snapCells returns the snapshot's cells as key → ID set, failing unless
+// every key appears once and the cells' ranges tile [0, Entries()) in order,
+// so every entry belongs to exactly one cell.
+func snapCells(t *testing.T, sn *GridSnapshot) map[uint64]map[int32]bool {
+	t.Helper()
+	cells := map[uint64]map[int32]bool{}
+	at := int32(0)
+	for _, c := range sn.Cells() {
+		if c.Key == EmptySlot || c.Lo != at || c.Hi <= c.Lo {
+			t.Fatalf("cell %+v does not continue the tiling at %d", c, at)
+		}
+		at = c.Hi
+		if cells[c.Key] != nil {
+			t.Fatalf("key %#x frozen twice", c.Key)
+		}
+		ids := map[int32]bool{}
+		for _, id := range sn.IDs()[c.Lo:c.Hi] {
+			ids[id] = true
+		}
+		cells[c.Key] = ids
 	}
-	return ids
+	if int(at) != sn.Entries() || len(sn.IDs()) != sn.Entries() {
+		t.Fatalf("cells cover %d of %d entries (%d IDs)", at, sn.Entries(), len(sn.IDs()))
+	}
+	return cells
+}
+
+// wantCells is the reference for snapCells: every key's ID set, read from the
+// live grid's lists.
+func wantCells(g *GridSet, keys []uint64) map[uint64]map[int32]bool {
+	want := map[uint64]map[int32]bool{}
+	for _, key := range keys {
+		if ids := collectCell(g, key); len(ids) > 0 {
+			want[key] = ids
+		}
+	}
+	return want
+}
+
+func assertSameCells(t *testing.T, what string, got, want map[uint64]map[int32]bool) {
+	t.Helper()
+	if !maps.EqualFunc(got, want, func(a, b map[int32]bool) bool { return maps.Equal(a, b) }) {
+		t.Fatalf("%s: snapshot cells %v, want %v", what, got, want)
+	}
 }
 
 func TestSnapshotFreezeMatchesGrid(t *testing.T) {
@@ -21,17 +60,10 @@ func TestSnapshotFreezeMatchesGrid(t *testing.T) {
 	type ins struct {
 		key uint64
 		id  int32
-		pos vec3.V
 	}
-	inserts := []ins{
-		{100, 10, vec3.New(1, 2, 3)},
-		{100, 42, vec3.New(4, 5, 6)},
-		{100, 7, vec3.New(7, 8, 9)},
-		{200, 3, vec3.New(-1, 0, 1)},
-		{300, 5, vec3.New(0.5, -0.5, 2.5)},
-	}
+	inserts := []ins{{100, 10}, {100, 42}, {100, 7}, {200, 3}, {300, 5}}
 	for i, in := range inserts {
-		if err := g.Insert(in.key, int32(i), in.id, in.pos); err != nil {
+		if err := g.Insert(in.key, int32(i), in.id, vec3.New(float64(i), 2, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,117 +71,101 @@ func TestSnapshotFreezeMatchesGrid(t *testing.T) {
 	sn := NewGridSnapshot(0, 0) // undersized on purpose: Freeze must grow it
 	sn.Freeze(g, 1)
 
-	if sn.Slots() != g.Slots() {
-		t.Fatalf("snapshot slots = %d, want %d", sn.Slots(), g.Slots())
-	}
 	if sn.Entries() != len(inserts) {
 		t.Fatalf("snapshot entries = %d, want %d", sn.Entries(), len(inserts))
 	}
-	for _, key := range []uint64{100, 200, 300} {
-		if got, want := snapCell(sn, key), collectCell(g, key); len(got) != len(want) {
-			t.Fatalf("cell %d: snapshot %v vs grid %v", key, got, want)
-		} else {
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("cell %d: snapshot %v missing id %d", key, got, id)
-				}
-			}
-		}
-	}
-	if sn.CellByKey(999) != nil {
-		t.Error("missing cell returned a non-nil slice")
-	}
-
-	// SoA positions line up with their IDs.
-	ids, x, y, z := sn.Positions()
-	if len(ids) != len(inserts) {
-		t.Fatalf("Positions length = %d, want %d", len(ids), len(inserts))
-	}
-	want := map[int32]vec3.V{}
-	for _, in := range inserts {
-		want[in.id] = in.pos
-	}
-	for i, id := range ids {
-		if p := vec3.New(x[i], y[i], z[i]); p != want[id] {
-			t.Errorf("id %d at (%v), want %v", id, p, want[id])
-		}
+	got := snapCells(t, sn)
+	assertSameCells(t, "freeze", got, wantCells(g, []uint64{100, 200, 300, 999}))
+	if len(got[100]) != 3 {
+		t.Fatalf("cell 100 = %v, want three distinct IDs", got[100])
 	}
 }
 
 func TestSnapshotCellsContiguous(t *testing.T) {
-	// Every occupied slot's CSR range must tile [0, Entries()) exactly once.
+	// The cells' ranges must tile [0, Entries()) exactly once.
 	g := NewGridSet(256, 512)
 	rng := mathx.NewSplitMix64(7)
-	n := 0
 	for i := 0; i < 512; i++ {
-		key := rng.Uint64()%97 + 1
-		if err := g.Insert(key, int32(i), int32(i), vec3.Zero); err != nil {
+		if err := g.Insert(rng.Uint64()%97+1, int32(i), int32(i), vec3.Zero); err != nil {
 			t.Fatal(err)
 		}
-		n++
 	}
 	sn := NewGridSnapshot(0, 0)
 	sn.Freeze(g, 1)
-	if sn.Entries() != n {
-		t.Fatalf("entries = %d, want %d", sn.Entries(), n)
+	if sn.Entries() != 512 {
+		t.Fatalf("entries = %d, want 512", sn.Entries())
 	}
-	covered := make([]bool, n)
-	for s := 0; s < sn.Slots(); s++ {
-		lo, hi := sn.CellRange(s)
-		if lo > hi {
-			t.Fatalf("slot %d: inverted range [%d, %d)", s, lo, hi)
-		}
-		key, cell := sn.SlotCell(s)
-		if key == EmptySlot && len(cell) != 0 {
-			t.Fatalf("slot %d: empty slot with %d entries", s, len(cell))
-		}
-		for at := lo; at < hi; at++ {
-			if covered[at] {
-				t.Fatalf("entry index %d covered twice", at)
-			}
-			covered[at] = true
+	seen := map[int32]bool{}
+	for _, ids := range snapCells(t, sn) { // checks the tiling
+		for id := range ids {
+			seen[id] = true
 		}
 	}
-	for at, ok := range covered {
-		if !ok {
-			t.Fatalf("entry index %d not covered by any cell", at)
-		}
+	if len(seen) != 512 {
+		t.Fatalf("%d distinct IDs frozen, want 512", len(seen))
 	}
 }
 
 func TestSnapshotFreezeParallelEquivalent(t *testing.T) {
-	// Above freezeParallelThreshold slots the parallel three-phase prefix sum
-	// runs; its output must match a sequential freeze of the same grid.
+	// Above freezeParallelThreshold slots the count / prefix / fill freeze
+	// runs. Sequential, parallel with uneven slot ranges, and parallel over a
+	// grid four goroutines filled at once must all hold the same cells, every
+	// entry exactly once; the first two, reading one grid, in the same order.
+	const n, distinct = 4096, 5000
 	slots := freezeParallelThreshold * 2
-	g := NewGridSet(slots, 4096)
+	keys := make([]uint64, n)
+	all := make([]uint64, distinct)
 	rng := mathx.NewSplitMix64(11)
-	for i := 0; i < 4096; i++ {
-		key := rng.Uint64()%5000 + 1
-		if err := g.Insert(key, int32(i), int32(i), vec3.New(float64(i), 0, 0)); err != nil {
+	for i := range keys {
+		keys[i] = rng.Uint64()%distinct + 1
+	}
+	for i := range all {
+		all[i] = uint64(i) + 1
+	}
+	g := NewGridSet(slots, n)
+	for i, key := range keys {
+		if err := g.Insert(key, int32(i), int32(i), vec3.Zero); err != nil {
 			t.Fatal(err)
 		}
 	}
+	want := wantCells(g, all)
+
 	seq := NewGridSnapshot(0, 0)
 	seq.Freeze(g, 1)
-	par := NewGridSnapshot(0, 0)
-	par.Freeze(g, 8)
-
-	if seq.Entries() != par.Entries() {
-		t.Fatalf("entries: sequential %d vs parallel %d", seq.Entries(), par.Entries())
-	}
-	for s := 0; s < seq.Slots(); s++ {
-		kSeq, cSeq := seq.SlotCell(s)
-		kPar, cPar := par.SlotCell(s)
-		if kSeq != kPar || len(cSeq) != len(cPar) {
-			t.Fatalf("slot %d: sequential (key %#x, %d ids) vs parallel (key %#x, %d ids)",
-				s, kSeq, len(cSeq), kPar, len(cPar))
+	assertSameCells(t, "sequential", snapCells(t, seq), want)
+	for _, workers := range []int{2, 3, 8} {
+		par := NewGridSnapshot(slots, n)
+		par.Freeze(g, workers)
+		assertSameCells(t, "parallel", snapCells(t, par), want)
+		for i, c := range seq.Cells() {
+			if par.Cells()[i] != c {
+				t.Fatalf("%d workers, cell %d: parallel %+v vs sequential %+v", workers, i, par.Cells()[i], c)
+			}
 		}
-		for i := range cSeq {
-			if cSeq[i] != cPar[i] {
-				t.Fatalf("slot %d id %d: sequential %d vs parallel %d", s, i, cSeq[i], cPar[i])
+		for i, id := range seq.IDs() {
+			if par.IDs()[i] != id {
+				t.Fatalf("%d workers, entry %d: parallel %d vs sequential %d", workers, i, par.IDs()[i], id)
 			}
 		}
 	}
+
+	raced := NewGridSet(slots, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += 4 {
+				if err := raced.Insert(keys[i], int32(i), int32(i), vec3.Zero); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	par := NewGridSnapshot(0, 0)
+	par.Freeze(raced, 4)
+	assertSameCells(t, "racing inserters", snapCells(t, par), want)
 }
 
 func TestSnapshotReuseAcrossFreezes(t *testing.T) {
@@ -172,53 +188,35 @@ func TestSnapshotReuseAcrossFreezes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn.Freeze(small, 1)
-	if sn.Slots() != small.Slots() {
-		t.Fatalf("reused snapshot slots = %d, want %d", sn.Slots(), small.Slots())
-	}
-	if sn.Entries() != 1 {
-		t.Fatalf("reused snapshot entries = %d, want 1", sn.Entries())
-	}
-	if ids := snapCell(sn, 7); len(ids) != 1 || !ids[99] {
-		t.Fatalf("cell 7 = %v, want {99}", ids)
-	}
-	if sn.CellByKey(1) != nil {
-		t.Error("stale cell from the previous freeze leaked through")
+	assertSameCells(t, "reused snapshot", snapCells(t, sn), map[uint64]map[int32]bool{7: {99: true}})
+	if sn.EntryCapacity() < 128 {
+		t.Errorf("entry capacity shrank to %d on reuse", sn.EntryCapacity())
 	}
 }
 
 func TestSnapshotEmptyGrid(t *testing.T) {
-	g := NewGridSet(16, 4)
-	sn := NewGridSnapshot(0, 0)
-	sn.Freeze(g, 1)
-	if sn.Entries() != 0 {
-		t.Fatalf("entries = %d, want 0", sn.Entries())
-	}
-	for s := 0; s < sn.Slots(); s++ {
-		if key, cell := sn.SlotCell(s); key != EmptySlot || len(cell) != 0 {
-			t.Fatalf("slot %d occupied in empty snapshot", s)
+	for _, slots := range []int{16, freezeParallelThreshold} {
+		sn := NewGridSnapshot(0, 0)
+		sn.Freeze(NewGridSet(slots, 4), 4)
+		if sn.Entries() != 0 || len(sn.Cells()) != 0 {
+			t.Fatalf("%d empty slots froze to %d entries in %d cells", slots, sn.Entries(), len(sn.Cells()))
 		}
 	}
 }
 
 func TestSnapshotProbesAcrossCollisions(t *testing.T) {
-	// CellByKey must follow the same linear-probe chain as the live table:
-	// insert colliding keys, freeze, and look each one up in the snapshot.
-	g := NewGridSet(8, 16) // tiny table forces probe chains
+	// Keys pushed off their home slot by linear probing freeze like any
+	// other: a tiny table forces chains, and every key must keep its own cell.
+	g := NewGridSet(8, 16)
 	keys := []uint64{1, 9, 17, 25, 33, 41}
+	want := map[uint64]map[int32]bool{}
 	for i, key := range keys {
 		if err := g.Insert(key, int32(i), int32(i), vec3.Zero); err != nil {
 			t.Fatal(err)
 		}
+		want[key] = map[int32]bool{int32(i): true}
 	}
 	sn := NewGridSnapshot(0, 0)
 	sn.Freeze(g, 1)
-	for i, key := range keys {
-		ids := sn.CellByKey(key)
-		if len(ids) != 1 || ids[0] != int32(i) {
-			t.Fatalf("key %d: got %v, want [%d]", key, ids, i)
-		}
-	}
-	if sn.CellByKey(49) != nil {
-		t.Error("absent colliding key resolved to a cell")
-	}
+	assertSameCells(t, "colliding keys", snapCells(t, sn), want)
 }

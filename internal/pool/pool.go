@@ -28,10 +28,10 @@
 //     buffers are fully overwritten by the propagation phase before any
 //     read, Pair and Satellite buffers are handed out with length 0.
 //   - ID-index maps are cleared on Put.
-//   - CSR snapshots, pair-key buffers and Kepler warm-start caches are
-//     returned with stale contents: Freeze overwrites the snapshot, key
-//     buffers are handed out with length 0, and the detectors reinitialise
-//     the caches before the first step (DESIGN.md §10).
+//   - Grid snapshots, pair-key buffers, cell buffers and Kepler warm-start
+//     caches are returned with stale contents: Freeze overwrites the
+//     snapshot, key and cell buffers are handed out with length 0, and the
+//     detectors reinitialise the caches before the first step (DESIGN.md §10).
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so
@@ -81,6 +81,7 @@ type Pool struct {
 	indexes   []map[int32]int32
 	snapshots []*lockfree.GridSnapshot
 	keyBufs   [][]uint64
+	cellBufs  [][]lockfree.Cell
 	kcaches   [][]propagation.KeplerCache
 	bitsets   [][]uint64
 
@@ -132,6 +133,7 @@ func (p *Pool) Drain() {
 	p.indexes = nil
 	p.snapshots = nil
 	p.keyBufs = nil
+	p.cellBufs = nil
 	p.kcaches = nil
 	p.bitsets = nil
 	p.mu.Unlock()
@@ -287,53 +289,38 @@ func (p *Pool) GetStates(n int) []propagation.State {
 }
 
 // PutStates returns a state buffer to the pool. nil is ignored.
-func (p *Pool) PutStates(s []propagation.State) {
-	if s == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.states) < maxIdleBuffers {
-		p.states = append(p.states, s)
-	}
-	p.mu.Unlock()
-}
+func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
 
-// GetPairBuf returns a zero-length candidate-pair buffer with capacity at
-// least capHint.
-func (p *Pool) GetPairBuf(capHint int) []lockfree.Pair {
+// getBuf serves the append-grown buffer kinds: the smallest idle buffer of
+// *list with capacity at least capHint, emptied, or a fresh one. They have no
+// oversize window — a buffer's cost is its memory, not its capacity.
+func getBuf[T any](p *Pool, list *[][]T, capHint int) []T {
 	p.gets.Add(1)
 	if !p.disabled {
 		p.mu.Lock()
+		idle := *list
 		best := -1
-		for i, b := range p.pairBufs {
-			if cap(b) < capHint {
-				continue
-			}
-			if best < 0 || cap(b) < cap(p.pairBufs[best]) {
+		for i, b := range idle {
+			if cap(b) >= capHint && (best < 0 || cap(b) < cap(idle[best])) {
 				best = i
 			}
 		}
 		if best >= 0 {
-			b := p.pairBufs[best]
-			last := len(p.pairBufs) - 1
-			p.pairBufs[best] = p.pairBufs[last]
-			p.pairBufs[last] = nil
-			p.pairBufs = p.pairBufs[:last]
+			b := idle[best]
+			last := len(idle) - 1
+			idle[best], idle[last] = idle[last], nil
+			*list = idle[:last]
 			p.mu.Unlock()
 			p.hits.Add(1)
 			return b[:0]
 		}
 		p.mu.Unlock()
 	}
-	return make([]lockfree.Pair, 0, capHint)
+	return make([]T, 0, capHint)
 }
 
-// PutPairBuf returns a candidate buffer to the pool. nil is ignored.
-func (p *Pool) PutPairBuf(b []lockfree.Pair) {
+// putBuf returns b to *list, which keeps at most maxIdle. nil is ignored.
+func putBuf[T any](p *Pool, list *[][]T, b []T, maxIdle int) {
 	if b == nil {
 		return
 	}
@@ -342,11 +329,18 @@ func (p *Pool) PutPairBuf(b []lockfree.Pair) {
 		return
 	}
 	p.mu.Lock()
-	if len(p.pairBufs) < maxIdleBuffers {
-		p.pairBufs = append(p.pairBufs, b)
+	if len(*list) < maxIdle {
+		*list = append(*list, b)
 	}
 	p.mu.Unlock()
 }
+
+// GetPairBuf returns a zero-length candidate-pair buffer with capacity at
+// least capHint.
+func (p *Pool) GetPairBuf(capHint int) []lockfree.Pair { return getBuf(p, &p.pairBufs, capHint) }
+
+// PutPairBuf returns a candidate buffer to the pool. nil is ignored.
+func (p *Pool) PutPairBuf(b []lockfree.Pair) { putBuf(p, &p.pairBufs, b, maxIdleBuffers) }
 
 // GetSatBuf returns a zero-length satellite buffer with capacity at least
 // capHint — the per-shard resident populations of a sharded screen. Like
@@ -382,34 +376,21 @@ func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
 }
 
 // PutSatBuf returns a satellite buffer to the pool. nil is ignored.
-func (p *Pool) PutSatBuf(b []propagation.Satellite) {
-	if b == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.satBufs) < maxIdleBuffers {
-		p.satBufs = append(p.satBufs, b)
-	}
-	p.mu.Unlock()
-}
+func (p *Pool) PutSatBuf(b []propagation.Satellite) { putBuf(p, &p.satBufs, b, maxIdleBuffers) }
 
-// GetSnapshot returns a CSR grid snapshot with capacity for at least
-// slotHint slots and entryCap entries. Contents are stale; Freeze overwrites
-// everything it exposes.
-func (p *Pool) GetSnapshot(slotHint, entryCap int) *lockfree.GridSnapshot {
+// GetSnapshot returns a grid snapshot with capacity for at least entryCap
+// entries (and as many cells), inside the oversize window. Contents are stale;
+// Freeze overwrites everything it exposes.
+func (p *Pool) GetSnapshot(entryCap int) *lockfree.GridSnapshot {
 	p.gets.Add(1)
 	if !p.disabled {
 		p.mu.Lock()
 		best := -1
 		for i, sn := range p.snapshots {
-			if sn.SlotCapacity() < slotHint || sn.EntryCapacity() < entryCap || sn.SlotCapacity() > oversizeFactor*(slotHint+1) {
+			if sn.EntryCapacity() < entryCap || sn.EntryCapacity() > oversizeFactor*(entryCap+1) {
 				continue
 			}
-			if best < 0 || sn.SlotCapacity() < p.snapshots[best].SlotCapacity() {
+			if best < 0 || sn.EntryCapacity() < p.snapshots[best].EntryCapacity() {
 				best = i
 			}
 		}
@@ -425,7 +406,7 @@ func (p *Pool) GetSnapshot(slotHint, entryCap int) *lockfree.GridSnapshot {
 		}
 		p.mu.Unlock()
 	}
-	return lockfree.NewGridSnapshot(slotHint, entryCap)
+	return lockfree.NewGridSnapshot(entryCap, entryCap)
 }
 
 // PutSnapshot returns a snapshot to the pool. nil is ignored.
@@ -448,49 +429,17 @@ func (p *Pool) PutSnapshot(sn *lockfree.GridSnapshot) {
 // least capHint — the per-worker candidate buffers of the scan phase. They
 // grow by append inside the workers, so a warm pool converges on the
 // population's natural candidate volume and stops allocating.
-func (p *Pool) GetKeyBuf(capHint int) []uint64 {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, b := range p.keyBufs {
-			if cap(b) < capHint {
-				continue
-			}
-			if best < 0 || cap(b) < cap(p.keyBufs[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			b := p.keyBufs[best]
-			last := len(p.keyBufs) - 1
-			p.keyBufs[best] = p.keyBufs[last]
-			p.keyBufs[last] = nil
-			p.keyBufs = p.keyBufs[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return b[:0]
-		}
-		p.mu.Unlock()
-	}
-	return make([]uint64, 0, capHint)
-}
+func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, capHint) }
 
 // PutKeyBuf returns a pair-key buffer to the pool. nil is ignored.
-func (p *Pool) PutKeyBuf(b []uint64) {
-	if b == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.keyBufs) < maxIdleKeyBufs {
-		p.keyBufs = append(p.keyBufs, b)
-	}
-	p.mu.Unlock()
-}
+func (p *Pool) PutKeyBuf(b []uint64) { putBuf(p, &p.keyBufs, b, maxIdleKeyBufs) }
+
+// GetCellBuf returns a zero-length cell buffer with capacity at least capHint
+// — a run's scan sorts each step's frozen cells between two of them.
+func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell { return getBuf(p, &p.cellBufs, capHint) }
+
+// PutCellBuf returns a cell buffer to the pool. nil is ignored.
+func (p *Pool) PutCellBuf(b []lockfree.Cell) { putBuf(p, &p.cellBufs, b, maxIdleBuffers) }
 
 // GetKeplerCache returns a warm-start cache of length n with stale contents;
 // the detectors reinitialise every entry before the first sampling step.
@@ -523,20 +472,7 @@ func (p *Pool) GetKeplerCache(n int) []propagation.KeplerCache {
 }
 
 // PutKeplerCache returns a warm-start cache to the pool. nil is ignored.
-func (p *Pool) PutKeplerCache(c []propagation.KeplerCache) {
-	if c == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.kcaches) < maxIdleBuffers {
-		p.kcaches = append(p.kcaches, c)
-	}
-	p.mu.Unlock()
-}
+func (p *Pool) PutKeplerCache(c []propagation.KeplerCache) { putBuf(p, &p.kcaches, c, maxIdleBuffers) }
 
 // GetBitset returns a zeroed ID bitset of exactly `words` uint64 words —
 // the dirty/touched membership sets of an incremental (delta) screen. The
@@ -573,20 +509,7 @@ func (p *Pool) GetBitset(words int) []uint64 {
 }
 
 // PutBitset returns a bitset to the pool. nil is ignored.
-func (p *Pool) PutBitset(b []uint64) {
-	if b == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.bitsets) < maxIdleBitsets {
-		p.bitsets = append(p.bitsets, b)
-	}
-	p.mu.Unlock()
-}
+func (p *Pool) PutBitset(b []uint64) { putBuf(p, &p.bitsets, b, maxIdleBitsets) }
 
 // GetIDIndex returns an empty satellite-ID → population-index map with
 // room for about sizeHint entries.

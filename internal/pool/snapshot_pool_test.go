@@ -3,19 +3,20 @@ package pool
 import (
 	"testing"
 
+	"repro/internal/lockfree"
 	"repro/internal/propagation"
 )
 
-// Pool coverage for the PR-4 kinds: CSR snapshots, per-worker key buffers,
-// and Kepler warm-start caches. The contract matches the other kinds —
-// capacity-aware best-fit reuse within the oversize window, idle caps, and
-// stale contents on reuse (callers rewrite before reading).
+// Pool coverage for the scan-side kinds: grid snapshots, per-worker key
+// buffers, cell buffers, and Kepler warm-start caches. The contract matches
+// the other kinds — capacity-aware best-fit reuse within the oversize window,
+// idle caps, and stale contents on reuse (callers rewrite before reading).
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	p := New()
-	sn := p.GetSnapshot(256, 128)
+	sn := p.GetSnapshot(128)
 	p.PutSnapshot(sn)
-	if got := p.GetSnapshot(256, 128); got != sn {
+	if got := p.GetSnapshot(128); got != sn {
 		t.Fatal("matching request did not reuse the idle snapshot")
 	}
 	if st := p.Stats(); st.Outstanding() != 1 {
@@ -24,31 +25,37 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotFitWindow(t *testing.T) {
+	// A snapshot is sized by the entries it can hold, whatever the slot count
+	// of the grid it will freeze.
 	p := New()
-	small := p.GetSnapshot(64, 32)
+	small := p.GetSnapshot(32)
 	p.PutSnapshot(small)
-	// Undersized slots or entry arena: fresh allocation.
-	if got := p.GetSnapshot(4096, 32); got == small {
-		t.Fatal("reused a snapshot with too few slots")
+	// Undersized entry capacity: fresh allocation.
+	if got := p.GetSnapshot(4096); got == small {
+		t.Fatal("reused a snapshot with too few entries")
 	}
 	p2 := New()
-	huge := p2.GetSnapshot(1<<16, 32)
+	huge := p2.GetSnapshot(1 << 16)
 	p2.PutSnapshot(huge)
 	// Pathologically oversized for the request: fresh allocation.
-	if got := p2.GetSnapshot(16, 32); got == huge {
+	if got := p2.GetSnapshot(16); got == huge {
 		t.Fatal("reused an oversize snapshot outside the fit window")
+	}
+	// Just inside the window: reused.
+	if got := p2.GetSnapshot(1 << 13); got != huge {
+		t.Fatal("a snapshot eight times the request was not reused")
 	}
 }
 
 func TestSnapshotBestFit(t *testing.T) {
 	p := New()
-	big := p.GetSnapshot(2048, 64)
-	snug := p.GetSnapshot(512, 64)
+	big := p.GetSnapshot(2048)
+	snug := p.GetSnapshot(512)
 	p.PutSnapshot(big)
 	p.PutSnapshot(snug)
-	if got := p.GetSnapshot(512, 64); got != snug {
-		t.Fatalf("best-fit picked %d-slot snapshot, want the %d-slot one",
-			got.SlotCapacity(), snug.SlotCapacity())
+	if got := p.GetSnapshot(512); got != snug {
+		t.Fatalf("best-fit picked the %d-entry snapshot, want the %d-entry one",
+			got.EntryCapacity(), snug.EntryCapacity())
 	}
 }
 
@@ -77,6 +84,26 @@ func TestKeyBufRoundTripAndLength(t *testing.T) {
 	}
 	if cap(got) != cap(b) {
 		t.Fatalf("reuse returned capacity %d, want the idle buffer's %d", cap(got), cap(b))
+	}
+}
+
+func TestCellBufRoundTrip(t *testing.T) {
+	// Same shape as the key buffers: handed out empty, best fit, counted.
+	p := New()
+	big, snug := p.GetCellBuf(4096), p.GetCellBuf(512)
+	if len(snug) != 0 || cap(snug) < 512 {
+		t.Fatalf("fresh cell buffer has length %d, capacity %d", len(snug), cap(snug))
+	}
+	snug = append(snug, lockfree.Cell{Key: 7})
+	p.PutCellBuf(big)
+	p.PutCellBuf(snug)
+	p.PutCellBuf(nil)
+	got := p.GetCellBuf(256)
+	if len(got) != 0 || &got[:1][0] != &snug[0] {
+		t.Fatal("best fit did not return the snug buffer, emptied")
+	}
+	if st := p.Stats(); st.Outstanding() != 1 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want one outstanding and one hit", st)
 	}
 }
 
@@ -132,14 +159,19 @@ func TestKeplerCacheFitWindow(t *testing.T) {
 
 func TestNewKindsDrain(t *testing.T) {
 	p := New()
-	sn := p.GetSnapshot(64, 32)
+	sn := p.GetSnapshot(32)
 	kb := p.GetKeyBuf(64)
 	kc := p.GetKeplerCache(16)
+	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})
 	p.PutSnapshot(sn)
 	p.PutKeyBuf(kb)
 	p.PutKeplerCache(kc)
+	p.PutCellBuf(cb)
 	p.Drain()
-	if got := p.GetSnapshot(64, 32); got == sn {
+	if got := p.GetCellBuf(64)[:1]; &got[0] == &cb[0] {
+		t.Fatal("cell buffer survived Drain")
+	}
+	if got := p.GetSnapshot(32); got == sn {
 		t.Fatal("snapshot survived Drain")
 	}
 	if got := p.GetKeplerCache(16); &got[0] == &kc[0] {
@@ -149,9 +181,9 @@ func TestNewKindsDrain(t *testing.T) {
 
 func TestNewKindsDisabled(t *testing.T) {
 	p := Disabled()
-	sn := p.GetSnapshot(64, 32)
+	sn := p.GetSnapshot(32)
 	p.PutSnapshot(sn)
-	if got := p.GetSnapshot(64, 32); got == sn {
+	if got := p.GetSnapshot(32); got == sn {
 		t.Fatal("disabled pool reused a snapshot")
 	}
 	kb := p.GetKeyBuf(64)

@@ -6,10 +6,9 @@ import (
 	"repro/internal/vec3"
 )
 
-// The scan stage calls KeyOf/CoordOf once per object per step and
-// NeighborKeys/HalfNeighborKeys once per occupied cell per step, with the
-// destination slice recycled from per-worker scratch (see
-// core.scanScratch). The steady-state allocation budget in internal/core
+// The build kernel calls KeyOf/CoordOf once per object per step and a delta
+// pass NeighborKeys once per dirty object per step, with a recycled
+// destination slice. The steady-state allocation budget in internal/core
 // relies on these staying allocation-free when given adequate capacity —
 // pin that here, next to the implementation.
 func TestHotPathHelpersDoNotAllocate(t *testing.T) {
@@ -28,9 +27,6 @@ func TestHotPathHelpersDoNotAllocate(t *testing.T) {
 		"CoordOf": func() { _, _ = g.CoordOf(pos) },
 		"NeighborKeys": func() {
 			dst = g.NeighborKeys(c, dst[:0])
-		},
-		"HalfNeighborKeys": func() {
-			dst = g.HalfNeighborKeys(c, dst[:0])
 		},
 	} {
 		if avg := testing.AllocsPerRun(100, fn); avg > 0 {

@@ -20,14 +20,22 @@ import (
 // beyond the geostationary orbit.
 const DefaultHalfExtent = 42500.0
 
-// coordBits is the number of bits per packed axis coordinate. 21 bits of
+// CoordBits is the number of bits per packed axis coordinate. 21 bits of
 // signed range (±2²⁰ cells per axis) supports cell sizes down to ~40 m over
 // the default cube — far below any realistic screening threshold.
-const coordBits = 21
+//
+// PackKey lays the axes out x‖y‖z, z lowest, so ascending key order is
+// lexicographic (x, y, z) order and a cell's +z, +y and +x neighbours sit 1,
+// 1<<CoordBits and 1<<(2·CoordBits) above it. NewGrid keeps every cell index
+// within ±(maxCoord−1): a biased axis field is never 0 or all ones, so adding
+// or subtracting one from it never carries into the field beside it, and the
+// key a cell on the cube's face computes for a neighbour outside the cube is
+// simply a key nothing was inserted under.
+const CoordBits = 21
 
 const (
-	coordBias = 1 << (coordBits - 1) // maps signed coords to non-negative
-	coordMask = 1<<coordBits - 1
+	coordBias = 1 << (CoordBits - 1) // maps signed coords to non-negative
+	coordMask = 1<<CoordBits - 1
 	maxCoord  = coordBias - 1
 	minCoord  = -coordBias
 )
@@ -109,16 +117,16 @@ func (g *Grid) KeyOf(pos vec3.V) (uint64, bool) {
 // PackKey packs a cell coordinate into a 63-bit key. Packed keys can never
 // equal lockfree.EmptySlot (all ones): the top bit is always zero.
 func PackKey(c Coord) uint64 {
-	return uint64(uint32(c.X+coordBias))&coordMask<<(2*coordBits) |
-		uint64(uint32(c.Y+coordBias))&coordMask<<coordBits |
+	return uint64(uint32(c.X+coordBias))&coordMask<<(2*CoordBits) |
+		uint64(uint32(c.Y+coordBias))&coordMask<<CoordBits |
 		uint64(uint32(c.Z+coordBias))&coordMask
 }
 
 // UnpackKey is the inverse of PackKey.
 func UnpackKey(key uint64) Coord {
 	return Coord{
-		X: int32(key>>(2*coordBits)&coordMask) - coordBias,
-		Y: int32(key>>coordBits&coordMask) - coordBias,
+		X: int32(key>>(2*CoordBits)&coordMask) - coordBias,
+		Y: int32(key>>CoordBits&coordMask) - coordBias,
 		Z: int32(key&coordMask) - coordBias,
 	}
 }
@@ -148,96 +156,6 @@ func (g *Grid) NeighborKeys(c Coord, dst []uint64) []uint64 {
 				dst = append(dst, PackKey(Coord{x, y, z}))
 			}
 		}
-	}
-	return dst
-}
-
-// HalfNeighborKeys appends the 13 "upper half" neighbours — those whose
-// packed key is strictly greater than the centre's in lexicographic (x,y,z)
-// order. Checking only half the neighbourhood from each cell visits every
-// adjacent cell pair exactly once, halving the candidate-generation work;
-// pairs inside one cell are generated from that cell alone.
-func (g *Grid) HalfNeighborKeys(c Coord, dst []uint64) []uint64 {
-	offsets := [13][3]int32{
-		{1, -1, -1}, {1, -1, 0}, {1, -1, 1},
-		{1, 0, -1}, {1, 0, 0}, {1, 0, 1},
-		{1, 1, -1}, {1, 1, 0}, {1, 1, 1},
-		{0, 1, -1}, {0, 1, 0}, {0, 1, 1},
-		{0, 0, 1},
-	}
-	for _, o := range offsets {
-		x, y, z := c.X+o[0], c.Y+o[1], c.Z+o[2]
-		if g.inRange(x) && g.inRange(y) && g.inRange(z) {
-			dst = append(dst, PackKey(Coord{x, y, z}))
-		}
-	}
-	return dst
-}
-
-// Interior reports whether every neighbour of c lies inside the grid
-// bounds, i.e. the constant-offset neighbour enumeration
-// (NeighborKeysInterior / HalfNeighborKeysInterior) applies. Only cells on
-// the outermost shell of the cube fail this, so scans take the fast path for
-// essentially the whole population.
-func (g *Grid) Interior(c Coord) bool {
-	m := g.maxIdx - 1
-	return c.X >= -m && c.X <= m &&
-		c.Y >= -m && c.Y <= m &&
-		c.Z >= -m && c.Z <= m
-}
-
-// neighborKeyDeltas holds the signed packed-key offsets of the 26
-// neighbours: for an interior cell each biased axis field can absorb ±1
-// without borrowing into the adjacent field, so a neighbour's packed key is
-// the centre key plus a constant. The enumeration order matches
-// NeighborKeys on an interior cell.
-var neighborKeyDeltas = func() (d [26]int64) {
-	i := 0
-	for dx := int64(-1); dx <= 1; dx++ {
-		for dy := int64(-1); dy <= 1; dy++ {
-			for dz := int64(-1); dz <= 1; dz++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				d[i] = dx*(1<<(2*coordBits)) + dy*(1<<coordBits) + dz
-				i++
-			}
-		}
-	}
-	return d
-}()
-
-// halfNeighborKeyDeltas is neighborKeyDeltas restricted to the 13 "upper
-// half" offsets, in HalfNeighborKeys order.
-var halfNeighborKeyDeltas = func() (d [13]int64) {
-	offsets := [13][3]int64{
-		{1, -1, -1}, {1, -1, 0}, {1, -1, 1},
-		{1, 0, -1}, {1, 0, 0}, {1, 0, 1},
-		{1, 1, -1}, {1, 1, 0}, {1, 1, 1},
-		{0, 1, -1}, {0, 1, 0}, {0, 1, 1},
-		{0, 0, 1},
-	}
-	for i, o := range offsets {
-		d[i] = o[0]*(1<<(2*coordBits)) + o[1]*(1<<coordBits) + o[2]
-	}
-	return d
-}()
-
-// NeighborKeysInterior appends the 26 neighbour keys of an interior cell to
-// dst by pure key arithmetic — no unpack/repack per neighbour. The caller
-// must have verified Interior(UnpackKey(key)).
-func NeighborKeysInterior(key uint64, dst []uint64) []uint64 {
-	for _, d := range neighborKeyDeltas {
-		dst = append(dst, uint64(int64(key)+d))
-	}
-	return dst
-}
-
-// HalfNeighborKeysInterior is NeighborKeysInterior for the 13 "upper half"
-// neighbours of HalfNeighborKeys.
-func HalfNeighborKeysInterior(key uint64, dst []uint64) []uint64 {
-	for _, d := range halfNeighborKeyDeltas {
-		dst = append(dst, uint64(int64(key)+d))
 	}
 	return dst
 }

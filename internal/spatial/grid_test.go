@@ -119,7 +119,7 @@ func TestPropPackKeyInjective(t *testing.T) {
 	}
 }
 
-func TestNeighborKeysInterior(t *testing.T) {
+func TestNeighborKeysAllTwentySix(t *testing.T) {
 	g, _ := NewGrid(10, 1000)
 	got := g.NeighborKeys(Coord{3, -4, 5}, nil)
 	if len(got) != 26 {
@@ -148,33 +148,49 @@ func TestNeighborKeysCorner(t *testing.T) {
 	}
 }
 
-func TestHalfNeighborKeysPartition(t *testing.T) {
-	// For an interior cell: half-neighbours ∪ their mirror images = all 26,
-	// with no overlap.
-	g, _ := NewGrid(10, 1000)
-	c := Coord{0, 0, 0}
-	half := g.HalfNeighborKeys(c, nil)
-	if len(half) != 13 {
-		t.Fatalf("half neighbourhood size %d, want 13", len(half))
+func TestNeighborKeysAreKeyOffsets(t *testing.T) {
+	// The scan reaches neighbours by key arithmetic alone (CoordBits): on the
+	// finest grid NewGrid accepts, where the biased fields come closest to 0
+	// and all ones, a neighbour inside the cube is the centre key plus a fixed
+	// offset per axis, and the same sum for a neighbour outside the cube is the
+	// key of an out-of-range coordinate — nothing is ever inserted under it,
+	// and no carry turned it into some other cell's key.
+	g, err := NewGrid(1, maxCoord-1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	all := map[uint64]bool{}
-	for _, k := range g.NeighborKeys(c, nil) {
-		all[k] = true
+	m := g.MaxAbsCoord()
+	if m != maxCoord-1 {
+		t.Fatalf("maxIdx = %d, want the limit %d", m, maxCoord-1)
 	}
-	for _, k := range half {
-		if !all[k] {
-			t.Errorf("half neighbour %v not a neighbour", UnpackKey(k))
+	for _, c := range []Coord{
+		{0, 0, 0}, {-1, 0, -1}, {3, -4, 5},
+		{m, 0, 0}, {0, -m, 0}, {0, 0, m}, // faces
+		{m, m, 0}, {-m, 0, m}, {0, -m, -m}, // edges
+		{m, m, m}, {-m, -m, -m}, {m, -m, m}, // corners
+	} {
+		inBounds := map[uint64]bool{}
+		for _, k := range g.NeighborKeys(c, nil) {
+			inBounds[k] = true
 		}
-		n := UnpackKey(k)
-		mirror := PackKey(Coord{-n.X, -n.Y, -n.Z})
-		if !all[mirror] {
-			t.Errorf("mirror of %v missing", n)
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				for dz := int32(-1); dz <= 1; dz++ {
+					if dx == 0 && dy == 0 && dz == 0 {
+						continue
+					}
+					want := Coord{c.X + dx, c.Y + dy, c.Z + dz}
+					sum := uint64(int64(PackKey(c)) + int64(dx)<<(2*CoordBits) + int64(dy)<<CoordBits + int64(dz))
+					if got := UnpackKey(sum); got != want {
+						t.Fatalf("centre %+v offset (%d,%d,%d): key sum unpacks to %+v, want %+v", c, dx, dy, dz, got, want)
+					}
+					inside := g.inRange(want.X) && g.inRange(want.Y) && g.inRange(want.Z)
+					if inBounds[sum] != inside {
+						t.Fatalf("centre %+v: neighbour %+v in NeighborKeys = %v, inside the cube = %v", c, want, inBounds[sum], inside)
+					}
+				}
+			}
 		}
-		delete(all, k)
-		delete(all, mirror)
-	}
-	if len(all) != 0 {
-		t.Errorf("%d neighbours not covered by half set ∪ mirrors", len(all))
 	}
 }
 
