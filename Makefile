@@ -13,9 +13,9 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: go vet plus the repo's own eight-analyzer suite (cmd/vetconj):
+## lint: go vet plus the repo's own seven-analyzer suite (cmd/vetconj):
 ## the AST-pattern checks of DESIGN.md §7 and the flow-sensitive
-## poolbalance/frozenwrite/sinklock checks of DESIGN.md §12. Opt-outs are
+## poolbalance/sinklock checks of DESIGN.md §12. Opt-outs are
 ## //lint:<analyzer>-ok with a justification on the same line. The
 ## registry guard keeps variant dispatch derived from core.Variants()
 ## everywhere outside internal/core (DESIGN.md §14).
@@ -33,13 +33,13 @@ loc:
 ## race: race-detector pass over the whole module, then the catalogue,
 ## pool and store concurrency tests fifty times over: the interleavings
 ## that break them are rare (a reader falling KeepRevisions behind the
-## writer is a few percent of runs), so one pass proves little. The scan's
-## sweep-vs-reference test rides along: racing inserters give it a different
-## slot and list order every run.
+## writer is a few percent of runs), so one pass proves little. The step
+## loop's stress test rides along: its cancellation timers land at a
+## different point of the build/scan handoff every run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
-	$(GO) test -race -count=50 -run 'TestSweepMatchesNeighborReference' ./internal/core
+	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress' ./internal/core
 
 ## shard-smoke: screen a 131072-object catalogue through the sharded
 ## detector under a GOMEMLIMIT the modelled unsharded grid does not fit

@@ -64,7 +64,7 @@ func TestLoadSubsetClosure(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"atomicmix", "ctxfirst", "errfull", "floateq", "unitcheck",
-		"poolbalance", "frozenwrite", "sinklock",
+		"poolbalance", "sinklock",
 	}
 	got := registry.All()
 	if len(got) != len(want) {

@@ -6,7 +6,7 @@
 // go/types so the tooling works in hermetic build environments without any
 // module downloads.
 //
-// The eight repository-specific analyzers live in subpackages; the registry
+// The seven repository-specific analyzers live in subpackages; the registry
 // subpackage holds the canonical list. Five are AST pattern-matchers:
 //
 //   - atomicmix: struct fields accessed both through sync/atomic and with
@@ -19,15 +19,13 @@
 //   - unitcheck: suspicious km↔m and deg↔rad mixes in comparisons,
 //     additions, and trigonometric calls.
 //
-// Three are flow-sensitive, built on the CFG builder (cfg.go) and the
+// Two are flow-sensitive, built on the CFG builder (cfg.go) and the
 // worklist dataflow solver (dataflow.go) in this package:
 //
 //   - poolbalance: every pooled Get* must reach the matching Put* — or
 //     escape ownership — on every path, early returns and panic edges
 //     included; also flags discarded Get results and cross-pool Put/Get
 //     kind mismatches.
-//   - frozenwrite: no field store or mutating method call on a
-//     GridSnapshot after Freeze, and no use at all after PutSnapshot.
 //   - sinklock: Sink.Emit and Observer.OnStep/OnPhase must be dominated by
 //     a mutex Lock on every path (the delivery-serialisation contract).
 package analysis

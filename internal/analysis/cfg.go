@@ -1,7 +1,7 @@
 package analysis
 
 // Control-flow graphs over go/ast function bodies — the substrate of the
-// flow-sensitive analyzers (poolbalance, frozenwrite, sinklock). This is a
+// flow-sensitive analyzers (poolbalance, sinklock). This is a
 // dependency-free sibling of golang.org/x/tools/go/cfg, reduced to what a
 // forward dataflow pass needs: basic blocks of statements in execution
 // order, successor edges for every branching construct (if/for/range/

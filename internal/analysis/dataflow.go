@@ -1,9 +1,8 @@
 package analysis
 
 // Forward dataflow over the CFGs of cfg.go. The analyzers built on this
-// (poolbalance, frozenwrite, sinklock) all fit one mould: a small scalar
-// state per tracked fact (a pooled resource, a snapshot variable, a mutex),
-// a transfer function that updates states as statements execute, and a join
+// (poolbalance, sinklock) fit one mould: a small scalar state per tracked
+// fact (a pooled resource, a mutex), a transfer function that updates states as statements execute, and a join
 // that merges states where paths meet. Solving runs a standard Kildall
 // worklist to a fixpoint; reporting then REPLAYS each reachable block from
 // its fixpoint entry state, so diagnostics see exactly the merged state
@@ -46,7 +45,7 @@ func (s FlowState) Clone() FlowState {
 }
 
 // JoinMax is the join of may-analyses ("did this happen on SOME path"):
-// poolbalance and frozenwrite use it, so a resource live on one arm of a
+// poolbalance uses it, so a resource live on one arm of a
 // branch stays live at the merge.
 func JoinMax(a, b uint8) uint8 {
 	if a > b {

@@ -1,7 +1,7 @@
 // Package poolbalance proves, per function, that every resource checked out
 // of a Pool reaches the matching Put on every exit path. The screening
 // kernels stay near-zero-alloc (§IV of the paper) only because internal/pool
-// recycles grids, pair sets, state buffers, snapshots, and scratch indices;
+// recycles stamp tables, pair sets, cell and state buffers, and scratch indices;
 // a Get without a Put on some early-return or panic edge is a silent leak
 // that pool.Stats.Outstanding only catches at runtime, in whichever test
 // happens to drive that path.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/errfull"
 	"repro/internal/analysis/floateq"
-	"repro/internal/analysis/frozenwrite"
 	"repro/internal/analysis/poolbalance"
 	"repro/internal/analysis/sinklock"
 	"repro/internal/analysis/unitcheck"
@@ -27,7 +26,6 @@ func All() []*analysis.Analyzer {
 		floateq.Analyzer,
 		unitcheck.Analyzer,
 		poolbalance.Analyzer,
-		frozenwrite.Analyzer,
 		sinklock.Analyzer,
 	}
 }

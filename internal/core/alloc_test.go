@@ -109,9 +109,6 @@ func TestScreenErrorPathsRestorePoolBalance(t *testing.T) {
 		{"id-out-of-range", Config{ThresholdKm: 2, DurationSeconds: 100}, bad},
 		{"uncertainty-negative", Config{ThresholdKm: 2, DurationSeconds: 100, Uncertainty: SliceUncertainty{-1}}, good},
 		{"too-many-steps", Config{ThresholdKm: 2, SecondsPerSample: 0.0001, DurationSeconds: 1e7}, good},
-		// A two-slot grid cannot hold the population's distinct cells, so
-		// insertion fails mid-pipeline, after every structure was acquired.
-		{"grid-insertion-full", Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 100, GridSlotFactor: 0.01}, good},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

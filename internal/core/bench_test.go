@@ -3,7 +3,6 @@ package core
 // Ablation benchmarks for the design choices called out in DESIGN.md §5.
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -28,37 +27,6 @@ func benchShellPopulation(b testing.TB, n int) []propagation.Satellite {
 		sats[i] = propagation.MustSatellite(int32(i), el)
 	}
 	return sats
-}
-
-// Grid hash slot factor: the paper's 2× versus a tight 1.25× and a roomy 4×.
-// Probe lengths (and thus insertion cost) rise as the factor shrinks.
-func BenchmarkGridSlotFactor_1_25(b *testing.B) { benchSlotFactor(b, 1.25) }
-func BenchmarkGridSlotFactor_2(b *testing.B)    { benchSlotFactor(b, 2) }
-func BenchmarkGridSlotFactor_4(b *testing.B)    { benchSlotFactor(b, 4) }
-
-func benchSlotFactor(b *testing.B, factor float64) {
-	sats := benchShellPopulation(b, 4000)
-	var avgProbes float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		det := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 30, GridSlotFactor: factor})
-		res, err := det.Screen(sats)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
-	}
-	// Probe statistics come from a dedicated single run (stable metric).
-	run, err := newRun(context.Background(), Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1, GridSlotFactor: factor}, sats, 1, true, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := run.sampleAllSteps(); err != nil {
-		b.Fatal(err)
-	}
-	st := run.gset.Stats()
-	avgProbes = st.AvgProbes
-	b.ReportMetric(avgProbes, "avg_probes")
 }
 
 // Interval radius rule sensitivity: the paper's two-cell crossing rule vs a

@@ -1,23 +1,28 @@
 package core
 
-// Candidate generation over the frozen snapshot, one sampling step over an
-// identical populated grid per iteration, so ns/op is directly the per-step
-// cost, on the two populations that use the scan in opposite ways — the 16k
-// shell (16k cells of one object, almost every neighbour absent) and the
-// debris cloud (1,500 objects in a few dense cells):
+// Grouping one sampling step's objects by cell, per iteration over identical
+// keys, so ns/op is directly the per-step cost, on the two populations that use
+// the grid in opposite ways — the 16k shell (16k cells of one object) and the
+// debris cloud (1,500 objects in a few dense cells) — at one and two workers:
 //
-//   - CSR:         freeze + sort + sweep + merge — what the detectors run
-//   - CSRScanOnly: sort + sweep + merge, isolating the scan from the freeze
-//   - SortCells:   the sort alone
+//   - Build_HashGrid: the paper's structure — reset + N concurrent CAS inserts
+//     into a 2N-slot lockfree.GridSet + Freeze + sort of the frozen cells
+//   - Build_Sort:     what the detectors run — N plain entry stores + sort +
+//     group
+//   - SortCells:      the sort alone
+//
+// Both builds end with the same cells in the same order (sweep_test.go).
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/lockfree"
 	"repro/internal/orbit"
 	"repro/internal/population"
 	"repro/internal/propagation"
+	"repro/internal/vec3"
 )
 
 // candgenPopulations are the benchmark's two populations by name.
@@ -35,67 +40,92 @@ var candgenPopulations = map[string]func(b *testing.B) []propagation.Satellite{
 	},
 }
 
-// candgenRun builds a run with step 0 propagated and inserted, ready for
-// repeated candidate scans.
-func candgenRun(b *testing.B, sats []propagation.Satellite) *run {
+// candgenRun builds a run with step 0 propagated and keyed into r.entries.
+func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 	b.Helper()
-	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: 1}
+	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: workers}
 	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, true, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(r.release)
-	if err := r.buildGrid(0); err != nil {
+	if err := r.buildEntries(0, r.entries); err != nil {
 		b.Fatal(err)
 	}
 	return r
 }
 
-// benchCandidateGen times the detectors' own generateCandidates per step,
-// after a freeze when freeze is set.
-func benchCandidateGen(b *testing.B, freeze bool) {
+// benchBuild times one step's build per iteration — what setup returns, given
+// a run whose r.entries are step 0's and whose r.cellBuf is the sort buffers —
+// and reports ns per object-step.
+func benchBuild(b *testing.B, setup func(b *testing.B, r *run) (build func())) {
 	for name, sats := range candgenPopulations {
-		b.Run(name, func(b *testing.B) {
-			r := candgenRun(b, sats(b))
-			r.snap.Freeze(r.gset, r.workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // the run-sized pair set takes longer to clear than a step to scan
-				r.pairs.Reset()
-				b.StartTimer()
-				if freeze {
-					r.snap.Freeze(r.gset, r.workers)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers-%d", name, workers), func(b *testing.B) {
+				r := candgenRun(b, sats(b), workers)
+				build := setup(b, r)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
 				}
-				if err := r.generateCandidates(r.snap, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.sats)), "ns/object-step")
+			})
+		}
 	}
 }
 
-func BenchmarkCandidateGen_CSR(b *testing.B)         { benchCandidateGen(b, true) }
-func BenchmarkCandidateGen_CSRScanOnly(b *testing.B) { benchCandidateGen(b, false) }
+func BenchmarkBuild_HashGrid(b *testing.B) {
+	benchBuild(b, func(b *testing.B, r *run) func() {
+		from, n := r.entries, len(r.entries)
+		gset, snap := lockfree.NewGridSet(2*n, n), lockfree.NewGridSnapshot(2*n, n)
+		insert := func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if err := gset.Insert(from[i].Key, int32(i), from[i].Lo, vec3.Zero); err != nil {
+					b.Error(err)
+				}
+			}
+		}
+		return func() {
+			gset.Reset()
+			_ = parallelForWorkers(r.ctx, r.workers, n, insert)
+			snap.Freeze(gset, r.workers)
+			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
+		}
+	})
+}
+
+func BenchmarkBuild_Sort(b *testing.B) {
+	benchBuild(b, func(_ *testing.B, r *run) func() {
+		from, n := r.entries, len(r.entries)
+		entries := make([]lockfree.Cell, n)
+		store := func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				entries[i] = lockfree.Cell{Key: from[i].Key, Lo: from[i].Lo}
+			}
+		}
+		return func() {
+			_ = parallelForWorkers(r.ctx, r.workers, n, store)
+			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord()), r.scanIDs)
+		}
+	})
+}
 
 // sortedCellsSink keeps the benchmarked call's result alive.
 var sortedCellsSink []lockfree.Cell
 
 // BenchmarkSortCells is the radix sort in isolation: warm buffers, one
-// goroutine. Budget: ≤ 25 ns per cell (the ns/cell metric) — in a run the
-// cells were last written by another core and it costs about twice that.
+// goroutine. Budget: ≤ 25 ns per entry (the ns/cell metric) — in a run the
+// entries were last written by another core and it costs about twice that.
 func BenchmarkSortCells(b *testing.B) {
 	for name, sats := range candgenPopulations {
 		b.Run(name, func(b *testing.B) {
-			r := candgenRun(b, sats(b))
-			r.snap.Freeze(r.gset, r.workers)
-			cells := r.snap.Cells()
+			r := candgenRun(b, sats(b), 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := len(r.cellBuf) / 2
-				sortedCellsSink = sortCells(cells, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
+				sortedCellsSink = sortCells(r.entries, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.entries)), "ns/cell")
 		})
 	}
 }

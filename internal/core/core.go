@@ -11,7 +11,7 @@
 //     rejects pairs and supplies the PCA/TCA search interval (NewHybrid).
 //
 // Both share the four-step structure of §III: (1) upfront allocation,
-// (2) parallel propagation + grid insertion + candidate identification per
+// (2) parallel propagation + cell keying + candidate identification per
 // sampling step, (3) [hybrid only] orbital filtering, (4) PCA/TCA
 // determination with Brent minimisation.
 package core
@@ -58,9 +58,6 @@ type Config struct {
 	// from the population's largest apogee (capped below by the paper's
 	// default GEO-covering cube when the population needs it).
 	HalfExtentKm float64
-	// GridSlotFactor scales grid hash slots relative to the population
-	// size; 0 selects the paper's 2×.
-	GridSlotFactor float64
 	// PairSlotHint presizes the conjunction hash set; 0 derives a size
 	// from the population (callers with an Extra-P model estimate pass it
 	// here). The set grows automatically on overflow either way.
@@ -156,11 +153,11 @@ type Conjunction struct {
 
 // PhaseStats records where the run spent its time — the §V-C1 breakdown —
 // plus pipeline counters. On a delta pass (delta.go) Insertion is stamp +
-// probe, Freeze zero and Detection the merge alone.
+// probe and Detection the merge alone.
 type PhaseStats struct {
-	Insertion   time.Duration // propagation + grid insertion (INS)
-	Freeze      time.Duration // grid compaction into the scan snapshot (FRZ)
-	Detection   time.Duration // candidate generation: cell sort + sweep + merge (CD)
+	Insertion   time.Duration // propagation + one {cell key, ID} entry per object (INS)
+	Freeze      time.Duration // zero on grid and hybrid, which freeze nothing; aabb-tree: its window builds (FRZ)
+	Detection   time.Duration // candidate generation: entry sort + group into cells + sweep + merge (CD)
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
@@ -174,7 +171,7 @@ type PhaseStats struct {
 	Refinements       int    // Brent searches performed
 	RefineBatches     int    // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds       uint64 // satellite samples outside the simulation cube
-	GridSlots         int    // grid hash slot capacity (delta passes: the stamp table's)
+	GridSlots         int    // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
 	PairSlots         int    // final conjunction hash slot capacity
 	PairSetGrowths    int    // times the conjunction hash set overflowed and doubled
 	FilterStats       filters.Stats

@@ -440,8 +440,8 @@ func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 }
 
 // TestScreenDeltaPoolDraw: a delta pass draws one stamp-sized grid set and
-// neither a freeze snapshot nor a population-sized grid set, and hands
-// everything back on every exit — completion, cancellation mid-window and a
+// neither a full screen's cell buffers nor a population-sized grid set, and
+// hands everything back on every exit — completion, cancellation mid-window and a
 // latched insertion failure.
 func TestScreenDeltaPoolDraw(t *testing.T) {
 	const span = 300.0
@@ -481,14 +481,12 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 		},
 	}
 	t.Run("beside-an-idle-full-grid", func(t *testing.T) {
-		// A full screen leaves its population-sized grid set idle in the
-		// pool, inside the slot-oversize window of the stamp table's request;
-		// the pass must still get a table of its own size.
+		// A far larger delta left its stamp table idle in the pool, inside the
+		// slot-oversize window of this one's request but not the arena's; the
+		// pass must still get a table of its own size.
 		cfg := base
 		cfg.Pool = pool.New()
-		if _, err := NewGrid(cfg).Screen(sats); err != nil {
-			t.Fatal(err)
-		}
+		cfg.Pool.PutGridSet(cfg.Pool.GetGridSet(2*len(sats), len(sats)))
 		res, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, *delta)
 		if err != nil {
 			t.Fatal(err)
@@ -509,9 +507,9 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 			// What the pass drew is what it put back: probe the free lists.
 			hits := func() int64 { return pl.Stats().Hits }
 			h := hits()
-			pl.PutSnapshot(pl.GetSnapshot(1))
+			pl.PutCellBuf(pl.GetCellBuf(1))
 			if hits() != h {
-				t.Error("the pass drew a freeze snapshot")
+				t.Error("the pass drew a cell buffer")
 			}
 			pl.PutGridSet(pl.GetGridSet(2*len(sats), len(sats)))
 			if hits() != h {

@@ -98,7 +98,8 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 }
 
 // run holds the shared state of one screening execution (both variants).
-// Its grid set, pair set, candidate buffer, and ID index are pooled: release returns them, after which the run must not be used.
+// Its buffers, pair set, ID index and (delta passes) stamp table are pooled:
+// release returns them, after which the run must not be used.
 type run struct {
 	cfg         Config
 	pool        *pool.Pool
@@ -108,12 +109,12 @@ type run struct {
 	threshold   float64
 	cellSize    float64
 	grid        *spatial.Grid
-	gset        *lockfree.GridSet
-	snap        *lockfree.GridSnapshot
+	gset        *lockfree.GridSet // stamping delta pass only: the stamp table
+	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, ID} per object
+	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
 	pairs       *lockfree.PairSet
 	pairBuf     []lockfree.Pair
-	cellBuf     []lockfree.Cell // the scan's two sort buffers, back to back: a step's cells in key order land in one
-	scanBufs    [][]uint64      // per-worker packed candidate keys, merged once per step
+	scanBufs    [][]uint64 // per-worker packed candidate keys, merged once per step
 	workers     int
 	prop        propagation.Propagator
 	warm        propagation.WarmStarter   // non-nil: positionAt warm-starts the Kepler solve
@@ -148,16 +149,16 @@ type run struct {
 	// so the loop instead publishes its step state here and reuses the same
 	// three closures for every step. The worker pool's fork/join provides the
 	// happens-before edge between these writes and the workers' reads.
-	// stepTime belongs to the build side (main step goroutine); scanStep,
-	// scanCells, scanIDs, scanFull and the sort and scan buffers belong to the
-	// scan side, which on a two-slot ring is a separate goroutine — the
-	// job/result channel handoff orders the two sides.
-	stepTime  float64
-	scanStep  uint32
-	scanCells []lockfree.Cell // the current scan's cells, in key order
-	scanIDs   []int32         // the frozen ID array their ranges index
-	scanFull  atomic.Bool
-	insertErr atomic.Value
+	// stepTime and stepEntries belong to the build side (main step goroutine);
+	// the scan* fields and the sort, ID and scan buffers to the scan side, on a
+	// two-slot ring a separate goroutine — the job/result channels order them.
+	stepTime    float64
+	stepEntries []lockfree.Cell // the ring slot this step's build writes
+	scanStep    uint32
+	scanCells   []lockfree.Cell // the current scan's cells, in key order
+	scanIDs     []int32         // the ID array their ranges index, one slot per object
+	scanFull    atomic.Bool
+	insertErr   atomic.Value // stamping: the first stamp-table insertion failure
 
 	buildFn, scanFn, mergeFn func(w, lo, hi int)
 
@@ -169,12 +170,12 @@ type run struct {
 // newRun validates inputs and allocates every structure up front — the
 // paper's step 1. A nil run (with nil error) signals a trivially empty
 // population. A context already cancelled on entry aborts before sampling,
-// with the pooled structures returned. withGrid allocates the spatial grid,
-// the grid set and the freeze snapshot; the AABB-tree detector passes false
-// and builds its bounding-volume hierarchy instead, sharing everything else
-// (validation, pair set, per-worker scan buffers, warm caches, refiner). A
-// delta is validated here; on the grid, below the crossover, the stamp table
-// replaces the N-sized grid set and the snapshot.
+// with the pooled structures returned. withGrid allocates the spatial grid
+// and the step loop's entry, sort and ID buffers; the AABB-tree detector
+// passes false and builds its bounding-volume hierarchy instead, sharing
+// everything else (validation, pair set, per-worker scan buffers, warm caches,
+// refiner). A delta is validated here; on the grid, below the crossover, the
+// stamp table replaces those buffers.
 func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, withGrid bool, delta *DeltaInput) (*run, error) {
 	tAlloc := time.Now()
 	if cfg.DurationSeconds <= 0 {
@@ -216,10 +217,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	slotFactor := cfg.GridSlotFactor
-	if slotFactor <= 0 {
-		slotFactor = 2
-	}
 	steps := stepCount(cfg.DurationSeconds, sps)
 	if steps-1 > lockfree.MaxStep {
 		pl.PutIDIndex(idx)
@@ -257,11 +254,12 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		}
 	}
 	if withGrid && !r.stamping {
-		// A step has at most one cell and one entry per object.
-		r.gset = pl.GetGridSet(int(slotFactor*float64(len(sats))), len(sats))
-		r.stats.GridSlots = r.gset.Slots()
-		r.snap = pl.GetSnapshot(len(sats))
-		r.cellBuf = pl.GetCellBuf(2 * len(sats))[:2*len(sats)]
+		// A step has one entry per object, so at most that many cells and IDs.
+		n := len(sats)
+		r.entries = pl.GetCellBuf(n)[:n]
+		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
+		r.scanIDs = make([]int32, n)
+		r.stats.GridSlots = n
 	}
 	// The scan phase gets one private candidate buffer per worker.
 	r.scanBufs = make([][]uint64, r.workers)
@@ -358,7 +356,7 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 // safe; the run itself must not be used afterwards.
 func (r *run) release() {
 	r.pool.PutGridSet(r.gset)
-	r.pool.PutSnapshot(r.snap)
+	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
 	r.pool.PutPairSet(r.pairs)
 	r.pool.PutPairBuf(r.pairBuf)
@@ -371,7 +369,7 @@ func (r *run) release() {
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.pairs, r.pairBuf, r.idx = nil, nil, nil, nil
-	r.snap, r.cellBuf, r.scanBufs, r.kcache = nil, nil, nil, nil
+	r.entries, r.cellBuf, r.scanBufs, r.kcache = nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
@@ -384,8 +382,8 @@ func (r *run) collectPairs() []lockfree.Pair {
 	return r.pairBuf
 }
 
-// sampleAllSteps runs step 2 for every sampling step: propagate, insert,
-// and identify candidate pairs into the conjunction set. A stamping delta
+// sampleAllSteps runs step 2 for every sampling step: propagate, key, and
+// identify candidate pairs into the conjunction set. A stamping delta
 // pass has its own loop (delta.go), and samples nothing when nothing is
 // dirty: no candidate is new. Every other run takes sampleSteps.
 func (r *run) sampleAllSteps() error {
@@ -404,9 +402,7 @@ func (r *run) sampleAllSteps() error {
 		return err
 	}
 	r.observePhase(PhaseSample, time.Since(tSample), 0)
-	// The freeze share of the sample phase, reported separately so stream
-	// consumers can watch the build/freeze/scan split (see observer.go).
-	r.observePhase(PhaseFreeze, r.stats.Freeze, 0)
+	r.observePhase(PhaseFreeze, r.stats.Freeze, 0) // zero: kept for the stream schema (observer.go)
 	return nil
 }
 
@@ -436,41 +432,30 @@ func (r *run) positionAt(i int, t float64) vec3.V {
 }
 
 // buildRange is the build kernel of a sampling step, for satellites [lo, hi)
-// at the published step time into the run's grid: propagate, key, insert, one
-// object at a time, so a position goes from registers into its grid entry and
-// nowhere else. Objects outside the cube count out of bounds. The first
-// insertion failure is latched; a run aborts on it, so the latch never resets.
+// at the published step time: propagate, key, and store object i's {cell key,
+// ID} in slot i of the step's entry buffer — no other chunk's range, so plain
+// stores. An object outside the cube stores the key lockfree.EmptySlot, which
+// the scan's sort drops, and counts out of bounds.
 func (r *run) buildRange(_, lo, hi int) {
-	inserted := 0
+	oob := 0
 	for i := lo; i < hi; i++ {
-		pos := r.positionAt(i, r.stepTime)
-		key, ok := r.grid.KeyOf(pos)
+		key, ok := r.grid.KeyOf(r.positionAt(i, r.stepTime))
 		if !ok {
-			continue
+			key = lockfree.EmptySlot
+			oob++
 		}
-		if err := r.gset.Insert(key, int32(i), r.sats[i].ID, pos); err != nil {
-			r.insertErr.CompareAndSwap(nil, fmt.Errorf("core: grid insertion: %w", err))
-			return
-		}
-		inserted++
+		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: r.sats[i].ID}
 	}
-	if oob := hi - lo - inserted; oob > 0 {
+	if oob > 0 {
 		r.oob.Add(uint64(oob))
 	}
 }
 
-// buildGrid rebuilds the grid for one step: the parallel insertion of
-// §IV-A2, fed straight from propagation.
-func (r *run) buildGrid(step int) error {
-	r.stepTime = float64(step) * r.sps
-	r.gset.ResetParallel(r.workers)
-	if err := parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn); err != nil {
-		return err
-	}
-	if err, ok := r.insertErr.Load().(error); ok {
-		return err
-	}
-	return nil
+// buildEntries fills entries for one step: §IV-A2's parallel build, with the
+// grouping by cell left to the scan's sort.
+func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
+	r.stepTime, r.stepEntries = float64(step)*r.sps, entries
+	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
@@ -496,20 +481,21 @@ func (r *run) mergeRange(_, lo, hi int) {
 }
 
 // generateCandidates performs the conjunction-detection scan of §IV-A3 for
-// one step over the frozen snapshot: sort the occupied cells by key into one
-// of the run's buffers (the snapshot is only read), sweep them into the
-// per-worker buffers with no shared writes, merge. The sort is serial and sits
-// here rather than in Freeze so that, on a two-slot ring, it runs beside the
-// next step's build instead of between build and scan.
-func (r *run) generateCandidates(snap *lockfree.GridSnapshot, step uint32) error {
+// one step's entry buffer, which it only reads, and returns how many entries
+// were inside the cube: sort them by key into one of the run's sort buffers
+// (stably: a cell's IDs stay in population order), group them into cells
+// there, sweep the cells into the per-worker buffers with no shared writes,
+// merge. Sort and group are serial; on a two-slot ring they run beside the
+// next step's build.
+func (r *run) generateCandidates(entries []lockfree.Cell, step uint32) (inCube int, err error) {
 	r.scanStep = step
 	n := len(r.cellBuf) / 2
-	r.scanCells = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
-	r.scanIDs = snap.IDs()
+	sorted := sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
+	r.scanCells = groupCells(sorted, r.scanIDs)
 	if err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn); err != nil {
-		return err
+		return 0, err
 	}
-	return r.mergeScanBufs()
+	return len(sorted), r.mergeScanBufs()
 }
 
 // mergeScanBufs folds the per-worker candidate buffers into the shared pair

@@ -5,7 +5,7 @@ package core
 // iteration" (§IV-A). These tests and benchmarks make that claim concrete:
 // a kd-based candidate generator produces candidates equivalent to the
 // grid's for detection purposes, and the per-step cost of rebuild+query is
-// benchmarked against grid reset+insert+scan.
+// benchmarked against grid key+sort+scan.
 
 import (
 	"testing"
@@ -121,9 +121,8 @@ func orderPair(a, b int32) [2]int32 {
 	return [2]int32{a, b}
 }
 
-// Per-step cost: grid reset+insert+freeze+sort+sweep vs k-d rebuild+query.
-// The paper's claim is that the rebuild makes the tree more expensive per
-// iteration.
+// Per-step cost: grid key+sort+group+sweep vs k-d rebuild+query. The paper's
+// claim is that the rebuild makes the tree more expensive per iteration.
 func BenchmarkStepCandidates_Grid(b *testing.B) {
 	sats := benchShellPopulation(b, 8000)
 	const threshold, sps = 2.0, 1.0
@@ -133,28 +132,23 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 		b.Fatal(err)
 	}
 	pts := stepPositions(sats, 500)
-	gset := lockfree.NewGridSet(2*len(sats), len(sats))
-	snap := lockfree.NewGridSnapshot(gset.Slots(), len(sats))
+	entries, ids := make([]lockfree.Cell, len(sats)), make([]int32, len(sats))
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	pairs := lockfree.NewPairSet(1 << 18)
 	var keys []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gset.Reset()
 		pairs.Reset()
 		for j, p := range pts {
 			key, ok := grid.KeyOf(p.Pos)
 			if !ok {
-				continue
+				key = lockfree.EmptySlot
 			}
-			if err := gset.Insert(key, int32(j), p.ID, p.Pos); err != nil {
-				b.Fatal(err)
-			}
+			entries[j] = lockfree.Cell{Key: key, Lo: p.ID}
 		}
-		snap.Freeze(gset, 1)
-		cells := sortCells(snap.Cells(), bufA, bufB, grid.MaxAbsCoord())
-		keys = sweepCells(cells, snap.IDs(), 0, len(cells), 0, keys[:0])
+		cells := groupCells(sortCells(entries, bufA, bufB, grid.MaxAbsCoord()), ids)
+		keys = sweepCells(cells, ids, 0, len(cells), 0, keys[:0])
 		for _, key := range keys {
 			if _, err := pairs.InsertPacked(key); err != nil {
 				b.Fatal(err)

@@ -33,15 +33,16 @@ func (f SinkFunc) Emit(c Conjunction) { f(c) }
 type Phase string
 
 // The pipeline phases, in execution order. PhaseFilter occurs only in the
-// hybrid variant. PhaseFreeze is reported by every variant so stream
-// consumers see a schema-stable phase set: the grid/hybrid detectors report
-// the accumulated per-step grid-compaction time (a component of the sample
-// phase, emitted right after PhaseSample), while the legacy baseline — which
-// has no grid to freeze — emits it with zero elapsed rather than omitting it.
+// hybrid variant. PhaseFreeze is reported by every variant, right after
+// PhaseSample, so stream consumers see a schema-stable phase set: the
+// aabb-tree detector reports its accumulated tree-build time (a component of
+// the sample phase), while the grid and hybrid detectors and the legacy
+// baseline — which freeze nothing — emit it with zero elapsed rather than
+// omitting it.
 const (
 	PhaseAllocate Phase = "allocate" // step 1: validation + upfront allocation
-	PhaseSample   Phase = "sample"   // step 2: propagate + insert + candidates
-	PhaseFreeze   Phase = "freeze"   // step 2 component: snapshot compaction
+	PhaseSample   Phase = "sample"   // step 2: propagate + key + candidates
+	PhaseFreeze   Phase = "freeze"   // step 2 component: aabb-tree builds; zero elsewhere
 	PhaseFilter   Phase = "filter"   // step 3: orbital filter chain (hybrid)
 	PhaseRefine   Phase = "refine"   // step 4: PCA/TCA determination
 )
@@ -51,7 +52,7 @@ type StepInfo struct {
 	Step        int    // index of the step that just finished
 	Steps       int    // total steps of the run
 	Completed   int    // steps finished so far
-	GridEntries int    // satellites inserted into the step's grid
+	GridEntries int    // objects inside the cube at this step, the scan's entry count
 	PairSetLen  int    // candidate (pair, step) entries accumulated so far
 	OutOfBounds uint64 // cumulative out-of-cube samples
 }
@@ -63,7 +64,7 @@ type PhaseInfo struct {
 	Phase   Phase
 	Elapsed time.Duration // wall time of the phase
 
-	GridSlots         int // grid hash slot capacity (known from PhaseAllocate on)
+	GridSlots         int // PhaseStats.GridSlots (known from PhaseAllocate on)
 	PairSlots         int // conjunction hash slot capacity
 	Candidates        int // distinct (pair, step) candidates (PhaseSample on)
 	FilterRejected    int // candidates dropped by the filters (PhaseFilter)
@@ -104,8 +105,8 @@ func (o ObserverFuncs) OnPhase(p PhaseInfo) {
 	}
 }
 
-// EmitZeroFreeze reports a zero-elapsed freeze phase for detectors that
-// have no grid to compact (the legacy baseline's registry adapter calls it),
+// EmitZeroFreeze reports a zero-elapsed freeze phase for detectors outside
+// this package's step loops (the legacy baseline's registry adapter calls it),
 // keeping the Observer's phase set — and with it the /v1/screen/stream event
 // schema — identical across variants.
 func EmitZeroFreeze(obs Observer) {

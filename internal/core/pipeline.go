@@ -1,18 +1,18 @@
 package core
 
-// The full-screen step loop. Each step is build → freeze → scan: lock-free
-// insertion into the grid, compaction of the result into a snapshot, and
-// an atomics-free candidate scan of the snapshot merged into the pair set.
-// The freeze copies everything the scan reads out of the live grid, so the
-// grid is free to rebuild the moment Freeze returns: with a second snapshot
-// the scan of step N can run beside the build of step N+1. Steps therefore
-// freeze into a ring of snapshots, ring[step&1], of one slot or two.
+// The full-screen step loop. Each step is build → scan: the build writes every
+// object's {cell key, ID} into the step's entry buffer, plain stores into
+// disjoint ranges; the scan sorts that buffer by key into the run's sort
+// buffers, groups equal keys into cells, sweeps the cells for candidate pairs
+// and merges them into the pair set. The scan only reads the entry buffer, so
+// with a second one the scan of step N runs beside the build of step N+1:
+// steps build into a ring of entry buffers, ring[step&1], of one slot or two.
 //
 // On two slots ownership is handed off over a pair of depth-1 channels, never
-// shared: at most one scan job is in flight, the build side freezes only into
-// the slot the in-flight scan is NOT reading, and every exit path (error,
-// cancellation, completion) drains the outstanding job before returning so
-// release() never races a live scan and the pool stays balanced.
+// shared: the build writes ring[step&1] while the one scan in flight reads
+// ring[(step−1)&1] — scan step−2 was joined before scan step−1 was dispatched
+// — and every exit path (error, cancellation, completion) drains that scan
+// before returning, so release() never races it and the pool stays balanced.
 
 import (
 	"time"
@@ -20,17 +20,17 @@ import (
 	"repro/internal/lockfree"
 )
 
-// scanJob hands a frozen snapshot to the scan.
+// scanJob hands a built entry buffer to the scan.
 type scanJob struct {
-	step uint32
-	snap *lockfree.GridSnapshot
+	step    uint32
+	entries []lockfree.Cell
 }
 
 // scanResult reports one completed scan back to the build side.
 type scanResult struct {
 	step    int
-	entries int           // grid occupancy of the step, for the observer
-	cd      time.Duration // sort + sweep + merge span (the CD share)
+	entries int           // in-cube objects of the step, for the observer
+	cd      time.Duration // sort + group + sweep + merge span (the CD share)
 	err     error
 }
 
@@ -41,13 +41,12 @@ type scanResult struct {
 // each scan runs inline. Detection time on two slots overlaps insertion wall
 // time, so the phase *shares* remain the meaningful quantity.
 func (r *run) sampleSteps() error {
-	ring := [2]*lockfree.GridSnapshot{r.snap, r.snap}
+	ring := [2][]lockfree.Cell{r.entries, r.entries}
 	var jobs chan scanJob
 	var results chan scanResult
 	if r.workers >= 2 && r.steps > 1 && !r.cfg.ablation.oneSlotRing {
-		snap2 := r.pool.GetSnapshot(len(r.sats))
-		defer r.pool.PutSnapshot(snap2)
-		ring[1] = snap2
+		ring[1] = r.pool.GetCellBuf(len(r.sats))[:len(r.sats)]
+		defer r.pool.PutCellBuf(ring[1])
 		// One long-lived scan goroutine per run, fed over depth-1 channels
 		// (the depth lets build N+1 start before result N is consumed).
 		// Spawning a goroutine per step would cost an allocation per step.
@@ -70,19 +69,14 @@ func (r *run) sampleSteps() error {
 		if err = r.cancelled(); err != nil {
 			break
 		}
+		// On two slots the in-flight scan reads ring[(step-1)&1].
 		tIns := time.Now()
-		if err = r.buildGrid(step); err != nil {
+		job := scanJob{step: uint32(step), entries: ring[step&1]}
+		if err = r.buildEntries(step, job.entries); err != nil {
 			break
 		}
 		r.stats.Insertion += time.Since(tIns)
 
-		// On two slots the in-flight scan reads ring[(step-1)&1].
-		tFz := time.Now()
-		sn := ring[step&1]
-		sn.Freeze(r.gset, r.workers)
-		r.stats.Freeze += time.Since(tFz)
-
-		job := scanJob{step: uint32(step), snap: sn}
 		if jobs == nil {
 			settle(r.scan(job))
 			continue
@@ -110,11 +104,11 @@ func (r *run) sampleSteps() error {
 	return err
 }
 
-// scan generates the candidates of one frozen step and times it.
+// scan generates the candidates of one built step and times it.
 func (r *run) scan(j scanJob) scanResult {
 	tCD := time.Now()
-	err := r.generateCandidates(j.snap, j.step)
-	return scanResult{step: int(j.step), entries: j.snap.Entries(), cd: time.Since(tCD), err: err}
+	n, err := r.generateCandidates(j.entries, j.step)
+	return scanResult{step: int(j.step), entries: n, cd: time.Since(tCD), err: err}
 }
 
 // scanLoop is the scan goroutine: one scan per job, results posted in job

@@ -14,15 +14,16 @@ import (
 )
 
 // TestPipelinedScreenConcurrentRaceStress stresses the two-slot ring:
-// Workers >= 2 gives sampleSteps a scan goroutine that walks one
-// snapshot-ring slot while the main goroutine freezes the next step into the
-// other. Concurrent runs share one pool (snapshot slots recycle across runs),
-// PairSlotHint is forced tiny so the scan goroutine grows the pair set
+// Workers >= 2 gives sampleSteps a scan goroutine that sorts one ring slot's
+// entries while the build workers write the next step's into the other.
+// Concurrent runs share one pool (entry and sort buffers recycle across
+// runs), PairSlotHint is forced tiny so the scan goroutine grows the pair set
 // mid-flight, and a randomised cancellation timer is armed on most runs so
 // the drain-on-every-exit-path logic — the join of the in-flight scan before
-// release() — is exercised under -race at every point of the step loop.
-// Every outcome must be a correct result or context.Canceled, and the pool
-// must balance once the stampede drains. Style follows lockfree/race_test.go.
+// release() — is exercised under -race at every point of the step loop
+// (`make race` repeats it fifty times). Every outcome must be a correct result
+// or context.Canceled, and the pool must balance once the stampede drains.
+// Style follows lockfree/race_test.go.
 func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
 	sats := engineeredPopulation(t)
 	windows := []struct {

@@ -1,16 +1,19 @@
 package core
 
-// The full-screen step loop's ring: how many snapshots and goroutines a run
-// draws for it, and that every exit hands them back.
+// The full-screen step loop's ring: how many buffers and goroutines a run
+// draws for it, that every exit hands them back, and that objects crossing the
+// cube's faces mid-window enter and leave the entry buffer as they should.
 
 import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/lockfree"
 	"repro/internal/pool"
+	"repro/internal/spatial"
 )
 
 // goroutineCeiling is an Observer that fails the test when a sampling step
@@ -28,13 +31,13 @@ func (g goroutineCeiling) OnStep(s StepInfo) {
 
 func (goroutineCeiling) OnPhase(PhaseInfo) {}
 
-// TestFullScreenPoolDraw: a one-worker run draws one freeze snapshot and
-// starts no goroutine, a two-worker run draws the ring's second slot, either
-// draws the scan's cell buffer, and every exit — completion, cancellation at
-// step k, a latched insertion failure — hands back what it drew.
+// TestFullScreenPoolDraw: a full screen draws no grid set; a one-worker run
+// draws one entry buffer and starts no goroutine, a two-worker run draws the
+// ring's second slot, either draws the scan's sort buffer, and every exit —
+// completion, cancellation at step k — hands back what it drew.
 func TestFullScreenPoolDraw(t *testing.T) {
 	sats := denseShellPopulation(400, 13)
-	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, GridSlotFactor: 2}
+	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60}
 	exits := map[string]func(t *testing.T, cfg Config){
 		"completed": func(t *testing.T, cfg Config) {
 			if cfg.Workers == 1 {
@@ -52,12 +55,6 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		},
-		"insertion-full": func(t *testing.T, cfg Config) {
-			// A grid this small cannot hold the population's distinct cells.
-			if _, err := NewGrid(cfg).Screen(sats); !errors.Is(err, lockfree.ErrFull) {
-				t.Fatalf("err = %v, want ErrFull", err)
-			}
-		},
 	}
 	for _, workers := range []int{1, 2} {
 		for name, exit := range exits {
@@ -65,15 +62,12 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				pl := pool.New()
 				cfg := base
 				cfg.Workers, cfg.Pool = workers, pl
-				if name == "insertion-full" {
-					cfg.GridSlotFactor = 0.01
-				}
 				exit(t, cfg)
 				if out := pl.Stats().Outstanding(); out != 0 {
 					t.Fatalf("%d pooled structures outstanding", out)
 				}
-				// What the run drew is what it put back: empty the snapshot and
-				// cell-buffer free lists, counting.
+				// What the run drew is what it put back: empty the free lists,
+				// counting.
 				drained := func(get func()) (drawn int) {
 					for {
 						before := pl.Stats().Hits
@@ -84,13 +78,116 @@ func TestFullScreenPoolDraw(t *testing.T) {
 						drawn++
 					}
 				}
-				if drawn := drained(func() { pl.GetSnapshot(len(sats)) }); drawn != workers {
-					t.Errorf("the run drew %d freeze snapshots, want %d", drawn, workers)
+				if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != workers+1 {
+					t.Errorf("the run drew %d cell buffers, want a ring of %d and the scan's one", drawn, workers)
 				}
-				if drawn := drained(func() { pl.GetCellBuf(2 * len(sats)) }); drawn != 1 {
-					t.Errorf("the run drew %d cell buffers, want the scan's one", drawn)
+				for _, n := range []int{1, len(sats)} {
+					if drawn := drained(func() { pl.GetGridSet(2*n, n) }); drawn != 0 {
+						t.Errorf("the run drew %d grid sets, want none", drawn)
+					}
 				}
 			})
 		}
 	}
+}
+
+// TestScreenAtCubeEdge: in a cube the shell pokes through, objects leave and
+// re-enter all window long. Step by step the candidates are the by-definition
+// reference over the objects inside, OnStep's GridEntries counts exactly those,
+// and OutOfBounds the rest — on one worker, and on four with either ring. With
+// every object outside at every step a screen emits nothing.
+func TestScreenAtCubeEdge(t *testing.T) {
+	const span, sps = 900.0, 1.0
+	sats := denseShellPopulation(200, 7) // IDs are population indices
+	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, HalfExtentKm: 6000}
+	newTestRun := func(cfg Config) *run {
+		cfg.Pool = pool.New()
+		r, err := newRun(context.Background(), cfg, sats, sps, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.release)
+		return r
+	}
+
+	// The reference takes its positions from the build kernel of a run of its
+	// own, in step order, so they are bit for bit the screened ones.
+	ref := newTestRun(base)
+	var want []lockfree.Pair
+	inside := make([]int, ref.steps)
+	var left, entered bool
+	wasIn := make([]bool, len(sats))
+	for step := 0; step < ref.steps; step++ {
+		var coords []spatial.Coord
+		var who []int32
+		for i := range sats {
+			c, ok := ref.grid.CoordOf(ref.positionAt(i, float64(step)*sps))
+			if ok {
+				coords, who = append(coords, c), append(who, sats[i].ID)
+			}
+			if step > 0 && ok != wasIn[i] {
+				left, entered = left || !ok, entered || ok
+			}
+			wasIn[i] = ok
+		}
+		inside[step] = len(who)
+		for _, key := range referencePairs(ref.grid, coords) {
+			p := lockfree.UnpackPair(key)
+			want = append(want, lockfree.Pair{A: who[p.A], B: who[p.B], Step: uint32(step)})
+		}
+	}
+	sortPairsBySatellite(want)
+	if !left || !entered || len(want) < 100 {
+		t.Fatalf("left %v, entered %v, %d reference candidates: the window does not exercise the cube's faces", left, entered, len(want))
+	}
+
+	for name, c := range map[string]struct {
+		workers int
+		oneSlot bool
+	}{
+		"workers-1":          {1, false},
+		"workers-4-one-slot": {4, true},
+		"workers-4-two-slot": {4, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			obs := &stepRecorder{}
+			cfg := base
+			cfg.Workers, cfg.ablation.oneSlotRing, cfg.Observer = c.workers, c.oneSlot, obs
+			r := newTestRun(cfg)
+			if err := r.sampleAllSteps(); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.collectPairs(); !slices.Equal(got, want) {
+				t.Fatalf("%d candidates, reference has %d", len(got), len(want))
+			}
+			oob := uint64(0)
+			for step, s := range obs.steps {
+				oob += uint64(len(sats) - inside[step])
+				if s.Step != step || s.GridEntries != inside[step] || s.OutOfBounds < oob {
+					t.Fatalf("OnStep call %d = %+v, want %d grid entries and at least %d out of bounds", step, s, inside[step], oob)
+				}
+			}
+			if len(obs.steps) != r.steps || r.finishStats().OutOfBounds != oob {
+				t.Fatalf("%d OnStep calls over %d steps, OutOfBounds = %d, want %d", len(obs.steps), r.steps, r.finishStats().OutOfBounds, oob)
+			}
+		})
+	}
+
+	t.Run("everything-outside", func(t *testing.T) {
+		obs := &stepRecorder{}
+		cfg := base
+		cfg.DurationSeconds, cfg.HalfExtentKm, cfg.Workers, cfg.Observer, cfg.Pool = 20, 1000, 2, obs, pool.New()
+		res, err := NewGrid(cfg).Screen(sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.CandidatePairs != 0 || len(res.Conjunctions) != 0 || res.Stats.OutOfBounds != uint64(21*len(sats)) {
+			t.Fatalf("stats %+v: want no candidate and every sample out of bounds", res.Stats)
+		}
+		for _, s := range obs.steps {
+			if s.GridEntries != 0 {
+				t.Fatalf("OnStep %+v: want no grid entries", s)
+			}
+		}
+	})
 }

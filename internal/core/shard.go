@@ -346,12 +346,8 @@ func accumulateShardStats(agg *PhaseStats, st PhaseStats) {
 	agg.Refinements += st.Refinements
 	agg.RefineBatches += st.RefineBatches
 	agg.OutOfBounds += st.OutOfBounds
-	if st.GridSlots > agg.GridSlots {
-		agg.GridSlots = st.GridSlots
-	}
-	if st.PairSlots > agg.PairSlots {
-		agg.PairSlots = st.PairSlots
-	}
+	agg.GridSlots = max(agg.GridSlots, st.GridSlots)
+	agg.PairSlots = max(agg.PairSlots, st.PairSlots)
 	agg.PairSetGrowths += st.PairSetGrowths
 	agg.FilterStats.Merge(st.FilterStats)
 }

@@ -131,14 +131,9 @@ func TestWarmStartRespectsExplicitSolver(t *testing.T) {
 	}
 	defer rCoarse.release()
 	// The warm path stays available (PositionWarm handles the explicit
-	// solver internally), so verify by outcome: build one step both ways and
-	// demand the coarse solver visibly moved the inserted position.
-	for _, r := range []*run{rDefault, rCoarse} {
-		if err := r.buildGrid(100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := rDefault.gset.Entry(0).Pos.Dist(rCoarse.gset.Entry(0).Pos); d < 1e-6 {
+	// solver internally), so verify by outcome: take the build kernel's
+	// position both ways and demand the coarse solver visibly moved it.
+	if d := rDefault.positionAt(0, 100).Dist(rCoarse.positionAt(0, 100)); d < 1e-6 {
 		t.Fatalf("coarse explicit solver produced the default position (Δ=%v km) — it was bypassed", d)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // The candidate scan in key order. spatial.PackKey is x‖y‖z with z lowest, so
-// with the frozen cells sorted by key a cell's thirteen upper half-neighbours
+// with a step's cells sorted by key a cell's thirteen upper half-neighbours
 // (those with a greater key; the other thirteen reach it from their side) are
 // its successor k+1 and four runs of three consecutive keys, one per
 // (dx, dy) ∈ {(0,+1), (+1,−1), (+1,0), (+1,+1)}, each starting at dz = −1.
@@ -28,39 +28,61 @@ var sweepRuns = [4]uint64{keyStepY - 1, keyStepX - keyStepY - 1, keyStepX - 1, k
 // and eleven bits cover an axis of up to 2,048 cells in one pass.
 const sortDigitBits = 11
 
-// sortCells returns src's cells in ascending key order, in a[:len(src)] or
-// b[:len(src)]; src is only read. It is an LSD radix sort planned from the
-// grid geometry: cell indices lie in [−maxIdx, maxIdx] on every axis, so with
-// the minimum corner's key subtracted each axis field is below 2·maxIdx+1 and
-// sorts in ⌈bits/11⌉ passes — three in all up to 2¹¹ cells per axis, six
+// sortCells returns src's entries in ascending key order, in a or b (each at
+// least len(src) long), minus the lockfree.EmptySlot entries of out-of-cube
+// objects, which the first pass drops (there is one: spatial.NewGrid gives
+// maxIdx ≥ 1); src is only read. It is a stable LSD radix sort planned from
+// the grid geometry: cell indices lie in [−maxIdx, maxIdx] on every axis, so
+// with the minimum corner's key subtracted each axis field is below 2·maxIdx+1
+// and sorts in ⌈bits/11⌉ passes — three in all up to 2¹¹ cells per axis, six
 // beyond. (Digits taken from the whole key, or from the key minus the
 // smallest key, need five or six: biased coordinates straddle 2²⁰.)
 func sortCells(src, a, b []lockfree.Cell, maxIdx int32) []lockfree.Cell {
 	base := spatial.PackKey(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
 	fieldBits := bits.Len32(uint32(2 * maxIdx))
 	var hist [1 << sortDigitBits]int32
-	from, to, spare := src, a[:len(src)], b[:len(src)]
+	from, to, spare := src, a, b
 	for field := 0; field < 3; field++ {
 		for lo := 0; lo < fieldBits; lo += sortDigitBits {
 			shift := field*spatial.CoordBits + lo
 			mask := uint64(1)<<min(sortDigitBits, fieldBits-lo) - 1
 			clear(hist[:])
 			for i := range from {
-				hist[(from[i].Key-base)>>shift&mask]++
+				if from[i].Key != lockfree.EmptySlot {
+					hist[(from[i].Key-base)>>shift&mask]++
+				}
 			}
 			at := int32(0)
 			for d, n := range hist[:mask+1] {
 				hist[d], at = at, at+n
 			}
 			for i := range from {
-				d := (from[i].Key - base) >> shift & mask
-				to[hist[d]] = from[i]
-				hist[d]++
+				if from[i].Key != lockfree.EmptySlot {
+					d := (from[i].Key - base) >> shift & mask
+					to[hist[d]] = from[i]
+					hist[d]++
+				}
 			}
-			from, to, spare = to, spare, to
+			from, to, spare = to[:at], spare, to
 		}
 	}
 	return from
+}
+
+// groupCells turns sorted {key, ID} entries into cells, in place: each run of
+// equal keys becomes one Cell{Key, Lo, Hi} at the front of sorted (written at
+// or before the run's first entry, after the run was read) with its IDs, in
+// the entries' order, in ids[Lo:Hi]. ids is at least len(sorted) long.
+func groupCells(sorted []lockfree.Cell, ids []int32) []lockfree.Cell {
+	cells := 0
+	for i := 0; i < len(sorted); cells++ {
+		key, lo := sorted[i].Key, i
+		for ; i < len(sorted) && sorted[i].Key == key; i++ {
+			ids[i] = sorted[i].Lo
+		}
+		sorted[cells] = lockfree.Cell{Key: key, Lo: int32(lo), Hi: int32(i)}
+	}
+	return sorted[:cells]
 }
 
 // sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at

@@ -1,7 +1,8 @@
 package core
 
-// The key-order scan against a reference that knows nothing about key order:
-// a map of cells and all 26 Grid.NeighborKeys lookups per cell.
+// The key-order scan against a reference that knows nothing about key order
+// — a map of cells and all 26 Grid.NeighborKeys lookups per cell — and the
+// sort-and-group build against the paper's: a lock-free grid set, frozen.
 
 import (
 	"cmp"
@@ -19,9 +20,27 @@ import (
 	"repro/internal/vec3"
 )
 
-// sortedFrozenCells puts object i (ID i) into cell coords[i] of a grid set
-// from four racing inserters — slot and intra-cell order differ run to run —
-// freezes it in parallel and returns the cells in key order with the ID array.
+// entriesOf is a step's entry buffer: object i (ID i) in cell coords[i].
+func entriesOf(coords []spatial.Coord) []lockfree.Cell {
+	entries := make([]lockfree.Cell, len(coords))
+	for i, c := range coords {
+		entries[i] = lockfree.Cell{Key: spatial.PackKey(c), Lo: int32(i)}
+	}
+	return entries
+}
+
+// groupedCells is a step's build as the detectors run it: the entry buffer,
+// sorted and grouped.
+func groupedCells(g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
+	n := len(coords)
+	ids := make([]int32, n)
+	return groupCells(sortCells(entriesOf(coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), g.MaxAbsCoord()), ids), ids
+}
+
+// sortedFrozenCells is the reference build: object i (ID i) goes into cell
+// coords[i] of a grid set from four racing inserters — slot and intra-cell
+// order differ run to run — which is frozen in parallel; it returns the cells
+// in key order with the ID array.
 func sortedFrozenCells(t testing.TB, g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
 	t.Helper()
 	n := len(coords)
@@ -160,14 +179,13 @@ func sweepPopulations(t testing.TB) map[string]struct {
 	}
 }
 
-// TestSweepMatchesNeighborReference: insert concurrently, freeze, sort, sweep
-// in parallel ranges — the result is exactly the reference pair set, each
-// pair once (the half neighbourhood visits an adjacent cell pair from one
-// side only). `make race` repeats it fifty times under the race detector.
+// TestSweepMatchesNeighborReference: sort, group, sweep in parallel ranges —
+// the result is exactly the reference pair set, each pair once (the half
+// neighbourhood visits an adjacent cell pair from one side only).
 func TestSweepMatchesNeighborReference(t *testing.T) {
 	for name, p := range sweepPopulations(t) {
 		t.Run(name, func(t *testing.T) {
-			cells, ids := sortedFrozenCells(t, p.grid, p.coords)
+			cells, ids := groupedCells(p.grid, p.coords)
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
 			err := parallelForWorkers(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
@@ -194,7 +212,7 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 func TestSweepSplitInvariant(t *testing.T) {
 	rng := mathx.NewSplitMix64(17)
 	for name, p := range sweepPopulations(t) {
-		cells, ids := sortedFrozenCells(t, p.grid, p.coords)
+		cells, ids := groupedCells(p.grid, p.coords)
 		n := len(cells)
 		want := sweepCells(cells, ids, 0, n, 0, nil)
 		slices.Sort(want)
@@ -260,6 +278,80 @@ func TestSortCells(t *testing.T) {
 					landed["b"] = true
 				default:
 					t.Fatalf("maxIdx %d, %d cells: output is neither buffer", maxIdx, n)
+				}
+			}
+		}
+	}
+	if !landed["a"] || !landed["b"] {
+		t.Fatalf("results landed in %v: both buffers should have been exercised", landed)
+	}
+}
+
+// TestSortGroupMatchesFrozenGrid: sorting and grouping an entry buffer gives
+// what inserting the same objects into a GridSet, freezing it and sorting the
+// cells gives — the same keys in the same order, the same IDs in each cell —
+// with each cell's IDs ascending, wherever out-of-cube entries sit in the
+// buffer, whichever sort buffer the result lands in, the buffer left as it was.
+func TestSortGroupMatchesFrozenGrid(t *testing.T) {
+	sentinel := lockfree.Cell{Key: lockfree.EmptySlot, Lo: -1}
+	sentinels := func(n int) []lockfree.Cell {
+		out := make([]lockfree.Cell, n)
+		for i := range out {
+			out[i] = sentinel
+		}
+		return out
+	}
+	patterns := map[string]func(real []lockfree.Cell) []lockfree.Cell{
+		"none":  func(real []lockfree.Cell) []lockfree.Cell { return slices.Clone(real) },
+		"front": func(real []lockfree.Cell) []lockfree.Cell { return append(sentinels(7), real...) },
+		"back":  func(real []lockfree.Cell) []lockfree.Cell { return append(slices.Clone(real), sentinels(7)...) },
+		"alternating": func(real []lockfree.Cell) (out []lockfree.Cell) {
+			for _, e := range real {
+				out = append(out, sentinel, e)
+			}
+			return append(out, sentinel)
+		},
+		"all": func(real []lockfree.Cell) []lockfree.Cell { return sentinels(len(real)) },
+	}
+	landed := map[string]bool{}
+	for name, p := range sweepPopulations(t) {
+		real := entriesOf(p.coords)
+		wantCells, wantIDs := sortedFrozenCells(t, p.grid, p.coords)
+		for pattern, place := range patterns {
+			entries := place(real)
+			before := slices.Clone(entries)
+			a, b, ids := make([]lockfree.Cell, len(entries)), make([]lockfree.Cell, len(entries)+2), make([]int32, len(entries))
+			sorted := sortCells(entries, a, b, p.grid.MaxAbsCoord())
+			if !slices.Equal(entries, before) {
+				t.Fatalf("%s/%s: the entry buffer was written", name, pattern)
+			}
+			if pattern == "all" {
+				if cells := groupCells(sorted, ids); len(cells) != 0 {
+					t.Fatalf("%s/all: %d cells from sentinel entries", name, len(cells))
+				}
+				continue
+			}
+			if len(sorted) != len(real) {
+				t.Fatalf("%s/%s: %d entries after the sort, want %d", name, pattern, len(sorted), len(real))
+			}
+			switch &sorted[0] {
+			case &a[0]:
+				landed["a"] = true
+			case &b[0]:
+				landed["b"] = true
+			default:
+				t.Fatalf("%s/%s: output is neither buffer", name, pattern)
+			}
+			cells := groupCells(sorted, ids)
+			if len(cells) != len(wantCells) {
+				t.Fatalf("%s/%s: %d cells, frozen grid has %d", name, pattern, len(cells), len(wantCells))
+			}
+			for c, cell := range cells {
+				got, want := ids[cell.Lo:cell.Hi], slices.Clone(wantIDs[wantCells[c].Lo:wantCells[c].Hi])
+				slices.Sort(want)
+				if cell.Key != wantCells[c].Key || !slices.Equal(got, want) {
+					t.Fatalf("%s/%s: cell %d is key %#x IDs %v, frozen grid has key %#x IDs %v (sorted)",
+						name, pattern, c, cell.Key, got, wantCells[c].Key, want)
 				}
 			}
 		}

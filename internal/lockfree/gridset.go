@@ -5,20 +5,22 @@
 // (Fig. 6); and a fixed-size conjunction pair set keyed by packed
 // (satellite, satellite, sampling step) triples.
 //
-// Both structures are insert-only between explicit resets, which is exactly
-// the access pattern of the detection pipeline: a parallel insertion phase
-// followed by a parallel read phase. All mutation goes through sync/atomic
-// operations, so the structures are safe for any number of concurrent
-// inserters without locks — the property that lets the paper saturate GPU
-// and CPU hardware. Lookups are additionally safe while insertions are
-// still in flight (they observe a consistent prefix of each cell's list);
-// only Reset/ResetParallel require external quiescence.
+// Both structures are insert-only between explicit resets, and the pipeline
+// uses each where insertion is concurrent and sparse: the grid set is a delta
+// pass's stamp table (the dirty objects' cells, stamped in parallel, then
+// probed by every object), the pair set collects a run's candidates from every
+// scan worker. A full screen groups objects by cell with a sort instead
+// (internal/core). All mutation goes through sync/atomic operations, so the
+// structures are safe for any number of concurrent inserters without locks —
+// the property that lets the paper saturate GPU and CPU hardware. Lookups are
+// additionally safe while insertions are still in flight (they observe a
+// consistent prefix of each cell's list); only Reset requires external
+// quiescence.
 package lockfree
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/hash"
@@ -97,40 +99,18 @@ func (g *GridSet) Slots() int { return len(g.keys) }
 func (g *GridSet) EntryCapacity() int { return len(g.entries) }
 
 // Reset marks every slot empty so the set can be reused for the next
-// sampling step without reallocation.
-func (g *GridSet) Reset() { g.resetRange(0, len(g.keys)) }
-
-// resetRange empties slots [lo, hi). Only occupied slots are written: an
+// sampling step without reallocation. Only occupied slots are written: an
 // empty slot's head is nil already (push runs after the key is claimed), an
-// atomic store is an exchange, and no table here is more than about half
-// full — a delta pass's stamp table at most one-eighth — so a reset runs at
-// the speed of its loads, not of two atomic stores per slot.
-func (g *GridSet) resetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
+// atomic store is an exchange, and a delta pass's stamp table is at most
+// one-eighth full, so a reset runs at the speed of its loads, not of two
+// atomic stores per slot.
+func (g *GridSet) Reset() {
+	for i := range g.keys {
 		if g.keys[i].Load() != EmptySlot {
 			g.keys[i].Store(EmptySlot)
 			g.heads[i].Store(nilEntry)
 		}
 	}
-}
-
-// ResetParallel is Reset split across the given number of goroutines; with
-// millions of slots the sweep dominates per-step cost otherwise.
-func (g *GridSet) ResetParallel(workers int) {
-	if workers <= 1 || len(g.keys) < 1<<14 {
-		g.Reset()
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(g.keys) + workers - 1) / workers
-	for lo := 0; lo < len(g.keys); lo += chunk {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			g.resetRange(lo, min(lo+chunk, len(g.keys)))
-		}(lo)
-	}
-	wg.Wait()
 }
 
 // Insert records the satellite with identifier id at position pos into the

@@ -156,62 +156,15 @@ func TestGridSetStatsEmpty(t *testing.T) {
 }
 
 func TestGridSetResetClearsCounters(t *testing.T) {
-	for name, reset := range map[string]func(*GridSet){
-		"sequential": func(g *GridSet) { g.Reset() },
-		// Small tables take ResetParallel's sequential fallback; the counter
-		// contract is identical.
-		"parallel-fallback": func(g *GridSet) { g.ResetParallel(4) },
-	} {
-		g := NewGridSet(64, 8)
-		for i := int32(0); i < 8; i++ {
-			if err := g.Insert(uint64(i)+1, i, i, vec3.Zero); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reset(g)
-		st := g.Stats()
-		if st.Inserts != 0 || st.Probes != 0 || st.AvgProbes != 0 {
-			t.Errorf("%s: counters after reset = %+v, want zero", name, st)
-		}
-	}
-}
-
-func TestGridSetResetParallelPartialChunks(t *testing.T) {
-	// Worker counts that do not divide the slot count leave a short tail
-	// chunk; every slot must still be cleared and the set reusable.
-	g := NewGridSet(1<<14, 8) // at the parallel threshold: chunked path
+	g := NewGridSet(64, 8)
 	for i := int32(0); i < 8; i++ {
-		if err := g.Insert(uint64(i)*1000+1, i, i, vec3.Zero); err != nil {
+		if err := g.Insert(uint64(i)+1, i, i, vec3.Zero); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g.ResetParallel(3) // 3 ∤ 2^14: uneven chunks
-	for s := 0; s < g.Slots(); s++ {
-		if k, head := g.SlotKey(s); k != EmptySlot || head != -1 {
-			t.Fatalf("slot %d survived partial-chunk reset: key=%#x head=%d", s, k, head)
-		}
-	}
-	if st := g.Stats(); st.Inserts != 0 || st.Probes != 0 {
-		t.Errorf("counters after parallel reset = %+v, want zero", st)
-	}
-	// Reuse after the parallel reset.
-	if err := g.Insert(77, 0, 5, vec3.Zero); err != nil {
-		t.Fatal(err)
-	}
-	if ids := collectCell(g, 77); !ids[5] {
-		t.Error("insert after parallel reset failed")
-	}
-}
-
-func TestGridSetResetParallelMoreWorkersThanMeaningful(t *testing.T) {
-	g := NewGridSet(1<<14, 4)
-	if err := g.Insert(9, 0, 1, vec3.Zero); err != nil {
-		t.Fatal(err)
-	}
-	g.ResetParallel(1 << 10) // far more workers than useful must not panic or skip slots
-	for s := 0; s < g.Slots(); s++ {
-		if k, _ := g.SlotKey(s); k != EmptySlot {
-			t.Fatalf("slot %d survived reset with oversubscribed workers", s)
-		}
+	g.Reset()
+	st := g.Stats()
+	if st.Inserts != 0 || st.Probes != 0 || st.AvgProbes != 0 {
+		t.Errorf("counters after reset = %+v, want zero", st)
 	}
 }

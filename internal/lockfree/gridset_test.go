@@ -163,40 +163,6 @@ func TestGridSetReset(t *testing.T) {
 	}
 }
 
-func TestGridSetResetParallelEquivalent(t *testing.T) {
-	g := NewGridSet(1<<15, 4)
-	if err := g.Insert(123, 0, 0, vec3.Zero); err != nil {
-		t.Fatal(err)
-	}
-	g.ResetParallel(4)
-	if g.Head(123) != -1 {
-		t.Error("cell survived parallel reset")
-	}
-	for i := 0; i < g.Slots(); i++ {
-		if k, head := g.SlotKey(i); k != EmptySlot || head != -1 {
-			t.Fatalf("slot %d not cleared: key=%#x head=%d", i, k, head)
-		}
-	}
-	// ResetParallel, like Reset, writes occupied slots only; a cell that
-	// claims a recycled slot must still start from an empty list, round after
-	// round, with the slots spread over every worker's range.
-	const n = 1 << 12
-	g = NewGridSet(1<<14, n)
-	for round := int32(0); round < 3; round++ {
-		g.ResetParallel(4)
-		for k := int32(0); k < n; k++ {
-			if err := g.Insert(uint64(n*round+k), k, n*round+k, vec3.Zero); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := int32(0); k < n; k++ {
-			if ids := collectCell(g, uint64(n*round+k)); len(ids) != 1 || !ids[n*round+k] {
-				t.Fatalf("round %d cell %d holds %v", round, k, ids)
-			}
-		}
-	}
-}
-
 func TestGridSetConcurrentInsertSameCell(t *testing.T) {
 	// Many goroutines hammer one cell: the final list must contain every
 	// entry exactly once. Run with -race in CI.

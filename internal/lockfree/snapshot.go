@@ -2,8 +2,17 @@ package lockfree
 
 import "sync"
 
-// Cell is one occupied grid cell of a frozen snapshot: its packed key and the
-// [Lo, Hi) range of its satellites inside the snapshot's ID array.
+// This file has no production caller. A full screen used to insert every
+// object into a GridSet and Freeze it once per step; it now writes one
+// {Key, Lo: ID} Cell per object into a plain buffer and sorts and groups that
+// (internal/core: buildRange, sortCells, groupCells). GridSnapshot stays, its
+// code unchanged, as the subject of the bench probe lockfree.freeze_ns_per_entry
+// (bench/probes.go) and as the reference the grouping test and the hash-grid
+// build benchmark in internal/core compare the sort against.
+
+// Cell is one occupied grid cell: its packed key and the [Lo, Hi) range of
+// its satellites inside an ID array. Before grouping, a full screen's entry
+// buffer holds one Cell per object with the object's ID in Lo.
 type Cell struct {
 	Key    uint64
 	Lo, Hi int32
@@ -20,8 +29,7 @@ type Cell struct {
 // phase turns every cell into a contiguous int32 slice, so the scan reads
 // straight lines of memory with no atomics at all. Cells appear in slot
 // order, which is hash order; a reader that wants them in key order sorts a
-// copy (the candidate scan does), the snapshot itself is never written after
-// Freeze returns.
+// copy, the snapshot itself is never written after Freeze returns.
 //
 // Lifecycle per sampling step: build (GridSet.Insert, concurrent) → freeze
 // (Freeze, requires insertion quiescence) → scan (read-only, any
@@ -70,8 +78,8 @@ func (sn *GridSnapshot) Entries() int { return len(sn.ids) }
 // EntryCapacity returns the entry capacity (for pool fit checks).
 func (sn *GridSnapshot) EntryCapacity() int { return cap(sn.ids) }
 
-// freezeParallelThreshold matches GridSet.ResetParallel: below this slot
-// count the sequential pass wins over goroutine fan-out.
+// freezeParallelThreshold: below this slot count the sequential pass wins
+// over goroutine fan-out.
 const freezeParallelThreshold = 1 << 14
 
 // Freeze compacts g into the snapshot using up to workers goroutines. One

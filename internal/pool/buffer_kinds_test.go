@@ -7,65 +7,10 @@ import (
 	"repro/internal/propagation"
 )
 
-// Pool coverage for the scan-side kinds: grid snapshots, per-worker key
-// buffers, cell buffers, and Kepler warm-start caches. The contract matches
+// Pool coverage for the step-loop kinds: per-worker key buffers, cell
+// buffers, and Kepler warm-start caches. The contract matches
 // the other kinds — capacity-aware best-fit reuse within the oversize window,
 // idle caps, and stale contents on reuse (callers rewrite before reading).
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	p := New()
-	sn := p.GetSnapshot(128)
-	p.PutSnapshot(sn)
-	if got := p.GetSnapshot(128); got != sn {
-		t.Fatal("matching request did not reuse the idle snapshot")
-	}
-	if st := p.Stats(); st.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d, want 1", st.Outstanding())
-	}
-}
-
-func TestSnapshotFitWindow(t *testing.T) {
-	// A snapshot is sized by the entries it can hold, whatever the slot count
-	// of the grid it will freeze.
-	p := New()
-	small := p.GetSnapshot(32)
-	p.PutSnapshot(small)
-	// Undersized entry capacity: fresh allocation.
-	if got := p.GetSnapshot(4096); got == small {
-		t.Fatal("reused a snapshot with too few entries")
-	}
-	p2 := New()
-	huge := p2.GetSnapshot(1 << 16)
-	p2.PutSnapshot(huge)
-	// Pathologically oversized for the request: fresh allocation.
-	if got := p2.GetSnapshot(16); got == huge {
-		t.Fatal("reused an oversize snapshot outside the fit window")
-	}
-	// Just inside the window: reused.
-	if got := p2.GetSnapshot(1 << 13); got != huge {
-		t.Fatal("a snapshot eight times the request was not reused")
-	}
-}
-
-func TestSnapshotBestFit(t *testing.T) {
-	p := New()
-	big := p.GetSnapshot(2048)
-	snug := p.GetSnapshot(512)
-	p.PutSnapshot(big)
-	p.PutSnapshot(snug)
-	if got := p.GetSnapshot(512); got != snug {
-		t.Fatalf("best-fit picked the %d-entry snapshot, want the %d-entry one",
-			got.EntryCapacity(), snug.EntryCapacity())
-	}
-}
-
-func TestSnapshotPutNil(t *testing.T) {
-	p := New()
-	p.PutSnapshot(nil) // a run that never acquired one releases nil
-	if st := p.Stats(); st.Puts != 0 {
-		t.Fatalf("nil put counted: %+v", st)
-	}
-}
 
 func TestKeyBufRoundTripAndLength(t *testing.T) {
 	p := New()
@@ -159,20 +104,15 @@ func TestKeplerCacheFitWindow(t *testing.T) {
 
 func TestNewKindsDrain(t *testing.T) {
 	p := New()
-	sn := p.GetSnapshot(32)
 	kb := p.GetKeyBuf(64)
 	kc := p.GetKeplerCache(16)
 	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})
-	p.PutSnapshot(sn)
 	p.PutKeyBuf(kb)
 	p.PutKeplerCache(kc)
 	p.PutCellBuf(cb)
 	p.Drain()
 	if got := p.GetCellBuf(64)[:1]; &got[0] == &cb[0] {
 		t.Fatal("cell buffer survived Drain")
-	}
-	if got := p.GetSnapshot(32); got == sn {
-		t.Fatal("snapshot survived Drain")
 	}
 	if got := p.GetKeplerCache(16); &got[0] == &kc[0] {
 		t.Fatal("kepler cache survived Drain")
@@ -181,10 +121,10 @@ func TestNewKindsDrain(t *testing.T) {
 
 func TestNewKindsDisabled(t *testing.T) {
 	p := Disabled()
-	sn := p.GetSnapshot(32)
-	p.PutSnapshot(sn)
-	if got := p.GetSnapshot(32); got == sn {
-		t.Fatal("disabled pool reused a snapshot")
+	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})
+	p.PutCellBuf(cb)
+	if got := p.GetCellBuf(64)[:1]; &got[0] == &cb[0] {
+		t.Fatal("disabled pool reused a cell buffer")
 	}
 	kb := p.GetKeyBuf(64)
 	p.PutKeyBuf(kb)

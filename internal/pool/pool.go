@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// grid hash sets, conjunction pair sets, propagation state buffers,
-// candidate-pair buffers and ID-index maps — across sampling steps, runs and
-// concurrent HTTP requests.
+// stamp tables, conjunction pair sets, entry and sort buffers, propagation
+// state buffers, candidate-pair buffers and ID-index maps — across sampling
+// steps, runs and concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -19,8 +19,8 @@
 //     back. Using a structure after Put, or putting it twice, is a data
 //     race — exactly like free().
 //   - GridSets are returned from Get in an unspecified fill state; callers
-//     must Reset before relying on emptiness. (The detectors reset the grid
-//     at the start of every sampling step anyway, so this costs nothing.)
+//     must Reset before relying on emptiness. (A delta pass resets its stamp
+//     table at the start of every sampling step anyway, so this costs nothing.)
 //   - PairSets are returned from Get empty: Get resets them, because the
 //     detectors accumulate candidates across all steps of a run and never
 //     reset mid-run.
@@ -28,9 +28,9 @@
 //     buffers are fully overwritten by the propagation phase before any
 //     read, Pair and Satellite buffers are handed out with length 0.
 //   - ID-index maps are cleared on Put.
-//   - Grid snapshots, pair-key buffers, cell buffers and Kepler warm-start
-//     caches are returned with stale contents: Freeze overwrites the
-//     snapshot, key and cell buffers are handed out with length 0, and the
+//   - Pair-key buffers, cell buffers and Kepler warm-start caches are
+//     returned with stale contents: key and cell buffers are handed out with
+//     length 0 (a step's build overwrites every entry the scan reads), and the
 //     detectors reinitialise the caches before the first step (DESIGN.md §10).
 //
 // All methods are safe for concurrent use; the freelists are small
@@ -47,18 +47,18 @@ import (
 	"repro/internal/propagation"
 )
 
-// Per-kind idle caps. A run holds one grid set and a ring of at most two
-// snapshots, and a sharded screen by default runs at most four shards at once,
+// Per-kind idle caps. A delta pass holds one grid set, its stamp table; a full
+// screen holds none, and at most three cell buffers (an entry ring of two and
+// the sort pair). A sharded screen by default runs at most four shards at once,
 // so the freelists keep what four runs can hand back; maps retain their buckets
 // forever, so only a few are kept.
 const (
-	maxIdleGridSets  = 4
-	maxIdlePairSets  = 16
-	maxIdleBuffers   = 16
-	maxIdleIndexes   = 8
-	maxIdleSnapshots = 8
-	maxIdleKeyBufs   = 128 // runs hold one per worker
-	maxIdleBitsets   = 8   // delta screens hold two (dirty + touched) per run
+	maxIdleGridSets = 4
+	maxIdlePairSets = 16
+	maxIdleBuffers  = 16
+	maxIdleIndexes  = 8
+	maxIdleKeyBufs  = 128 // runs hold one per worker
+	maxIdleBitsets  = 8   // delta screens hold two (dirty + touched) per run
 )
 
 // oversizeFactor bounds how much larger than requested a reused structure
@@ -72,18 +72,17 @@ const oversizeFactor = 8
 type Pool struct {
 	disabled bool
 
-	mu        sync.Mutex
-	gridSets  []*lockfree.GridSet
-	pairSets  []*lockfree.PairSet
-	states    [][]propagation.State
-	pairBufs  [][]lockfree.Pair
-	satBufs   [][]propagation.Satellite
-	indexes   []map[int32]int32
-	snapshots []*lockfree.GridSnapshot
-	keyBufs   [][]uint64
-	cellBufs  [][]lockfree.Cell
-	kcaches   [][]propagation.KeplerCache
-	bitsets   [][]uint64
+	mu       sync.Mutex
+	gridSets []*lockfree.GridSet
+	pairSets []*lockfree.PairSet
+	states   [][]propagation.State
+	pairBufs [][]lockfree.Pair
+	satBufs  [][]propagation.Satellite
+	indexes  []map[int32]int32
+	keyBufs  [][]uint64
+	cellBufs [][]lockfree.Cell
+	kcaches  [][]propagation.KeplerCache
+	bitsets  [][]uint64
 
 	gets atomic.Int64
 	puts atomic.Int64
@@ -131,7 +130,6 @@ func (p *Pool) Drain() {
 	p.pairBufs = nil
 	p.satBufs = nil
 	p.indexes = nil
-	p.snapshots = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
 	p.kcaches = nil
@@ -153,12 +151,12 @@ func nextPow2(n int) int {
 }
 
 // GetGridSet returns a grid set with at least slotHint slots (rounded up to
-// a power of two) and room for maxEntries entries. The set's fill state is
+// a power of two) and room for maxEntries entries — a delta pass's stamp
+// table, the one grid set the pipeline draws. The set's fill state is
 // unspecified; Reset before relying on emptiness. The oversize window applies
-// to the entry arena as well as the slots: a delta pass's stamp table (a few
-// hundred entries, reset every step) must not be served — and a concurrent
-// full screen starved — by an idle N-entry grid whose slot count happens to
-// sit inside the window.
+// to the entry arena as well as the slots: a small delta's table (a few
+// hundred entries, reset every step) must not be served by an idle one whose
+// slot count happens to sit inside the window but whose arena does not.
 func (p *Pool) GetGridSet(slotHint, maxEntries int) *lockfree.GridSet {
 	p.gets.Add(1)
 	if !p.disabled {
@@ -378,53 +376,6 @@ func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
 // PutSatBuf returns a satellite buffer to the pool. nil is ignored.
 func (p *Pool) PutSatBuf(b []propagation.Satellite) { putBuf(p, &p.satBufs, b, maxIdleBuffers) }
 
-// GetSnapshot returns a grid snapshot with capacity for at least entryCap
-// entries (and as many cells), inside the oversize window. Contents are stale;
-// Freeze overwrites everything it exposes.
-func (p *Pool) GetSnapshot(entryCap int) *lockfree.GridSnapshot {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, sn := range p.snapshots {
-			if sn.EntryCapacity() < entryCap || sn.EntryCapacity() > oversizeFactor*(entryCap+1) {
-				continue
-			}
-			if best < 0 || sn.EntryCapacity() < p.snapshots[best].EntryCapacity() {
-				best = i
-			}
-		}
-		if best >= 0 {
-			sn := p.snapshots[best]
-			last := len(p.snapshots) - 1
-			p.snapshots[best] = p.snapshots[last]
-			p.snapshots[last] = nil
-			p.snapshots = p.snapshots[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return sn
-		}
-		p.mu.Unlock()
-	}
-	return lockfree.NewGridSnapshot(entryCap, entryCap)
-}
-
-// PutSnapshot returns a snapshot to the pool. nil is ignored.
-func (p *Pool) PutSnapshot(sn *lockfree.GridSnapshot) {
-	if sn == nil {
-		return
-	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.snapshots) < maxIdleSnapshots {
-		p.snapshots = append(p.snapshots, sn)
-	}
-	p.mu.Unlock()
-}
-
 // GetKeyBuf returns a zero-length packed pair-key buffer with capacity at
 // least capHint — the per-worker candidate buffers of the scan phase. They
 // grow by append inside the workers, so a warm pool converges on the
@@ -435,7 +386,8 @@ func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, ca
 func (p *Pool) PutKeyBuf(b []uint64) { putBuf(p, &p.keyBufs, b, maxIdleKeyBufs) }
 
 // GetCellBuf returns a zero-length cell buffer with capacity at least capHint
-// — a run's scan sorts each step's frozen cells between two of them.
+// — a full screen's build writes each step's entries into one, and its scan
+// sorts them between two more (drawn as one buffer of twice the length).
 func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell { return getBuf(p, &p.cellBufs, capHint) }
 
 // PutCellBuf returns a cell buffer to the pool. nil is ignored.
