@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench perf-smoke shard-smoke load-smoke delta-smoke
+.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench shard-smoke delta-smoke
 
 all: build lint test
 
@@ -13,12 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: go vet plus the repo's own seven-analyzer suite (cmd/vetconj):
-## the AST-pattern checks of DESIGN.md §7 and the flow-sensitive
-## poolbalance/sinklock checks of DESIGN.md §12. Opt-outs are
-## //lint:<analyzer>-ok with a justification on the same line. The
-## registry guard keeps variant dispatch derived from core.Variants()
-## everywhere outside internal/core (DESIGN.md §14).
+## lint: go vet plus the repo's own analyzers (cmd/vetconj): the
+## AST-pattern checks and the flow-sensitive sinklock check of DESIGN.md
+## §7. Opt-outs are //lint:<analyzer>-ok with a justification on the same
+## line. The registry guard keeps variant dispatch derived from
+## core.Variants() everywhere outside internal/core (DESIGN.md §14).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vetconj ./...
@@ -72,18 +71,6 @@ bench-alloc:
 ## conjunction store (fsync-per-append dominates Append).
 store-bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/store
-
-## perf-smoke: steady-state screening ns/op against the checked-in
-## reference (scripts/perf_smoke_ref.txt); fails past 2x. Refresh the
-## reference deliberately with scripts/perf_smoke.sh -update.
-perf-smoke:
-	scripts/perf_smoke.sh
-
-## load-smoke: in-process conditional-read (304 revalidation) req/s
-## against the checked-in reference (scripts/load_smoke_ref.txt); fails
-## below ref/4. Refresh deliberately with scripts/load_smoke.sh -update.
-load-smoke:
-	scripts/load_smoke.sh
 
 ## delta-smoke: the socket-level delta path — a conjserver stack on
 ## loopback taking deltas, each published snapshot checked against a

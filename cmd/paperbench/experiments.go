@@ -5,9 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	satconj "repro"
@@ -219,82 +217,26 @@ type variantRun struct {
 	run  func(sats []satconj.Satellite) (*satconj.Result, time.Duration, error)
 }
 
-// screenTimed measures one screening run — wall time, the heap allocation
-// delta, and the sampled peak heap — logging it for -benchjson. The run is
+// screenTimed measures one screening run's wall time. The run is
 // cancellable through the shared SIGINT context. Sub-second runs are
 // re-measured up to three times and the fastest kept: single-shot timings
-// that small carry ±20% scheduler noise on a shared 1-CPU host — enough to
-// trip the -compare gate on its own — while longer runs amortise it.
+// that small carry ±20% scheduler noise on a shared host, while longer runs
+// amortise it.
 func screenTimed(ctx *benchCtx, sats []satconj.Satellite, o satconj.Options) (*satconj.Result, time.Duration, error) {
-	res, elapsed, rec, err := screenOnce(ctx, sats, o)
-	if err != nil {
-		return nil, elapsed, err
-	}
-	for tries := 1; tries < 3 && elapsed < time.Second; tries++ {
-		res2, elapsed2, rec2, err2 := screenOnce(ctx, sats, o)
-		if err2 != nil {
-			return nil, elapsed2, err2
+	var best *satconj.Result
+	var bestElapsed time.Duration
+	for tries := 0; tries < 3 && bestElapsed < time.Second; tries++ {
+		start := time.Now()
+		res, err := satconj.ScreenContext(ctx.runCtx(), sats, o)
+		elapsed := time.Since(start)
+		if err != nil {
+			return nil, elapsed, err
 		}
-		if elapsed2 < elapsed {
-			res, elapsed, rec = res2, elapsed2, rec2
+		if best == nil || elapsed < bestElapsed {
+			best, bestElapsed = res, elapsed
 		}
 	}
-	ctx.records = append(ctx.records, rec)
-	return res, elapsed, nil
-}
-
-func screenOnce(ctx *benchCtx, sats []satconj.Satellite, o satconj.Options) (*satconj.Result, time.Duration, benchRecord, error) {
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	// Peak-heap sampler: the heap-objects byte count (HeapAlloc's
-	// runtime/metrics equivalent) every 25 ms while the screen is in
-	// flight. The sampled maximum lands in peak_heap_bytes — the observable
-	// behind the sharded detectors' memory-ceiling claim (DESIGN.md §15).
-	// runtime/metrics, not ReadMemStats: the latter stops the world on
-	// every call, and with a multi-GiB heap (the treecmp debris rows) those
-	// pauses measurably inflate the short runs sharing the process.
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				metrics.Read(sample)
-				if v := sample[0].Value; v.Kind() == metrics.KindUint64 && v.Uint64() > peak.Load() {
-					peak.Store(v.Uint64())
-				}
-			}
-		}
-	}()
-	start := time.Now()
-	res, err := satconj.ScreenContext(ctx.runCtx(), sats, o)
-	elapsed := time.Since(start)
-	close(stop)
-	<-samplerDone
-	if err != nil {
-		return nil, elapsed, benchRecord{}, err
-	}
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > peak.Load() {
-		peak.Store(after.HeapAlloc)
-	}
-	rec := benchRecord{
-		Variant:       string(res.Variant),
-		Backend:       res.Backend,
-		Objects:       len(sats),
-		WallSeconds:   elapsed.Seconds(),
-		Allocs:        after.Mallocs - before.Mallocs,
-		PeakHeapBytes: peak.Load(),
-	}
-	return res, elapsed, rec, nil
+	return best, bestElapsed, nil
 }
 
 // fig10Variants builds the sweep's runs from the detector registry: the
@@ -358,46 +300,6 @@ func writeSVG(ctx *benchCtx, name string, fig *report.Figure, logY bool) error {
 		return err
 	}
 	fmt.Printf("(SVG written to %s)\n", path)
-	return nil
-}
-
-func runCube(ctx *benchCtx) error {
-	n := 1500
-	duration := ctx.durationOr(2400)
-	threshold := ctx.thresholdOr(10)
-	sats, err := satconj.GeneratePopulation(satconj.PopulationConfig{N: n, Seed: ctx.seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("population n=%d\n\n", n)
-
-	// Deterministic screening: concrete events with TCAs.
-	res, elapsed, err := screenTimed(ctx, sats, satconj.Options{
-		Variant: satconj.VariantHybrid, ThresholdKm: threshold, DurationSeconds: duration,
-	})
-	if err != nil {
-		return err
-	}
-	ev := res.Events(10)
-	fmt.Printf("deterministic screening (hybrid, %.0f s span, %.0f km): %d events in %.2fs\n",
-		duration, threshold, len(ev), elapsed.Seconds())
-
-	// Cube method: statistical rates, no events.
-	start := time.Now()
-	est, err := satconj.EstimateCollisionRate(sats, satconj.CollisionRateConfig{
-		CubeSizeKm: 100, Samples: 500, Seed: ctx.seed,
-	})
-	if err != nil {
-		return err
-	}
-	year := 365.25 * 86400.0
-	fmt.Printf("Cube method (100 km cubes, 500 samples): total rate %.3e /s "+
-		"(%.4f expected collisions/year) in %.2fs\n",
-		est.TotalRatePerSecond, est.ExpectedCollisions(year), time.Since(start).Seconds())
-	fmt.Printf("pairs with co-residences: %d\n\n", len(est.Pairs))
-	fmt.Println("The contrast is the paper's §II point: the volumetric method yields only")
-	fmt.Println("statistical rates (\"can not be used to generate deterministic conjunctions\"),")
-	fmt.Println("while the grid pipeline returns the actual encounters with TCAs and PCAs.")
 	return nil
 }
 
@@ -799,9 +701,7 @@ func treecmpEccentric(n int, seed uint64) ([]satconj.Satellite, error) {
 // runTreecmp races the AABB-tree variant against the grid family on three
 // populations chosen to stress opposite ends of the design space (these
 // three variants ARE the experiment's subject; sweeps that should follow
-// the registry are fig10*/accuracy). Population sizes are deliberately
-// distinct from the fig10 sweep sizes so -benchjson records keep unique
-// (variant, backend, objects) keys for the -compare regression gate.
+// the registry are fig10*/accuracy).
 func runTreecmp(ctx *benchCtx) error {
 	duration := ctx.durationOr(600)
 	threshold := ctx.thresholdOr(2)

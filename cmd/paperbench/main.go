@@ -7,21 +7,20 @@
 //	paperbench -exp list            # list experiment ids
 //	paperbench -exp all             # run everything at the default scale
 //	paperbench -exp fig10a          # one experiment
-//	paperbench -exp fig10a,fig10b -benchjson BENCH_PR4.json
+//	paperbench -exp fig10a,fig10b   # several
 //	paperbench -exp accuracy -accn 4000
 //	paperbench -exp fig10b -duration 1200 -full
-//	paperbench -compare BENCH_PR3.json BENCH_PR4.json   # regression gate
 //
 // The default scale is sized for a laptop-class host: population sizes and
 // screening spans are reduced relative to the paper (which used a 96-core
 // node, an RTX 3090 and day-long spans); -full switches to the paper's
 // sizes. Shapes — who wins, crossover locations, memory-driven degradation
-// — are preserved at either scale.
+// — are preserved at either scale. The tables are the paper's; how this
+// code's timings move from commit to commit is bench/'s job (BENCHMARK.json).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -54,18 +53,13 @@ var experiments = []experiment{
 	{"tdp", "§V-C3 — energy comparison (TDP model, CPU rows)", runTDP},
 	{"accuracy", "§V-D — accuracy: conjunction counts and pair agreement", runAccuracy},
 	{"treecmp", "4D AABB tree vs grid family — head-to-head on contrasting populations", runTreecmp},
-	{"cube", "§II ablation — Cube-method statistical baseline vs deterministic screening", runCube},
 	{"shardscale", "§V-B at scale — sharded vs unsharded screening of ≥512k-object catalogues with peak-heap capture", runShardscale},
 }
 
 func main() {
 	ctx := &benchCtx{}
 	var exp string
-	var compare bool
-	var regressPct float64
 	flag.StringVar(&exp, "exp", "list", "experiment id (comma-separated for several), 'all', or 'list'")
-	flag.BoolVar(&compare, "compare", false, "compare two -benchjson files (args: OLD.json NEW.json); exit 1 on wall-time regression beyond -regress-pct")
-	flag.Float64Var(&regressPct, "regress-pct", 25, "with -compare: wall-time regression tolerance in percent")
 	flag.Uint64Var(&ctx.seed, "seed", 1, "population seed")
 	flag.Float64Var(&ctx.duration, "duration", 600, "screening span (seconds)")
 	flag.Float64Var(&ctx.threshold, "threshold", 2, "screening threshold (km)")
@@ -74,30 +68,13 @@ func main() {
 	flag.Int64Var(&ctx.memBudget, "membudget", 1<<30, "simulated device memory budget for fig10c (bytes)")
 	flag.BoolVar(&ctx.csv, "csv", false, "emit CSV instead of ASCII tables where applicable")
 	flag.StringVar(&ctx.svgDir, "svg", "", "also write figures as SVG files into this directory")
-	flag.StringVar(&ctx.jsonPath, "benchjson", "", "write per-run measurements (variant, population, wall time, allocs) to this JSON file, e.g. BENCH_PR3.json")
 	flag.Parse()
 	ctx.visited = map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { ctx.visited[f.Name] = true })
 
-	if compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "paperbench: -compare needs exactly two arguments: OLD.json NEW.json")
-			os.Exit(2)
-		}
-		regressions, err := runCompare(flag.Arg(0), flag.Arg(1), regressPct)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: compare: %v\n", err)
-			os.Exit(2)
-		}
-		if regressions > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
 	// SIGINT/SIGTERM cancels the current screening run through the context
 	// plumbing, so even a long -full sweep unwinds within about one sampling
-	// step; measurements collected so far still reach -benchjson.
+	// step.
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	ctx.ctx = sigCtx
@@ -122,11 +99,10 @@ func main() {
 	for _, e := range todo {
 		banner(e)
 		if err := e.run(ctx); err != nil {
-			fail(ctx, e.id, err)
+			fail(e.id, err)
 		}
 		fmt.Println()
 	}
-	writeBenchJSON(ctx)
 }
 
 // lookupExperiment resolves one experiment id.
@@ -139,49 +115,15 @@ func lookupExperiment(id string) (experiment, bool) {
 	return experiment{}, false
 }
 
-// fail reports an experiment error and exits; partial measurements are
-// still flushed, and an interrupt gets the conventional 130 status.
-func fail(ctx *benchCtx, id string, err error) {
-	writeBenchJSON(ctx)
+// fail reports an experiment error and exits; an interrupt gets the
+// conventional 130 status.
+func fail(id string, err error) {
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "paperbench: %s: interrupted, run cancelled cleanly\n", id)
 		os.Exit(130)
 	}
 	fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", id, err)
 	os.Exit(1)
-}
-
-// benchRecord is one measured screening run as written by -benchjson.
-// PeakHeapBytes is absent (zero) in captures taken before the field existed;
-// -compare treats those as "not measured", never as a regression.
-type benchRecord struct {
-	Variant       string  `json:"variant"`
-	Backend       string  `json:"backend"`
-	Objects       int     `json:"objects"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Allocs        uint64  `json:"allocs"`
-	PeakHeapBytes uint64  `json:"peak_heap_bytes,omitempty"`
-}
-
-// writeBenchJSON stores the measurements screenTimed collected. An empty
-// -benchjson path disables it.
-func writeBenchJSON(ctx *benchCtx) {
-	if ctx.jsonPath == "" || len(ctx.records) == 0 {
-		return
-	}
-	doc := struct {
-		Schema  string        `json:"schema"`
-		Records []benchRecord `json:"records"`
-	}{Schema: "paperbench/v1", Records: ctx.records}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err == nil {
-		err = os.WriteFile(ctx.jsonPath, append(b, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", ctx.jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("(measurements written to %s: %d records)\n", ctx.jsonPath, len(ctx.records))
 }
 
 func listExperiments() {
@@ -202,8 +144,7 @@ func banner(e experiment) {
 	fmt.Printf("%s\n=== %s ===\n%s\n", line, e.title, line)
 }
 
-// benchCtx carries the shared flags plus the run context and the
-// measurement log backing -benchjson.
+// benchCtx carries the shared flags plus the run context.
 type benchCtx struct {
 	seed      uint64
 	duration  float64
@@ -213,10 +154,8 @@ type benchCtx struct {
 	memBudget int64
 	csv       bool
 	svgDir    string
-	jsonPath  string
 	visited   map[string]bool // flags the user set explicitly
 	ctx       context.Context // cancelled on SIGINT/SIGTERM
-	records   []benchRecord   // one entry per measured screening run
 }
 
 // runCtx is the cancellation context for screening runs.

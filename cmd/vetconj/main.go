@@ -5,15 +5,15 @@
 // Usage:
 //
 //	vetconj ./...                     # the whole module
-//	vetconj -only atomicmix,errfull ./internal/lockfree/...
+//	vetconj -only errfull,floateq ./internal/lockfree/...
 //	vetconj -tests ./internal/core    # include in-package _test.go files
 //	vetconj -json ./...               # machine-readable findings for CI
 //	vetconj -list                     # describe the registered analyzers
 //
 // vetconj is a standalone driver rather than a `go vet -vettool` plugin on
-// purpose: the vettool protocol needs golang.org/x/tools/go/analysis/
-// unitchecker, and this repository builds in hermetic environments with no
-// module downloads. The driver loads and type-checks packages with the
+// purpose: the vettool protocol needs golang.org/x/tools' per-unit driver,
+// and this repository builds in hermetic environments with no module
+// downloads. The driver loads and type-checks packages with the
 // standard library only (see internal/analysis), so `go run ./cmd/vetconj`
 // works anywhere the repository compiles.
 //

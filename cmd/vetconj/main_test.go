@@ -62,10 +62,7 @@ func TestLoadSubsetClosure(t *testing.T) {
 // registering it (or dropping one) must fail loudly, not silently shrink
 // CI coverage.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"atomicmix", "ctxfirst", "errfull", "floateq", "unitcheck",
-		"poolbalance", "sinklock",
-	}
+	want := []string{"ctxfirst", "errfull", "floateq", "sinklock"}
 	got := registry.All()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))
@@ -84,7 +81,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestJSONOutput(t *testing.T) {
 	var sb strings.Builder
 	err := writeJSON(&sb, []finding{
-		{File: "internal/core/grid.go", Line: 641, Col: 2, Analyzer: "poolbalance", Message: "leak"},
+		{File: "internal/core/grid.go", Line: 641, Col: 2, Analyzer: "sinklock", Message: "unlocked"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +90,7 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
 	}
-	if len(decoded) != 1 || decoded[0].Analyzer != "poolbalance" || decoded[0].Line != 641 {
+	if len(decoded) != 1 || decoded[0].Analyzer != "sinklock" || decoded[0].Line != 641 {
 		t.Fatalf("round-trip mismatch: %+v", decoded)
 	}
 }
@@ -113,11 +110,11 @@ func TestJSONEmptyIsArray(t *testing.T) {
 // TestSelectAnalyzers covers the -only filter, including the error path.
 func TestSelectAnalyzers(t *testing.T) {
 	suite := registry.All()
-	picked, err := selectAnalyzers(suite, "sinklock, poolbalance")
+	picked, err := selectAnalyzers(suite, "sinklock, errfull")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(picked) != 2 || picked[0].Name != "sinklock" || picked[1].Name != "poolbalance" {
+	if len(picked) != 2 || picked[0].Name != "sinklock" || picked[1].Name != "errfull" {
 		t.Fatalf("unexpected selection: %+v", picked)
 	}
 	if _, err := selectAnalyzers(suite, "nosuch"); err == nil {

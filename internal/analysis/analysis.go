@@ -6,26 +6,21 @@
 // go/types so the tooling works in hermetic build environments without any
 // module downloads.
 //
-// The seven repository-specific analyzers live in subpackages; the registry
-// subpackage holds the canonical list. Five are AST pattern-matchers:
+// The four repository-specific analyzers live in subpackages; the registry
+// subpackage holds the canonical list. Each one has been shown to flag the
+// bug it exists for when that bug is seeded into the real tree (DESIGN.md
+// §7); an invariant a test or the type system already guards has no
+// analyzer. Three are AST pattern-matchers:
 //
-//   - atomicmix: struct fields accessed both through sync/atomic and with
-//     plain loads/stores (lock-free hot-path integrity).
 //   - ctxfirst: exported functions must take context.Context first, and
 //     context.TODO() is reserved for tests (cancellation plumbing).
 //   - floateq: == / != on floating-point operands in orbital math.
 //   - errfull: dropped errors from Insert/grow-shaped APIs
 //     (lockfree.ErrFull must reach the double-and-retry handling).
-//   - unitcheck: suspicious km↔m and deg↔rad mixes in comparisons,
-//     additions, and trigonometric calls.
 //
-// Two are flow-sensitive, built on the CFG builder (cfg.go) and the
+// One is flow-sensitive, built on the CFG builder (cfg.go) and the
 // worklist dataflow solver (dataflow.go) in this package:
 //
-//   - poolbalance: every pooled Get* must reach the matching Put* — or
-//     escape ownership — on every path, early returns and panic edges
-//     included; also flags discarded Get results and cross-pool Put/Get
-//     kind mismatches.
 //   - sinklock: Sink.Emit and Observer.OnStep/OnPhase must be dominated by
 //     a mutex Lock on every path (the delivery-serialisation contract).
 package analysis
@@ -37,7 +32,6 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strings"
 )
 
 // An Analyzer describes one static check. It mirrors the shape of
@@ -90,7 +84,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // directiveRE matches suppression directives. Several analyzers may be
-// opted out on one line ("//lint:floateq-ok //lint:unitcheck-ok").
+// opted out on one line ("//lint:floateq-ok //lint:errfull-ok").
 var directiveRE = regexp.MustCompile(`//\s*lint:([a-zA-Z0-9_]+)-ok\b`)
 
 // suppressionIndex scans the files' comments for lint directives and returns
@@ -160,37 +154,3 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 }
-
-// WordsOf splits a Go identifier into lower-cased words at underscores and
-// camel-case boundaries: "wIncDeg" → ["w", "inc", "deg"],
-// "half_extent_km" → ["half", "extent", "km"]. Shared by unitcheck and its
-// tests.
-func WordsOf(ident string) []string {
-	var words []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			words = append(words, strings.ToLower(cur.String()))
-			cur.Reset()
-		}
-	}
-	runes := []rune(ident)
-	for i, r := range runes {
-		switch {
-		case r == '_':
-			flush()
-		case i > 0 && isUpper(r) && (!isUpper(runes[i-1]) ||
-			(i+1 < len(runes) && !isUpper(runes[i+1]) && runes[i+1] != '_')):
-			// Start a new word at lower→Upper transitions and at the last
-			// capital of an acronym run ("RAANDeg" → raan, deg).
-			flush()
-			cur.WriteRune(r)
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	flush()
-	return words
-}
-
-func isUpper(r rune) bool { return r >= 'A' && r <= 'Z' }

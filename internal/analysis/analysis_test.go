@@ -1,37 +1,12 @@
 package analysis
 
-import (
-	"reflect"
-	"testing"
-)
-
-func TestWordsOf(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"wIncDeg", []string{"w", "inc", "deg"}},
-		{"half_extent_km", []string{"half", "extent", "km"}},
-		{"thresholdKm", []string{"threshold", "km"}},
-		{"EarthRadius", []string{"earth", "radius"}},
-		{"RAANDeg", []string{"raan", "deg"}},
-		{"distMeters", []string{"dist", "meters"}},
-		{"m", []string{"m"}},
-		{"TCA", []string{"tca"}},
-		{"", nil},
-	}
-	for _, c := range cases {
-		if got := WordsOf(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("WordsOf(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
+import "testing"
 
 func TestLoadDirAndSuppression(t *testing.T) {
-	// The atomicmix fixture exercises LoadDir, the suppression index, and
+	// The sinklock fixture exercises LoadDir, the suppression index, and
 	// diagnostic sorting end to end; here we only assert the plumbing loads
 	// and type-checks a fixture package with stdlib imports.
-	pkg, err := LoadDir("atomicmix/testdata/src/a", "a")
+	pkg, err := LoadDir("sinklock/testdata/src/a", "a")
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
@@ -41,11 +16,11 @@ func TestLoadDirAndSuppression(t *testing.T) {
 	idx := suppressionIndex(pkg.Fset, pkg.Files)
 	found := false
 	for _, analyzers := range idx {
-		if analyzers["atomicmix"] {
+		if analyzers["sinklock"] {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("suppression index missed the //lint:atomicmix-ok directive")
+		t.Fatalf("suppression index missed the //lint:sinklock-ok directive")
 	}
 }

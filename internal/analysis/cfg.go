@@ -1,21 +1,19 @@
 package analysis
 
 // Control-flow graphs over go/ast function bodies — the substrate of the
-// flow-sensitive analyzers (poolbalance, sinklock). This is a
-// dependency-free sibling of golang.org/x/tools/go/cfg, reduced to what a
-// forward dataflow pass needs: basic blocks of statements in execution
-// order, successor edges for every branching construct (if/for/range/
-// switch/type-switch/select, break/continue/goto/fallthrough, labels), and
-// explicit treatment of the three ways control leaves a function — return
-// statements, terminating calls (panic, os.Exit, log.Fatal*), and falling
-// off the end of the body.
+// flow-sensitive analyzer (sinklock). This is a dependency-free sibling of
+// golang.org/x/tools/go/cfg, reduced to what a forward dataflow pass needs:
+// basic blocks of statements in execution order, successor edges for every
+// branching construct (if/for/range/switch/type-switch/select,
+// break/continue/goto/fallthrough, labels), and blocks that end where
+// control leaves the function — a return statement or a terminating call
+// (panic, os.Exit, log.Fatal*).
 //
 // Defer statements are NOT expanded into exit edges here: they appear as
 // ordinary *ast.DeferStmt nodes in their block, and the dataflow layer
-// models their at-exit effect in its transfer functions (a deferred release
-// covers every subsequent exit, including panic edges). That keeps the
-// graph small and the defer semantics where the analyzers can interpret
-// them per-invariant.
+// models their effect in its transfer functions. That keeps the graph small
+// and the defer semantics where the analyzers can interpret them
+// per-invariant.
 //
 // Function literals are opaque: a statement containing a FuncLit is one
 // node of the enclosing function's graph, and the literal's body gets its
@@ -35,78 +33,51 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
-
-	// FallsOff marks the block whose control reaches the closing brace of
-	// the function body — the implicit return of a void function.
-	FallsOff bool
 }
 
 // A CFG is the control-flow graph of one function body.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
-	// End is the position of the body's closing brace, used to report
-	// fall-off-the-end exits.
-	End token.Pos
 }
 
-// ExitKind classifies how control leaves a function at an exit node.
-type ExitKind int
-
-const (
-	// ExitReturn is an explicit return statement.
-	ExitReturn ExitKind = iota
-	// ExitPanic is a call that unwinds (panic) — deferred calls still run.
-	ExitPanic
-	// ExitProcess is a call that terminates the process (os.Exit,
-	// log.Fatal*) — deferred calls do NOT run.
-	ExitProcess
-	// ExitFallOff is the implicit return at the body's closing brace.
-	ExitFallOff
-)
-
-// TerminalCall reports whether the expression statement is a call that
-// never returns, and how it exits. Matching is by name (panic may in
-// principle be shadowed; a linter accepts that).
-func TerminalCall(stmt *ast.ExprStmt) (ExitKind, bool) {
+// terminates reports whether the expression statement is a call that never
+// returns (panic, os.Exit, log.Fatal*, runtime.Goexit). Matching is by name
+// (panic may in principle be shadowed; a linter accepts that).
+func terminates(stmt *ast.ExprStmt) bool {
 	call, ok := stmt.X.(*ast.CallExpr)
 	if !ok {
-		return 0, false
+		return false
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if fun.Name == "panic" {
-			return ExitPanic, true
-		}
+		return fun.Name == "panic"
 	case *ast.SelectorExpr:
 		pkg, ok := fun.X.(*ast.Ident)
 		if !ok {
-			return 0, false
+			return false
 		}
-		switch {
-		case pkg.Name == "os" && fun.Sel.Name == "Exit":
-			return ExitProcess, true
-		case pkg.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"):
-			return ExitProcess, true
-		case pkg.Name == "runtime" && fun.Sel.Name == "Goexit":
-			return ExitPanic, true // defers run, control never returns
+		switch pkg.Name {
+		case "os":
+			return fun.Sel.Name == "Exit"
+		case "log":
+			return fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"
+		case "runtime":
+			return fun.Sel.Name == "Goexit"
 		}
 	}
-	return 0, false
+	return false
 }
 
 // BuildCFG constructs the control-flow graph of a function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
-		cfg:    &CFG{End: body.Rbrace},
+		cfg:    &CFG{},
 		labels: make(map[string]*Block),
 	}
 	b.cfg.Entry = b.newBlock()
 	b.cur = b.cfg.Entry
 	b.stmtList(body.List)
-	if b.cur != nil {
-		b.cur.FallsOff = true
-	}
 	return b.cfg
 }
 
@@ -354,7 +325,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.add(s)
-		if _, terminal := TerminalCall(s); terminal {
+		if terminates(s) {
 			b.cur = nil
 		}
 

@@ -20,21 +20,57 @@ func parseBody(t *testing.T, body string) *ast.BlockStmt {
 	return file.Decls[0].(*ast.FuncDecl).Body
 }
 
-// exitsOf solves a no-op flow problem over the body and collects the exit
-// kinds the replay driver reports, in block order.
-func exitsOf(t *testing.T, body string) []ExitKind {
+// exitKind classifies how control leaves a test body.
+type exitKind int
+
+const (
+	exitReturn   exitKind = iota // an explicit return statement
+	exitTerminal                 // a call that never returns (panic, os.Exit, log.Fatal*)
+	exitFallOff                  // control reaches the end of the body
+)
+
+// exit is one way out of a test body with the state of variable "x" there.
+type exit struct {
+	kind exitKind
+	x    uint8
+}
+
+// flowExits solves p over body and replays it, collecting every reachable
+// exit in block order. The end of the body is made visible as a node by
+// appending a sentinel call: it is visited exactly when control falls off.
+func flowExits(t *testing.T, body string, p FlowProblem) []exit {
 	t.Helper()
-	g := BuildCFG(parseBody(t, body))
-	p := FlowProblem{Transfer: func(ast.Node, FlowState) {}, Join: JoinMax}
-	entries := SolveFlow(g, p)
-	var kinds []ExitKind
-	ReplayFlow(g, p, entries, nil, func(_ token.Pos, kind ExitKind, _ FlowState) {
-		kinds = append(kinds, kind)
+	g := BuildCFG(parseBody(t, body+"\n__end()"))
+	var out []exit
+	ReplayFlow(g, p, SolveFlow(g, p), func(n ast.Node, st FlowState) {
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			out = append(out, exit{exitReturn, st.Get("x")})
+		case *ast.ExprStmt:
+			if terminates(n) {
+				out = append(out, exit{exitTerminal, st.Get("x")})
+			} else if isCallTo(n.X, "__end") {
+				out = append(out, exit{exitFallOff, st.Get("x")})
+			}
+		}
 	})
+	return out
+}
+
+// noFlow tracks nothing: solving it only computes reachability.
+var noFlow = FlowProblem{Transfer: func(ast.Node, FlowState) {}, Join: JoinMin}
+
+// exitsOf returns the kinds of the body's reachable exits, in block order.
+func exitsOf(t *testing.T, body string) []exitKind {
+	t.Helper()
+	var kinds []exitKind
+	for _, e := range flowExits(t, body, noFlow) {
+		kinds = append(kinds, e.kind)
+	}
 	return kinds
 }
 
-func countKind(kinds []ExitKind, k ExitKind) int {
+func countKind(kinds []exitKind, k exitKind) int {
 	n := 0
 	for _, kk := range kinds {
 		if kk == k {
@@ -46,7 +82,7 @@ func countKind(kinds []ExitKind, k ExitKind) int {
 
 func TestCFGStraightLineFallsOff(t *testing.T) {
 	kinds := exitsOf(t, "x := 1; _ = x")
-	if len(kinds) != 1 || kinds[0] != ExitFallOff {
+	if len(kinds) != 1 || kinds[0] != exitFallOff {
 		t.Fatalf("want one fall-off exit, got %v", kinds)
 	}
 }
@@ -60,7 +96,7 @@ func TestCFGIfBranchExits(t *testing.T) {
 			return
 		}
 		x++`)
-	if countKind(kinds, ExitReturn) != 1 || countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitReturn) != 1 || countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("want 1 return + 1 fall-off, got %v", kinds)
 	}
 }
@@ -73,7 +109,7 @@ func TestCFGIfElseBothReturn(t *testing.T) {
 		} else {
 			return
 		}`)
-	if countKind(kinds, ExitReturn) != 2 || countKind(kinds, ExitFallOff) != 0 {
+	if countKind(kinds, exitReturn) != 2 || countKind(kinds, exitFallOff) != 0 {
 		t.Fatalf("want 2 returns and no fall-off, got %v", kinds)
 	}
 }
@@ -84,7 +120,7 @@ func TestCFGPanicEdge(t *testing.T) {
 		if x > 0 {
 			panic("boom")
 		}`)
-	if countKind(kinds, ExitPanic) != 1 || countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitTerminal) != 1 || countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("want 1 panic + 1 fall-off, got %v", kinds)
 	}
 }
@@ -95,10 +131,10 @@ func TestCFGProcessExit(t *testing.T) {
 			os.Exit(2)
 		}
 		log.Fatalf("no")`)
-	if countKind(kinds, ExitProcess) != 2 {
+	if countKind(kinds, exitTerminal) != 2 {
 		t.Fatalf("want 2 process exits, got %v", kinds)
 	}
-	if countKind(kinds, ExitFallOff) != 0 {
+	if countKind(kinds, exitFallOff) != 0 {
 		t.Fatalf("log.Fatalf terminates; no fall-off expected, got %v", kinds)
 	}
 }
@@ -126,7 +162,7 @@ func TestCFGForLoopBackEdge(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			_ = i
 		}`)
-	if countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("conditional loop must fall off, got %v", kinds)
 	}
 }
@@ -153,7 +189,7 @@ func TestCFGLoopBreakAndContinue(t *testing.T) {
 			return
 		}`)
 	// break reaches the fall-off exit; return exits directly.
-	if countKind(kinds, ExitFallOff) != 1 || countKind(kinds, ExitReturn) != 1 {
+	if countKind(kinds, exitFallOff) != 1 || countKind(kinds, exitReturn) != 1 {
 		t.Fatalf("want fall-off (via break) + return, got %v", kinds)
 	}
 }
@@ -166,7 +202,7 @@ func TestCFGLabeledBreak(t *testing.T) {
 				break outer
 			}
 		}`)
-	if countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("labeled break must escape both loops, got %v", kinds)
 	}
 }
@@ -178,7 +214,7 @@ func TestCFGRangeLoop(t *testing.T) {
 				return
 			}
 		}`)
-	if countKind(kinds, ExitReturn) != 1 || countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitReturn) != 1 || countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("want return-in-loop + fall-off, got %v", kinds)
 	}
 }
@@ -192,7 +228,7 @@ func TestCFGSwitchWithoutDefault(t *testing.T) {
 			panic("two")
 		}`)
 	// No default: the tag block can skip every clause to the join.
-	if countKind(kinds, ExitReturn) != 1 || countKind(kinds, ExitPanic) != 1 || countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitReturn) != 1 || countKind(kinds, exitTerminal) != 1 || countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("want return + panic + fall-off, got %v", kinds)
 	}
 }
@@ -205,7 +241,7 @@ func TestCFGSwitchAllClausesReturn(t *testing.T) {
 		default:
 			return
 		}`)
-	if countKind(kinds, ExitFallOff) != 0 {
+	if countKind(kinds, exitFallOff) != 0 {
 		t.Fatalf("exhaustive switch must not fall off, got %v", kinds)
 	}
 }
@@ -220,8 +256,7 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 		case 2:
 			return
 		}`))
-	p := FlowProblem{Transfer: func(ast.Node, FlowState) {}, Join: JoinMax}
-	entries := SolveFlow(g, p)
+	entries := SolveFlow(g, noFlow)
 	reached := 0
 	for _, e := range entries {
 		if e != nil {
@@ -245,7 +280,7 @@ func TestCFGTypeSwitchAndSelect(t *testing.T) {
 			return
 		default:
 		}`)
-	if countKind(kinds, ExitReturn) != 2 || countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitReturn) != 2 || countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("want 2 returns + fall-off, got %v", kinds)
 	}
 }
@@ -258,7 +293,7 @@ func TestCFGGoto(t *testing.T) {
 		if i < 3 {
 			goto loop
 		}`)
-	if countKind(kinds, ExitFallOff) != 1 {
+	if countKind(kinds, exitFallOff) != 1 {
 		t.Fatalf("goto loop must still fall off when the condition fails, got %v", kinds)
 	}
 }
@@ -281,7 +316,7 @@ func TestCFGDeferIsAnOrdinaryNode(t *testing.T) {
 		t.Fatalf("want the defer as one CFG node, found %d", defers)
 	}
 	kinds := exitsOf(t, "defer cleanup()\nreturn")
-	if len(kinds) != 1 || kinds[0] != ExitReturn {
+	if len(kinds) != 1 || kinds[0] != exitReturn {
 		t.Fatalf("want exactly the explicit return exit, got %v", kinds)
 	}
 }
@@ -291,8 +326,7 @@ func TestCFGDeadCodeUnreachable(t *testing.T) {
 		return
 		x := 1
 		_ = x`))
-	p := FlowProblem{Transfer: func(ast.Node, FlowState) {}, Join: JoinMax}
-	entries := SolveFlow(g, p)
+	entries := SolveFlow(g, noFlow)
 	unreachable := 0
 	for _, e := range entries {
 		if e == nil {

@@ -1,21 +1,18 @@
 package analysis
 
-// Forward dataflow over the CFGs of cfg.go. The analyzers built on this
-// (poolbalance, sinklock) fit one mould: a small scalar state per tracked
-// fact (a pooled resource, a mutex), a transfer function that updates states as statements execute, and a join
-// that merges states where paths meet. Solving runs a standard Kildall
-// worklist to a fixpoint; reporting then REPLAYS each reachable block from
-// its fixpoint entry state, so diagnostics see exactly the merged state
-// that actually holds at each node and every exit.
+// Forward dataflow over the CFGs of cfg.go. The analyzer built on this
+// (sinklock) fits one mould: a small scalar state per tracked fact (a
+// mutex), a transfer function that updates states as statements execute,
+// and a join that merges states where paths meet. Solving runs a standard
+// Kildall worklist to a fixpoint; reporting then REPLAYS each reachable
+// block from its fixpoint entry state, so diagnostics see exactly the
+// merged state that actually holds at each node.
 //
 // The split matters: Transfer must be free of side effects because the
 // solver re-runs blocks until convergence. All Reportf calls belong in the
-// replay callbacks.
+// replay callback.
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // FlowState maps tracked facts to a small scalar state. Keys are whatever
 // the analyzer chooses (a *types.Var, a field path struct); an absent key
@@ -42,16 +39,6 @@ func (s FlowState) Clone() FlowState {
 		c[k] = v
 	}
 	return c
-}
-
-// JoinMax is the join of may-analyses ("did this happen on SOME path"):
-// poolbalance uses it, so a resource live on one arm of a
-// branch stays live at the merge.
-func JoinMax(a, b uint8) uint8 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // JoinMin is the join of must-analyses ("does this hold on EVERY path"):
@@ -133,18 +120,9 @@ func joinInto(dst, src FlowState, join func(a, b uint8) uint8) bool {
 }
 
 // ReplayFlow walks every reachable block from its fixpoint entry state and
-// invokes the callbacks with the precise state at each point:
-//
-//   - visit(n, state) fires BEFORE n's transfer, so it sees the state in
-//     which n executes;
-//   - atExit(pos, kind, state) fires AFTER the transfer of a return or
-//     terminating call, and at the closing brace of a fall-off block, with
-//     the state control carries out of the function.
-//
-// Either callback may be nil.
-func ReplayFlow(g *CFG, p FlowProblem, entries []FlowState,
-	visit func(n ast.Node, state FlowState),
-	atExit func(pos token.Pos, kind ExitKind, state FlowState)) {
+// calls visit(n, state) BEFORE each node's transfer, so it sees the precise
+// state in which n executes.
+func ReplayFlow(g *CFG, p FlowProblem, entries []FlowState, visit func(n ast.Node, state FlowState)) {
 	for _, b := range g.Blocks {
 		entry := entries[b.Index]
 		if entry == nil {
@@ -152,24 +130,8 @@ func ReplayFlow(g *CFG, p FlowProblem, entries []FlowState,
 		}
 		state := entry.Clone()
 		for _, n := range b.Nodes {
-			if visit != nil {
-				visit(n, state)
-			}
+			visit(n, state)
 			p.Transfer(n, state)
-			if atExit == nil {
-				continue
-			}
-			switch n := n.(type) {
-			case *ast.ReturnStmt:
-				atExit(n.Pos(), ExitReturn, state)
-			case *ast.ExprStmt:
-				if kind, ok := TerminalCall(n); ok {
-					atExit(n.Pos(), kind, state)
-				}
-			}
-		}
-		if b.FallsOff && atExit != nil {
-			atExit(g.End, ExitFallOff, state)
 		}
 	}
 }

@@ -2,14 +2,13 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"testing"
 )
 
-// The tests drive the solver with a miniature resource problem that mirrors
-// poolbalance's shape: `x := get()` makes x live (1), `put(x)` releases it
-// (0), `defer put(x)` arms a deferred release (2). Keys are variable names,
-// which is enough on single-scope test bodies.
+// The tests drive the solver with a miniature resource problem: `x := get()`
+// makes x live (1), `put(x)` releases it (0), `defer put(x)` arms a deferred
+// release (2). Keys are variable names, which is enough on single-scope
+// test bodies.
 const (
 	tstLive     = 1
 	tstDeferred = 2
@@ -67,33 +66,28 @@ func callArgOf(e ast.Expr, name string) (string, bool) {
 	return id.Name, true
 }
 
+// joinMax is the join of a may-analysis ("did this happen on SOME path"):
+// a resource live on one arm of a branch stays live at the merge. No
+// analyzer in the tree needs it; the solver tests do, to cover both lattice
+// directions.
+func joinMax(a, b uint8) uint8 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
 // exitStates runs the toy problem and returns, per exit, the kind and the
 // state of variable "x" at that exit.
-func exitStates(t *testing.T, body string, join func(a, b uint8) uint8) []struct {
-	kind ExitKind
-	x    uint8
-} {
+func exitStates(t *testing.T, body string, join func(a, b uint8) uint8) []exit {
 	t.Helper()
-	g := BuildCFG(parseBody(t, body))
-	p := FlowProblem{Transfer: toyTransfer, Join: join}
-	entries := SolveFlow(g, p)
-	var out []struct {
-		kind ExitKind
-		x    uint8
-	}
-	ReplayFlow(g, p, entries, nil, func(_ token.Pos, kind ExitKind, st FlowState) {
-		out = append(out, struct {
-			kind ExitKind
-			x    uint8
-		}{kind, st.Get("x")})
-	})
-	return out
+	return flowExits(t, body, FlowProblem{Transfer: toyTransfer, Join: join})
 }
 
 func TestFlowStraightLineRelease(t *testing.T) {
 	exits := exitStates(t, `
 		x := get()
-		put(x)`, JoinMax)
+		put(x)`, joinMax)
 	if len(exits) != 1 || exits[0].x != 0 {
 		t.Fatalf("released resource must be 0 at exit, got %+v", exits)
 	}
@@ -106,7 +100,7 @@ func TestFlowBranchLeakSurvivesJoinMax(t *testing.T) {
 		x := get()
 		if cond {
 			put(x)
-		}`, JoinMax)
+		}`, joinMax)
 	if len(exits) != 1 || exits[0].x != tstLive {
 		t.Fatalf("leak on one arm must survive a max-join, got %+v", exits)
 	}
@@ -119,7 +113,7 @@ func TestFlowBothArmsReleaseIsClean(t *testing.T) {
 			put(x)
 		} else {
 			put(x)
-		}`, JoinMax)
+		}`, joinMax)
 	if len(exits) != 1 || exits[0].x != 0 {
 		t.Fatalf("release on both arms must merge to 0, got %+v", exits)
 	}
@@ -131,17 +125,17 @@ func TestFlowEarlyReturnSeesOwnState(t *testing.T) {
 		if cond {
 			return
 		}
-		put(x)`, JoinMax)
+		put(x)`, joinMax)
 	if len(exits) != 2 {
 		t.Fatalf("want 2 exits, got %+v", exits)
 	}
 	for _, e := range exits {
 		switch e.kind {
-		case ExitReturn:
+		case exitReturn:
 			if e.x != tstLive {
 				t.Fatalf("early return must still see the live resource, got %+v", e)
 			}
-		case ExitFallOff:
+		case exitFallOff:
 			if e.x != 0 {
 				t.Fatalf("fall-off after put must be clean, got %+v", e)
 			}
@@ -181,7 +175,7 @@ func TestFlowLoopFixpoint(t *testing.T) {
 			if cond {
 				put(x)
 			}
-		}`, JoinMax)
+		}`, joinMax)
 	if len(exits) != 1 || exits[0].x != tstLive {
 		t.Fatalf("conditional release in a loop must stay live at exit, got %+v", exits)
 	}
@@ -194,7 +188,7 @@ func TestFlowLoopReacquire(t *testing.T) {
 		for i := 0; i < n; i++ {
 			x := get()
 			put(x)
-		}`, JoinMax)
+		}`, joinMax)
 	if len(exits) != 1 || exits[0].x != 0 {
 		t.Fatalf("balanced loop body must exit clean, got %+v", exits)
 	}
@@ -211,7 +205,7 @@ func TestFlowDeferCoversAllExits(t *testing.T) {
 		}
 		if b {
 			panic("boom")
-		}`, JoinMax)
+		}`, joinMax)
 	if len(exits) != 3 {
 		t.Fatalf("want return + panic + fall-off, got %+v", exits)
 	}
@@ -229,16 +223,16 @@ func TestFlowPanicEdgeSeesLeak(t *testing.T) {
 		if bad {
 			panic("boom")
 		}
-		put(x)`, JoinMax)
+		put(x)`, joinMax)
 	var sawPanic bool
 	for _, e := range exits {
-		if e.kind == ExitPanic {
+		if e.kind == exitTerminal {
 			sawPanic = true
 			if e.x != tstLive {
 				t.Fatalf("panic edge must see the live resource, got %+v", e)
 			}
 		}
-		if e.kind == ExitFallOff && e.x != 0 {
+		if e.kind == exitFallOff && e.x != 0 {
 			t.Fatalf("happy path must be clean, got %+v", e)
 		}
 	}

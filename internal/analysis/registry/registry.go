@@ -6,26 +6,19 @@ package registry
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/errfull"
 	"repro/internal/analysis/floateq"
-	"repro/internal/analysis/poolbalance"
 	"repro/internal/analysis/sinklock"
-	"repro/internal/analysis/unitcheck"
 )
 
 // All returns every registered analyzer in reporting order: the AST-pattern
-// checks of PR 1, then the flow-sensitive checks built on the CFG/dataflow
-// layer.
+// checks, then the flow-sensitive one built on the CFG/dataflow layer.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicmix.Analyzer,
 		ctxfirst.Analyzer,
 		errfull.Analyzer,
 		floateq.Analyzer,
-		unitcheck.Analyzer,
-		poolbalance.Analyzer,
 		sinklock.Analyzer,
 	}
 }

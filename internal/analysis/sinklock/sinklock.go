@@ -92,7 +92,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	g := analysis.BuildCFG(body)
 	problem := analysis.FlowProblem{Transfer: c.transfer, Join: analysis.JoinMin}
 	entries := analysis.SolveFlow(g, problem)
-	analysis.ReplayFlow(g, problem, entries, c.visit, nil)
+	analysis.ReplayFlow(g, problem, entries, c.visit)
 }
 
 // transfer tracks Lock/Unlock on every mutex-typed local or field path.

@@ -6,8 +6,8 @@ package core
 // slice equality — same pairs, same steps, same refined TCA/PCA — not the
 // tolerance matching the cross-variant battery uses. The battery also pins
 // the ownership dedup (cross-band pairs exactly once), the streamed sink and
-// observer fan-in, pool balance on success and cancellation, and the
-// degenerate fallbacks.
+// observer fan-in, pool balance on success, cancellation and rejected input,
+// and the degenerate fallbacks.
 
 import (
 	"context"
@@ -304,6 +304,47 @@ func TestShardedPoolBalance(t *testing.T) {
 			t.Errorf("pool outstanding = %d after cancelled run, want 0", out)
 		}
 	})
+
+	// The sharded path validates before it partitions work, holding only the
+	// ID index: every rejection must hand it back. A delta reaches that path
+	// only above the crossover, so the invalid delta dirties everything.
+	withID := func(i int, id int32) []propagation.Satellite {
+		bad := append([]propagation.Satellite(nil), sats...)
+		bad[i].ID = id
+		return bad
+	}
+	allIDs := make([]int32, len(sats))
+	for i := range sats {
+		allIDs[i] = sats[i].ID
+	}
+	for name, tc := range map[string]struct {
+		sats  []propagation.Satellite
+		delta *DeltaInput
+	}{
+		"duplicate-id":    {sats: withID(1, sats[0].ID)},
+		"out-of-range-id": {sats: withID(1, -1)},
+		"invalid-delta":   {sats: sats, delta: &DeltaInput{Dirty: allIDs, Removed: []int32{sats[0].ID}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			pl := pool.New()
+			d := NewSharded(Config{
+				ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: span, Workers: 2,
+				Shards: 4, ShardConcurrency: 2, Pool: pl,
+			}, VariantGrid)
+			var err error
+			if tc.delta != nil {
+				_, err = d.ScreenDelta(context.Background(), tc.sats, *tc.delta)
+			} else {
+				_, err = d.Screen(tc.sats)
+			}
+			if err == nil {
+				t.Fatal("expected a validation error")
+			}
+			if st := pl.Stats(); st.Gets == 0 || st.Outstanding() != 0 {
+				t.Errorf("pool gets = %d, outstanding = %d after rejected input, want > 0 and 0", st.Gets, st.Outstanding())
+			}
+		})
+	}
 }
 
 // TestShardedFallbacks covers the degenerate paths: populations the sizing

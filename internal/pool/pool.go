@@ -150,6 +150,51 @@ func nextPow2(n int) int {
 	return p
 }
 
+// take counts a get and removes from *list the smallest idle element that
+// fit accepts (fit returns the element's size and whether it can serve the
+// request). ok is false — the caller allocates — when nothing fits or the
+// pool is disabled.
+func take[E any](p *Pool, list *[]E, fit func(E) (size int, ok bool)) (e E, ok bool) {
+	p.gets.Add(1)
+	if p.disabled {
+		return e, false
+	}
+	p.mu.Lock()
+	idle := *list
+	best, bestSize := -1, 0
+	for i, c := range idle {
+		if size, ok := fit(c); ok && (best < 0 || size < bestSize) {
+			best, bestSize = i, size
+		}
+	}
+	if best >= 0 {
+		var zero E
+		last := len(idle) - 1
+		e = idle[best]
+		idle[best], idle[last] = idle[last], zero
+		*list = idle[:last]
+	}
+	p.mu.Unlock()
+	if best < 0 {
+		return e, false
+	}
+	p.hits.Add(1)
+	return e, true
+}
+
+// put counts a put and keeps e in *list unless it already holds maxIdle.
+func put[E any](p *Pool, list *[]E, e E, maxIdle int) {
+	p.puts.Add(1)
+	if p.disabled {
+		return
+	}
+	p.mu.Lock()
+	if len(*list) < maxIdle {
+		*list = append(*list, e)
+	}
+	p.mu.Unlock()
+}
+
 // GetGridSet returns a grid set with at least slotHint slots (rounded up to
 // a power of two) and room for maxEntries entries — a delta pass's stamp
 // table, the one grid set the pipeline draws. The set's fill state is
@@ -158,184 +203,79 @@ func nextPow2(n int) int {
 // hundred entries, reset every step) must not be served by an idle one whose
 // slot count happens to sit inside the window but whose arena does not.
 func (p *Pool) GetGridSet(slotHint, maxEntries int) *lockfree.GridSet {
-	p.gets.Add(1)
-	if !p.disabled {
-		want := nextPow2(slotHint)
-		p.mu.Lock()
-		best := -1
-		for i, g := range p.gridSets {
-			if g.Slots() < want || g.EntryCapacity() < maxEntries ||
-				g.Slots() > oversizeFactor*want || g.EntryCapacity() > oversizeFactor*(maxEntries+1) {
-				continue
-			}
-			if best < 0 || g.Slots() < p.gridSets[best].Slots() {
-				best = i
-			}
-		}
-		if best >= 0 {
-			g := p.takeGridSet(best)
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return g
-		}
-		p.mu.Unlock()
+	want := nextPow2(slotHint)
+	g, ok := take(p, &p.gridSets, func(g *lockfree.GridSet) (int, bool) {
+		return g.Slots(), g.Slots() >= want && g.EntryCapacity() >= maxEntries &&
+			g.Slots() <= oversizeFactor*want && g.EntryCapacity() <= oversizeFactor*(maxEntries+1)
+	})
+	if !ok {
+		return lockfree.NewGridSet(slotHint, maxEntries)
 	}
-	return lockfree.NewGridSet(slotHint, maxEntries)
-}
-
-func (p *Pool) takeGridSet(i int) *lockfree.GridSet {
-	g := p.gridSets[i]
-	last := len(p.gridSets) - 1
-	p.gridSets[i] = p.gridSets[last]
-	p.gridSets[last] = nil
-	p.gridSets = p.gridSets[:last]
 	return g
 }
 
 // PutGridSet returns a grid set to the pool. nil is ignored.
 func (p *Pool) PutGridSet(g *lockfree.GridSet) {
-	if g == nil {
-		return
+	if g != nil {
+		put(p, &p.gridSets, g, maxIdleGridSets)
 	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.gridSets) < maxIdleGridSets {
-		p.gridSets = append(p.gridSets, g)
-	}
-	p.mu.Unlock()
 }
 
 // GetPairSet returns an empty pair set with at least slotHint slots
 // (rounded up to a power of two).
 func (p *Pool) GetPairSet(slotHint int) *lockfree.PairSet {
-	p.gets.Add(1)
-	if !p.disabled {
-		want := nextPow2(slotHint)
-		p.mu.Lock()
-		best := -1
-		for i, ps := range p.pairSets {
-			if ps.Slots() < want || ps.Slots() > oversizeFactor*want {
-				continue
-			}
-			if best < 0 || ps.Slots() < p.pairSets[best].Slots() {
-				best = i
-			}
-		}
-		if best >= 0 {
-			ps := p.pairSets[best]
-			last := len(p.pairSets) - 1
-			p.pairSets[best] = p.pairSets[last]
-			p.pairSets[last] = nil
-			p.pairSets = p.pairSets[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			ps.Reset()
-			return ps
-		}
-		p.mu.Unlock()
+	want := nextPow2(slotHint)
+	ps, ok := take(p, &p.pairSets, func(ps *lockfree.PairSet) (int, bool) {
+		return ps.Slots(), ps.Slots() >= want && ps.Slots() <= oversizeFactor*want
+	})
+	if !ok {
+		return lockfree.NewPairSet(slotHint)
 	}
-	return lockfree.NewPairSet(slotHint)
+	ps.Reset()
+	return ps
 }
 
 // PutPairSet returns a pair set to the pool. nil is ignored.
 func (p *Pool) PutPairSet(ps *lockfree.PairSet) {
-	if ps == nil {
-		return
+	if ps != nil {
+		put(p, &p.pairSets, ps, maxIdlePairSets)
 	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(p.pairSets) < maxIdlePairSets {
-		p.pairSets = append(p.pairSets, ps)
-	}
-	p.mu.Unlock()
 }
 
-// GetStates returns a state buffer of length n with stale contents; the
-// propagation phase overwrites every element before anything reads it.
-func (p *Pool) GetStates(n int) []propagation.State {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, s := range p.states {
-			if cap(s) < n || cap(s) > oversizeFactor*(n+1) {
-				continue
-			}
-			if best < 0 || cap(s) < cap(p.states[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			s := p.states[best]
-			last := len(p.states) - 1
-			p.states[best] = p.states[last]
-			p.states[last] = nil
-			p.states = p.states[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return s[:n]
-		}
-		p.mu.Unlock()
+// getBuf serves every slice kind: the smallest idle buffer of *list with
+// capacity at least capHint, emptied, or a fresh one. The append-grown kinds
+// (pair, key and cell buffers) have no oversize window — their cost is their
+// memory, not their capacity; the windowed kinds are sized by the population
+// and must not pin a large run's buffer under a small one.
+func getBuf[T any](p *Pool, list *[][]T, capHint int, windowed bool) []T {
+	b, ok := take(p, list, func(b []T) (int, bool) {
+		return cap(b), cap(b) >= capHint && (!windowed || cap(b) <= oversizeFactor*(capHint+1))
+	})
+	if !ok {
+		return make([]T, 0, capHint)
 	}
-	return make([]propagation.State, n)
-}
-
-// PutStates returns a state buffer to the pool. nil is ignored.
-func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
-
-// getBuf serves the append-grown buffer kinds: the smallest idle buffer of
-// *list with capacity at least capHint, emptied, or a fresh one. They have no
-// oversize window — a buffer's cost is its memory, not its capacity.
-func getBuf[T any](p *Pool, list *[][]T, capHint int) []T {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		idle := *list
-		best := -1
-		for i, b := range idle {
-			if cap(b) >= capHint && (best < 0 || cap(b) < cap(idle[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			b := idle[best]
-			last := len(idle) - 1
-			idle[best], idle[last] = idle[last], nil
-			*list = idle[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return b[:0]
-		}
-		p.mu.Unlock()
-	}
-	return make([]T, 0, capHint)
+	return b[:0]
 }
 
 // putBuf returns b to *list, which keeps at most maxIdle. nil is ignored.
 func putBuf[T any](p *Pool, list *[][]T, b []T, maxIdle int) {
-	if b == nil {
-		return
+	if b != nil {
+		put(p, list, b, maxIdle)
 	}
-	p.puts.Add(1)
-	if p.disabled {
-		return
-	}
-	p.mu.Lock()
-	if len(*list) < maxIdle {
-		*list = append(*list, b)
-	}
-	p.mu.Unlock()
 }
+
+// GetStates returns a state buffer of length n with stale contents; the
+// propagation phase overwrites every element before anything reads it.
+func (p *Pool) GetStates(n int) []propagation.State { return getBuf(p, &p.states, n, true)[:n] }
+
+// PutStates returns a state buffer to the pool. nil is ignored.
+func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
 
 // GetPairBuf returns a zero-length candidate-pair buffer with capacity at
 // least capHint.
-func (p *Pool) GetPairBuf(capHint int) []lockfree.Pair { return getBuf(p, &p.pairBufs, capHint) }
+func (p *Pool) GetPairBuf(capHint int) []lockfree.Pair {
+	return getBuf(p, &p.pairBufs, capHint, false)
+}
 
 // PutPairBuf returns a candidate buffer to the pool. nil is ignored.
 func (p *Pool) PutPairBuf(b []lockfree.Pair) { putBuf(p, &p.pairBufs, b, maxIdleBuffers) }
@@ -346,31 +286,7 @@ func (p *Pool) PutPairBuf(b []lockfree.Pair) { putBuf(p, &p.pairBufs, b, maxIdle
 // converges on the largest shard's size and streaming shard after shard
 // stops allocating.
 func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, b := range p.satBufs {
-			if cap(b) < capHint || cap(b) > oversizeFactor*(capHint+1) {
-				continue
-			}
-			if best < 0 || cap(b) < cap(p.satBufs[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			b := p.satBufs[best]
-			last := len(p.satBufs) - 1
-			p.satBufs[best] = p.satBufs[last]
-			p.satBufs[last] = nil
-			p.satBufs = p.satBufs[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return b[:0]
-		}
-		p.mu.Unlock()
-	}
-	return make([]propagation.Satellite, 0, capHint)
+	return getBuf(p, &p.satBufs, capHint, true)
 }
 
 // PutSatBuf returns a satellite buffer to the pool. nil is ignored.
@@ -380,7 +296,7 @@ func (p *Pool) PutSatBuf(b []propagation.Satellite) { putBuf(p, &p.satBufs, b, m
 // least capHint — the per-worker candidate buffers of the scan phase. They
 // grow by append inside the workers, so a warm pool converges on the
 // population's natural candidate volume and stops allocating.
-func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, capHint) }
+func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, capHint, false) }
 
 // PutKeyBuf returns a pair-key buffer to the pool. nil is ignored.
 func (p *Pool) PutKeyBuf(b []uint64) { putBuf(p, &p.keyBufs, b, maxIdleKeyBufs) }
@@ -388,7 +304,9 @@ func (p *Pool) PutKeyBuf(b []uint64) { putBuf(p, &p.keyBufs, b, maxIdleKeyBufs) 
 // GetCellBuf returns a zero-length cell buffer with capacity at least capHint
 // — a full screen's build writes each step's entries into one, and its scan
 // sorts them between two more (drawn as one buffer of twice the length).
-func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell { return getBuf(p, &p.cellBufs, capHint) }
+func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell {
+	return getBuf(p, &p.cellBufs, capHint, false)
+}
 
 // PutCellBuf returns a cell buffer to the pool. nil is ignored.
 func (p *Pool) PutCellBuf(b []lockfree.Cell) { putBuf(p, &p.cellBufs, b, maxIdleBuffers) }
@@ -396,31 +314,7 @@ func (p *Pool) PutCellBuf(b []lockfree.Cell) { putBuf(p, &p.cellBufs, b, maxIdle
 // GetKeplerCache returns a warm-start cache of length n with stale contents;
 // the detectors reinitialise every entry before the first sampling step.
 func (p *Pool) GetKeplerCache(n int) []propagation.KeplerCache {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, c := range p.kcaches {
-			if cap(c) < n || cap(c) > oversizeFactor*(n+1) {
-				continue
-			}
-			if best < 0 || cap(c) < cap(p.kcaches[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			c := p.kcaches[best]
-			last := len(p.kcaches) - 1
-			p.kcaches[best] = p.kcaches[last]
-			p.kcaches[last] = nil
-			p.kcaches = p.kcaches[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return c[:n]
-		}
-		p.mu.Unlock()
-	}
-	return make([]propagation.KeplerCache, n)
+	return getBuf(p, &p.kcaches, n, true)[:n]
 }
 
 // PutKeplerCache returns a warm-start cache to the pool. nil is ignored.
@@ -431,33 +325,9 @@ func (p *Pool) PutKeplerCache(c []propagation.KeplerCache) { putBuf(p, &p.kcache
 // zeroing pass is what makes reuse correct, so Get pays O(words); words is
 // maxID/64, tiny next to the structures the screen itself holds.
 func (p *Pool) GetBitset(words int) []uint64 {
-	p.gets.Add(1)
-	if !p.disabled {
-		p.mu.Lock()
-		best := -1
-		for i, b := range p.bitsets {
-			if cap(b) < words || cap(b) > oversizeFactor*(words+1) {
-				continue
-			}
-			if best < 0 || cap(b) < cap(p.bitsets[best]) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			b := p.bitsets[best]
-			last := len(p.bitsets) - 1
-			p.bitsets[best] = p.bitsets[last]
-			p.bitsets[last] = nil
-			p.bitsets = p.bitsets[:last]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			b = b[:words]
-			clear(b)
-			return b
-		}
-		p.mu.Unlock()
-	}
-	return make([]uint64, words)
+	b := getBuf(p, &p.bitsets, words, true)[:words]
+	clear(b)
+	return b
 }
 
 // PutBitset returns a bitset to the pool. nil is ignored.

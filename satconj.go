@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/ccsds"
 	"repro/internal/core"
-	"repro/internal/cube"
 	"repro/internal/orbit"
 	"repro/internal/population"
 	"repro/internal/propagation"
@@ -426,21 +425,6 @@ func WriteCDMs(w io.Writer, conjs []Conjunction, sats []Satellite, opts Options,
 	}
 	return ccsds.WriteAll(w, conjs, func(id int32) *propagation.Satellite { return byID[id] },
 		prop, epoch, originator)
-}
-
-// CollisionRateConfig configures the Cube-method statistical estimator.
-type CollisionRateConfig = cube.Config
-
-// CollisionRateResult is the Cube-method output.
-type CollisionRateResult = cube.Result
-
-// EstimateCollisionRate runs the Cube method (Liou et al. 2003) — the
-// volumetric statistical baseline of §II. It estimates long-term pairwise
-// collision rates; unlike Screen it cannot produce deterministic
-// conjunction events, which is exactly the limitation that motivates the
-// deterministic grid pipeline.
-func EstimateCollisionRate(sats []Satellite, cfg CollisionRateConfig) (*CollisionRateResult, error) {
-	return cube.Estimate(sats, cfg)
 }
 
 // RiskAssessment couples a conjunction's miss distance with its collision

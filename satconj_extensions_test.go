@@ -159,22 +159,3 @@ func TestCollisionProbabilityFacade(t *testing.T) {
 		t.Error("invalid PCA accepted")
 	}
 }
-
-func TestEstimateCollisionRateFacade(t *testing.T) {
-	sats, err := GeneratePopulation(PopulationConfig{N: 150, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := EstimateCollisionRate(sats, CollisionRateConfig{
-		CubeSizeKm: 200, Samples: 200, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 200 {
-		t.Errorf("Samples = %d", res.Samples)
-	}
-	if res.TotalRatePerSecond < 0 {
-		t.Errorf("negative rate %v", res.TotalRatePerSecond)
-	}
-}
