@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench shard-smoke delta-smoke
+.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench shard-smoke delta-smoke counters-repeat
 
 all: build lint test
 
@@ -77,3 +77,13 @@ store-bench:
 ## from-scratch screen; exits non-zero on any failed op (~2 s).
 delta-smoke:
 	bash bench/run.sh --verify --smoke
+
+## counters-repeat: the smoke benchmark traced twice and the two captures
+## -repeat-check'ed. Traced files compare the exact counters only
+## (candidate_pairs, refinements, conjunctions, …), so machine noise cannot
+## fail it and a pipeline whose output depends on scheduling does (~5 s).
+counters-repeat:
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	bash bench/run.sh --smoke --trace 1 -out "$$d/a.json" >/dev/null && \
+	bash bench/run.sh --smoke --trace 1 -out "$$d/b.json" >/dev/null && \
+	bash bench/run.sh -repeat-check "$$d/a.json" "$$d/b.json"

@@ -77,7 +77,7 @@ func BenchmarkFig10Large_HybridPlanned(b *testing.B) {
 	}
 	res := benchScreen(b, sats, Options{
 		Variant: VariantHybrid, ThresholdKm: 2, DurationSeconds: 120,
-		SecondsPerSample: plan.SecondsPerSample, PairSlotHint: plan.ConjunctionSlotCount,
+		SecondsPerSample: plan.SecondsPerSample,
 	})
 	b.ReportMetric(plan.SecondsPerSample, "s_ps")
 	b.ReportMetric(float64(len(res.Conjunctions)), "conjunctions")

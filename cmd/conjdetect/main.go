@@ -169,7 +169,7 @@ func progressObserver(w *os.File) satconj.Observer {
 				every = 1
 			}
 			if s.Completed%every == 0 || s.Completed == s.Steps {
-				fmt.Fprintf(w, "\rsampling %d/%d steps  pairs=%d", s.Completed, s.Steps, s.PairSetLen)
+				fmt.Fprintf(w, "\rsampling %d/%d steps  pairs=%d", s.Completed, s.Steps, s.Candidates)
 				sampling = true
 			}
 		},

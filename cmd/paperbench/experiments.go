@@ -380,7 +380,6 @@ func runFig10c(ctx *benchCtx) error {
 		res, elapsed, err := screenTimed(ctx, sats, satconj.Options{
 			Variant: satconj.VariantHybrid, ThresholdKm: ctx.threshold,
 			DurationSeconds: ctx.duration, SecondsPerSample: plan.SecondsPerSample,
-			PairSlotHint: plan.ConjunctionSlotCount,
 		})
 		if err != nil {
 			return err

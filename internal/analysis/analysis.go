@@ -16,7 +16,7 @@
 //     context.TODO() is reserved for tests (cancellation plumbing).
 //   - floateq: == / != on floating-point operands in orbital math.
 //   - errfull: dropped errors from Insert/grow-shaped APIs
-//     (lockfree.ErrFull must reach the double-and-retry handling).
+//     (lockfree.ErrFull must reach the caller).
 //
 // One is flow-sensitive, built on the CFG builder (cfg.go) and the
 // worklist dataflow solver (dataflow.go) in this package:

@@ -1,9 +1,9 @@
 // Package errfull flags call sites that discard the error result of
 // insert/grow-shaped APIs. The lock-free structures in internal/lockfree
-// report capacity exhaustion as lockfree.ErrFull, and the documented
-// contract (§V-B of the paper) is that callers double the structure and
-// retry the step. A dropped error there means silently missing
-// conjunctions — candidate pairs that were discovered but never recorded.
+// report capacity exhaustion as lockfree.ErrFull, which the caller must
+// act on (§V-B of the paper doubles the structure and retries; a delta pass
+// fails). A dropped error there means silently missing conjunctions —
+// stamps that were never recorded.
 //
 // A call is flagged when the callee's result list includes an error, the
 // callee looks like an insertion or growth operation (its name starts with
@@ -30,7 +30,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "errfull",
 	Doc: "flag dropped errors from Insert/grow-shaped APIs; lockfree.ErrFull " +
-		"must reach the caller's double-and-retry handling",
+		"must reach the caller",
 	Run: run,
 }
 
@@ -80,7 +80,7 @@ func check(pass *analysis.Pass, call *ast.CallExpr, how string) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"%s from %s: %s; handle lockfree.ErrFull with the double-and-retry path or annotate //lint:errfull-ok",
+		"%s from %s: %s; handle lockfree.ErrFull or annotate //lint:errfull-ok",
 		"dropped error", fn.Name(), how)
 }
 

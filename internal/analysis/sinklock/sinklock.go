@@ -21,13 +21,6 @@
 // Emit on a Sink/SinkFunc, OnStep/OnPhase on an Observer/ObserverFuncs —
 // and reported when no tracked mutex is held at the call.
 //
-// PairSet.InsertPacked is deliberately NOT guarded, although the issue
-// brief groups it with delivery: the merge path (mergeRange) calls it
-// lock-free by design — the set is a CAS-based
-// structure and its overflow contract (lockfree.ErrFull) is enforced by the
-// errfull analyzer instead. Demanding a lock there would wrap a lock-free
-// structure in the mutex it exists to avoid; see DESIGN.md §12.
-//
 // Emission sites whose serialisation is inherited from a caller (the
 // pre-run single-goroutine phase emit, observer adapters that are
 // themselves invoked under the pipeline's obsMu) carry //lint:sinklock-ok

@@ -38,12 +38,6 @@ func (o ObserverFuncs) OnPhase(p PhaseInfo) {
 	}
 }
 
-// PairSet.InsertPacked is CAS-based and deliberately unguarded; the fixture
-// proves the analyzer leaves it alone.
-type PairSet struct{}
-
-func (p *PairSet) InsertPacked(key uint64) (bool, error) { return true, nil }
-
 type emitter struct {
 	mu   sync.Mutex
 	sink Sink
@@ -98,11 +92,6 @@ func lockedLoopBody(cs []Conjunction) {
 		sink.Emit(c)
 		mu.Unlock()
 	}
-}
-
-func insertPackedIsLockFree(ps *PairSet, key uint64) error {
-	_, err := ps.InsertPacked(key)
-	return err
 }
 
 // --- unserialised deliveries ---

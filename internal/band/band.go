@@ -133,15 +133,3 @@ func (a *Assignment) ResidentCounts() []int {
 	}
 	return counts
 }
-
-// MaxResidents returns the largest band's resident count — the memory
-// ceiling driver of a sharded screen.
-func (a *Assignment) MaxResidents() int {
-	max := 0
-	for _, c := range a.ResidentCounts() {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}

@@ -1,6 +1,7 @@
 package band
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/filters"
@@ -127,7 +128,7 @@ func TestPartitionBalance(t *testing.T) {
 		}
 		total += c
 	}
-	maxC := a.MaxResidents()
+	maxC := slices.Max(counts)
 	if maxC > 4*len(sats)/bands {
 		t.Fatalf("largest band holds %d of %d objects across %d bands — quantile balance lost: %v",
 			maxC, len(sats), bands, counts)
@@ -168,7 +169,7 @@ func TestPartitionDegenerate(t *testing.T) {
 	if got := Partition(kde, 0, 1).Bands(); got != 1 {
 		t.Fatalf("bands=0 request produced %d bands", got)
 	}
-	if got := Partition(nil, 4, 1); got.Bands() != 1 || got.MaxResidents() != 0 {
-		t.Fatalf("empty population: Bands=%d MaxResidents=%d", got.Bands(), got.MaxResidents())
+	if got := Partition(nil, 4, 1); got.Bands() != 1 || got.ResidentCounts()[0] != 0 {
+		t.Fatalf("empty population: Bands=%d ResidentCounts=%v", got.Bands(), got.ResidentCounts())
 	}
 }

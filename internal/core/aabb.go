@@ -124,9 +124,7 @@ func (d *AABB) screen(ctx context.Context, sats []propagation.Satellite, delta *
 	// post-check restores the grid criterion, so the grid interval rule
 	// (two-cell crossing, §IV-C) applies unchanged.
 	tRef := time.Now()
-	pairs := run.collectPairs()
-	run.stats.CandidatePairs = len(pairs)
-	conjs, err := run.refineCandidates(pairs, nil)
+	conjs, err := run.refineCandidates(run.keys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,8 +323,9 @@ func (t *aabbTree) buildNode(start, end int) int32 {
 // steps: propagate each satellite through the window (sequentially in time,
 // which keeps the warm-start precondition even though satellites are split
 // across workers), hull and pad its samples into a box, build the tree, and
-// fold the box-overlap candidates — post-checked per shared step against
-// the adjacency envelope — into the shared pair set.
+// append the box-overlap candidates — post-checked per shared step against
+// the adjacency envelope — to the per-worker buffers; after the last window,
+// collect them into r.keys.
 func (r *run) sampleWindows(w int) error {
 	n := len(r.sats)
 	win := &aabbWindow{
@@ -367,14 +366,12 @@ func (r *run) sampleWindows(w int) error {
 		if err := parallelForWorkers(r.ctx, r.workers, n, queryFn); err != nil {
 			return err
 		}
-		if err := r.mergeScanBufs(); err != nil {
-			return err
-		}
 		r.stats.Detection += time.Since(tCD)
 		for s := base; s < base+win.width; s++ {
 			r.observeStep(s, n)
 		}
 	}
+	r.collectPairs()
 	return nil
 }
 

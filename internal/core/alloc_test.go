@@ -54,10 +54,6 @@ func poolVariants() map[string]screenFn {
 		"hybrid": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
 			return NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
 		},
-		"grown-pair-set": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
-			// PairSlotHint 2 forces repeated pooled growth mid-run.
-			return NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 300, Workers: 2, PairSlotHint: 2, Pool: p}).Screen(sats)
-		},
 	}
 }
 

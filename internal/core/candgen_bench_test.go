@@ -12,6 +12,13 @@ package core
 //   - SortCells:      the sort alone
 //
 // Both builds end with the same cells in the same order (sweep_test.go).
+//
+// And collecting a 60-step run's candidates, per iteration over identical
+// per-worker key buffers:
+//
+//   - Collect_PairSet: the paper's structure — every key CAS-inserted into a
+//     roomy lockfree.PairSet by the workers, drained in slot order, sorted
+//   - Collect_Sort:    what the detectors run — concatenate, sort, compact
 
 import (
 	"context"
@@ -129,3 +136,64 @@ func BenchmarkSortCells(b *testing.B) {
 		})
 	}
 }
+
+// benchCollect times one collect per iteration — what setup returns, given a
+// run whose 60 steps are sampled into r.scanBufs — and reports ns per candidate.
+func benchCollect(b *testing.B, setup func(b *testing.B, r *run) (collect func())) {
+	for name, sats := range candgenPopulations {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers-%d", name, workers), func(b *testing.B) {
+				r := candgenRun(b, sats(b), workers)
+				if err := r.sampleSteps(); err != nil {
+					b.Fatal(err)
+				}
+				collect := setup(b, r)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					collect()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.candidates()), "ns/candidate")
+			})
+		}
+	}
+}
+
+func BenchmarkCollect_PairSet(b *testing.B) {
+	benchCollect(b, func(b *testing.B, r *run) func() {
+		set := lockfree.NewPairSet(2 * r.candidates())
+		insert := func(_, lo, hi int) {
+			for _, buf := range r.scanBufs[lo:hi] {
+				for _, key := range buf {
+					if _, err := set.InsertPacked(key); err != nil {
+						b.Error(err)
+					}
+				}
+			}
+		}
+		var pairs []lockfree.Pair
+		var keys []uint64
+		return func() {
+			set.Reset()
+			_ = parallelForWorkers(r.ctx, r.workers, len(r.scanBufs), insert)
+			pairs, keys = set.Items(pairs[:0]), keys[:0]
+			for _, p := range pairs {
+				keys = append(keys, lockfree.PackPair(p.A, p.B, p.Step))
+			}
+			sortPairsBySatellite(keys)
+			sortedKeysSink = keys
+		}
+	})
+}
+
+func BenchmarkCollect_Sort(b *testing.B) {
+	benchCollect(b, func(_ *testing.B, r *run) func() {
+		return func() {
+			r.pool.PutKeyBuf(r.keys)
+			r.collectPairs()
+			sortedKeysSink = r.keys
+		}
+	})
+}
+
+// sortedKeysSink keeps the benchmarked collect's result alive.
+var sortedKeysSink []uint64

@@ -1,9 +1,9 @@
 package core
 
-// The candidate layout: collectPairs hands every detector its candidates in
-// (A, B, Step) order, and classifyPairs reads the runs of equal (A, B) off
-// that order instead of hashing — each is pinned against the lookup it
-// replaced.
+// The candidate layout: collectPairs hands every detector its candidates as
+// packed keys in (A, B, Step) order, and classifyPairs reads the runs of equal
+// (A, B) off that order instead of hashing — each is pinned against the lookup
+// it replaced.
 
 import (
 	"context"
@@ -15,7 +15,7 @@ import (
 )
 
 // sampledHybridRun is a hybrid run over a seeded shell with every step
-// sampled, ready for collectPairs.
+// sampled and the candidates collected into r.keys.
 func sampledHybridRun(t *testing.T) *run {
 	t.Helper()
 	sats := denseShellPopulation(1500, 21)
@@ -31,28 +31,34 @@ func sampledHybridRun(t *testing.T) *run {
 	return r
 }
 
+// stepless is a candidate key with its step cleared: the pair's identity, as
+// the unpacked fields give it (classifyPairs compares bits instead).
+func stepless(key uint64) uint64 {
+	p := lockfree.UnpackPair(key)
+	return lockfree.PackPair(p.A, p.B, 0)
+}
+
 func TestCollectPairsAscendingInPackedKey(t *testing.T) {
-	pairs := sampledHybridRun(t).collectPairs()
+	pairs := sampledHybridRun(t).keys
 	if len(pairs) < 1000 {
 		t.Fatalf("only %d candidates: the population is too sparse to test an order on", len(pairs))
 	}
 	for k := 1; k < len(pairs); k++ {
-		prev, cur := pairs[k-1], pairs[k]
-		if lockfree.PackPair(prev.A, prev.B, prev.Step) >= lockfree.PackPair(cur.A, cur.B, cur.Step) {
-			t.Fatalf("candidates %d and %d out of order: %+v, %+v", k-1, k, prev, cur)
+		if pairs[k-1] >= pairs[k] {
+			t.Fatalf("candidates %d and %d out of order: %+v, %+v", k-1, k, lockfree.UnpackPair(pairs[k-1]), lockfree.UnpackPair(pairs[k]))
 		}
 	}
 }
 
 func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 	r := sampledHybridRun(t)
-	all := r.collectPairs()
+	all := r.keys
 
 	// One candidate per distinct pair, and all the candidates of the pair
 	// flagged at the most steps.
-	var distinct, longest []lockfree.Pair
+	var distinct, longest []uint64
 	for lo, k := 0, 1; k <= len(all); k++ {
-		if k == len(all) || all[k].A != all[lo].A || all[k].B != all[lo].B {
+		if k == len(all) || stepless(all[k]) != stepless(all[lo]) {
 			distinct = append(distinct, all[lo])
 			if k-lo > len(longest) {
 				longest = all[lo:k]
@@ -64,7 +70,7 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 		t.Fatalf("%d candidates over %d pairs: no pair was flagged twice", len(all), len(distinct))
 	}
 
-	for name, pairs := range map[string][]lockfree.Pair{
+	for name, pairs := range map[string][]uint64{
 		"seeded population":   all,
 		"every pair distinct": distinct,
 		"a single run":        longest,
@@ -79,8 +85,8 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 		// pair found through a map, as classification did before the sort.
 		want := map[uint64]filters.Geometry{}
 		var wantStats filters.Stats
-		for _, p := range pairs {
-			key := lockfree.PackPair(p.A, p.B, 0)
+		for _, k := range pairs {
+			p, key := lockfree.UnpackPair(k), stepless(k)
 			if _, seen := want[key]; !seen {
 				a, b := &r.sats[r.idx[p.A]], &r.sats[r.idx[p.B]]
 				want[key] = filters.Classify(a.Elements, b.Elements, r.cfg.Filters.WithThreshold(r.pairThreshold(p.A, p.B)))
@@ -98,12 +104,12 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 			if dec.end <= lo || dec.end > len(pairs) {
 				t.Fatalf("%s: decision %d ends at %d after %d", name, i, dec.end, lo)
 			}
-			for _, p := range pairs[lo:dec.end] {
-				if p.A != pairs[lo].A || p.B != pairs[lo].B {
-					t.Fatalf("%s: run %d holds two pairs: %+v, %+v", name, i, pairs[lo], p)
+			for _, k := range pairs[lo:dec.end] {
+				if stepless(k) != stepless(pairs[lo]) {
+					t.Fatalf("%s: run %d holds two pairs: %+v, %+v", name, i, lockfree.UnpackPair(pairs[lo]), lockfree.UnpackPair(k))
 				}
 			}
-			g := want[lockfree.PackPair(pairs[lo].A, pairs[lo].B, 0)]
+			g := want[stepless(pairs[lo])]
 			passing := 0
 			for _, n := range g.Nodes {
 				if g.Class == filters.NodeCrossing && n.Passes {
@@ -112,7 +118,7 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 			}
 			if dec.class != g.Class || len(dec.nodes) != passing {
 				t.Fatalf("%s: run %d of %+v: class %v with %d node windows, Classify says %v with %d",
-					name, i, pairs[lo], dec.class, len(dec.nodes), g.Class, passing)
+					name, i, lockfree.UnpackPair(pairs[lo]), dec.class, len(dec.nodes), g.Class, passing)
 			}
 			lo = dec.end
 		}

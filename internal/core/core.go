@@ -58,10 +58,6 @@ type Config struct {
 	// from the population's largest apogee (capped below by the paper's
 	// default GEO-covering cube when the population needs it).
 	HalfExtentKm float64
-	// PairSlotHint presizes the conjunction hash set; 0 derives a size
-	// from the population (callers with an Extra-P model estimate pass it
-	// here). The set grows automatically on overflow either way.
-	PairSlotHint int
 	// Filters configures the hybrid variant's orbital filter chain.
 	Filters filters.Config
 	// WindowSteps is the AABB-tree variant's window width W: one set of
@@ -84,7 +80,7 @@ type Config struct {
 	// threshold should cover the position uncertainties). The grid is
 	// sized for the worst pair automatically.
 	Uncertainty UncertaintyMap
-	// Pool supplies the recycled grid/pair/state structures of the run.
+	// Pool supplies the recycled stamp-table/buffer/state structures of the run.
 	// nil selects the process-wide pool.Default, so back-to-back runs (and
 	// concurrent server requests) reuse each other's buffers;
 	// pool.Disabled() opts out of all reuse. See pool's package doc for the
@@ -153,11 +149,11 @@ type Conjunction struct {
 
 // PhaseStats records where the run spent its time — the §V-C1 breakdown —
 // plus pipeline counters. On a delta pass (delta.go) Insertion is stamp +
-// probe and Detection the merge alone.
+// probe, candidate emission included, and Detection the collect alone.
 type PhaseStats struct {
 	Insertion   time.Duration // propagation + one {cell key, ID} entry per object (INS)
 	Freeze      time.Duration // zero on grid and hybrid, which freeze nothing; aabb-tree: its window builds (FRZ)
-	Detection   time.Duration // candidate generation: entry sort + group into cells + sweep + merge (CD)
+	Detection   time.Duration // candidate generation: per step entry sort + group into cells + sweep, per run one collect of the keys (CD)
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
@@ -172,8 +168,7 @@ type PhaseStats struct {
 	RefineBatches     int    // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds       uint64 // satellite samples outside the simulation cube
 	GridSlots         int    // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
-	PairSlots         int    // final conjunction hash slot capacity
-	PairSetGrowths    int    // times the conjunction hash set overflowed and doubled
+	PairSetGrowths    int    // always zero — the candidates are a list, nothing grows; kept, like Freeze, because bench/ reads it
 	FilterStats       filters.Stats
 }
 
@@ -267,7 +262,7 @@ func (c Conjunction) PairKey() uint64 { return lockfree.PackPair(c.A, c.B, 0) }
 // Errors returned by the detectors.
 var (
 	ErrNoDuration = errors.New("core: DurationSeconds must be positive")
-	ErrTooManyIDs = errors.New("core: satellite ID exceeds the pair-set limit")
+	ErrTooManyIDs = errors.New("core: satellite ID exceeds the packed-pair limit")
 )
 
 // validatePopulation checks IDs and fills idx (which must be empty) with the
@@ -300,17 +295,6 @@ func autoHalfExtent(sats []propagation.Satellite, cellSize float64) float64 {
 		}
 	}
 	return spatial.RequiredHalfExtent(maxApogee, cellSize)
-}
-
-// defaultPairSlots presizes the conjunction set when no model hint is given:
-// a few candidate slots per satellite with the paper's 10,000 floor and the
-// two doublings of §V-B already applied by rounding up inside the set.
-func defaultPairSlots(n int, steps int) int {
-	est := 4 * n
-	if est < 10000 {
-		est = 10000
-	}
-	return est * 2 * 2
 }
 
 // stepCount returns the number of samples covering [0, duration].

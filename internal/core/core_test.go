@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -220,22 +221,6 @@ func TestEngineeredPopulationAllVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestPairSetGrowthRecovers(t *testing.T) {
-	// Force the conjunction set to start tiny; the detector must grow it
-	// and still find everything.
-	sats := engineeredPopulation(t)
-	res, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, PairSlotHint: 2}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PairSetGrowths == 0 {
-		t.Error("pair set never grew from a 2-slot start")
-	}
-	if got := len(res.Events(10)); got != 3 {
-		t.Errorf("events after growth = %d, want 3", got)
-	}
-}
-
 func TestStatsPhaseAccounting(t *testing.T) {
 	sats := engineeredPopulation(t)
 	res, err := NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 1000}).Screen(sats)
@@ -260,6 +245,33 @@ func TestStatsPhaseAccounting(t *testing.T) {
 	}
 	if st.Total() <= 0 {
 		t.Error("Total() <= 0")
+	}
+
+	// The collect (concatenate, sort, compact) is candidate generation: it
+	// runs before the sample phase is reported, so PhaseSample already knows
+	// the final candidate count, and its span is Detection's — on a stamping
+	// delta pass, which has no scan, it is all of Detection.
+	for name, screen := range map[string]func(Config) (*Result, error){
+		"grid":   func(c Config) (*Result, error) { return NewGrid(c).Screen(sats) },
+		"hybrid": func(c Config) (*Result, error) { return NewHybrid(c).Screen(sats) },
+		"aabb":   func(c Config) (*Result, error) { return NewAABB(c).Screen(sats) },
+		"grid-delta": func(c Config) (*Result, error) {
+			return NewGrid(c).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: []int32{0}})
+		},
+	} {
+		sampled := -1
+		cfg := Config{ThresholdKm: 2, DurationSeconds: 1000, Observer: ObserverFuncs{Phase: func(p PhaseInfo) {
+			if p.Phase == PhaseSample {
+				sampled = p.Candidates
+			}
+		}}}
+		res, err := screen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.CandidatePairs == 0 || sampled != st.CandidatePairs || st.Detection <= 0 {
+			t.Errorf("%s: PhaseSample reported %d candidates, stats %d, Detection %v", name, sampled, st.CandidatePairs, st.Detection)
+		}
 	}
 }
 

@@ -138,10 +138,10 @@ func (r *run) setDelta(delta *DeltaInput) error {
 }
 
 // sampleStepsStamped is the delta pass's step loop: reset the stamp table,
-// stamp every dirty object, let every object probe its own cell, merge the
-// per-worker candidate buffers as the full scan does. Insertion accounts
-// stamp + probe (propagation included), Detection the merge. Positions come
-// from positionAt, so they and the out-of-bounds count are the full screen's.
+// stamp every dirty object, let every object probe its own cell into the
+// per-worker candidate buffers. Insertion accounts all of it (propagation
+// included); Detection is the collect's. Positions come from positionAt, so
+// they and the out-of-bounds count are the full screen's.
 func (r *run) sampleStepsStamped() error {
 	stampFn, probeFn := r.stampRange, r.probeRange
 	for step := 0; step < r.steps; step++ {
@@ -158,8 +158,9 @@ func (r *run) sampleStepsStamped() error {
 		if err, ok := r.insertErr.Load().(error); ok {
 			return err
 		}
-		// Dirty objects probe too (dirty–dirty pairs), now that every stamp is
-		// in, from the cell they stamped: their position is already taken.
+		// Dirty objects probe too, now that every stamp is in, from the cell
+		// they stamped: their position is already taken. A dirty–dirty pair is
+		// found from both sides; collectPairs drops the repeat.
 		for j, key := range r.dirtyKeys {
 			if key != lockfree.EmptySlot {
 				r.scanBufs[0] = r.appendStamped(r.scanBufs[0], key, r.sats[r.dirtyIdx[j]].ID)
@@ -169,11 +170,6 @@ func (r *run) sampleStepsStamped() error {
 			return err
 		}
 		r.stats.Insertion += time.Since(tIns)
-		tCD := time.Now()
-		if err := r.mergeScanBufs(); err != nil {
-			return err
-		}
-		r.stats.Detection += time.Since(tCD)
 		r.observeStep(step, len(r.sats)-int(r.oob.Load()-oobBefore))
 	}
 	return nil

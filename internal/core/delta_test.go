@@ -145,8 +145,8 @@ func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagati
 		isDirty[id] = true
 	}
 	n := 0
-	for _, p := range r.collectPairs() {
-		if isDirty[p.A] || isDirty[p.B] {
+	for _, key := range r.keys {
+		if p := lockfree.UnpackPair(key); isDirty[p.A] || isDirty[p.B] {
 			n++
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -80,9 +79,7 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 	// goes straight to refinement; the interval is the two-cell crossing
 	// rule (§IV-C).
 	tRef := time.Now()
-	pairs := run.collectPairs()
-	run.stats.CandidatePairs = len(pairs)
-	conjs, err := run.refineCandidates(pairs, nil)
+	conjs, err := run.refineCandidates(run.keys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +95,8 @@ func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *
 }
 
 // run holds the shared state of one screening execution (both variants).
-// Its buffers, pair set, ID index and (delta passes) stamp table are pooled:
-// release returns them, after which the run must not be used.
+// Its buffers, ID index and (delta passes) stamp table are pooled: release
+// returns them, after which the run must not be used.
 type run struct {
 	cfg         Config
 	pool        *pool.Pool
@@ -112,9 +109,8 @@ type run struct {
 	gset        *lockfree.GridSet // stamping delta pass only: the stamp table
 	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, ID} per object
 	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
-	pairs       *lockfree.PairSet
-	pairBuf     []lockfree.Pair
-	scanBufs    [][]uint64 // per-worker packed candidate keys, merged once per step
+	scanBufs    [][]uint64        // per-worker packed candidate keys, appended to for the whole run
+	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
 	prop        propagation.Propagator
 	warm        propagation.WarmStarter   // non-nil: positionAt warm-starts the Kepler solve
@@ -147,7 +143,7 @@ type run struct {
 	// closure inside the step loop costs a heap allocation per step — at a
 	// 1 s sampling step that alone dwarfs the pooled structures' savings —
 	// so the loop instead publishes its step state here and reuses the same
-	// three closures for every step. The worker pool's fork/join provides the
+	// two closures for every step. The worker pool's fork/join provides the
 	// happens-before edge between these writes and the workers' reads.
 	// stepTime and stepEntries belong to the build side (main step goroutine);
 	// the scan* fields and the sort, ID and scan buffers to the scan side, on a
@@ -157,10 +153,9 @@ type run struct {
 	scanStep    uint32
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
 	scanIDs     []int32         // the ID array their ranges index, one slot per object
-	scanFull    atomic.Bool
-	insertErr   atomic.Value // stamping: the first stamp-table insertion failure
+	insertErr   atomic.Value    // stamping: the first stamp-table insertion failure
 
-	buildFn, scanFn, mergeFn func(w, lo, hi int)
+	buildFn, scanFn func(w, lo, hi int)
 
 	// win is the AABB-tree detector's per-window state (aabb.go); nil for
 	// the grid/hybrid detectors.
@@ -173,7 +168,7 @@ type run struct {
 // with the pooled structures returned. withGrid allocates the spatial grid
 // and the step loop's entry, sort and ID buffers; the AABB-tree detector
 // passes false and builds its bounding-volume hierarchy instead, sharing
-// everything else (validation, pair set, per-worker scan buffers, warm caches,
+// everything else (validation, per-worker candidate buffers, warm caches,
 // refiner). A delta is validated here; on the grid, below the crossover, the
 // stamp table replaces those buffers.
 func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, withGrid bool, delta *DeltaInput) (*run, error) {
@@ -220,11 +215,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	steps := stepCount(cfg.DurationSeconds, sps)
 	if steps-1 > lockfree.MaxStep {
 		pl.PutIDIndex(idx)
-		return nil, fmt.Errorf("core: %d sampling steps exceed the pair-set step limit %d", steps, lockfree.MaxStep)
-	}
-	pairHint := cfg.PairSlotHint
-	if pairHint <= 0 {
-		pairHint = defaultPairSlots(len(sats), steps)
+		return nil, fmt.Errorf("core: %d sampling steps exceed the packed-pair step limit %d", steps, lockfree.MaxStep)
 	}
 	r := &run{
 		cfg:         cfg,
@@ -235,7 +226,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		threshold:   threshold,
 		cellSize:    cellSize,
 		grid:        grid,
-		pairs:       pl.GetPairSet(pairHint),
 		workers:     cfg.workers(),
 		prop:        cfg.propagator(),
 		steps:       steps,
@@ -245,7 +235,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		sink:        cfg.Sink,
 		observer:    cfg.Observer,
 	}
-	r.buildFn, r.scanFn, r.mergeFn = r.buildRange, r.scanRange, r.mergeRange
+	r.buildFn, r.scanFn = r.buildRange, r.scanRange
 	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
 	if delta != nil {
 		if err := r.setDelta(delta); err != nil {
@@ -261,7 +251,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		r.scanIDs = make([]int32, n)
 		r.stats.GridSlots = n
 	}
-	// The scan phase gets one private candidate buffer per worker.
+	// Candidate emission gets one private buffer per worker, for the whole run.
 	r.scanBufs = make([][]uint64, r.workers)
 	for w := range r.scanBufs {
 		r.scanBufs[w] = pl.GetKeyBuf(0)
@@ -315,7 +305,7 @@ func (r *run) observeStep(step, gridEntries int) {
 		Steps:       r.steps,
 		Completed:   r.stepsDone,
 		GridEntries: gridEntries,
-		PairSetLen:  r.pairs.Len(),
+		Candidates:  r.candidates(),
 		OutOfBounds: r.oob.Load(),
 	})
 	r.obsMu.Unlock()
@@ -327,19 +317,12 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 	if r.observer == nil {
 		return
 	}
-	cand := r.stats.CandidatePairs
-	if cand == 0 {
-		// Before collectPairs snapshots the count, the live set length is
-		// the candidate tally (PhaseSample reports it this way).
-		cand = r.pairs.Len()
-	}
 	r.obsMu.Lock()
 	r.observer.OnPhase(PhaseInfo{
 		Phase:             p,
 		Elapsed:           elapsed,
 		GridSlots:         r.stats.GridSlots,
-		PairSlots:         r.pairs.Slots(),
-		Candidates:        cand,
+		Candidates:        r.stats.CandidatePairs,
 		FilterRejected:    r.stats.FilterRejected,
 		PrefilterRejected: r.stats.PrefilterRejected,
 		Refinements:       r.stats.Refinements,
@@ -358,8 +341,7 @@ func (r *run) release() {
 	r.pool.PutGridSet(r.gset)
 	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
-	r.pool.PutPairSet(r.pairs)
-	r.pool.PutPairBuf(r.pairBuf)
+	r.pool.PutKeyBuf(r.keys)
 	r.pool.PutIDIndex(r.idx)
 	for w := range r.scanBufs {
 		r.pool.PutKeyBuf(r.scanBufs[w])
@@ -368,24 +350,44 @@ func (r *run) release() {
 	r.pool.PutBitset(r.dirty)
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
-	r.gset, r.pairs, r.pairBuf, r.idx = nil, nil, nil, nil
+	r.gset, r.keys, r.idx = nil, nil, nil
 	r.entries, r.cellBuf, r.scanBufs, r.kcache = nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
-// collectPairs drains the pair set into a pooled buffer owned (and later
-// released) by the run, in (A, B, Step) order: the candidates of one pair are
-// one run of the list and the refinements of one satellite sit adjacent.
-func (r *run) collectPairs() []lockfree.Pair {
-	r.pairBuf = r.pairs.AppendItems(r.pool.GetPairBuf(r.pairs.Len()), r.workers)
-	sortPairsBySatellite(r.pairBuf)
-	return r.pairBuf
+// candidates is the number of keys emitted so far. It reads the per-worker
+// buffers, so only call it with no scan, probe or query in flight.
+func (r *run) candidates() int {
+	n := 0
+	for _, buf := range r.scanBufs {
+		n += len(buf)
+	}
+	return n
 }
 
-// sampleAllSteps runs step 2 for every sampling step: propagate, key, and
-// identify candidate pairs into the conjunction set. A stamping delta
-// pass has its own loop (delta.go), and samples nothing when nothing is
-// dirty: no candidate is new. Every other run takes sampleSteps.
+// collectPairs is the conjunction set of §IV-A3 as a list (DESIGN.md §2): the
+// per-worker buffers concatenated into one pooled buffer owned (and later
+// released) by the run, sorted into (A, B, Step) order — the candidates of one
+// pair are one run of the list and the refinements of one satellite sit
+// adjacent — and compacted. Every sweep and window query emits a (pair, step)
+// once; only a stamping pass's dirty–dirty pairs, found from both sides, have
+// a repeat to drop. The span is candidate generation, so Detection's.
+func (r *run) collectPairs() {
+	tCD := time.Now()
+	keys := r.pool.GetKeyBuf(r.candidates())
+	for _, buf := range r.scanBufs {
+		keys = append(keys, buf...)
+	}
+	sortPairsBySatellite(keys)
+	r.keys = slices.Compact(keys)
+	r.stats.CandidatePairs = len(r.keys)
+	r.stats.Detection += time.Since(tCD)
+}
+
+// sampleAllSteps runs step 2 for every sampling step — propagate, key, and
+// identify candidate pairs — and collects the candidates into r.keys. A
+// stamping delta pass has its own loop (delta.go), and samples nothing when
+// nothing is dirty: no candidate is new. Every other run takes sampleSteps.
 func (r *run) sampleAllSteps() error {
 	tSample := time.Now()
 	var err error
@@ -401,6 +403,7 @@ func (r *run) sampleAllSteps() error {
 	if err != nil {
 		return err
 	}
+	r.collectPairs()
 	r.observePhase(PhaseSample, time.Since(tSample), 0)
 	r.observePhase(PhaseFreeze, r.stats.Freeze, 0) // zero: kept for the stream schema (observer.go)
 	return nil
@@ -460,83 +463,24 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
 // pairs, appending packed pair keys to worker w's private buffer. No shared
-// state is touched: the merge phase folds the buffers into the pair set after
-// the scan joins.
+// state is touched.
 func (r *run) scanRange(w, lo, hi int) {
 	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, lo, hi, r.scanStep, r.scanBufs[w])
-}
-
-// mergeRange folds the per-worker candidate buffers [lo, hi) into the shared
-// pair set, flagging overflow. Whole buffers are the work unit so two workers
-// never interleave within one buffer.
-func (r *run) mergeRange(_, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		for _, key := range r.scanBufs[w] {
-			if _, err := r.pairs.InsertPacked(key); err != nil {
-				r.scanFull.Store(true)
-				return
-			}
-		}
-	}
 }
 
 // generateCandidates performs the conjunction-detection scan of §IV-A3 for
 // one step's entry buffer, which it only reads, and returns how many entries
 // were inside the cube: sort them by key into one of the run's sort buffers
 // (stably: a cell's IDs stay in population order), group them into cells
-// there, sweep the cells into the per-worker buffers with no shared writes,
-// merge. Sort and group are serial; on a two-slot ring they run beside the
-// next step's build.
+// there, sweep the cells into the per-worker buffers with no shared writes.
+// Sort and group are serial; on a two-slot ring they run beside the next
+// step's build.
 func (r *run) generateCandidates(entries []lockfree.Cell, step uint32) (inCube int, err error) {
 	r.scanStep = step
 	n := len(r.cellBuf) / 2
 	sorted := sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
 	r.scanCells = groupCells(sorted, r.scanIDs)
-	if err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn); err != nil {
-		return 0, err
-	}
-	return len(sorted), r.mergeScanBufs()
-}
-
-// mergeScanBufs folds the per-worker candidate buffers into the shared pair
-// set, growing the set and re-merging on overflow (InsertPacked is
-// idempotent, so buffers whose keys partially landed re-merge safely), and
-// leaves them empty for the next step.
-func (r *run) mergeScanBufs() error {
-	for {
-		r.scanFull.Store(false)
-		if err := parallelForWorkers(r.ctx, r.workers, len(r.scanBufs), r.mergeFn); err != nil {
-			return err
-		}
-		if !r.scanFull.Load() {
-			break
-		}
-		r.growPairs()
-	}
-	for w := range r.scanBufs {
-		r.scanBufs[w] = r.scanBufs[w][:0]
-	}
-	return nil
-}
-
-// growPairs swaps the conjunction set for one of at least double the slots,
-// preserving its contents — the §V-B overflow remedy. The replacement comes
-// from the pool (a previously grown set is the common hit), and the full set
-// goes back for the next run that needs its size.
-func (r *run) growPairs() {
-	old := r.pairs
-	bigger := r.pool.GetPairSet(2 * old.Slots())
-	// Publish the replacement before re-inserting: if the copy panics, the
-	// run's deferred release() then owns bigger and returns it to the pool
-	// instead of leaking it on the panic edge.
-	r.pairs = bigger
-	if err := bigger.InsertAll(old); err != nil {
-		// Doubling always fits the existing items; reaching this means
-		// memory corruption, so fail loudly.
-		panic(fmt.Sprintf("core: re-insertion into doubled pair set failed: %v", err))
-	}
-	r.pool.PutPairSet(old)
-	r.stats.PairSetGrowths++
+	return len(sorted), parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
 }
 
 // refineCandidates runs the parallel PCA/TCA phase over the candidate list.
@@ -555,7 +499,7 @@ func (r *run) growPairs() {
 // are counted separately from refinements. Workers re-check the run context
 // every 16 candidates so large refine phases abort promptly under
 // cancellation.
-func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(k int) (center, radius float64, ok bool)) ([]Conjunction, error) {
+func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, radius float64, ok bool)) ([]Conjunction, error) {
 	var mu sync.Mutex
 	var all []Conjunction
 	var refinements, prefiltered, batches atomic.Int64
@@ -572,7 +516,7 @@ func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(k int) (cent
 				default:
 				}
 			}
-			p := pairs[k]
+			p := lockfree.UnpackPair(pairs[k])
 			a := &r.sats[r.idx[p.A]]
 			b := &r.sats[r.idx[p.B]]
 			center := float64(p.Step) * r.sps
@@ -637,7 +581,6 @@ func (r *run) refineCandidates(pairs []lockfree.Pair, interval func(k int) (cent
 func (r *run) finishStats() PhaseStats {
 	st := r.stats
 	st.OutOfBounds = r.oob.Load()
-	st.PairSlots = r.pairs.Slots()
 	return st
 }
 
@@ -719,27 +662,26 @@ func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi i
 	return nil
 }
 
-// sortPairsBySatellite orders candidates by (A, B, Step) for collectPairs.
-// PackPair puts A, B and Step in descending bit significance, so that is
-// ascending packed-key order, and a pair set holds no ties: an in-place
-// most-significant-digit radix sorts it with no scratch (the pooled buffer is
-// order-free). Each level buckets on the eight highest bits in which its keys
-// still differ — IDs and steps fill a fraction of their fields, so fixed digit
-// positions would mostly sort zeros — and buckets of ≤ 32 finish by comparison.
-func sortPairsBySatellite(pairs []lockfree.Pair) {
-	key := func(p lockfree.Pair) uint64 { return lockfree.PackPair(p.A, p.B, p.Step) }
-	if len(pairs) <= 32 {
-		slices.SortFunc(pairs, func(a, b lockfree.Pair) int { return cmp.Compare(key(a), key(b)) })
+// sortPairsBySatellite sorts packed candidate keys ascending, which is (A, B,
+// Step) order: PackPair puts the three in descending bit significance. An
+// in-place most-significant-digit radix, no scratch. Each level buckets on the
+// eight highest bits in which its keys still differ — IDs and steps fill a
+// fraction of their fields, so fixed digit positions would mostly sort zeros —
+// and buckets of ≤ 32 finish by comparison. Equal keys end in one bucket whose
+// keys differ in no bit: its level is the last.
+func sortPairsBySatellite(keys []uint64) {
+	if len(keys) <= 32 {
+		slices.Sort(keys)
 		return
 	}
 	var differ uint64
-	for _, p := range pairs[1:] {
-		differ |= key(p) ^ key(pairs[0])
+	for _, k := range keys[1:] {
+		differ |= k ^ keys[0]
 	}
 	shift := max(bits.Len64(differ)-8, 0)
 	var next, end [256]int // next unplaced index and end index of each bucket
-	for _, p := range pairs {
-		end[key(p)>>shift&255]++
+	for _, k := range keys {
+		end[k>>shift&255]++
 	}
 	for b, at := 0, 0; b < 256; b++ {
 		next[b], end[b] = at, at+end[b]
@@ -747,14 +689,14 @@ func sortPairsBySatellite(pairs []lockfree.Pair) {
 	}
 	for b := range next {
 		for next[b] < end[b] {
-			p := pairs[next[b]]
-			d := key(p) >> shift & 255
-			pairs[next[b]], pairs[next[d]] = pairs[next[d]], p
+			k := keys[next[b]]
+			d := k >> shift & 255
+			keys[next[b]], keys[next[d]] = keys[next[d]], k
 			next[d]++
 		}
 	}
 	for b, lo := 0, 0; shift > 0 && b < 256; b++ {
-		sortPairsBySatellite(pairs[lo:end[b]])
+		sortPairsBySatellite(keys[lo:end[b]])
 		lo = end[b]
 	}
 }

@@ -88,8 +88,7 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 		return nil, err
 	}
 
-	pairs := run.collectPairs()
-	run.stats.CandidatePairs = len(pairs)
+	pairs := run.keys
 
 	// Step 3: the orbital filter chain, once per distinct satellite pair
 	// (§III step 3; its cost is the "determining if orbits are coplanar"
@@ -123,7 +122,7 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 		if dec.class != filters.NodeCrossing {
 			return 0, 0, false
 		}
-		ts := float64(kept[k].Step) * run.sps
+		ts := float64(lockfree.UnpackPair(kept[k]).Step) * run.sps
 		gridRadius := 2 * run.cellSize / 7.0 // generous fallback bound, ~km/s
 		best, bestDist := 0.0, math.Inf(1)
 		bestRadius := 0.0
@@ -159,10 +158,11 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 // classifyPairs runs filters.Classify once per run of equal (A, B) in the
 // sorted candidate list, in parallel, and precomputes the node-crossing
 // schedules. Decision i is the verdict of the i-th run.
-func (r *run) classifyPairs(pairs []lockfree.Pair) ([]pairDecision, error) {
+func (r *run) classifyPairs(pairs []uint64) ([]pairDecision, error) {
 	// Two passes over the run boundaries, so the decisions — tens of
 	// megabytes on a dense population — are allocated once, at their size.
-	starts := func(k int) bool { return k == 0 || pairs[k].A != pairs[k-1].A || pairs[k].B != pairs[k-1].B }
+	// Two keys of one pair differ in their step bits only.
+	starts := func(k int) bool { return k == 0 || pairs[k]^pairs[k-1] > lockfree.MaxStep }
 	runs := 0
 	for k := range pairs {
 		if starts(k) {
@@ -181,7 +181,7 @@ func (r *run) classifyPairs(pairs []lockfree.Pair) ([]pairDecision, error) {
 		var local filters.Stats
 		for i := lo; i < hi; i++ {
 			dec := &decs[i]
-			p := pairs[dec.end-1]
+			p := lockfree.UnpackPair(pairs[dec.end-1])
 			a := &r.sats[r.idx[p.A]]
 			b := &r.sats[r.idx[p.B]]
 			g := filters.Classify(a.Elements, b.Elements, r.cfg.Filters.WithThreshold(r.pairThreshold(p.A, p.B)))

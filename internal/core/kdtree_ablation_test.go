@@ -134,12 +134,10 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 	pts := stepPositions(sats, 500)
 	entries, ids := make([]lockfree.Cell, len(sats)), make([]int32, len(sats))
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
-	pairs := lockfree.NewPairSet(1 << 18)
 	var keys []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs.Reset()
 		for j, p := range pts {
 			key, ok := grid.KeyOf(p.Pos)
 			if !ok {
@@ -149,11 +147,6 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 		}
 		cells := groupCells(sortCells(entries, bufA, bufB, grid.MaxAbsCoord()), ids)
 		keys = sweepCells(cells, ids, 0, len(cells), 0, keys[:0])
-		for _, key := range keys {
-			if _, err := pairs.InsertPacked(key); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 

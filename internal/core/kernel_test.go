@@ -1,12 +1,13 @@
 package core
 
-// The shared position kernel's extrapolated warm guess, the packed-key
-// candidate sort and the pair-set growth copy: each replaces something
-// simpler, and each is pinned against what it replaced.
+// The shared position kernel's extrapolated warm guess and the packed-key
+// candidate sort: each replaces something simpler, and each is pinned against
+// what it replaced.
 
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -138,18 +139,17 @@ func TestExtrapolatedGuessNeverFallsBackOnShellPopulation(t *testing.T) {
 }
 
 func TestSortPairsBySatelliteMatchesComparator(t *testing.T) {
-	// 10⁵ distinct triples: uniform ones, a dense block sharing A (buckets
-	// far above the comparison cutoff at every level), and the field corners.
+	// 10⁵ distinct triples — uniform ones, a dense block sharing A (buckets
+	// far above the comparison cutoff at every level), the field corners —
+	// then ties, which a delta pass's dirty–dirty pairs bring: every tenth key
+	// twice, one key 500 times (a bucket of identical keys above the cutoff).
 	rng := mathx.NewSplitMix64(77)
 	seen := map[uint64]bool{}
-	var pairs []lockfree.Pair
+	var keys []uint64
 	add := func(a, b int32, step uint32) {
-		if a > b {
-			a, b = b, a
-		}
 		if k := lockfree.PackPair(a, b, step); a != b && !seen[k] {
 			seen[k] = true
-			pairs = append(pairs, lockfree.Pair{A: a, B: b, Step: step})
+			keys = append(keys, k)
 		}
 	}
 	for _, a := range []int32{0, 1, lockfree.MaxID - 1} {
@@ -159,53 +159,43 @@ func TestSortPairsBySatelliteMatchesComparator(t *testing.T) {
 			}
 		}
 	}
-	for len(pairs) < 60000 {
+	for len(keys) < 60000 {
 		add(int32(rng.Intn(lockfree.MaxID+1)), int32(rng.Intn(lockfree.MaxID+1)), uint32(rng.Intn(lockfree.MaxStep+1)))
 	}
-	for len(pairs) < 100000 {
+	for len(keys) < 100000 {
 		add(7, int32(8+rng.Intn(1500)), uint32(rng.Intn(601)))
 	}
-	want := append([]lockfree.Pair(nil), pairs...)
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].A != want[j].A {
-			return want[i].A < want[j].A
-		}
-		if want[i].B != want[j].B {
-			return want[i].B < want[j].B
-		}
-		return want[i].Step < want[j].Step
-	})
-	sortPairsBySatellite(pairs)
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("position %d: %+v, the (A, B, Step) comparator puts %+v there", i, pairs[i], want[i])
-		}
+	for i := 0; i < 100000; i += 10 {
+		keys = append(keys, keys[i])
 	}
-}
-
-func TestGrowPairsKeepsEveryKey(t *testing.T) {
-	pl := pool.New()
-	r := &run{pool: pl, pairs: pl.GetPairSet(64)}
-	rng := mathx.NewSplitMix64(5)
-	keys := map[uint64]bool{}
-	for r.stats.PairSetGrowths < 3 {
-		key := lockfree.PackPair(int32(rng.Intn(5000)), int32(5000+rng.Intn(5000)), uint32(rng.Intn(600)))
-		if _, err := r.pairs.InsertPacked(key); err != nil {
-			r.growPairs()
-			continue
+	for range 500 {
+		keys = append(keys, keys[70000])
+	}
+	allEqual := make([]uint64, 1000)
+	for i := range allEqual {
+		allEqual[i] = keys[0]
+	}
+	for name, in := range map[string][]uint64{"mixed": keys, "all-equal": allEqual, "empty": nil} {
+		// The reference compares unpacked fields, not keys.
+		want := make([]lockfree.Pair, len(in))
+		for i, k := range in {
+			want[i] = lockfree.UnpackPair(k)
 		}
-		keys[key] = true
-	}
-	if r.pairs.Len() != len(keys) {
-		t.Fatalf("%d keys after three doublings, inserted %d", r.pairs.Len(), len(keys))
-	}
-	for key := range keys {
-		if p := lockfree.UnpackPair(key); !r.pairs.Contains(p.A, p.B, p.Step) {
-			t.Fatalf("key %+v lost across a doubling", p)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].A != want[j].A {
+				return want[i].A < want[j].A
+			}
+			if want[i].B != want[j].B {
+				return want[i].B < want[j].B
+			}
+			return want[i].Step < want[j].Step
+		})
+		got := slices.Clone(in)
+		sortPairsBySatellite(got)
+		for i := range want {
+			if p := lockfree.UnpackPair(got[i]); p != want[i] {
+				t.Fatalf("%s, position %d: %+v, the (A, B, Step) comparator puts %+v there", name, i, p, want[i])
+			}
 		}
-	}
-	pl.PutPairSet(r.pairs)
-	if out := pl.Stats().Outstanding(); out != 0 {
-		t.Fatalf("%d pair sets outstanding", out)
 	}
 }

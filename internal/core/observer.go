@@ -53,7 +53,7 @@ type StepInfo struct {
 	Steps       int    // total steps of the run
 	Completed   int    // steps finished so far
 	GridEntries int    // objects inside the cube at this step, the scan's entry count
-	PairSetLen  int    // candidate (pair, step) entries accumulated so far
+	Candidates  int    // candidate (pair, step) keys emitted so far (a delta pass may count a dirty–dirty pair twice)
 	OutOfBounds uint64 // cumulative out-of-cube samples
 }
 
@@ -65,7 +65,6 @@ type PhaseInfo struct {
 	Elapsed time.Duration // wall time of the phase
 
 	GridSlots         int // PhaseStats.GridSlots (known from PhaseAllocate on)
-	PairSlots         int // conjunction hash slot capacity
 	Candidates        int // distinct (pair, step) candidates (PhaseSample on)
 	FilterRejected    int // candidates dropped by the filters (PhaseFilter)
 	PrefilterRejected int // candidates rejected analytically before Brent (PhaseRefine)

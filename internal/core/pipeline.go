@@ -3,9 +3,9 @@ package core
 // The full-screen step loop. Each step is build → scan: the build writes every
 // object's {cell key, ID} into the step's entry buffer, plain stores into
 // disjoint ranges; the scan sorts that buffer by key into the run's sort
-// buffers, groups equal keys into cells, sweeps the cells for candidate pairs
-// and merges them into the pair set. The scan only reads the entry buffer, so
-// with a second one the scan of step N runs beside the build of step N+1:
+// buffers, groups equal keys into cells and sweeps the cells for candidate
+// pairs into the per-worker key buffers. The scan only reads the entry buffer,
+// so with a second one the scan of step N runs beside the build of step N+1:
 // steps build into a ring of entry buffers, ring[step&1], of one slot or two.
 //
 // On two slots ownership is handed off over a pair of depth-1 channels, never
@@ -30,7 +30,7 @@ type scanJob struct {
 type scanResult struct {
 	step    int
 	entries int           // in-cube objects of the step, for the observer
-	cd      time.Duration // sort + group + sweep + merge span (the CD share)
+	cd      time.Duration // sort + group + sweep span (the CD share)
 	err     error
 }
 
@@ -96,7 +96,7 @@ func (r *run) sampleSteps() error {
 		close(jobs)
 	}
 	// Drain the outstanding scan on every exit path: the scan goroutine
-	// touches the pair set and scan buffers until its result is posted, and
+	// touches the sort and candidate buffers until its result is posted, and
 	// release() runs as soon as screen unwinds.
 	if inFlight {
 		settle(<-results)

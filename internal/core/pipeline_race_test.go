@@ -16,9 +16,8 @@ import (
 // TestPipelinedScreenConcurrentRaceStress stresses the two-slot ring:
 // Workers >= 2 gives sampleSteps a scan goroutine that sorts one ring slot's
 // entries while the build workers write the next step's into the other.
-// Concurrent runs share one pool (entry and sort buffers recycle across
-// runs), PairSlotHint is forced tiny so the scan goroutine grows the pair set
-// mid-flight, and a randomised cancellation timer is armed on most runs so
+// Concurrent runs share one pool (entry, sort and candidate buffers recycle
+// across runs), and a randomised cancellation timer is armed on most runs so
 // the drain-on-every-exit-path logic — the join of the in-flight scan before
 // release() — is exercised under -race at every point of the step loop
 // (`make race` repeats it fifty times). Every outcome must be a correct result
@@ -56,7 +55,6 @@ func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
 					SecondsPerSample: 1,
 					DurationSeconds:  w.duration,
 					Workers:          2, // >= 2: the ring gets its second slot
-					PairSlotHint:     2, // force pair-set growth on the scan goroutine
 					Pool:             p,
 				})
 				ctx, cancel := context.WithCancel(context.Background())

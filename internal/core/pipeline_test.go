@@ -113,7 +113,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 	// The reference takes its positions from the build kernel of a run of its
 	// own, in step order, so they are bit for bit the screened ones.
 	ref := newTestRun(base)
-	var want []lockfree.Pair
+	var want []uint64
 	inside := make([]int, ref.steps)
 	var left, entered bool
 	wasIn := make([]bool, len(sats))
@@ -133,7 +133,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 		inside[step] = len(who)
 		for _, key := range referencePairs(ref.grid, coords) {
 			p := lockfree.UnpackPair(key)
-			want = append(want, lockfree.Pair{A: who[p.A], B: who[p.B], Step: uint32(step)})
+			want = append(want, lockfree.PackPair(who[p.A], who[p.B], uint32(step)))
 		}
 	}
 	sortPairsBySatellite(want)
@@ -157,7 +157,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 			if err := r.sampleAllSteps(); err != nil {
 				t.Fatal(err)
 			}
-			if got := r.collectPairs(); !slices.Equal(got, want) {
+			if got := r.keys; !slices.Equal(got, want) {
 				t.Fatalf("%d candidates, reference has %d", len(got), len(want))
 			}
 			oob := uint64(0)

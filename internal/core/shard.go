@@ -79,9 +79,8 @@ func (d *Sharded) Screen(sats []propagation.Satellite) (*Result, error) {
 // ScreenContext partitions, screens every shard (ShardConcurrency at a
 // time), and merges the owned conjunctions into one sorted result. The
 // aggregate stats sum the per-shard phase durations and counters; GridSlots
-// and PairSlots report the largest single shard's capacities — the run's
-// actual peak structure sizes, since at most ShardConcurrency shards are
-// live at once.
+// reports the largest single shard's — the run's actual peak structure size,
+// since at most ShardConcurrency shards are live at once.
 func (d *Sharded) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
 	return d.screen(ctx, sats, nil)
 }
@@ -158,12 +157,6 @@ func (d *Sharded) screen(ctx context.Context, sats []propagation.Satellite, delt
 		// geometry in every shard makes per-pair candidates — and refined
 		// TCAs/PCAs — bit-identical to the unsharded screen.
 		innerCfg.HalfExtentKm = autoHalfExtent(sats, spatial.CellSize(effThreshold, sps))
-	}
-	if innerCfg.PairSlotHint <= 0 {
-		// Model-driven per-shard conjunction-hash sizing (§V-B) for the
-		// largest shard; the set still grows on overflow.
-		innerCfg.PairSlotHint = model.ConjunctionSlots(
-			model.PaperGrid.Predict(float64(asn.MaxResidents()), sps, cfg.DurationSeconds, threshold))
 	}
 
 	conc := cfg.ShardConcurrency
@@ -347,8 +340,6 @@ func accumulateShardStats(agg *PhaseStats, st PhaseStats) {
 	agg.RefineBatches += st.RefineBatches
 	agg.OutOfBounds += st.OutOfBounds
 	agg.GridSlots = max(agg.GridSlots, st.GridSlots)
-	agg.PairSlots = max(agg.PairSlots, st.PairSlots)
-	agg.PairSetGrowths += st.PairSetGrowths
 	agg.FilterStats.Merge(st.FilterStats)
 }
 

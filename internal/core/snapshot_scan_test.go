@@ -1,8 +1,8 @@
 package core
 
-// The merge's grow-and-retry loop must not change the candidate set, and the
-// warm-started Kepler path must leave the screening output within refinement
-// tolerance of the cold path.
+// The warm-started Kepler path must leave the screening output within
+// refinement tolerance of the cold path, and a cold propagator's output must
+// not depend on the ring's scheduling.
 
 import (
 	"context"
@@ -10,43 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/kepler"
-	"repro/internal/pool"
 	"repro/internal/propagation"
 )
-
-func TestGenerateCandidatesGrowRetry(t *testing.T) {
-	// A deliberately tiny pair set overflows in the middle of the run, in the
-	// merge of whichever goroutine scans, and forces the grow-and-retry loop;
-	// the final candidate set must match a roomy run's exactly.
-	sats := denseShellPopulation(1500, 21) // narrow shell: 187 candidates, 8 conjunctions
-	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2, Pool: pool.New()}
-	roomy, err := NewGrid(base).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roomy.Conjunctions) == 0 {
-		t.Fatal("no conjunctions: the comparison would be vacuous")
-	}
-	for name, oneSlot := range map[string]bool{"one-slot-ring": true, "two-slot-ring": false} {
-		t.Run(name, func(t *testing.T) {
-			tiny := base
-			tiny.PairSlotHint = 64
-			tiny.ablation.oneSlotRing = oneSlot
-			grown, err := NewGrid(tiny).Screen(sats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if grown.Stats.PairSetGrowths == 0 {
-				t.Fatal("64-slot hint never grew — the retry path was not exercised")
-			}
-			if grown.Stats.CandidatePairs != roomy.Stats.CandidatePairs {
-				t.Fatalf("grown run found %d candidates, roomy run %d",
-					grown.Stats.CandidatePairs, roomy.Stats.CandidatePairs)
-			}
-			assertConjunctionsEqual(t, name, grown.Conjunctions, roomy.Conjunctions)
-		})
-	}
-}
 
 // coldOnly hides a propagator's WarmStarter methods, so a run over it solves
 // every sample cold.

@@ -58,7 +58,7 @@ func (e *runEntry) observer() satconj.Observer {
 			e.mu.Lock()
 			e.info.StepsDone = s.Completed
 			e.info.StepsTotal = s.Steps
-			e.info.CandidatePairs = s.PairSetLen
+			e.info.CandidatePairs = s.Candidates
 			e.mu.Unlock()
 		},
 		Phase: func(p satconj.PhaseInfo) {

@@ -102,7 +102,7 @@ func (h *Handler) screenStream(w http.ResponseWriter, r *http.Request) {
 				every = 1
 			}
 			if (s.Completed-1)%every == 0 || s.Completed == s.Steps {
-				sw.send(StreamEvent{Type: "progress", Step: s.Step, Steps: s.Steps, Completed: s.Completed, Pairs: s.PairSetLen})
+				sw.send(StreamEvent{Type: "progress", Step: s.Step, Steps: s.Steps, Completed: s.Completed, Pairs: s.Candidates})
 			}
 		},
 		Phase: func(p satconj.PhaseInfo) {

@@ -51,7 +51,7 @@ type Config struct {
 	Sink core.Sink
 	// Observer, when non-nil, receives per-row progress: Step is the row
 	// index i of the triangular pair loop, Steps the population size, and
-	// PairSetLen the conjunctions confirmed so far.
+	// Candidates the conjunctions confirmed so far.
 	Observer core.Observer
 }
 
@@ -120,7 +120,7 @@ func (e *rowEmitter) rowDone(row int, tail []core.Conjunction) {
 	e.conj += len(tail)
 	e.done++
 	if e.obs != nil {
-		e.obs.OnStep(core.StepInfo{Step: row, Steps: e.rows, Completed: e.done, PairSetLen: e.conj})
+		e.obs.OnStep(core.StepInfo{Step: row, Steps: e.rows, Completed: e.done, Candidates: e.conj})
 	}
 	e.mu.Unlock()
 }

@@ -5,12 +5,13 @@
 // (Fig. 6); and a fixed-size conjunction pair set keyed by packed
 // (satellite, satellite, sampling step) triples.
 //
-// Both structures are insert-only between explicit resets, and the pipeline
-// uses each where insertion is concurrent and sparse: the grid set is a delta
-// pass's stamp table (the dirty objects' cells, stamped in parallel, then
-// probed by every object), the pair set collects a run's candidates from every
-// scan worker. A full screen groups objects by cell with a sort instead
-// (internal/core). All mutation goes through sync/atomic operations, so the
+// Both structures are insert-only between explicit resets. The pipeline uses
+// the grid set where insertion is concurrent and sparse — a delta pass's stamp
+// table (the dirty objects' cells, stamped in parallel, then probed by every
+// object); a full screen groups objects by cell with a sort instead, and every
+// run keeps its candidates as a sorted list of the pair set's packed keys
+// (internal/core), so the pair set itself is the paper's structure under test,
+// not a pipeline stage. All mutation goes through sync/atomic operations, so the
 // structures are safe for any number of concurrent inserters without locks —
 // the property that lets the paper saturate GPU and CPU hardware. Lookups are
 // additionally safe while insertions are still in flight (they observe a
@@ -36,9 +37,10 @@ const EmptySlot = ^uint64(0)
 // nilEntry terminates a cell's entry list.
 const nilEntry int32 = -1
 
-// ErrFull is returned when an insertion cannot find a free slot. Callers
-// grow the structure and retry (the detectors double capacity, mirroring the
-// paper's "double the hash map size again" sizing rule).
+// ErrFull is returned when an insertion cannot find a free slot. The paper's
+// remedy is to "double the hash map size again" and retry; the pipeline's one
+// table, a delta pass's stamp table, is sized for every stamp it can receive,
+// so there ErrFull is a bug and is returned as the pass's error.
 var ErrFull = errors.New("lockfree: hash structure full")
 
 // Entry is one satellite's record inside a grid cell — the Fig. 6 layout:

@@ -146,30 +146,6 @@ func TestPairSetItems(t *testing.T) {
 	}
 }
 
-func TestPairSetItemsParallelMatchesSerial(t *testing.T) {
-	p := NewPairSet(1 << 15)
-	rng := mathx.NewSplitMix64(8)
-	for i := 0; i < 5000; i++ {
-		a, b := int32(rng.Intn(10000)), int32(rng.Intn(10000))
-		if a == b {
-			continue
-		}
-		if _, err := p.Insert(a, b, uint32(rng.Intn(100))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serial := p.Items(nil)
-	parallel := p.ItemsParallel(4)
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial %d vs parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("order mismatch at %d: %+v vs %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 func TestPairSetConcurrentDuplicateInserts(t *testing.T) {
 	// All goroutines insert the same pair; exactly one must observe
 	// added == true. Run with -race.
@@ -253,32 +229,6 @@ func TestPairSetReset(t *testing.T) {
 	p.Reset()
 	if p.Len() != 0 || p.Contains(1, 2, 0) {
 		t.Error("pair survived reset")
-	}
-}
-
-func TestPairSetInsertAll(t *testing.T) {
-	src, dst := NewPairSet(64), NewPairSet(128)
-	for i := int32(0); i < 40; i++ {
-		if _, err := src.Insert(i, i+1, uint32(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := dst.Insert(0, 1, 0); err != nil { // already there: folded, not doubled
-		t.Fatal(err)
-	}
-	if err := dst.InsertAll(src); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != 40 {
-		t.Fatalf("%d pairs copied, want 40", dst.Len())
-	}
-	for i := int32(0); i < 40; i++ {
-		if !dst.Contains(i, i+1, uint32(i)) {
-			t.Fatalf("pair %d lost in the copy", i)
-		}
-	}
-	if err := NewPairSet(16).InsertAll(src); err != ErrFull {
-		t.Fatalf("copy into a smaller set: err = %v, want ErrFull", err)
 	}
 }
 

@@ -189,9 +189,6 @@ func TestPairSetConcurrentInsertLookupRace(t *testing.T) {
 			}
 		}
 	}
-	if len(p.ItemsParallel(workers)) != distinct {
-		t.Fatalf("ItemsParallel returned wrong count")
-	}
 }
 
 // cellKeyForTest derives a valid (top-bit-clear, non-sentinel) cell key for

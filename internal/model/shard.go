@@ -44,9 +44,6 @@ type ShardPlan struct {
 	MaxShardSize int
 	// PerShardBytes is the modelled screening footprint of a full shard.
 	PerShardBytes int64
-	// PairSlotHint sizes each shard's conjunction hash for MaxShardSize
-	// objects.
-	PairSlotHint int
 }
 
 // PlanShards computes how many radial shards a screen of n objects needs so
@@ -84,7 +81,6 @@ func (pl Planner) PlanShards(n int, span, threshold, sps float64) (ShardPlan, er
 		Shards:        (n + m - 1) / m,
 		MaxShardSize:  m,
 		PerShardBytes: pl.GridFootprintBytes(m, span, threshold, sps),
-		PairSlotHint:  ConjunctionSlots(pl.Model.Predict(float64(m), sps, span, threshold)),
 	}, nil
 }
 

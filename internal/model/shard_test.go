@@ -91,9 +91,6 @@ func TestPlanShardsBudgetCeiling(t *testing.T) {
 	if over := pl.GridFootprintBytes(plan.MaxShardSize+1, 60, 2, 1); over <= DefaultShardBudgetBytes {
 		t.Errorf("MaxShardSize %d is not maximal: one more object still fits (%d B)", plan.MaxShardSize, over)
 	}
-	if plan.PairSlotHint <= 0 {
-		t.Errorf("PairSlotHint = %d, want positive", plan.PairSlotHint)
-	}
 }
 
 // TestPlanShardsDegenerate covers the fall-back contract: populations below

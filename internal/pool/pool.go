@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// stamp tables, conjunction pair sets, entry and sort buffers, propagation
-// state buffers, candidate-pair buffers and ID-index maps — across sampling
-// steps, runs and concurrent HTTP requests.
+// stamp tables, entry and sort buffers, propagation state buffers, candidate
+// key buffers and ID-index maps — across sampling steps, runs and concurrent
+// HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -21,12 +21,9 @@
 //   - GridSets are returned from Get in an unspecified fill state; callers
 //     must Reset before relying on emptiness. (A delta pass resets its stamp
 //     table at the start of every sampling step anyway, so this costs nothing.)
-//   - PairSets are returned from Get empty: Get resets them, because the
-//     detectors accumulate candidates across all steps of a run and never
-//     reset mid-run.
-//   - State and Pair buffers are returned with stale contents; State
-//     buffers are fully overwritten by the propagation phase before any
-//     read, Pair and Satellite buffers are handed out with length 0.
+//   - State buffers are returned with stale contents and fully overwritten
+//     by the propagation phase before any read; Satellite buffers are handed
+//     out with length 0.
 //   - ID-index maps are cleared on Put.
 //   - Pair-key buffers, cell buffers and Kepler warm-start caches are
 //     returned with stale contents: key and cell buffers are handed out with
@@ -54,10 +51,9 @@ import (
 // forever, so only a few are kept.
 const (
 	maxIdleGridSets = 4
-	maxIdlePairSets = 16
 	maxIdleBuffers  = 16
 	maxIdleIndexes  = 8
-	maxIdleKeyBufs  = 128 // runs hold one per worker
+	maxIdleKeyBufs  = 128 // runs hold one per worker and one for the collected list
 	maxIdleBitsets  = 8   // delta screens hold two (dirty + touched) per run
 )
 
@@ -74,9 +70,7 @@ type Pool struct {
 
 	mu       sync.Mutex
 	gridSets []*lockfree.GridSet
-	pairSets []*lockfree.PairSet
 	states   [][]propagation.State
-	pairBufs [][]lockfree.Pair
 	satBufs  [][]propagation.Satellite
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
@@ -125,9 +119,7 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	p.gridSets = nil
-	p.pairSets = nil
 	p.states = nil
-	p.pairBufs = nil
 	p.satBufs = nil
 	p.indexes = nil
 	p.keyBufs = nil
@@ -137,8 +129,8 @@ func (p *Pool) Drain() {
 	p.mu.Unlock()
 }
 
-// nextPow2 mirrors the rounding of lockfree.NewGridSet / NewPairSet so fit
-// checks compare like with like.
+// nextPow2 mirrors the rounding of lockfree.NewGridSet so fit checks compare
+// like with like.
 func nextPow2(n int) int {
 	if n < 2 {
 		n = 2
@@ -221,30 +213,9 @@ func (p *Pool) PutGridSet(g *lockfree.GridSet) {
 	}
 }
 
-// GetPairSet returns an empty pair set with at least slotHint slots
-// (rounded up to a power of two).
-func (p *Pool) GetPairSet(slotHint int) *lockfree.PairSet {
-	want := nextPow2(slotHint)
-	ps, ok := take(p, &p.pairSets, func(ps *lockfree.PairSet) (int, bool) {
-		return ps.Slots(), ps.Slots() >= want && ps.Slots() <= oversizeFactor*want
-	})
-	if !ok {
-		return lockfree.NewPairSet(slotHint)
-	}
-	ps.Reset()
-	return ps
-}
-
-// PutPairSet returns a pair set to the pool. nil is ignored.
-func (p *Pool) PutPairSet(ps *lockfree.PairSet) {
-	if ps != nil {
-		put(p, &p.pairSets, ps, maxIdlePairSets)
-	}
-}
-
 // getBuf serves every slice kind: the smallest idle buffer of *list with
 // capacity at least capHint, emptied, or a fresh one. The append-grown kinds
-// (pair, key and cell buffers) have no oversize window — their cost is their
+// (key and cell buffers) have no oversize window — their cost is their
 // memory, not their capacity; the windowed kinds are sized by the population
 // and must not pin a large run's buffer under a small one.
 func getBuf[T any](p *Pool, list *[][]T, capHint int, windowed bool) []T {
@@ -271,18 +242,9 @@ func (p *Pool) GetStates(n int) []propagation.State { return getBuf(p, &p.states
 // PutStates returns a state buffer to the pool. nil is ignored.
 func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
 
-// GetPairBuf returns a zero-length candidate-pair buffer with capacity at
-// least capHint.
-func (p *Pool) GetPairBuf(capHint int) []lockfree.Pair {
-	return getBuf(p, &p.pairBufs, capHint, false)
-}
-
-// PutPairBuf returns a candidate buffer to the pool. nil is ignored.
-func (p *Pool) PutPairBuf(b []lockfree.Pair) { putBuf(p, &p.pairBufs, b, maxIdleBuffers) }
-
 // GetSatBuf returns a zero-length satellite buffer with capacity at least
 // capHint — the per-shard resident populations of a sharded screen. Like
-// pair buffers they are handed out empty and grow by append, so a warm pool
+// key buffers they are handed out empty and grow by append, so a warm pool
 // converges on the largest shard's size and streaming shard after shard
 // stops allocating.
 func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
@@ -293,9 +255,9 @@ func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
 func (p *Pool) PutSatBuf(b []propagation.Satellite) { putBuf(p, &p.satBufs, b, maxIdleBuffers) }
 
 // GetKeyBuf returns a zero-length packed pair-key buffer with capacity at
-// least capHint — the per-worker candidate buffers of the scan phase. They
-// grow by append inside the workers, so a warm pool converges on the
-// population's natural candidate volume and stops allocating.
+// least capHint — a run's per-worker candidate buffers, which grow by append
+// inside the workers, and the one list they are collected into. A warm pool
+// converges on the population's natural candidate volume and stops allocating.
 func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, capHint, false) }
 
 // PutKeyBuf returns a pair-key buffer to the pool. nil is ignored.

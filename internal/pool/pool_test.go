@@ -61,28 +61,6 @@ func TestGridSetBestFit(t *testing.T) {
 	}
 }
 
-func TestPairSetResetOnGet(t *testing.T) {
-	p := New()
-	ps := p.GetPairSet(64)
-	if _, err := ps.Insert(1, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.Insert(3, 4, 7); err != nil {
-		t.Fatal(err)
-	}
-	p.PutPairSet(ps)
-	got := p.GetPairSet(64)
-	if got != ps {
-		t.Fatal("matching request did not reuse the idle pair set")
-	}
-	if got.Len() != 0 {
-		t.Fatalf("reused pair set not reset: Len = %d", got.Len())
-	}
-	if got.Contains(1, 2, 0) {
-		t.Fatal("stale pair visible after reuse")
-	}
-}
-
 func TestStatesLengthAndReuse(t *testing.T) {
 	p := New()
 	s := p.GetStates(100)
@@ -96,20 +74,6 @@ func TestStatesLengthAndReuse(t *testing.T) {
 	}
 	if cap(shorter) != 100 {
 		t.Fatalf("cap = %d, want the reused 100-element buffer", cap(shorter))
-	}
-}
-
-func TestPairBufReturnedEmpty(t *testing.T) {
-	p := New()
-	b := p.GetPairBuf(8)
-	b = append(b, lockfree.Pair{A: 1, B: 2})
-	p.PutPairBuf(b)
-	got := p.GetPairBuf(4)
-	if len(got) != 0 {
-		t.Fatalf("reused buffer has len %d, want 0", len(got))
-	}
-	if cap(got) < 8 {
-		t.Fatalf("cap = %d, want the reused 8-cap buffer", cap(got))
 	}
 }
 
@@ -175,13 +139,13 @@ func TestConcurrentGetPut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				g := p.GetGridSet(64, 32)
-				ps := p.GetPairSet(64)
+				ks := p.GetKeyBuf(64)
 				s := p.GetStates(16)
 				m := p.GetIDIndex(4)
 				m[int32(i)] = 1
 				p.PutIDIndex(m)
 				p.PutStates(s)
-				p.PutPairSet(ps)
+				p.PutKeyBuf(ks)
 				p.PutGridSet(g)
 			}
 		}()

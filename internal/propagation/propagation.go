@@ -27,7 +27,7 @@ import (
 type Satellite struct {
 	// ID is the object's catalogue identifier. IDs must be unique within a
 	// population and fit in 20 bits (≤ ~1M objects) so that conjunction
-	// pairs pack into a single machine word in the lock-free pair set.
+	// pairs pack into a single machine word (lockfree.PackPair).
 	ID int32
 	// Elements are the orbital elements at epoch t = 0.
 	Elements orbit.Elements

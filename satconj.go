@@ -162,8 +162,6 @@ type Options struct {
 	// UseJ2 propagates with the secular J2 perturbation instead of pure
 	// two-body motion.
 	UseJ2 bool
-	// PairSlotHint presizes the conjunction hash set (0 = automatic).
-	PairSlotHint int
 	// WindowSteps sets the AABB variant's box window width W — sampling
 	// steps covered per tree build; ≤0 selects the default (16). Other
 	// variants ignore it.
@@ -325,7 +323,6 @@ func (o Options) coreConfig(prop propagation.Propagator) core.Config {
 		DurationSeconds:  o.DurationSeconds,
 		Workers:          o.Workers,
 		Propagator:       prop,
-		PairSlotHint:     o.PairSlotHint,
 		WindowSteps:      o.WindowSteps,
 		Shards:           o.Shards,
 		ShardConcurrency: o.ShardConcurrency,
