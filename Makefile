@@ -34,11 +34,14 @@ loc:
 ## that break them are rare (a reader falling KeepRevisions behind the
 ## writer is a few percent of runs), so one pass proves little. The step
 ## loop's stress test rides along: its cancellation timers land at a
-## different point of the build/scan handoff every run.
+## different point of the build/scan handoff every run. So does the tracked
+## session chain: neighbouring bytes of the key track are written by
+## different workers, and its cancelled passes stop at a different chunk.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
 	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress' ./internal/core
+	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid' ./internal/core
 
 ## shard-smoke: screen a 131072-object catalogue through the sharded
 ## detector under a GOMEMLIMIT the modelled unsharded grid does not fit
@@ -72,10 +75,13 @@ bench-alloc:
 store-bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/store
 
-## delta-smoke: the socket-level delta path — a conjserver stack on
-## loopback taking deltas, each published snapshot checked against a
-## from-scratch screen; exits non-zero on any failed op (~2 s).
+## delta-smoke: the delta path with a live key track — the session chain
+## against fresh screens and trackless passes, then the socket level: a
+## conjserver stack on loopback taking deltas, each published snapshot
+## checked against a from-scratch screen; exits non-zero on any failed op
+## (~5 s).
 delta-smoke:
+	$(GO) test -count=1 -run 'TestSessionUpdateChain' ./internal/core
 	bash bench/run.sh --verify --smoke
 
 ## counters-repeat: the smoke benchmark traced twice and the two captures

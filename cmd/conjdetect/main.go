@@ -154,6 +154,9 @@ func main() {
 	if st.OutOfBounds > 0 {
 		fmt.Printf("out-of-cube samples: %d\n", st.OutOfBounds)
 	}
+	if st.TrackBytes > 0 || st.TrackDropped != "" {
+		fmt.Printf("key track:        %d objects read of %d B (dropped: %q)\n", st.TrackedObjects, st.TrackBytes, st.TrackDropped)
+	}
 }
 
 // progressObserver renders pipeline progress on w: a carriage-return

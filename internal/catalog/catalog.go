@@ -62,6 +62,10 @@ type Revision struct {
 	version Version
 	epoch   time.Time
 	sats    []propagation.Satellite
+	// index maps an ID to its position in sats. It is built when membership
+	// changes and shared, like sats never mutated, by every later revision
+	// whose deltas only update: an update keeps every position.
+	index map[int32]int32
 }
 
 // Version returns the revision's number.
@@ -129,26 +133,28 @@ func New(initial []propagation.Satellite, epoch time.Time, opts Options) (*Catal
 	if opts.KeepJournal <= 0 {
 		opts.KeepJournal = DefaultKeepJournal
 	}
-	if err := checkUnique(initial); err != nil {
+	index, err := indexOf(initial)
+	if err != nil {
 		return nil, err
 	}
 	sats := make([]propagation.Satellite, len(initial))
 	copy(sats, initial)
 	c := &Catalog{opts: opts, journalBase: 1}
-	c.revs = []*Revision{{version: 1, epoch: epoch, sats: sats}}
+	c.revs = []*Revision{{version: 1, epoch: epoch, sats: sats, index: index}}
 	return c, nil
 }
 
-func checkUnique(sats []propagation.Satellite) error {
-	seen := make(map[int32]struct{}, len(sats))
+// indexOf builds a revision's ID → position map, refusing a repeated ID.
+func indexOf(sats []propagation.Satellite) (map[int32]int32, error) {
+	index := make(map[int32]int32, len(sats))
 	for i := range sats {
 		id := sats[i].ID
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("catalog: duplicate satellite ID %d", id)
+		if _, dup := index[id]; dup {
+			return nil, fmt.Errorf("catalog: duplicate satellite ID %d", id)
 		}
-		seen[id] = struct{}{}
+		index[id] = int32(i)
 	}
-	return nil
+	return index, nil
 }
 
 // Version returns the latest revision number.
@@ -192,12 +198,9 @@ func (c *Catalog) ApplyDelta(d Delta) (*Revision, error) {
 	defer c.mu.Unlock()
 	prev := c.latestLocked()
 
-	// Index the current population once; validate the delta against it and
-	// against itself before touching anything.
-	byID := make(map[int32]int, len(prev.sats))
-	for i := range prev.sats {
-		byID[prev.sats[i].ID] = i
-	}
+	// Validate the delta against the current population and against itself
+	// before touching anything.
+	byID := prev.index
 	touched := make(map[int32]struct{}, len(d.Adds)+len(d.Updates)+len(d.Removes))
 	claim := func(id int32, kind string) error {
 		if _, dup := touched[id]; dup {
@@ -235,29 +238,32 @@ func (c *Catalog) ApplyDelta(d Delta) (*Revision, error) {
 		removed[id] = struct{}{}
 	}
 
-	// Copy-on-write: build the new element array from the old one.
+	// Copy-on-write: build the new element array from the old one. Only a
+	// removal or an add moves or makes a position, so only then is the index
+	// rebuilt.
 	sats := make([]propagation.Satellite, 0, len(prev.sats)+len(d.Adds)-len(d.Removes))
 	for i := range prev.sats {
 		if _, gone := removed[prev.sats[i].ID]; !gone {
 			sats = append(sats, prev.sats[i])
 		}
 	}
-	if len(d.Updates) > 0 {
-		pos := make(map[int32]int, len(sats))
-		for i := range sats {
-			pos[sats[i].ID] = i
-		}
-		for i := range d.Updates {
-			sats[pos[d.Updates[i].ID]] = d.Updates[i]
+	sats = append(sats, d.Adds...)
+	index := prev.index
+	if len(d.Adds)+len(d.Removes) > 0 {
+		var err error
+		if index, err = indexOf(sats); err != nil {
+			return nil, err
 		}
 	}
-	sats = append(sats, d.Adds...)
+	for i := range d.Updates {
+		sats[index[d.Updates[i].ID]] = d.Updates[i]
+	}
 
 	epoch := d.Epoch
 	if epoch.IsZero() {
 		epoch = prev.epoch
 	}
-	rev := &Revision{version: prev.version + 1, epoch: epoch, sats: sats}
+	rev := &Revision{version: prev.version + 1, epoch: epoch, sats: sats, index: index}
 	c.revs = append(c.revs, rev)
 	if len(c.revs) > c.opts.KeepRevisions {
 		over := len(c.revs) - c.opts.KeepRevisions
@@ -300,10 +306,7 @@ func (c *Catalog) dirtyBetweenLocked(from, to Version) (dirty, removed []int32, 
 	if from < c.journalBase {
 		return nil, nil, false
 	}
-	present := make(map[int32]struct{}, len(toRev.sats))
-	for i := range toRev.sats {
-		present[toRev.sats[i].ID] = struct{}{}
-	}
+	present := toRev.index
 	seen := make(map[int32]struct{})
 	classify := func(id int32) {
 		if _, dup := seen[id]; dup {

@@ -162,6 +162,9 @@ type PhaseStats struct {
 	CandidatePairs    int    // distinct (pair, step) candidates from the grid
 	DirtyObjects      int    // delta screens: size of the dirty set (0 on full screens)
 	PriorRetained     int    // delta screens: prior conjunctions carried over unrefined
+	TrackedObjects    int    // delta passes of a Session: objects whose keys were read from the key track instead of solved
+	TrackBytes        int    // delta passes of a Session: size of the key track the pass read and wrote
+	TrackDropped      string // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
 	FilterRejected    int    // candidates dropped by the orbital filters (hybrid)
 	PrefilterRejected int    // candidates rejected analytically before any Brent evaluation
 	Refinements       int    // Brent searches performed

@@ -9,8 +9,10 @@ package core
 // stamp exactly when the two cells are adjacent, the full scan's criterion.
 // The refined conjunctions are merged with the prior result: prior entries
 // touching a dirty or removed object are stale and dropped, the rest are
-// retained verbatim. delta_test.go pins candidates and merge against a fresh
-// full screen over chained deltas.
+// retained verbatim. An object's cell comes from one of two sources: a valid
+// row of the session's key track (track.go), or positionAt, which then notes
+// the key into the row. delta_test.go pins candidates and merge against a
+// fresh full screen over chained deltas.
 
 import (
 	"context"
@@ -33,6 +35,10 @@ type DeltaInput struct {
 	Prior   []Conjunction
 	Dirty   []int32
 	Removed []int32
+
+	// session, set by Session.Screen only, carries the key track from pass to
+	// pass; without one no row is valid and nothing is kept.
+	session *Session
 }
 
 // ScreenDelta runs the grid pipeline incrementally; see DeltaInput for the
@@ -133,6 +139,8 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		r.gset = r.pool.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k)
 		r.stats.GridSlots = r.gset.Slots()
 		r.dirtyKeys = r.pool.GetKeyBuf(k)[:k]
+		r.track = delta.session.trackFor(r)
+		r.stats.TrackBytes = r.track.bytes()
 	}
 	return nil
 }
@@ -140,10 +148,12 @@ func (r *run) setDelta(delta *DeltaInput) error {
 // sampleStepsStamped is the delta pass's step loop: reset the stamp table,
 // stamp every dirty object, let every object probe its own cell into the
 // per-worker candidate buffers. Insertion accounts all of it (propagation
-// included); Detection is the collect's. Positions come from positionAt, so
-// they and the out-of-bounds count are the full screen's.
+// included); Detection is the collect's. Keys come from positionAt or from
+// rows positionAt filled, so they and the out-of-bounds count are the full
+// screen's. The rows this pass writes count only once every step is through.
 func (r *run) sampleStepsStamped() error {
 	stampFn, probeFn := r.stampRange, r.probeRange
+	r.stats.TrackedObjects = r.track.begin(r.dirtyIdx)
 	for step := 0; step < r.steps; step++ {
 		if err := r.cancelled(); err != nil {
 			return err
@@ -172,6 +182,7 @@ func (r *run) sampleStepsStamped() error {
 		r.stats.Insertion += time.Since(tIns)
 		r.observeStep(step, len(r.sats)-int(r.oob.Load()-oobBefore))
 	}
+	r.track.commit()
 	return nil
 }
 
@@ -179,6 +190,7 @@ func (r *run) sampleStepsStamped() error {
 // step time; object j owns stamp-table entries 27·j … 27·j+26. Only in-cube
 // cells are stamped (the scan's bounds rule); an object outside the cube stamps
 // nothing and counts out of bounds. The first insertion failure is latched.
+// A dirty object's row was opened by begin, so its new keys replace the old.
 func (r *run) stampRange(_, lo, hi int) {
 	var nbuf [stampsPerObject - 1]uint64
 	for j := lo; j < hi; j++ {
@@ -187,10 +199,12 @@ func (r *run) stampRange(_, lo, hi int) {
 		coord, ok := r.grid.CoordOf(pos)
 		if !ok {
 			r.dirtyKeys[j] = lockfree.EmptySlot
+			r.track.note(i, r.scanStep, lockfree.EmptySlot)
 			r.oob.Add(1)
 			continue
 		}
 		r.dirtyKeys[j] = spatial.PackKey(coord)
+		r.track.note(i, r.scanStep, r.dirtyKeys[j])
 		id, entry := r.sats[i].ID, int32(stampsPerObject*j)
 		err := r.gset.Insert(r.dirtyKeys[j], entry, id, pos)
 		for n, key := range r.grid.NeighborKeys(coord, nbuf[:0]) {
@@ -207,18 +221,26 @@ func (r *run) stampRange(_, lo, hi int) {
 
 // probeRange lets the clean objects of [lo, hi) look up the one cell they are
 // in, into worker w's buffer; sampleStepsStamped probed the dirty ones already.
+// A valid row supplies the key and the ID; a dirty row is never valid (begin),
+// so stampRange and probeRange never solve or note the same object.
 func (r *run) probeRange(w, lo, hi int) {
-	buf, oob := r.scanBufs[w], 0
+	buf, oob, tr := r.scanBufs[w], 0, r.track
 	for i := lo; i < hi; i++ {
+		if tr.valid(i) {
+			buf = r.appendStamped(buf, tr.advance(i, r.scanStep), tr.ids[i])
+			continue
+		}
 		id := r.sats[i].ID
 		if bitsetHas(r.dirty, id) {
 			continue
 		}
 		key, ok := r.grid.KeyOf(r.positionAt(i, r.stepTime))
 		if !ok {
+			tr.note(i, r.scanStep, lockfree.EmptySlot)
 			oob++
 			continue
 		}
+		tr.note(i, r.scanStep, key)
 		buf = r.appendStamped(buf, key, id)
 	}
 	r.scanBufs[w] = buf

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/lockfree"
 	"repro/internal/mathx"
@@ -79,11 +80,7 @@ func mutateOnce(rng *mathx.SplitMix64, sats []propagation.Satellite, nextID *int
 	if target >= 0 {
 		x := sats[target]
 		tMeet := rng.UniformRange(span/4, 3*span/4)
-		cel := x.Elements
-		cel.SemiMajorAxis += 0.8
-		nNew := orbit.Elements{SemiMajorAxis: cel.SemiMajorAxis}.MeanMotion()
-		cel.MeanAnomaly = mathx.NormalizeAngle(cel.MeanAnomaly + (x.MeanMotion()-nNew)*tMeet)
-		sats = append(sats, propagation.MustSatellite(*nextID, cel))
+		sats = append(sats, propagation.MustSatellite(*nextID, companionOf(x, tMeet)))
 		dirty = append(dirty, *nextID)
 		*nextID++
 	}
@@ -192,6 +189,18 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 				t.Fatal(err)
 			}
 			prior := full.Conjunctions
+			// The stamping variants run every round a second time through a
+			// session, so one chain with a key track lives across all of them.
+			var sess *Session
+			epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			if stamps {
+				if sess, err = NewSession(tc.variant, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch}); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			rng := mathx.NewSplitMix64(23)
 			var twins [2]int32
@@ -235,6 +244,31 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertConjunctionsEqual(t, tc.name, inc.Conjunctions, fresh.Conjunctions)
+				if stamps {
+					chained, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty, Removed: removed, Covered: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertConjunctionsEqual(t, tc.name+" session", chained.Conjunctions, fresh.Conjunctions)
+					// Round 0 primes a track nothing preceded; every later round
+					// adds or removes an object, which drops it, and the last is
+					// above the crossover. No round gets to read a row.
+					wantDrop := "membership"
+					switch round {
+					case 0:
+						wantDrop = ""
+					case 6:
+						wantDrop = "crossover"
+					}
+					if st := chained.Stats; st.TrackDropped != wantDrop || st.TrackedObjects != 0 ||
+						st.CandidatePairs != inc.Stats.CandidatePairs || st.OutOfBounds != inc.Stats.OutOfBounds {
+						t.Fatalf("round %d: session pass dropped %q (want %q), read %d rows, %d candidates (stateless pass %d)",
+							round, st.TrackDropped, wantDrop, st.TrackedObjects, st.CandidatePairs, inc.Stats.CandidatePairs)
+					}
+					if kept := sess.track != nil; kept != (round != 6) {
+						t.Fatalf("round %d: session holds a track = %v", round, kept)
+					}
+				}
 				if inc.Stats.DirtyObjects != len(dirty) {
 					t.Fatalf("round %d: DirtyObjects = %d, want %d", round, inc.Stats.DirtyObjects, len(dirty))
 				}
@@ -442,13 +476,54 @@ func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 // TestScreenDeltaPoolDraw: a delta pass draws one stamp-sized grid set and
 // neither a full screen's cell buffers nor a population-sized grid set, and
 // hands everything back on every exit — completion, cancellation mid-window and a
-// latched insertion failure.
+// latched insertion failure. The two failing exits happen to a session's pass:
+// the session stays usable and its next pass equals a fresh screen.
 func TestScreenDeltaPoolDraw(t *testing.T) {
 	const span = 300.0
 	sats := denseShellPopulation(2000, 13)
 	dirty := []int32{sats[1].ID, sats[700].ID}
 	delta := &DeltaInput{Dirty: dirty}
 	base := Config{DurationSeconds: span, Workers: 2}
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+	// primed returns a session on cfg whose full screen ran on a pool of its
+	// own: the free lists probed below are to show what the delta pass drew.
+	primed := func(t *testing.T, variant Variant, cfg Config) *Session {
+		t.Helper()
+		pl := cfg.Pool
+		cfg.Pool = pool.New()
+		sess, err := NewSession(variant, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+		sess.cfg.Pool = pl
+		return sess
+	}
+	// recovers demands that nothing of the failed pass is outstanding and that
+	// the session's next pass over the same delta equals a fresh screen.
+	recovers := func(t *testing.T, sess *Session) {
+		t.Helper()
+		if out := sess.cfg.Pool.Stats().Outstanding(); out != 0 {
+			t.Fatalf("%d pooled structures outstanding after the failed pass", out)
+		}
+		inc, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch, Dirty: dirty, Covered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sess.cfg
+		cfg.Pool = pool.New()
+		fresh, err := sess.desc.New(cfg).ScreenContext(context.Background(), sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConjunctionsEqual(t, "pass after a failed one", inc.Conjunctions, fresh.Conjunctions)
+		if inc.Stats.TrackedObjects != 0 || inc.Stats.TrackBytes == 0 {
+			t.Fatalf("pass after a failed priming pass read %d rows of a %d B track", inc.Stats.TrackedObjects, inc.Stats.TrackBytes)
+		}
+	}
 
 	exits := map[string]func(t *testing.T, cfg Config){
 		"completed": func(t *testing.T, cfg Config) {
@@ -457,27 +532,33 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 			}
 		},
 		"cancelled": func(t *testing.T, cfg Config) {
+			sess := primed(t, VariantHybrid, cfg)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cfg.Observer = &cancelAtStep{at: 5, cancel: cancel}
-			if _, err := NewHybrid(cfg).ScreenDelta(ctx, sats, *delta); !errors.Is(err, context.Canceled) {
+			p := Pass{Epoch: epoch, Dirty: dirty, Covered: true, Observer: &cancelAtStep{at: 5, cancel: cancel}}
+			if _, err := sess.Screen(ctx, sats, p); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
+			recovers(t, sess)
 		},
 		"insertion-full": func(t *testing.T, cfg Config) {
-			r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, true, delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.release()
-			// The stamp table cannot fill by construction; swap in one that
-			// can, with the arena intact, to drive the latch.
-			cfg.Pool.PutGridSet(r.gset)
-			r.gset = lockfree.NewGridSet(2, stampsPerObject*len(dirty))
-			cfg.Pool.GetGridSet(0, 0) // keeps the counters level with the set put back above
-			if err := r.sampleAllSteps(); !errors.Is(err, lockfree.ErrFull) {
-				t.Fatalf("err = %v, want ErrFull", err)
-			}
+			sess := primed(t, VariantGrid, cfg)
+			func() {
+				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, true, &DeltaInput{Dirty: dirty, session: sess})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.release()
+				// The stamp table cannot fill by construction; swap in one that
+				// can, with the arena intact, to drive the latch.
+				cfg.Pool.PutGridSet(r.gset)
+				r.gset = lockfree.NewGridSet(2, stampsPerObject*len(dirty))
+				cfg.Pool.GetGridSet(0, 0) // keeps the counters level with the set put back above
+				if err := r.sampleAllSteps(); !errors.Is(err, lockfree.ErrFull) {
+					t.Fatalf("err = %v, want ErrFull", err)
+				}
+			}()
+			recovers(t, sess)
 		},
 	}
 	t.Run("beside-an-idle-full-grid", func(t *testing.T) {
@@ -515,12 +596,10 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 			if hits() != h {
 				t.Error("the pass drew a population-sized grid set")
 			}
-			if name != "insertion-full" {
-				k := len(dirty)
-				pl.PutGridSet(pl.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k))
-				if hits() != h+1 {
-					t.Error("the pass left no stamp-sized grid set behind")
-				}
+			k := len(dirty)
+			pl.PutGridSet(pl.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k))
+			if hits() != h+1 {
+				t.Error("the pass left no stamp-sized grid set behind")
 			}
 		})
 	}

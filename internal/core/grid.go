@@ -122,11 +122,12 @@ type run struct {
 	uncertainty UncertaintyMap
 
 	// Delta screening state (delta.go); zero on full screens.
-	dirty     []uint64 // pooled bitset: IDs whose pairs a delta pass emits
-	touched   []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
-	stamping  bool     // grid delta pass below the crossover: gset is the stamp table
-	dirtyIdx  []int32  // stamping: population index of each distinct dirty object present
-	dirtyKeys []uint64 // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
+	dirty     []uint64  // pooled bitset: IDs whose pairs a delta pass emits
+	touched   []uint64  // pooled bitset: dirty ∪ removed, for the prior merge
+	stamping  bool      // grid delta pass below the crossover: gset is the stamp table
+	dirtyIdx  []int32   // stamping: population index of each distinct dirty object present
+	dirtyKeys []uint64  // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
+	track     *keyTrack // stamping, owned by the delta's session: the rows this pass reads and writes; nil keeps none
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer

@@ -9,8 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,3 +343,126 @@ func TestRescreenerNudge(t *testing.T) {
 		t.Fatalf("Run returned %v", err)
 	}
 }
+
+// TestRescreenerExplainsTrackDrops: every event that ends the session's key
+// track — an epoch change, an add, a failed pass, a delta above the crossover
+// — is followed by a pass whose snapshot equals a from-scratch screen and
+// whose log line, /v1/runs entry and /metrics gauges say what was read from
+// the track and why it was dropped.
+func TestRescreenerExplainsTrackDrops(t *testing.T) {
+	sats, err := satconj.GeneratePopulation(satconj.PopulationConfig{N: 64, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
+	cat, err := catalog.New(sats, epoch, catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(Config{Catalog: cat})
+	opts := satconj.Options{Variant: satconj.VariantHybrid, DurationSeconds: 600, Workers: 2}
+	var lastLog string
+	rs := NewRescreener(h, opts, time.Hour, func(format string, args ...any) {
+		lastLog = fmt.Sprintf(format, args...)
+		t.Log(lastLog)
+	})
+	ctx := context.Background()
+
+	update := func(ids ...int32) catalog.Delta {
+		var d catalog.Delta
+		latest := cat.Latest().Satellites()
+		for _, id := range ids {
+			el := latest[id].Elements // IDs are positions until the add below, which appends
+			el.MeanAnomaly = mathx.NormalizeAngle(el.MeanAnomaly + 1e-3)
+			s, err := satconj.NewSatellite(id, el)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Updates = append(d.Updates, s)
+		}
+		return d
+	}
+	added, err := satconj.NewSatellite(64, sats[7].Elements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quarter []int32
+	for id := int32(0); id < 16; id++ {
+		quarter = append(quarter, id)
+	}
+	moved := update(6)
+	moved.Epoch = epoch.Add(time.Hour)
+
+	steps := []struct {
+		name    string
+		delta   *catalog.Delta // nil: screen the catalogue as it stands
+		fail    bool           // cancel the pass as it starts, then run it again
+		tracked int
+		want    string // in the pass's log line
+	}{
+		{name: "first pass", want: "(full,"},
+		{name: "priming delta", delta: ptr(update(1, 2)), want: "key track 0 rows read"},
+		{name: "tracked delta", delta: ptr(update(3)), tracked: 63, want: "key track 63 rows read"},
+		{name: "epoch moved", delta: &moved, want: "dropped: epoch"},
+		{name: "re-priming delta", delta: ptr(update(8)), want: "(delta,"},
+		{name: "add", delta: &catalog.Delta{Adds: []satconj.Satellite{added}}, want: "dropped: membership"},
+		{name: "failed pass", delta: ptr(update(9)), fail: true, tracked: 64, want: "dropped: failed-pass"}, // it had opened only row 9
+		{name: "tracked again", delta: ptr(update(10)), tracked: 64, want: "key track 64 rows read"},
+		{name: "above the crossover", delta: ptr(update(quarter...)), want: "dropped: crossover"},
+	}
+	for _, step := range steps {
+		if step.delta != nil {
+			if _, err := cat.ApplyDelta(*step.delta); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+		}
+		if step.fail {
+			cctx, cancel := context.WithCancel(ctx)
+			rs.testBeforeScreen = cancel
+			if rs.RunOnce(cctx) || !strings.Contains(lastLog, "failed") {
+				t.Fatalf("%s: cancelled pass completed; log %q", step.name, lastLog)
+			}
+			rs.testBeforeScreen = nil
+		}
+		if !rs.RunOnce(ctx) {
+			t.Fatalf("%s: pass did not screen", step.name)
+		}
+		if !strings.Contains(lastLog, step.want) {
+			t.Fatalf("%s: log line %q does not say %q", step.name, lastLog, step.want)
+		}
+		rev := cat.Latest()
+		fresh, err := satconj.Screen(rev.Satellites(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := h.Snapshot()
+		if snap.Version != uint64(rev.Version()) || len(snap.Conjunctions) != len(fresh.Conjunctions) {
+			t.Fatalf("%s: snapshot v%d has %d conjunctions, a fresh screen of v%d %d",
+				step.name, snap.Version, len(snap.Conjunctions), rev.Version(), len(fresh.Conjunctions))
+		}
+		for k, c := range snap.Conjunctions {
+			if c != fresh.Conjunctions[k] {
+				t.Fatalf("%s: conjunction %d = %+v, fresh screen %+v", step.name, k, c, fresh.Conjunctions[k])
+			}
+		}
+
+		var runs RunsResponse
+		if err := json.Unmarshal(doJSON(t, h, "GET", "/v1/runs", nil).Body.Bytes(), &runs); err != nil {
+			t.Fatal(err)
+		}
+		last := runs.Runs[0]
+		if last.TrackedObjects != step.tracked || (last.TrackDropped != "") != strings.Contains(step.want, "dropped") ||
+			!strings.Contains(step.want, last.TrackDropped) {
+			t.Fatalf("%s: /v1/runs entry %+v", step.name, last)
+		}
+		metrics := doJSON(t, h, "GET", "/metrics", nil).Body.String()
+		if want := fmt.Sprintf("conjserver_rescreen_tracked_objects %d\n", step.tracked); !strings.Contains(metrics, want) {
+			t.Fatalf("%s: /metrics lacks %q", step.name, want)
+		}
+		if want := fmt.Sprintf("conjserver_rescreen_track_bytes %d\n", last.TrackBytes); !strings.Contains(metrics, want) {
+			t.Fatalf("%s: /metrics lacks %q", step.name, want)
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -33,6 +33,8 @@ type serverMetrics struct {
 	rescreenFailures     *observability.Counter
 	rescreenSeconds      *observability.Histogram
 	rescreenPhase        *observability.CounterVec
+	rescreenTracked      *observability.Gauge
+	rescreenTrackBytes   *observability.Gauge
 	lastRescreen         *observability.Gauge
 	httpRequests         *observability.CounterVec
 
@@ -58,6 +60,10 @@ func newServerMetrics(reg *observability.Registry) *serverMetrics {
 		"Wall time of completed rescreen passes.", nil, nil)
 	m.rescreenPhase = reg.NewCounterVec("conjserver_rescreen_phase_seconds_total",
 		"Cumulative rescreen wall time by pipeline phase.", []string{"phase"})
+	m.rescreenTracked = reg.NewGauge("conjserver_rescreen_tracked_objects",
+		"Objects whose cells the last rescreen pass read from the key track instead of solving.", nil)
+	m.rescreenTrackBytes = reg.NewGauge("conjserver_rescreen_track_bytes",
+		"Size of the key track the last rescreen pass read and wrote.", nil)
 	m.lastRescreen = reg.NewGauge("conjserver_last_rescreen_timestamp_seconds",
 		"Unix time of the last successful rescreen pass.", nil)
 	m.httpRequests = reg.NewCounterVec("conjserver_http_requests_total",
@@ -277,6 +283,8 @@ func (h *Handler) publishRescreen(version uint64, epoch time.Time, objects int, 
 	m.rescreenRuns.With(mode).Inc()
 	m.rescreenSeconds.Observe(now.Sub(started).Seconds())
 	m.observePhases(res.Stats)
+	m.rescreenTracked.Set(float64(res.Stats.TrackedObjects))
+	m.rescreenTrackBytes.Set(float64(res.Stats.TrackBytes))
 	m.lastRescreen.Set(float64(now.UnixNano()) / float64(time.Second))
 	h.lastRescreenNano.Store(now.UnixNano())
 }

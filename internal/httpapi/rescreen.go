@@ -1,11 +1,12 @@
 package httpapi
 
 // The rescreener is the continuous-operation loop: it watches the
-// catalogue version and, whenever a delta has landed, re-screens the
-// population — incrementally when the catalogue's dirty journal covers the
-// window since the last screened version (core.ScreenDelta does N·k work
-// for k dirty objects), with a full-screen fallback when it does not
-// (first run, journal pruned, or a prior failure). Results land in the run
+// catalogue version and, whenever a delta has landed, hands the population
+// and the dirty journal's account of the window since the last screened
+// version to its screening session (satconj.Session), which extends its
+// chain by a delta pass — N·k work for k dirty objects, the clean objects'
+// cells read from the session's key track — or screens from scratch when it
+// cannot (first run, journal pruned, epoch moved). Results land in the run
 // registry (visible in /v1/runs while running) and in the store (queryable
 // via /v1/conjunctions after the fact, and after restarts).
 
@@ -28,11 +29,13 @@ type Rescreener struct {
 	logf     func(format string, args ...any)
 	nudge    chan struct{}
 
-	// Screening chain state; only the Run goroutine touches it.
+	// The chain: the session owns the prior result, its epoch and the key
+	// track; lastVersion is the catalogue version of its last completed pass.
+	// Only the Run goroutine touches either. sessionErr (opts name no variant
+	// with an incremental mode) fails every pass.
+	session     *satconj.Session
+	sessionErr  error
 	lastVersion uint64
-	lastEpoch   time.Time
-	lastConj    []satconj.Conjunction
-	hasPrior    bool // a successful pass has produced lastConj (possibly empty)
 
 	// testBeforeScreen, when set, runs after a pass decides to screen and
 	// before the screen starts — a test seam for racing deltas/nudges
@@ -52,7 +55,9 @@ func NewRescreener(h *Handler, opts satconj.Options, interval time.Duration, log
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Rescreener{h: h, opts: opts, interval: interval, logf: logf, nudge: make(chan struct{}, 1)}
+	session, err := satconj.NewSession(opts)
+	return &Rescreener{h: h, opts: opts, interval: interval, logf: logf, nudge: make(chan struct{}, 1),
+		session: session, sessionErr: err}
 }
 
 // Nudge requests an immediate pass (coalesced if one is already pending).
@@ -106,11 +111,12 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 		s.h.markRescreenChecked()
 		return false
 	}
-	// Incremental only when the dirty journal covers (lastVersion, latest],
-	// there is a prior result to extend, and the epoch has not moved (a
-	// re-referenced epoch shifts every object's t = 0, so prior TCAs are
-	// stale even for untouched pairs); otherwise screen from scratch.
-	incremental := covered && s.hasPrior && rev.Epoch().Equal(s.lastEpoch)
+	// The session extends its chain only when the dirty journal covers
+	// (lastVersion, latest] and the epoch has not moved (a re-referenced epoch
+	// shifts every object's t = 0, so prior TCAs are stale even for untouched
+	// pairs); otherwise it screens from scratch.
+	pass := satconj.Pass{Epoch: rev.Epoch(), Dirty: dirty, Removed: removed, Covered: covered}
+	incremental := s.sessionErr == nil && s.session.Incremental(pass)
 	sats := rev.Satellites()
 
 	variant := string(s.opts.Variant)
@@ -125,35 +131,29 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 		s.testBeforeScreen()
 	}
 	entry := s.h.runs.start("rescreen-"+variant+"-"+mode, len(sats))
-	opts := s.opts
-	opts.Observer = entry.observer()
+	pass.Observer = entry.observer()
 
 	start := time.Now()
 	var res *satconj.Result
-	var err error
-	if incremental {
-		res, err = satconj.ScreenDeltaContext(ctx, sats, opts,
-			satconj.DeltaInput{Prior: s.lastConj, Dirty: dirty, Removed: removed})
-	} else {
-		res, err = satconj.ScreenContext(ctx, sats, opts)
+	err := s.sessionErr
+	if err == nil {
+		res, err = s.session.Screen(ctx, sats, pass)
 	}
 	if err != nil {
 		status := RunFailed
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = RunCancelled
 		}
-		// Chain state stays put: the next pass retries the same window (or a
+		// The chain stays put: the next pass retries the same window (or a
 		// wider one if more deltas land meanwhile).
 		s.h.runs.finish(entry, status, -1, err.Error())
 		s.h.metrics.rescreenFailures.Inc()
 		s.logf("rescreen: version %d failed after %.2fs: %v", version, time.Since(start).Seconds(), err)
 		return false
 	}
+	entry.recordTrack(res.Stats)
 	s.h.runs.finish(entry, RunCompleted, len(res.Conjunctions), "")
 	s.lastVersion = version
-	s.lastEpoch = rev.Epoch()
-	s.lastConj = res.Conjunctions
-	s.hasPrior = true
 	s.h.publishRescreen(version, rev.Epoch(), len(sats), incremental, res, start)
 
 	if s.h.store != nil {
@@ -161,8 +161,8 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 			CatalogVersion: version,
 			StartedAt:      start.UTC(),
 			Elapsed:        time.Since(start).Seconds(),
-			ThresholdKm:    opts.ThresholdKm,
-			Duration:       opts.DurationSeconds,
+			ThresholdKm:    s.opts.ThresholdKm,
+			Duration:       s.opts.DurationSeconds,
 			Objects:        len(sats),
 			Incremental:    incremental,
 			Variant:        "rescreen-" + variant,
@@ -171,7 +171,12 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 			s.logf("rescreen: persisting version %d failed: %v", version, serr)
 		}
 	}
-	s.logf("rescreen: version %d, %d objects, %d dirty, %d conjunctions (%s, %.2fs)",
-		version, len(sats), len(dirty), len(res.Conjunctions), mode, time.Since(start).Seconds())
+	dropped := ""
+	if res.Stats.TrackDropped != "" {
+		dropped = ", dropped: " + res.Stats.TrackDropped
+	}
+	s.logf("rescreen: version %d, %d objects, %d dirty, %d conjunctions (%s, %.2fs; key track %d rows read, %d B%s)",
+		version, len(sats), len(dirty), len(res.Conjunctions), mode, time.Since(start).Seconds(),
+		res.Stats.TrackedObjects, res.Stats.TrackBytes, dropped)
 	return true
 }

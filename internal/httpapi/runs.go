@@ -41,6 +41,12 @@ type RunInfo struct {
 	Conjunctions   int        `json:"conjunctions"`
 	Error          string     `json:"error,omitempty"`
 	ElapsedSeconds float64    `json:"elapsed_seconds"`
+	// Rescreen passes: objects whose cells were read from the session's key
+	// track instead of solved, the track's size, and why it was dropped before
+	// this pass (satconj.PhaseStats) — a slow pass explains itself here.
+	TrackedObjects int    `json:"tracked_objects,omitempty"`
+	TrackBytes     int    `json:"track_bytes,omitempty"`
+	TrackDropped   string `json:"track_dropped,omitempty"`
 }
 
 // runEntry is one registered run; info is guarded by mu because the
@@ -73,6 +79,13 @@ func (e *runEntry) observer() satconj.Observer {
 			e.mu.Unlock()
 		},
 	}
+}
+
+// recordTrack publishes a finished rescreen pass's key-track counters.
+func (e *runEntry) recordTrack(st satconj.PhaseStats) {
+	e.mu.Lock()
+	e.info.TrackedObjects, e.info.TrackBytes, e.info.TrackDropped = st.TrackedObjects, st.TrackBytes, st.TrackDropped
+	e.mu.Unlock()
 }
 
 // snapshot copies the entry for serving, computing the elapsed time against

@@ -275,6 +275,26 @@ func ScreenDeltaContext(ctx context.Context, sats []Satellite, o Options, delta 
 	return det.ScreenDelta(ctx, sats, delta)
 }
 
+// Session chains the passes of one continuously screened catalogue: it owns
+// the prior conjunctions, their epoch and the key track (the clean objects'
+// cell keys, read by the next delta pass instead of solved again), and runs
+// each Pass as a delta pass or, when the chain cannot be extended, a full
+// screen. See core.Session and core.Pass.
+type (
+	Session = core.Session
+	Pass    = core.Pass
+)
+
+// NewSession returns a session screening under o; Pass.Observer overrides
+// o.Observer per pass. Variants advertising CapScreenDelta only.
+func NewSession(o Options) (*Session, error) {
+	desc, err := o.lookup()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(desc.Name, o.coreConfig(o.propagator()))
+}
+
 // ScreenContext is Screen with cooperative cancellation: when ctx is
 // cancelled the selected variant unwinds promptly (within about one
 // sampling step, or one pair-row for the legacy baseline), returns
