@@ -139,9 +139,10 @@ func main() {
 	fmt.Printf("wall time:        %v\n", elapsed.Round(time.Millisecond))
 	st := res.Stats
 	if st.Total() > 0 {
-		fmt.Printf("phase breakdown:  INS %.0f%%  CD %.0f%%  REF %.0f%%  coplanarity %.0f%%\n",
+		fmt.Printf("phase breakdown:  INS %.0f%%  CD %.0f%% (sort %.0f%%)  REF %.0f%%  coplanarity %.0f%%\n",
 			100*float64(st.Insertion)/float64(st.Total()),
 			100*float64(st.Detection)/float64(st.Total()),
+			100*float64(st.Sort)/float64(st.Total()),
 			100*float64(st.Refine)/float64(st.Total()),
 			100*float64(st.Coplanarity)/float64(st.Total()))
 	}

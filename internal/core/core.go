@@ -154,6 +154,7 @@ type PhaseStats struct {
 	Insertion   time.Duration // propagation + one {cell key, ID} entry per object (INS)
 	Freeze      time.Duration // zero on grid and hybrid, which freeze nothing; aabb-tree: its window builds (FRZ)
 	Detection   time.Duration // candidate generation: per step entry sort + group into cells + sweep, per run one collect of the keys (CD)
+	Sort        time.Duration // the serial sort + group share of Detection; zero on stamping delta passes and the aabb-tree
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 

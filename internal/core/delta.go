@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/lockfree"
 	"repro/internal/propagation"
-	"repro/internal/spatial"
 )
 
 // DeltaInput parameterises an incremental screen. Prior must be the
@@ -203,7 +202,7 @@ func (r *run) stampRange(_, lo, hi int) {
 			r.oob.Add(1)
 			continue
 		}
-		r.dirtyKeys[j] = spatial.PackKey(coord)
+		r.dirtyKeys[j] = r.grid.Key(coord)
 		r.track.note(i, r.scanStep, r.dirtyKeys[j])
 		id, entry := r.sats[i].ID, int32(stampsPerObject*j)
 		err := r.gset.Insert(r.dirtyKeys[j], entry, id, pos)

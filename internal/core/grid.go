@@ -109,6 +109,7 @@ type run struct {
 	gset        *lockfree.GridSet // stamping delta pass only: the stamp table
 	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, ID} per object
 	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
+	sortHist    []radixHist       // the scan's radix histograms, one per pass
 	scanBufs    [][]uint64        // per-worker packed candidate keys, appended to for the whole run
 	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
@@ -250,6 +251,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		r.entries = pl.GetCellBuf(n)[:n]
 		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
 		r.scanIDs = make([]int32, n)
+		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
 		r.stats.GridSlots = n
 	}
 	// Candidate emission gets one private buffer per worker, for the whole run.
@@ -466,22 +468,7 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
 // pairs, appending packed pair keys to worker w's private buffer. No shared
 // state is touched.
 func (r *run) scanRange(w, lo, hi int) {
-	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, lo, hi, r.scanStep, r.scanBufs[w])
-}
-
-// generateCandidates performs the conjunction-detection scan of §IV-A3 for
-// one step's entry buffer, which it only reads, and returns how many entries
-// were inside the cube: sort them by key into one of the run's sort buffers
-// (stably: a cell's IDs stay in population order), group them into cells
-// there, sweep the cells into the per-worker buffers with no shared writes.
-// Sort and group are serial; on a two-slot ring they run beside the next
-// step's build.
-func (r *run) generateCandidates(entries []lockfree.Cell, step uint32) (inCube int, err error) {
-	r.scanStep = step
-	n := len(r.cellBuf) / 2
-	sorted := sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.grid.MaxAbsCoord())
-	r.scanCells = groupCells(sorted, r.scanIDs)
-	return len(sorted), parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
+	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w])
 }
 
 // refineCandidates runs the parallel PCA/TCA phase over the candidate list.

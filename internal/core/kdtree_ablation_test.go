@@ -72,7 +72,7 @@ func TestKDTreeCandidatesSubsetOfGrid(t *testing.T) {
 				gridPairs[orderPair(cellIDs[i], cellIDs[j])] = true
 			}
 		}
-		coord := spatial.UnpackKey(key)
+		coord := grid.Coord(key)
 		for _, nk := range grid.NeighborKeys(coord, nbuf[:0]) {
 			for e := gset.Head(nk); e >= 0; e = gset.Next(e) {
 				nid := gset.Entry(e).ID
@@ -134,6 +134,7 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 	pts := stepPositions(sats, 500)
 	entries, ids := make([]lockfree.Cell, len(sats)), make([]int32, len(sats))
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
+	hist := histFor(grid)
 	var keys []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,8 +146,8 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 			}
 			entries[j] = lockfree.Cell{Key: key, Lo: p.ID}
 		}
-		cells := groupCells(sortCells(entries, bufA, bufB, grid.MaxAbsCoord()), ids)
-		keys = sweepCells(cells, ids, 0, len(cells), 0, keys[:0])
+		cells := groupCells(sortCells(entries, bufA, bufB, hist), ids)
+		keys = sweepCells(cells, ids, 0, len(cells), 0, grid.FieldBits(), keys[:0])
 	}
 }
 

@@ -28,10 +28,10 @@ type scanJob struct {
 
 // scanResult reports one completed scan back to the build side.
 type scanResult struct {
-	step    int
-	entries int           // in-cube objects of the step, for the observer
-	cd      time.Duration // sort + group + sweep span (the CD share)
-	err     error
+	step        int
+	entries     int           // in-cube objects of the step, for the observer
+	sort, sweep time.Duration // the serial sort + group span and the parallel sweep span: together the CD share
+	err         error
 }
 
 // sampleSteps runs every sampling step in order, warm-start caches intact.
@@ -57,7 +57,8 @@ func (r *run) sampleSteps() error {
 	var err error
 	// settle accounts one finished scan; the first error of the run stands.
 	settle := func(res scanResult) {
-		r.stats.Detection += res.cd
+		r.stats.Sort += res.sort
+		r.stats.Detection += res.sort + res.sweep
 		if err == nil {
 			if err = res.err; err == nil {
 				r.observeStep(res.step, res.entries)
@@ -104,11 +105,19 @@ func (r *run) sampleSteps() error {
 	return err
 }
 
-// scan generates the candidates of one built step and times it.
+// scan is §IV-A3's scan of one built step, timed in its two spans: sort the
+// entry buffer (only read) stably into a sort buffer, out-of-cube entries
+// dropped, and group it into cells there — serial, beside the next build on a
+// two-slot ring — then sweep the cells into the per-worker buffers.
 func (r *run) scan(j scanJob) scanResult {
-	tCD := time.Now()
-	n, err := r.generateCandidates(j.entries, j.step)
-	return scanResult{step: int(j.step), entries: n, cd: time.Since(tCD), err: err}
+	tSort := time.Now()
+	r.scanStep = j.step
+	n := len(r.cellBuf) / 2
+	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
+	r.scanCells = groupCells(sorted, r.scanIDs)
+	tSweep := time.Now()
+	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
+	return scanResult{step: int(j.step), entries: len(sorted), sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 
 // scanLoop is the scan goroutine: one scan per job, results posted in job

@@ -328,6 +328,7 @@ func accumulateShardStats(agg *PhaseStats, st PhaseStats) {
 	agg.Insertion += st.Insertion
 	agg.Freeze += st.Freeze
 	agg.Detection += st.Detection
+	agg.Sort += st.Sort
 	agg.Refine += st.Refine
 	agg.Coplanarity += st.Coplanarity
 	agg.Steps += st.Steps

@@ -2,69 +2,66 @@ package core
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"repro/internal/lockfree"
-	"repro/internal/spatial"
 )
 
-// The candidate scan in key order. spatial.PackKey is x‖y‖z with z lowest, so
-// with a step's cells sorted by key a cell's thirteen upper half-neighbours
-// (those with a greater key; the other thirteen reach it from their side) are
-// its successor k+1 and four runs of three consecutive keys, one per
-// (dx, dy) ∈ {(0,+1), (+1,−1), (+1,0), (+1,+1)}, each starting at dz = −1.
-// No key needs a bounds check: ±1 never carries between axis fields
-// (spatial.CoordBits), so a neighbour outside the cube is an absent key.
-const (
-	keyStepY = 1 << spatial.CoordBits       // key distance to the +y neighbour
-	keyStepX = 1 << (2 * spatial.CoordBits) // … and to the +x neighbour
-)
-
-// sweepRuns holds the offset from a cell's key to the start of each run.
-var sweepRuns = [4]uint64{keyStepY - 1, keyStepX - keyStepY - 1, keyStepX - 1, keyStepX + keyStepY - 1}
-
-// sortDigitBits is the radix of sortCells: 2¹¹ counters are 8 KiB of stack,
-// and eleven bits cover an axis of up to 2,048 cells in one pass.
+// sortDigitBits is the radix of sortCells.
 const sortDigitBits = 11
+
+// radixHist is one sortCells pass's digit histogram.
+type radixHist [1 << sortDigitBits]int32
+
+// sortPasses is how many digits sortCells takes of a key whose fields are
+// fieldBits wide: three up to maxIdx 1,022, four up to 8,190, six at most.
+func sortPasses(fieldBits int) int { return (3*fieldBits + sortDigitBits - 1) / sortDigitBits }
 
 // sortCells returns src's entries in ascending key order, in a or b (each at
 // least len(src) long), minus the lockfree.EmptySlot entries of out-of-cube
-// objects, which the first pass drops (there is one: spatial.NewGrid gives
-// maxIdx ≥ 1); src is only read. It is a stable LSD radix sort planned from
-// the grid geometry: cell indices lie in [−maxIdx, maxIdx] on every axis, so
-// with the minimum corner's key subtracted each axis field is below 2·maxIdx+1
-// and sorts in ⌈bits/11⌉ passes — three in all up to 2¹¹ cells per axis, six
-// beyond. (Digits taken from the whole key, or from the key minus the
-// smallest key, need five or six: biased coordinates straddle 2²⁰.)
-func sortCells(src, a, b []lockfree.Cell, maxIdx int32) []lockfree.Cell {
-	base := spatial.PackKey(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
-	fieldBits := bits.Len32(uint32(2 * maxIdx))
-	var hist [1 << sortDigitBits]int32
-	from, to, spare := src, a, b
-	for field := 0; field < 3; field++ {
-		for lo := 0; lo < fieldBits; lo += sortDigitBits {
-			shift := field*spatial.CoordBits + lo
-			mask := uint64(1)<<min(sortDigitBits, fieldBits-lo) - 1
-			clear(hist[:])
-			for i := range from {
-				if from[i].Key != lockfree.EmptySlot {
-					hist[(from[i].Key-base)>>shift&mask]++
-				}
-			}
-			at := int32(0)
-			for d, n := range hist[:mask+1] {
-				hist[d], at = at, at+n
-			}
-			for i := range from {
-				if from[i].Key != lockfree.EmptySlot {
-					d := (from[i].Key - base) >> shift & mask
-					to[hist[d]] = from[i]
-					hist[d]++
-				}
-			}
-			from, to, spare = to[:at], spare, to
+// objects, which the first pass drops; src is only read. It is a stable LSD
+// radix sort of the key as one integer, one pass per histogram of hist (the
+// caller's scratch, sortPasses long). One walk counts four digits' histograms
+// — every digit up to maxIdx 8,190 — so each pass is a scatter only.
+func sortCells(src, a, b []lockfree.Cell, hist []radixHist) []lockfree.Cell {
+	const mask = 1<<sortDigitBits - 1
+	clear(hist)
+	var dump radixHist // counts of digits past the key's top, which are all zero
+	n := int32(0)
+	for g := 0; g < len(hist); g += 4 {
+		h := [4]*radixHist{&dump, &dump, &dump, &dump}
+		for p := g; p < min(g+4, len(hist)); p++ {
+			h[p-g] = &hist[p]
 		}
+		n = 0
+		for i := range src {
+			if k := src[i].Key; k != lockfree.EmptySlot {
+				n++
+				k >>= g * sortDigitBits
+				h[0][k&mask]++
+				h[1][k>>sortDigitBits&mask]++
+				h[2][k>>(2*sortDigitBits)&mask]++
+				h[3][k>>(3*sortDigitBits)&mask]++
+			}
+		}
+	}
+	for p := range hist {
+		at := int32(0)
+		for d, c := range hist[p] {
+			hist[p][d], at = at, at+c
+		}
+	}
+	from, to, spare := src, a, b
+	for p := range hist {
+		shift, next := p*sortDigitBits, &hist[p]
+		for i := range from {
+			if k := from[i].Key; k != lockfree.EmptySlot { // only the first pass meets one
+				d := k >> shift & mask
+				to[next[d]] = from[i]
+				next[d]++
+			}
+		}
+		from, to, spare = to[:n], spare, to
 	}
 	return from
 }
@@ -87,21 +84,28 @@ func groupCells(sorted []lockfree.Cell, ids []int32) []lockfree.Cell {
 
 // sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at
 // the given step: every pair inside a cell, and every pair between a cell and
-// its upper half-neighbours, which may lie past hi. ids is the array the
-// cells' ranges index. One cursor per run walks the list: cell to cell a
-// run's start only grows, so nothing is hashed and no absent cell probed. The
-// cursors start by binary search, so any partition of the list into ranges
-// yields the pairs of one sweep.
-func sweepCells(cells []lockfree.Cell, ids []int32, lo, hi int, step uint32, buf []uint64) []uint64 {
+// its thirteen upper half-neighbours (greater keys; the other thirteen reach it
+// from their side), which may lie past hi. ids is the array the cells' ranges
+// index. A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a field, so with
+// Y = 2^fieldBits and X = 2^2·fieldBits those neighbours lie in two key ranges,
+// one walk each:
+//   - (key, key+Y+1]: the rest of column (x, y), then row (x, y+1) up to z+1;
+//     the neighbours are key+1 and key+Y−1 … key+Y+1. From the successor.
+//   - [key+X−Y−1, key+X+Y+1]: slab x+1's rows y−1 … y+1; the neighbours are
+//     the cells with |Δz| ≤ 1. From a cursor whose start, cell to cell, only
+//     grows, found by binary search, so any split into ranges gives one sweep.
+//
+// ±1 never carries between fields, so nothing is bounds-checked, hashed or
+// probed: a neighbour outside the cube is an absent key.
+func sweepCells(cells []lockfree.Cell, ids []int32, lo, hi int, step uint32, fieldBits int, buf []uint64) []uint64 {
 	if lo >= hi {
 		return buf
 	}
-	var cur [len(sweepRuns)]int
-	for r, off := range sweepRuns {
-		cur[r], _ = slices.BinarySearchFunc(cells, cells[lo].Key+off, func(c lockfree.Cell, k uint64) int {
-			return cmp.Compare(c.Key, k)
-		})
-	}
+	dy, dx := uint64(1)<<fieldBits, uint64(1)<<(2*fieldBits)
+	zMask := dy - 1
+	slab, _ := slices.BinarySearchFunc(cells, cells[lo].Key+dx-dy-1, func(c lockfree.Cell, k uint64) int {
+		return cmp.Compare(c.Key, k)
+	})
 	cross := func(cell []int32, nb lockfree.Cell) {
 		for _, nid := range ids[nb.Lo:nb.Hi] {
 			for _, cid := range cell {
@@ -116,16 +120,16 @@ func sweepCells(cells []lockfree.Cell, ids []int32, lo, hi int, step uint32, buf
 				buf = append(buf, lockfree.PackPair(cell[x], other, step))
 			}
 		}
-		if i+1 < len(cells) && cells[i+1].Key == key+1 {
-			cross(cell, cells[i+1])
-		}
-		for r, off := range sweepRuns {
-			start, j := key+off, cur[r]
-			for j < len(cells) && cells[j].Key < start {
-				j++
+		for j := i + 1; j < len(cells) && cells[j].Key <= key+dy+1; j++ {
+			if k := cells[j].Key; k == key+1 || k >= key+dy-1 {
+				cross(cell, cells[j])
 			}
-			cur[r] = j
-			for ; j < len(cells) && cells[j].Key <= start+2; j++ {
+		}
+		for slab < len(cells) && cells[slab].Key < key+dx-dy-1 {
+			slab++
+		}
+		for j := slab; j < len(cells) && cells[j].Key <= key+dx+dy+1; j++ {
+			if cells[j].Key&zMask-key&zMask+1 <= 2 { // |Δz| ≤ 1
 				cross(cell, cells[j])
 			}
 		}

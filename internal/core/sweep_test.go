@@ -20,21 +20,24 @@ import (
 	"repro/internal/vec3"
 )
 
-// entriesOf is a step's entry buffer: object i (ID i) in cell coords[i].
-func entriesOf(coords []spatial.Coord) []lockfree.Cell {
+// entriesOf is a step's entry buffer: object i (ID i) in cell coords[i] of g.
+func entriesOf(g *spatial.Grid, coords []spatial.Coord) []lockfree.Cell {
 	entries := make([]lockfree.Cell, len(coords))
 	for i, c := range coords {
-		entries[i] = lockfree.Cell{Key: spatial.PackKey(c), Lo: int32(i)}
+		entries[i] = lockfree.Cell{Key: g.Key(c), Lo: int32(i)}
 	}
 	return entries
 }
+
+// histFor is sortCells' scratch for keys of g.
+func histFor(g *spatial.Grid) []radixHist { return make([]radixHist, sortPasses(g.FieldBits())) }
 
 // groupedCells is a step's build as the detectors run it: the entry buffer,
 // sorted and grouped.
 func groupedCells(g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
 	n := len(coords)
 	ids := make([]int32, n)
-	return groupCells(sortCells(entriesOf(coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), g.MaxAbsCoord()), ids), ids
+	return groupCells(sortCells(entriesOf(g, coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g)), ids), ids
 }
 
 // sortedFrozenCells is the reference build: object i (ID i) goes into cell
@@ -51,7 +54,7 @@ func sortedFrozenCells(t testing.TB, g *spatial.Grid, coords []spatial.Coord) ([
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 4 {
-				if err := gset.Insert(spatial.PackKey(coords[i]), int32(i), int32(i), vec3.Zero); err != nil {
+				if err := gset.Insert(g.Key(coords[i]), int32(i), int32(i), vec3.Zero); err != nil {
 					t.Error(err)
 				}
 			}
@@ -60,7 +63,7 @@ func sortedFrozenCells(t testing.TB, g *spatial.Grid, coords []spatial.Coord) ([
 	wg.Wait()
 	snap := lockfree.NewGridSnapshot(0, 0)
 	snap.Freeze(gset, 4)
-	cells := sortCells(snap.Cells(), make([]lockfree.Cell, n), make([]lockfree.Cell, n), g.MaxAbsCoord())
+	cells := sortCells(snap.Cells(), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g))
 	return cells, snap.IDs()
 }
 
@@ -69,7 +72,7 @@ func sortedFrozenCells(t testing.TB, g *spatial.Grid, coords []spatial.Coord) ([
 func referencePairs(g *spatial.Grid, coords []spatial.Coord) []uint64 {
 	byCell := map[uint64][]int32{}
 	for i, c := range coords {
-		byCell[spatial.PackKey(c)] = append(byCell[spatial.PackKey(c)], int32(i))
+		byCell[g.Key(c)] = append(byCell[g.Key(c)], int32(i))
 	}
 	set := map[uint64]bool{}
 	for key, ids := range byCell {
@@ -79,7 +82,7 @@ func referencePairs(g *spatial.Grid, coords []spatial.Coord) []uint64 {
 					set[lockfree.PackPair(a, b, 0)] = true
 				}
 			}
-			for _, nk := range g.NeighborKeys(spatial.UnpackKey(key), nil) {
+			for _, nk := range g.NeighborKeys(g.Coord(key), nil) {
 				for _, b := range byCell[nk] {
 					set[lockfree.PackPair(a, b, 0)] = true
 				}
@@ -107,8 +110,8 @@ func sweepPopulations(t testing.TB) map[string]struct {
 		}
 		return g
 	}
-	small := newGrid(10, 200)     // maxIdx 20: one radix digit per axis
-	finest := newGrid(1, 1<<20-2) // maxIdx = maxCoord−1: two digits per axis, fields next to 0 and all ones
+	small := newGrid(10, 200)     // maxIdx 20: 6-bit fields, two digits in all
+	finest := newGrid(1, 1<<20-2) // the NewGrid limit: 21-bit fields, six digits, in-cube fields next to 0 and all ones
 	rng := mathx.NewSplitMix64(5)
 	random := func(n int, span int32) []spatial.Coord {
 		cs := make([]spatial.Coord, n)
@@ -189,7 +192,7 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
 			err := parallelForWorkers(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
-				bufs[w] = sweepCells(cells, ids, lo, hi, 0, bufs[w])
+				bufs[w] = sweepCells(cells, ids, lo, hi, 0, p.grid.FieldBits(), bufs[w])
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +217,7 @@ func TestSweepSplitInvariant(t *testing.T) {
 	for name, p := range sweepPopulations(t) {
 		cells, ids := groupedCells(p.grid, p.coords)
 		n := len(cells)
-		want := sweepCells(cells, ids, 0, n, 0, nil)
+		want := sweepCells(cells, ids, 0, n, 0, p.grid.FieldBits(), nil)
 		slices.Sort(want)
 		singles := make([]int, n+1)
 		for i := range singles {
@@ -232,7 +235,7 @@ func TestSweepSplitInvariant(t *testing.T) {
 		for _, cuts := range partitions {
 			var got []uint64
 			for i := 1; i < len(cuts); i++ {
-				got = sweepCells(cells, ids, cuts[i-1], cuts[i], 0, got)
+				got = sweepCells(cells, ids, cuts[i-1], cuts[i], 0, p.grid.FieldBits(), got)
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
@@ -242,28 +245,31 @@ func TestSweepSplitInvariant(t *testing.T) {
 	}
 }
 
-// TestSortCells: the output is the input in ascending key order, whichever
-// buffer it lands in, and the input is left as it was.
+// TestSortCells: over every key layout of keyLayoutMaxIdx, the output is the
+// input in ascending key order, whichever buffer it lands in, and the input is
+// left as it was.
 func TestSortCells(t *testing.T) {
 	rng := mathx.NewSplitMix64(23)
 	landed := map[string]bool{}
-	for _, maxIdx := range []int32{1, 1023, 1024, 1<<20 - 2} { // 1023: the last one-digit axis (2,047 cells)
+	for _, maxIdx := range keyLayoutMaxIdx {
+		g := keyLayoutGrid(t, maxIdx)
+		hist := histFor(g)
 		for _, n := range []int{0, 1, 2, 100_000} {
 			src := make([]lockfree.Cell, n)
 			for i := range src {
 				c := spatial.Coord{X: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Y: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Z: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx}
-				src[i] = lockfree.Cell{Key: spatial.PackKey(c), Lo: int32(i), Hi: int32(i + 1)}
+				src[i] = lockfree.Cell{Key: g.Key(c), Lo: int32(i), Hi: int32(i + 1)}
 			}
 			if n >= 2 { // the extreme corners, wherever they were drawn
-				src[0].Key = spatial.PackKey(spatial.Coord{X: maxIdx, Y: maxIdx, Z: maxIdx})
-				src[n-1].Key = spatial.PackKey(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
+				src[0].Key = g.Key(spatial.Coord{X: maxIdx, Y: maxIdx, Z: maxIdx})
+				src[n-1].Key = g.Key(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
 			}
 			before := slices.Clone(src)
 			want := slices.Clone(src)
 			slices.SortStableFunc(want, func(x, y lockfree.Cell) int { return cmp.Compare(x.Key, y.Key) })
 
 			a, b := make([]lockfree.Cell, n, n+3), make([]lockfree.Cell, n)
-			got := sortCells(src, a, b, maxIdx)
+			got := sortCells(src, a, b, hist)
 			if !slices.Equal(got, want) {
 				t.Fatalf("maxIdx %d, %d cells: output is not the stably sorted input", maxIdx, n)
 			}
@@ -315,13 +321,13 @@ func TestSortGroupMatchesFrozenGrid(t *testing.T) {
 	}
 	landed := map[string]bool{}
 	for name, p := range sweepPopulations(t) {
-		real := entriesOf(p.coords)
+		real := entriesOf(p.grid, p.coords)
 		wantCells, wantIDs := sortedFrozenCells(t, p.grid, p.coords)
 		for pattern, place := range patterns {
 			entries := place(real)
 			before := slices.Clone(entries)
 			a, b, ids := make([]lockfree.Cell, len(entries)), make([]lockfree.Cell, len(entries)+2), make([]int32, len(entries))
-			sorted := sortCells(entries, a, b, p.grid.MaxAbsCoord())
+			sorted := sortCells(entries, a, b, histFor(p.grid))
 			if !slices.Equal(entries, before) {
 				t.Fatalf("%s/%s: the entry buffer was written", name, pattern)
 			}

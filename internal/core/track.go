@@ -35,20 +35,9 @@ const (
 // so at most two cell boundaries per axis.
 const moveSpan = 2
 
-// moveDelta maps the code (dx+2)·25 + (dy+2)·5 + (dz+2) to what the move adds
-// to a packed key: keys are linear in the biased coordinates, and between two
-// in-cube cells no field carries into the next (spatial.CoordBits).
-var moveDelta = func() (t [125]uint64) {
-	for c := range t {
-		dx, dy, dz := int64(c/25-moveSpan), int64(c/5%5-moveSpan), int64(c%5-moveSpan)
-		t[c] = uint64(dx<<(2*spatial.CoordBits) + dy<<spatial.CoordBits + dz)
-	}
-	return t
-}()
-
 // moveCode is the byte for the move between two in-cube keys, if it has one.
-func moveCode(from, to uint64) (code byte, ok bool) {
-	a, b := spatial.UnpackKey(from), spatial.UnpackKey(to)
+func (t *keyTrack) moveCode(from, to uint64) (code byte, ok bool) {
+	a, b := t.grid.Coord(from), t.grid.Coord(to)
 	dx, dy, dz := b.X-a.X+moveSpan, b.Y-a.Y+moveSpan, b.Z-a.Z+moveSpan
 	ok = uint32(dx) <= 2*moveSpan && uint32(dy) <= 2*moveSpan && uint32(dz) <= 2*moveSpan
 	return byte(dx*25 + dy*5 + dz), ok
@@ -58,15 +47,17 @@ func moveCode(from, to uint64) (code byte, ok bool) {
 type trackShape struct {
 	n, steps  int
 	sps, cell float64
-	maxAbs    int32 // grid.MaxAbsCoord(): a dirty object can move autoHalfExtent
+	maxAbs    int32 // grid.MaxAbsCoord(): a dirty object can move autoHalfExtent, and the key layout with it
 }
 
 // keyTrack holds the rows. moves is step-major — object i's move into step s is
 // moves[(s−1)·n+i] — so a step touches one stripe, each worker its own range.
 type keyTrack struct {
 	trackShape
-	ids       []int32  // sats[i].ID, dense: the probe reads it, not the 168-byte satellite
-	key0, cur []uint64 // the step-0 key; the key at the step last read or noted
+	grid      *spatial.Grid // a grid of the run that made the track: same maxAbs, so same key layout
+	moveDelta [125]uint64   // code (dx+2)·25 + (dy+2)·5 + (dz+2) → what the move adds to a key of grid
+	ids       []int32       // sats[i].ID, dense: the probe reads it, not the 168-byte satellite
+	key0, cur []uint64      // the step-0 key; the key at the step last read or noted
 	moves     []byte
 	state     []rowState
 }
@@ -78,10 +69,17 @@ var noTrack = &keyTrack{}
 // trackFits is the budget: the moves may take what one shard's structures may.
 func trackFits(n, steps int) bool { return int64(steps-1)*int64(n) <= model.DefaultShardBudgetBytes }
 
-func newKeyTrack(shape trackShape, sats []propagation.Satellite) *keyTrack {
+func newKeyTrack(shape trackShape, grid *spatial.Grid, sats []propagation.Satellite) *keyTrack {
 	n := shape.n
-	t := &keyTrack{trackShape: shape, ids: make([]int32, n), key0: make([]uint64, n), cur: make([]uint64, n),
+	t := &keyTrack{trackShape: shape, grid: grid, ids: make([]int32, n), key0: make([]uint64, n), cur: make([]uint64, n),
 		moves: make([]byte, (shape.steps-1)*n), state: make([]rowState, n)}
+	// Keys are linear in the biased coordinates, and between two in-cube
+	// cells no field carries into the next (spatial.Grid).
+	fb := grid.FieldBits()
+	for c := range t.moveDelta {
+		dx, dy, dz := int64(c/25-moveSpan), int64(c/5%5-moveSpan), int64(c%5-moveSpan)
+		t.moveDelta[c] = uint64(dx<<(2*fb) + dy<<fb + dz)
+	}
 	for i := range sats {
 		t.ids[i] = sats[i].ID
 	}
@@ -126,7 +124,7 @@ func (t *keyTrack) valid(i int) bool { return i < len(t.state) && t.state[i] == 
 func (t *keyTrack) advance(i int, step uint32) uint64 {
 	key := t.key0[i]
 	if step > 0 {
-		key = t.cur[i] + moveDelta[t.moves[(int(step)-1)*t.n+i]]
+		key = t.cur[i] + t.moveDelta[t.moves[(int(step)-1)*t.n+i]]
 	}
 	t.cur[i] = key
 	return key
@@ -141,7 +139,7 @@ func (t *keyTrack) note(i int, step uint32, key uint64) {
 	}
 	code, ok := byte(0), key != lockfree.EmptySlot
 	if ok && step > 0 {
-		code, ok = moveCode(t.cur[i], key)
+		code, ok = t.moveCode(t.cur[i], key)
 	}
 	switch {
 	case !ok:
@@ -263,7 +261,7 @@ func (s *Session) trackFor(r *run) *keyTrack {
 		}
 	}
 	if s.track == nil {
-		s.track = newKeyTrack(shape, r.sats)
+		s.track = newKeyTrack(shape, r.grid, r.sats)
 	}
 	return s.track
 }

@@ -19,15 +19,11 @@ import (
 	"repro/internal/spatial"
 )
 
-// TestTrackMoveCode: every move of the byte code carries a packed key to its
-// neighbour and back out through UnpackKey, placed so that the move ends on a
-// face of the largest cube the packing allows; a three-cell jump and an
-// out-of-cube sample make the row unencodable, and commit does not validate it.
-func TestTrackMoveCode(t *testing.T) {
-	g, err := spatial.NewGrid(1, 1<<(spatial.CoordBits-1)-2)
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkMoveCodes: every move of the byte code carries a key of g to its
+// neighbour and back out through g.Coord, placed so that the move ends on a
+// face of g's cube.
+func checkMoveCodes(t *testing.T, g *spatial.Grid) {
+	t.Helper()
 	face := g.MaxAbsCoord()
 	along := func(d int32) (from int32) { // a start from which moving d ends on a face
 		if d < 0 {
@@ -35,30 +31,42 @@ func TestTrackMoveCode(t *testing.T) {
 		}
 		return face - d
 	}
+	tr := newKeyTrack(trackShape{n: 1, steps: 2}, g, make([]propagation.Satellite, 1))
 	seen := make(map[byte]bool)
 	for dx := int32(-moveSpan); dx <= moveSpan; dx++ {
 		for dy := int32(-moveSpan); dy <= moveSpan; dy++ {
 			for dz := int32(-moveSpan); dz <= moveSpan; dz++ {
 				from := spatial.Coord{X: along(dx), Y: along(dy), Z: along(dz)}
 				to := spatial.Coord{X: from.X + dx, Y: from.Y + dy, Z: from.Z + dz}
-				code, ok := moveCode(spatial.PackKey(from), spatial.PackKey(to))
+				code, ok := tr.moveCode(g.Key(from), g.Key(to))
 				if !ok || seen[code] {
-					t.Fatalf("move (%d,%d,%d): code %d, ok %v, repeated %v", dx, dy, dz, code, ok, seen[code])
+					t.Fatalf("maxIdx %d, move (%d,%d,%d): code %d, ok %v, repeated %v", face, dx, dy, dz, code, ok, seen[code])
 				}
 				seen[code] = true
-				if got := spatial.UnpackKey(spatial.PackKey(from) + moveDelta[code]); got != to {
-					t.Fatalf("move (%d,%d,%d) from %v lands on %v, want %v", dx, dy, dz, from, got, to)
+				if got := g.Coord(g.Key(from) + tr.moveDelta[code]); got != to {
+					t.Fatalf("maxIdx %d, move (%d,%d,%d) from %v lands on %v, want %v", face, dx, dy, dz, from, got, to)
 				}
 			}
 		}
 	}
-	if len(seen) != len(moveDelta) {
-		t.Fatalf("%d codes for %d table entries", len(seen), len(moveDelta))
+	if len(seen) != len(tr.moveDelta) {
+		t.Fatalf("maxIdx %d: %d codes for %d table entries", face, len(seen), len(tr.moveDelta))
 	}
+}
 
-	key := func(x int32) uint64 { return spatial.PackKey(spatial.Coord{X: x, Y: 1, Z: -1}) }
+// TestTrackMoveCode: the byte code round-trips on the largest cube NewGrid
+// allows; a three-cell jump and an out-of-cube sample make the row
+// unencodable, and commit does not validate it.
+func TestTrackMoveCode(t *testing.T) {
+	g, err := spatial.NewGrid(1, 1<<20-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMoveCodes(t, g)
+
+	key := func(x int32) uint64 { return g.Key(spatial.Coord{X: x, Y: 1, Z: -1}) }
 	for name, bad := range map[string]uint64{"three-cell jump": key(4), "out of the cube": lockfree.EmptySlot} {
-		tr := newKeyTrack(trackShape{n: 2, steps: 3}, make([]propagation.Satellite, 2))
+		tr := newKeyTrack(trackShape{n: 2, steps: 3}, g, make([]propagation.Satellite, 2))
 		tr.begin(nil)
 		for i := 0; i < 2; i++ {
 			tr.note(i, 0, key(0))
@@ -75,7 +83,7 @@ func TestTrackMoveCode(t *testing.T) {
 		}
 		for step, want := range []uint64{key(0), key(1), key(3)} {
 			if got := tr.advance(1, uint32(step)); got != want {
-				t.Fatalf("%s: row 1 at step %d = %v, want %v", name, step, spatial.UnpackKey(got), spatial.UnpackKey(want))
+				t.Fatalf("%s: row 1 at step %d = %v, want %v", name, step, g.Coord(got), g.Coord(want))
 			}
 		}
 	}

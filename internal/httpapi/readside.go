@@ -33,6 +33,7 @@ type serverMetrics struct {
 	rescreenFailures     *observability.Counter
 	rescreenSeconds      *observability.Histogram
 	rescreenPhase        *observability.CounterVec
+	rescreenSort         *observability.Counter
 	rescreenTracked      *observability.Gauge
 	rescreenTrackBytes   *observability.Gauge
 	lastRescreen         *observability.Gauge
@@ -60,6 +61,8 @@ func newServerMetrics(reg *observability.Registry) *serverMetrics {
 		"Wall time of completed rescreen passes.", nil, nil)
 	m.rescreenPhase = reg.NewCounterVec("conjserver_rescreen_phase_seconds_total",
 		"Cumulative rescreen wall time by pipeline phase.", []string{"phase"})
+	m.rescreenSort = reg.NewCounter("conjserver_rescreen_sort_seconds_total",
+		"Cumulative rescreen wall time in the scan's serial sort + group: a share of the detection phase's seconds.", nil)
 	m.rescreenTracked = reg.NewGauge("conjserver_rescreen_tracked_objects",
 		"Objects whose cells the last rescreen pass read from the key track instead of solving.", nil)
 	m.rescreenTrackBytes = reg.NewGauge("conjserver_rescreen_track_bytes",
@@ -156,6 +159,7 @@ func (m *serverMetrics) observePhases(stats satconj.PhaseStats) {
 		m.mu.Unlock()
 		c.Add(ps.Seconds)
 	}
+	m.rescreenSort.Add(stats.Sort.Seconds())
 }
 
 // routeMetrics instruments one registered route: a latency histogram and

@@ -1,7 +1,8 @@
 // Package spatial implements the uniform-grid geometry of §III-A/§IV-A: the
 // cell-size rule of Eq. 1, the mapping from ECI positions to cells, the
 // packing of three signed cell coordinates into a single 64-bit key (the
-// hash-map key of Fig. 6), and 26-neighbour enumeration.
+// hash-map key of Fig. 6) dense to the grid's own extent, and 26-neighbour
+// enumeration.
 //
 // The grid is purely geometric; the concurrent storage that backs it lives
 // in package lockfree.
@@ -10,6 +11,7 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/orbit"
 	"repro/internal/vec3"
@@ -20,25 +22,11 @@ import (
 // beyond the geostationary orbit.
 const DefaultHalfExtent = 42500.0
 
-// CoordBits is the number of bits per packed axis coordinate. 21 bits of
-// signed range (±2²⁰ cells per axis) supports cell sizes down to ~40 m over
-// the default cube — far below any realistic screening threshold.
-//
-// PackKey lays the axes out x‖y‖z, z lowest, so ascending key order is
-// lexicographic (x, y, z) order and a cell's +z, +y and +x neighbours sit 1,
-// 1<<CoordBits and 1<<(2·CoordBits) above it. NewGrid keeps every cell index
-// within ±(maxCoord−1): a biased axis field is never 0 or all ones, so adding
-// or subtracting one from it never carries into the field beside it, and the
-// key a cell on the cube's face computes for a neighbour outside the cube is
-// simply a key nothing was inserted under.
-const CoordBits = 21
-
-const (
-	coordBias = 1 << (CoordBits - 1) // maps signed coords to non-negative
-	coordMask = 1<<CoordBits - 1
-	maxCoord  = coordBias - 1
-	minCoord  = -coordBias
-)
+// maxFieldBits bounds a key's axis field: three fit a 63-bit key, which can
+// never equal lockfree.EmptySlot (all ones), and ±2²⁰ cells per axis support
+// cell sizes down to ~40 m over the default cube — far below any realistic
+// screening threshold.
+const maxFieldBits = 21
 
 // CellSize implements Eq. 1: g_c = d + 7.8·s_ps, the smallest cell size (km)
 // that guarantees two satellites closing at twice the typical LEO speed
@@ -50,11 +38,21 @@ func CellSize(thresholdKm, secondsPerSample float64) float64 {
 }
 
 // Grid maps positions to cells of a cube [-HalfExtent, +HalfExtent]³.
+//
+// The grid owns its key layout. A key is x‖y‖z, z lowest, each field
+// FieldBits() = bits.Len32(2·maxIdx+2) wide and holding its coordinate biased
+// by maxIdx+1. So ascending key order is lexicographic (x, y, z) order, and a
+// cell's +z, +y and +x neighbours sit 1, 2^fb and 2^2fb above it. An in-cube
+// field lies in [1, 2·maxIdx+1], so adding or subtracting one from it never
+// carries into the field beside it, and the key a cell on the cube's face
+// computes for a neighbour outside the cube (field 0 or 2·maxIdx+2) is simply
+// a key nothing was built under.
 type Grid struct {
 	cell       float64 // edge length of one cell, km
 	invCell    float64
 	halfExtent float64
 	maxIdx     int32 // cells span [-maxIdx, +maxIdx] per axis
+	fb         uint  // key bits per axis field
 }
 
 // NewGrid returns a grid with the given cell size (km) and half extent (km).
@@ -66,12 +64,15 @@ func NewGrid(cellSize, halfExtent float64) (*Grid, error) {
 	if halfExtent <= 0 {
 		halfExtent = DefaultHalfExtent
 	}
-	maxIdx := int32(math.Ceil(halfExtent / cellSize))
-	if maxIdx > maxCoord-1 {
-		return nil, fmt.Errorf("spatial: cell size %g km too small for extent %g km (needs %d cells/axis, max %d)",
-			cellSize, halfExtent, maxIdx, maxCoord-1)
+	const limit = 1<<(maxFieldBits-1) - 2 // the largest maxIdx whose 2·maxIdx+2 fits a field
+	cells := math.Ceil(halfExtent / cellSize)
+	if cells > limit {
+		return nil, fmt.Errorf("spatial: cell size %g km too small for extent %g km (needs %.0f cells/axis, max %d)",
+			cellSize, halfExtent, cells, limit)
 	}
-	return &Grid{cell: cellSize, invCell: 1 / cellSize, halfExtent: halfExtent, maxIdx: maxIdx}, nil
+	maxIdx := int32(cells)
+	return &Grid{cell: cellSize, invCell: 1 / cellSize, halfExtent: halfExtent, maxIdx: maxIdx,
+		fb: uint(bits.Len32(uint32(2*maxIdx + 2)))}, nil
 }
 
 // CellSizeKm returns the cell edge length in km.
@@ -111,25 +112,30 @@ func (g *Grid) KeyOf(pos vec3.V) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return PackKey(c), true
+	return g.Key(c), true
 }
 
-// PackKey packs a cell coordinate into a 63-bit key. Packed keys can never
-// equal lockfree.EmptySlot (all ones): the top bit is always zero.
-func PackKey(c Coord) uint64 {
-	return uint64(uint32(c.X+coordBias))&coordMask<<(2*CoordBits) |
-		uint64(uint32(c.Y+coordBias))&coordMask<<CoordBits |
-		uint64(uint32(c.Z+coordBias))&coordMask
+// Key packs a cell coordinate into the grid's key layout. Coordinates one
+// cell outside the cube pack too: they are the keys of absent neighbours.
+func (g *Grid) Key(c Coord) uint64 {
+	bias := g.maxIdx + 1
+	return uint64(c.X+bias)<<(2*g.fb) | uint64(c.Y+bias)<<g.fb | uint64(c.Z+bias)
 }
 
-// UnpackKey is the inverse of PackKey.
-func UnpackKey(key uint64) Coord {
+// Coord is the inverse of Key.
+func (g *Grid) Coord(key uint64) Coord {
+	bias, mask := g.maxIdx+1, uint64(1)<<g.fb-1
 	return Coord{
-		X: int32(key>>(2*CoordBits)&coordMask) - coordBias,
-		Y: int32(key>>CoordBits&coordMask) - coordBias,
-		Z: int32(key&coordMask) - coordBias,
+		X: int32(key>>(2*g.fb)) - bias,
+		Y: int32(key>>g.fb&mask) - bias,
+		Z: int32(key&mask) - bias,
 	}
 }
+
+// FieldBits returns the width of one axis field of a key: keys are below
+// 2^(3·FieldBits), and the +y and +x neighbours sit 2^FieldBits and
+// 2^(2·FieldBits) above a cell.
+func (g *Grid) FieldBits() int { return int(g.fb) }
 
 // NeighborKeys appends the packed keys of the up-to-26 in-bounds neighbours
 // of cell c to dst and returns the extended slice. The centre cell itself is
@@ -153,7 +159,7 @@ func (g *Grid) NeighborKeys(c Coord, dst []uint64) []uint64 {
 				if !g.inRange(z) {
 					continue
 				}
-				dst = append(dst, PackKey(Coord{x, y, z}))
+				dst = append(dst, g.Key(Coord{x, y, z}))
 			}
 		}
 	}

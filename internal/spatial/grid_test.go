@@ -79,40 +79,56 @@ func TestCoordOfOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestPackUnpackKey(t *testing.T) {
-	cases := []Coord{
-		{0, 0, 0},
-		{1, 2, 3},
-		{-1, -2, -3},
-		{maxCoord, maxCoord, maxCoord},
-		{minCoord, minCoord, minCoord},
-		{12345, -54321, 777},
+// limitGrid is the finest grid NewGrid accepts over a cube of 1 km cells:
+// 21-bit fields, three to a 63-bit key.
+func limitGrid(t *testing.T) *Grid {
+	t.Helper()
+	g, err := NewGrid(1, 1<<20-2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := UnpackKey(PackKey(c)); got != c {
-			t.Errorf("roundtrip %v → %v", c, got)
+	if g.FieldBits() != maxFieldBits {
+		t.Fatalf("limit grid has %d-bit fields, want %d", g.FieldBits(), maxFieldBits)
+	}
+	return g
+}
+
+func TestKeyCoordRoundTrip(t *testing.T) {
+	small, _ := NewGrid(10, 100)
+	for _, g := range []*Grid{small, limitGrid(t)} {
+		m := g.MaxAbsCoord() + 1 // one cell outside the cube packs too
+		for _, c := range []Coord{
+			{0, 0, 0}, {1, 2, 3}, {-1, -2, -3},
+			{m, m, m}, {-m, -m, -m}, {m, -m, 0},
+		} {
+			if got := g.Coord(g.Key(c)); got != c {
+				t.Errorf("maxIdx %d: roundtrip %v → %v", m-1, c, got)
+			}
 		}
 	}
 }
 
-func TestPackKeyTopBitZero(t *testing.T) {
+func TestKeyTopBitZero(t *testing.T) {
 	// Keys must never collide with the lock-free empty sentinel (all ones).
-	for _, c := range []Coord{{maxCoord, maxCoord, maxCoord}, {minCoord, minCoord, minCoord}} {
-		if PackKey(c)>>63 != 0 {
-			t.Errorf("PackKey(%v) has top bit set", c)
+	g := limitGrid(t)
+	m := g.MaxAbsCoord() + 1
+	for _, c := range []Coord{{m, m, m}, {-m, -m, -m}} {
+		if g.Key(c)>>63 != 0 {
+			t.Errorf("Key(%v) has top bit set", c)
 		}
 	}
 }
 
-func TestPropPackKeyInjective(t *testing.T) {
+func TestPropKeyInjective(t *testing.T) {
+	g := limitGrid(t)
 	f := func(x1, y1, z1, x2, y2, z2 int32) bool {
-		m := func(v int32) int32 { return v % (maxCoord + 1) }
+		m := func(v int32) int32 { return v % (g.MaxAbsCoord() + 1) }
 		a := Coord{m(x1), m(y1), m(z1)}
 		b := Coord{m(x2), m(y2), m(z2)}
 		if a == b {
-			return PackKey(a) == PackKey(b)
+			return g.Key(a) == g.Key(b)
 		}
-		return PackKey(a) != PackKey(b)
+		return g.Key(a) != g.Key(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -131,7 +147,7 @@ func TestNeighborKeysAllTwentySix(t *testing.T) {
 			t.Error("duplicate neighbour key")
 		}
 		seen[k] = true
-		c := UnpackKey(k)
+		c := g.Coord(k)
 		dx, dy, dz := c.X-3, c.Y+4, c.Z-5
 		if dx < -1 || dx > 1 || dy < -1 || dy > 1 || dz < -1 || dz > 1 || (dx == 0 && dy == 0 && dz == 0) {
 			t.Errorf("bad neighbour offset (%d,%d,%d)", dx, dy, dz)
@@ -149,20 +165,15 @@ func TestNeighborKeysCorner(t *testing.T) {
 }
 
 func TestNeighborKeysAreKeyOffsets(t *testing.T) {
-	// The scan reaches neighbours by key arithmetic alone (CoordBits): on the
-	// finest grid NewGrid accepts, where the biased fields come closest to 0
-	// and all ones, a neighbour inside the cube is the centre key plus a fixed
-	// offset per axis, and the same sum for a neighbour outside the cube is the
-	// key of an out-of-range coordinate — nothing is ever inserted under it,
-	// and no carry turned it into some other cell's key.
-	g, err := NewGrid(1, maxCoord-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := g.MaxAbsCoord()
-	if m != maxCoord-1 {
-		t.Fatalf("maxIdx = %d, want the limit %d", m, maxCoord-1)
-	}
+	// The scan reaches neighbours by key arithmetic alone: on the finest grid
+	// NewGrid accepts, where the biased fields come closest to 0 and all ones,
+	// a neighbour inside the cube is the centre key plus a fixed offset per
+	// axis, and the same sum for a neighbour outside the cube is the key of an
+	// out-of-range coordinate — nothing is ever inserted under it, and no carry
+	// turned it into some other cell's key. (core's TestKeyLayouts repeats this
+	// over the other layouts.)
+	g := limitGrid(t)
+	m, fb := g.MaxAbsCoord(), g.FieldBits()
 	for _, c := range []Coord{
 		{0, 0, 0}, {-1, 0, -1}, {3, -4, 5},
 		{m, 0, 0}, {0, -m, 0}, {0, 0, m}, // faces
@@ -180,8 +191,8 @@ func TestNeighborKeysAreKeyOffsets(t *testing.T) {
 						continue
 					}
 					want := Coord{c.X + dx, c.Y + dy, c.Z + dz}
-					sum := uint64(int64(PackKey(c)) + int64(dx)<<(2*CoordBits) + int64(dy)<<CoordBits + int64(dz))
-					if got := UnpackKey(sum); got != want {
+					sum := uint64(int64(g.Key(c)) + int64(dx)<<(2*fb) + int64(dy)<<fb + int64(dz))
+					if got := g.Coord(sum); got != want {
 						t.Fatalf("centre %+v offset (%d,%d,%d): key sum unpacks to %+v, want %+v", c, dx, dy, dz, got, want)
 					}
 					inside := g.inRange(want.X) && g.inRange(want.Y) && g.inRange(want.Z)
