@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench shard-smoke delta-smoke counters-repeat
+.PHONY: all build test lint loc race fuzz bench bench-alloc store-bench mem-smoke delta-smoke counters-repeat
 
 all: build lint test
 
@@ -43,11 +43,10 @@ race:
 	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress' ./internal/core
 	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid' ./internal/core
 
-## shard-smoke: screen a 131072-object catalogue through the sharded
-## detector under a GOMEMLIMIT the modelled unsharded grid does not fit
-## (DESIGN.md §15) — the memory-ceiling claim as an executable check.
-shard-smoke:
-	SHARD_SMOKE=1 GOMEMLIMIT=48MiB $(GO) test -run TestShardSmokeBoundedMemory -v -count=1 ./internal/core
+## mem-smoke: screen a 131072-object catalogue with the grid detector under
+## GOMEMLIMIT=48MiB; fails if the sampled peak heap passes the limit.
+mem-smoke:
+	MEM_SMOKE=1 GOMEMLIMIT=48MiB $(GO) test -run TestMemSmokeBoundedMemory -v -count=1 ./internal/core
 
 ## fuzz: short fuzz sessions — MurmurHash3 invariants (determinism,
 ## streaming/one-shot agreement, finaliser avalanche), TLE parsing and

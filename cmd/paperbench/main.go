@@ -53,7 +53,7 @@ var experiments = []experiment{
 	{"tdp", "§V-C3 — energy comparison (TDP model, CPU rows)", runTDP},
 	{"accuracy", "§V-D — accuracy: conjunction counts and pair agreement", runAccuracy},
 	{"treecmp", "4D AABB tree vs grid family — head-to-head on contrasting populations", runTreecmp},
-	{"shardscale", "§V-B at scale — sharded vs unsharded screening of ≥512k-object catalogues with peak-heap capture", runShardscale},
+	{"scale", "§V-B at scale — grid screening of 131k–1M-object catalogues with peak-heap capture", runScale},
 }
 
 func main() {

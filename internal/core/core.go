@@ -65,16 +65,6 @@ type Config struct {
 	// sampling steps. ≤0 selects DefaultWindowSteps. Other variants
 	// ignore it.
 	WindowSteps int
-	// Shards splits the population into radial orbital bands screened
-	// independently with bounded per-shard memory (sharded variants only;
-	// see shard.go). 0 derives the count from the §V-B memory model so
-	// small populations stay on the unsharded fast path; 1 forces the
-	// unsharded fallback. Other variants ignore it.
-	Shards int
-	// ShardConcurrency bounds how many shards screen at once — peak memory
-	// is concurrency × the per-shard footprint. ≤0 selects
-	// min(4, ⌈GOMAXPROCS/2⌉). Sharded variants only.
-	ShardConcurrency int
 	// Uncertainty, when non-nil, screens each pair against the effective
 	// threshold d + u(a) + u(b) instead of the uniform d (§III: the
 	// threshold should cover the position uncertainties). The grid is
@@ -158,8 +148,7 @@ type PhaseStats struct {
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
-	Steps             int    // sampling steps processed (sharded runs: summed over shards)
-	Shards            int    // shards screened (1 on unsharded runs; 0 for detectors without sharding)
+	Steps             int    // sampling steps processed (0 on a delta pass with nothing dirty)
 	CandidatePairs    int    // distinct (pair, step) candidates from the grid
 	DirtyObjects      int    // delta screens: size of the dirty set (0 on full screens)
 	PriorRetained     int    // delta screens: prior conjunctions carried over unrefined

@@ -108,9 +108,7 @@ func assertConjunctionsEqual(t *testing.T, name string, got, want []Conjunction)
 
 // dirtyCandidates counts the (pair, step) candidates of a fresh full sampling
 // of sats under the variant's configuration that have a dirty member — what a
-// delta pass must emit, no more and no fewer. The sharded variant delegates
-// its delta pass to the grid over the whole population, so the grid's
-// candidates are its reference too.
+// delta pass must emit, no more and no fewer.
 func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagation.Satellite, dirty []int32) int {
 	t.Helper()
 	sps := cfg.SecondsPerSample
@@ -159,7 +157,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 	}{
 		{"grid", VariantGrid, Config{HalfExtentKm: 9000}},
 		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}},
-		{"sharded-grid", VariantSharded, Config{Shards: 3}},
 		{"aabb", VariantAABB, Config{}},
 		{"aabb-short-window", VariantAABB, Config{WindowSteps: 3}},
 	}
@@ -171,10 +168,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 			desc, _ := Lookup(tc.variant)
 			det := desc.New(cfg).(DeltaDetector)
 			stamps := tc.variant != VariantAABB // the tree has no stamp table and no crossover
-			refVariant, refCfg := tc.variant, cfg
-			if tc.variant == VariantSharded {
-				refVariant, refCfg.Shards = VariantGrid, 0
-			}
 			ctx := context.Background()
 
 			// The engineered encounters plus enough shell objects that the
@@ -272,7 +265,7 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 				if inc.Stats.DirtyObjects != len(dirty) {
 					t.Fatalf("round %d: DirtyObjects = %d, want %d", round, inc.Stats.DirtyObjects, len(dirty))
 				}
-				wantCand, wantSteps := dirtyCandidates(t, refVariant, refCfg, sats, dirty), fresh.Stats.Steps
+				wantCand, wantSteps := dirtyCandidates(t, tc.variant, cfg, sats, dirty), fresh.Stats.Steps
 				switch {
 				case !stamps:
 				case round == 4:
@@ -282,8 +275,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 					if inc.Stats.PriorRetained != 0 {
 						t.Fatalf("round %d: a pass above the crossover retained %d prior conjunctions", round, inc.Stats.PriorRetained)
 					}
-				case tc.variant == VariantSharded:
-					wantSteps = stepCount(span, DefaultGridSeconds) // one pass, not one per shard
 				}
 				if inc.Stats.CandidatePairs != wantCand {
 					t.Fatalf("round %d: delta emitted %d candidates, the fresh screen has %d with a dirty member",

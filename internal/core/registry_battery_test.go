@@ -19,7 +19,7 @@ import (
 // TestRegistryHasAllFamilies pins the full registry as seen through the
 // blank import: every detector family, each constructible.
 func TestRegistryHasAllFamilies(t *testing.T) {
-	want := []core.Variant{core.VariantAABB, core.VariantGrid, core.VariantHybrid, core.VariantLegacy, core.VariantSharded}
+	want := []core.Variant{core.VariantAABB, core.VariantGrid, core.VariantHybrid, core.VariantLegacy}
 	names := core.VariantNames()
 	if len(names) != len(want) {
 		t.Fatalf("registered variants = %v, want %v", names, want)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/lockfree"
-	"repro/internal/model"
 	"repro/internal/propagation"
 	"repro/internal/spatial"
 )
@@ -66,8 +65,11 @@ type keyTrack struct {
 // solves every object and keeps nothing.
 var noTrack = &keyTrack{}
 
-// trackFits is the budget: the moves may take what one shard's structures may.
-func trackFits(n, steps int) bool { return int64(steps-1)*int64(n) <= model.DefaultShardBudgetBytes }
+// trackBudgetBytes bounds the moves a session keeps, one byte per object-step:
+// hybrid to 500k objects, a 1 s grid to 55k.
+const trackBudgetBytes int64 = 32 << 20
+
+func trackFits(n, steps int) bool { return int64(steps-1)*int64(n) <= trackBudgetBytes }
 
 func newKeyTrack(shape trackShape, grid *spatial.Grid, sats []propagation.Satellite) *keyTrack {
 	n := shape.n

@@ -95,6 +95,40 @@ func TestFitNOnly(t *testing.T) {
 	}
 }
 
+// gridObservations are measured grid-detector conjunction counts on the
+// deterministic 131072-object catalogue of the memory smoke test
+// (internal/core, smokePopulation seed 99), screened at d = 5 km over a
+// 300 s span at 1 s sampling with prefix populations. They are checked in so
+// the fit is pinned against real pipeline output, not synthetic data.
+var gridObservations = []Observation{
+	{N: 8192, S: 1, T: 300, D: 5, Count: 57},
+	{N: 16384, S: 1, T: 300, D: 5, Count: 247},
+	{N: 32768, S: 1, T: 300, D: 5, Count: 1025},
+	{N: 65536, S: 1, T: 300, D: 5, Count: 3823},
+	{N: 131072, S: 1, T: 300, D: 5, Count: 15637},
+}
+
+// TestFitReproducesGridObservations pins the Extra-P substitution on the
+// checked-in measurements: the n-only power-law fit must recover the paper's
+// quadratic growth and reproduce every observation within 60% — the
+// tolerance §V-B needs for a sizing model, where only the order of magnitude
+// drives the allocation.
+func TestFitReproducesGridObservations(t *testing.T) {
+	m, err := FitNOnly(gridObservations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.N < 1.8 || m.N > 2.2 {
+		t.Errorf("fitted n-exponent = %.3f, want ≈2 (paper's quadratic growth)", m.N)
+	}
+	for _, o := range gridObservations {
+		pred := m.Predict(o.N, o.S, o.T, o.D)
+		if ratio := pred / o.Count; ratio < 1/1.6 || ratio > 1.6 {
+			t.Errorf("n=%.0f: fit predicts %.0f conjunctions, observed %.0f (ratio %.2f)", o.N, pred, o.Count, ratio)
+		}
+	}
+}
+
 func TestConjunctionSlots(t *testing.T) {
 	// The 10,000 floor and the 2·2 doubling of §V-B.
 	if got := ConjunctionSlots(100); got != 40000 {

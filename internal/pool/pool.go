@@ -22,8 +22,7 @@
 //     must Reset before relying on emptiness. (A delta pass resets its stamp
 //     table at the start of every sampling step anyway, so this costs nothing.)
 //   - State buffers are returned with stale contents and fully overwritten
-//     by the propagation phase before any read; Satellite buffers are handed
-//     out with length 0.
+//     by the propagation phase before any read.
 //   - ID-index maps are cleared on Put.
 //   - Pair-key buffers, cell buffers and Kepler warm-start caches are
 //     returned with stale contents: key and cell buffers are handed out with
@@ -46,9 +45,9 @@ import (
 
 // Per-kind idle caps. A delta pass holds one grid set, its stamp table; a full
 // screen holds none, and at most three cell buffers (an entry ring of two and
-// the sort pair). A sharded screen by default runs at most four shards at once,
-// so the freelists keep what four runs can hand back; maps retain their buckets
-// forever, so only a few are kept.
+// the sort pair). The caps leave room for a few runs at once — concurrent
+// server requests, or a screen beside a delta pass — to hand theirs back; maps
+// retain their buckets forever, so only a few are kept.
 const (
 	maxIdleGridSets = 4
 	maxIdleBuffers  = 16
@@ -71,7 +70,6 @@ type Pool struct {
 	mu       sync.Mutex
 	gridSets []*lockfree.GridSet
 	states   [][]propagation.State
-	satBufs  [][]propagation.Satellite
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
@@ -120,7 +118,6 @@ func (p *Pool) Drain() {
 	p.mu.Lock()
 	p.gridSets = nil
 	p.states = nil
-	p.satBufs = nil
 	p.indexes = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
@@ -241,18 +238,6 @@ func (p *Pool) GetStates(n int) []propagation.State { return getBuf(p, &p.states
 
 // PutStates returns a state buffer to the pool. nil is ignored.
 func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
-
-// GetSatBuf returns a zero-length satellite buffer with capacity at least
-// capHint — the per-shard resident populations of a sharded screen. Like
-// key buffers they are handed out empty and grow by append, so a warm pool
-// converges on the largest shard's size and streaming shard after shard
-// stops allocating.
-func (p *Pool) GetSatBuf(capHint int) []propagation.Satellite {
-	return getBuf(p, &p.satBufs, capHint, true)
-}
-
-// PutSatBuf returns a satellite buffer to the pool. nil is ignored.
-func (p *Pool) PutSatBuf(b []propagation.Satellite) { putBuf(p, &p.satBufs, b, maxIdleBuffers) }
 
 // GetKeyBuf returns a zero-length packed pair-key buffer with capacity at
 // least capHint — a run's per-worker candidate buffers, which grow by append

@@ -107,13 +107,6 @@ const (
 	VariantAABB = core.VariantAABB
 	// VariantLegacy is the sequential all-on-all filter-chain baseline.
 	VariantLegacy = core.VariantLegacy
-	// VariantSharded is the million-object wrapper: the population is
-	// partitioned into radial orbital bands screened independently by the
-	// grid detector, with boundary (halo) objects replicated into adjacent
-	// bands and deduplicated on merge. Peak memory is bounded by the
-	// largest shard, not the catalogue; the §V-B model sizes the shard
-	// count automatically (Options.Shards overrides).
-	VariantSharded = core.VariantSharded
 )
 
 // VariantDescriptor describes one registered screening variant: its name,
@@ -166,13 +159,6 @@ type Options struct {
 	// steps covered per tree build; ≤0 selects the default (16). Other
 	// variants ignore it.
 	WindowSteps int
-	// Shards splits the population into radial bands screened with bounded
-	// per-shard memory (sharded variants only). 0 lets the §V-B memory
-	// model choose; 1 forces the unsharded fallback.
-	Shards int
-	// ShardConcurrency bounds how many shards screen simultaneously
-	// (sharded variants only); ≤0 selects an automatic small degree.
-	ShardConcurrency int
 	// Propagator overrides the force model entirely (e.g. a
 	// NumericPropagator); it takes precedence over UseJ2.
 	Propagator Propagator
@@ -344,8 +330,6 @@ func (o Options) coreConfig(prop propagation.Propagator) core.Config {
 		Workers:          o.Workers,
 		Propagator:       prop,
 		WindowSteps:      o.WindowSteps,
-		Shards:           o.Shards,
-		ShardConcurrency: o.ShardConcurrency,
 		Uncertainty:      o.Uncertainty,
 		Sink:             o.Sink,
 		Observer:         o.Observer,
