@@ -176,7 +176,7 @@ func BenchmarkConjunctionModelSweep(b *testing.B) {
 					}
 					obs = append(obs, model.Observation{
 						N: float64(n), S: sps, T: 180, D: d,
-						Count: float64(res.Stats.CandidatePairs),
+						Count: float64(res.Stats.GridCandidates),
 					})
 				}
 			}

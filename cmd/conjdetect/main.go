@@ -146,8 +146,9 @@ func main() {
 			100*float64(st.Refine)/float64(st.Total()),
 			100*float64(st.Coplanarity)/float64(st.Total()))
 	}
-	if st.CandidatePairs > 0 {
-		fmt.Printf("grid candidates:  %s (filter-rejected %s, refinements %s)\n",
+	if st.GridCandidates > 0 {
+		fmt.Printf("grid candidates:  %s, %s past the radial gate (filter-rejected %s, refinements %s)\n",
+			report.GroupThousands(fmt.Sprint(st.GridCandidates)),
 			report.GroupThousands(fmt.Sprint(st.CandidatePairs)),
 			report.GroupThousands(fmt.Sprint(st.FilterRejected)),
 			report.GroupThousands(fmt.Sprint(st.Refinements)))

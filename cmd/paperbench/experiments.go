@@ -167,7 +167,7 @@ func runEq34(ctx *benchCtx) error {
 						}
 						obs = append(obs, model.Observation{
 							N: float64(n), S: sps, T: span, D: d,
-							Count: float64(res.Stats.CandidatePairs),
+							Count: float64(res.Stats.GridCandidates),
 						})
 					}
 				}

@@ -123,7 +123,7 @@ func BenchmarkBuild_Sort(b *testing.B) {
 		}
 		return func() {
 			_ = parallelForWorkers(r.ctx, r.workers, n, store)
-			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist), r.scanIDs)
+			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist), r.scanIDs, r.scanRadii)
 		}
 	})
 }
@@ -151,7 +151,7 @@ func BenchmarkSortCells(b *testing.B) {
 
 // BenchmarkScan is one full-screen step's scan as the detectors run it — sort,
 // group, sweep into the per-worker buffers — on warm buffers, one goroutine,
-// in ns per entry.
+// in ns per entry, with the candidates the radial gate kept per entry.
 func BenchmarkScan(b *testing.B) {
 	for name, sats := range candgenPopulations {
 		b.Run(name, func(b *testing.B) {
@@ -164,6 +164,7 @@ func BenchmarkScan(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.entries)), "ns/entry")
+			b.ReportMetric(float64(len(r.scanBufs[0]))/float64(len(r.entries)), "cands/entry")
 		})
 	}
 }

@@ -108,9 +108,11 @@ func assertConjunctionsEqual(t *testing.T, name string, got, want []Conjunction)
 
 // dirtyCandidates counts the (pair, step) candidates of a fresh full sampling
 // of sats under the variant's configuration that have a dirty member — what a
-// delta pass must emit, no more and no fewer.
+// delta pass must emit, no more and no fewer. A stamping pass has no radii, so
+// it emits without the radial gate, and the count is of an ungated sampling.
 func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagation.Satellite, dirty []int32) int {
 	t.Helper()
+	cfg.ablation.noRadialGate = true
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
 		sps = map[Variant]float64{VariantHybrid: DefaultHybridSeconds, VariantAABB: DefaultAABBSeconds}[variant]

@@ -107,9 +107,11 @@ type run struct {
 	cellSize    float64
 	grid        *spatial.Grid
 	gset        *lockfree.GridSet // stamping delta pass only: the stamp table
-	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, ID} per object
+	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, index, radius} per object
 	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
 	sortHist    []radixHist       // the scan's radix histograms, one per pass
+	gate        radialGate        // full screen: the sweep's radial gate; its table is pooled
+	gated       atomic.Int64      // candidates the gate dropped
 	scanBufs    [][]uint64        // per-worker packed candidate keys, appended to for the whole run
 	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
@@ -154,7 +156,8 @@ type run struct {
 	stepEntries []lockfree.Cell // the ring slot this step's build writes
 	scanStep    uint32
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
-	scanIDs     []int32         // the ID array their ranges index, one slot per object
+	scanIDs     []int32         // the population-index array their ranges index, one slot per object
+	scanRadii   []float32       // the objects' radii at the step, beside scanIDs
 	insertErr   atomic.Value    // stamping: the first stamp-table insertion failure
 
 	buildFn, scanFn func(w, lo, hi int)
@@ -250,9 +253,10 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		n := len(sats)
 		r.entries = pl.GetCellBuf(n)[:n]
 		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-		r.scanIDs = make([]int32, n)
+		r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
 		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
 		r.stats.GridSlots = n
+		r.gate = r.newGate(gridThreshold)
 	}
 	// Candidate emission gets one private buffer per worker, for the whole run.
 	r.scanBufs = make([][]uint64, r.workers)
@@ -344,6 +348,7 @@ func (r *run) release() {
 	r.pool.PutGridSet(r.gset)
 	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
+	r.pool.PutGateRows(r.gate.rows)
 	r.pool.PutKeyBuf(r.keys)
 	r.pool.PutIDIndex(r.idx)
 	for w := range r.scanBufs {
@@ -354,7 +359,7 @@ func (r *run) release() {
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.keys, r.idx = nil, nil, nil
-	r.entries, r.cellBuf, r.scanBufs, r.kcache = nil, nil, nil, nil
+	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.gate.rows = nil, nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
@@ -384,6 +389,7 @@ func (r *run) collectPairs() {
 	sortPairsBySatellite(keys)
 	r.keys = slices.Compact(keys)
 	r.stats.CandidatePairs = len(r.keys)
+	r.stats.GridCandidates = len(r.keys) + int(r.gated.Load())
 	r.stats.Detection += time.Since(tCD)
 }
 
@@ -439,18 +445,19 @@ func (r *run) positionAt(i int, t float64) vec3.V {
 
 // buildRange is the build kernel of a sampling step, for satellites [lo, hi)
 // at the published step time: propagate, key, and store object i's {cell key,
-// ID} in slot i of the step's entry buffer — no other chunk's range, so plain
-// stores. An object outside the cube stores the key lockfree.EmptySlot, which
-// the scan's sort drops, and counts out of bounds.
+// i, float32 bits of |r|} in slot i of the step's entry buffer — no other
+// chunk's range, so plain stores. An object outside the cube stores the key
+// lockfree.EmptySlot, which the scan's sort drops, and counts out of bounds.
 func (r *run) buildRange(_, lo, hi int) {
 	oob := 0
 	for i := lo; i < hi; i++ {
-		key, ok := r.grid.KeyOf(r.positionAt(i, r.stepTime))
+		pos := r.positionAt(i, r.stepTime)
+		key, ok := r.grid.KeyOf(pos)
 		if !ok {
 			key = lockfree.EmptySlot
 			oob++
 		}
-		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: r.sats[i].ID}
+		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: int32(i), Hi: int32(math.Float32bits(float32(pos.Norm())))}
 	}
 	if oob > 0 {
 		r.oob.Add(uint64(oob))
@@ -465,10 +472,10 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
-// pairs, appending packed pair keys to worker w's private buffer. No shared
-// state is touched.
+// pairs, appending the packed keys of those the radial gate keeps to worker
+// w's private buffer and counting the rest.
 func (r *run) scanRange(w, lo, hi int) {
-	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w])
+	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, r.scanRadii, r.gate, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w], &r.gated)
 }
 
 // refineCandidates runs the parallel PCA/TCA phase over the candidate list.
@@ -507,11 +514,11 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 			p := lockfree.UnpackPair(pairs[k])
 			a := &r.sats[r.idx[p.A]]
 			b := &r.sats[r.idx[p.B]]
-			center := float64(p.Step) * r.sps
-			radius := 0.0
+			tStep := float64(p.Step) * r.sps
+			center, radius, nodeWindow := tStep, 0.0, false
 			if interval != nil {
 				if c2, rad, ok := interval(k); ok {
-					center, radius = c2, rad
+					center, radius, nodeWindow = c2, rad, true
 				}
 			}
 			if ev.bind(a, b) {
@@ -537,7 +544,11 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 			}
 			refinements.Add(1)
 			tca, pca, outcome := r.refiner.refineOffsets(f, center, oLo, oHi, loClamped, hiClamped, threshold)
-			if outcome == refineBelowThreshold {
+			// The reach rule: a node window is centred on a crossing, not on the
+			// step, so its minimum may lie past every grid-rule window of the step
+			// (≤ W_ab); a step nearer owns it (§IV-C's edge-rule logic, DESIGN.md §10).
+			unreached := nodeWindow && !r.cfg.ablation.noReachRule && math.Abs(tca-tStep) > max(r.reach(a), r.reach(b))
+			if outcome == refineBelowThreshold && !unreached {
 				out = append(out, Conjunction{A: min(p.A, p.B), B: max(p.A, p.B), Step: p.Step, TCA: tca, PCA: pca})
 			}
 		}

@@ -8,6 +8,7 @@ package core
 // benchmarked against grid key+sort+scan.
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -132,7 +133,8 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 		b.Fatal(err)
 	}
 	pts := stepPositions(sats, 500)
-	entries, ids := make([]lockfree.Cell, len(sats)), make([]int32, len(sats))
+	entries, ids, radii := make([]lockfree.Cell, len(sats)), make([]int32, len(sats)), make([]float32, len(sats))
+	gate, dropped := openGate(len(sats)), atomic.Int64{}
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	hist := histFor(grid)
 	var keys []uint64
@@ -144,10 +146,10 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 			if !ok {
 				key = lockfree.EmptySlot
 			}
-			entries[j] = lockfree.Cell{Key: key, Lo: p.ID}
+			entries[j] = lockfree.Cell{Key: key, Lo: int32(j)}
 		}
-		cells := groupCells(sortCells(entries, bufA, bufB, hist), ids)
-		keys = sweepCells(cells, ids, 0, len(cells), 0, grid.FieldBits(), keys[:0])
+		cells := groupCells(sortCells(entries, bufA, bufB, hist), ids, radii)
+		keys = sweepCells(cells, ids, radii, gate, 0, len(cells), 0, grid.FieldBits(), keys[:0], &dropped)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestKeyLayouts(t *testing.T) {
 				bufs := make([][]uint64, len(cuts)-1)
 				err := parallelForWorkers(context.Background(), len(bufs), len(bufs), func(w, lo, hi int) {
 					for r := lo; r < hi; r++ {
-						bufs[r] = sweepCells(cells, ids, cuts[r], cuts[r+1], 0, fb, bufs[r])
+						bufs[r] = sweepOpen(cells, ids, cuts[r], cuts[r+1], fb, bufs[r])
 					}
 				})
 				if err != nil {

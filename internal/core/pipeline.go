@@ -114,7 +114,7 @@ func (r *run) scan(j scanJob) scanResult {
 	r.scanStep = j.step
 	n := len(r.cellBuf) / 2
 	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
-	r.scanCells = groupCells(sorted, r.scanIDs)
+	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
 	tSweep := time.Now()
 	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), entries: len(sorted), sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}

@@ -2,9 +2,13 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/lockfree"
+	"repro/internal/orbit"
+	"repro/internal/propagation"
 )
 
 // sortDigitBits is the radix of sortCells.
@@ -66,27 +70,106 @@ func sortCells(src, a, b []lockfree.Cell, hist []radixHist) []lockfree.Cell {
 	return from
 }
 
-// groupCells turns sorted {key, ID} entries into cells, in place: each run of
-// equal keys becomes one Cell{Key, Lo, Hi} at the front of sorted (written at
-// or before the run's first entry, after the run was read) with its IDs, in
-// the entries' order, in ids[Lo:Hi]. ids is at least len(sorted) long.
-func groupCells(sorted []lockfree.Cell, ids []int32) []lockfree.Cell {
+// groupCells turns sorted {key, index, radius} entries into cells, in place:
+// each run of equal keys becomes one Cell{Key, Lo, Hi} at the front of sorted
+// (written at or before the run's first entry, after the run was read) with
+// its population indices, in the entries' order, in ids[Lo:Hi] and radii in
+// radii[Lo:Hi], each at least len(sorted) long.
+func groupCells(sorted []lockfree.Cell, ids []int32, radii []float32) []lockfree.Cell {
 	cells := 0
 	for i := 0; i < len(sorted); cells++ {
 		key, lo := sorted[i].Key, i
 		for ; i < len(sorted) && sorted[i].Key == key; i++ {
-			ids[i] = sorted[i].Lo
+			ids[i], radii[i] = sorted[i].Lo, math.Float32frombits(uint32(sorted[i].Hi))
 		}
 		sorted[cells] = lockfree.Cell{Key: key, Lo: int32(lo), Hi: int32(i)}
 	}
 	return sorted[:cells]
 }
 
-// sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at
-// the given step: every pair inside a cell, and every pair between a cell and
-// its thirteen upper half-neighbours (greater keys; the other thirteen reach it
-// from their side), which may lie past hi. ids is the array the cells' ranges
-// index. A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a field, so with
+// radialGate is the sweep's test on a (pair, step) before it emits one
+// (DESIGN.md §10): keep the pair iff its radii at the step differ by at most
+// g + (ṙ_a + ṙ_b)·max(W_a, W_b), from the objects' rows of the run's table.
+// g = +Inf keeps every pair.
+type radialGate struct {
+	rows []lockfree.GateRow // by population index
+	g    float32
+}
+
+// pairs appends to buf the keys of member y's pairs with members [from, to)
+// that the gate keeps and counts the rest: each key is written, only kept ones
+// stepped past (no branch). Reaches and |Δr| are ≥ 0: bits and squares order.
+func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, to int32, step uint32, dropped *int) []uint64 {
+	b, rb := g.rows[ids[y]], radii[y]
+	bReach := math.Float32bits(b.Reach)
+	n, xs, rs := len(buf), ids[from:to], radii[from:to]
+	out := slices.Grow(buf, len(xs))[:n+len(xs)]
+	for k, x := range xs {
+		a := &g.rows[x]
+		dr := rs[k] - rb
+		bound := g.g + (a.RDot+b.RDot)*math.Float32frombits(max(math.Float32bits(a.Reach), bReach))
+		out[n] = lockfree.PackPair(a.ID, b.ID, step)
+		if dr*dr <= bound*bound {
+			n++
+		}
+	}
+	*dropped += len(out) - n
+	return out[:n]
+}
+
+// gateSlack is the gate's relative float32 allowance on ṙ, W and (· r_max) g:
+// many times the rounding of the radii and of the gate's arithmetic (2⁻²⁴).
+const gateSlack = 1.0 / (1 << 20)
+
+// newGate fills the run's pooled radial-gate table with each object's ID and
+// pads. g is the grid's threshold d + 2·u_max plus slack, or +Inf — every
+// pair kept — if the propagator may change a or e or the gate is ablated.
+func (r *run) newGate(gridThreshold float64) radialGate {
+	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1))}
+	exact, rMax := !r.cfg.ablation.noRadialGate, 0.0
+	for i := range r.sats {
+		s := &r.sats[i]
+		rdot, ok := radialRate(r.prop, s)
+		exact, rMax = exact && ok, max(rMax, s.Elements.ApogeeRadius())
+		gate.rows[i] = lockfree.GateRow{ID: s.ID, RDot: float32(rdot * (1 + gateSlack)), Reach: float32(r.reach(s) * (1 + gateSlack))}
+	}
+	if exact {
+		gate.g = float32(gridThreshold + gateSlack*rMax)
+	}
+	return gate
+}
+
+// radialRate bounds |dr/dt| of s, ok only if prop keeps a and e (two-body and
+// J2-secular, exact default Kepler solver): r = a(1 − e·cos E) gives
+// |dr/dM| ≤ e·√(μ/p)/n, and M advances at n (J2: n + ΔṀ).
+func radialRate(prop propagation.Propagator, s *propagation.Satellite) (rdot float64, ok bool) {
+	el := s.Elements
+	rdot = el.Eccentricity * math.Sqrt(orbit.MuEarth/el.SemiLatusRectum())
+	switch p := prop.(type) {
+	case propagation.TwoBody:
+		return rdot, p.Solver == nil
+	case propagation.J2:
+		_, _, dm := p.Rates(s)
+		return rdot * math.Abs(s.MeanMotion()+dm) / s.MeanMotion(), p.Solver == nil
+	}
+	return rdot, false
+}
+
+// reach bounds how far from its step a grid-rule refinement window of s
+// reaches: the half-width is 2·cellSize/min(|v_a|, |v_b|) (refineCandidates),
+// and |v| is at least the apogee speed √(μ/p)·(1 − e).
+func (r *run) reach(s *propagation.Satellite) float64 {
+	el := s.Elements
+	v := math.Sqrt(orbit.MuEarth/el.SemiLatusRectum()) * (1 - el.Eccentricity)
+	return 2 * r.cellSize / max(v, 1e-9)
+}
+
+// sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at the
+// step that the gate keeps, and adds those it drops to gated: every pair inside
+// a cell, and every pair between a cell and its thirteen upper half-neighbours
+// (greater keys; the other thirteen reach it from their side), which may lie
+// past hi. ids and radii are the arrays the cells' ranges index.
+// A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a field, so with
 // Y = 2^fieldBits and X = 2^2·fieldBits those neighbours lie in two key ranges,
 // one walk each:
 //   - (key, key+Y+1]: the rest of column (x, y), then row (x, y+1) up to z+1;
@@ -97,7 +180,7 @@ func groupCells(sorted []lockfree.Cell, ids []int32) []lockfree.Cell {
 //
 // ±1 never carries between fields, so nothing is bounds-checked, hashed or
 // probed: a neighbour outside the cube is an absent key.
-func sweepCells(cells []lockfree.Cell, ids []int32, lo, hi int, step uint32, fieldBits int, buf []uint64) []uint64 {
+func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radialGate, lo, hi int, step uint32, fieldBits int, buf []uint64, gated *atomic.Int64) []uint64 {
 	if lo >= hi {
 		return buf
 	}
@@ -106,33 +189,31 @@ func sweepCells(cells []lockfree.Cell, ids []int32, lo, hi int, step uint32, fie
 	slab, _ := slices.BinarySearchFunc(cells, cells[lo].Key+dx-dy-1, func(c lockfree.Cell, k uint64) int {
 		return cmp.Compare(c.Key, k)
 	})
-	cross := func(cell []int32, nb lockfree.Cell) {
-		for _, nid := range ids[nb.Lo:nb.Hi] {
-			for _, cid := range cell {
-				buf = append(buf, lockfree.PackPair(cid, nid, step))
-			}
+	dropped := 0
+	cross := func(c, nb lockfree.Cell) {
+		for y := nb.Lo; y < nb.Hi; y++ {
+			buf = gate.pairs(buf, ids, radii, y, c.Lo, c.Hi, step, &dropped)
 		}
 	}
 	for i := lo; i < hi; i++ {
-		key, cell := cells[i].Key, ids[cells[i].Lo:cells[i].Hi]
-		for x := range cell {
-			for _, other := range cell[x+1:] {
-				buf = append(buf, lockfree.PackPair(cell[x], other, step))
+		c := cells[i]
+		for y := c.Lo + 1; y < c.Hi; y++ { // the pairs inside c
+			buf = gate.pairs(buf, ids, radii, y, c.Lo, y, step, &dropped)
+		}
+		for j := i + 1; j < len(cells) && cells[j].Key <= c.Key+dy+1; j++ {
+			if k := cells[j].Key; k == c.Key+1 || k >= c.Key+dy-1 {
+				cross(c, cells[j])
 			}
 		}
-		for j := i + 1; j < len(cells) && cells[j].Key <= key+dy+1; j++ {
-			if k := cells[j].Key; k == key+1 || k >= key+dy-1 {
-				cross(cell, cells[j])
-			}
-		}
-		for slab < len(cells) && cells[slab].Key < key+dx-dy-1 {
+		for slab < len(cells) && cells[slab].Key < c.Key+dx-dy-1 {
 			slab++
 		}
-		for j := slab; j < len(cells) && cells[j].Key <= key+dx+dy+1; j++ {
-			if cells[j].Key&zMask-key&zMask+1 <= 2 { // |Δz| ≤ 1
-				cross(cell, cells[j])
+		for j := slab; j < len(cells) && cells[j].Key <= c.Key+dx+dy+1; j++ {
+			if cells[j].Key&zMask-c.Key&zMask+1 <= 2 { // |Δz| ≤ 1
+				cross(c, cells[j])
 			}
 		}
 	}
+	gated.Add(int64(dropped))
 	return buf
 }

@@ -7,8 +7,10 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/lockfree"
@@ -37,7 +39,22 @@ func histFor(g *spatial.Grid) []radixHist { return make([]radixHist, sortPasses(
 func groupedCells(g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
 	n := len(coords)
 	ids := make([]int32, n)
-	return groupCells(sortCells(entriesOf(g, coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g)), ids), ids
+	return groupCells(sortCells(entriesOf(g, coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g)), ids, make([]float32, n)), ids
+}
+
+// openGate keeps every pair; row i carries ID i.
+func openGate(n int) radialGate {
+	rows := make([]lockfree.GateRow, n)
+	for i := range rows {
+		rows[i].ID = int32(i)
+	}
+	return radialGate{rows: rows, g: float32(math.Inf(1))}
+}
+
+// sweepOpen is sweepCells at step 0 with every pair kept, for cells whose
+// entries carry object i as index i.
+func sweepOpen(cells []lockfree.Cell, ids []int32, lo, hi, fieldBits int, buf []uint64) []uint64 {
+	return sweepCells(cells, ids, make([]float32, len(ids)), openGate(len(ids)), lo, hi, 0, fieldBits, buf, new(atomic.Int64))
 }
 
 // sortedFrozenCells is the reference build: object i (ID i) goes into cell
@@ -192,7 +209,7 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
 			err := parallelForWorkers(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
-				bufs[w] = sweepCells(cells, ids, lo, hi, 0, p.grid.FieldBits(), bufs[w])
+				bufs[w] = sweepOpen(cells, ids, lo, hi, p.grid.FieldBits(), bufs[w])
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +234,7 @@ func TestSweepSplitInvariant(t *testing.T) {
 	for name, p := range sweepPopulations(t) {
 		cells, ids := groupedCells(p.grid, p.coords)
 		n := len(cells)
-		want := sweepCells(cells, ids, 0, n, 0, p.grid.FieldBits(), nil)
+		want := sweepOpen(cells, ids, 0, n, p.grid.FieldBits(), nil)
 		slices.Sort(want)
 		singles := make([]int, n+1)
 		for i := range singles {
@@ -235,7 +252,7 @@ func TestSweepSplitInvariant(t *testing.T) {
 		for _, cuts := range partitions {
 			var got []uint64
 			for i := 1; i < len(cuts); i++ {
-				got = sweepCells(cells, ids, cuts[i-1], cuts[i], 0, p.grid.FieldBits(), got)
+				got = sweepOpen(cells, ids, cuts[i-1], cuts[i], p.grid.FieldBits(), got)
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
@@ -332,7 +349,7 @@ func TestSortGroupMatchesFrozenGrid(t *testing.T) {
 				t.Fatalf("%s/%s: the entry buffer was written", name, pattern)
 			}
 			if pattern == "all" {
-				if cells := groupCells(sorted, ids); len(cells) != 0 {
+				if cells := groupCells(sorted, ids, make([]float32, len(ids))); len(cells) != 0 {
 					t.Fatalf("%s/all: %d cells from sentinel entries", name, len(cells))
 				}
 				continue
@@ -348,7 +365,7 @@ func TestSortGroupMatchesFrozenGrid(t *testing.T) {
 			default:
 				t.Fatalf("%s/%s: output is neither buffer", name, pattern)
 			}
-			cells := groupCells(sorted, ids)
+			cells := groupCells(sorted, ids, make([]float32, len(ids)))
 			if len(cells) != len(wantCells) {
 				t.Fatalf("%s/%s: %d cells, frozen grid has %d", name, pattern, len(cells), len(wantCells))
 			}

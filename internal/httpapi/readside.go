@@ -34,6 +34,7 @@ type serverMetrics struct {
 	rescreenSeconds      *observability.Histogram
 	rescreenPhase        *observability.CounterVec
 	rescreenSort         *observability.Counter
+	rescreenCandidates   *observability.CounterVec
 	rescreenTracked      *observability.Gauge
 	rescreenTrackBytes   *observability.Gauge
 	lastRescreen         *observability.Gauge
@@ -63,6 +64,8 @@ func newServerMetrics(reg *observability.Registry) *serverMetrics {
 		"Cumulative rescreen wall time by pipeline phase.", []string{"phase"})
 	m.rescreenSort = reg.NewCounter("conjserver_rescreen_sort_seconds_total",
 		"Cumulative rescreen wall time in the scan's serial sort + group: a share of the detection phase's seconds.", nil)
+	m.rescreenCandidates = reg.NewCounterVec("conjserver_rescreen_candidates_total",
+		"Cumulative rescreen (pair, step) candidates by stage: grid (the grid's, c′) and gated (past the radial gate).", []string{"stage"})
 	m.rescreenTracked = reg.NewGauge("conjserver_rescreen_tracked_objects",
 		"Objects whose cells the last rescreen pass read from the key track instead of solving.", nil)
 	m.rescreenTrackBytes = reg.NewGauge("conjserver_rescreen_track_bytes",
@@ -145,8 +148,8 @@ func (m *serverMetrics) bindCollectors(h *Handler) {
 		})
 }
 
-// observePhases folds one pass's phase breakdown into the cumulative
-// per-phase counters, caching vec children so the per-pass cost is a map
+// observePhases folds one pass's phase breakdown and candidate counts into
+// the cumulative counters, caching vec children so the per-pass cost is a map
 // read plus an atomic add.
 func (m *serverMetrics) observePhases(stats satconj.PhaseStats) {
 	for _, ps := range stats.PhaseSeconds() {
@@ -160,6 +163,8 @@ func (m *serverMetrics) observePhases(stats satconj.PhaseStats) {
 		c.Add(ps.Seconds)
 	}
 	m.rescreenSort.Add(stats.Sort.Seconds())
+	m.rescreenCandidates.With("grid").Add(float64(stats.GridCandidates))
+	m.rescreenCandidates.With("gated").Add(float64(stats.CandidatePairs))
 }
 
 // routeMetrics instruments one registered route: a latency histogram and

@@ -268,6 +268,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"conjserver_rescreen_runs_total{mode=\"full\"} 1\n",
 		"conjserver_rescreen_phase_seconds_total{phase=\"detection\"}",
 		"conjserver_rescreen_sort_seconds_total",
+		"conjserver_rescreen_candidates_total{stage=\"grid\"}",
+		"conjserver_rescreen_candidates_total{stage=\"gated\"}",
 		"conjserver_catalog_version 2\n",
 		"conjserver_snapshot_age_seconds",
 		"conjserver_subscribers 0\n",

@@ -12,10 +12,18 @@ import "sync"
 
 // Cell is one occupied grid cell: its packed key and the [Lo, Hi) range of
 // its satellites inside an ID array. Before grouping, a full screen's entry
-// buffer holds one Cell per object with the object's ID in Lo.
+// buffer holds one Cell per object: population index in Lo, radius bits in Hi.
 type Cell struct {
 	Key    uint64
 	Lo, Hi int32
+}
+
+// GateRow is one object's row of a full screen's radial-gate table
+// (internal/core): the ID its keys carry, a bound on its radial speed (km/s)
+// and how far from a step its refinement windows reach (s).
+type GateRow struct {
+	ID          int32
+	RDot, Reach float32
 }
 
 // GridSnapshot is the frozen, scan-friendly form of a GridSet: a compact list

@@ -119,6 +119,28 @@ func TestNewKindsDrain(t *testing.T) {
 	}
 }
 
+func TestGateRowsLengthReuseAndDrain(t *testing.T) {
+	p := New()
+	rows := p.GetGateRows(100)
+	if len(rows) != 100 {
+		t.Fatalf("table length %d, want 100", len(rows))
+	}
+	p.PutGateRows(rows)
+	got := p.GetGateRows(60)
+	if len(got) != 60 || &got[0] != &rows[0] {
+		t.Fatal("a fitting request did not reuse the idle table")
+	}
+	p.PutGateRows(got)
+	p.PutGateRows(nil)
+	p.Drain()
+	if got := p.GetGateRows(60); &got[0] == &rows[0] {
+		t.Fatal("gate table survived Drain")
+	}
+	if s := p.Stats(); s.Outstanding() != 1 {
+		t.Fatalf("outstanding %d, want 1", s.Outstanding())
+	}
+}
+
 func TestNewKindsDisabled(t *testing.T) {
 	p := Disabled()
 	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})

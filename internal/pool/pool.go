@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// stamp tables, entry and sort buffers, propagation state buffers, candidate
-// key buffers and ID-index maps — across sampling steps, runs and concurrent
-// HTTP requests.
+// stamp tables, entry and sort buffers, radial-gate tables, propagation state
+// buffers, candidate key buffers and ID-index maps — across sampling steps,
+// runs and concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -24,10 +24,11 @@
 //   - State buffers are returned with stale contents and fully overwritten
 //     by the propagation phase before any read.
 //   - ID-index maps are cleared on Put.
-//   - Pair-key buffers, cell buffers and Kepler warm-start caches are
-//     returned with stale contents: key and cell buffers are handed out with
-//     length 0 (a step's build overwrites every entry the scan reads), and the
-//     detectors reinitialise the caches before the first step (DESIGN.md §10).
+//   - Pair-key buffers, cell buffers, radial-gate tables and Kepler warm-start
+//     caches are returned with stale contents: key and cell buffers are handed
+//     out with length 0 (a step's build overwrites every entry the scan reads),
+//     and the detectors refill the tables and caches before the first step
+//     (DESIGN.md §10).
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so
@@ -73,6 +74,7 @@ type Pool struct {
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
+	gateRows [][]lockfree.GateRow
 	kcaches  [][]propagation.KeplerCache
 	bitsets  [][]uint64
 
@@ -121,6 +123,7 @@ func (p *Pool) Drain() {
 	p.indexes = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
+	p.gateRows = nil
 	p.kcaches = nil
 	p.bitsets = nil
 	p.mu.Unlock()
@@ -257,6 +260,12 @@ func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell {
 
 // PutCellBuf returns a cell buffer to the pool. nil is ignored.
 func (p *Pool) PutCellBuf(b []lockfree.Cell) { putBuf(p, &p.cellBufs, b, maxIdleBuffers) }
+
+// GetGateRows returns a radial-gate table of length n with stale contents.
+func (p *Pool) GetGateRows(n int) []lockfree.GateRow { return getBuf(p, &p.gateRows, n, true)[:n] }
+
+// PutGateRows returns a radial-gate table to the pool. nil is ignored.
+func (p *Pool) PutGateRows(b []lockfree.GateRow) { putBuf(p, &p.gateRows, b, maxIdleBuffers) }
 
 // GetKeplerCache returns a warm-start cache of length n with stale contents;
 // the detectors reinitialise every entry before the first sampling step.
