@@ -76,7 +76,7 @@ import (
 func deltaVariantNames() []string {
 	var names []string
 	for _, d := range satconj.Variants() {
-		if d.Caps.Has(satconj.CapScreenDelta) {
+		if d.Incremental {
 			names = append(names, string(d.Name))
 		}
 	}

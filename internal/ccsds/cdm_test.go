@@ -1,6 +1,7 @@
 package ccsds
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,8 +21,9 @@ func meetingPair(t *testing.T) (propagation.Satellite, propagation.Satellite, co
 	elB.MeanAnomaly = mathx.NormalizeAngle(-elB.MeanMotion() * 800)
 	a := propagation.MustSatellite(3, elA)
 	b := propagation.MustSatellite(9, elB)
-	det := core.NewGrid(core.Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1600})
-	res, err := det.Screen([]propagation.Satellite{a, b})
+	grid, _ := core.Lookup(core.VariantGrid)
+	det := grid.New(core.Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1600})
+	res, err := det.ScreenContext(context.Background(), []propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ package core
 // treecmp experiment captures both regimes.
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/lockfree"
@@ -43,101 +42,25 @@ import (
 	"repro/internal/vec3"
 )
 
-// AABB is the 4D AABB-tree conjunction detector.
-type AABB struct {
-	cfg Config
-}
-
-// NewAABB returns an AABB-tree detector with the given configuration.
-func NewAABB(cfg Config) *AABB { return &AABB{cfg: cfg} }
-
 func init() {
-	Register(VariantAABB, Descriptor{
-		Description: "4D AABB tree: windowed position-time boxes, BVH overlap candidates, shared refine path",
-		Caps:        CapScreenDelta | CapSink | CapObserver,
-		New:         func(cfg Config) Detector { return NewAABB(cfg) },
-	})
+	register(frame{
+		variant: VariantAABB,
+		sps:     DefaultAABBSeconds,
+		sample:  (*run).sampleWindows,
+	}, "4D AABB tree: windowed position-time boxes, BVH overlap candidates, shared refine path")
 }
 
 // DefaultAABBSeconds is the AABB variant's default sampling step — the
 // grid's fine step, since the post-check envelopes the grid's cell test
-// at the same cell size.
+// at the same cell size. The post-check restores the grid criterion, so
+// refinement applies the grid interval rule (two-cell crossing, §IV-C)
+// unchanged.
 const DefaultAABBSeconds = 1.0
 
-// DefaultWindowSteps is the default box window width W. Sixteen steps
-// amortises the tree build well while keeping hulls short enough that the
-// overlap set stays sparse outside dense shells.
+// DefaultWindowSteps is the box window width W. Sixteen steps amortises the
+// tree build well while keeping hulls short enough that the overlap set
+// stays sparse outside dense shells. A span of fewer steps is one window.
 const DefaultWindowSteps = 16
-
-// Screen runs the AABB pipeline over the population.
-func (d *AABB) Screen(sats []propagation.Satellite) (*Result, error) {
-	return d.ScreenContext(context.Background(), sats)
-}
-
-// ScreenContext is Screen with cooperative cancellation; see
-// Grid.ScreenContext for the contract.
-func (d *AABB) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
-	return d.screen(ctx, sats, nil)
-}
-
-// ScreenDelta runs the AABB pipeline incrementally; Prior must come from an
-// AABB screen. See Grid.ScreenDelta and DeltaInput for the contract.
-func (d *AABB) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
-	return d.screen(ctx, sats, &delta)
-}
-
-// screen runs the AABB pipeline; a non-nil delta switches the overlap query
-// to dirty-pair emission and merges the prior result at the end.
-func (d *AABB) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
-	cfg := d.cfg
-	sps := cfg.SecondsPerSample
-	if sps <= 0 {
-		sps = DefaultAABBSeconds
-	}
-	run, err := newRun(ctx, cfg, sats, sps, false, delta)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Variant: VariantAABB, Backend: "cpu"}
-	if run == nil { // degenerate population (<2 satellites)
-		res.Conjunctions = degenerateDeltaMerge(delta)
-		return res, nil
-	}
-	defer run.release()
-
-	w := cfg.WindowSteps
-	if w <= 0 {
-		w = DefaultWindowSteps
-	}
-	if w > run.steps {
-		w = run.steps
-	}
-	tSample := time.Now()
-	if err := run.sampleWindows(w); err != nil {
-		return nil, err
-	}
-	run.stats.Steps = run.steps
-	run.observePhase(PhaseSample, time.Since(tSample), 0)
-	run.observePhase(PhaseFreeze, run.stats.Freeze, 0)
-
-	// Step 4: PCA/TCA determination over the post-checked candidates. The
-	// post-check restores the grid criterion, so the grid interval rule
-	// (two-cell crossing, §IV-C) applies unchanged.
-	tRef := time.Now()
-	conjs, err := run.refineCandidates(run.keys, nil)
-	if err != nil {
-		return nil, err
-	}
-	if delta != nil {
-		conjs = run.mergeWithPrior(conjs, delta.Prior)
-	}
-	run.stats.Refine += time.Since(tRef)
-	run.observePhase(PhaseRefine, time.Since(tRef), len(conjs))
-
-	res.Conjunctions = conjs
-	res.Stats = run.finishStats()
-	return res, nil
-}
 
 // aabbWindow is the per-window state the range closures below read: the
 // window's step span, the window-contiguous sample buffer, the per-satellite
@@ -319,15 +242,15 @@ func (t *aabbTree) buildNode(start, end int) int32 {
 	return idx
 }
 
-// sampleWindows runs the AABB analogue of steps 2–3 for every window of w
-// steps: propagate each satellite through the window (sequentially in time,
-// which keeps the warm-start precondition even though satellites are split
-// across workers), hull and pad its samples into a box, build the tree, and
-// append the box-overlap candidates — post-checked per shared step against
-// the adjacency envelope — to the per-worker buffers; after the last window,
-// collect them into r.keys.
-func (r *run) sampleWindows(w int) error {
-	n := len(r.sats)
+// sampleWindows is the aabb's step 2 for every window of W steps: propagate
+// each satellite through the window (sequentially in time, which keeps the
+// warm-start precondition even though satellites are split across workers),
+// hull and pad its samples into a box, build the tree, and append the
+// box-overlap candidates — post-checked per shared step against the adjacency
+// envelope — to the per-worker buffers; after the last window, collect them
+// into r.keys. An incremental pass emits the pairs with a dirty member only.
+func (r *run) sampleWindows() error {
+	n, w := len(r.sats), min(DefaultWindowSteps, r.steps)
 	win := &aabbWindow{
 		stride: w,
 		pos:    r.pool.GetStates(n * w),
@@ -371,6 +294,7 @@ func (r *run) sampleWindows(w int) error {
 			r.observeStep(s, n)
 		}
 	}
+	r.stats.Steps = r.steps
 	r.collectPairs()
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mathx"
 	"repro/internal/pool"
+	"repro/internal/propagation"
 	"repro/internal/vec3"
 )
 
@@ -116,31 +117,43 @@ func TestAABBTreeQueryMatchesBruteForce(t *testing.T) {
 
 // TestAABBMatchesGridReference is the variant's own differential check (the
 // registry loops in the battery and oracle cover it too): several AABB
-// configurations against the fine grid on the seeded encounter population.
+// configurations against the fine grid on the seeded encounter population,
+// plus a co-orbital companion 0.8 km off its first object, so even the
+// shortest span has an encounter. The spans place the window seams: 1801
+// steps end on a partial window of nine at W = 16, 1600 steps on a full one,
+// and 3 steps are a single window shorter than W.
 func TestAABBMatchesGridReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config differential screen; skipped with -short")
 	}
 	const span, threshold = 1800.0, 2.0
 	sats := seededEncounterPopulation(42, span)
-	ref, err := NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference := ref.Events(10)
+	sats = append(sats, propagation.MustSatellite(int32(len(sats)), companionOf(sats[0], 1)))
+	references := map[float64][]Conjunction{}
 
 	warmPool := pool.New()
 	configs := map[string]Config{
 		"default":       {ThresholdKm: threshold, DurationSeconds: span, Workers: 2},
 		"single-worker": {ThresholdKm: threshold, DurationSeconds: span, Workers: 1},
-		"window-3":      {ThresholdKm: threshold, DurationSeconds: span, Workers: 2, WindowSteps: 3},
-		"window-64":     {ThresholdKm: threshold, DurationSeconds: span, Workers: 2, WindowSteps: 64},
+		"windows-whole": {ThresholdKm: threshold, DurationSeconds: 1599, Workers: 2},
+		"window-3":      {ThresholdKm: threshold, DurationSeconds: 2, Workers: 2},
 		"coarse-step":   {ThresholdKm: threshold, DurationSeconds: span, SecondsPerSample: 4, Workers: 2},
 		"warm-pool":     {ThresholdKm: threshold, DurationSeconds: span, Workers: 2, Pool: warmPool},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
-			det := NewAABB(cfg)
+			reference, ok := references[cfg.DurationSeconds]
+			if !ok {
+				ref, err := newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: cfg.DurationSeconds, Workers: 2}).Screen(sats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reference = ref.Events(10); len(reference) == 0 {
+					t.Fatalf("no grid reference event over %v s", cfg.DurationSeconds)
+				}
+				references[cfg.DurationSeconds] = reference
+			}
+			det := newAABB(cfg)
 			if cfg.Pool != nil { // prime the pool so the second run recycles
 				if _, err := det.Screen(sats); err != nil {
 					t.Fatal(err)
@@ -173,7 +186,7 @@ func TestAABBPoolBalancedOnCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		obs := ObserverFuncs{Step: func(StepInfo) { cancel() }}
-		det := NewAABB(Config{ThresholdKm: 2, DurationSeconds: span, Workers: 2, Pool: pl, Observer: obs})
+		det := newAABB(Config{ThresholdKm: 2, DurationSeconds: span, Workers: 2, Pool: pl, Observer: obs})
 		_, err := det.ScreenContext(ctx, sats)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -186,7 +199,7 @@ func TestAABBPoolBalancedOnCancel(t *testing.T) {
 		pl := pool.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		det := NewAABB(Config{ThresholdKm: 2, DurationSeconds: span, Workers: 2, Pool: pl})
+		det := newAABB(Config{ThresholdKm: 2, DurationSeconds: span, Workers: 2, Pool: pl})
 		if _, err := det.ScreenContext(ctx, sats); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -198,7 +211,7 @@ func TestAABBPoolBalancedOnCancel(t *testing.T) {
 
 // TestAABBDegeneratePopulations mirrors the grid contract on trivial inputs.
 func TestAABBDegeneratePopulations(t *testing.T) {
-	det := NewAABB(Config{ThresholdKm: 2, DurationSeconds: 600})
+	det := newAABB(Config{ThresholdKm: 2, DurationSeconds: 600})
 	res, err := det.Screen(nil)
 	if err != nil || len(res.Conjunctions) != 0 {
 		t.Fatalf("empty population: res=%v err=%v", res, err)
@@ -206,7 +219,7 @@ func TestAABBDegeneratePopulations(t *testing.T) {
 	if res.Variant != VariantAABB {
 		t.Errorf("degenerate result variant %q", res.Variant)
 	}
-	if _, err := NewAABB(Config{ThresholdKm: 2}).Screen(nil); !errors.Is(err, ErrNoDuration) {
+	if _, err := newAABB(Config{ThresholdKm: 2}).Screen(nil); !errors.Is(err, ErrNoDuration) {
 		t.Fatalf("missing duration: err=%v, want ErrNoDuration", err)
 	}
 }

@@ -29,7 +29,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	sats := benchShellPopulation(t, 1000)
 	cfg := steadyStateConfig()
 	cfg.Pool = pool.New() // isolate from other tests sharing pool.Default
-	det := NewGrid(cfg)
+	det := newGrid(cfg)
 	if _, err := det.Screen(sats); err != nil { // warm the pool
 		t.Fatal(err)
 	}
@@ -49,10 +49,10 @@ type screenFn func(p *pool.Pool, sats []propagation.Satellite) (*Result, error)
 func poolVariants() map[string]screenFn {
 	return map[string]screenFn{
 		"grid": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
-			return NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
+			return newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
 		},
 		"hybrid": func(p *pool.Pool, sats []propagation.Satellite) (*Result, error) {
-			return NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
+			return newHybrid(Config{ThresholdKm: 2, DurationSeconds: 300, Workers: 2, Pool: p}).Screen(sats)
 		},
 	}
 }
@@ -116,9 +116,9 @@ func TestScreenErrorPathsRestorePoolBalance(t *testing.T) {
 				var err error
 				switch variant {
 				case "grid":
-					_, err = NewGrid(cfg).Screen(tc.sats)
+					_, err = newGrid(cfg).Screen(tc.sats)
 				case "hybrid":
-					_, err = NewHybrid(cfg).Screen(tc.sats)
+					_, err = newHybrid(cfg).Screen(tc.sats)
 				}
 				if err == nil {
 					t.Fatalf("%s: expected an error", variant)
@@ -138,7 +138,7 @@ func TestDegeneratePopulationsRestorePoolBalance(t *testing.T) {
 	for _, n := range []int{0, 1} {
 		p := pool.New()
 		sats := benchShellPopulation(t, n)
-		res, err := NewGrid(Config{ThresholdKm: 2, DurationSeconds: 100, Pool: p}).Screen(sats)
+		res, err := newGrid(Config{ThresholdKm: 2, DurationSeconds: 100, Pool: p}).Screen(sats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,12 +156,12 @@ func TestDegeneratePopulationsRestorePoolBalance(t *testing.T) {
 func TestDisabledPoolMatchesDefault(t *testing.T) {
 	sats := engineeredPopulation(t)
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2}
-	pooled, err := NewGrid(cfg).Screen(sats)
+	pooled, err := newGrid(cfg).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Pool = pool.Disabled()
-	fresh, err := NewGrid(cfg).Screen(sats)
+	fresh, err := newGrid(cfg).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPoolReuseAcrossRunsIsDeterministic(t *testing.T) {
 	sats := engineeredPopulation(t)
 	p := pool.New()
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2, Pool: p}
-	first, err := NewGrid(cfg).Screen(sats)
+	first, err := newGrid(cfg).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPoolReuseAcrossRunsIsDeterministic(t *testing.T) {
 		t.Fatal("engineered population should produce conjunctions")
 	}
 	for i := 0; i < 4; i++ {
-		again, err := NewGrid(cfg).Screen(sats)
+		again, err := newGrid(cfg).Screen(sats)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,10 +27,10 @@ func cancelVariants(p *pool.Pool) []struct {
 	screen func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error)
 } {
 	gridScreen := func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error) {
-		return NewGrid(cfg).ScreenContext(ctx, sats)
+		return newGrid(cfg).ScreenContext(ctx, sats)
 	}
 	hybridScreen := func(ctx context.Context, cfg Config, sats []propagation.Satellite) (*Result, error) {
-		return NewHybrid(cfg).ScreenContext(ctx, sats)
+		return newHybrid(cfg).ScreenContext(ctx, sats)
 	}
 	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2, Pool: p}
 	oneSlot := base

@@ -1,19 +1,20 @@
 // Package core implements the paper's primary contribution: conjunction
-// screening of large satellite populations with a spatial grid backed by
-// non-blocking atomic hash structures.
+// screening of large satellite populations with a uniform spatial grid.
 //
-// Two detectors are provided, mirroring §III:
+// One detector runs the four steps of §III — (1) upfront allocation, (2)
+// parallel propagation, binning and candidate identification per sampling
+// step, (3) an optional filter, (4) PCA/TCA determination with Brent
+// minimisation — and is registered three times (frame, grid.go):
 //
-//   - Grid — the purely grid-based variant: small cells, fine sampling,
-//     every candidate pair refined directly (NewGrid).
-//   - Hybrid — the grid as a pre-filter with larger cells and coarser
+//   - grid — the purely grid-based variant: small cells, fine sampling,
+//     every candidate pair refined directly.
+//   - hybrid — the grid as a pre-filter with larger cells and coarser
 //     sampling, followed by the classical orbital filter chain which both
-//     rejects pairs and supplies the PCA/TCA search interval (NewHybrid).
+//     rejects pairs and supplies the PCA/TCA search interval.
+//   - aabb — the 4D AABB tree of Bak & Hobbs: windowed position-time boxes
+//     under a bounding-volume hierarchy instead of the per-step grid.
 //
-// Both share the four-step structure of §III: (1) upfront allocation,
-// (2) parallel propagation + cell keying + candidate identification per
-// sampling step, (3) [hybrid only] orbital filtering, (4) PCA/TCA
-// determination with Brent minimisation.
+// All three screen incrementally too (delta.go, track.go).
 package core
 
 import (
@@ -60,11 +61,6 @@ type Config struct {
 	HalfExtentKm float64
 	// Filters configures the hybrid variant's orbital filter chain.
 	Filters filters.Config
-	// WindowSteps is the AABB-tree variant's window width W: one set of
-	// position-time boxes (and one tree build) covers W consecutive
-	// sampling steps. ≤0 selects DefaultWindowSteps. Other variants
-	// ignore it.
-	WindowSteps int
 	// Uncertainty, when non-nil, screens each pair against the effective
 	// threshold d + u(a) + u(b) instead of the uniform d (§III: the
 	// threshold should cover the position uncertainties). The grid is

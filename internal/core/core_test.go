@@ -29,7 +29,7 @@ func meetingPair(idA, idB int32, tMeet, incB, radialOffsetKm float64) (propagati
 
 func TestGridDetectsEngineeredConjunction(t *testing.T) {
 	a, b := meetingPair(0, 1, 1000, 1.1, 0)
-	det := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000, Workers: 2})
+	det := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000, Workers: 2})
 	res, err := det.Screen([]propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestGridDetectsEngineeredConjunction(t *testing.T) {
 
 func TestHybridDetectsEngineeredConjunction(t *testing.T) {
 	a, b := meetingPair(0, 1, 1000, 1.1, 0)
-	det := NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 2000, Workers: 2})
+	det := newHybrid(Config{ThresholdKm: 2, DurationSeconds: 2000, Workers: 2})
 	res, err := det.Screen([]propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestNearMissAboveThresholdIgnored(t *testing.T) {
 	// above the 2 km screening threshold.
 	a, b := meetingPair(0, 1, 1000, 1.1, 10)
 	for name, screen := range map[string]func([]propagation.Satellite) (*Result, error){
-		"grid":   NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000}).Screen,
-		"hybrid": NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 2000}).Screen,
+		"grid":   newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000}).Screen,
+		"hybrid": newHybrid(Config{ThresholdKm: 2, DurationSeconds: 2000}).Screen,
 	} {
 		res, err := screen([]propagation.Satellite{a, b})
 		if err != nil {
@@ -93,7 +93,7 @@ func TestNearMissLargerThresholdDetected(t *testing.T) {
 	// Same 10 km near-miss with a 15 km threshold must be reported, with
 	// PCA ≈ offset.
 	a, b := meetingPair(0, 1, 1000, 1.1, 10)
-	res, err := NewGrid(Config{ThresholdKm: 15, SecondsPerSample: 1, DurationSeconds: 2000}).Screen(
+	res, err := newGrid(Config{ThresholdKm: 15, SecondsPerSample: 1, DurationSeconds: 2000}).Screen(
 		[]propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -108,28 +108,28 @@ func TestNearMissLargerThresholdDetected(t *testing.T) {
 }
 
 func TestGridConfigValidation(t *testing.T) {
-	if _, err := NewGrid(Config{}).Screen(nil); err != ErrNoDuration {
+	if _, err := newGrid(Config{}).Screen(nil); err != ErrNoDuration {
 		t.Errorf("missing duration: err = %v", err)
 	}
 	a, _ := meetingPair(0, 1, 100, 1.1, 0)
 	dup := a
-	if _, err := NewGrid(Config{DurationSeconds: 10}).Screen([]propagation.Satellite{a, dup}); err == nil {
+	if _, err := newGrid(Config{DurationSeconds: 10}).Screen([]propagation.Satellite{a, dup}); err == nil {
 		t.Error("duplicate IDs accepted")
 	}
 	big := a
 	big.ID = 1 << 21
-	if _, err := NewGrid(Config{DurationSeconds: 10}).Screen([]propagation.Satellite{a, big}); err == nil {
+	if _, err := newGrid(Config{DurationSeconds: 10}).Screen([]propagation.Satellite{a, big}); err == nil {
 		t.Error("oversized ID accepted")
 	}
 }
 
 func TestEmptyAndSingletonPopulations(t *testing.T) {
-	res, err := NewGrid(Config{DurationSeconds: 100}).Screen(nil)
+	res, err := newGrid(Config{DurationSeconds: 100}).Screen(nil)
 	if err != nil || len(res.Conjunctions) != 0 {
 		t.Errorf("empty population: res=%v err=%v", res, err)
 	}
 	a, _ := meetingPair(0, 1, 100, 1.1, 0)
-	res, err = NewHybrid(Config{DurationSeconds: 100}).Screen([]propagation.Satellite{a})
+	res, err = newHybrid(Config{DurationSeconds: 100}).Screen([]propagation.Satellite{a})
 	if err != nil || len(res.Conjunctions) != 0 {
 		t.Errorf("singleton population: res=%v err=%v", res, err)
 	}
@@ -140,7 +140,7 @@ func TestGridWorkerCountInvariance(t *testing.T) {
 	sats := engineeredPopulation(t)
 	var base *Result
 	for _, workers := range []int{1, 3, 8} {
-		res, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: workers}).Screen(sats)
+		res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: workers}).Screen(sats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,11 +193,11 @@ func TestEngineeredPopulationAllVariantsAgree(t *testing.T) {
 		{4, 5}: 1200,
 	}
 
-	grid, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2}).Screen(sats)
+	grid, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500, Workers: 2}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 1500, Workers: 2}).Screen(sats)
+	hybrid, err := newHybrid(Config{ThresholdKm: 2, DurationSeconds: 1500, Workers: 2}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEngineeredPopulationAllVariantsAgree(t *testing.T) {
 
 func TestStatsPhaseAccounting(t *testing.T) {
 	sats := engineeredPopulation(t)
-	res, err := NewHybrid(Config{ThresholdKm: 2, DurationSeconds: 1000}).Screen(sats)
+	res, err := newHybrid(Config{ThresholdKm: 2, DurationSeconds: 1000}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestStatsPhaseAccounting(t *testing.T) {
 	// the final candidate count, and its span is Detection's — on a stamping
 	// delta pass, which has no scan, it is all of Detection.
 	for name, screen := range map[string]func(Config) (*Result, error){
-		"grid":   func(c Config) (*Result, error) { return NewGrid(c).Screen(sats) },
-		"hybrid": func(c Config) (*Result, error) { return NewHybrid(c).Screen(sats) },
-		"aabb":   func(c Config) (*Result, error) { return NewAABB(c).Screen(sats) },
+		"grid":   func(c Config) (*Result, error) { return newGrid(c).Screen(sats) },
+		"hybrid": func(c Config) (*Result, error) { return newHybrid(c).Screen(sats) },
+		"aabb":   func(c Config) (*Result, error) { return newAABB(c).Screen(sats) },
 		"grid-delta": func(c Config) (*Result, error) {
-			return NewGrid(c).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: []int32{0}})
+			return newGrid(c).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: []int32{0}})
 		},
 	} {
 		sampled := -1
@@ -277,7 +277,7 @@ func TestStatsPhaseAccounting(t *testing.T) {
 
 func TestGridStatsForGridVariantHaveNoCoplanarity(t *testing.T) {
 	sats := engineeredPopulation(t)
-	res, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 500}).Screen(sats)
+	res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 500}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestOutOfBoundsCounted(t *testing.T) {
 	// A cube too small for the orbits: every sample lands outside and is
 	// counted, producing no conjunctions and no crash.
 	a, b := meetingPair(0, 1, 100, 1.1, 0)
-	res, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 50, HalfExtentKm: 1000}).Screen(
+	res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 50, HalfExtentKm: 1000}).Screen(
 		[]propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,11 @@ package core
 // fresh full screen over chained deltas.
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/lockfree"
-	"repro/internal/propagation"
 )
 
 // DeltaInput parameterises an incremental screen. Prior must be the
@@ -38,21 +36,6 @@ type DeltaInput struct {
 	// session, set by Session.Screen only, carries the key track from pass to
 	// pass; without one no row is valid and nothing is kept.
 	session *Session
-}
-
-// ScreenDelta runs the grid pipeline incrementally; see DeltaInput for the
-// contract. The result is equivalent to a full Screen of the same population
-// at the candidate cost of the dirty set only. Past the crossover
-// (stampingPays) the delta is validated and a plain full screen runs instead,
-// with PriorRetained = 0.
-func (d *Grid) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
-	return d.screen(ctx, sats, &delta)
-}
-
-// ScreenDelta runs the hybrid pipeline incrementally; Prior must come from
-// a hybrid screen. See Grid.ScreenDelta.
-func (d *Hybrid) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
-	return d.screen(ctx, sats, &delta)
 }
 
 // bitset helpers over ID-indexed []uint64 words. IDs are validated
@@ -107,10 +90,13 @@ func (delta *DeltaInput) validate(idx map[int32]int32) (maxID int32, err error) 
 	return maxID, nil
 }
 
-// setDelta validates the delta and arms the run: candidate emission consults
-// r.dirty (and, when stamping, walks r.dirtyIdx into the stamp table), the
-// final merge consults r.touched (dirty ∪ removed). Everything drawn here is
-// pooled and handed back by release with the run's other structures.
+// setDelta validates the delta and decides, once, whether the pass is
+// incremental: on the grid below the crossover, on the aabb always. An
+// incremental pass emits only pairs with a dirty member — the aabb's window
+// query consults r.dirty, the grid stamps r.dirtyIdx into the stamp table —
+// and the frame's merge consults r.touched (dirty ∪ removed). Everything
+// drawn here is pooled and handed back by release with the run's other
+// structures.
 func (r *run) setDelta(delta *DeltaInput) error {
 	maxID, err := delta.validate(r.idx)
 	if err != nil {
@@ -119,12 +105,14 @@ func (r *run) setDelta(delta *DeltaInput) error {
 	words := bitsetWords(maxID) // 0 for the empty delta's −1
 	r.dirty = r.pool.GetBitset(words)
 	r.touched = r.pool.GetBitset(words)
-	if r.stamping = r.grid != nil && stampingPays(len(delta.Dirty), len(r.sats)); r.stamping {
+	r.incremental = r.grid == nil || stampingPays(len(delta.Dirty), len(r.sats))
+	stamping := r.incremental && r.grid != nil
+	if stamping {
 		r.dirtyIdx = make([]int32, 0, len(delta.Dirty))
 	}
 	for _, id := range delta.Dirty {
 		// A repeated ID stamps once, one absent from the population never.
-		if i, present := r.idx[id]; present && r.stamping && !bitsetHas(r.dirty, id) {
+		if i, present := r.idx[id]; present && stamping && !bitsetHas(r.dirty, id) {
 			r.dirtyIdx = append(r.dirtyIdx, i)
 		}
 		bitsetSet(r.dirty, id)
@@ -134,7 +122,7 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		bitsetSet(r.touched, id)
 	}
 	r.stats.DirtyObjects = len(delta.Dirty)
-	if k := len(r.dirtyIdx); r.stamping {
+	if k := len(r.dirtyIdx); stamping {
 		r.gset = r.pool.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k)
 		r.stats.GridSlots = r.gset.Slots()
 		r.dirtyKeys = r.pool.GetKeyBuf(k)[:k]

@@ -126,11 +126,7 @@ func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagati
 	}
 	defer r.release()
 	if variant == VariantAABB {
-		w := cfg.WindowSteps
-		if w <= 0 {
-			w = DefaultWindowSteps
-		}
-		err = r.sampleWindows(min(w, r.steps))
+		err = r.sampleWindows()
 	} else {
 		err = r.sampleAllSteps()
 	}
@@ -151,19 +147,20 @@ func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagati
 }
 
 func TestScreenDeltaMatchesFullScreen(t *testing.T) {
-	const span = 1800.0
 	cases := []struct {
 		name    string
 		variant Variant
 		cfg     Config
+		span    float64
 	}{
-		{"grid", VariantGrid, Config{HalfExtentKm: 9000}},
-		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}},
-		{"aabb", VariantAABB, Config{}},
-		{"aabb-short-window", VariantAABB, Config{WindowSteps: 3}},
+		{"grid", VariantGrid, Config{HalfExtentKm: 9000}, 1800},
+		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}, 1800},
+		{"aabb", VariantAABB, Config{}, 1800},            // 1801 steps: the last window is nine
+		{"aabb-short-window", VariantAABB, Config{}, 12}, // 13 steps: one window, short of W
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			span := tc.span
 			pl := pool.New()
 			cfg := tc.cfg
 			cfg.DurationSeconds, cfg.Workers, cfg.Pool = span, 4, pl
@@ -308,7 +305,7 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 
 func TestScreenDeltaValidation(t *testing.T) {
 	sats := seededEncounterPopulation(3, 600)
-	det := NewGrid(Config{DurationSeconds: 600, Workers: 2})
+	det := newGrid(Config{DurationSeconds: 600, Workers: 2})
 	ctx := context.Background()
 
 	// A "removed" ID still present in the population is a caller bug.
@@ -333,7 +330,7 @@ func TestScreenDeltaValidation(t *testing.T) {
 }
 
 func TestScreenDeltaDegeneratePopulation(t *testing.T) {
-	det := NewGrid(Config{DurationSeconds: 600})
+	det := newGrid(Config{DurationSeconds: 600})
 	prior := []Conjunction{
 		{A: 1, B: 2, TCA: 10, PCA: 0.5},
 		{A: 2, B: 3, TCA: 20, PCA: 0.7},
@@ -450,7 +447,7 @@ func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 		obs := &stepRecorder{}
 		cfg.DurationSeconds, cfg.Workers, cfg.Observer, cfg.Pool = span, 4, obs, pool.New()
 		dirty := []int32{sats[3].ID, sats[200].ID, sats[399].ID}
-		res, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: dirty})
+		res, err := newGrid(cfg).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +517,7 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 
 	exits := map[string]func(t *testing.T, cfg Config){
 		"completed": func(t *testing.T, cfg Config) {
-			if _, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, *delta); err != nil {
+			if _, err := newGrid(cfg).ScreenDelta(context.Background(), sats, *delta); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -561,7 +558,7 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 		cfg := base
 		cfg.Pool = pool.New()
 		cfg.Pool.PutGridSet(cfg.Pool.GetGridSet(2*len(sats), len(sats)))
-		res, err := NewGrid(cfg).ScreenDelta(context.Background(), sats, *delta)
+		res, err := newGrid(cfg).ScreenDelta(context.Background(), sats, *delta)
 		if err != nil {
 			t.Fatal(err)
 		}

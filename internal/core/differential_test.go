@@ -130,7 +130,7 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 	)
 	sats := seededEncounterPopulation(42, span)
 
-	ref, err := NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen(sats)
+	ref, err := newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +143,15 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 	warmPool := pool.New()
 	variants := map[string]func() (*Result, error){
 		"grid-single-worker": func() (*Result, error) {
-			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 1}).Screen(sats)
+			return newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 1}).Screen(sats)
 		},
 		"grid-pool-disabled": func() (*Result, error) {
-			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, Pool: pool.Disabled()}).Screen(sats)
+			return newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, Pool: pool.Disabled()}).Screen(sats)
 		},
 		"grid-warm-pool": func() (*Result, error) {
 			// Two runs on one private pool: the second screens entirely from
 			// recycled structures.
-			det := NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, Pool: warmPool})
+			det := newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2, Pool: warmPool})
 			if _, err := det.Screen(sats); err != nil {
 				return nil, err
 			}
@@ -160,17 +160,17 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 		"grid-prefilter-off": func() (*Result, error) {
 			// Ablation: with the analytic pre-filter disabled every
 			// candidate goes to Brent; the event set must not move.
-			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
+			return newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
 				Workers: 2, ablation: ablation{noPrefilter: true}}).Screen(sats)
 		},
 		"grid-no-pipeline": func() (*Result, error) {
 			// Ablation: every scan inline on a one-slot ring instead of the
 			// two-slot ring the Workers: 2 reference uses.
-			return NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
+			return newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
 				Workers: 2, ablation: ablation{oneSlotRing: true}}).Screen(sats)
 		},
 		"hybrid": func() (*Result, error) {
-			return NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen(sats)
+			return newHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen(sats)
 		},
 		"kdtree": func() (*Result, error) {
 			return screenWithTree(sats, threshold, 1, span), nil

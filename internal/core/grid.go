@@ -19,82 +19,117 @@ import (
 	"repro/internal/vec3"
 )
 
-// Grid is the purely grid-based conjunction detector of §III: fine
-// sampling, cells sized by Eq. 1, and direct PCA/TCA refinement of every
-// candidate pair the grid produces.
-type Grid struct {
-	cfg Config
-}
-
-// NewGrid returns a grid-based detector with the given configuration.
-func NewGrid(cfg Config) *Grid { return &Grid{cfg: cfg} }
-
 func init() {
-	Register(VariantGrid, Descriptor{
-		Description: "purely grid-based screening: fine sampling, Eq. 1 cells, every candidate refined (§III)",
-		Caps:        CapScreenDelta | CapSink | CapObserver,
-		New:         func(cfg Config) Detector { return NewGrid(cfg) },
-	})
+	register(frame{
+		variant: VariantGrid,
+		sps:     DefaultGridSeconds,
+		grid:    true,
+		sample:  (*run).sampleAllSteps,
+	}, "purely grid-based screening: fine sampling, Eq. 1 cells, every candidate refined (§III)")
 }
 
 // DefaultGridSeconds is the grid variant's default sampling step.
 const DefaultGridSeconds = 1.0
 
-// Screen runs the full pipeline over the population and returns every
-// conjunction below the screening threshold in [0, DurationSeconds].
-func (d *Grid) Screen(sats []propagation.Satellite) (*Result, error) {
-	return d.ScreenContext(context.Background(), sats)
+// frame is what one registration of the §III detector brings to it: the
+// grid, hybrid and aabb variants differ in these fields and nothing else.
+type frame struct {
+	variant Variant
+	sps     float64 // default sampling step s_ps
+	grid    bool    // samples on the Eq. 1 grid (and so has a stamping delta pass)
+	// sample is step 2: propagate, bin and identify candidates, collected into r.keys.
+	sample func(r *run) error
+	// filter, when non-nil, is step 3: the candidates refinement sees, and
+	// the search window of each (a false ok falls back to the grid rule).
+	filter func(r *run) (kept []uint64, interval func(k int) (center, radius float64, ok bool), err error)
 }
 
-// ScreenContext is Screen with cooperative cancellation: when ctx is
-// cancelled the pipeline unwinds within about one sampling step, returns
-// ctx.Err(), and hands every pooled structure back before returning.
-func (d *Grid) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
+// register adds f to the registry as a detector.
+func register(f frame, description string) {
+	Register(f.variant, Descriptor{
+		Description: description,
+		New:         func(cfg Config) Detector { return &detector{cfg: cfg, frame: &f} },
+	})
+}
+
+// detector runs the four steps of §III under one frame: (1) upfront
+// allocation, (2) sampling into candidate pairs, (3) the frame's filter, if
+// it has one, (4) PCA/TCA refinement.
+type detector struct {
+	cfg Config
+	*frame
+}
+
+// ScreenContext returns every conjunction below the screening threshold in
+// [0, DurationSeconds]. When ctx is cancelled the pipeline unwinds within
+// about one sampling step, returns ctx.Err(), and hands every pooled
+// structure back before returning.
+func (d *detector) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
 	return d.screen(ctx, sats, nil)
 }
 
-// screen runs the grid pipeline; a delta below the crossover samples by
-// stamp-and-probe and merges the prior result at the end (see delta.go).
-func (d *Grid) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
-	cfg := d.cfg
-	sps := cfg.SecondsPerSample
+// ScreenDelta screens incrementally; see DeltaInput for the contract. The
+// result is equivalent to a full screen of the same population at the
+// candidate cost of the dirty set only. On the grid past the crossover
+// (stampingPays) the delta is validated and a plain full screen runs
+// instead, with PriorRetained = 0.
+func (d *detector) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
+	return d.screen(ctx, sats, &delta)
+}
+
+// screen is the frame itself; an incremental pass (setDelta) merges the
+// prior result at the end.
+func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
+	sps := d.cfg.SecondsPerSample
 	if sps <= 0 {
-		sps = DefaultGridSeconds
+		sps = d.sps
 	}
-	run, err := newRun(ctx, cfg, sats, sps, true, delta)
+	r, err := newRun(ctx, d.cfg, sats, sps, d.grid, delta)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Variant: VariantGrid, Backend: "cpu"}
-	if run == nil { // degenerate population (<2 satellites)
+	res := &Result{Variant: d.variant, Backend: "cpu"}
+	if r == nil { // degenerate population (<2 satellites)
 		res.Conjunctions = degenerateDeltaMerge(delta)
 		return res, nil
 	}
-	defer run.release()
-	if err := run.sampleAllSteps(); err != nil {
+	defer r.release()
+
+	tSample := time.Now()
+	if err := d.sample(r); err != nil {
 		return nil, err
 	}
+	r.observePhase(PhaseSample, time.Since(tSample), 0)
+	r.observePhase(PhaseFreeze, r.stats.Freeze, 0)
 
-	// Step 4: PCA/TCA determination. For the grid variant every candidate
-	// goes straight to refinement; the interval is the two-cell crossing
-	// rule (§IV-C).
+	pairs := r.keys
+	var interval func(k int) (center, radius float64, ok bool)
+	if d.filter != nil {
+		tFil := time.Now()
+		if pairs, interval, err = d.filter(r); err != nil {
+			return nil, err
+		}
+		r.stats.Coplanarity += time.Since(tFil)
+		r.observePhase(PhaseFilter, time.Since(tFil), 0)
+	}
+
 	tRef := time.Now()
-	conjs, err := run.refineCandidates(run.keys, nil)
+	conjs, err := r.refineCandidates(pairs, interval)
 	if err != nil {
 		return nil, err
 	}
-	if run.stamping {
-		conjs = run.mergeWithPrior(conjs, delta.Prior)
+	if r.incremental {
+		conjs = r.mergeWithPrior(conjs, delta.Prior)
 	}
-	run.stats.Refine += time.Since(tRef)
-	run.observePhase(PhaseRefine, time.Since(tRef), len(conjs))
+	r.stats.Refine += time.Since(tRef)
+	r.observePhase(PhaseRefine, time.Since(tRef), len(conjs))
 
 	res.Conjunctions = conjs
-	res.Stats = run.finishStats()
+	res.Stats = r.finishStats()
 	return res, nil
 }
 
-// run holds the shared state of one screening execution (both variants).
+// run holds the shared state of one screening execution.
 // Its buffers, ID index and (delta passes) stamp table are pooled: release
 // returns them, after which the run must not be used.
 type run struct {
@@ -125,12 +160,14 @@ type run struct {
 	uncertainty UncertaintyMap
 
 	// Delta screening state (delta.go); zero on full screens.
-	dirty     []uint64  // pooled bitset: IDs whose pairs a delta pass emits
-	touched   []uint64  // pooled bitset: dirty ∪ removed, for the prior merge
-	stamping  bool      // grid delta pass below the crossover: gset is the stamp table
-	dirtyIdx  []int32   // stamping: population index of each distinct dirty object present
-	dirtyKeys []uint64  // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
-	track     *keyTrack // stamping, owned by the delta's session: the rows this pass reads and writes; nil keeps none
+	dirty   []uint64 // pooled bitset: IDs whose pairs a delta pass emits
+	touched []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
+	// incremental: the pass emits dirty pairs only and merges the prior
+	// (setDelta). On the grid it stamps: gset is the stamp table.
+	incremental bool
+	dirtyIdx    []int32   // stamping: population index of each distinct dirty object present
+	dirtyKeys   []uint64  // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
+	track       *keyTrack // stamping, owned by the delta's session: the rows this pass reads and writes; nil keeps none
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -162,8 +199,7 @@ type run struct {
 
 	buildFn, scanFn func(w, lo, hi int)
 
-	// win is the AABB-tree detector's per-window state (aabb.go); nil for
-	// the grid/hybrid detectors.
+	// win is the aabb variant's per-window state (aabb.go); nil on the grid.
 	win *aabbWindow
 }
 
@@ -171,8 +207,8 @@ type run struct {
 // paper's step 1. A nil run (with nil error) signals a trivially empty
 // population. A context already cancelled on entry aborts before sampling,
 // with the pooled structures returned. withGrid allocates the spatial grid
-// and the step loop's entry, sort and ID buffers; the AABB-tree detector
-// passes false and builds its bounding-volume hierarchy instead, sharing
+// and the step loop's entry, sort and ID buffers; the aabb frame passes
+// false and builds its bounding-volume hierarchy instead, sharing
 // everything else (validation, per-worker candidate buffers, warm caches,
 // refiner). A delta is validated here; on the grid, below the crossover, the
 // stamp table replaces those buffers.
@@ -248,7 +284,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 			return nil, err
 		}
 	}
-	if withGrid && !r.stamping {
+	if withGrid && !r.incremental {
 		// A step has one entry per object, so at most that many cells and IDs.
 		n := len(sats)
 		r.entries = pl.GetCellBuf(n)[:n]
@@ -339,7 +375,7 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 	r.obsMu.Unlock()
 }
 
-// release returns the run's pooled structures. Both detectors defer it as
+// release returns the run's pooled structures. The frame defers it as
 // soon as newRun succeeds, so every exit path — including sampling and
 // refinement errors — restores pool balance. The Result is built from
 // independently allocated memory, so releasing before Screen returns is
@@ -393,18 +429,17 @@ func (r *run) collectPairs() {
 	r.stats.Detection += time.Since(tCD)
 }
 
-// sampleAllSteps runs step 2 for every sampling step — propagate, key, and
-// identify candidate pairs — and collects the candidates into r.keys. A
-// stamping delta pass has its own loop (delta.go), and samples nothing when
+// sampleAllSteps is the grid's step 2 for every sampling step — propagate,
+// key, and identify candidate pairs — and collects the candidates into
+// r.keys. An incremental pass stamps (delta.go), and samples nothing when
 // nothing is dirty: no candidate is new. Every other run takes sampleSteps.
 func (r *run) sampleAllSteps() error {
-	tSample := time.Now()
 	var err error
 	r.stats.Steps = r.steps
 	switch {
-	case r.stamping && len(r.dirtyIdx) == 0:
+	case r.incremental && len(r.dirtyIdx) == 0:
 		r.stats.Steps = 0
-	case r.stamping:
+	case r.incremental:
 		err = r.sampleStepsStamped()
 	default:
 		err = r.sampleSteps()
@@ -413,8 +448,6 @@ func (r *run) sampleAllSteps() error {
 		return err
 	}
 	r.collectPairs()
-	r.observePhase(PhaseSample, time.Since(tSample), 0)
-	r.observePhase(PhaseFreeze, r.stats.Freeze, 0) // zero: kept for the stream schema (observer.go)
 	return nil
 }
 

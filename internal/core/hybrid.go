@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/filters"
 	"repro/internal/lockfree"
@@ -12,25 +10,19 @@ import (
 	"repro/internal/propagation"
 )
 
-// Hybrid is the hybrid conjunction detector of §III: the same grid
-// front-end as the grid variant but with coarser sampling (and therefore
-// larger cells per Eq. 1), followed by the classical orbital filter chain.
-// The filters reject candidate pairs whose geometry forbids a conjunction
-// and supply tighter node-window search intervals for the survivors —
+// The hybrid variant of §III: the grid front-end with coarser sampling (and
+// therefore larger cells per Eq. 1), followed by the classical orbital filter
+// chain, which rejects candidate pairs whose geometry forbids a conjunction
+// and supplies tighter node-window search intervals for the survivors —
 // trading memory (more candidates per step) for time (fewer steps).
-type Hybrid struct {
-	cfg Config
-}
-
-// NewHybrid returns a hybrid detector with the given configuration.
-func NewHybrid(cfg Config) *Hybrid { return &Hybrid{cfg: cfg} }
-
 func init() {
-	Register(VariantHybrid, Descriptor{
-		Description: "grid pre-filter with coarse sampling plus the classical orbital filter chain (§III, default)",
-		Caps:        CapScreenDelta | CapSink | CapObserver,
-		New:         func(cfg Config) Detector { return NewHybrid(cfg) },
-	})
+	register(frame{
+		variant: VariantHybrid,
+		sps:     DefaultHybridSeconds,
+		grid:    true,
+		sample:  (*run).sampleAllSteps,
+		filter:  (*run).filterCandidates,
+	}, "grid pre-filter with coarse sampling plus the classical orbital filter chain (§III, default)")
 }
 
 // DefaultHybridSeconds is the hybrid variant's default sampling step (the
@@ -55,50 +47,19 @@ type nodeTiming struct {
 	radius  float64 // search-interval half-width (s)
 }
 
-// Screen runs the hybrid pipeline.
-func (d *Hybrid) Screen(sats []propagation.Satellite) (*Result, error) {
-	return d.ScreenContext(context.Background(), sats)
-}
-
-// ScreenContext is Screen with cooperative cancellation; see
-// Grid.ScreenContext for the contract.
-func (d *Hybrid) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
-	return d.screen(ctx, sats, nil)
-}
-
-// screen runs the hybrid pipeline; a delta below the crossover samples by
-// stamp-and-probe and merges the prior result at the end (see delta.go).
-func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta *DeltaInput) (*Result, error) {
-	cfg := d.cfg
-	sps := cfg.SecondsPerSample
-	if sps <= 0 {
-		sps = DefaultHybridSeconds
-	}
-	run, err := newRun(ctx, cfg, sats, sps, true, delta)
+// filterCandidates is the hybrid's step 3: the orbital filter chain, once
+// per distinct satellite pair (§III step 3; its cost is the "determining if
+// orbits are coplanar" share of §V-C1). A pair's candidates are kept or
+// dropped as one run, in place in r.keys. Node-crossing pairs search the node
+// window; the coplanar ones, and any candidate whose closeness no node
+// passage explains, use the grid rule exactly like the grid variant.
+func (r *run) filterCandidates() (kept []uint64, interval func(k int) (center, radius float64, ok bool), err error) {
+	pairs := r.keys
+	decisions, err := r.classifyPairs(pairs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &Result{Variant: VariantHybrid, Backend: "cpu"}
-	if run == nil {
-		res.Conjunctions = degenerateDeltaMerge(delta)
-		return res, nil
-	}
-	defer run.release()
-	if err := run.sampleAllSteps(); err != nil {
-		return nil, err
-	}
-
-	pairs := run.keys
-
-	// Step 3: the orbital filter chain, once per distinct satellite pair
-	// (§III step 3; its cost is the "determining if orbits are coplanar"
-	// share of §V-C1). A pair's candidates are kept or dropped as one run;
 	// runOf remembers which decision each kept candidate came from.
-	tFil := time.Now()
-	decisions, err := run.classifyPairs(pairs)
-	if err != nil {
-		return nil, err
-	}
 	kept, runOf, lo := pairs[:0], []int32(nil), 0
 	for i := range decisions {
 		hi := decisions[i].end
@@ -110,20 +71,15 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 		}
 		lo = hi
 	}
-	run.stats.FilterRejected = len(pairs) - len(kept)
-	run.stats.Coplanarity += time.Since(tFil)
-	run.observePhase(PhaseFilter, time.Since(tFil), 0)
+	r.stats.FilterRejected = len(pairs) - len(kept)
 
-	// Step 4: refinement. Node-crossing pairs search the node window; the
-	// coplanar ones use the grid rule exactly like the grid variant.
-	tRef := time.Now()
-	interval := func(k int) (center, radius float64, ok bool) {
+	interval = func(k int) (center, radius float64, ok bool) {
 		dec := &decisions[runOf[k]]
 		if dec.class != filters.NodeCrossing {
 			return 0, 0, false
 		}
-		ts := float64(lockfree.UnpackPair(kept[k]).Step) * run.sps
-		gridRadius := 2 * run.cellSize / 7.0 // generous fallback bound, ~km/s
+		ts := float64(lockfree.UnpackPair(kept[k]).Step) * r.sps
+		gridRadius := 2 * r.cellSize / 7.0 // generous fallback bound, ~km/s
 		best, bestDist := 0.0, math.Inf(1)
 		bestRadius := 0.0
 		for _, n := range dec.nodes {
@@ -133,26 +89,14 @@ func (d *Hybrid) screen(ctx context.Context, sats []propagation.Satellite, delta
 				best, bestDist, bestRadius = tc, d, n.radius
 			}
 		}
-		if math.IsInf(bestDist, 1) || bestDist > bestRadius+2*run.sps+gridRadius {
+		if math.IsInf(bestDist, 1) || bestDist > bestRadius+2*r.sps+gridRadius {
 			// The flagged closeness is not explained by a node passage —
 			// fall back to the plain grid interval rule.
 			return 0, 0, false
 		}
 		return best, math.Max(bestRadius, 1), true
 	}
-	conjs, err := run.refineCandidates(kept, interval)
-	if err != nil {
-		return nil, err
-	}
-	if run.stamping {
-		conjs = run.mergeWithPrior(conjs, delta.Prior)
-	}
-	run.stats.Refine += time.Since(tRef)
-	run.observePhase(PhaseRefine, time.Since(tRef), len(conjs))
-
-	res.Conjunctions = conjs
-	res.Stats = run.finishStats()
-	return res, nil
+	return kept, interval, nil
 }
 
 // classifyPairs runs filters.Classify once per run of equal (A, B) in the

@@ -56,7 +56,7 @@ func TestLegacyAgreesWithGrid(t *testing.T) {
 	)
 	sats := crossingPairsPopulation(7, span, 10)
 
-	gridRes, err := core.NewGrid(core.Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen(sats)
+	gridRes, err := screenGrid(core.Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}, sats)
 	if err != nil {
 		t.Fatal(err)
 	}

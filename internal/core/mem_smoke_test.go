@@ -78,7 +78,7 @@ func TestMemSmokeBoundedMemory(t *testing.T) {
 
 	cfg := core.Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: 2}
 	start := time.Now()
-	res, err := core.NewGrid(cfg).Screen(sats)
+	res, err := screenGrid(cfg, sats)
 	close(stop)
 	<-done
 	if err != nil {

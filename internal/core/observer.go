@@ -32,13 +32,12 @@ func (f SinkFunc) Emit(c Conjunction) { f(c) }
 // Phase names one pipeline stage (the four-step structure of §III).
 type Phase string
 
-// The pipeline phases, in execution order. PhaseFilter occurs only in the
-// hybrid variant. PhaseFreeze is reported by every variant, right after
-// PhaseSample, so stream consumers see a schema-stable phase set: the
-// aabb-tree detector reports its accumulated tree-build time (a component of
-// the sample phase), while the grid and hybrid detectors and the legacy
-// baseline — which freeze nothing — emit it with zero elapsed rather than
-// omitting it.
+// The pipeline phases, in execution order. The grid and aabb variants
+// report allocate, sample, freeze and refine; the hybrid adds filter before
+// refine. Freeze follows sample with the aabb's accumulated tree-build time
+// (a component of the sample phase), and with zero elapsed on the grid and
+// hybrid, which freeze nothing. The legacy baseline reports no phase, only
+// steps. registry_battery_test.go pins these sequences.
 const (
 	PhaseAllocate Phase = "allocate" // step 1: validation + upfront allocation
 	PhaseSample   Phase = "sample"   // step 2: propagate + key + candidates
@@ -101,17 +100,5 @@ func (o ObserverFuncs) OnStep(s StepInfo) {
 func (o ObserverFuncs) OnPhase(p PhaseInfo) {
 	if o.Phase != nil {
 		o.Phase(p)
-	}
-}
-
-// EmitZeroFreeze reports a zero-elapsed freeze phase for detectors outside
-// this package's step loops (the legacy baseline's registry adapter calls it),
-// keeping the Observer's phase set — and with it the /v1/screen/stream event
-// schema — identical across variants.
-func EmitZeroFreeze(obs Observer) {
-	if obs != nil {
-		// Runs on the single screening goroutine before any worker exists;
-		// there is no concurrent deliverer to serialise against yet.
-		obs.OnPhase(PhaseInfo{Phase: PhaseFreeze}) //lint:sinklock-ok pre-run single-goroutine emission, no concurrent deliverer exists
 	}
 }

@@ -110,12 +110,12 @@ func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
 
 	warmPool := pool.New()
 	detectors := map[string]func([]propagation.Satellite) (*Result, error){
-		"grid":   NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen,
-		"hybrid": NewHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen,
+		"grid":   newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen,
+		"hybrid": newHybrid(Config{ThresholdKm: threshold, DurationSeconds: span, Workers: 2}).Screen,
 		// Second run on a private warm pool: the whole pipeline executes
 		// from recycled structures and must match the oracle identically.
 		"grid-warm-pool": func(s []propagation.Satellite) (*Result, error) {
-			det := NewGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
+			det := newGrid(Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span,
 				Workers: 2, Pool: warmPool})
 			if _, err := det.Screen(s); err != nil {
 				return nil, err
@@ -515,7 +515,7 @@ func TestGridFindsSubSampleEncounter(t *testing.T) {
 		propagation.MustSatellite(0, elA),
 		propagation.MustSatellite(1, elB),
 	}
-	res, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500}).Screen(sats)
+	res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1500}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
 			rng := mathx.NewSplitMix64(uint64(4000 + g))
 			for iter := 0; iter < itersPerWorker; iter++ {
 				w := windows[(g+iter)%len(windows)]
-				det := NewGrid(Config{
+				det := newGrid(Config{
 					ThresholdKm:      2,
 					SecondsPerSample: 1,
 					DurationSeconds:  w.duration,

@@ -43,7 +43,7 @@ func TestFullScreenPoolDraw(t *testing.T) {
 			if cfg.Workers == 1 {
 				cfg.Observer = goroutineCeiling{t: t, max: runtime.NumGoroutine()}
 			}
-			if _, err := NewGrid(cfg).Screen(sats); err != nil {
+			if _, err := newGrid(cfg).Screen(sats); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -51,7 +51,7 @@ func TestFullScreenPoolDraw(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cfg.Observer = &cancelAtStep{at: 5, cancel: cancel}
-			if _, err := NewHybrid(cfg).ScreenContext(ctx, sats); !errors.Is(err, context.Canceled) {
+			if _, err := newHybrid(cfg).ScreenContext(ctx, sats); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		},
@@ -177,7 +177,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 		obs := &stepRecorder{}
 		cfg := base
 		cfg.DurationSeconds, cfg.HalfExtentKm, cfg.Workers, cfg.Observer, cfg.Pool = 20, 1000, 2, obs, pool.New()
-		res, err := NewGrid(cfg).Screen(sats)
+		res, err := newGrid(cfg).Screen(sats)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,20 @@ package core_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	_ "repro/internal/legacy"
+	"repro/internal/propagation"
 )
+
+// screenGrid screens sats with the registered grid detector, the reference
+// of the batteries in this package.
+func screenGrid(cfg core.Config, sats []propagation.Satellite) (*core.Result, error) {
+	d, _ := core.Lookup(core.VariantGrid)
+	return d.New(cfg).ScreenContext(context.Background(), sats)
+}
 
 // TestRegistryHasAllFamilies pins the full registry as seen through the
 // blank import: every detector family, each constructible.
@@ -63,7 +72,7 @@ func TestAllRegisteredVariantsAgreeWithGrid(t *testing.T) {
 	)
 	sats := crossingPairsPopulation(11, span, 8)
 
-	ref, err := core.NewGrid(core.Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}).Screen(sats)
+	ref, err := screenGrid(core.Config{ThresholdKm: threshold, SecondsPerSample: 1, DurationSeconds: span, Workers: 2}, sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +116,54 @@ func TestAllRegisteredVariantsAgreeWithGrid(t *testing.T) {
 			}
 			check(refEvents, events, "missing vs grid reference")
 			check(events, refEvents, "spurious vs grid reference")
+		})
+	}
+}
+
+// TestPhaseSequences pins the Observer phase contract (core.Phase) of every
+// registered variant, on a full screen and, for the incremental ones, on a
+// delta pass: grid and aabb report allocate, sample, freeze, refine; hybrid
+// adds filter before refine; legacy reports none. A variant registered
+// without an entry here fails.
+func TestPhaseSequences(t *testing.T) {
+	want := map[core.Variant]string{
+		core.VariantGrid:   "allocate sample freeze refine",
+		core.VariantAABB:   "allocate sample freeze refine",
+		core.VariantHybrid: "allocate sample freeze filter refine",
+		core.VariantLegacy: "",
+	}
+	const span = 600.0
+	sats := crossingPairsPopulation(3, span, 4)
+	ctx := context.Background()
+	for _, d := range core.Variants() {
+		t.Run(string(d.Name), func(t *testing.T) {
+			w, ok := want[d.Name]
+			if !ok {
+				t.Fatalf("no phase sequence pinned for %q", d.Name)
+			}
+			var got []string
+			obs := core.ObserverFuncs{Phase: func(p core.PhaseInfo) { got = append(got, string(p.Phase)) }}
+			det := d.New(core.Config{ThresholdKm: 2, DurationSeconds: span, Workers: 2, Observer: obs})
+			if _, err := det.ScreenContext(ctx, sats); err != nil {
+				t.Fatal(err)
+			}
+			if s := strings.Join(got, " "); s != w {
+				t.Errorf("full screen: phases %q, want %q", s, w)
+			}
+			delta, ok := det.(core.DeltaDetector)
+			if ok != d.Incremental {
+				t.Fatalf("Incremental = %v, but the detector implements DeltaDetector: %v", d.Incremental, ok)
+			}
+			if !ok {
+				return
+			}
+			got = nil
+			if _, err := delta.ScreenDelta(ctx, sats, core.DeltaInput{Dirty: []int32{sats[0].ID}}); err != nil {
+				t.Fatal(err)
+			}
+			if s := strings.Join(got, " "); s != w {
+				t.Errorf("delta pass: phases %q, want %q", s, w)
+			}
 		})
 	}
 }

@@ -1,10 +1,29 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/propagation"
 )
+
+// newDetector constructs the variant registered under name; newGrid,
+// newHybrid and newAABB are its shorthands.
+func newDetector(name Variant, cfg Config) *detector {
+	d, _ := Lookup(name)
+	return d.New(cfg).(*detector)
+}
+
+func newGrid(cfg Config) *detector   { return newDetector(VariantGrid, cfg) }
+func newHybrid(cfg Config) *detector { return newDetector(VariantHybrid, cfg) }
+func newAABB(cfg Config) *detector   { return newDetector(VariantAABB, cfg) }
+
+// Screen is ScreenContext without cancellation, for the tests.
+func (d *detector) Screen(sats []propagation.Satellite) (*Result, error) {
+	return d.ScreenContext(context.Background(), sats)
+}
 
 // TestRegistryContents checks the in-package detectors self-registered with
 // well-formed descriptors and that the enumeration order is deterministic.
@@ -24,6 +43,9 @@ func TestRegistryContents(t *testing.T) {
 		}
 		if d.Description == "" {
 			t.Errorf("Lookup(%q): empty description", name)
+		}
+		if !d.Incremental {
+			t.Errorf("Lookup(%q): not incremental", name)
 		}
 	}
 	if _, ok := Lookup("no-such-variant"); ok {
@@ -45,34 +67,6 @@ func TestRegistryContents(t *testing.T) {
 	}
 }
 
-// TestRegistryCapabilitiesMatchImplementation: a descriptor advertising
-// CapScreenDelta must construct a detector that actually implements
-// DeltaDetector, and vice versa — the flags are load-bearing (satconj
-// routes ScreenDelta through them).
-func TestRegistryCapabilitiesMatchImplementation(t *testing.T) {
-	for _, d := range Variants() {
-		det := d.New(Config{DurationSeconds: 60})
-		if det == nil {
-			t.Fatalf("%s: constructor returned nil", d.Name)
-		}
-		_, isDelta := det.(DeltaDetector)
-		if d.Caps.Has(CapScreenDelta) != isDelta {
-			t.Errorf("%s: CapScreenDelta=%v but DeltaDetector=%v",
-				d.Name, d.Caps.Has(CapScreenDelta), isDelta)
-		}
-	}
-}
-
-func TestCapabilityHas(t *testing.T) {
-	c := CapScreenDelta | CapSink
-	if !c.Has(CapScreenDelta) || !c.Has(CapSink) || !c.Has(CapScreenDelta|CapSink) {
-		t.Error("Has misses present flags")
-	}
-	if c.Has(CapObserver) || c.Has(CapScreenDelta|CapObserver) {
-		t.Error("Has reports absent flags")
-	}
-}
-
 // expectPanic returns a deferred checker asserting the test body panicked
 // with a message containing want.
 func expectPanic(t *testing.T, want string) func() {
@@ -90,7 +84,7 @@ func expectPanic(t *testing.T, want string) func() {
 }
 
 func TestRegisterRejectsBadRegistrations(t *testing.T) {
-	ctor := func(cfg Config) Detector { return NewGrid(cfg) }
+	ctor := func(cfg Config) Detector { return newGrid(cfg) }
 	t.Run("duplicate", func(t *testing.T) {
 		defer expectPanic(t, "already registered")()
 		Register(VariantGrid, Descriptor{New: ctor})

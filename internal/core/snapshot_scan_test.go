@@ -27,11 +27,11 @@ func TestWarmStartMatchesColdScreen(t *testing.T) {
 	coldCfg := warmCfg
 	coldCfg.Propagator = coldOnly{propagation.TwoBody{}}
 
-	warm, err := NewGrid(warmCfg).Screen(sats)
+	warm, err := newGrid(warmCfg).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewGrid(coldCfg).Screen(sats)
+	cold, err := newGrid(coldCfg).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestColdPropagatorsThroughBuildKernel(t *testing.T) {
 			oneSlot := twoSlot
 			oneSlot.ablation.oneSlotRing = true
 
-			want, err := NewGrid(oneSlot).Screen(sats)
+			want, err := newGrid(oneSlot).Screen(sats)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want.Conjunctions) == 0 {
 				t.Fatal("no conjunctions: the comparison would be vacuous")
 			}
-			got, err := NewGrid(twoSlot).Screen(sats)
+			got, err := newGrid(twoSlot).Screen(sats)
 			if err != nil {
 				t.Fatal(err)
 			}

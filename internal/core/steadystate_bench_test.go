@@ -24,7 +24,7 @@ func steadyStateConfig() Config {
 
 func BenchmarkSteadyStateScreen(b *testing.B) {
 	sats := benchShellPopulation(b, 1000)
-	det := NewGrid(steadyStateConfig())
+	det := newGrid(steadyStateConfig())
 	// One warm-up window so one-time costs (first-use pools, lazy sizing)
 	// do not count against the steady state.
 	if _, err := det.Screen(sats); err != nil {

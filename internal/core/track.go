@@ -180,10 +180,10 @@ type Session struct {
 }
 
 // NewSession returns a session screening under cfg with the named variant,
-// which must have an incremental mode (CapScreenDelta).
+// which must have an incremental mode (Descriptor.Incremental).
 func NewSession(variant Variant, cfg Config) (*Session, error) {
 	desc, ok := Lookup(variant)
-	if !ok || !desc.Caps.Has(CapScreenDelta) {
+	if !ok || !desc.Incremental {
 		return nil, fmt.Errorf("core: variant %q is not registered with an incremental mode", variant)
 	}
 	return &Session{desc: desc, cfg: cfg}, nil
@@ -211,7 +211,7 @@ func (s *Session) Screen(ctx context.Context, sats []propagation.Satellite, p Pa
 			s.drop("crossover")
 		}
 		delta := DeltaInput{Prior: s.prior, Dirty: p.Dirty, Removed: p.Removed, session: s}
-		res, err = det.(DeltaDetector).ScreenDelta(ctx, sats, delta) // CapScreenDelta's promise (registry_test.go)
+		res, err = det.(DeltaDetector).ScreenDelta(ctx, sats, delta) // Incremental's promise (Register)
 	} else {
 		reason := "journal"
 		if !p.Epoch.Equal(s.epoch) {

@@ -295,7 +295,7 @@ func TestSessionUpdateChain(t *testing.T) {
 func TestSessionDropReasons(t *testing.T) {
 	const span = 600.0
 	cfg := Config{DurationSeconds: span, Workers: 2, Pool: pool.New()}
-	det := NewHybrid(cfg)
+	det := newHybrid(cfg)
 	sess, err := NewSession(VariantHybrid, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ func TestUniformUncertaintyWidensThreshold(t *testing.T) {
 	a, b := meetingPair(0, 1, 1000, 1.1, 10)
 	sats := []propagation.Satellite{a, b}
 
-	plain, err := NewGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000}).Screen(sats)
+	plain, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 2000}).Screen(sats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +26,9 @@ func TestUniformUncertaintyWidensThreshold(t *testing.T) {
 		var res *Result
 		if variant == "grid" {
 			cfg.SecondsPerSample = 1
-			res, err = NewGrid(cfg).Screen(sats)
+			res, err = newGrid(cfg).Screen(sats)
 		} else {
-			res, err = NewHybrid(cfg).Screen(sats)
+			res, err = newHybrid(cfg).Screen(sats)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
@@ -50,7 +50,7 @@ func TestSliceUncertaintyPerObject(t *testing.T) {
 	a, b := meetingPair(0, 1, 800, 1.1, 10)
 	c, d := meetingPair(2, 3, 400, 0.9, 10)
 	u := SliceUncertainty{9, 0, 0, 0} // only object 0
-	res, err := NewGrid(Config{
+	res, err := newGrid(Config{
 		ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 1600,
 		Uncertainty: u,
 	}).Screen([]propagation.Satellite{a, b, c, d})
@@ -68,7 +68,7 @@ func TestSliceUncertaintyPerObject(t *testing.T) {
 
 func TestUncertaintyValidation(t *testing.T) {
 	a, b := meetingPair(0, 1, 100, 1.1, 0)
-	_, err := NewGrid(Config{
+	_, err := newGrid(Config{
 		ThresholdKm: 2, DurationSeconds: 200,
 		Uncertainty: UniformUncertainty(-1),
 	}).Screen([]propagation.Satellite{a, b})

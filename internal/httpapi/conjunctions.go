@@ -88,11 +88,9 @@ const (
 
 // conjQuery is the validated query surface of GET /v1/conjunctions.
 type conjQuery struct {
-	store.Query // run/object/tca/max_pca + limit, for the store and the snapshot path alike
+	store.Query // run/object/tca/max_pca + offset/limit, for the store and the snapshot path alike
 
-	offset int
-	since  uint64
-	hasRun bool
+	since uint64
 }
 
 // parseConjQuery validates every query parameter up front. Malformed
@@ -109,7 +107,7 @@ func (h *Handler) parseConjQuery(w http.ResponseWriter, r *http.Request) (conjQu
 			badQueryParam(w, "run", s)
 			return q, false
 		}
-		q.hasRun = true
+		q.HasRun = true
 	}
 	if s := vals.Get("object"); s != "" {
 		id, perr := strconv.ParseInt(s, 10, 32)
@@ -154,7 +152,7 @@ func (h *Handler) parseConjQuery(w http.ResponseWriter, r *http.Request) (conjQu
 			unprocessableParam(w, "offset", s, "want a non-negative integer")
 			return q, false
 		}
-		q.offset = n
+		q.Offset = n
 	}
 	if s := vals.Get("since_version"); s != "" {
 		v, perr := strconv.ParseUint(s, 10, 64)
@@ -184,7 +182,7 @@ func (h *Handler) queryConjunctions(w http.ResponseWriter, r *http.Request) {
 	}
 
 	snap := h.hub.Current()
-	if q.hasRun || snap == nil {
+	if q.HasRun || snap == nil {
 		h.queryStoreConjunctions(w, q)
 		return
 	}
@@ -257,7 +255,7 @@ func (h *Handler) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *se
 		MaxPCAKm: q.MaxPCAKm, HasMaxPCA: q.HasMaxPCA,
 		TCAMin: q.TCAMin, HasTCAMin: q.HasTCAMin,
 		TCAMax: q.TCAMax, HasTCAMax: q.HasTCAMax,
-	}, q.offset, q.Limit)
+	}, q.Offset, q.Limit)
 	out := SnapshotConjunctionsResponse{
 		Version:     snap.Version,
 		Epoch:       snap.Epoch,
@@ -265,7 +263,7 @@ func (h *Handler) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *se
 		Incremental: snap.Incremental,
 		Objects:     snap.Objects,
 		Total:       total,
-		Offset:      q.offset,
+		Offset:      q.Offset,
 		Limit:       q.Limit,
 		Matches:     make([]ConjunctionJSON, len(page)),
 		ETag:        snap.ETag,
@@ -273,8 +271,8 @@ func (h *Handler) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *se
 	for i, c := range page {
 		out.Matches[i] = ConjunctionJSON{A: c.A, B: c.B, TCA: c.TCA, PCA: c.PCA}
 	}
-	if rest := total - q.offset - len(page); rest > 0 {
-		out.NextOffset = q.offset + len(page)
+	if rest := total - q.Offset - len(page); rest > 0 {
+		out.NextOffset = q.Offset + len(page)
 		out.RemainingCount = rest
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -287,16 +285,7 @@ func (h *Handler) queryStoreConjunctions(w http.ResponseWriter, q conjQuery) {
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no store attached (start the server with -store-dir to persist runs) and no snapshot published yet"})
 		return
 	}
-	// The store query has no native offset; fetch offset+limit and slice —
-	// both are capped, so the over-fetch is bounded.
-	sq := q.Query
-	sq.Limit = q.Limit + q.offset
-	matches := h.store.Query(sq)
-	if q.offset >= len(matches) {
-		matches = nil
-	} else {
-		matches = matches[q.offset:]
-	}
+	matches := h.store.Query(q.Query)
 	out := ConjunctionsResponse{Matches: make([]StoredConjunctionJSON, len(matches))}
 	for i, m := range matches {
 		out.Matches[i] = StoredConjunctionJSON{RunID: m.RunID, A: m.A, B: m.B, TCA: m.TCA, PCA: m.PCA}

@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	satconj "repro"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/store"
@@ -227,6 +229,45 @@ func TestConjunctionsQueryValidation(t *testing.T) {
 		rec := doJSON(t, h, "GET", "/v1/conjunctions?"+q, nil)
 		if rec.Code != http.StatusUnprocessableEntity {
 			t.Errorf("%s: status %d, want 422", q, rec.Code)
+		}
+	}
+}
+
+// TestConjunctionsStoreQueryBounds: on the store path, run=0 names no run
+// (IDs start at 1) rather than every run, and an offset past the end — even
+// one that overflows offset+limit — pages past every match instead of
+// lifting the limit.
+func TestConjunctionsStoreQueryBounds(t *testing.T) {
+	h, _, st := newContinuousHandler(t, t.TempDir())
+	for run := 0; run < 3; run++ {
+		r := store.Run{Variant: "grid", Objects: 3}
+		for i := 0; i < 4; i++ {
+			r.Conjunctions = append(r.Conjunctions, core.Conjunction{A: int32(i), B: int32(i + 1), TCA: float64(100*run + i)})
+		}
+		if _, err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for query, want := range map[string][]float64{
+		"run=0":                                  nil,
+		"run=2&limit=2&offset=1":                 {101, 102},
+		"limit=3&offset=6":                       {102, 103, 200},
+		"limit=10000&offset=9223372036854775800": nil,
+	} {
+		rec := doJSON(t, h, "GET", "/v1/conjunctions?"+query, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, rec.Code, rec.Body.String())
+		}
+		var resp ConjunctionsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		for _, m := range resp.Matches {
+			got = append(got, m.TCA)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: TCAs %v, want %v", query, got, want)
 		}
 	}
 }

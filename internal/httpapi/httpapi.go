@@ -267,15 +267,14 @@ func (h *Handler) poolStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // VariantJSON is one GET /v1/variants entry: a registered screening variant
-// with its capability flags, generated from the detector registry.
+// and whether it accepts incremental re-screens, generated from the detector
+// registry.
 type VariantJSON struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
 	Baseline    bool   `json:"baseline,omitempty"`
 	Default     bool   `json:"default,omitempty"`
 	ScreenDelta bool   `json:"screen_delta"`
-	Sink        bool   `json:"sink"`
-	Observer    bool   `json:"observer"`
 }
 
 // listVariants reports the registered screening variants — the values the
@@ -289,9 +288,7 @@ func (h *Handler) listVariants(w http.ResponseWriter, _ *http.Request) {
 			Description: d.Description,
 			Baseline:    d.Baseline,
 			Default:     d.Name == satconj.VariantHybrid,
-			ScreenDelta: d.Caps.Has(satconj.CapScreenDelta),
-			Sink:        d.Caps.Has(satconj.CapSink),
-			Observer:    d.Caps.Has(satconj.CapObserver),
+			ScreenDelta: d.Incremental,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

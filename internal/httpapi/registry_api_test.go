@@ -91,9 +91,8 @@ func TestVariantsEndpoint(t *testing.T) {
 		if v.Name != string(d.Name) || v.Description != d.Description || v.Baseline != d.Baseline {
 			t.Errorf("entry %d = %+v, descriptor %+v", i, v, d)
 		}
-		if v.ScreenDelta != d.Caps.Has(satconj.CapScreenDelta) ||
-			v.Sink != d.Caps.Has(satconj.CapSink) || v.Observer != d.Caps.Has(satconj.CapObserver) {
-			t.Errorf("%s: capability flags diverge from descriptor", v.Name)
+		if v.ScreenDelta != d.Incremental {
+			t.Errorf("%s: screen_delta diverges from descriptor", v.Name)
 		}
 		if v.Default {
 			defaults++

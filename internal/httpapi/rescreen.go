@@ -45,9 +45,9 @@ type Rescreener struct {
 
 // NewRescreener wires a rescreener to h (which must have a catalogue;
 // a store is optional but recommended). opts selects the screening
-// parameters for every background run; opts.Variant must be grid or
-// hybrid — the only variants with an incremental mode. interval ≤ 0
-// selects one minute. logf may be nil (silent).
+// parameters for every background run; opts.Variant must have an
+// incremental mode (VariantDescriptor.Incremental: grid, hybrid or aabb).
+// interval ≤ 0 selects one minute. logf may be nil (silent).
 func NewRescreener(h *Handler, opts satconj.Options, interval time.Duration, logf func(format string, args ...any)) *Rescreener {
 	if interval <= 0 {
 		interval = time.Minute

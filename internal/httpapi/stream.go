@@ -25,9 +25,9 @@ import (
 //   - "progress":    step, steps, completed, pairs (one per sampled step,
 //     thinned to ~100 lines for long runs)
 //   - "phase":       phase, elapsed_seconds, pairs (end of each pipeline
-//     phase: allocate, sample, freeze, filter, refine; every variant emits
-//     the full set — baselines without a grid report freeze with zero
-//     elapsed rather than omitting it)
+//     phase: allocate, sample, freeze and refine on grid and aabb, with
+//     filter before refine on hybrid; none on the legacy baseline — see
+//     core.Phase)
 //   - "conjunction": conjunction (as refinement confirms it; unordered)
 //   - "result":      result (the run summary; its conjunction list is
 //     omitted — the events above already carried every one)

@@ -15,7 +15,6 @@ import (
 func init() {
 	core.Register(core.VariantLegacy, core.Descriptor{
 		Description: "sequential all-on-all filter-chain baseline, the paper's O(n²) reference (§II)",
-		Caps:        core.CapSink | core.CapObserver,
 		Baseline:    true,
 		New:         func(cfg core.Config) core.Detector { return &detector{cfg: cfg} },
 	})
@@ -39,7 +38,6 @@ func (d *detector) ScreenContext(ctx context.Context, sats []propagation.Satelli
 	if err != nil {
 		return nil, err
 	}
-	core.EmitZeroFreeze(d.cfg.Observer)
 	return &core.Result{
 		Variant:      core.VariantLegacy,
 		Backend:      "cpu-sequential",

@@ -62,7 +62,8 @@ type Run struct {
 // Query selects conjunctions across runs. A filter value applies only when
 // its Has flag is set, so zero and negative bounds mean what they say.
 type Query struct {
-	Run       uint64  // restrict to one run ID (0 = all runs)
+	Run       uint64  // restrict to one run ID
+	HasRun    bool    // (IDs start at 1, so 0 names no run)
 	Object    int32   // restrict to pairs involving this ID
 	HasObject bool    // (0 is a valid ID)
 	TCAMin    float64 // inclusive lower bound on TCA, seconds
@@ -71,6 +72,7 @@ type Query struct {
 	HasTCAMax bool
 	MaxPCAKm  float64 // inclusive upper bound on PCA
 	HasMaxPCA bool
+	Offset    int // matches skipped before the first returned
 	Limit     int // cap on returned matches (<= 0 = unlimited)
 }
 
@@ -329,9 +331,10 @@ func (s *Store) Query(q Query) []Match {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Match
+	skip := q.Offset
 	for i := range s.runs {
 		r := &s.runs[i]
-		if q.Run != 0 && r.ID != q.Run {
+		if q.HasRun && r.ID != q.Run {
 			continue
 		}
 		for _, c := range r.Conjunctions {
@@ -345,6 +348,10 @@ func (s *Store) Query(q Query) []Match {
 				continue
 			}
 			if q.HasMaxPCA && c.PCA > q.MaxPCAKm {
+				continue
+			}
+			if skip > 0 {
+				skip--
 				continue
 			}
 			out = append(out, Match{RunID: r.ID, Conjunction: c})

@@ -108,7 +108,7 @@ func TestQuery(t *testing.T) {
 	if got := s.Query(Query{}); len(got) != 10 {
 		t.Fatalf("unbounded query: %d matches, want 10", len(got))
 	}
-	if got := s.Query(Query{Run: 2}); len(got) != 5 || got[0].RunID != 2 {
+	if got := s.Query(Query{Run: 2, HasRun: true}); len(got) != 5 || got[0].RunID != 2 {
 		t.Fatalf("run filter: %v", got)
 	}
 	// Object 0 appears only as A of the first conjunction of each run.
@@ -116,7 +116,7 @@ func TestQuery(t *testing.T) {
 		t.Fatalf("object filter: %d matches, want 2", len(got))
 	}
 	// Object 1 appears as B of conj 0 and A of conj 1.
-	if got := s.Query(Query{Object: 1, HasObject: true, Run: 1}); len(got) != 2 {
+	if got := s.Query(Query{Object: 1, HasObject: true, Run: 1, HasRun: true}); len(got) != 2 {
 		t.Fatalf("object-1 filter: %d matches, want 2", len(got))
 	}
 	if got := s.Query(Query{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}); len(got) != 4 {
@@ -127,6 +127,15 @@ func TestQuery(t *testing.T) {
 	}
 	if got := s.Query(Query{Limit: 3}); len(got) != 3 {
 		t.Fatalf("limit: %d matches, want 3", len(got))
+	}
+	if got := s.Query(Query{Run: 0, HasRun: true}); len(got) != 0 {
+		t.Fatalf("run 0 names no run: %d matches, want 0", len(got))
+	}
+	if got := s.Query(Query{Offset: 8, Limit: 5}); len(got) != 2 || got[0].RunID != 2 || got[0].TCA != 1300 {
+		t.Fatalf("offset 8: %v, want run 2's last two", got)
+	}
+	if got := s.Query(Query{Offset: math.MaxInt, Limit: 10000}); len(got) != 0 {
+		t.Fatalf("offset past the end: %d matches, want 0", len(got))
 	}
 }
 

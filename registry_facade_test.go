@@ -75,9 +75,9 @@ func TestUnknownVariantErrorListsRegistered(t *testing.T) {
 	}
 }
 
-// TestScreenDeltaHonoursCapabilityFlag: variants registered without
-// CapScreenDelta must be rejected by the incremental entry point with a
-// descriptive error, not a type-assertion panic.
+// TestScreenDeltaHonoursCapabilityFlag: variants that are not Incremental
+// must be rejected by the incremental entry point with a descriptive error,
+// not a type-assertion panic.
 func TestScreenDeltaHonoursCapabilityFlag(t *testing.T) {
 	sats := crossingPair(t, 800)
 	for _, d := range Variants() {
@@ -85,7 +85,7 @@ func TestScreenDeltaHonoursCapabilityFlag(t *testing.T) {
 		t.Run(string(d.Name), func(t *testing.T) {
 			_, err := ScreenDelta(sats, Options{Variant: d.Name, ThresholdKm: 2, DurationSeconds: 1600},
 				DeltaInput{Dirty: []int32{0}})
-			if d.Caps.Has(CapScreenDelta) {
+			if d.Incremental {
 				if err != nil {
 					t.Fatalf("delta-capable variant rejected: %v", err)
 				}
@@ -93,17 +93,5 @@ func TestScreenDeltaHonoursCapabilityFlag(t *testing.T) {
 				t.Fatalf("err = %v, want capability rejection", err)
 			}
 		})
-	}
-}
-
-// TestWindowStepsOption plumbs the AABB window width through the facade.
-func TestWindowStepsOption(t *testing.T) {
-	sats := crossingPair(t, 800)
-	res, err := Screen(sats, Options{Variant: VariantAABB, ThresholdKm: 2, DurationSeconds: 1600, WindowSteps: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Events(10)) != 1 {
-		t.Error("window-5 AABB screen missed the encounter")
 	}
 }

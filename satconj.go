@@ -4,8 +4,10 @@
 //
 // The library screens large satellite populations (thousands to millions of
 // objects) for close approaches below a distance threshold over a time
-// window, using a uniform spatial grid backed by non-blocking atomic hash
-// maps. Screening algorithms are registered with the central detector
+// window, using a uniform spatial grid: each sampling step sorts the objects
+// by cell key and sweeps neighbouring cells for candidate pairs (an
+// incremental pass stamps the changed objects into a lock-free hash set
+// instead). Screening algorithms are registered with the central detector
 // registry (see Variants for the live list); the built-in set is:
 //
 //   - VariantGrid — the paper's purely grid-based method: fine time
@@ -110,24 +112,9 @@ const (
 )
 
 // VariantDescriptor describes one registered screening variant: its name,
-// one-line description, capability flags, and whether it is an O(n²)
-// baseline. See core.Descriptor.
+// one-line description, whether it accepts incremental re-screens
+// (ScreenDelta), and whether it is an O(n²) baseline. See core.Descriptor.
 type VariantDescriptor = core.Descriptor
-
-// Capability flags a variant descriptor can advertise.
-type Capability = core.Capability
-
-// The capability flags.
-const (
-	// CapScreenDelta: the variant accepts incremental re-screens
-	// (ScreenDelta).
-	CapScreenDelta = core.CapScreenDelta
-	// CapSink: the variant streams conjunctions to Options.Sink in flight.
-	CapSink = core.CapSink
-	// CapObserver: the variant reports step/phase progress to
-	// Options.Observer.
-	CapObserver = core.CapObserver
-)
 
 // Variants enumerates every registered screening variant, sorted by name.
 func Variants() []VariantDescriptor { return core.Variants() }
@@ -155,10 +142,6 @@ type Options struct {
 	// UseJ2 propagates with the secular J2 perturbation instead of pure
 	// two-body motion.
 	UseJ2 bool
-	// WindowSteps sets the AABB variant's box window width W — sampling
-	// steps covered per tree build; ≤0 selects the default (16). Other
-	// variants ignore it.
-	WindowSteps int
 	// Propagator overrides the force model entirely (e.g. a
 	// NumericPropagator); it takes precedence over UseJ2.
 	Propagator Propagator
@@ -167,10 +150,10 @@ type Options struct {
 	// and PerObjectUncertainty.
 	Uncertainty UncertaintyMap
 	// Sink, when non-nil, streams each conjunction out as refinement
-	// confirms it, before Screen returns (variants advertising CapSink).
+	// confirms it, before Screen returns.
 	Sink Sink
 	// Observer, when non-nil, receives step and phase progress while the
-	// screening is in flight (variants advertising CapObserver).
+	// screening is in flight.
 	Observer Observer
 }
 
@@ -239,7 +222,7 @@ func Screen(sats []Satellite, o Options) (*Result, error) {
 // N·k instead of N², while the result matches a full Screen of the same
 // population (the delta differential battery in internal/core pins this).
 // A delta touching more than an eighth of the population is screened in
-// full instead. Variants advertising CapScreenDelta only.
+// full instead. Incremental variants (VariantDescriptor.Incremental) only.
 func ScreenDelta(sats []Satellite, o Options, delta DeltaInput) (*Result, error) {
 	return ScreenDeltaContext(context.Background(), sats, o, delta)
 }
@@ -251,14 +234,10 @@ func ScreenDeltaContext(ctx context.Context, sats []Satellite, o Options, delta 
 	if err != nil {
 		return nil, err
 	}
-	if !desc.Caps.Has(core.CapScreenDelta) {
+	if !desc.Incremental {
 		return nil, fmt.Errorf("satconj: variant %q has no incremental mode", desc.Name)
 	}
-	det, ok := desc.New(o.coreConfig(o.propagator())).(core.DeltaDetector)
-	if !ok {
-		return nil, fmt.Errorf("satconj: variant %q advertises ScreenDelta but does not implement it", desc.Name)
-	}
-	return det.ScreenDelta(ctx, sats, delta)
+	return desc.New(o.coreConfig(o.propagator())).(core.DeltaDetector).ScreenDelta(ctx, sats, delta)
 }
 
 // Session chains the passes of one continuously screened catalogue: it owns
@@ -272,7 +251,7 @@ type (
 )
 
 // NewSession returns a session screening under o; Pass.Observer overrides
-// o.Observer per pass. Variants advertising CapScreenDelta only.
+// o.Observer per pass. Incremental variants only.
 func NewSession(o Options) (*Session, error) {
 	desc, err := o.lookup()
 	if err != nil {
@@ -329,7 +308,6 @@ func (o Options) coreConfig(prop propagation.Propagator) core.Config {
 		DurationSeconds:  o.DurationSeconds,
 		Workers:          o.Workers,
 		Propagator:       prop,
-		WindowSteps:      o.WindowSteps,
 		Uncertainty:      o.Uncertainty,
 		Sink:             o.Sink,
 		Observer:         o.Observer,
@@ -364,19 +342,7 @@ func GenerateFragmentation(cfg FragmentationConfig) ([]Satellite, error) {
 // LoadTLE reads a TLE catalogue (two- or three-line sets) and converts it
 // into satellites with IDs assigned in file order.
 func LoadTLE(r io.Reader) ([]Satellite, error) {
-	sets, err := tle.ParseCatalog(r)
-	if err != nil {
-		return nil, err
-	}
-	sats := make([]Satellite, 0, len(sets))
-	for i, set := range sets {
-		s, err := propagation.NewSatellite(int32(i), set.Elements())
-		if err != nil {
-			return nil, fmt.Errorf("satconj: TLE %d (%s): %w", i, set.Name, err)
-		}
-		sats = append(sats, s)
-	}
-	return sats, nil
+	return loadTLE(r, tle.TLE.Elements)
 }
 
 // LoadTLEAt reads a TLE catalogue like LoadTLE but aligns every set to the
@@ -384,13 +350,18 @@ func LoadTLE(r io.Reader) ([]Satellite, error) {
 // between its own TLE epoch and the target (two-body motion). Screening
 // t = 0 then corresponds to `epoch` for the whole population.
 func LoadTLEAt(r io.Reader, epoch time.Time) ([]Satellite, error) {
+	return loadTLE(r, func(set tle.TLE) Elements { return set.ElementsAt(epoch) })
+}
+
+// loadTLE parses a catalogue and makes a satellite of each set's elements.
+func loadTLE(r io.Reader, elements func(tle.TLE) Elements) ([]Satellite, error) {
 	sets, err := tle.ParseCatalog(r)
 	if err != nil {
 		return nil, err
 	}
 	sats := make([]Satellite, 0, len(sets))
 	for i, set := range sets {
-		s, err := propagation.NewSatellite(int32(i), set.ElementsAt(epoch))
+		s, err := propagation.NewSatellite(int32(i), elements(set))
 		if err != nil {
 			return nil, fmt.Errorf("satconj: TLE %d (%s): %w", i, set.Name, err)
 		}
@@ -417,15 +388,8 @@ func WriteCDMs(w io.Writer, conjs []Conjunction, sats []Satellite, opts Options,
 	for i := range sats {
 		byID[sats[i].ID] = &sats[i]
 	}
-	var prop propagation.Propagator = propagation.TwoBody{}
-	if opts.UseJ2 {
-		prop = propagation.J2{}
-	}
-	if opts.Propagator != nil {
-		prop = opts.Propagator
-	}
 	return ccsds.WriteAll(w, conjs, func(id int32) *propagation.Satellite { return byID[id] },
-		prop, epoch, originator)
+		opts.propagator(), epoch, originator)
 }
 
 // RiskAssessment couples a conjunction's miss distance with its collision
