@@ -36,11 +36,12 @@ loc:
 ## loop's stress test rides along: its cancellation timers land at a
 ## different point of the build/scan handoff every run. So does the tracked
 ## session chain: neighbouring bytes of the key track are written by
-## different workers, and its cancelled passes stop at a different chunk.
+## different workers, and its cancelled passes stop at a different chunk. So
+## does the gate's motion table: four scan workers publish and read its rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
-	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress' ./internal/core
+	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress' ./internal/core
 	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid' ./internal/core
 
 ## mem-smoke: screen a 131072-object catalogue with the grid detector under

@@ -147,8 +147,9 @@ func main() {
 			100*float64(st.Coplanarity)/float64(st.Total()))
 	}
 	if st.GridCandidates > 0 {
-		fmt.Printf("grid candidates:  %s, %s past the radial gate (filter-rejected %s, refinements %s)\n",
+		fmt.Printf("grid candidates:  %s, %s past the radial test, %s past the motion test (filter-rejected %s, refinements %s)\n",
 			report.GroupThousands(fmt.Sprint(st.GridCandidates)),
+			report.GroupThousands(fmt.Sprint(st.CandidatePairs+st.MotionGated)),
 			report.GroupThousands(fmt.Sprint(st.CandidatePairs)),
 			report.GroupThousands(fmt.Sprint(st.FilterRejected)),
 			report.GroupThousands(fmt.Sprint(st.Refinements)))

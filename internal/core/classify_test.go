@@ -15,11 +15,12 @@ import (
 )
 
 // sampledHybridRun is a hybrid run over a seeded shell with every step
-// sampled and the candidates collected into r.keys.
+// sampled and the candidates collected into r.keys. The gate is off: these
+// tests are of the list's order and its runs, which the gate only thins.
 func sampledHybridRun(t *testing.T) *run {
 	t.Helper()
 	sats := denseShellPopulation(1500, 21)
-	cfg := Config{ThresholdKm: 2, DurationSeconds: 600, Workers: 2, Pool: pool.New()}
+	cfg := Config{ThresholdKm: 2, DurationSeconds: 600, Workers: 2, Pool: pool.New(), ablation: ablation{noGate: true}}
 	r, err := newRun(context.Background(), cfg, sats, DefaultHybridSeconds, true, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -94,8 +94,8 @@ type ablation struct {
 	// oneSlotRing scans each step inline even when the run has the workers to
 	// overlap the scan with the next step's build (see sampleSteps).
 	oneSlotRing bool
-	// noRadialGate keeps every pair the sweep finds (radialGate).
-	noRadialGate bool
+	// noGate keeps every pair the sweep finds: no radial, no motion test (radialGate).
+	noGate bool
 	// noReachRule keeps node-window records however far from the step.
 	noReachRule bool
 }
@@ -149,8 +149,9 @@ type PhaseStats struct {
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
 	Steps             int    // sampling steps processed (0 on a delta pass with nothing dirty)
-	GridCandidates    int    // distinct (pair, step) candidates from the grid, before the radial gate: the paper's c′ (Eqs. 3/4)
-	CandidatePairs    int    // the grid candidates the radial gate kept: what the filters and refinement see
+	GridCandidates    int    // distinct (pair, step) candidates from the grid, before the gate: the paper's c′ (Eqs. 3/4)
+	CandidatePairs    int    // the grid candidates the gate kept: what the filters and refinement see
+	MotionGated       int    // grid candidates the gate's radial test kept and its motion test dropped
 	DirtyObjects      int    // delta screens: size of the dirty set (0 on full screens)
 	PriorRetained     int    // delta screens: prior conjunctions carried over unrefined
 	TrackedObjects    int    // delta passes of a Session: objects whose keys were read from the key track instead of solved

@@ -112,7 +112,7 @@ func assertConjunctionsEqual(t *testing.T, name string, got, want []Conjunction)
 // it emits without the radial gate, and the count is of an ungated sampling.
 func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagation.Satellite, dirty []int32) int {
 	t.Helper()
-	cfg.ablation.noRadialGate = true
+	cfg.ablation.noGate = true
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
 		sps = map[Variant]float64{VariantHybrid: DefaultHybridSeconds, VariantAABB: DefaultAABBSeconds}[variant]

@@ -145,8 +145,9 @@ type run struct {
 	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, index, radius} per object
 	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
 	sortHist    []radixHist       // the scan's radix histograms, one per pass
-	gate        radialGate        // full screen: the sweep's radial gate; its table is pooled
-	gated       atomic.Int64      // candidates the gate dropped
+	gate        radialGate        // full screen: the sweep's gate; its tables are pooled
+	motion      motionTest        // full screen: the gate's motion test, on if gate.motion points here
+	gated       gateCounts        // candidates each test of the gate dropped
 	scanBufs    [][]uint64        // per-worker packed candidate keys, appended to for the whole run
 	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
@@ -284,16 +285,6 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 			return nil, err
 		}
 	}
-	if withGrid && !r.incremental {
-		// A step has one entry per object, so at most that many cells and IDs.
-		n := len(sats)
-		r.entries = pl.GetCellBuf(n)[:n]
-		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-		r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
-		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
-		r.stats.GridSlots = n
-		r.gate = r.newGate(gridThreshold)
-	}
 	// Candidate emission gets one private buffer per worker, for the whole run.
 	r.scanBufs = make([][]uint64, r.workers)
 	for w := range r.scanBufs {
@@ -311,6 +302,16 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 			// itself (the e → 0 root); SolveFrom handles the rest.
 			r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 		}
+	}
+	if withGrid && !r.incremental {
+		// A step has one entry per object, so at most that many cells and IDs.
+		n := len(sats)
+		r.entries = pl.GetCellBuf(n)[:n]
+		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
+		r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
+		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
+		r.stats.GridSlots = n
+		r.gate = r.newGate(gridThreshold)
 	}
 	if err := r.cancelled(); err != nil {
 		r.release()
@@ -385,6 +386,7 @@ func (r *run) release() {
 	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
 	r.pool.PutGateRows(r.gate.rows)
+	r.pool.PutMotionRows(r.motion.rows)
 	r.pool.PutKeyBuf(r.keys)
 	r.pool.PutIDIndex(r.idx)
 	for w := range r.scanBufs {
@@ -395,7 +397,7 @@ func (r *run) release() {
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.keys, r.idx = nil, nil, nil
-	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.gate.rows = nil, nil, nil, nil, nil
+	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
@@ -425,7 +427,8 @@ func (r *run) collectPairs() {
 	sortPairsBySatellite(keys)
 	r.keys = slices.Compact(keys)
 	r.stats.CandidatePairs = len(r.keys)
-	r.stats.GridCandidates = len(r.keys) + int(r.gated.Load())
+	r.stats.MotionGated = int(r.gated.motion.Load())
+	r.stats.GridCandidates = len(r.keys) + int(r.gated.radial.Load()) + r.stats.MotionGated
 	r.stats.Detection += time.Since(tCD)
 }
 
@@ -505,8 +508,8 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
-// pairs, appending the packed keys of those the radial gate keeps to worker
-// w's private buffer and counting the rest.
+// pairs, appending the packed keys of those the gate keeps to worker w's
+// private buffer and counting the rest.
 func (r *run) scanRange(w, lo, hi int) {
 	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, r.scanRadii, r.gate, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w], &r.gated)
 }

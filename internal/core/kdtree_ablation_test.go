@@ -8,7 +8,6 @@ package core
 // benchmarked against grid key+sort+scan.
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -134,7 +133,7 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 	}
 	pts := stepPositions(sats, 500)
 	entries, ids, radii := make([]lockfree.Cell, len(sats)), make([]int32, len(sats)), make([]float32, len(sats))
-	gate, dropped := openGate(len(sats)), atomic.Int64{}
+	gate, dropped := openGate(len(sats)), gateCounts{}
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	hist := histFor(grid)
 	var keys []uint64

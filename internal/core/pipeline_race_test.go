@@ -102,3 +102,66 @@ func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
 		t.Error("pipelined runs never reused a pooled structure")
 	}
 }
+
+// TestMotionTableConcurrentRaceStress stresses the motion test's shared state
+// table: four scan workers of one run compute, publish and read its rows at
+// once, several such runs draw the table from one pool, and most arm a
+// randomised cancellation (`make race` repeats it fifty times). Every screen
+// that completes must return the single-worker screen's list bit for bit,
+// with its counters, and the pool must balance once the runs drain.
+func TestMotionTableConcurrentRaceStress(t *testing.T) {
+	sats := gatePopulations(t)["debris-1500"].sats[:300]
+	cfg := Config{ThresholdKm: 2, DurationSeconds: 90, Workers: 1}
+	want, err := newGrid(cfg).Screen(sats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.MotionGated == 0 || len(want.Conjunctions) == 0 {
+		t.Fatalf("vacuous: %d motion-gated, %d records", want.Stats.MotionGated, len(want.Conjunctions))
+	}
+	p := pool.New()
+	cfg.Workers, cfg.Pool = 4, p
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var cancelled, completed int
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := mathx.NewSplitMix64(uint64(5000 + g))
+			for iter := 0; iter < 3; iter++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if iter%3 != 0 {
+					time.AfterFunc(time.Duration(rng.Intn(40))*time.Millisecond, cancel)
+				}
+				res, err := newGrid(cfg).ScreenContext(ctx, sats)
+				cancel()
+				switch {
+				case err == nil:
+					assertSameBits(t, "4 workers vs 1", res.Conjunctions, want.Conjunctions)
+					if res.Stats.CandidatePairs != want.Stats.CandidatePairs || res.Stats.MotionGated != want.Stats.MotionGated {
+						t.Errorf("goroutine %d: %d kept, %d motion-gated; one worker: %d, %d", g,
+							res.Stats.CandidatePairs, res.Stats.MotionGated, want.Stats.CandidatePairs, want.Stats.MotionGated)
+					}
+					mu.Lock()
+					completed++
+					mu.Unlock()
+				case errors.Is(err, context.Canceled):
+					mu.Lock()
+					cancelled++
+					mu.Unlock()
+				default:
+					t.Errorf("goroutine %d: %v, want a result or context.Canceled", g, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	t.Logf("outcomes: %d cancelled, %d completed", cancelled, completed)
+	if completed == 0 {
+		t.Error("no screen completed")
+	}
+	if out := p.Stats().Outstanding(); out != 0 {
+		t.Errorf("pool left %d structures outstanding", out)
+	}
+}

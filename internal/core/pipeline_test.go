@@ -99,7 +99,9 @@ func TestFullScreenPoolDraw(t *testing.T) {
 func TestScreenAtCubeEdge(t *testing.T) {
 	const span, sps = 900.0, 1.0
 	sats := denseShellPopulation(200, 7) // IDs are population indices
-	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, HalfExtentKm: 6000}
+	// The gate is off: the reference is the sweep's by definition, every
+	// cell-adjacent pair; TestRadialGateIsRecordExact covers the gate.
+	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, HalfExtentKm: 6000, ablation: ablation{noGate: true}}
 	newTestRun := func(cfg Config) *run {
 		cfg.Pool = pool.New()
 		r, err := newRun(context.Background(), cfg, sats, sps, true, nil)

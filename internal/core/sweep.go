@@ -9,6 +9,7 @@ import (
 	"repro/internal/lockfree"
 	"repro/internal/orbit"
 	"repro/internal/propagation"
+	"repro/internal/vec3"
 )
 
 // sortDigitBits is the radix of sortCells.
@@ -88,71 +89,162 @@ func groupCells(sorted []lockfree.Cell, ids []int32, radii []float32) []lockfree
 }
 
 // radialGate is the sweep's test on a (pair, step) before it emits one
-// (DESIGN.md §10): keep the pair iff its radii at the step differ by at most
-// g + (ṙ_a + ṙ_b)·max(W_a, W_b), from the objects' rows of the run's table.
-// g = +Inf keeps every pair.
+// (DESIGN.md §10), in two parts, each over the pair's reach W_ab = max(W_a,
+// W_b) from the objects' rows of the run's table. The radial test keeps the
+// pair iff its radii at the step differ by at most g + (ṙ_a + ṙ_b)·W_ab. The
+// motion test, if the gate has one, then drops it iff prefilterReject proves
+// that the separation stays above g + p·W_ab over [t − W_ab, t + W_ab] ∩
+// [0, span]. g = +Inf keeps every pair.
 type radialGate struct {
-	rows []lockfree.GateRow // by population index
-	g    float32
+	rows   []lockfree.GateRow // by population index
+	g      float32
+	motion *motionTest // nil: the radial test alone
 }
+
+// gateCounts are the pairs each test of a run's gate dropped.
+type gateCounts struct{ radial, motion atomic.Int64 }
 
 // pairs appends to buf the keys of member y's pairs with members [from, to)
 // that the gate keeps and counts the rest: each key is written, only kept ones
-// stepped past (no branch). Reaches and |Δr| are ≥ 0: bits and squares order.
-func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, to int32, step uint32, dropped *int) []uint64 {
+// stepped past. Reaches and |Δr| are ≥ 0: bits and squares order. Member y's
+// state is fetched at the first pair the motion test sees.
+func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, to int32, step uint32, radial, motion *int) []uint64 {
 	b, rb := g.rows[ids[y]], radii[y]
 	bReach := math.Float32bits(b.Reach)
 	n, xs, rs := len(buf), ids[from:to], radii[from:to]
 	out := slices.Grow(buf, len(xs))[:n+len(xs)]
+	var pb, vb vec3.V
+	fetched := false
 	for k, x := range xs {
 		a := &g.rows[x]
 		dr := rs[k] - rb
-		bound := g.g + (a.RDot+b.RDot)*math.Float32frombits(max(math.Float32bits(a.Reach), bReach))
+		reach := math.Float32frombits(max(math.Float32bits(a.Reach), bReach))
+		bound := g.g + (a.RDot+b.RDot)*reach
 		out[n] = lockfree.PackPair(a.ID, b.ID, step)
-		if dr*dr <= bound*bound {
+		switch {
+		case dr*dr > bound*bound:
+			*radial++
+		case g.motion == nil:
 			n++
+		default:
+			if !fetched {
+				pb, vb = g.motion.state(ids[y], step)
+				fetched = true
+			}
+			if g.motion.separates(x, ids[y], pb, vb, step, reach, g.g) {
+				*motion++
+			} else {
+				n++
+			}
 		}
 	}
-	*dropped += len(out) - n
 	return out[:n]
 }
 
-// gateSlack is the gate's relative float32 allowance on ṙ, W and (· r_max) g:
-// many times the rounding of the radii and of the gate's arithmetic (2⁻²⁴).
+// motionTest is the gate's second test: the pre-filter's bound over the whole
+// reach, from states computed at most once per object per step (DESIGN.md §10).
+type motionTest struct {
+	rows      []lockfree.MotionRow // by population index, pooled; Stamp = step+1 once a row holds the step
+	pad       float32              // p: the velocity error two of the table's states may carry, km/s
+	sats      []propagation.Satellite
+	prop      propagation.Propagator
+	warm      propagation.WarmStarter // nil: cold State calls
+	sps, span float64
+}
+
+// rowBusy is the stamp of a row a worker is writing.
+const rowBusy = math.MaxUint32
+
+// state returns object i's position and velocity at step, rounded to
+// float32: from its row if the row holds the step, else computed as
+// refinement computes them and, unless another worker holds the row,
+// published. A row is a function of (i, step) alone, so either way every
+// worker gets the same values.
+func (m *motionTest) state(i int32, step uint32) (pos, vel vec3.V) {
+	row := &m.rows[i]
+	stamp := row.Stamp.Load()
+	if stamp == step+1 {
+		return vec32(row.Pos), vec32(row.Vel)
+	}
+	s, t := &m.sats[i], float64(step)*m.sps
+	if m.warm != nil {
+		pos, vel, _ = m.warm.StateWarm(s, t, s.Elements.MeanAnomaly+s.MeanMotion()*t)
+	} else {
+		pos, vel = m.prop.State(s, t)
+	}
+	p32, v32 := round32(pos), round32(vel)
+	if stamp != rowBusy && row.Stamp.CompareAndSwap(stamp, rowBusy) {
+		row.Pos, row.Vel = p32, v32
+		row.Stamp.Store(step + 1)
+	}
+	return vec32(p32), vec32(v32)
+}
+
+// separates reports whether prefilterReject proves that objects x and y, y
+// at (pb, vb), stay more than g + p·w apart over [t − w, t + w] ∩ [0, span].
+func (m *motionTest) separates(x, y int32, pb, vb vec3.V, step uint32, w, g float32) bool {
+	pa, va := m.state(x, step)
+	t, wd := float64(step)*m.sps, float64(w)
+	acc := float64(m.rows[x].Acc) + float64(m.rows[y].Acc)
+	return prefilterReject(pa, va, pb, vb, max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.pad)*wd)
+}
+
+func round32(v vec3.V) [3]float32 { return [3]float32{float32(v.X), float32(v.Y), float32(v.Z)} }
+
+func vec32(v [3]float32) vec3.V { return vec3.V{X: float64(v[0]), Y: float64(v[1]), Z: float64(v[2])} }
+
+// gateSlack is the gate's relative float32 allowance on ṙ, W, the
+// accelerations and (· r_max) g: many times the rounding of the radii, of the
+// table's states and of the gate's arithmetic (2⁻²⁴).
 const gateSlack = 1.0 / (1 << 20)
 
-// newGate fills the run's pooled radial-gate table with each object's ID and
-// pads. g is the grid's threshold d + 2·u_max plus slack, or +Inf — every
-// pair kept — if the propagator may change a or e or the gate is ablated.
+// newGate fills the run's pooled gate tables: each object's ID, pads and
+// acceleration bound. g is the grid's threshold d + 2·u_max plus slack, or
+// +Inf — every pair kept — if the propagator may change a or e or the gate
+// is ablated; the motion test is on whenever g is finite.
 func (r *run) newGate(gridThreshold float64) radialGate {
 	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1))}
-	exact, rMax := !r.cfg.ablation.noRadialGate, 0.0
+	m := &r.motion
+	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, warm: r.warm, sps: r.sps, span: r.cfg.DurationSeconds}
+	exact, rMax, dvMax := !r.cfg.ablation.noGate, 0.0, 0.0
 	for i := range r.sats {
 		s := &r.sats[i]
-		rdot, ok := radialRate(r.prop, s)
-		exact, rMax = exact && ok, max(rMax, s.Elements.ApogeeRadius())
+		rdot, acc, dv, ok := gateBounds(r.prop, s)
+		exact, rMax, dvMax = exact && ok, max(rMax, s.Elements.ApogeeRadius()), max(dvMax, dv)
 		gate.rows[i] = lockfree.GateRow{ID: s.ID, RDot: float32(rdot * (1 + gateSlack)), Reach: float32(r.reach(s) * (1 + gateSlack))}
+		m.rows[i].Acc = float32(acc * (1 + gateSlack))
 	}
+	m.pad = float32(2 * dvMax * (1 + gateSlack))
 	if exact {
-		gate.g = float32(gridThreshold + gateSlack*rMax)
+		gate.g, gate.motion = float32(gridThreshold+gateSlack*rMax), m
 	}
 	return gate
 }
 
-// radialRate bounds |dr/dt| of s, ok only if prop keeps a and e (two-body and
-// J2-secular, exact default Kepler solver): r = a(1 − e·cos E) gives
-// |dr/dM| ≤ e·√(μ/p)/n, and M advances at n (J2: n + ΔṀ).
-func radialRate(prop propagation.Propagator, s *propagation.Satellite) (rdot float64, ok bool) {
+// gateBounds bounds, for s under prop, its radial speed |dr/dt|, its
+// acceleration ‖r̈‖ and how far a velocity of the motion table may lie from
+// ṙ, ok only if prop keeps a and e (two-body and J2-secular, exact default
+// Kepler solver). Two-body: r = a(1 − e·cos E) gives |dr/dM| ≤ e·√(μ/p)/n
+// with M advancing at n, ‖r̈‖ = μ/r² ≤ μ/r_p², and the velocity is off by
+// its float32 rounding, ≤ gateSlack·v_p (v_p = √(μ/p)(1+e), the perigee
+// speed). J2 advances M at n+ΔṀ = k·n in a frame turning at ω ≤ |Ω̇|+|ω̇|
+// and returns the conic's own velocity, not ṙ: |dr/dt| scales by k, ‖r̈‖ ≤
+// k²·μ/r_p² + 2ω·k·v_p + 2ω²·r_a, and the velocity is further off by up to
+// |k−1|·v_p + ω·r_a.
+func gateBounds(prop propagation.Propagator, s *propagation.Satellite) (rdot, acc, dv float64, ok bool) {
 	el := s.Elements
-	rdot = el.Eccentricity * math.Sqrt(orbit.MuEarth/el.SemiLatusRectum())
+	vc := math.Sqrt(orbit.MuEarth / el.SemiLatusRectum())
+	vp := vc * (1 + el.Eccentricity)
+	rdot, acc, dv = el.Eccentricity*vc, peakAccel(s), gateSlack*vp
 	switch p := prop.(type) {
 	case propagation.TwoBody:
-		return rdot, p.Solver == nil
+		return rdot, acc, dv, p.Solver == nil
 	case propagation.J2:
-		_, _, dm := p.Rates(s)
-		return rdot * math.Abs(s.MeanMotion()+dm) / s.MeanMotion(), p.Solver == nil
+		dO, dw, dm := p.Rates(s)
+		k, w, ra := math.Abs(s.MeanMotion()+dm)/s.MeanMotion(), math.Abs(dO)+math.Abs(dw), el.ApogeeRadius()
+		return rdot * k, k*k*acc + 2*w*k*vp + 2*w*w*ra, dv + math.Abs(k-1)*vp + w*ra, p.Solver == nil
 	}
-	return rdot, false
+	return rdot, acc, dv, false
 }
 
 // reach bounds how far from its step a grid-rule refinement window of s
@@ -165,10 +257,10 @@ func (r *run) reach(s *propagation.Satellite) float64 {
 }
 
 // sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at the
-// step that the gate keeps, and adds those it drops to gated: every pair inside
-// a cell, and every pair between a cell and its thirteen upper half-neighbours
-// (greater keys; the other thirteen reach it from their side), which may lie
-// past hi. ids and radii are the arrays the cells' ranges index.
+// step that the gate keeps, and adds those each test drops to gated: every
+// pair inside a cell, and every pair between a cell and its thirteen upper
+// half-neighbours (greater keys; the other thirteen reach it from their side),
+// which may lie past hi. ids and radii are the arrays the cells' ranges index.
 // A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a field, so with
 // Y = 2^fieldBits and X = 2^2·fieldBits those neighbours lie in two key ranges,
 // one walk each:
@@ -180,7 +272,7 @@ func (r *run) reach(s *propagation.Satellite) float64 {
 //
 // ±1 never carries between fields, so nothing is bounds-checked, hashed or
 // probed: a neighbour outside the cube is an absent key.
-func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radialGate, lo, hi int, step uint32, fieldBits int, buf []uint64, gated *atomic.Int64) []uint64 {
+func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radialGate, lo, hi int, step uint32, fieldBits int, buf []uint64, gated *gateCounts) []uint64 {
 	if lo >= hi {
 		return buf
 	}
@@ -189,16 +281,16 @@ func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radial
 	slab, _ := slices.BinarySearchFunc(cells, cells[lo].Key+dx-dy-1, func(c lockfree.Cell, k uint64) int {
 		return cmp.Compare(c.Key, k)
 	})
-	dropped := 0
+	radial, motion := 0, 0
 	cross := func(c, nb lockfree.Cell) {
 		for y := nb.Lo; y < nb.Hi; y++ {
-			buf = gate.pairs(buf, ids, radii, y, c.Lo, c.Hi, step, &dropped)
+			buf = gate.pairs(buf, ids, radii, y, c.Lo, c.Hi, step, &radial, &motion)
 		}
 	}
 	for i := lo; i < hi; i++ {
 		c := cells[i]
 		for y := c.Lo + 1; y < c.Hi; y++ { // the pairs inside c
-			buf = gate.pairs(buf, ids, radii, y, c.Lo, y, step, &dropped)
+			buf = gate.pairs(buf, ids, radii, y, c.Lo, y, step, &radial, &motion)
 		}
 		for j := i + 1; j < len(cells) && cells[j].Key <= c.Key+dy+1; j++ {
 			if k := cells[j].Key; k == c.Key+1 || k >= c.Key+dy-1 {
@@ -214,6 +306,7 @@ func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radial
 			}
 		}
 	}
-	gated.Add(int64(dropped))
+	gated.radial.Add(int64(radial))
+	gated.motion.Add(int64(motion))
 	return buf
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/lockfree"
@@ -54,7 +53,7 @@ func openGate(n int) radialGate {
 // sweepOpen is sweepCells at step 0 with every pair kept, for cells whose
 // entries carry object i as index i.
 func sweepOpen(cells []lockfree.Cell, ids []int32, lo, hi, fieldBits int, buf []uint64) []uint64 {
-	return sweepCells(cells, ids, make([]float32, len(ids)), openGate(len(ids)), lo, hi, 0, fieldBits, buf, new(atomic.Int64))
+	return sweepCells(cells, ids, make([]float32, len(ids)), openGate(len(ids)), lo, hi, 0, fieldBits, buf, new(gateCounts))
 }
 
 // sortedFrozenCells is the reference build: object i (ID i) goes into cell

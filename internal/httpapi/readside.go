@@ -65,7 +65,7 @@ func newServerMetrics(reg *observability.Registry) *serverMetrics {
 	m.rescreenSort = reg.NewCounter("conjserver_rescreen_sort_seconds_total",
 		"Cumulative rescreen wall time in the scan's serial sort + group: a share of the detection phase's seconds.", nil)
 	m.rescreenCandidates = reg.NewCounterVec("conjserver_rescreen_candidates_total",
-		"Cumulative rescreen (pair, step) candidates by stage: grid (the grid's, c′) and gated (past the radial gate).", []string{"stage"})
+		"Cumulative rescreen (pair, step) candidates by stage: grid (the grid's, c′), radial (past the gate's radial test) and gated (past its motion test too).", []string{"stage"})
 	m.rescreenTracked = reg.NewGauge("conjserver_rescreen_tracked_objects",
 		"Objects whose cells the last rescreen pass read from the key track instead of solving.", nil)
 	m.rescreenTrackBytes = reg.NewGauge("conjserver_rescreen_track_bytes",
@@ -164,6 +164,7 @@ func (m *serverMetrics) observePhases(stats satconj.PhaseStats) {
 	}
 	m.rescreenSort.Add(stats.Sort.Seconds())
 	m.rescreenCandidates.With("grid").Add(float64(stats.GridCandidates))
+	m.rescreenCandidates.With("radial").Add(float64(stats.CandidatePairs + stats.MotionGated))
 	m.rescreenCandidates.With("gated").Add(float64(stats.CandidatePairs))
 }
 

@@ -269,6 +269,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"conjserver_rescreen_phase_seconds_total{phase=\"detection\"}",
 		"conjserver_rescreen_sort_seconds_total",
 		"conjserver_rescreen_candidates_total{stage=\"grid\"}",
+		"conjserver_rescreen_candidates_total{stage=\"radial\"}",
 		"conjserver_rescreen_candidates_total{stage=\"gated\"}",
 		"conjserver_catalog_version 2\n",
 		"conjserver_snapshot_age_seconds",

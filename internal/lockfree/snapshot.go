@@ -1,6 +1,9 @@
 package lockfree
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file has no production caller. A full screen used to insert every
 // object into a GridSet and Freeze it once per step; it now writes one
@@ -24,6 +27,15 @@ type Cell struct {
 type GateRow struct {
 	ID          int32
 	RDot, Reach float32
+}
+
+// MotionRow is one object's row of a full screen's motion-test table
+// (internal/core): its position (km) and velocity (km/s) at the step Stamp
+// names, rounded to float32, and a bound on its acceleration (km/s²).
+type MotionRow struct {
+	Pos, Vel [3]float32
+	Acc      float32
+	Stamp    atomic.Uint32
 }
 
 // GridSnapshot is the frozen, scan-friendly form of a GridSet: a compact list

@@ -141,6 +141,33 @@ func TestGateRowsLengthReuseAndDrain(t *testing.T) {
 	}
 }
 
+func TestMotionRowsZeroedReuseAndBalance(t *testing.T) {
+	p := New()
+	rows := p.GetMotionRows(100)
+	if len(rows) != 100 {
+		t.Fatalf("table length %d, want 100", len(rows))
+	}
+	rows[0].Pos[0] = 7 // rows written at some step
+	rows[1].Stamp.Store(5)
+	p.PutMotionRows(rows)
+	p.PutMotionRows(nil)
+	got := p.GetMotionRows(60)
+	if len(got) != 60 || &got[0] != &rows[0] {
+		t.Fatal("a fitting request did not reuse the idle table")
+	}
+	if got[0].Pos[0] != 0 || got[1].Stamp.Load() != 0 {
+		t.Fatal("a reused table still names a step: Get must zero it")
+	}
+	p.PutMotionRows(got)
+	if s := p.Stats(); s.Outstanding() != 0 || s.Hits != 1 {
+		t.Fatalf("stats %+v, want balanced with one hit", s)
+	}
+	p.Drain()
+	if got := p.GetMotionRows(60); &got[0] == &rows[0] {
+		t.Fatal("motion table survived Drain")
+	}
+}
+
 func TestNewKindsDisabled(t *testing.T) {
 	p := Disabled()
 	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})

@@ -1,5 +1,5 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// stamp tables, entry and sort buffers, radial-gate tables, propagation state
+// stamp tables, entry and sort buffers, gate tables, propagation state
 // buffers, candidate key buffers and ID-index maps — across sampling steps,
 // runs and concurrent HTTP requests.
 //
@@ -24,6 +24,7 @@
 //   - State buffers are returned with stale contents and fully overwritten
 //     by the propagation phase before any read.
 //   - ID-index maps are cleared on Put.
+//   - Motion tables are zeroed on Get: no row's stamp names a step.
 //   - Pair-key buffers, cell buffers, radial-gate tables and Kepler warm-start
 //     caches are returned with stale contents: key and cell buffers are handed
 //     out with length 0 (a step's build overwrites every entry the scan reads),
@@ -75,6 +76,7 @@ type Pool struct {
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
 	gateRows [][]lockfree.GateRow
+	motion   [][]lockfree.MotionRow
 	kcaches  [][]propagation.KeplerCache
 	bitsets  [][]uint64
 
@@ -124,6 +126,7 @@ func (p *Pool) Drain() {
 	p.keyBufs = nil
 	p.cellBufs = nil
 	p.gateRows = nil
+	p.motion = nil
 	p.kcaches = nil
 	p.bitsets = nil
 	p.mu.Unlock()
@@ -266,6 +269,16 @@ func (p *Pool) GetGateRows(n int) []lockfree.GateRow { return getBuf(p, &p.gateR
 
 // PutGateRows returns a radial-gate table to the pool. nil is ignored.
 func (p *Pool) PutGateRows(b []lockfree.GateRow) { putBuf(p, &p.gateRows, b, maxIdleBuffers) }
+
+// GetMotionRows returns a zeroed motion-test table of length n.
+func (p *Pool) GetMotionRows(n int) []lockfree.MotionRow {
+	b := getBuf(p, &p.motion, n, true)[:n]
+	clear(b)
+	return b
+}
+
+// PutMotionRows returns a motion-test table to the pool. nil is ignored.
+func (p *Pool) PutMotionRows(b []lockfree.MotionRow) { putBuf(p, &p.motion, b, maxIdleBuffers) }
 
 // GetKeplerCache returns a warm-start cache of length n with stale contents;
 // the detectors reinitialise every entry before the first sampling step.
