@@ -13,12 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: go vet plus the repo's own analyzers (cmd/vetconj): the
-## AST-pattern checks and the flow-sensitive sinklock check of DESIGN.md
-## §7. Opt-outs are //lint:<analyzer>-ok with a justification on the same
+## lint: gofmt (fails listing every file it would reformat), go vet, and
+## the repo's own analyzers (cmd/vetconj): the AST-pattern checks and the
+## flow-sensitive sinklock check of DESIGN.md §7. Opt-outs are //lint:<analyzer>-ok with a justification on the same
 ## line. The registry guard keeps variant dispatch derived from
 ## core.Variants() everywhere outside internal/core (DESIGN.md §14).
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files to reformat:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vetconj ./...
 	scripts/check_variant_registry.sh

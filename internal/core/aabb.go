@@ -308,20 +308,10 @@ func (r *run) windowPropagateRange(lo, hi int) {
 	win := r.win
 	base, width, stride := win.base, win.width, win.stride
 	for i := lo; i < hi; i++ {
-		samples := win.pos[i*stride : i*stride+width]
-		if r.warm != nil {
-			kc := &r.kcache[i]
-			for k := 0; k < width; k++ {
-				t := float64(base+k) * r.sps
-				pos, vel, ecc := r.warm.StateWarm(&r.sats[i], t, kc.E+kc.DeltaE)
-				samples[k].Pos, samples[k].Vel = pos, vel
-				kc.E = ecc
-			}
-		} else {
-			for k := 0; k < width; k++ {
-				t := float64(base+k) * r.sps
-				samples[k].Pos, samples[k].Vel = r.prop.State(&r.sats[i], t)
-			}
+		samples, kc := win.pos[i*stride:i*stride+width], &r.kcache[i]
+		for k := 0; k < width; k++ {
+			t := float64(base+k) * r.sps
+			samples[k].Pos, samples[k].Vel, kc.E = r.prop.StateWarm(&r.sats[i], t, kc.E+kc.DeltaE)
 		}
 		b := aabbBox{min: samples[0].Pos, max: samples[0].Pos}
 		for k := 1; k < width; k++ {

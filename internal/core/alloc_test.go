@@ -105,7 +105,7 @@ func TestScreenErrorPathsRestorePoolBalance(t *testing.T) {
 		{"id-out-of-range", Config{ThresholdKm: 2, DurationSeconds: 100}, bad},
 		{"uncertainty-negative", Config{ThresholdKm: 2, DurationSeconds: 100, Uncertainty: SliceUncertainty{-1}}, good},
 		{"too-many-steps", Config{ThresholdKm: 2, SecondsPerSample: 0.0001, DurationSeconds: 1e7}, good},
-		{"cube-too-fine", Config{ThresholdKm: 2, DurationSeconds: 100, HalfExtentKm: 1e9}, good},
+		{"cube-too-fine", Config{ThresholdKm: 2, DurationSeconds: 100, halfExtentKm: 1e9}, good},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -90,7 +90,7 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 			p, key := lockfree.UnpackPair(k), stepless(k)
 			if _, seen := want[key]; !seen {
 				a, b := &r.sats[r.idx[p.A]], &r.sats[r.idx[p.B]]
-				want[key] = filters.Classify(a.Elements, b.Elements, r.cfg.Filters.WithThreshold(r.pairThreshold(p.A, p.B)))
+				want[key] = filters.Classify(a.Elements, b.Elements, filters.Config{ThresholdKm: r.pairThreshold(p.A, p.B)})
 				wantStats.Add(want[key])
 			}
 		}

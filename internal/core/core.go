@@ -18,11 +18,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/filters"
@@ -55,12 +55,6 @@ type Config struct {
 	Workers int
 	// Propagator advances satellites; nil selects propagation.TwoBody{}.
 	Propagator propagation.Propagator
-	// HalfExtentKm bounds the simulation cube; 0 sizes it automatically
-	// from the population's largest apogee (capped below by the paper's
-	// default GEO-covering cube when the population needs it).
-	HalfExtentKm float64
-	// Filters configures the hybrid variant's orbital filter chain.
-	Filters filters.Config
 	// Uncertainty, when non-nil, screens each pair against the effective
 	// threshold d + u(a) + u(b) instead of the uniform d (§III: the
 	// threshold should cover the position uncertainties). The grid is
@@ -80,6 +74,10 @@ type Config struct {
 	// while the run is in flight. See the Observer contract in observer.go.
 	Observer Observer
 
+	// halfExtentKm fixes the simulation cube's half-edge for this package's
+	// tests (cube edges, out-of-bounds objects, fixed key layouts); 0, the
+	// only value outside them, sizes it from the population's largest apogee.
+	halfExtentKm float64
 	// ablation holds the switches only this package's tests can set.
 	ablation ablation
 }
@@ -135,6 +133,41 @@ type Conjunction struct {
 	Step uint32  // sampling step that produced the candidate
 	TCA  float64 // time of closest approach, seconds from epoch
 	PCA  float64 // point-of-closest-approach distance, km
+}
+
+// Filter selects conjunctions by object, TCA window and PCA. A bound applies
+// only when its Has flag is set, so zero and negative bounds mean what they
+// say; the zero Filter matches every conjunction.
+type Filter struct {
+	Object    int32   // conjunctions involving this ID
+	HasObject bool    // (0 is a valid ID)
+	TCAMin    float64 // inclusive lower bound on TCA, seconds
+	HasTCAMin bool
+	TCAMax    float64 // inclusive upper bound on TCA, seconds
+	HasTCAMax bool
+	MaxPCAKm  float64 // inclusive upper bound on PCA, km
+	HasMaxPCA bool
+}
+
+// Match reports whether c passes the filter.
+func (f Filter) Match(c Conjunction) bool {
+	switch {
+	case f.HasObject && c.A != f.Object && c.B != f.Object:
+		return false
+	case f.HasTCAMin && c.TCA < f.TCAMin:
+		return false
+	case f.HasTCAMax && c.TCA > f.TCAMax:
+		return false
+	case f.HasMaxPCA && c.PCA > f.MaxPCAKm:
+		return false
+	}
+	return true
+}
+
+// CompareConjunctions orders conjunctions by (A, B, TCA, Step), the order of
+// every Result's list, as a three-way comparison for slices.SortFunc.
+func CompareConjunctions(a, b Conjunction) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B), cmp.Compare(a.TCA, b.TCA), cmp.Compare(a.Step, b.Step))
 }
 
 // PhaseStats records where the run spent its time — the §V-C1 breakdown —
@@ -200,7 +233,7 @@ func (p PhaseStats) PhaseSeconds() []PhaseSecond {
 type Result struct {
 	Variant      Variant
 	Backend      string        // "cpu", or "cpu-sequential" for the legacy baseline
-	Conjunctions []Conjunction // sorted by (A, B, TCA)
+	Conjunctions []Conjunction // sorted by CompareConjunctions
 	Stats        PhaseStats
 }
 
@@ -217,24 +250,10 @@ func (r *Result) UniquePairs() int {
 
 // Events merges conjunctions of the same pair whose TCAs lie within
 // tolSeconds of each other, keeping the smallest PCA of each cluster: one
-// entry per physical encounter.
+// entry per physical encounter. It relies on the list's order.
 func (r *Result) Events(tolSeconds float64) []Conjunction {
-	if len(r.Conjunctions) == 0 {
-		return nil
-	}
-	sorted := make([]Conjunction, len(r.Conjunctions))
-	copy(sorted, r.Conjunctions)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].A != sorted[j].A {
-			return sorted[i].A < sorted[j].A
-		}
-		if sorted[i].B != sorted[j].B {
-			return sorted[i].B < sorted[j].B
-		}
-		return sorted[i].TCA < sorted[j].TCA
-	})
 	var out []Conjunction
-	for _, c := range sorted {
+	for _, c := range r.Conjunctions {
 		if len(out) > 0 {
 			last := &out[len(out)-1]
 			if last.A == c.A && last.B == c.B && math.Abs(last.TCA-c.TCA) <= tolSeconds {
@@ -249,10 +268,6 @@ func (r *Result) Events(tolSeconds float64) []Conjunction {
 	}
 	return out
 }
-
-// PairKey returns the step-less pair identity of a conjunction, usable as a
-// map key when comparing variant outputs.
-func (c Conjunction) PairKey() uint64 { return lockfree.PackPair(c.A, c.B, 0) }
 
 // Errors returned by the detectors.
 var (

@@ -359,7 +359,7 @@ func TestOutOfBoundsCounted(t *testing.T) {
 	// A cube too small for the orbits: every sample lands outside and is
 	// counted, producing no conjunctions and no crash.
 	a, b := meetingPair(0, 1, 100, 1.1, 0)
-	res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 50, HalfExtentKm: 1000}).Screen(
+	res, err := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 50, halfExtentKm: 1000}).Screen(
 		[]propagation.Satellite{a, b})
 	if err != nil {
 		t.Fatal(err)

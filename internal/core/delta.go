@@ -261,7 +261,7 @@ func (r *run) mergeWithPrior(fresh []Conjunction, prior []Conjunction) []Conjunc
 	}
 	r.stats.PriorRetained = len(out)
 	out = append(out, fresh...)
-	sortConjunctions(out)
+	slices.SortFunc(out, CompareConjunctions)
 	return out
 }
 
@@ -281,6 +281,6 @@ func degenerateDeltaMerge(delta *DeltaInput) []Conjunction {
 			out = append(out, c)
 		}
 	}
-	sortConjunctions(out)
+	slices.SortFunc(out, CompareConjunctions)
 	return out
 }

@@ -153,8 +153,8 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 		cfg     Config
 		span    float64
 	}{
-		{"grid", VariantGrid, Config{HalfExtentKm: 9000}, 1800},
-		{"hybrid", VariantHybrid, Config{HalfExtentKm: 9000}, 1800},
+		{"grid", VariantGrid, Config{halfExtentKm: 9000}, 1800},
+		{"hybrid", VariantHybrid, Config{halfExtentKm: 9000}, 1800},
 		{"aabb", VariantAABB, Config{}, 1800},            // 1801 steps: the last window is nine
 		{"aabb-short-window", VariantAABB, Config{}, 12}, // 13 steps: one window, short of W
 	}
@@ -371,7 +371,7 @@ func TestScreenDeltaAtCubeEdge(t *testing.T) {
 		t.Run(string(variant), func(t *testing.T) {
 			pl := pool.New()
 			desc, _ := Lookup(variant)
-			det := desc.New(Config{DurationSeconds: span, SecondsPerSample: 1, HalfExtentKm: 7000, Workers: 2, Pool: pl}).(DeltaDetector)
+			det := desc.New(Config{DurationSeconds: span, SecondsPerSample: 1, halfExtentKm: 7000, Workers: 2, Pool: pl}).(DeltaDetector)
 			ctx := context.Background()
 
 			// A background well inside the cube, the two clean inner twins in

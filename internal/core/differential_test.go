@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/kdtree"
@@ -115,7 +116,7 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64) 
 			out = append(out, Conjunction{A: p.A, B: p.B, Step: p.Step, TCA: tca, PCA: pca})
 		}
 	}
-	sortConjunctions(out)
+	slices.SortFunc(out, CompareConjunctions)
 	return &Result{Conjunctions: out}
 }
 

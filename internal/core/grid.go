@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,8 +151,7 @@ type run struct {
 	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
 	prop        propagation.Propagator
-	warm        propagation.WarmStarter   // non-nil: positionAt warm-starts the Kepler solve
-	kcache      []propagation.KeplerCache // per-satellite warm-start state
+	kcache      []propagation.KeplerCache // per-satellite warm-start state of positionAt
 	steps       int
 	oob         atomic.Uint64
 	stats       PhaseStats
@@ -243,7 +241,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	cellSize := spatial.CellSize(gridThreshold, sps)
 	var grid *spatial.Grid
 	if withGrid {
-		halfExtent := cfg.HalfExtentKm
+		halfExtent := cfg.halfExtentKm
 		if halfExtent <= 0 {
 			halfExtent = autoHalfExtent(sats, cellSize)
 		}
@@ -293,15 +291,12 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	// Every loop samples in step order, so consecutive samples of one
 	// satellite differ by the fixed mean-anomaly delta n·s_ps — the
 	// warm-start precondition.
-	if ws, ok := r.prop.(propagation.WarmStarter); ok {
-		r.warm = ws
-		r.kcache = pl.GetKeplerCache(len(sats))
-		for i := range sats {
-			dm := sats[i].MeanMotion() * sps
-			// Seed E so the first step's guess E+DeltaE is the mean anomaly
-			// itself (the e → 0 root); SolveFrom handles the rest.
-			r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
-		}
+	r.kcache = pl.GetKeplerCache(len(sats))
+	for i := range sats {
+		dm := sats[i].MeanMotion() * sps
+		// Seed E so the first step's guess E+DeltaE is the mean anomaly
+		// itself (the e → 0 root); SolveFrom handles the rest.
+		r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 	}
 	if withGrid && !r.incremental {
 		// A step has one entry per object, so at most that many cells and IDs.
@@ -456,22 +451,17 @@ func (r *run) sampleAllSteps() error {
 
 // positionAt is the position kernel every sampling step shares: object i at
 // time t, position only — binning needs nothing more, and the refiner
-// re-propagates the few pairs whose velocity matters. With a warm cache the
-// previous sample's eccentric anomaly seeds the solve, advanced by n·s_ps for
-// the first two samples (the seed below the first is synthetic) and by the
-// step last observed, E_k − E_{k−1}, from then on, which keeps the guess
-// inside the solver's one-sincos acceptance even at coarse steps. Full and
-// delta passes call this once per object per step, in step order, and so see
-// bit-identical positions. Without a cache (J2, numeric): cold State.
+// re-propagates the few pairs whose velocity matters. The previous sample's
+// eccentric anomaly seeds the solve, advanced by n·s_ps for the first two
+// samples (the seed below the first is synthetic) and by the step last
+// observed, E_k − E_{k−1}, from then on, which keeps the guess inside the
+// solver's one-sincos acceptance even at coarse steps. Full and delta passes
+// call this once per object per step, in step order, and so see bit-identical
+// positions. J2 and numeric solve cold and hand the guess back.
 func (r *run) positionAt(i int, t float64) vec3.V {
-	s := &r.sats[i]
-	if r.warm == nil {
-		pos, _ := r.prop.State(s, t)
-		return pos
-	}
 	kc := &r.kcache[i]
 	prev := kc.E
-	pos, ecc := r.warm.PositionWarm(s, t, prev+kc.DeltaE)
+	pos, ecc := r.prop.PositionWarm(&r.sats[i], t, prev+kc.DeltaE)
 	kc.E = ecc
 	if t > 0 {
 		kc.DeltaE = mathx.WrapPi(ecc - prev)
@@ -536,7 +526,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 	var refinements, prefiltered, batches atomic.Int64
 	usePrefilter := !r.cfg.ablation.noPrefilter
 	perr := parallelFor(r.ctx, r.workers, len(pairs), func(lo, hi int) {
-		ev := newPairEvaluator(r.prop)
+		ev := &pairEvaluator{prop: r.prop}
 		f := ev.dist2Offset // hoisted: binding the method per pair would allocate
 		var out []Conjunction
 		for k := lo; k < hi; k++ {
@@ -574,7 +564,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 			}
 			threshold := r.pairThreshold(p.A, p.B)
 			oLo, oHi, loClamped, hiClamped := r.refiner.clampOffsets(center, radius)
-			if usePrefilter && prefilterReject(pa, va, pb, vb, oLo, oHi, ev.a.acc+ev.b.acc, threshold) {
+			if usePrefilter && ev.separated(pa, va, pb, vb, oLo, oHi, threshold) {
 				prefiltered.Add(1)
 				continue
 			}
@@ -608,7 +598,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 	if perr != nil {
 		return nil, perr
 	}
-	sortConjunctions(all)
+	slices.SortFunc(all, CompareConjunctions)
 	return all, nil
 }
 
@@ -734,20 +724,4 @@ func sortPairsBySatellite(keys []uint64) {
 		sortPairsBySatellite(keys[lo:end[b]])
 		lo = end[b]
 	}
-}
-
-// sortConjunctions orders by (A, B, TCA) for deterministic output.
-func sortConjunctions(cs []Conjunction) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].A != cs[j].A {
-			return cs[i].A < cs[j].A
-		}
-		if cs[i].B != cs[j].B {
-			return cs[i].B < cs[j].B
-		}
-		if cs[i].TCA != cs[j].TCA { //lint:floateq-ok — deterministic sort tie-break
-			return cs[i].TCA < cs[j].TCA
-		}
-		return cs[i].Step < cs[j].Step
-	})
 }

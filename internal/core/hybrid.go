@@ -128,7 +128,7 @@ func (r *run) classifyPairs(pairs []uint64) ([]pairDecision, error) {
 			p := lockfree.UnpackPair(pairs[dec.end-1])
 			a := &r.sats[r.idx[p.A]]
 			b := &r.sats[r.idx[p.B]]
-			g := filters.Classify(a.Elements, b.Elements, r.cfg.Filters.WithThreshold(r.pairThreshold(p.A, p.B)))
+			g := filters.Classify(a.Elements, b.Elements, filters.Config{ThresholdKm: r.pairThreshold(p.A, p.B)})
 			local.Add(g)
 			dec.class = g.Class
 			if g.Class == filters.NodeCrossing {

@@ -1,16 +1,17 @@
 // The legacy all-on-all screener lives in internal/legacy, which imports
-// core — so its differential comparison against the grid detector must run
-// from an external test package to avoid the import cycle. It also cannot
-// reach package-core test fixtures, so it builds its own deterministic
-// population of crossing pairs from first principles.
+// core — so its differential comparison against the grid detector runs from
+// an external test package, through the registry, to avoid the import cycle.
+// It also cannot reach package-core test fixtures, so it builds its own
+// deterministic population of crossing pairs from first principles.
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/legacy"
+	_ "repro/internal/legacy"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/propagation"
@@ -67,11 +68,12 @@ func TestLegacyAgreesWithGrid(t *testing.T) {
 
 	for name, workers := range map[string]int{"single-threaded": 1, "parallel": 4} {
 		t.Run(name, func(t *testing.T) {
-			legRes, err := legacy.New(legacy.Config{ThresholdKm: threshold, DurationSeconds: span, Workers: workers}).Screen(sats)
+			desc, _ := core.Lookup(core.VariantLegacy)
+			legRes, err := desc.New(core.Config{ThresholdKm: threshold, DurationSeconds: span, Workers: workers}).ScreenContext(context.Background(), sats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legEvents := (&core.Result{Conjunctions: legRes.Conjunctions}).Events(10)
+			legEvents := legRes.Events(10)
 
 			check := func(from, to []core.Conjunction, label string) {
 				for _, w := range from {

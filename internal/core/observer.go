@@ -13,7 +13,7 @@ import "time"
 
 // Sink receives conjunctions as soon as the refinement phase confirms them,
 // before the run's Result is assembled. Emissions arrive in refinement
-// completion order, not the (A, B, TCA) order of Result.Conjunctions; a
+// completion order, not the (A, B, TCA, Step) order of Result.Conjunctions; a
 // caller that needs the sorted view uses the returned Result instead (or in
 // addition — the Result always carries the full set).
 type Sink interface {

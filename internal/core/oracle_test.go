@@ -5,10 +5,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/brent"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/pool"
 	"repro/internal/propagation"
+	"repro/internal/spatial"
 )
 
 // oracleEvent is one ground-truth encounter found by dense time sampling.
@@ -227,7 +229,7 @@ func TestRefineOracleBattery(t *testing.T) {
 	prop := propagation.TwoBody{}
 	rng := mathx.NewSplitMix64(20260807)
 	ref := newRefiner(prop, 25, span)
-	ev := newPairEvaluator(prop)
+	ev := &pairEvaluator{prop: prop}
 	f := ev.dist2Offset
 
 	const trials = 40
@@ -343,13 +345,43 @@ func TestRefineOracleBattery(t *testing.T) {
 }
 
 // TestPrefilterSoundnessAgainstDenseSampling is the pre-filter's oracle: a
-// candidate prefilterReject rejects must have a true minimum separation
+// candidate refinement's pre-filter call (pairEvaluator.separated, fed the
+// states refinement feeds it) rejects must have a true minimum separation
 // above threshold over the whole interval — the bound's entire claim. Dense
-// sampling of every rejected interval verifies it; the test also requires
-// both verdicts to occur, so the battery exercises the bound's boundary.
+// sampling of every rejected interval verifies it; the random rows also
+// require both verdicts to occur, so the battery exercises the bound's
+// boundary. Under J2 the states carry the osculating conic's velocity, not
+// ṙ, and the encounter rows hold the bound to the true minimum itself.
 func TestPrefilterSoundnessAgainstDenseSampling(t *testing.T) {
+	t.Run("two-body", func(t *testing.T) { randomPrefilterBattery(t, propagation.TwoBody{}) })
+	t.Run("j2", func(t *testing.T) { randomPrefilterBattery(t, propagation.J2{}) })
+	t.Run("j2-encounters", func(t *testing.T) { encounterPrefilterBattery(t, propagation.J2{}) })
+}
+
+// minSeparation is the smallest separation of a and b over [center+lo,
+// center+hi]: the least of dense samples, polished by Brent around the
+// least — never below the true minimum, and close above it.
+func minSeparation(prop propagation.Propagator, a, b *propagation.Satellite, center, lo, hi float64, n int) float64 {
+	f := func(dt float64) float64 {
+		qa, _ := prop.State(a, center+dt)
+		qb, _ := prop.State(b, center+dt)
+		return qa.Dist2(qb)
+	}
+	dt := (hi - lo) / float64(n)
+	best, at := math.Inf(1), lo
+	for s := 0; s <= n; s++ {
+		if d := f(lo + float64(s)*dt); d < best {
+			best, at = d, lo+float64(s)*dt
+		}
+	}
+	r, _ := brent.Minimize(f, math.Max(lo, at-dt), math.Min(hi, at+dt), 1e-7, 200)
+	return math.Sqrt(math.Min(best, r.F))
+}
+
+// randomPrefilterBattery draws random pairs, windows and thresholds, and
+// checks every rejection against dense sampling.
+func randomPrefilterBattery(t *testing.T, prop propagation.Propagator) {
 	const span = 4000.0
-	prop := propagation.TwoBody{}
 	rng := mathx.NewSplitMix64(777)
 	ref := newRefiner(prop, 10, span)
 
@@ -369,6 +401,7 @@ func TestPrefilterSoundnessAgainstDenseSampling(t *testing.T) {
 	}
 
 	rejected, kept := 0, 0
+	ev := &pairEvaluator{prop: prop}
 	for trial := 0; trial < 200; trial++ {
 		var a, b *propagation.Satellite
 		if trial%5 == 4 {
@@ -385,25 +418,14 @@ func TestPrefilterSoundnessAgainstDenseSampling(t *testing.T) {
 		radius := rng.UniformRange(5, 60)
 		threshold := rng.UniformRange(1, 10)
 		lo, hi, _, _ := ref.clampOffsets(center, radius)
-		pa, va := prop.State(a, center)
-		pb, vb := prop.State(b, center)
-		if !prefilterReject(pa, va, pb, vb, lo, hi, peakAccel(a)+peakAccel(b), threshold) {
+		ev.bind(a, b)
+		pa, va, pb, vb := ev.statesAt(center)
+		if !ev.separated(pa, va, pb, vb, lo, hi, threshold) {
 			kept++
 			continue
 		}
 		rejected++
-		const n = 2000
-		dt := (hi - lo) / n
-		minD := math.Inf(1)
-		for s := 0; s <= n; s++ {
-			tt := center + lo + float64(s)*dt
-			qa, _ := prop.State(a, tt)
-			qb, _ := prop.State(b, tt)
-			if d := qa.Dist(qb); d < minD {
-				minD = d
-			}
-		}
-		if minD <= threshold {
+		if minD := minSeparation(prop, a, b, center, lo, hi, 2000); minD <= threshold {
 			t.Errorf("trial %d: pre-filter rejected pair (%d,%d) but true separation dips to %.4f km <= threshold %.4f",
 				trial, a.ID, b.ID, minD, threshold)
 		}
@@ -414,6 +436,70 @@ func TestPrefilterSoundnessAgainstDenseSampling(t *testing.T) {
 	}
 	if kept < 5 {
 		t.Errorf("only %d kept; the bound never came close to the threshold", kept)
+	}
+}
+
+// encounterPrefilterBattery builds pairs that meet at tMeet — near twins, LEO
+// crossings at any inclination, and Molniya × LEO at the Molniya perigee —
+// and windows refinement would search near the meeting, with the grid rule's
+// radius at the grid's and the hybrid's default step or a node-window radius.
+// The threshold is the window's true minimum separation, so any rejection is
+// a lost record; the bound must also come within 200 m of the truth often,
+// or the battery would test nothing.
+func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator) {
+	const span = 4000.0
+	rng := mathx.NewSplitMix64(35)
+	ref := newRefiner(prop, 10, span)
+	ev := &pairEvaluator{prop: prop}
+	leo := func(r float64) orbit.Elements {
+		return orbit.Elements{SemiMajorAxis: r, Eccentricity: 5e-4, Inclination: rng.UniformRange(0.05, 3.05)}
+	}
+	tight := 0
+	for trial := 0; trial < 600; trial++ {
+		var elA, elB orbit.Elements
+		switch kind := trial % 3; kind {
+		case 0: // near twins: planes a few degrees apart
+			elA = leo(rng.UniformRange(6700, 7300))
+			elB = elA
+			elB.Inclination = math.Min(math.Abs(elB.Inclination+rng.UniformRange(-0.2, 0.2)), 3.1)
+			elB.SemiMajorAxis += rng.UniformRange(-0.5, 0.5)
+		case 1: // LEO crossings
+			elA = leo(rng.UniformRange(6700, 7300))
+			elB = leo(elA.SemiMajorAxis + rng.UniformRange(-1, 1))
+		case 2: // Molniya at perigee × LEO
+			rp := rng.UniformRange(6700, 7000)
+			elA = orbit.Elements{SemiMajorAxis: 26600, Eccentricity: 1 - rp/26600, Inclination: 1.107}
+			elB = leo(rp + rng.UniformRange(-1, 1))
+		}
+		tMeet := rng.UniformRange(500, span-500)
+		elA.MeanAnomaly = mathx.NormalizeAngle(-elA.MeanMotion() * tMeet)
+		elB.MeanAnomaly = mathx.NormalizeAngle(-elB.MeanMotion() * tMeet)
+		a, b := propagation.MustSatellite(0, elA), propagation.MustSatellite(1, elB)
+		ev.bind(&a, &b)
+		_, va, _, vb := ev.statesAt(tMeet)
+		var radius float64
+		switch trial / 3 % 3 {
+		case 0:
+			radius = 2 * spatial.CellSize(2, DefaultGridSeconds) / math.Min(va.Norm(), vb.Norm())
+		case 1:
+			radius = 2 * spatial.CellSize(2, DefaultHybridSeconds) / math.Min(va.Norm(), vb.Norm())
+		default:
+			radius = rng.UniformRange(5, 60)
+		}
+		center := tMeet + rng.UniformRange(-1.2, 1.2)*radius
+		lo, hi, _, _ := ref.clampOffsets(center, radius)
+		pa, va, pb, vb := ev.statesAt(center)
+		minD := minSeparation(prop, &a, &b, center, lo, hi, 400)
+		if ev.separated(pa, va, pb, vb, lo, hi, minD) {
+			t.Errorf("trial %d: pre-filter rejects at the window's true minimum %.4f km (centre %.2f, radius %.2f s)", trial, minD, center, radius)
+		}
+		if ev.separated(pa, va, pb, vb, lo, hi, minD-0.2) {
+			tight++
+		}
+	}
+	t.Logf("encounter soundness: 600 windows held to their true minimum, %d with the bound within 200 m", tight)
+	if tight < 50 {
+		t.Errorf("the bound came within 200 m of the truth in only %d windows; battery too weak", tight)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 	sats := denseShellPopulation(200, 7) // IDs are population indices
 	// The gate is off: the reference is the sweep's by definition, every
 	// cell-adjacent pair; TestRadialGateIsRecordExact covers the gate.
-	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, HalfExtentKm: 6000, ablation: ablation{noGate: true}}
+	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, halfExtentKm: 6000, ablation: ablation{noGate: true}}
 	newTestRun := func(cfg Config) *run {
 		cfg.Pool = pool.New()
 		r, err := newRun(context.Background(), cfg, sats, sps, true, nil)
@@ -178,7 +178,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 	t.Run("everything-outside", func(t *testing.T) {
 		obs := &stepRecorder{}
 		cfg := base
-		cfg.DurationSeconds, cfg.HalfExtentKm, cfg.Workers, cfg.Observer, cfg.Pool = 20, 1000, 2, obs, pool.New()
+		cfg.DurationSeconds, cfg.halfExtentKm, cfg.Workers, cfg.Observer, cfg.Pool = 20, 1000, 2, obs, pool.New()
 		res, err := newGrid(cfg).Screen(sats)
 		if err != nil {
 			t.Fatal(err)

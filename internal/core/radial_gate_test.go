@@ -180,7 +180,7 @@ func assertRDotDecisive(t *testing.T, res *Result, sats []propagation.Satellite,
 	prop := propagation.TwoBody{}
 	pad := cfg.ThresholdKm
 	for i := range sats {
-		rdot, _, _, _ := gateBounds(prop, &sats[i])
+		rdot, _, _, _ := gateBounds(prop, &sats[i], gateSlack)
 		pad += rdot * sps / 2
 	}
 	for _, c := range res.Conjunctions {

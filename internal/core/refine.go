@@ -96,7 +96,8 @@ func (r *refiner) refineOffsets(f func(float64) float64, tCenter, lo, hi float64
 // the sampling loop, applied to the refine phase).
 type evalSat struct {
 	sat    *propagation.Satellite
-	acc    float64 // μ/r_p²: the orbit's peak gravitational acceleration, km/s²
+	acc    float64 // bound on ‖r̈‖ under the propagator (gateBounds), km/s²
+	dv     float64 // bound on how far the propagator's velocity lies from ṙ (gateBounds), km/s
 	ecc    float64 // eccentric anomaly at tLast
 	tLast  float64
 	warmed bool
@@ -108,17 +109,8 @@ type evalSat struct {
 // unchanged — which the (A, B, Step) candidate sort makes the common case.
 type pairEvaluator struct {
 	prop   propagation.Propagator
-	warm   propagation.WarmStarter // nil: always cold State calls
 	a, b   evalSat
 	center float64 // offset origin of dist2Offset, seconds
-}
-
-func newPairEvaluator(prop propagation.Propagator) *pairEvaluator {
-	ev := &pairEvaluator{prop: prop}
-	if w, ok := prop.(propagation.WarmStarter); ok {
-		ev.warm = w
-	}
-	return ev
 }
 
 // bind points the evaluator at a candidate and reports whether satellite a
@@ -130,13 +122,28 @@ func newPairEvaluator(prop propagation.Propagator) *pairEvaluator {
 func (e *pairEvaluator) bind(a, b *propagation.Satellite) bool {
 	rebound := e.a.sat != a
 	if rebound {
-		e.a = evalSat{sat: a, acc: peakAccel(a)}
+		e.a = e.side(a)
 	}
 	if e.b.sat != b {
-		e.b = evalSat{sat: b, acc: peakAccel(b)}
+		e.b = e.side(b)
 	}
 	e.a.warmed, e.b.warmed = false, false
 	return rebound
+}
+
+// side is a fresh evalSat for s with the bounds of the propagator's states.
+func (e *pairEvaluator) side(s *propagation.Satellite) evalSat {
+	_, acc, dv, _ := gateBounds(e.prop, s, 0)
+	return evalSat{sat: s, acc: acc, dv: dv}
+}
+
+// separated is refinement's pre-filter call: prefilterReject over the
+// offsets [lo, hi] from the bound pair's states at the centre, with both
+// sides' acceleration bounds, and the threshold padded by how far their
+// velocities may lie from ṙ over the farther end.
+func (e *pairEvaluator) separated(pa, va, pb, vb vec3.V, lo, hi, threshold float64) bool {
+	pad := (e.a.dv + e.b.dv) * max(math.Abs(lo), math.Abs(hi))
+	return prefilterReject(pa, va, pb, vb, lo, hi, e.a.acc+e.b.acc, threshold+pad)
 }
 
 // peakAccel bounds the gravitational acceleration anywhere on an orbit:
@@ -147,22 +154,17 @@ func peakAccel(s *propagation.Satellite) float64 {
 	return orbit.MuEarth / (rp * rp)
 }
 
-// state propagates one side to t. A warm-capable propagator is seeded with
-// the cache's predicted eccentric anomaly (kepler.SolveFrom re-centres any
-// guess and falls back to the cold solver, so accuracy never depends on the
-// prediction quality); an explicitly configured solver keeps the cold path
-// inside StateWarm itself.
+// state propagates one side to t, seeded with the side's predicted eccentric
+// anomaly (kepler.SolveFrom re-centres any guess and falls back to the cold
+// solver, so accuracy never depends on the prediction quality).
 func (e *pairEvaluator) state(s *evalSat, t float64) (pos, vel vec3.V) {
-	if e.warm == nil {
-		return e.prop.State(s.sat, t)
-	}
 	var guess float64
 	if s.warmed {
 		guess = s.ecc + s.sat.MeanMotion()*(t-s.tLast)
 	} else {
 		guess = s.sat.Elements.MeanAnomaly + s.sat.MeanMotion()*t // the e → 0 root
 	}
-	pos, vel, ecc := e.warm.StateWarm(s.sat, t, guess)
+	pos, vel, ecc := e.prop.StateWarm(s.sat, t, guess)
 	s.ecc, s.tLast, s.warmed = ecc, t, true
 	return pos, vel
 }

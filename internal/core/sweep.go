@@ -148,7 +148,6 @@ type motionTest struct {
 	pad       float32              // p: the velocity error two of the table's states may carry, km/s
 	sats      []propagation.Satellite
 	prop      propagation.Propagator
-	warm      propagation.WarmStarter // nil: cold State calls
 	sps, span float64
 }
 
@@ -167,11 +166,7 @@ func (m *motionTest) state(i int32, step uint32) (pos, vel vec3.V) {
 		return vec32(row.Pos), vec32(row.Vel)
 	}
 	s, t := &m.sats[i], float64(step)*m.sps
-	if m.warm != nil {
-		pos, vel, _ = m.warm.StateWarm(s, t, s.Elements.MeanAnomaly+s.MeanMotion()*t)
-	} else {
-		pos, vel = m.prop.State(s, t)
-	}
+	pos, vel, _ = m.prop.StateWarm(s, t, s.Elements.MeanAnomaly+s.MeanMotion()*t)
 	p32, v32 := round32(pos), round32(vel)
 	if stamp != rowBusy && row.Stamp.CompareAndSwap(stamp, rowBusy) {
 		row.Pos, row.Vel = p32, v32
@@ -205,11 +200,11 @@ const gateSlack = 1.0 / (1 << 20)
 func (r *run) newGate(gridThreshold float64) radialGate {
 	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1))}
 	m := &r.motion
-	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, warm: r.warm, sps: r.sps, span: r.cfg.DurationSeconds}
+	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
 	exact, rMax, dvMax := !r.cfg.ablation.noGate, 0.0, 0.0
 	for i := range r.sats {
 		s := &r.sats[i]
-		rdot, acc, dv, ok := gateBounds(r.prop, s)
+		rdot, acc, dv, ok := gateBounds(r.prop, s, gateSlack)
 		exact, rMax, dvMax = exact && ok, max(rMax, s.Elements.ApogeeRadius()), max(dvMax, dv)
 		gate.rows[i] = lockfree.GateRow{ID: s.ID, RDot: float32(rdot * (1 + gateSlack)), Reach: float32(r.reach(s) * (1 + gateSlack))}
 		m.rows[i].Acc = float32(acc * (1 + gateSlack))
@@ -222,27 +217,28 @@ func (r *run) newGate(gridThreshold float64) radialGate {
 }
 
 // gateBounds bounds, for s under prop, its radial speed |dr/dt|, its
-// acceleration ‖r̈‖ and how far a velocity of the motion table may lie from
-// ṙ, ok only if prop keeps a and e (two-body and J2-secular, exact default
-// Kepler solver). Two-body: r = a(1 − e·cos E) gives |dr/dM| ≤ e·√(μ/p)/n
-// with M advancing at n, ‖r̈‖ = μ/r² ≤ μ/r_p², and the velocity is off by
-// its float32 rounding, ≤ gateSlack·v_p (v_p = √(μ/p)(1+e), the perigee
-// speed). J2 advances M at n+ΔṀ = k·n in a frame turning at ω ≤ |Ω̇|+|ω̇|
-// and returns the conic's own velocity, not ṙ: |dr/dt| scales by k, ‖r̈‖ ≤
-// k²·μ/r_p² + 2ω·k·v_p + 2ω²·r_a, and the velocity is further off by up to
-// |k−1|·v_p + ω·r_a.
-func gateBounds(prop propagation.Propagator, s *propagation.Satellite) (rdot, acc, dv float64, ok bool) {
+// acceleration ‖r̈‖ and how far a velocity prop returns, held to a relative
+// rounding (gateSlack for the motion table's float32 states, 0 for
+// refinement's float64 ones), may lie from ṙ; ok only if prop keeps a and e
+// (two-body and J2-secular). Two-body: r = a(1 − e·cos E) gives |dr/dM| ≤
+// e·√(μ/p)/n with M advancing at n, ‖r̈‖ = μ/r² ≤ μ/r_p², and the velocity is
+// off by its rounding, ≤ rounding·v_p (v_p = √(μ/p)(1+e), the perigee speed).
+// J2 advances M at n+ΔṀ = k·n in a frame turning at ω ≤ |Ω̇|+|ω̇| and returns
+// the conic's own velocity, not ṙ: |dr/dt| scales by k, ‖r̈‖ ≤ k²·μ/r_p² +
+// 2ω·k·v_p + 2ω²·r_a, and the velocity is further off by up to |k−1|·v_p +
+// ω·r_a. Any other propagator gets the two-body bounds.
+func gateBounds(prop propagation.Propagator, s *propagation.Satellite, rounding float64) (rdot, acc, dv float64, ok bool) {
 	el := s.Elements
 	vc := math.Sqrt(orbit.MuEarth / el.SemiLatusRectum())
 	vp := vc * (1 + el.Eccentricity)
-	rdot, acc, dv = el.Eccentricity*vc, peakAccel(s), gateSlack*vp
+	rdot, acc, dv = el.Eccentricity*vc, peakAccel(s), rounding*vp
 	switch p := prop.(type) {
 	case propagation.TwoBody:
-		return rdot, acc, dv, p.Solver == nil
+		return rdot, acc, dv, true
 	case propagation.J2:
 		dO, dw, dm := p.Rates(s)
 		k, w, ra := math.Abs(s.MeanMotion()+dm)/s.MeanMotion(), math.Abs(dO)+math.Abs(dw), el.ApogeeRadius()
-		return rdot * k, k*k*acc + 2*w*k*vp + 2*w*w*ra, dv + math.Abs(k-1)*vp + w*ra, p.Solver == nil
+		return rdot * k, k*k*acc + 2*w*k*vp + 2*w*w*ra, dv + math.Abs(k-1)*vp + w*ra, true
 	}
 	return rdot, acc, dv, false
 }

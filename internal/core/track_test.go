@@ -138,7 +138,7 @@ func TestSessionUpdateChain(t *testing.T) {
 		allValid      bool // every clean row is read once the track is primed
 	}{
 		{name: "all-rows-valid", allValid: true},
-		{name: "cube-below-apogees", cfg: Config{HalfExtentKm: 6800}},
+		{name: "cube-below-apogees", cfg: Config{halfExtentKm: 6800}},
 		{name: "apogee-moves-cube", raiseApogee: true, allValid: true},
 		{name: "priming-pass-cancelled", cancelPriming: true, allValid: true},
 	}

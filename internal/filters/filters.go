@@ -23,16 +23,13 @@ import (
 type Config struct {
 	// ThresholdKm is the screening threshold d (km); the paper uses 2 km.
 	ThresholdKm float64
-	// CoplanarTolRad is the relative inclination below which two orbit
-	// planes are treated as coplanar and exempted from the node-based
-	// filters. Zero selects DefaultCoplanarTol.
-	CoplanarTolRad float64
-	// PathPadKm widens the orbit-path filter acceptance band to absorb the
-	// radius variation across the node window. Zero selects DefaultPathPad.
-	PathPadKm float64
 }
 
-// Defaults match the paper's rough-screening scenario.
+// Defaults match the paper's rough-screening scenario. Two orbit planes
+// whose relative inclination is below DefaultCoplanarTol are treated as
+// coplanar and exempted from the node-based filters; DefaultPathPad widens
+// the orbit-path filter's acceptance band to absorb the radius variation
+// across the node window.
 const (
 	DefaultThreshold   = 2.0                 // km
 	DefaultCoplanarTol = 1.0 * math.Pi / 180 // 1°
@@ -53,20 +50,6 @@ func (c Config) threshold() float64 {
 		return DefaultThreshold
 	}
 	return c.ThresholdKm
-}
-
-func (c Config) coplanarTol() float64 {
-	if c.CoplanarTolRad <= 0 {
-		return DefaultCoplanarTol
-	}
-	return c.CoplanarTolRad
-}
-
-func (c Config) pathPad() float64 {
-	if c.PathPadKm <= 0 {
-		return DefaultPathPad
-	}
-	return c.PathPadKm
 }
 
 // ApogeePerigee reports whether the radial shells [perigee−d, apogee+d] of
@@ -127,7 +110,7 @@ func Classify(a, b orbit.Elements, cfg Config) Geometry {
 	if !ApogeePerigee(a, b, d) {
 		return Geometry{Class: Rejected, RejectedBy: "apogee-perigee"}
 	}
-	line, relInc, ok := orbit.MutualNodeLine(a, b, cfg.coplanarTol())
+	line, relInc, ok := orbit.MutualNodeLine(a, b, DefaultCoplanarTol)
 	if !ok {
 		return Geometry{Class: Coplanar, RelInc: relInc}
 	}
@@ -150,7 +133,7 @@ func Classify(a, b orbit.Elements, cfg Config) Geometry {
 		if wholeOrbit {
 			return Geometry{Class: Coplanar, RelInc: relInc}
 		}
-		n.Passes = nodePathOverlap(a, b, n, d+cfg.pathPad())
+		n.Passes = nodePathOverlap(a, b, n, d+DefaultPathPad)
 		if n.Passes {
 			anyPass = true
 		}

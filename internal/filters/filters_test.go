@@ -283,14 +283,10 @@ func TestConfigDefaults(t *testing.T) {
 	if c.threshold() != DefaultThreshold {
 		t.Error("default threshold")
 	}
-	if c.coplanarTol() != DefaultCoplanarTol {
-		t.Error("default coplanar tolerance")
+	if c = (Config{ThresholdKm: 5}); c.threshold() != 5 || c.WithThreshold(3).ThresholdKm != 5 {
+		t.Error("explicit threshold ignored")
 	}
-	if c.pathPad() != DefaultPathPad {
-		t.Error("default path pad")
-	}
-	c = Config{ThresholdKm: 5, CoplanarTolRad: 0.1, PathPadKm: 1}
-	if c.threshold() != 5 || c.coplanarTol() != 0.1 || c.pathPad() != 1 {
-		t.Error("explicit config ignored")
+	if c = (Config{}).WithThreshold(3); c.threshold() != 3 {
+		t.Error("WithThreshold did not default an unset threshold")
 	}
 }

@@ -7,8 +7,6 @@ package httpapi
 // re-screens incrementally against the dirty set.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -70,16 +68,8 @@ func (h *Handler) catalogDelta(w http.ResponseWriter, r *http.Request) {
 	if h.noCatalog(w) {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.maxBody))
-	dec.DisallowUnknownFields()
 	var req DeltaRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+	if !h.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Adds) == 0 && len(req.Updates) == 0 && len(req.Removes) == 0 && req.Epoch == nil {

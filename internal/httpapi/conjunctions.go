@@ -250,12 +250,7 @@ func (h *Handler) serveSnapshot(w http.ResponseWriter, r *http.Request, snap *se
 		}
 	}
 
-	page, total := snap.Select(serve.Filter{
-		Object: q.Object, HasObject: q.HasObject,
-		MaxPCAKm: q.MaxPCAKm, HasMaxPCA: q.HasMaxPCA,
-		TCAMin: q.TCAMin, HasTCAMin: q.HasTCAMin,
-		TCAMax: q.TCAMax, HasTCAMax: q.HasTCAMax,
-	}, q.Offset, q.Limit)
+	page, total := snap.Select(q.Filter, q.Offset, q.Limit)
 	out := SnapshotConjunctionsResponse{
 		Version:     snap.Version,
 		Epoch:       snap.Epoch,

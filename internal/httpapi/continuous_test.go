@@ -104,7 +104,7 @@ func uint64FromCatalog(t *testing.T, h *Handler) uint64 {
 }
 
 func TestStatelessServerGates(t *testing.T) {
-	h := New(0) // no catalogue, no store
+	h := NewServer(Config{}) // no catalogue, no store
 	for _, probe := range []struct{ method, path string }{
 		{"GET", "/v1/catalog"},
 		{"POST", "/v1/catalog/delta"},
@@ -327,10 +327,10 @@ func TestHistorySurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestRecentRunsCapConfigurable pins the satellite task: the /v1/runs
-// retention is set by NewWithLimits and defaults to 32.
+// TestRecentRunsCapConfigurable pins the /v1/runs retention: set by
+// Config.RecentRuns, 32 by default.
 func TestRecentRunsCapConfigurable(t *testing.T) {
-	h := NewWithLimits(0, 0, 2)
+	h := NewServer(Config{RecentRuns: 2})
 	if h.runs.cap != 2 {
 		t.Fatalf("cap = %d, want 2", h.runs.cap)
 	}
@@ -341,7 +341,7 @@ func TestRecentRunsCapConfigurable(t *testing.T) {
 	if got := len(h.runs.list()); got != 2 {
 		t.Fatalf("visible finished runs = %d, want 2", got)
 	}
-	if def := NewWithLimits(0, 0, 0); def.runs.cap != defaultRecentRuns {
+	if def := NewServer(Config{}); def.runs.cap != defaultRecentRuns {
 		t.Fatalf("default cap = %d, want %d", def.runs.cap, defaultRecentRuns)
 	}
 }

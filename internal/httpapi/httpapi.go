@@ -18,7 +18,6 @@ import (
 	satconj "repro"
 	"repro/internal/catalog"
 	"repro/internal/observability"
-	"repro/internal/orbit"
 	"repro/internal/pool"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -181,18 +180,6 @@ type Config struct {
 	StaleAfter time.Duration
 }
 
-// New returns a ready-to-serve stateless handler. maxObjects ≤ 0 selects
-// 100,000.
-func New(maxObjects int) *Handler {
-	return NewServer(Config{MaxObjects: maxObjects})
-}
-
-// NewWithLimits additionally sets the request-body byte limit and the
-// /v1/runs retention cap (≤ 0 selects the defaults: 64 MiB, 32 runs).
-func NewWithLimits(maxObjects int, maxBody int64, recentRuns int) *Handler {
-	return NewServer(Config{MaxObjects: maxObjects, MaxBody: maxBody, RecentRuns: recentRuns})
-}
-
 // NewServer returns a handler wired for continuous operation per cfg.
 func NewServer(cfg Config) *Handler {
 	if cfg.MaxObjects <= 0 {
@@ -299,15 +286,7 @@ func (h *Handler) listVariants(w http.ResponseWriter, _ *http.Request) {
 // blocking and the streaming endpoint go through it, so the two accept
 // exactly the same request shape.
 func (h *Handler) prepareScreen(w http.ResponseWriter, r *http.Request) (req ScreenRequest, sats []satconj.Satellite, opts satconj.Options, ok bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return req, nil, opts, false
-		}
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+	if !h.decodeBody(w, r, &req) {
 		return req, nil, opts, false
 	}
 	if status, err := validateScreenRequest(req); err != nil {
@@ -410,14 +389,12 @@ func (h *Handler) screen(w http.ResponseWriter, r *http.Request) {
 // error reply: 504 on a request deadline, nothing on a client disconnect
 // (nobody is listening), 422 otherwise.
 func (h *Handler) finishError(w http.ResponseWriter, entry *runEntry, err error) {
+	h.runs.fail(entry, err)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		h.runs.finish(entry, RunCancelled, -1, err.Error())
 		writeJSON(w, http.StatusGatewayTimeout, errorJSON{Error: "screening exceeded timeout_seconds"})
 	case errors.Is(err, context.Canceled):
-		h.runs.finish(entry, RunCancelled, -1, err.Error())
 	default:
-		h.runs.finish(entry, RunFailed, -1, err.Error())
 		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: err.Error()})
 	}
 }
@@ -480,25 +457,33 @@ func (h *Handler) population(req ScreenRequest) ([]satconj.Satellite, int, error
 		if len(req.Satellites) > h.maxObjects {
 			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("population %d exceeds server limit %d", len(req.Satellites), h.maxObjects)
 		}
-		sats := make([]satconj.Satellite, 0, len(req.Satellites))
-		for i, e := range req.Satellites {
-			s, err := satconj.NewSatellite(e.ID, orbit.Elements{
-				SemiMajorAxis: e.SemiMajorAxis,
-				Eccentricity:  e.Eccentricity,
-				Inclination:   e.Inclination,
-				RAAN:          e.RAAN,
-				ArgPerigee:    e.ArgPerigee,
-				MeanAnomaly:   e.MeanAnomaly,
-			})
-			if err != nil {
-				return nil, http.StatusUnprocessableEntity, fmt.Errorf("satellite %d: %w", i, err)
-			}
-			sats = append(sats, s)
+		sats, err := toSatellites(req.Satellites, "satellites")
+		if err != nil {
+			return nil, http.StatusUnprocessableEntity, err
 		}
 		return sats, 0, nil
 	default:
 		return nil, http.StatusBadRequest, fmt.Errorf("request needs satellites or generate")
 	}
+}
+
+// decodeBody decodes r's JSON body, at most maxBody bytes and no unknown
+// fields, into v. On failure it writes the error reply — 413 past the limit,
+// 400 otherwise — and returns false.
+func (h *Handler) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.maxBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorJSON{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad request body: " + err.Error()})
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -29,7 +29,7 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body interface{})
 }
 
 func TestHealthAndVersion(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "GET", "/v1/health", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("health status %d", rec.Code)
@@ -59,7 +59,7 @@ func crossingPairJSON(tMeet float64) []ElementsJSON {
 }
 
 func TestScreenExplicitPopulation(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(700),
 		Variant:         "grid",
@@ -89,7 +89,7 @@ func TestScreenExplicitPopulation(t *testing.T) {
 }
 
 func TestScreenGeneratedPopulation(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Generate:        &GenerateJSON{N: 200, Seed: 5},
 		DurationSeconds: 60,
@@ -107,7 +107,7 @@ func TestScreenGeneratedPopulation(t *testing.T) {
 }
 
 func TestScreenValidation(t *testing.T) {
-	h := New(50)
+	h := NewServer(Config{MaxObjects: 50})
 	cases := []struct {
 		name string
 		req  ScreenRequest
@@ -139,7 +139,7 @@ func TestScreenValidation(t *testing.T) {
 // back to its starting level: an error reply must never strand a pooled
 // grid set.
 func TestScreenErrorPaths(t *testing.T) {
-	h := NewWithLimits(50, 2048, 0)
+	h := NewServer(Config{MaxObjects: 50, MaxBody: 2048})
 	before := pool.Default.Stats().Outstanding()
 
 	dupSats := crossingPairJSON(1)
@@ -199,7 +199,7 @@ func mustJSON(t *testing.T, v interface{}) string {
 // TestPoolEndpointObservesScreening: /v1/pool must show screening traffic
 // (gets/puts advance) and an idle server must owe the pool nothing.
 func TestPoolEndpointObservesScreening(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	before := pool.Default.Stats()
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(300),
@@ -227,7 +227,7 @@ func TestPoolEndpointObservesScreening(t *testing.T) {
 }
 
 func TestScreenRejectsUnknownFields(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	req := httptest.NewRequest("POST", "/v1/screen", bytes.NewBufferString(`{"duration_seconds":10,"frobnicate":true}`))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -237,7 +237,7 @@ func TestScreenRejectsUnknownFields(t *testing.T) {
 }
 
 func TestMethodRouting(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "GET", "/v1/screen", nil)
 	if rec.Code == http.StatusOK {
 		t.Error("GET /v1/screen accepted")
@@ -253,7 +253,7 @@ func TestMethodRouting(t *testing.T) {
 }
 
 func TestScreenWithRiskFields(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(500),
 		Variant:         "grid",
@@ -283,7 +283,7 @@ func TestScreenWithRiskFields(t *testing.T) {
 }
 
 func TestLegacyVariantViaAPI(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(300),
 		Variant:         "legacy",

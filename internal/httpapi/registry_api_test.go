@@ -18,7 +18,7 @@ import (
 // pair once per registered variant and checks the variant field survives
 // request → screen → response → run registry.
 func TestEveryRegisteredVariantRoundTripsAPI(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	names := satconj.VariantNames()
 	if len(names) < 4 {
 		t.Fatalf("registry lists %v, want the four detector families", names)
@@ -72,7 +72,7 @@ func TestEveryRegisteredVariantRoundTripsAPI(t *testing.T) {
 // entry per registered variant, capability flags mirroring the
 // descriptors, hybrid marked as the default.
 func TestVariantsEndpoint(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "GET", "/v1/variants", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
@@ -109,7 +109,7 @@ func TestVariantsEndpoint(t *testing.T) {
 // TestUnknownVariant422ListsRegistered: the validation error must carry
 // every registered name so clients can self-correct.
 func TestUnknownVariant422ListsRegistered(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Generate:        &GenerateJSON{N: 10, Seed: 1},
 		Variant:         "quantum",

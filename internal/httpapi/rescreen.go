@@ -12,7 +12,6 @@ package httpapi
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	satconj "repro"
@@ -140,13 +139,9 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 		res, err = s.session.Screen(ctx, sats, pass)
 	}
 	if err != nil {
-		status := RunFailed
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = RunCancelled
-		}
 		// The chain stays put: the next pass retries the same window (or a
 		// wider one if more deltas land meanwhile).
-		s.h.runs.finish(entry, status, -1, err.Error())
+		s.h.runs.fail(entry, err)
 		s.h.metrics.rescreenFailures.Inc()
 		s.logf("rescreen: version %d failed after %.2fs: %v", version, time.Since(start).Seconds(), err)
 		return false

@@ -7,6 +7,8 @@ package httpapi
 // client, deadline-exceeded, or failed.
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -136,6 +138,17 @@ func (g *runRegistry) start(variant string, objects int) *runEntry {
 	g.active[e.info.ID] = e
 	g.mu.Unlock()
 	return e
+}
+
+// fail seals a run that ended in err: cancelled when its context was
+// cancelled or ran out of time (a client gone, a request deadline, a
+// shutdown), failed otherwise.
+func (g *runRegistry) fail(e *runEntry, err error) {
+	status := RunFailed
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		status = RunCancelled
+	}
+	g.finish(e, status, -1, err.Error())
 }
 
 // finish seals the entry and moves it from active to the recent ring.

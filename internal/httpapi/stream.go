@@ -8,9 +8,7 @@ package httpapi
 // disconnects or the request's timeout_seconds deadline passes.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sync"
 	"time"
@@ -118,11 +116,7 @@ func (h *Handler) screenStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := satconj.ScreenContext(ctx, sats, opts)
 	if err != nil {
-		status := RunFailed
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = RunCancelled
-		}
-		h.runs.finish(entry, status, -1, err.Error())
+		h.runs.fail(entry, err)
 		sw.send(StreamEvent{Type: "error", RunID: runID, Error: err.Error()})
 		return
 	}

@@ -46,7 +46,7 @@ func countTypes(evs []StreamEvent) map[string]int {
 }
 
 func TestScreenStreamEmitsNDJSON(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	before := pool.Default.Stats().Outstanding()
 	rec := doJSON(t, h, "POST", "/v1/screen/stream", ScreenRequest{
 		Satellites:      crossingPairJSON(700),
@@ -138,7 +138,7 @@ func (d *disconnectWriter) Write(b []byte) (int, error) {
 }
 
 func TestScreenStreamClientDisconnectCancelsRun(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	before := pool.Default.Stats().Outstanding()
 
 	body := mustJSON(t, ScreenRequest{
@@ -189,7 +189,7 @@ func TestScreenStreamClientDisconnectCancelsRun(t *testing.T) {
 }
 
 func TestScreenTimeoutSecondsDeadline(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	before := pool.Default.Stats().Outstanding()
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Generate:         &GenerateJSON{N: 300, Seed: 3},
@@ -216,7 +216,7 @@ func TestScreenTimeoutSecondsDeadline(t *testing.T) {
 }
 
 func TestNegativeTimeoutRejected(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(1),
 		DurationSeconds: 10,
@@ -228,7 +228,7 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 }
 
 func TestRunsEndpointTracksBlockingScreens(t *testing.T) {
-	h := New(0)
+	h := NewServer(Config{})
 	rec := doJSON(t, h, "POST", "/v1/screen", ScreenRequest{
 		Satellites:      crossingPairJSON(300),
 		Variant:         "grid",

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -162,7 +163,7 @@ func (h *Handler) longPoll(w http.ResponseWriter, r *http.Request, p subscribePa
 		t := snap.ProducedAt
 		out.ProducedAt = &t
 		if !out.TimedOut || snap.Version > p.since {
-			f := serve.Filter{Object: p.object, HasObject: true}
+			f := core.Filter{Object: p.object, HasObject: true}
 			if p.maxKm > 0 {
 				f.MaxPCAKm, f.HasMaxPCA = p.maxKm, true
 			}
@@ -214,7 +215,7 @@ func (h *Handler) sse(w http.ResponseWriter, r *http.Request, p subscribeParams)
 	// before live events, so a reconnecting client needs no separate
 	// /v1/conjunctions round trip to rebuild state.
 	if p.replay && snap != nil {
-		f := serve.Filter{Object: p.object, HasObject: true}
+		f := core.Filter{Object: p.object, HasObject: true}
 		if p.maxKm > 0 {
 			f.MaxPCAKm, f.HasMaxPCA = p.maxKm, true
 		}

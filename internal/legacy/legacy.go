@@ -14,7 +14,7 @@ package legacy
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,73 +25,41 @@ import (
 	"repro/internal/propagation"
 )
 
-// Config parameterises the legacy screener.
-type Config struct {
-	// ThresholdKm is the screening threshold d; 0 selects the paper's 2 km.
-	ThresholdKm float64
-	// DurationSeconds is the screened span (> 0 required).
-	DurationSeconds float64
-	// Propagator advances satellites; nil selects propagation.TwoBody{}.
-	Propagator propagation.Propagator
-	// Filters configures the chain (tolerance knobs only; the threshold
-	// comes from ThresholdKm).
-	Filters filters.Config
-	// FineSampleSeconds is the coarse scan step inside candidate windows
-	// used to bracket minima before Brent refinement; 0 selects an
-	// automatic fraction of the orbital period.
-	FineSampleSeconds float64
-	// Workers parallelises the pair loop by dividing the object
-	// population across goroutines — the classical parallelisation of the
-	// paper's §II (Coppola et al. 2010). ≤1 keeps the paper's
-	// single-threaded baseline behaviour.
-	Workers int
-	// Sink, when non-nil, receives each confirmed conjunction as its
-	// pair-row finishes (core's Sink contract: calls serialised, no
-	// internal locking needed).
-	Sink core.Sink
-	// Observer, when non-nil, receives per-row progress: Step is the row
-	// index i of the triangular pair loop, Steps the population size, and
-	// Candidates the conjunctions confirmed so far.
-	Observer core.Observer
+// Importing this package (a blank import suffices) makes "legacy" resolvable
+// through core.Lookup, which is how the satconj facade, the CLIs and the
+// server reach it — nothing above core names this package.
+func init() {
+	core.Register(core.VariantLegacy, core.Descriptor{
+		Description: "sequential all-on-all filter-chain baseline, the paper's O(n²) reference (§II)",
+		Baseline:    true,
+		New:         func(cfg core.Config) core.Detector { return &detector{cfg: cfg} },
+	})
 }
 
-// Stats counts the screener's funnel.
-type Stats struct {
-	Pairs        int64         // n·(n−1)/2 pairs enumerated
-	Windows      int64         // candidate time windows searched
-	Refinements  int64         // Brent searches
-	FilterStats  filters.Stats // per-filter outcomes
-	Elapsed      time.Duration // total wall time
-	CoplanarScan int64         // pairs that required a whole-span scan
+// detector is the legacy all-on-all screener. Config.Workers parallelises
+// the pair loop by dividing the population across goroutines — the
+// classical parallelisation of the paper's §II (Coppola et al. 2010); ≤1
+// keeps the paper's single-threaded baseline. The Sink receives each row's
+// conjunctions as the row finishes, and the Observer a per-row tick: Step
+// is the row index i of the triangular pair loop, Steps the population
+// size, Candidates the conjunctions confirmed so far.
+type detector struct {
+	cfg core.Config
 }
 
-// Result is the screener output, shaped like the core detectors' result so
-// the accuracy experiment can compare them directly.
-type Result struct {
-	Conjunctions []core.Conjunction
-	Stats        Stats
+// pairLoop is one screen's constants, shared by its workers.
+type pairLoop struct {
+	prop      propagation.Propagator
+	sats      []propagation.Satellite
+	threshold float64
+	span      float64
 }
 
-// UniquePairs returns the number of distinct pairs among the conjunctions.
-func (r *Result) UniquePairs() int {
-	seen := map[[2]int32]struct{}{}
-	for _, c := range r.Conjunctions {
-		seen[[2]int32{c.A, c.B}] = struct{}{}
-	}
-	return len(seen)
-}
-
-// Screener is the legacy all-on-all detector.
-type Screener struct {
-	cfg Config
-}
-
-// New returns a legacy screener.
-func New(cfg Config) *Screener { return &Screener{cfg: cfg} }
-
-// Screen runs the chain over every pair in the population.
-func (s *Screener) Screen(sats []propagation.Satellite) (*Result, error) {
-	return s.ScreenContext(context.Background(), sats)
+// part is one worker's share of the result.
+type part struct {
+	conjs       []core.Conjunction
+	refinements int
+	filters     filters.Stats
 }
 
 // rowEmitter serialises Sink/Observer delivery as pair-rows complete; a nil
@@ -125,80 +93,69 @@ func (e *rowEmitter) rowDone(row int, tail []core.Conjunction) {
 	e.mu.Unlock()
 }
 
-// ScreenContext is Screen with cooperative cancellation: a cancelled ctx
-// stops the pair loop at the next row boundary and returns ctx.Err().
-func (s *Screener) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*Result, error) {
-	if s.cfg.DurationSeconds <= 0 {
+// ScreenContext runs the chain over every pair in the population. A
+// cancelled ctx stops the pair loop at the next row boundary and returns
+// ctx.Err().
+func (d *detector) ScreenContext(ctx context.Context, sats []propagation.Satellite) (*core.Result, error) {
+	if d.cfg.DurationSeconds <= 0 {
 		return nil, core.ErrNoDuration
 	}
 	start := time.Now()
-	threshold := s.cfg.ThresholdKm
+	threshold := d.cfg.ThresholdKm
 	if threshold <= 0 {
 		threshold = filters.DefaultThreshold
 	}
-	prop := s.cfg.Propagator
-	if prop == nil {
-		prop = propagation.TwoBody{}
+	l := &pairLoop{prop: d.cfg.Propagator, sats: sats, threshold: threshold, span: d.cfg.DurationSeconds}
+	if l.prop == nil {
+		l.prop = propagation.TwoBody{}
 	}
-	fcfg := s.cfg.Filters.WithThreshold(threshold)
-	span := s.cfg.DurationSeconds
 	done := ctx.Done()
 	var emit *rowEmitter
-	if s.cfg.Sink != nil || s.cfg.Observer != nil {
-		emit = &rowEmitter{sink: s.cfg.Sink, obs: s.cfg.Observer, rows: len(sats)}
+	if d.cfg.Sink != nil || d.cfg.Observer != nil {
+		emit = &rowEmitter{sink: d.cfg.Sink, obs: d.cfg.Observer, rows: len(sats)}
 	}
 
-	workers := s.cfg.Workers
-	if workers <= 1 || len(sats) < 4 {
-		res := &Result{}
-		for i := 0; i < len(sats); i++ {
+	// A shared atomic row counter hands out i-rows, balancing the triangular
+	// pair loop; per-worker parts merge at the end. Workers re-check the
+	// context before pulling each row, so cancellation rounds off within the
+	// in-flight rows. One worker runs inline, in row order.
+	var next atomic.Int64
+	work := func(out *part) {
+		for {
 			if done != nil {
 				select {
 				case <-done:
-					return nil, ctx.Err()
+					return
 				default:
 				}
 			}
-			tail := len(res.Conjunctions)
-			s.screenRow(prop, sats, i, fcfg, threshold, span, res)
-			emit.rowDone(i, res.Conjunctions[tail:])
-		}
-		res.Stats.Elapsed = time.Since(start)
-		sortConjunctions(res.Conjunctions)
-		return res, nil
-	}
-
-	// Population-dividing parallelisation (§II, Coppola et al. 2010): a
-	// shared atomic row counter hands out i-rows, balancing the triangular
-	// pair loop; per-worker results merge at the end. Workers re-check the
-	// context before pulling each row, so cancellation rounds off within
-	// the in-flight rows.
-	var next atomic.Int64
-	parts := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(out *Result) {
-			defer wg.Done()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(sats) {
-					return
-				}
-				tail := len(out.Conjunctions)
-				s.screenRow(prop, sats, i, fcfg, threshold, span, out)
-				emit.rowDone(i, out.Conjunctions[tail:])
+			i := int(next.Add(1)) - 1
+			if i >= len(sats) {
+				return
 			}
-		}(&parts[w])
+			tail := len(out.conjs)
+			l.screenRow(i, out)
+			emit.rowDone(i, out.conjs[tail:])
+		}
 	}
-	wg.Wait()
+	workers := d.cfg.Workers
+	if workers <= 1 || len(sats) < 4 {
+		workers = 1
+	}
+	parts := make([]part, workers)
+	if workers == 1 {
+		work(&parts[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(&parts[w])
+			}()
+		}
+		wg.Wait()
+	}
 	if done != nil {
 		select {
 		case <-done:
@@ -206,36 +163,30 @@ func (s *Screener) ScreenContext(ctx context.Context, sats []propagation.Satelli
 		default:
 		}
 	}
-	res := &Result{}
+	res := &core.Result{Variant: core.VariantLegacy, Backend: "cpu-sequential"}
 	for i := range parts {
-		res.Conjunctions = append(res.Conjunctions, parts[i].Conjunctions...)
-		res.Stats.Pairs += parts[i].Stats.Pairs
-		res.Stats.Windows += parts[i].Stats.Windows
-		res.Stats.Refinements += parts[i].Stats.Refinements
-		res.Stats.CoplanarScan += parts[i].Stats.CoplanarScan
-		res.Stats.FilterStats.Merge(parts[i].Stats.FilterStats)
+		res.Conjunctions = append(res.Conjunctions, parts[i].conjs...)
+		res.Stats.Refinements += parts[i].refinements
+		res.Stats.FilterStats.Merge(parts[i].filters)
 	}
-	res.Stats.Elapsed = time.Since(start)
-	sortConjunctions(res.Conjunctions)
+	slices.SortFunc(res.Conjunctions, core.CompareConjunctions)
+	res.Stats.Detection = time.Since(start)
 	return res, nil
 }
 
 // screenRow processes every pair (i, j>i) of the triangular loop.
-func (s *Screener) screenRow(prop propagation.Propagator, sats []propagation.Satellite, i int, fcfg filters.Config, threshold, span float64, res *Result) {
-	for j := i + 1; j < len(sats); j++ {
-		res.Stats.Pairs++
-		a, b := &sats[i], &sats[j]
-		g := filters.Classify(a.Elements, b.Elements, fcfg)
-		res.Stats.FilterStats.Add(g)
+func (l *pairLoop) screenRow(i int, out *part) {
+	for j := i + 1; j < len(l.sats); j++ {
+		a, b := &l.sats[i], &l.sats[j]
+		g := filters.Classify(a.Elements, b.Elements, filters.Config{ThresholdKm: l.threshold})
+		out.filters.Add(g)
 		switch g.Class {
 		case filters.Rejected:
 			continue
 		case filters.Coplanar:
-			res.Stats.CoplanarScan++
-			s.scanWindows(prop, a, b, []filters.Window{{T0: 0, T1: span}}, threshold, res)
+			l.scanWindows(a, b, []filters.Window{{T0: 0, T1: l.span}}, out)
 		case filters.NodeCrossing:
-			ws := filters.TimeFilter(a.Elements, b.Elements, g, span, 4)
-			s.scanWindows(prop, a, b, ws, threshold, res)
+			l.scanWindows(a, b, filters.TimeFilter(a.Elements, b.Elements, g, l.span, 4), out)
 		}
 	}
 }
@@ -243,22 +194,18 @@ func (s *Screener) screenRow(prop propagation.Propagator, sats []propagation.Sat
 // scanWindows locates every local distance minimum inside the candidate
 // windows: a coarse scan brackets sign changes of the distance slope, and
 // Brent refines each bracket ("smart sieve"-style fine search).
-func (s *Screener) scanWindows(prop propagation.Propagator, a, b *propagation.Satellite, ws []filters.Window, threshold float64, res *Result) {
-	tail := len(res.Conjunctions)
+func (l *pairLoop) scanWindows(a, b *propagation.Satellite, ws []filters.Window, out *part) {
+	tail := len(out.conjs)
 	dist2 := func(t float64) float64 {
-		pa, _ := prop.State(a, t)
-		pb, _ := prop.State(b, t)
+		pa, _ := l.prop.State(a, t)
+		pb, _ := l.prop.State(b, t)
 		return pa.Dist2(pb)
 	}
-	dt := s.cfg.FineSampleSeconds
-	if dt <= 0 {
-		// A distance local minimum between two orbits cannot be narrower
-		// than a small fraction of the faster period; /16 brackets every
-		// minimum of near-circular geometry in practice.
-		dt = math.Min(a.Period(), b.Period()) / 16
-	}
+	// A distance local minimum between two orbits cannot be narrower than a
+	// small fraction of the faster period; /16 brackets every minimum of
+	// near-circular geometry in practice.
+	dt := math.Min(a.Period(), b.Period()) / 16
 	for _, w := range ws {
-		res.Stats.Windows++
 		if w.T1 <= w.T0 {
 			continue
 		}
@@ -277,11 +224,11 @@ func (s *Screener) scanWindows(prop propagation.Propagator, a, b *propagation.Sa
 				// Bracketed a minimum around tPrev1.
 				lo := math.Max(w.T0, tPrev1-dt)
 				hi := math.Min(w.T1, tPrev1+dt)
-				res.Stats.Refinements++
+				out.refinements++
 				r, _ := brent.Minimize(dist2, lo, hi, 1e-4, 100)
 				pca := math.Sqrt(r.F)
-				if pca <= threshold {
-					res.Conjunctions = append(res.Conjunctions, core.Conjunction{
+				if pca <= l.threshold {
+					out.conjs = append(out.conjs, core.Conjunction{
 						A: a.ID, B: b.ID, TCA: r.X, PCA: pca,
 					})
 				}
@@ -293,13 +240,13 @@ func (s *Screener) scanWindows(prop propagation.Propagator, a, b *propagation.Sa
 		}
 		// Window endpoints can hide minima narrower than dt at the edges.
 		for _, edge := range []float64{w.T0, w.T1} {
-			if d := math.Sqrt(dist2(edge)); d <= threshold {
-				res.Stats.Refinements++
+			if d := math.Sqrt(dist2(edge)); d <= l.threshold {
+				out.refinements++
 				lo := math.Max(w.T0, edge-dt)
 				hi := math.Min(w.T1, edge+dt)
 				r, _ := brent.Minimize(dist2, lo, hi, 1e-4, 100)
-				if pca := math.Sqrt(r.F); pca <= threshold {
-					res.Conjunctions = append(res.Conjunctions, core.Conjunction{
+				if pca := math.Sqrt(r.F); pca <= l.threshold {
+					out.conjs = append(out.conjs, core.Conjunction{
 						A: a.ID, B: b.ID, TCA: r.X, PCA: pca,
 					})
 				}
@@ -310,13 +257,13 @@ func (s *Screener) scanWindows(prop propagation.Propagator, a, b *propagation.Sa
 	// (bracket + edge refinement, or adjacent windows); merge TCAs that
 	// coincide within a second, keeping the smallest PCA. Only the tail
 	// appended by this call belongs to the pair.
-	res.Conjunctions = append(res.Conjunctions[:tail], dedupSameTCA(res.Conjunctions[tail:])...)
+	out.conjs = append(out.conjs[:tail], dedupSameTCA(out.conjs[tail:])...)
 }
 
 // dedupSameTCA merges same-pair conjunctions whose TCAs coincide within one
 // second, keeping the smallest PCA. cs holds only one pair's detections.
 func dedupSameTCA(cs []core.Conjunction) []core.Conjunction {
-	sortConjunctions(cs)
+	slices.SortFunc(cs, core.CompareConjunctions)
 	out := cs[:0]
 	for _, c := range cs {
 		if n := len(out); n > 0 && math.Abs(out[n-1].TCA-c.TCA) < 1 {
@@ -328,17 +275,4 @@ func dedupSameTCA(cs []core.Conjunction) []core.Conjunction {
 		out = append(out, c)
 	}
 	return out
-}
-
-// sortConjunctions orders by (A, B, TCA).
-func sortConjunctions(cs []core.Conjunction) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].A != cs[j].A {
-			return cs[i].A < cs[j].A
-		}
-		if cs[i].B != cs[j].B {
-			return cs[i].B < cs[j].B
-		}
-		return cs[i].TCA < cs[j].TCA
-	})
 }

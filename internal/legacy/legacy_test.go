@@ -1,6 +1,7 @@
 package legacy
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,20 @@ import (
 	"repro/internal/orbit"
 	"repro/internal/propagation"
 )
+
+// screen runs the registered legacy detector.
+func screen(t *testing.T, cfg core.Config, sats []propagation.Satellite) *core.Result {
+	t.Helper()
+	desc, ok := core.Lookup(core.VariantLegacy)
+	if !ok {
+		t.Fatal("legacy is not registered")
+	}
+	res, err := desc.New(cfg).ScreenContext(context.Background(), sats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func meetingPair(idA, idB int32, tMeet, incB, radialOffsetKm float64) (propagation.Satellite, propagation.Satellite) {
 	elA := orbit.Elements{SemiMajorAxis: 7000, Eccentricity: 0.0005, Inclination: 0.4}
@@ -20,10 +35,7 @@ func meetingPair(idA, idB int32, tMeet, incB, radialOffsetKm float64) (propagati
 
 func TestLegacyDetectsEngineeredConjunction(t *testing.T) {
 	a, b := meetingPair(0, 1, 1000, 1.1, 0)
-	res, err := New(Config{ThresholdKm: 2, DurationSeconds: 2000}).Screen([]propagation.Satellite{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 2000}, []propagation.Satellite{a, b})
 	if len(res.Conjunctions) != 1 {
 		t.Fatalf("conjunctions = %+v, want exactly 1", res.Conjunctions)
 	}
@@ -34,8 +46,8 @@ func TestLegacyDetectsEngineeredConjunction(t *testing.T) {
 	if c.PCA > 0.5 {
 		t.Errorf("PCA = %v, want ≈0", c.PCA)
 	}
-	if res.Stats.Pairs != 1 {
-		t.Errorf("Pairs = %d", res.Stats.Pairs)
+	if res.Stats.FilterStats.Pairs != 1 {
+		t.Errorf("Pairs = %d", res.Stats.FilterStats.Pairs)
 	}
 	if res.UniquePairs() != 1 {
 		t.Errorf("UniquePairs = %d", res.UniquePairs())
@@ -45,10 +57,7 @@ func TestLegacyDetectsEngineeredConjunction(t *testing.T) {
 func TestLegacyRejectsDisjointShells(t *testing.T) {
 	a := propagation.MustSatellite(0, orbit.Elements{SemiMajorAxis: 7000, Eccentricity: 0.001, Inclination: 0.4})
 	b := propagation.MustSatellite(1, orbit.Elements{SemiMajorAxis: 7500, Eccentricity: 0.001, Inclination: 1.0})
-	res, err := New(Config{ThresholdKm: 2, DurationSeconds: 2000}).Screen([]propagation.Satellite{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 2000}, []propagation.Satellite{a, b})
 	if len(res.Conjunctions) != 0 {
 		t.Errorf("conjunctions = %+v, want none", res.Conjunctions)
 	}
@@ -68,12 +77,9 @@ func TestLegacyCoplanarPairScansWholeSpan(t *testing.T) {
 	elB.MeanAnomaly = 1.0 / 7000.0 // ~1 km along-track phase offset
 	a := propagation.MustSatellite(0, el)
 	b := propagation.MustSatellite(1, elB)
-	res, err := New(Config{ThresholdKm: 2, DurationSeconds: 3000}).Screen([]propagation.Satellite{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CoplanarScan != 1 {
-		t.Errorf("CoplanarScan = %d, want 1", res.Stats.CoplanarScan)
+	res := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 3000}, []propagation.Satellite{a, b})
+	if res.Stats.FilterStats.CoplanarK != 1 {
+		t.Errorf("coplanar pairs = %d, want 1", res.Stats.FilterStats.CoplanarK)
 	}
 	if len(res.Conjunctions) == 0 {
 		t.Error("co-orbiting pair inside threshold produced no conjunction")
@@ -81,7 +87,8 @@ func TestLegacyCoplanarPairScansWholeSpan(t *testing.T) {
 }
 
 func TestLegacyRequiresDuration(t *testing.T) {
-	if _, err := New(Config{}).Screen(nil); err != core.ErrNoDuration {
+	desc, _ := core.Lookup(core.VariantLegacy)
+	if _, err := desc.New(core.Config{}).ScreenContext(context.Background(), nil); err != core.ErrNoDuration {
 		t.Errorf("err = %v, want ErrNoDuration", err)
 	}
 }
@@ -92,10 +99,7 @@ func TestLegacyAntiPhasedPairClean(t *testing.T) {
 	elB := b.Elements
 	elB.MeanAnomaly = mathx.NormalizeAngle(elB.MeanAnomaly + math.Pi)
 	b = propagation.MustSatellite(1, elB)
-	res, err := New(Config{ThresholdKm: 2, DurationSeconds: 2000}).Screen([]propagation.Satellite{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 2000}, []propagation.Satellite{a, b})
 	if len(res.Conjunctions) != 0 {
 		t.Errorf("anti-phased pair produced %+v", res.Conjunctions)
 	}
@@ -118,15 +122,9 @@ func TestLegacyParallelMatchesSequential(t *testing.T) {
 		}
 		sats = append(sats, propagation.MustSatellite(i, el))
 	}
-	seq, err := New(Config{ThresholdKm: 2, DurationSeconds: 1500}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 1500}, sats)
 	for _, workers := range []int{2, 8} {
-		par, err := New(Config{ThresholdKm: 2, DurationSeconds: 1500, Workers: workers}).Screen(sats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: 1500, Workers: workers}, sats)
 		if len(par.Conjunctions) != len(seq.Conjunctions) {
 			t.Fatalf("workers=%d: %d conjunctions vs %d", workers, len(par.Conjunctions), len(seq.Conjunctions))
 		}
@@ -135,8 +133,8 @@ func TestLegacyParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: conjunction %d differs", workers, i)
 			}
 		}
-		if par.Stats.Pairs != seq.Stats.Pairs {
-			t.Errorf("workers=%d: pairs %d vs %d", workers, par.Stats.Pairs, seq.Stats.Pairs)
+		if par.Stats.FilterStats.Pairs != seq.Stats.FilterStats.Pairs {
+			t.Errorf("workers=%d: pairs %d vs %d", workers, par.Stats.FilterStats.Pairs, seq.Stats.FilterStats.Pairs)
 		}
 	}
 }
@@ -182,10 +180,7 @@ func TestLegacyMatchesBruteForce(t *testing.T) {
 		sats = append(sats, propagation.MustSatellite(i, el))
 	}
 	const span = 1500.0
-	res, err := New(Config{ThresholdKm: 2, DurationSeconds: span}).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := screen(t, core.Config{ThresholdKm: 2, DurationSeconds: span}, sats)
 
 	oracle := map[[2]int32][]float64{}
 	for i := range sats {

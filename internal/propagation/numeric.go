@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kepler"
 	"repro/internal/orbit"
 	"repro/internal/vec3"
 )
@@ -155,9 +156,7 @@ func (n Numeric) accel(pos, vel vec3.V, t float64) vec3.V {
 // State implements Propagator.
 func (n Numeric) State(s *Satellite, t float64) (pos, vel vec3.V) {
 	// Initial state from the epoch elements.
-	solver := defaultSolverForNumeric
-	m := s.Elements.MeanAnomaly
-	ecc := solver.Solve(m, s.Elements.Eccentricity)
+	ecc := kepler.Default().Solve(s.Elements.MeanAnomaly, s.Elements.Eccentricity)
 	f := s.Elements.TrueFromEccentric(ecc)
 	pos, vel = s.Elements.StateAtTrueAnomalyBasis(f, s.basisP, s.basisQ)
 	if t == 0 { //lint:floateq-ok — exact epoch fast path
@@ -177,6 +176,18 @@ func (n Numeric) State(s *Satellite, t float64) (pos, vel vec3.V) {
 		remaining -= dt
 	}
 	return pos, vel
+}
+
+// StateWarm implements Propagator: State, and the guess back.
+func (n Numeric) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64) {
+	pos, vel = n.State(s, t)
+	return pos, vel, guess
+}
+
+// PositionWarm implements Propagator: State's position, and the guess back.
+func (n Numeric) PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64) {
+	pos, _ = n.State(s, t)
+	return pos, guess
 }
 
 // rk4 advances one step.
@@ -227,6 +238,3 @@ func (n Numeric) Trajectory(s *Satellite, t0, t1, sampleDt float64) []State {
 	}
 	return out
 }
-
-// defaultSolverForNumeric solves the epoch anomaly once per State call.
-var defaultSolverForNumeric = defaultKeplerSolver()

@@ -94,13 +94,18 @@ func (s *Satellite) Period() float64 { return mathx.TwoPi / s.meanMotion }
 type Propagator interface {
 	// State returns position (km) and velocity (km/s) at time t.
 	State(s *Satellite, t float64) (pos, vel vec3.V)
+	// StateWarm is State with the Kepler solve warm-started: guess predicts
+	// the eccentric anomaly at t (any finite value is safe — a cold guess
+	// falls back to the full solver). It returns the state plus the solved
+	// eccentric anomaly, which seeds the next sample's guess. A propagator
+	// without a warm solve returns State and the guess unchanged.
+	StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64)
+	// PositionWarm is StateWarm without the velocity — all a sampling step
+	// needs to bin an object into its grid cell.
+	PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64)
 	// Name identifies the propagator in reports.
 	Name() string
 }
-
-// defaultKeplerSolver returns the solver shared by propagators that were
-// constructed without an explicit one.
-func defaultKeplerSolver() kepler.Solver { return kepler.Default() }
 
 // KeplerCache carries one satellite's warm-start state across consecutive
 // sampling steps: the eccentric anomaly solved at the previous sample and
@@ -116,69 +121,33 @@ type KeplerCache struct {
 	DeltaE float64 // predicted eccentric-anomaly advance to the next sample (rad)
 }
 
-// WarmStarter is implemented by propagators whose Kepler solve can be
-// warm-started from a predicted eccentric anomaly. Sequential samplers use
-// it with a per-satellite KeplerCache; out-of-order samplers (batched steps)
-// must stick to State, since their per-satellite guesses are stale.
-type WarmStarter interface {
-	Propagator
-	// StateWarm is State with a warm-started Kepler solve: guess predicts
-	// the eccentric anomaly at t (any finite value is safe — a cold guess
-	// falls back to the full solver). It returns the state plus the solved
-	// eccentric anomaly, which seeds the next sample's guess.
-	StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64)
-	// PositionWarm is StateWarm without the velocity — all a sampling step
-	// needs to bin an object into its grid cell.
-	PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64)
-}
-
 // TwoBody is unperturbed Keplerian propagation: M(t) = M₀ + n·t, E from the
-// configured Kepler solver, then the cached perifocal basis gives the state.
-type TwoBody struct {
-	// Solver solves Kepler's equation; nil selects kepler.Default().
-	Solver kepler.Solver
-}
+// contour solver (kepler.Default), then the cached perifocal basis gives the
+// state.
+type TwoBody struct{}
 
 // Name implements Propagator.
 func (TwoBody) Name() string { return "two-body" }
 
 // State implements Propagator.
-func (p TwoBody) State(s *Satellite, t float64) (pos, vel vec3.V) {
-	solver := p.Solver
-	if solver == nil {
-		solver = kepler.Default()
-	}
+func (TwoBody) State(s *Satellite, t float64) (pos, vel vec3.V) {
 	m := s.Elements.MeanAnomaly + s.meanMotion*t
-	ecc := solver.Solve(m, s.ecc)
-	return stateFromEccentric(s, ecc)
+	return stateFromEccentric(s, kepler.Default().Solve(m, s.ecc))
 }
 
-// StateWarm implements WarmStarter. An explicitly configured Solver wins
-// over warm-starting — the solver ablations compare cold solvers, so the
-// warm path must not silently substitute Newton for them.
-func (p TwoBody) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64) {
-	ecc, se, ce := p.solveWarm(s, t, guess)
+// StateWarm implements Propagator. The warm solve hands back the sin E and
+// cos E its last Newton iterate produced, so a warm object-step costs one
+// sincos in total.
+func (TwoBody) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64) {
+	ecc, se, ce := kepler.SolveFromSincos(s.Elements.MeanAnomaly+s.meanMotion*t, s.ecc, guess)
 	pos, vel = stateFromSincos(s, se, ce)
 	return pos, vel, ecc
 }
 
-// PositionWarm implements WarmStarter.
-func (p TwoBody) PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64) {
-	ecc, se, ce := p.solveWarm(s, t, guess)
+// PositionWarm implements Propagator.
+func (TwoBody) PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64) {
+	ecc, se, ce := kepler.SolveFromSincos(s.Elements.MeanAnomaly+s.meanMotion*t, s.ecc, guess)
 	return positionFromSincos(s, se, ce), ecc
-}
-
-// solveWarm solves Kepler's equation at t and returns sin E and cos E with
-// the root. The warm solve hands back the pair its last Newton iterate
-// produced, so a warm object-step costs one sincos in total.
-func (p TwoBody) solveWarm(s *Satellite, t, guess float64) (ecc, se, ce float64) {
-	m := s.Elements.MeanAnomaly + s.meanMotion*t
-	if p.Solver == nil {
-		return kepler.SolveFromSincos(m, s.ecc, guess)
-	}
-	ecc = p.Solver.Solve(m, s.ecc)
-	se, ce = math.Sincos(ecc)
-	return ecc, se, ce
 }
 
 // stateFromEccentric evaluates the conic directly at eccentric anomaly E
@@ -250,10 +219,7 @@ func stateFromTrue(s *Satellite, f float64, bp, bq vec3.V) (pos, vel vec3.V) {
 // Because Ω and ω drift, the perifocal basis must be rebuilt per call, which
 // makes J2 noticeably slower than TwoBody — the time/accuracy trade the
 // paper's conclusion anticipates when swapping propagators.
-type J2 struct {
-	// Solver solves Kepler's equation; nil selects kepler.Default().
-	Solver kepler.Solver
-}
+type J2 struct{}
 
 // Name implements Propagator.
 func (J2) Name() string { return "j2-secular" }
@@ -272,19 +238,26 @@ func (J2) Rates(s *Satellite) (raanDot, argpDot, extraMeanDot float64) {
 
 // State implements Propagator.
 func (p J2) State(s *Satellite, t float64) (pos, vel vec3.V) {
-	solver := p.Solver
-	if solver == nil {
-		solver = kepler.Default()
-	}
 	raanDot, argpDot, extraMeanDot := p.Rates(s)
 	el := s.Elements
 	el.RAAN = mathx.NormalizeAngle(el.RAAN + raanDot*t)
 	el.ArgPerigee = mathx.NormalizeAngle(el.ArgPerigee + argpDot*t)
 	m := s.Elements.MeanAnomaly + (s.meanMotion+extraMeanDot)*t
-	ecc := solver.Solve(m, s.ecc)
-	f := el.TrueFromEccentric(ecc)
+	f := el.TrueFromEccentric(kepler.Default().Solve(m, s.ecc))
 	bp, bq := el.Basis()
 	return stateFromTrue(s, f, bp, bq)
+}
+
+// StateWarm implements Propagator with a cold solve: State, and the guess back.
+func (p J2) StateWarm(s *Satellite, t, guess float64) (pos, vel vec3.V, ecc float64) {
+	pos, vel = p.State(s, t)
+	return pos, vel, guess
+}
+
+// PositionWarm implements Propagator with a cold solve, like StateWarm.
+func (p J2) PositionWarm(s *Satellite, t, guess float64) (pos vec3.V, ecc float64) {
+	pos, _ = p.State(s, t)
+	return pos, guess
 }
 
 // State is a propagated snapshot of one satellite.

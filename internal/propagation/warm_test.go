@@ -57,26 +57,20 @@ func TestStateWarmColdGuess(t *testing.T) {
 	}
 }
 
-func TestStateWarmExplicitSolverWins(t *testing.T) {
-	// With an explicitly configured solver the warm path must use it — the
-	// solver ablations compare cold solvers, and warm-starting would quietly
-	// replace them with Newton.
+func TestColdPropagatorsWarmIsState(t *testing.T) {
+	// J2 and Numeric have no warm solve: StateWarm and PositionWarm are State,
+	// bit for bit, and hand the guess back.
 	s := warmTestSatellite()
-	coarse := kepler.Newton{Tol: 1e-2, MaxIter: 1} // deliberately bad solver
-	exact := TwoBody{}
-	loose := TwoBody{Solver: coarse}
-
-	exactPos, _ := exact.State(&s, 300)
-	loosePos, _, looseE := loose.StateWarm(&s, 300, 0)
-	looseStatePos, _ := loose.State(&s, 300)
-
-	if d := loosePos.Sub(looseStatePos).Norm(); d > 1e-12 {
-		t.Fatalf("StateWarm with explicit solver differs from State: %v km", d)
+	for _, p := range []Propagator{J2{}, Numeric{StepSeconds: 30}} {
+		for _, tSec := range []float64{0, 300, 5400.5} {
+			wantPos, wantVel := p.State(&s, tSec)
+			pos, vel, ecc := p.StateWarm(&s, tSec, 1.25)
+			ppos, pecc := p.PositionWarm(&s, tSec, 1.25)
+			if pos != wantPos || vel != wantVel || ppos != wantPos || ecc != 1.25 || pecc != 1.25 { //lint:floateq-ok — same arithmetic, bit for bit
+				t.Fatalf("%s t=%g: warm (%v, %v, %v / %v, %v), State (%v, %v)", p.Name(), tSec, pos, vel, ecc, ppos, pecc, wantPos, wantVel)
+			}
+		}
 	}
-	if d := loosePos.Sub(exactPos).Norm(); d < 1e-9 {
-		t.Fatalf("coarse solver produced an exact position (%v km off) — warm path bypassed it", d)
-	}
-	_ = looseE
 }
 
 // kernelDraws walks seeded (M₀, n, step) draws at eccentricity e through a

@@ -13,9 +13,8 @@ package serve
 //   - Readers must never block a publish for long. Delivery is a
 //     non-blocking channel send under the hub mutex; the diff key set is
 //     built outside of it.
-//   - Long-poll waiters ride the same publish signal: Changed returns a
-//     channel closed at the next publish, so WaitVersion costs nothing
-//     while idle.
+//   - Long-poll waiters ride the same publish signal: a channel closed and
+//     replaced at every publish, so WaitVersion costs nothing while idle.
 
 import (
 	"context"
@@ -88,7 +87,7 @@ type Hub struct {
 	subs    map[int32]map[*Subscriber]struct{}
 	nsubs   int
 	closed  bool
-	changed chan struct{} // closed and replaced on every publish
+	changed chan struct{} // closed and replaced on every publish; WaitVersion waits on it
 
 	published atomic.Uint64
 	delivered atomic.Uint64
@@ -109,13 +108,6 @@ func NewHub(cfg HubConfig) *Hub {
 // publish. Lock-free.
 func (h *Hub) Current() *Snapshot { return h.cur.Load() }
 
-// Closed reports whether the hub is draining.
-func (h *Hub) Closed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
 // Stats returns the hub counters.
 func (h *Hub) Stats() HubStats {
 	h.mu.Lock()
@@ -128,13 +120,6 @@ func (h *Hub) Stats() HubStats {
 		Dropped:     h.dropped.Load(),
 		Evicted:     h.evicted.Load(),
 	}
-}
-
-// Changed returns a channel closed at the next publish (or at Close).
-func (h *Hub) Changed() <-chan struct{} {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.changed
 }
 
 // Publish installs next as the current snapshot, wakes long-poll waiters,

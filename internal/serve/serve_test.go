@@ -57,28 +57,28 @@ func TestSnapshotSelect(t *testing.T) {
 	s := snap(1,
 		conj(1, 2, 10, 0.5), conj(1, 3, 20, 1.5), conj(2, 3, 30, 2.5), conj(4, 5, 40, 3.5))
 
-	page, total := s.Select(Filter{}, 0, 10)
+	page, total := s.Select(core.Filter{}, 0, 10)
 	if total != 4 || len(page) != 4 {
 		t.Fatalf("unfiltered: page=%d total=%d", len(page), total)
 	}
-	page, total = s.Select(Filter{Object: 3, HasObject: true}, 0, 10)
+	page, total = s.Select(core.Filter{Object: 3, HasObject: true}, 0, 10)
 	if total != 2 || len(page) != 2 || page[0] != conj(1, 3, 20, 1.5) {
 		t.Fatalf("object filter: page=%v total=%d", page, total)
 	}
-	page, total = s.Select(Filter{MaxPCAKm: 2, HasMaxPCA: true}, 0, 10)
+	page, total = s.Select(core.Filter{MaxPCAKm: 2, HasMaxPCA: true}, 0, 10)
 	if total != 2 || len(page) != 2 {
 		t.Fatalf("pca filter: page=%v total=%d", page, total)
 	}
-	page, total = s.Select(Filter{TCAMin: 15, HasTCAMin: true, TCAMax: 35, HasTCAMax: true}, 0, 10)
+	page, total = s.Select(core.Filter{TCAMin: 15, HasTCAMin: true, TCAMax: 35, HasTCAMax: true}, 0, 10)
 	if total != 2 || page[0] != conj(1, 3, 20, 1.5) || page[1] != conj(2, 3, 30, 2.5) {
 		t.Fatalf("tca window: page=%v total=%d", page, total)
 	}
 	// Paging: total always counts every match; the page is the window.
-	page, total = s.Select(Filter{}, 1, 2)
+	page, total = s.Select(core.Filter{}, 1, 2)
 	if total != 4 || len(page) != 2 || page[0] != conj(1, 3, 20, 1.5) {
 		t.Fatalf("page [1,3): page=%v total=%d", page, total)
 	}
-	if page, total = s.Select(Filter{}, 10, 2); total != 4 || len(page) != 0 {
+	if page, total = s.Select(core.Filter{}, 10, 2); total != 4 || len(page) != 0 {
 		t.Fatalf("offset past end: page=%v total=%d", page, total)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -35,7 +35,7 @@ type Snapshot struct {
 	Incremental bool
 	// Objects is the screened population size.
 	Objects int
-	// Conjunctions is sorted by (A, B, TCA). Treat as read-only.
+	// Conjunctions is sorted by core.CompareConjunctions. Treat as read-only.
 	Conjunctions []core.Conjunction
 	// ETag is the strong entity tag (version + content hash), quoted.
 	ETag string
@@ -50,15 +50,7 @@ const etagSeed = 0xC0117E57
 func NewSnapshot(version uint64, epoch, producedAt time.Time, objects int, incremental bool, conjs []core.Conjunction) *Snapshot {
 	cs := make([]core.Conjunction, len(conjs))
 	copy(cs, conjs)
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].A != cs[j].A {
-			return cs[i].A < cs[j].A
-		}
-		if cs[i].B != cs[j].B {
-			return cs[i].B < cs[j].B
-		}
-		return cs[i].TCA < cs[j].TCA
-	})
+	slices.SortFunc(cs, core.CompareConjunctions)
 	h := hash.New128(etagSeed)
 	var buf [28]byte
 	binary.LittleEndian.PutUint64(buf[:8], version)
@@ -83,41 +75,11 @@ func NewSnapshot(version uint64, epoch, producedAt time.Time, objects int, incre
 	}
 }
 
-// Filter selects a subset of a snapshot's conjunctions; zero-value fields
-// are inactive.
-type Filter struct {
-	Object    int32 // match conjunctions involving this ID
-	HasObject bool
-	MaxPCAKm  float64 // keep only PCA <= MaxPCAKm
-	HasMaxPCA bool
-	TCAMin    float64
-	HasTCAMin bool
-	TCAMax    float64
-	HasTCAMax bool
-}
-
-// Match reports whether c passes the filter.
-func (f Filter) Match(c core.Conjunction) bool {
-	if f.HasObject && c.A != f.Object && c.B != f.Object {
-		return false
-	}
-	if f.HasMaxPCA && c.PCA > f.MaxPCAKm {
-		return false
-	}
-	if f.HasTCAMin && c.TCA < f.TCAMin {
-		return false
-	}
-	if f.HasTCAMax && c.TCA > f.TCAMax {
-		return false
-	}
-	return true
-}
-
 // Select returns the page [offset, offset+limit) of the filtered
-// conjunction list in (A, B, TCA) order, plus the total match count.
+// conjunction list in its order, plus the total match count.
 // limit <= 0 returns an empty page (total still counts); offset past the
 // end likewise.
-func (s *Snapshot) Select(f Filter, offset, limit int) (page []core.Conjunction, total int) {
+func (s *Snapshot) Select(f core.Filter, offset, limit int) (page []core.Conjunction, total int) {
 	for _, c := range s.Conjunctions {
 		if !f.Match(c) {
 			continue

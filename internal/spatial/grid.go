@@ -75,9 +75,6 @@ func NewGrid(cellSize, halfExtent float64) (*Grid, error) {
 		fb: uint(bits.Len32(uint32(2*maxIdx + 2)))}, nil
 }
 
-// CellSizeKm returns the cell edge length in km.
-func (g *Grid) CellSizeKm() float64 { return g.cell }
-
 // HalfExtent returns the half edge length of the simulation cube in km.
 func (g *Grid) HalfExtent() float64 { return g.halfExtent }
 

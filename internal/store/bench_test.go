@@ -7,6 +7,8 @@ package store
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 func BenchmarkAppend(b *testing.B) {
@@ -64,7 +66,7 @@ func BenchmarkQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	q := Query{Object: 7, HasObject: true, MaxPCAKm: 1.5, HasMaxPCA: true}
+	q := Query{Filter: core.Filter{Object: 7, HasObject: true, MaxPCAKm: 1.5, HasMaxPCA: true}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

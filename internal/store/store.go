@@ -59,21 +59,14 @@ type Run struct {
 	Conjunctions   []core.Conjunction
 }
 
-// Query selects conjunctions across runs. A filter value applies only when
-// its Has flag is set, so zero and negative bounds mean what they say.
+// Query selects conjunctions across runs: the conjunction filter, plus a
+// run and a page.
 type Query struct {
-	Run       uint64  // restrict to one run ID
-	HasRun    bool    // (IDs start at 1, so 0 names no run)
-	Object    int32   // restrict to pairs involving this ID
-	HasObject bool    // (0 is a valid ID)
-	TCAMin    float64 // inclusive lower bound on TCA, seconds
-	HasTCAMin bool
-	TCAMax    float64 // inclusive upper bound on TCA, seconds
-	HasTCAMax bool
-	MaxPCAKm  float64 // inclusive upper bound on PCA
-	HasMaxPCA bool
-	Offset    int // matches skipped before the first returned
-	Limit     int // cap on returned matches (<= 0 = unlimited)
+	core.Filter
+	Run    uint64 // restrict to one run ID
+	HasRun bool   // (IDs start at 1, so 0 names no run)
+	Offset int    // matches skipped before the first returned
+	Limit  int    // cap on returned matches (<= 0 = unlimited)
 }
 
 // Match is one conjunction qualified by the run that produced it.
@@ -338,16 +331,7 @@ func (s *Store) Query(q Query) []Match {
 			continue
 		}
 		for _, c := range r.Conjunctions {
-			if q.HasObject && c.A != q.Object && c.B != q.Object {
-				continue
-			}
-			if q.HasTCAMin && c.TCA < q.TCAMin {
-				continue
-			}
-			if q.HasTCAMax && c.TCA > q.TCAMax {
-				continue
-			}
-			if q.HasMaxPCA && c.PCA > q.MaxPCAKm {
+			if !q.Match(c) {
 				continue
 			}
 			if skip > 0 {

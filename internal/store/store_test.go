@@ -112,17 +112,17 @@ func TestQuery(t *testing.T) {
 		t.Fatalf("run filter: %v", got)
 	}
 	// Object 0 appears only as A of the first conjunction of each run.
-	if got := s.Query(Query{Object: 0, HasObject: true}); len(got) != 2 {
+	if got := s.Query(Query{Filter: core.Filter{Object: 0, HasObject: true}}); len(got) != 2 {
 		t.Fatalf("object filter: %d matches, want 2", len(got))
 	}
 	// Object 1 appears as B of conj 0 and A of conj 1.
-	if got := s.Query(Query{Object: 1, HasObject: true, Run: 1, HasRun: true}); len(got) != 2 {
+	if got := s.Query(Query{Filter: core.Filter{Object: 1, HasObject: true}, Run: 1, HasRun: true}); len(got) != 2 {
 		t.Fatalf("object-1 filter: %d matches, want 2", len(got))
 	}
-	if got := s.Query(Query{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}); len(got) != 4 {
+	if got := s.Query(Query{Filter: core.Filter{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}}); len(got) != 4 {
 		t.Fatalf("TCA window: %d matches, want 4 (300,400,1000,1100)", len(got))
 	}
-	if got := s.Query(Query{MaxPCAKm: 0.25, HasMaxPCA: true}); len(got) != 4 {
+	if got := s.Query(Query{Filter: core.Filter{MaxPCAKm: 0.25, HasMaxPCA: true}}); len(got) != 4 {
 		t.Fatalf("PCA cap: %d matches, want 4 (two runs × PCA 0.1,0.2)", len(got))
 	}
 	if got := s.Query(Query{Limit: 3}); len(got) != 3 {
