@@ -2,14 +2,12 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	satconj "repro"
-	"repro/internal/mathx"
 	"repro/internal/model"
 	"repro/internal/population"
 	"repro/internal/propagation"
@@ -425,7 +423,7 @@ func runTimeshare(ctx *benchCtx) error {
 		return err
 	}
 	t := report.NewTable(fmt.Sprintf("Phase shares at n=%d, span %.0f s, threshold %.1f km", n, duration, threshold),
-		"Variant", "CD %", "INS %", "FRZ %", "REF %", "coplanarity %")
+		"Variant", "CD %", "INS %", "REF %", "coplanarity %")
 	for _, v := range []satconj.Variant{satconj.VariantGrid, satconj.VariantHybrid} {
 		res, _, err := screenTimed(ctx, sats, satconj.Options{
 			Variant: v, ThresholdKm: threshold, DurationSeconds: duration,
@@ -438,7 +436,6 @@ func runTimeshare(ctx *benchCtx) error {
 		t.AddRow(string(v),
 			fmt.Sprintf("%.0f", 100*float64(st.Detection)/total),
 			fmt.Sprintf("%.0f", 100*float64(st.Insertion)/total),
-			fmt.Sprintf("%.0f", 100*float64(st.Freeze)/total),
 			fmt.Sprintf("%.0f", 100*float64(st.Refine)/total),
 			fmt.Sprintf("%.0f", 100*float64(st.Coplanarity)/total))
 	}
@@ -603,166 +600,5 @@ func runAccuracy(ctx *benchCtx) error {
 	fmt.Println("\nPaper reference at 64k: legacy 17,184 conjunctions; grid 17,264 (5 pairs missed,")
 	fmt.Println("35 extra); hybrid 17,242 (0 missed, 30 extra). Expected shape: near-total pair")
 	fmt.Println("agreement, small extras from duplicate multi-step detections near the threshold.")
-	return nil
-}
-
-// ---------------------------------------------------------------- treecmp
-
-// treecmpDebris builds a fragmentation-style population: a handful of
-// breakup clouds, each a few hundred objects jittered around one parent
-// orbit. The clouds are dense enough that every satellite's 16-step
-// position-time box overlaps a large fraction of its cloud-mates — the
-// regime where the AABB tree's window-hull candidates blow up while the
-// per-step grid stays proportional to genuinely close pairs.
-func treecmpDebris(n int, seed uint64) ([]satconj.Satellite, error) {
-	rng := mathx.NewSplitMix64(seed)
-	const clouds = 6
-	members := (n + clouds - 1) / clouds
-	sats := make([]satconj.Satellite, 0, n)
-	for len(sats) < n {
-		base := satconj.Elements{
-			SemiMajorAxis: rng.UniformRange(6900, 7400),
-			Eccentricity:  rng.UniformRange(0, 0.01),
-			Inclination:   rng.UniformRange(0.6, 1.8),
-			RAAN:          rng.UniformRange(0, mathx.TwoPi),
-			ArgPerigee:    rng.UniformRange(0, mathx.TwoPi),
-			MeanAnomaly:   rng.UniformRange(0, mathx.TwoPi),
-		}
-		for k := 0; k < members && len(sats) < n; k++ {
-			el := base
-			el.SemiMajorAxis += rng.UniformRange(-20, 20)
-			el.Inclination += rng.UniformRange(-0.004, 0.004)
-			el.RAAN += rng.UniformRange(-0.004, 0.004)
-			el.MeanAnomaly += rng.UniformRange(-0.01, 0.01)
-			s, err := satconj.NewSatellite(int32(len(sats)), el)
-			if err != nil {
-				return nil, err
-			}
-			sats = append(sats, s)
-		}
-	}
-	return sats, nil
-}
-
-// treecmpDeepSpace spreads n objects thinly between MEO and beyond GEO.
-// Box hulls almost never overlap here, so one tree build per window
-// replaces hundreds of per-step grid reset/insert/freeze/scan rounds with
-// near-zero candidate work — the tree's best case.
-func treecmpDeepSpace(n int, seed uint64) ([]satconj.Satellite, error) {
-	rng := mathx.NewSplitMix64(seed)
-	sats := make([]satconj.Satellite, 0, n)
-	for len(sats) < n {
-		a := rng.UniformRange(20000, 45000)
-		el := satconj.Elements{
-			SemiMajorAxis: a,
-			Eccentricity:  rng.UniformRange(0, math.Min(0.2, 1-8000/a)),
-			Inclination:   rng.UniformRange(0, 1.2),
-			RAAN:          rng.UniformRange(0, mathx.TwoPi),
-			ArgPerigee:    rng.UniformRange(0, mathx.TwoPi),
-			MeanAnomaly:   rng.UniformRange(0, mathx.TwoPi),
-		}
-		s, err := satconj.NewSatellite(int32(len(sats)), el)
-		if err != nil {
-			return nil, err
-		}
-		sats = append(sats, s)
-	}
-	return sats, nil
-}
-
-// treecmpEccentric builds Molniya-style high-eccentricity orbits: LEO
-// perigees, MEO-to-GEO apogees. The population sweeps a huge volume, so
-// per-step grid occupancy is wasted on mostly-empty space while window
-// hulls still rarely intersect.
-func treecmpEccentric(n int, seed uint64) ([]satconj.Satellite, error) {
-	rng := mathx.NewSplitMix64(seed)
-	sats := make([]satconj.Satellite, 0, n)
-	for len(sats) < n {
-		rp := rng.UniformRange(6800, 7400)
-		ra := rng.UniformRange(20000, 46000)
-		el := satconj.Elements{
-			SemiMajorAxis: (rp + ra) / 2,
-			Eccentricity:  (ra - rp) / (ra + rp),
-			Inclination:   rng.UniformRange(0.9, 1.3),
-			RAAN:          rng.UniformRange(0, mathx.TwoPi),
-			ArgPerigee:    rng.UniformRange(0, mathx.TwoPi),
-			MeanAnomaly:   rng.UniformRange(0, mathx.TwoPi),
-		}
-		s, err := satconj.NewSatellite(int32(len(sats)), el)
-		if err != nil {
-			return nil, err
-		}
-		sats = append(sats, s)
-	}
-	return sats, nil
-}
-
-// runTreecmp races the AABB-tree variant against the grid family on three
-// populations chosen to stress opposite ends of the design space (these
-// three variants ARE the experiment's subject; sweeps that should follow
-// the registry are fig10*/accuracy).
-func runTreecmp(ctx *benchCtx) error {
-	duration := ctx.durationOr(600)
-	threshold := ctx.thresholdOr(2)
-	scale := 1
-	if ctx.full {
-		scale = 4
-	}
-	type popCase struct {
-		name string
-		sats []satconj.Satellite
-	}
-	debris, err := treecmpDebris(3000*scale, ctx.seed)
-	if err != nil {
-		return err
-	}
-	deep, err := treecmpDeepSpace(5000*scale, ctx.seed+1)
-	if err != nil {
-		return err
-	}
-	ecc, err := treecmpEccentric(6000*scale, ctx.seed+2)
-	if err != nil {
-		return err
-	}
-	pops := []popCase{
-		{"debris-clouds", debris},
-		{"sparse-deep-space", deep},
-		{"eccentric-molniya", ecc},
-	}
-	variants := []satconj.Variant{satconj.VariantGrid, satconj.VariantHybrid, satconj.VariantAABB}
-
-	fmt.Printf("span %.0f s, threshold %.1f km\n\n", duration, threshold)
-	t := report.NewTable("", "Population", "Objects", "Variant", "Wall [s]", "Candidates", "Conjunctions")
-	var verdicts []string
-	for _, p := range pops {
-		walls := map[satconj.Variant]float64{}
-		for _, v := range variants {
-			res, elapsed, err := screenTimed(ctx, p.sats, satconj.Options{
-				Variant: v, ThresholdKm: threshold, DurationSeconds: duration,
-			})
-			if err != nil {
-				return err
-			}
-			walls[v] = elapsed.Seconds()
-			t.AddRow(p.name, len(p.sats), string(v), fmt.Sprintf("%.3f", elapsed.Seconds()),
-				res.Stats.CandidatePairs, len(res.Conjunctions))
-		}
-		winner := satconj.VariantGrid
-		if walls[satconj.VariantAABB] < walls[satconj.VariantGrid] {
-			winner = satconj.VariantAABB
-		}
-		verdicts = append(verdicts, fmt.Sprintf("  %-18s %-6s wins (grid %.3fs vs aabb %.3fs)",
-			p.name, winner, walls[satconj.VariantGrid], walls[satconj.VariantAABB]))
-	}
-	if err := t.WriteASCII(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	for _, v := range verdicts {
-		fmt.Println(v)
-	}
-	fmt.Println("\nExpected shape: the per-step grid wins inside dense debris clouds (window")
-	fmt.Println("hulls overlap most cloud-mates), the windowed tree wins on sparse and")
-	fmt.Println("eccentric populations (one build per window, near-empty overlap sets).")
 	return nil
 }

@@ -52,7 +52,6 @@ var experiments = []experiment{
 	{"threads", "§V-C2 — CPU thread-count speedup", runThreads},
 	{"tdp", "§V-C3 — energy comparison (TDP model, CPU rows)", runTDP},
 	{"accuracy", "§V-D — accuracy: conjunction counts and pair agreement", runAccuracy},
-	{"treecmp", "4D AABB tree vs grid family — head-to-head on contrasting populations", runTreecmp},
 	{"scale", "§V-B at scale — grid screening of 131k–1M-object catalogues with peak-heap capture", runScale},
 }
 

@@ -4,17 +4,15 @@
 // One detector runs the four steps of §III — (1) upfront allocation, (2)
 // parallel propagation, binning and candidate identification per sampling
 // step, (3) an optional filter, (4) PCA/TCA determination with Brent
-// minimisation — and is registered three times (frame, grid.go):
+// minimisation — and is registered twice (frame, grid.go):
 //
 //   - grid — the purely grid-based variant: small cells, fine sampling,
 //     every candidate pair refined directly.
 //   - hybrid — the grid as a pre-filter with larger cells and coarser
 //     sampling, followed by the classical orbital filter chain which both
 //     rejects pairs and supplies the PCA/TCA search interval.
-//   - aabb — the 4D AABB tree of Bak & Hobbs: windowed position-time boxes
-//     under a bounding-volume hierarchy instead of the per-step grid.
 //
-// All three screen incrementally too (delta.go, track.go).
+// Both screen incrementally too (delta.go, track.go).
 package core
 
 import (
@@ -175,9 +173,9 @@ func CompareConjunctions(a, b Conjunction) int {
 // probe, candidate emission included, and Detection the collect alone.
 type PhaseStats struct {
 	Insertion   time.Duration // propagation + one {cell key, ID} entry per object (INS)
-	Freeze      time.Duration // zero on grid and hybrid, which freeze nothing; aabb-tree: its window builds (FRZ)
+	Freeze      time.Duration // always zero — no detector freezes anything; kept because bench/ reads it
 	Detection   time.Duration // candidate generation: per step entry sort + group into cells + sweep, per run one collect of the keys (CD)
-	Sort        time.Duration // the serial sort + group share of Detection; zero on stamping delta passes and the aabb-tree
+	Sort        time.Duration // the serial sort + group share of Detection; zero on stamping delta passes
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
@@ -196,7 +194,7 @@ type PhaseStats struct {
 	RefineBatches     int    // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds       uint64 // satellite samples outside the simulation cube
 	GridSlots         int    // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
-	PairSetGrowths    int    // always zero — the candidates are a list, nothing grows; kept, like Freeze, because bench/ reads it
+	PairSetGrowths    int    // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
 	FilterStats       filters.Stats
 }
 
@@ -204,7 +202,7 @@ type PhaseStats struct {
 // the detection share overlaps insertion wall time, so phase *shares* remain
 // the meaningful quantity (as in §V-C1), not their sum against the wall clock.
 func (p PhaseStats) Total() time.Duration {
-	return p.Insertion + p.Freeze + p.Detection + p.Refine + p.Coplanarity
+	return p.Insertion + p.Detection + p.Refine + p.Coplanarity
 }
 
 // PhaseSecond pairs a phase name with its accumulated wall seconds — the
@@ -216,13 +214,12 @@ type PhaseSecond struct {
 }
 
 // PhaseSeconds returns the per-phase wall-time breakdown in execution
-// order, under the stats' own names (insertion/freeze/detection/refine/
-// filter — the §V-C1 columns, not the Observer phase enum, which folds
-// detection into the sample phase).
+// order, under the stats' own names (insertion/detection/refine/filter —
+// the §V-C1 columns, not the Observer phase enum, which folds detection
+// into the sample phase).
 func (p PhaseStats) PhaseSeconds() []PhaseSecond {
 	return []PhaseSecond{
 		{Name: "insertion", Seconds: p.Insertion.Seconds()},
-		{Name: "freeze", Seconds: p.Freeze.Seconds()},
 		{Name: "detection", Seconds: p.Detection.Seconds()},
 		{Name: "refine", Seconds: p.Refine.Seconds()},
 		{Name: "filter", Seconds: p.Coplanarity.Seconds()},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -124,14 +125,17 @@ func TestGridConfigValidation(t *testing.T) {
 }
 
 func TestEmptyAndSingletonPopulations(t *testing.T) {
-	res, err := newGrid(Config{DurationSeconds: 100}).Screen(nil)
-	if err != nil || len(res.Conjunctions) != 0 {
-		t.Errorf("empty population: res=%v err=%v", res, err)
-	}
 	a, _ := meetingPair(0, 1, 100, 1.1, 0)
-	res, err = newHybrid(Config{DurationSeconds: 100}).Screen([]propagation.Satellite{a})
-	if err != nil || len(res.Conjunctions) != 0 {
-		t.Errorf("singleton population: res=%v err=%v", res, err)
+	for _, variant := range []Variant{VariantGrid, VariantHybrid} {
+		for _, sats := range [][]propagation.Satellite{nil, {a}} {
+			res, err := newDetector(variant, Config{DurationSeconds: 100}).Screen(sats)
+			if err != nil || len(res.Conjunctions) != 0 || res.Variant != variant {
+				t.Errorf("%s, %d satellites: res=%v err=%v", variant, len(sats), res, err)
+			}
+		}
+		if _, err := newDetector(variant, Config{}).Screen(nil); !errors.Is(err, ErrNoDuration) {
+			t.Errorf("%s, missing duration: err=%v, want ErrNoDuration", variant, err)
+		}
 	}
 }
 
@@ -254,7 +258,6 @@ func TestStatsPhaseAccounting(t *testing.T) {
 	for name, screen := range map[string]func(Config) (*Result, error){
 		"grid":   func(c Config) (*Result, error) { return newGrid(c).Screen(sats) },
 		"hybrid": func(c Config) (*Result, error) { return newHybrid(c).Screen(sats) },
-		"aabb":   func(c Config) (*Result, error) { return newAABB(c).Screen(sats) },
 		"grid-delta": func(c Config) (*Result, error) {
 			return newGrid(c).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: []int32{0}})
 		},

@@ -91,12 +91,11 @@ func (delta *DeltaInput) validate(idx map[int32]int32) (maxID int32, err error) 
 }
 
 // setDelta validates the delta and decides, once, whether the pass is
-// incremental: on the grid below the crossover, on the aabb always. An
-// incremental pass emits only pairs with a dirty member — the aabb's window
-// query consults r.dirty, the grid stamps r.dirtyIdx into the stamp table —
-// and the frame's merge consults r.touched (dirty ∪ removed). Everything
-// drawn here is pooled and handed back by release with the run's other
-// structures.
+// incremental: below the crossover (stampingPays) it is. An incremental pass
+// stamps r.dirtyIdx into the stamp table, so it emits only pairs with a dirty
+// member, and the frame's merge consults r.touched (dirty ∪ removed).
+// Everything drawn here is pooled and handed back by release with the run's
+// other structures.
 func (r *run) setDelta(delta *DeltaInput) error {
 	maxID, err := delta.validate(r.idx)
 	if err != nil {
@@ -105,14 +104,13 @@ func (r *run) setDelta(delta *DeltaInput) error {
 	words := bitsetWords(maxID) // 0 for the empty delta's −1
 	r.dirty = r.pool.GetBitset(words)
 	r.touched = r.pool.GetBitset(words)
-	r.incremental = r.grid == nil || stampingPays(len(delta.Dirty), len(r.sats))
-	stamping := r.incremental && r.grid != nil
-	if stamping {
+	r.incremental = stampingPays(len(delta.Dirty), len(r.sats))
+	if r.incremental {
 		r.dirtyIdx = make([]int32, 0, len(delta.Dirty))
 	}
 	for _, id := range delta.Dirty {
 		// A repeated ID stamps once, one absent from the population never.
-		if i, present := r.idx[id]; present && stamping && !bitsetHas(r.dirty, id) {
+		if i, present := r.idx[id]; present && r.incremental && !bitsetHas(r.dirty, id) {
 			r.dirtyIdx = append(r.dirtyIdx, i)
 		}
 		bitsetSet(r.dirty, id)
@@ -122,7 +120,7 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		bitsetSet(r.touched, id)
 	}
 	r.stats.DirtyObjects = len(delta.Dirty)
-	if k := len(r.dirtyIdx); stamping {
+	if k := len(r.dirtyIdx); r.incremental {
 		r.gset = r.pool.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k)
 		r.stats.GridSlots = r.gset.Slots()
 		r.dirtyKeys = r.pool.GetKeyBuf(k)[:k]

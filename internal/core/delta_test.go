@@ -115,22 +115,14 @@ func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagati
 	cfg.ablation.noGate = true
 	sps := cfg.SecondsPerSample
 	if sps <= 0 {
-		sps = map[Variant]float64{VariantHybrid: DefaultHybridSeconds, VariantAABB: DefaultAABBSeconds}[variant]
+		sps = newDetector(variant, cfg).sps
 	}
-	if sps <= 0 {
-		sps = DefaultGridSeconds
-	}
-	r, err := newRun(context.Background(), cfg, sats, sps, variant != VariantAABB, nil)
+	r, err := newRun(context.Background(), cfg, sats, sps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.release()
-	if variant == VariantAABB {
-		err = r.sampleWindows()
-	} else {
-		err = r.sampleAllSteps()
-	}
-	if err != nil {
+	if err := r.sampleAllSteps(); err != nil {
 		t.Fatal(err)
 	}
 	isDirty := make(map[int32]bool, len(dirty))
@@ -155,8 +147,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 	}{
 		{"grid", VariantGrid, Config{halfExtentKm: 9000}, 1800},
 		{"hybrid", VariantHybrid, Config{halfExtentKm: 9000}, 1800},
-		{"aabb", VariantAABB, Config{}, 1800},            // 1801 steps: the last window is nine
-		{"aabb-short-window", VariantAABB, Config{}, 12}, // 13 steps: one window, short of W
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +156,6 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 			cfg.DurationSeconds, cfg.Workers, cfg.Pool = span, 4, pl
 			desc, _ := Lookup(tc.variant)
 			det := desc.New(cfg).(DeltaDetector)
-			stamps := tc.variant != VariantAABB // the tree has no stamp table and no crossover
 			ctx := context.Background()
 
 			// The engineered encounters plus enough shell objects that the
@@ -181,17 +170,15 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 				t.Fatal(err)
 			}
 			prior := full.Conjunctions
-			// The stamping variants run every round a second time through a
-			// session, so one chain with a key track lives across all of them.
-			var sess *Session
+			// Every round runs a second time through a session, so one chain
+			// with a key track lives across all of them.
 			epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-			if stamps {
-				if sess, err = NewSession(tc.variant, cfg); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch}); err != nil {
-					t.Fatal(err)
-				}
+			sess, err := NewSession(tc.variant, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch}); err != nil {
+				t.Fatal(err)
 			}
 
 			rng := mathx.NewSplitMix64(23)
@@ -236,40 +223,37 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertConjunctionsEqual(t, tc.name, inc.Conjunctions, fresh.Conjunctions)
-				if stamps {
-					chained, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty, Removed: removed, Covered: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertConjunctionsEqual(t, tc.name+" session", chained.Conjunctions, fresh.Conjunctions)
-					// Round 0 primes a track nothing preceded; every later round
-					// adds or removes an object, which drops it, and the last is
-					// above the crossover. No round gets to read a row.
-					wantDrop := "membership"
-					switch round {
-					case 0:
-						wantDrop = ""
-					case 6:
-						wantDrop = "crossover"
-					}
-					if st := chained.Stats; st.TrackDropped != wantDrop || st.TrackedObjects != 0 ||
-						st.CandidatePairs != inc.Stats.CandidatePairs || st.OutOfBounds != inc.Stats.OutOfBounds {
-						t.Fatalf("round %d: session pass dropped %q (want %q), read %d rows, %d candidates (stateless pass %d)",
-							round, st.TrackDropped, wantDrop, st.TrackedObjects, st.CandidatePairs, inc.Stats.CandidatePairs)
-					}
-					if kept := sess.track != nil; kept != (round != 6) {
-						t.Fatalf("round %d: session holds a track = %v", round, kept)
-					}
+				chained, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty, Removed: removed, Covered: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertConjunctionsEqual(t, tc.name+" session", chained.Conjunctions, fresh.Conjunctions)
+				// Round 0 primes a track nothing preceded; every later round
+				// adds or removes an object, which drops it, and the last is
+				// above the crossover. No round gets to read a row.
+				wantDrop := "membership"
+				switch round {
+				case 0:
+					wantDrop = ""
+				case 6:
+					wantDrop = "crossover"
+				}
+				if st := chained.Stats; st.TrackDropped != wantDrop || st.TrackedObjects != 0 ||
+					st.CandidatePairs != inc.Stats.CandidatePairs || st.OutOfBounds != inc.Stats.OutOfBounds {
+					t.Fatalf("round %d: session pass dropped %q (want %q), read %d rows, %d candidates (stateless pass %d)",
+						round, st.TrackDropped, wantDrop, st.TrackedObjects, st.CandidatePairs, inc.Stats.CandidatePairs)
+				}
+				if kept := sess.track != nil; kept != (round != 6) {
+					t.Fatalf("round %d: session holds a track = %v", round, kept)
 				}
 				if inc.Stats.DirtyObjects != len(dirty) {
 					t.Fatalf("round %d: DirtyObjects = %d, want %d", round, inc.Stats.DirtyObjects, len(dirty))
 				}
 				wantCand, wantSteps := dirtyCandidates(t, tc.variant, cfg, sats, dirty), fresh.Stats.Steps
-				switch {
-				case !stamps:
-				case round == 4:
+				switch round {
+				case 4:
 					wantSteps = 0
-				case round == 6:
+				case 6:
 					wantCand = fresh.Stats.CandidatePairs
 					if inc.Stats.PriorRetained != 0 {
 						t.Fatalf("round %d: a pass above the crossover retained %d prior conjunctions", round, inc.Stats.PriorRetained)
@@ -534,7 +518,7 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 		"insertion-full": func(t *testing.T, cfg Config) {
 			sess := primed(t, VariantGrid, cfg)
 			func() {
-				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, true, &DeltaInput{Dirty: dirty, session: sess})
+				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, &DeltaInput{Dirty: dirty, session: sess})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -191,7 +191,7 @@ func TestVariantsDifferentialAgreement(t *testing.T) {
 		})
 	}
 	// Registry sweep: every detector registered in this test binary (grid,
-	// hybrid, aabb — the out-of-package baselines are covered by the external
+	// hybrid — the out-of-package baselines are covered by the external
 	// battery in registry_battery_test.go) is pinned automatically, so a new
 	// registration joins the battery with zero test edits.
 	for _, d := range Variants() {

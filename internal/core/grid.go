@@ -22,8 +22,6 @@ func init() {
 	register(frame{
 		variant: VariantGrid,
 		sps:     DefaultGridSeconds,
-		grid:    true,
-		sample:  (*run).sampleAllSteps,
 	}, "purely grid-based screening: fine sampling, Eq. 1 cells, every candidate refined (§III)")
 }
 
@@ -31,13 +29,10 @@ func init() {
 const DefaultGridSeconds = 1.0
 
 // frame is what one registration of the §III detector brings to it: the
-// grid, hybrid and aabb variants differ in these fields and nothing else.
+// grid and hybrid variants differ in these fields and nothing else.
 type frame struct {
 	variant Variant
 	sps     float64 // default sampling step s_ps
-	grid    bool    // samples on the Eq. 1 grid (and so has a stamping delta pass)
-	// sample is step 2: propagate, bin and identify candidates, collected into r.keys.
-	sample func(r *run) error
 	// filter, when non-nil, is step 3: the candidates refinement sees, and
 	// the search window of each (a false ok falls back to the grid rule).
 	filter func(r *run) (kept []uint64, interval func(k int) (center, radius float64, ok bool), err error)
@@ -69,9 +64,9 @@ func (d *detector) ScreenContext(ctx context.Context, sats []propagation.Satelli
 
 // ScreenDelta screens incrementally; see DeltaInput for the contract. The
 // result is equivalent to a full screen of the same population at the
-// candidate cost of the dirty set only. On the grid past the crossover
-// (stampingPays) the delta is validated and a plain full screen runs
-// instead, with PriorRetained = 0.
+// candidate cost of the dirty set only. Past the crossover (stampingPays)
+// the delta is validated and a plain full screen runs instead, with
+// PriorRetained = 0.
 func (d *detector) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
 	return d.screen(ctx, sats, &delta)
 }
@@ -83,7 +78,7 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	if sps <= 0 {
 		sps = d.sps
 	}
-	r, err := newRun(ctx, d.cfg, sats, sps, d.grid, delta)
+	r, err := newRun(ctx, d.cfg, sats, sps, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +90,10 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	defer r.release()
 
 	tSample := time.Now()
-	if err := d.sample(r); err != nil {
+	if err := r.sampleAllSteps(); err != nil {
 		return nil, err
 	}
 	r.observePhase(PhaseSample, time.Since(tSample), 0)
-	r.observePhase(PhaseFreeze, r.stats.Freeze, 0)
 
 	pairs := r.keys
 	var interval func(k int) (center, radius float64, ok bool)
@@ -161,8 +155,8 @@ type run struct {
 	// Delta screening state (delta.go); zero on full screens.
 	dirty   []uint64 // pooled bitset: IDs whose pairs a delta pass emits
 	touched []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
-	// incremental: the pass emits dirty pairs only and merges the prior
-	// (setDelta). On the grid it stamps: gset is the stamp table.
+	// incremental: the pass stamps, emits dirty pairs only and merges the
+	// prior (setDelta); gset is the stamp table.
 	incremental bool
 	dirtyIdx    []int32   // stamping: population index of each distinct dirty object present
 	dirtyKeys   []uint64  // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
@@ -197,21 +191,15 @@ type run struct {
 	insertErr   atomic.Value    // stamping: the first stamp-table insertion failure
 
 	buildFn, scanFn func(w, lo, hi int)
-
-	// win is the aabb variant's per-window state (aabb.go); nil on the grid.
-	win *aabbWindow
 }
 
 // newRun validates inputs and allocates every structure up front — the
 // paper's step 1. A nil run (with nil error) signals a trivially empty
 // population. A context already cancelled on entry aborts before sampling,
-// with the pooled structures returned. withGrid allocates the spatial grid
-// and the step loop's entry, sort and ID buffers; the aabb frame passes
-// false and builds its bounding-volume hierarchy instead, sharing
-// everything else (validation, per-worker candidate buffers, warm caches,
-// refiner). A delta is validated here; on the grid, below the crossover, the
-// stamp table replaces those buffers.
-func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, withGrid bool, delta *DeltaInput) (*run, error) {
+// with the pooled structures returned. A delta is validated here; below the
+// crossover the stamp table replaces the step loop's entry, sort and ID
+// buffers.
+func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, delta *DeltaInput) (*run, error) {
 	tAlloc := time.Now()
 	if cfg.DurationSeconds <= 0 {
 		return nil, ErrNoDuration
@@ -239,18 +227,14 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		gridThreshold += 2 * maxU
 	}
 	cellSize := spatial.CellSize(gridThreshold, sps)
-	var grid *spatial.Grid
-	if withGrid {
-		halfExtent := cfg.halfExtentKm
-		if halfExtent <= 0 {
-			halfExtent = autoHalfExtent(sats, cellSize)
-		}
-		var err error
-		grid, err = spatial.NewGrid(cellSize, halfExtent)
-		if err != nil {
-			pl.PutIDIndex(idx)
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	halfExtent := cfg.halfExtentKm
+	if halfExtent <= 0 {
+		halfExtent = autoHalfExtent(sats, cellSize)
+	}
+	grid, err := spatial.NewGrid(cellSize, halfExtent)
+	if err != nil {
+		pl.PutIDIndex(idx)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	steps := stepCount(cfg.DurationSeconds, sps)
 	if steps-1 > lockfree.MaxStep {
@@ -298,7 +282,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		// itself (the e → 0 root); SolveFrom handles the rest.
 		r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 	}
-	if withGrid && !r.incremental {
+	if !r.incremental {
 		// A step has one entry per object, so at most that many cells and IDs.
 		n := len(sats)
 		r.entries = pl.GetCellBuf(n)[:n]
@@ -397,7 +381,7 @@ func (r *run) release() {
 }
 
 // candidates is the number of keys emitted so far. It reads the per-worker
-// buffers, so only call it with no scan, probe or query in flight.
+// buffers, so only call it with no scan or probe in flight.
 func (r *run) candidates() int {
 	n := 0
 	for _, buf := range r.scanBufs {
@@ -410,9 +394,9 @@ func (r *run) candidates() int {
 // per-worker buffers concatenated into one pooled buffer owned (and later
 // released) by the run, sorted into (A, B, Step) order — the candidates of one
 // pair are one run of the list and the refinements of one satellite sit
-// adjacent — and compacted. Every sweep and window query emits a (pair, step)
-// once; only a stamping pass's dirty–dirty pairs, found from both sides, have
-// a repeat to drop. The span is candidate generation, so Detection's.
+// adjacent — and compacted. Every sweep emits a (pair, step) once; only a
+// stamping pass's dirty–dirty pairs, found from both sides, have a repeat to
+// drop. The span is candidate generation, so Detection's.
 func (r *run) collectPairs() {
 	tCD := time.Now()
 	keys := r.pool.GetKeyBuf(r.candidates())

@@ -19,8 +19,6 @@ func init() {
 	register(frame{
 		variant: VariantHybrid,
 		sps:     DefaultHybridSeconds,
-		grid:    true,
-		sample:  (*run).sampleAllSteps,
 		filter:  (*run).filterCandidates,
 	}, "grid pre-filter with coarse sampling plus the classical orbital filter chain (§III, default)")
 }

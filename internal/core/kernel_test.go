@@ -49,7 +49,7 @@ func newtonConverges(m, e, guess float64) bool {
 func kernelRun(t *testing.T, sats []propagation.Satellite, sps float64) *run {
 	t.Helper()
 	cfg := Config{DurationSeconds: 1e4, SecondsPerSample: sps, Workers: 1, Pool: pool.New()}
-	r, err := newRun(context.Background(), cfg, sats, sps, true, nil)
+	r, err := newRun(context.Background(), cfg, sats, sps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,16 +32,14 @@ func (f SinkFunc) Emit(c Conjunction) { f(c) }
 // Phase names one pipeline stage (the four-step structure of §III).
 type Phase string
 
-// The pipeline phases, in execution order. The grid and aabb variants
-// report allocate, sample, freeze and refine; the hybrid adds filter before
-// refine. Freeze follows sample with the aabb's accumulated tree-build time
-// (a component of the sample phase), and with zero elapsed on the grid and
-// hybrid, which freeze nothing. The legacy baseline reports no phase, only
-// steps. registry_battery_test.go pins these sequences.
+// The pipeline phases, in execution order. The grid variant reports
+// allocate, sample and refine; the hybrid adds filter before refine. The
+// legacy baseline reports no phase, only steps. registry_battery_test.go
+// pins these sequences.
 const (
 	PhaseAllocate Phase = "allocate" // step 1: validation + upfront allocation
 	PhaseSample   Phase = "sample"   // step 2: propagate + key + candidates
-	PhaseFreeze   Phase = "freeze"   // step 2 component: aabb-tree builds; zero elsewhere
+	PhaseFreeze   Phase = "freeze"   // never reported; kept because bench/ reads it
 	PhaseFilter   Phase = "filter"   // step 3: orbital filter chain (hybrid)
 	PhaseRefine   Phase = "refine"   // step 4: PCA/TCA determination
 )

@@ -352,10 +352,17 @@ func TestRefineOracleBattery(t *testing.T) {
 // require both verdicts to occur, so the battery exercises the bound's
 // boundary. Under J2 the states carry the osculating conic's velocity, not
 // ṙ, and the encounter rows hold the bound to the true minimum itself.
+// Numeric with the full J2 force gets the two-body μ/r_p² (gateBounds), which
+// its true acceleration exceeds by up to a share 3·J2·(R_e/r)², the J2 term
+// over a pole; its rows check that the bound's slack absorbs this. Numeric
+// integrates from the epoch on every call, so its rows run fewer trials.
 func TestPrefilterSoundnessAgainstDenseSampling(t *testing.T) {
-	t.Run("two-body", func(t *testing.T) { randomPrefilterBattery(t, propagation.TwoBody{}) })
-	t.Run("j2", func(t *testing.T) { randomPrefilterBattery(t, propagation.J2{}) })
-	t.Run("j2-encounters", func(t *testing.T) { encounterPrefilterBattery(t, propagation.J2{}) })
+	t.Run("two-body", func(t *testing.T) { randomPrefilterBattery(t, propagation.TwoBody{}, 200) })
+	t.Run("j2", func(t *testing.T) { randomPrefilterBattery(t, propagation.J2{}, 200) })
+	t.Run("j2-encounters", func(t *testing.T) { encounterPrefilterBattery(t, propagation.J2{}, 600) })
+	numericJ2 := propagation.Numeric{Forces: []propagation.Force{propagation.PointMass{}, propagation.J2Force{}}}
+	t.Run("numeric-j2", func(t *testing.T) { randomPrefilterBattery(t, numericJ2, 25) })
+	t.Run("numeric-j2-encounters", func(t *testing.T) { encounterPrefilterBattery(t, numericJ2, 90) })
 }
 
 // minSeparation is the smallest separation of a and b over [center+lo,
@@ -378,9 +385,9 @@ func minSeparation(prop propagation.Propagator, a, b *propagation.Satellite, cen
 	return math.Sqrt(math.Min(best, r.F))
 }
 
-// randomPrefilterBattery draws random pairs, windows and thresholds, and
-// checks every rejection against dense sampling.
-func randomPrefilterBattery(t *testing.T, prop propagation.Propagator) {
+// randomPrefilterBattery draws random pairs, windows and thresholds for the
+// given number of trials, and checks every rejection against dense sampling.
+func randomPrefilterBattery(t *testing.T, prop propagation.Propagator, trials int) {
 	const span = 4000.0
 	rng := mathx.NewSplitMix64(777)
 	ref := newRefiner(prop, 10, span)
@@ -402,7 +409,7 @@ func randomPrefilterBattery(t *testing.T, prop propagation.Propagator) {
 
 	rejected, kept := 0, 0
 	ev := &pairEvaluator{prop: prop}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		var a, b *propagation.Satellite
 		if trial%5 == 4 {
 			i := 2 * rng.Intn(len(twins)/2)
@@ -431,22 +438,23 @@ func randomPrefilterBattery(t *testing.T, prop propagation.Propagator) {
 		}
 	}
 	t.Logf("prefilter soundness: %d rejected (all verified), %d kept", rejected, kept)
-	if rejected < 20 {
+	if 10*rejected < trials {
 		t.Errorf("only %d rejections; soundness battery too weak", rejected)
 	}
-	if kept < 5 {
+	if 40*kept < trials {
 		t.Errorf("only %d kept; the bound never came close to the threshold", kept)
 	}
 }
 
 // encounterPrefilterBattery builds pairs that meet at tMeet — near twins, LEO
 // crossings at any inclination, and Molniya × LEO at the Molniya perigee —
-// and windows refinement would search near the meeting, with the grid rule's
-// radius at the grid's and the hybrid's default step or a node-window radius.
+// one per trial, and windows refinement would search near the meeting, with
+// the grid rule's radius at the grid's and the hybrid's default step or a
+// node-window radius.
 // The threshold is the window's true minimum separation, so any rejection is
 // a lost record; the bound must also come within 200 m of the truth often,
 // or the battery would test nothing.
-func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator) {
+func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator, trials int) {
 	const span = 4000.0
 	rng := mathx.NewSplitMix64(35)
 	ref := newRefiner(prop, 10, span)
@@ -455,7 +463,7 @@ func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator) {
 		return orbit.Elements{SemiMajorAxis: r, Eccentricity: 5e-4, Inclination: rng.UniformRange(0.05, 3.05)}
 	}
 	tight := 0
-	for trial := 0; trial < 600; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		var elA, elB orbit.Elements
 		switch kind := trial % 3; kind {
 		case 0: // near twins: planes a few degrees apart
@@ -497,8 +505,8 @@ func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator) {
 			tight++
 		}
 	}
-	t.Logf("encounter soundness: 600 windows held to their true minimum, %d with the bound within 200 m", tight)
-	if tight < 50 {
+	t.Logf("encounter soundness: %d windows held to their true minimum, %d with the bound within 200 m", trials, tight)
+	if 12*tight < trials {
 		t.Errorf("the bound came within 200 m of the truth in only %d windows; battery too weak", tight)
 	}
 }

@@ -104,7 +104,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, halfExtentKm: 6000, ablation: ablation{noGate: true}}
 	newTestRun := func(cfg Config) *run {
 		cfg.Pool = pool.New()
-		r, err := newRun(context.Background(), cfg, sats, sps, true, nil)
+		r, err := newRun(context.Background(), cfg, sats, sps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,16 +22,11 @@ import (
 	"repro/internal/propagation"
 )
 
-// Names of the registered detector variants. The grid/hybrid pair is
-// declared in core.go; the baseline and the AABB tree are named here so
-// every layer can refer to them without importing their packages.
-const (
-	// VariantLegacy is the sequential all-on-all filter-chain baseline
-	// (internal/legacy).
-	VariantLegacy Variant = "legacy"
-	// VariantAABB is the 4D AABB-tree detector (aabb.go).
-	VariantAABB Variant = "aabb"
-)
+// VariantLegacy names the sequential all-on-all filter-chain baseline
+// (internal/legacy). The grid/hybrid pair is declared in core.go; the
+// baseline is named here so every layer can refer to it without importing
+// its package.
+const VariantLegacy Variant = "legacy"
 
 // Detector is the contract every registered screening variant satisfies:
 // screen a population over the configured span, honouring the Config's

@@ -1,7 +1,7 @@
 // This battery runs from an external test package on purpose: legacy
 // imports core, so in-package core tests can never see it without
 // an import cycle — `go test ./internal/core` registers only the
-// in-package detectors (grid, hybrid, aabb). The blank import below loads
+// in-package detectors (grid, hybrid). The blank import below loads
 // the full registry exactly as the satconj facade does, and the battery
 // then auto-iterates whatever is registered: a future detector joins the
 // differential net by registering itself, with no edits here.
@@ -28,7 +28,7 @@ func screenGrid(cfg core.Config, sats []propagation.Satellite) (*core.Result, er
 // TestRegistryHasAllFamilies pins the full registry as seen through the
 // blank import: every detector family, each constructible.
 func TestRegistryHasAllFamilies(t *testing.T) {
-	want := []core.Variant{core.VariantAABB, core.VariantGrid, core.VariantHybrid, core.VariantLegacy}
+	want := []core.Variant{core.VariantGrid, core.VariantHybrid, core.VariantLegacy}
 	names := core.VariantNames()
 	if len(names) != len(want) {
 		t.Fatalf("registered variants = %v, want %v", names, want)
@@ -122,14 +122,13 @@ func TestAllRegisteredVariantsAgreeWithGrid(t *testing.T) {
 
 // TestPhaseSequences pins the Observer phase contract (core.Phase) of every
 // registered variant, on a full screen and, for the incremental ones, on a
-// delta pass: grid and aabb report allocate, sample, freeze, refine; hybrid
-// adds filter before refine; legacy reports none. A variant registered
-// without an entry here fails.
+// delta pass: grid reports allocate, sample, refine; hybrid adds filter
+// before refine; legacy reports none. A variant registered without an entry
+// here fails.
 func TestPhaseSequences(t *testing.T) {
 	want := map[core.Variant]string{
-		core.VariantGrid:   "allocate sample freeze refine",
-		core.VariantAABB:   "allocate sample freeze refine",
-		core.VariantHybrid: "allocate sample freeze filter refine",
+		core.VariantGrid:   "allocate sample refine",
+		core.VariantHybrid: "allocate sample filter refine",
 		core.VariantLegacy: "",
 	}
 	const span = 600.0

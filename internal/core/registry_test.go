@@ -9,8 +9,8 @@ import (
 	"repro/internal/propagation"
 )
 
-// newDetector constructs the variant registered under name; newGrid,
-// newHybrid and newAABB are its shorthands.
+// newDetector constructs the variant registered under name; newGrid and
+// newHybrid are its shorthands.
 func newDetector(name Variant, cfg Config) *detector {
 	d, _ := Lookup(name)
 	return d.New(cfg).(*detector)
@@ -18,7 +18,6 @@ func newDetector(name Variant, cfg Config) *detector {
 
 func newGrid(cfg Config) *detector   { return newDetector(VariantGrid, cfg) }
 func newHybrid(cfg Config) *detector { return newDetector(VariantHybrid, cfg) }
-func newAABB(cfg Config) *detector   { return newDetector(VariantAABB, cfg) }
 
 // Screen is ScreenContext without cancellation, for the tests.
 func (d *detector) Screen(sats []propagation.Satellite) (*Result, error) {
@@ -30,7 +29,7 @@ func (d *detector) Screen(sats []propagation.Satellite) (*Result, error) {
 // (The legacy baseline registers from its own package; the external
 // battery in registry_battery_test.go covers the full set.)
 func TestRegistryContents(t *testing.T) {
-	for _, name := range []Variant{VariantGrid, VariantHybrid, VariantAABB} {
+	for _, name := range []Variant{VariantGrid, VariantHybrid} {
 		d, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q): not registered", name)

@@ -45,7 +45,7 @@ type Rescreener struct {
 // NewRescreener wires a rescreener to h (which must have a catalogue;
 // a store is optional but recommended). opts selects the screening
 // parameters for every background run; opts.Variant must have an
-// incremental mode (VariantDescriptor.Incremental: grid, hybrid or aabb).
+// incremental mode (VariantDescriptor.Incremental: grid or hybrid).
 // interval ≤ 0 selects one minute. logf may be nil (silent).
 func NewRescreener(h *Handler, opts satconj.Options, interval time.Duration, logf func(format string, args ...any)) *Rescreener {
 	if interval <= 0 {

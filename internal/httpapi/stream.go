@@ -23,8 +23,8 @@ import (
 //   - "progress":    step, steps, completed, pairs (one per sampled step,
 //     thinned to ~100 lines for long runs)
 //   - "phase":       phase, elapsed_seconds, pairs (end of each pipeline
-//     phase: allocate, sample, freeze and refine on grid and aabb, with
-//     filter before refine on hybrid; none on the legacy baseline — see
+//     phase: allocate, sample and refine on grid, with filter before
+//     refine on hybrid; none on the legacy baseline — see
 //     core.Phase)
 //   - "conjunction": conjunction (as refinement confirms it; unordered)
 //   - "result":      result (the run summary; its conjunction list is

@@ -1,6 +1,6 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// stamp tables, entry and sort buffers, gate tables, propagation state
-// buffers, candidate key buffers and ID-index maps — across sampling steps,
+// stamp tables, entry and sort buffers, gate tables, Kepler warm-start
+// caches, candidate key buffers and ID-index maps — across sampling steps,
 // runs and concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
@@ -21,8 +21,6 @@
 //   - GridSets are returned from Get in an unspecified fill state; callers
 //     must Reset before relying on emptiness. (A delta pass resets its stamp
 //     table at the start of every sampling step anyway, so this costs nothing.)
-//   - State buffers are returned with stale contents and fully overwritten
-//     by the propagation phase before any read.
 //   - ID-index maps are cleared on Put.
 //   - Motion tables are zeroed on Get: no row's stamp names a step.
 //   - Pair-key buffers, cell buffers, radial-gate tables and Kepler warm-start
@@ -71,7 +69,6 @@ type Pool struct {
 
 	mu       sync.Mutex
 	gridSets []*lockfree.GridSet
-	states   [][]propagation.State
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
@@ -121,7 +118,6 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	p.gridSets = nil
-	p.states = nil
 	p.indexes = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
@@ -237,13 +233,6 @@ func putBuf[T any](p *Pool, list *[][]T, b []T, maxIdle int) {
 		put(p, list, b, maxIdle)
 	}
 }
-
-// GetStates returns a state buffer of length n with stale contents; the
-// propagation phase overwrites every element before anything reads it.
-func (p *Pool) GetStates(n int) []propagation.State { return getBuf(p, &p.states, n, true)[:n] }
-
-// PutStates returns a state buffer to the pool. nil is ignored.
-func (p *Pool) PutStates(s []propagation.State) { putBuf(p, &p.states, s, maxIdleBuffers) }
 
 // GetKeyBuf returns a zero-length packed pair-key buffer with capacity at
 // least capHint — a run's per-worker candidate buffers, which grow by append

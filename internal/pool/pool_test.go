@@ -61,22 +61,6 @@ func TestGridSetBestFit(t *testing.T) {
 	}
 }
 
-func TestStatesLengthAndReuse(t *testing.T) {
-	p := New()
-	s := p.GetStates(100)
-	if len(s) != 100 {
-		t.Fatalf("len = %d", len(s))
-	}
-	p.PutStates(s)
-	shorter := p.GetStates(40)
-	if len(shorter) != 40 {
-		t.Fatalf("len = %d", len(shorter))
-	}
-	if cap(shorter) != 100 {
-		t.Fatalf("cap = %d, want the reused 100-element buffer", cap(shorter))
-	}
-}
-
 func TestIDIndexClearedOnPut(t *testing.T) {
 	p := New()
 	m := p.GetIDIndex(4)
@@ -140,11 +124,11 @@ func TestConcurrentGetPut(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				g := p.GetGridSet(64, 32)
 				ks := p.GetKeyBuf(64)
-				s := p.GetStates(16)
+				kc := p.GetKeplerCache(16)
 				m := p.GetIDIndex(4)
 				m[int32(i)] = 1
 				p.PutIDIndex(m)
-				p.PutStates(s)
+				p.PutKeplerCache(kc)
 				p.PutKeyBuf(ks)
 				p.PutGridSet(g)
 			}

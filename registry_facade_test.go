@@ -13,8 +13,8 @@ import (
 func TestEveryRegisteredVariantScreens(t *testing.T) {
 	sats := crossingPair(t, 800)
 	ds := Variants()
-	if len(ds) < 4 {
-		t.Fatalf("registry lists %d variants, want the four detector families", len(ds))
+	if len(ds) < 3 {
+		t.Fatalf("registry lists %d variants, want the three detector families", len(ds))
 	}
 	for _, d := range ds {
 		d := d

@@ -15,9 +15,6 @@
 //   - VariantHybrid — the paper's hybrid method: coarse sampling, large
 //     cells, classical orbital filters between the grid and the refinement.
 //     Faster when memory allows; the default.
-//   - VariantAABB — the 4D AABB-tree method: one padded position-time box
-//     per satellite per step window, a bounding-volume hierarchy instead of
-//     the per-step grid.
 //   - VariantLegacy — the classical all-on-all filter-chain screener, the
 //     O(n²) baseline the paper compares against.
 //
@@ -93,7 +90,7 @@ type (
 const (
 	PhaseAllocate = core.PhaseAllocate
 	PhaseSample   = core.PhaseSample
-	PhaseFreeze   = core.PhaseFreeze
+	PhaseFreeze   = core.PhaseFreeze // never reported; kept because bench/ reads it
 	PhaseFilter   = core.PhaseFilter
 	PhaseRefine   = core.PhaseRefine
 )
@@ -104,9 +101,6 @@ const (
 const (
 	VariantGrid   = core.VariantGrid
 	VariantHybrid = core.VariantHybrid
-	// VariantAABB is the 4D AABB-tree detector: windowed position-time
-	// boxes under a bounding-volume hierarchy.
-	VariantAABB = core.VariantAABB
 	// VariantLegacy is the sequential all-on-all filter-chain baseline.
 	VariantLegacy = core.VariantLegacy
 )
