@@ -154,6 +154,12 @@ func main() {
 			report.GroupThousands(fmt.Sprint(st.FilterRejected)),
 			report.GroupThousands(fmt.Sprint(st.Refinements)))
 	}
+	switch {
+	case st.KnotStride > 1:
+		fmt.Printf("positions:        solved every %d steps, Hermite between, pad %.2g km\n", st.KnotStride, st.PositionPadKm)
+	case st.KnotStride == 1:
+		fmt.Println("positions:        solved every step")
+	}
 	if st.OutOfBounds > 0 {
 		fmt.Printf("out-of-cube samples: %d\n", st.OutOfBounds)
 	}

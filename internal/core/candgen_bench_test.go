@@ -62,7 +62,7 @@ var candgenPopulations = map[string]func(b *testing.B) []propagation.Satellite{
 func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 	b.Helper()
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: workers}
-	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, nil)
+	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, knotSeconds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func sampledHybridRun(t *testing.T) *run {
 	t.Helper()
 	sats := denseShellPopulation(1500, 21)
 	cfg := Config{ThresholdKm: 2, DurationSeconds: 600, Workers: 2, Pool: pool.New(), ablation: ablation{noGate: true}}
-	r, err := newRun(context.Background(), cfg, sats, DefaultHybridSeconds, nil)
+	r, err := newRun(context.Background(), cfg, sats, DefaultHybridSeconds, knotSeconds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

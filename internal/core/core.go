@@ -94,6 +94,9 @@ type ablation struct {
 	noGate bool
 	// noReachRule keeps node-window records however far from the step.
 	noReachRule bool
+	// noKnotPad bins and gates interpolated positions as if they were exact:
+	// none near a cell face is solved, and the radial test adds nothing to g.
+	noKnotPad bool
 }
 
 func (c Config) threshold() float64 {
@@ -179,22 +182,24 @@ type PhaseStats struct {
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
-	Steps             int    // sampling steps processed (0 on a delta pass with nothing dirty)
-	GridCandidates    int    // distinct (pair, step) candidates from the grid, before the gate: the paper's c′ (Eqs. 3/4)
-	CandidatePairs    int    // the grid candidates the gate kept: what the filters and refinement see
-	MotionGated       int    // grid candidates the gate's radial test kept and its motion test dropped
-	DirtyObjects      int    // delta screens: size of the dirty set (0 on full screens)
-	PriorRetained     int    // delta screens: prior conjunctions carried over unrefined
-	TrackedObjects    int    // delta passes of a Session: objects whose keys were read from the key track instead of solved
-	TrackBytes        int    // delta passes of a Session: size of the key track the pass read and wrote
-	TrackDropped      string // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
-	FilterRejected    int    // candidates dropped by the orbital filters (hybrid)
-	PrefilterRejected int    // candidates rejected analytically before any Brent evaluation
-	Refinements       int    // Brent searches performed
-	RefineBatches     int    // warm-refiner satellite batches (first-satellite rebinds)
-	OutOfBounds       uint64 // satellite samples outside the simulation cube
-	GridSlots         int    // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
-	PairSetGrowths    int    // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
+	Steps             int     // sampling steps processed (0 on a delta pass with nothing dirty)
+	GridCandidates    int     // distinct (pair, step) candidates from the grid, before the gate: the paper's c′ (Eqs. 3/4)
+	CandidatePairs    int     // the grid candidates the gate kept: what the filters and refinement see
+	MotionGated       int     // grid candidates the gate's radial test kept and its motion test dropped
+	DirtyObjects      int     // delta screens: size of the dirty set (0 on full screens)
+	PriorRetained     int     // delta screens: prior conjunctions carried over unrefined
+	TrackedObjects    int     // delta passes of a Session: objects whose keys were read from the key track instead of solved
+	TrackBytes        int     // delta passes of a Session: size of the key track the pass read and wrote
+	TrackDropped      string  // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
+	FilterRejected    int     // candidates dropped by the orbital filters (hybrid)
+	PrefilterRejected int     // candidates rejected analytically before any Brent evaluation
+	Refinements       int     // Brent searches performed
+	RefineBatches     int     // warm-refiner satellite batches (first-satellite rebinds)
+	OutOfBounds       uint64  // satellite samples outside the simulation cube
+	GridSlots         int     // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
+	KnotStride        int     // m: the build solves Kepler every m-th step and interpolates between (1: every step solved)
+	PositionPadKm     float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate's radial test adds it to g (0 at m = 1)
+	PairSetGrowths    int     // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
 	FilterStats       filters.Stats
 }
 

@@ -145,7 +145,7 @@ func (r *run) sampleStepsStamped() error {
 		}
 		oobBefore := r.oob.Load()
 		tIns := time.Now()
-		r.stepTime, r.scanStep = float64(step)*r.sps, uint32(step)
+		r.buildStep, r.scanStep = step, uint32(step)
 		r.gset.Reset()
 		if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), stampFn); err != nil {
 			return err
@@ -180,8 +180,7 @@ func (r *run) stampRange(_, lo, hi int) {
 	var nbuf [stampsPerObject - 1]uint64
 	for j := lo; j < hi; j++ {
 		i := int(r.dirtyIdx[j])
-		pos := r.positionAt(i, r.stepTime)
-		coord, ok := r.grid.CoordOf(pos)
+		pos, coord, ok := r.positionAt(i, r.buildStep)
 		if !ok {
 			r.dirtyKeys[j] = lockfree.EmptySlot
 			r.track.note(i, r.scanStep, lockfree.EmptySlot)
@@ -219,12 +218,13 @@ func (r *run) probeRange(w, lo, hi int) {
 		if bitsetHas(r.dirty, id) {
 			continue
 		}
-		key, ok := r.grid.KeyOf(r.positionAt(i, r.stepTime))
+		_, coord, ok := r.positionAt(i, r.buildStep)
 		if !ok {
 			tr.note(i, r.scanStep, lockfree.EmptySlot)
 			oob++
 			continue
 		}
+		key := r.grid.Key(coord)
 		tr.note(i, r.scanStep, key)
 		buf = r.appendStamped(buf, key, id)
 	}

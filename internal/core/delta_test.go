@@ -117,7 +117,7 @@ func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagati
 	if sps <= 0 {
 		sps = newDetector(variant, cfg).sps
 	}
-	r, err := newRun(context.Background(), cfg, sats, sps, nil)
+	r, err := newRun(context.Background(), cfg, sats, sps, knotSeconds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 		"insertion-full": func(t *testing.T, cfg Config) {
 			sess := primed(t, VariantGrid, cfg)
 			func() {
-				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, &DeltaInput{Dirty: dirty, session: sess})
+				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, knotSeconds, &DeltaInput{Dirty: dirty, session: sess})
 				if err != nil {
 					t.Fatal(err)
 				}

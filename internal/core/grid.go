@@ -42,7 +42,7 @@ type frame struct {
 func register(f frame, description string) {
 	Register(f.variant, Descriptor{
 		Description: description,
-		New:         func(cfg Config) Detector { return &detector{cfg: cfg, frame: &f} },
+		New:         func(cfg Config) Detector { return &detector{cfg: cfg, frame: &f, knotSeconds: knotSeconds} },
 	})
 }
 
@@ -52,6 +52,7 @@ func register(f frame, description string) {
 type detector struct {
 	cfg Config
 	*frame
+	knotSeconds float64 // h, the build kernel's knot spacing: knotSeconds except in this package's tests
 }
 
 // ScreenContext returns every conjunction below the screening threshold in
@@ -78,7 +79,7 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	if sps <= 0 {
 		sps = d.sps
 	}
-	r, err := newRun(ctx, d.cfg, sats, sps, delta)
+	r, err := newRun(ctx, d.cfg, sats, sps, d.knotSeconds, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +147,9 @@ type run struct {
 	workers     int
 	prop        propagation.Propagator
 	kcache      []propagation.KeplerCache // per-satellite warm-start state of positionAt
+	stride      int                       // m: positionAt solves every m-th step and interpolates between
+	pad         float64                   // PositionPadKm: an interpolated position nearer a cell face is solved instead
+	knots       []propagation.Knots       // m > 1, pooled: each object's interpolant over its current knot interval
 	steps       int
 	oob         atomic.Uint64
 	stats       PhaseStats
@@ -179,10 +183,10 @@ type run struct {
 	// so the loop instead publishes its step state here and reuses the same
 	// two closures for every step. The worker pool's fork/join provides the
 	// happens-before edge between these writes and the workers' reads.
-	// stepTime and stepEntries belong to the build side (main step goroutine);
+	// buildStep and stepEntries belong to the build side (main step goroutine);
 	// the scan* fields and the sort, ID and scan buffers to the scan side, on a
 	// two-slot ring a separate goroutine — the job/result channels order them.
-	stepTime    float64
+	buildStep   int
 	stepEntries []lockfree.Cell // the ring slot this step's build writes
 	scanStep    uint32
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
@@ -198,8 +202,8 @@ type run struct {
 // population. A context already cancelled on entry aborts before sampling,
 // with the pooled structures returned. A delta is validated here; below the
 // crossover the stamp table replaces the step loop's entry, sort and ID
-// buffers.
-func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps float64, delta *DeltaInput) (*run, error) {
+// buffers. h is the build kernel's knot spacing (knotStride).
+func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, h float64, delta *DeltaInput) (*run, error) {
 	tAlloc := time.Now()
 	if cfg.DurationSeconds <= 0 {
 		return nil, ErrNoDuration
@@ -225,6 +229,14 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 			return nil, err
 		}
 		gridThreshold += 2 * maxU
+	}
+	// Interpolated positions lie up to ε_max from the orbit (knotStride). The
+	// pad, ≥ 2ε_max, is what positionAt keeps from a cell face and what the
+	// gate's radial test adds to g; the grid is Eq. 1's.
+	stride, eps := knotStride(cfg.propagator(), sats, sps, h)
+	pad := 0.0
+	if stride > 1 && !cfg.ablation.noKnotPad {
+		pad = pow2Above(2 * eps)
 	}
 	cellSize := spatial.CellSize(gridThreshold, sps)
 	halfExtent := cfg.halfExtentKm
@@ -253,6 +265,8 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		workers:     cfg.workers(),
 		prop:        cfg.propagator(),
 		steps:       steps,
+		stride:      stride,
+		pad:         pad,
 		uncertainty: cfg.Uncertainty,
 		ctx:         ctx,
 		done:        ctx.Done(),
@@ -272,16 +286,20 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 	for w := range r.scanBufs {
 		r.scanBufs[w] = pl.GetKeyBuf(0)
 	}
-	// Every loop samples in step order, so consecutive samples of one
-	// satellite differ by the fixed mean-anomaly delta n·s_ps — the
+	// Every loop samples in step order, so consecutive solves of one
+	// satellite differ by the fixed mean-anomaly delta n·m·s_ps — the
 	// warm-start precondition.
 	r.kcache = pl.GetKeplerCache(len(sats))
 	for i := range sats {
-		dm := sats[i].MeanMotion() * sps
-		// Seed E so the first step's guess E+DeltaE is the mean anomaly
+		dm := sats[i].MeanMotion() * sps * float64(stride)
+		// Seed E so the first solve's guess E+DeltaE is the mean anomaly
 		// itself (the e → 0 root); SolveFrom handles the rest.
 		r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 	}
+	if stride > 1 {
+		r.knots = pl.GetKnots(len(sats))
+	}
+	r.stats.KnotStride, r.stats.PositionPadKm = stride, pad
 	if !r.incremental {
 		// A step has one entry per object, so at most that many cells and IDs.
 		n := len(sats)
@@ -290,7 +308,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps f
 		r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
 		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
 		r.stats.GridSlots = n
-		r.gate = r.newGate(gridThreshold)
+		r.gate = r.newGate(gridThreshold, pad)
 	}
 	if err := r.cancelled(); err != nil {
 		r.release()
@@ -372,11 +390,12 @@ func (r *run) release() {
 		r.pool.PutKeyBuf(r.scanBufs[w])
 	}
 	r.pool.PutKeplerCache(r.kcache)
+	r.pool.PutKnots(r.knots)
 	r.pool.PutBitset(r.dirty)
 	r.pool.PutBitset(r.touched)
 	r.pool.PutKeyBuf(r.dirtyKeys)
 	r.gset, r.keys, r.idx = nil, nil, nil
-	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil
+	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.knots, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil, nil
 	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
 }
 
@@ -433,24 +452,94 @@ func (r *run) sampleAllSteps() error {
 	return nil
 }
 
-// positionAt is the position kernel every sampling step shares: object i at
-// time t, position only — binning needs nothing more, and the refiner
-// re-propagates the few pairs whose velocity matters. The previous sample's
-// eccentric anomaly seeds the solve, advanced by n·s_ps for the first two
-// samples (the seed below the first is synthetic) and by the step last
-// observed, E_k − E_{k−1}, from then on, which keeps the guess inside the
-// solver's one-sincos acceptance even at coarse steps. Full and delta passes
-// call this once per object per step, in step order, and so see bit-identical
-// positions. J2 and numeric solve cold and hand the guess back.
-func (r *run) positionAt(i int, t float64) vec3.V {
+// positionAt is the position kernel every sampling step shares: object i's
+// position at the step — binning needs nothing more, and the refiner
+// re-propagates the few pairs whose velocity matters — and the grid cell it is
+// in, ok false outside the cube. At stride m = 1 every step is a warm Kepler
+// solve. At m > 1 (knotStride) every m-th step solves the knot m steps ahead,
+// with its velocity, and the steps between are the knots' cubic Hermite
+// interpolant, within ε_max of the orbit; one nearer a cell face than the pad
+// is solved instead, so the cell is always the orbit's. Each solve is seeded
+// with the previous one's E advanced by n·m·s_ps for the first two (the seed
+// below the first is synthetic) and by the advance last observed from then
+// on, which keeps the guess inside the solver's one-sincos acceptance even at
+// coarse steps. Full and delta passes call this once per object per step, in
+// step order, and so see bit-identical cells. J2 and numeric solve cold and
+// hand the guess back.
+func (r *run) positionAt(i, step int) (pos vec3.V, c spatial.Coord, ok bool) {
+	s, kc, t := &r.sats[i], &r.kcache[i], float64(step)*r.sps
+	switch j := step & (r.stride - 1); {
+	case r.stride == 1:
+		prev := kc.E
+		pos, kc.E = r.prop.PositionWarm(s, t, prev+kc.DeltaE)
+		if step > 0 {
+			kc.DeltaE = mathx.WrapPi(kc.E - prev)
+		}
+	case step == 0:
+		p0, w0 := r.knotAt(i, 0)
+		p1, w1 := r.knotAt(i, r.stride)
+		r.knots[i].Start(p0, w0, p1, w1)
+		pos = s.FromPerifocal(p0)
+	case j == 0:
+		r.knots[i].Next(r.knotAt(i, step+r.stride))
+		pos = s.FromPerifocal(r.knots[i].P0)
+	default:
+		u := float64(j) / float64(r.stride) // exact: m is a power of two
+		pos = s.FromPerifocal(r.knots[i].At(u))
+		var near bool
+		if c, ok, near = r.grid.CoordNear(pos, r.pad); !near {
+			return pos, c, ok
+		}
+		// A cell face within the pad: solve, from the E the knots bracket.
+		pos, _ = r.prop.PositionWarm(s, t, kc.E-(1-u)*kc.DeltaE)
+	}
+	c, ok = r.grid.CoordOf(pos)
+	return pos, c, ok
+}
+
+// knotAt solves object i's knot at step: its perifocal position p and its
+// velocity times the knot spacing h = m·s_ps, the interpolant's tangent.
+func (r *run) knotAt(i, step int) (p, w [2]float64) {
 	kc := &r.kcache[i]
 	prev := kc.E
-	pos, ecc := r.prop.PositionWarm(&r.sats[i], t, prev+kc.DeltaE)
-	kc.E = ecc
-	if t > 0 {
-		kc.DeltaE = mathx.WrapPi(ecc - prev)
+	var v [2]float64
+	p, v, kc.E = propagation.TwoBody{}.PerifocalWarm(&r.sats[i], float64(step)*r.sps, prev+kc.DeltaE)
+	if step > 0 {
+		kc.DeltaE = mathx.WrapPi(kc.E - prev)
 	}
-	return pos
+	h := float64(r.stride) * r.sps
+	return p, [2]float64{h * v[0], h * v[1]}
+}
+
+// knotSeconds is h, the most time between the build kernel's Kepler solves.
+// Paired runs chose it (EXPERIMENTS.md).
+const knotSeconds = 16.0
+
+// knotStride is a run's knot plan: the stride m, the largest power of two
+// with m·s_ps ≤ h (so a step's phase is a mask and its u exact), and the
+// largest bound ε_i of the population's interpolants over m·s_ps seconds.
+// m = 1, every step solved, unless knotBound bounds every object under prop.
+func knotStride(prop propagation.Propagator, sats []propagation.Satellite, sps, h float64) (m int, eps float64) {
+	n := int(h / sps)
+	if n < 2 {
+		return 1, 0
+	}
+	m = 1 << (bits.Len(uint(n)) - 1)
+	for i := range sats {
+		e, ok := knotBound(prop, &sats[i], float64(m)*sps)
+		if !ok {
+			return 1, 0
+		}
+		eps = max(eps, e)
+	}
+	return m, eps
+}
+
+// pow2Above is the power of two in (x, 2x], x > 0. A pad rounded so stays put,
+// and a session's key track with it, when a delta moves ε_max a little.
+func pow2Above(x float64) float64 {
+	_, exp := math.Frexp(x)
+	return math.Ldexp(1, exp)
 }
 
 // buildRange is the build kernel of a sampling step, for satellites [lo, hi)
@@ -461,10 +550,11 @@ func (r *run) positionAt(i int, t float64) vec3.V {
 func (r *run) buildRange(_, lo, hi int) {
 	oob := 0
 	for i := lo; i < hi; i++ {
-		pos := r.positionAt(i, r.stepTime)
-		key, ok := r.grid.KeyOf(pos)
-		if !ok {
-			key = lockfree.EmptySlot
+		pos, c, ok := r.positionAt(i, r.buildStep)
+		key := uint64(lockfree.EmptySlot)
+		if ok {
+			key = r.grid.Key(c)
+		} else {
 			oob++
 		}
 		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: int32(i), Hi: int32(math.Float32bits(float32(pos.Norm())))}
@@ -477,7 +567,7 @@ func (r *run) buildRange(_, lo, hi int) {
 // buildEntries fills entries for one step: §IV-A2's parallel build, with the
 // grouping by cell left to the scan's sort.
 func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
-	r.stepTime, r.stepEntries = float64(step)*r.sps, entries
+	r.buildStep, r.stepEntries = step, entries
 	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
 }
 

@@ -45,23 +45,55 @@ func newtonConverges(m, e, guess float64) bool {
 }
 
 // kernelRun is a run over sats with the warm cache armed, ready for
-// positionAt to be stepped by hand.
+// positionAt to be stepped by hand, at the detectors' knot spacing.
 func kernelRun(t *testing.T, sats []propagation.Satellite, sps float64) *run {
 	t.Helper()
 	cfg := Config{DurationSeconds: 1e4, SecondsPerSample: sps, Workers: 1, Pool: pool.New()}
-	r, err := newRun(context.Background(), cfg, sats, sps, nil)
+	r, err := newRun(context.Background(), cfg, sats, sps, knotSeconds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
+// kernelSolves replays, ahead of positionAt, the Kepler solves it makes for
+// object i at step — the step itself at m = 1; at m > 1 knots 0 and m at
+// step 0, knot step+m at every m-th step, none between — calling check with
+// each solve's step, mean anomaly and guess, and returns the warm-start cache
+// positionAt must leave behind.
+func kernelSolves(r *run, i, step int, check func(solved int, m, guess float64)) propagation.KeplerCache {
+	var at []int
+	switch m := r.stride; {
+	case m == 1:
+		at = []int{step}
+	case step == 0:
+		at = []int{0, m}
+	case step%m == 0:
+		at = []int{step + m}
+	}
+	s, kc := &r.sats[i], r.kcache[i]
+	for _, k := range at {
+		m := s.Elements.MeanAnomaly + s.MeanMotion()*(float64(k)*r.sps)
+		guess := kc.E + kc.DeltaE
+		check(k, m, guess)
+		ecc, _, _ := kepler.SolveFromSincos(m, s.Elements.Eccentricity, guess)
+		if k > 0 {
+			kc.DeltaE = mathx.WrapPi(ecc - kc.E)
+		}
+		kc.E = ecc
+	}
+	return kc
+}
+
 func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
-	// 100 objects × 100 steps per (e, s_ps): 10⁴ solves each, a quarter of
-	// the objects phased to pass perigee — M through 2π, E moving 1/(1−e)
-	// times faster than M — mid-run. Every root the extrapolated guess
-	// reaches must satisfy the solver's residual bound and be the root the
-	// constant n·s_ps guess reaches.
+	// 100 objects × 100 steps per (e, s_ps): 10⁴ steps each, a quarter of the
+	// objects phased to pass perigee — M through 2π, E moving 1/(1−e) times
+	// faster than M — mid-run. At s_ps = 1 s the kernel solves every 16th
+	// step (knotSeconds) and at 9 s every step. Every root the extrapolated
+	// guess reaches must satisfy the solver's residual bound and be the root
+	// the constant n·m·s_ps guess reaches, and every position must be the
+	// orbit's: to 1e-6 km where each step is solved, within the interpolant's
+	// bound ε_i where knots are.
 	const objects, steps = 100, 100
 	for _, e := range []float64{0, 1e-3, 0.1, 0.7, 0.95} {
 		for _, sps := range []float64{1, 9} {
@@ -80,7 +112,11 @@ func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
 				sats[i] = propagation.MustSatellite(int32(i), el)
 			}
 			r := kernelRun(t, sats, sps)
-			constant := make([]float64, objects) // E of the previous step under the constant guess
+			if want := max(1, int(knotSeconds/sps)); r.stride != want {
+				t.Fatalf("e=%g sps=%g: stride %d, want %d", e, sps, r.stride, want)
+			}
+			h := float64(r.stride) * sps
+			constant := make([]float64, objects) // E of the previous solve under the constant guess
 			for i := range sats {
 				constant[i] = r.kcache[i].E
 			}
@@ -88,22 +124,37 @@ func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
 				tSec := float64(step) * sps
 				for i := range sats {
 					s := &sats[i]
-					m := s.Elements.MeanAnomaly + s.MeanMotion()*tSec
-					if guess := r.kcache[i].E + r.kcache[i].DeltaE; !newtonConverges(m, e, guess) {
-						t.Fatalf("e=%g sps=%g object %d step %d: guess %v is too cold for Newton", e, sps, i, step, guess)
+					want := kernelSolves(r, i, step, func(solved int, m, guess float64) {
+						if !newtonConverges(m, e, guess) {
+							t.Fatalf("e=%g sps=%g object %d step %d: guess %v is too cold for Newton", e, sps, i, solved, guess)
+						}
+						_, constant[i] = propagation.TwoBody{}.PositionWarm(s, float64(solved)*sps, constant[i]+s.MeanMotion()*h)
+					})
+					pos, _, _ := r.positionAt(i, step)
+					if got := r.kcache[i]; got != want {
+						t.Fatalf("e=%g sps=%g object %d step %d: cache %+v, the solves replayed leave %+v", e, sps, i, step, got, want)
 					}
-					pos := r.positionAt(i, tSec)
-					got := r.kcache[i].E
-					if res := kepler.Residual(got, m, e); res > 1e-13 {
-						t.Fatalf("e=%g sps=%g object %d step %d: residual %g", e, sps, i, step, res)
+					if step%r.stride == 0 {
+						// The solve just made: the knot m steps ahead, or this step.
+						solved := step
+						if r.stride > 1 {
+							solved += r.stride
+						}
+						m := s.Elements.MeanAnomaly + s.MeanMotion()*(float64(solved)*sps)
+						if res := kepler.Residual(want.E, m, e); res > 1e-13 {
+							t.Fatalf("e=%g sps=%g object %d step %d: residual %g", e, sps, i, solved, res)
+						}
+						// Two roots inside the same residual bound: dE ≤ 2e-13/(1 − e).
+						if d := mathx.AngleDiff(want.E, constant[i]); d*(1-e) > 2e-13 {
+							t.Fatalf("e=%g sps=%g object %d step %d: E = %v, constant guess reaches %v", e, sps, i, solved, want.E, constant[i])
+						}
 					}
-					_, constant[i] = propagation.TwoBody{}.PositionWarm(s, tSec, constant[i]+s.MeanMotion()*sps)
-					// Two roots inside the same residual bound: dE ≤ 2e-13/(1 − e).
-					if d := mathx.AngleDiff(got, constant[i]); d*(1-e) > 2e-13 {
-						t.Fatalf("e=%g sps=%g object %d step %d: E = %v, constant guess reaches %v", e, sps, i, step, got, constant[i])
+					tol := 1e-6
+					if r.stride > 1 {
+						tol, _ = knotBound(propagation.TwoBody{}, s, h)
 					}
-					if cold, _ := (propagation.TwoBody{}).State(s, tSec); pos.Dist(cold) > 1e-6 {
-						t.Fatalf("e=%g sps=%g object %d step %d: position %v, cold %v", e, sps, i, step, pos, cold)
+					if cold, _ := (propagation.TwoBody{}).State(s, tSec); pos.Dist(cold) > tol {
+						t.Fatalf("e=%g sps=%g object %d step %d: position %v, cold %v, %g km apart (bound %g)", e, sps, i, step, pos, cold, pos.Dist(cold), tol)
 					}
 				}
 			}
@@ -113,23 +164,30 @@ func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
 }
 
 func TestExtrapolatedGuessNeverFallsBackOnShellPopulation(t *testing.T) {
+	// The grid's knots (every 16th step at 1 s) and the hybrid's steps (every
+	// one at 9 s): no solve the kernel makes reaches the cold fallback.
 	sats, err := population.Generate(population.Config{N: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sps := range []float64{DefaultGridSeconds, DefaultHybridSeconds} {
 		r := kernelRun(t, sats, sps)
-		for step := 0; step < 70; step++ {
-			tSec := float64(step) * sps
+		solves := 0
+		for step := 0; step < 70*r.stride; step++ {
 			for i := range sats {
 				s := &sats[i]
-				m := s.Elements.MeanAnomaly + s.MeanMotion()*tSec
-				if guess := r.kcache[i].E + r.kcache[i].DeltaE; !newtonConverges(m, s.Elements.Eccentricity, guess) {
-					t.Fatalf("sps=%g object %d (e=%g) step %d: the solve fell back to the cold solver",
-						sps, i, s.Elements.Eccentricity, step)
-				}
-				r.positionAt(i, tSec)
+				kernelSolves(r, i, step, func(solved int, m, guess float64) {
+					solves++
+					if !newtonConverges(m, s.Elements.Eccentricity, guess) {
+						t.Fatalf("sps=%g object %d (e=%g) step %d: the solve fell back to the cold solver",
+							sps, i, s.Elements.Eccentricity, solved)
+					}
+				})
+				r.positionAt(i, step)
 			}
+		}
+		if want := 70 * len(sats); solves < want {
+			t.Fatalf("sps=%g: %d solves, want at least %d", sps, solves, want)
 		}
 		r.release()
 	}

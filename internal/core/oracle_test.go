@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/brent"
@@ -18,6 +19,17 @@ type oracleEvent struct {
 	a, b int32
 	tca  float64
 	pca  float64
+}
+
+// match returns the first of events of the same pair within a few seconds of
+// the oracle's TCA.
+func (oe oracleEvent) match(events []Conjunction) (Conjunction, bool) {
+	for _, c := range events {
+		if c.A == oe.a && c.B == oe.b && math.Abs(c.TCA-oe.tca) < 5 {
+			return c, true
+		}
+	}
+	return Conjunction{}, false
 }
 
 // bruteForceOracle finds every below-threshold distance minimum of every
@@ -69,20 +81,15 @@ func denseShellPopulation(n int, seed uint64) []propagation.Satellite {
 	return sats
 }
 
-// TestDetectorsAgainstBruteForceOracle is the repository's central
-// correctness check: on a dense random shell, both spatial detectors must
-// find every encounter the dense-sampling oracle finds (no false
-// negatives), with matching TCAs and PCAs, and report no pair the oracle
-// rejects (no false positives beyond threshold-edge jitter).
-func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle sweep is seconds-long; skipped with -short")
-	}
-	const (
-		span      = 2000.0
-		threshold = 40.0
-		dt        = 0.25
-	)
+// The oracle shell: a random shell with engineered encounters, screened over
+// oracleSpan seconds at oracleThreshold km, and the oracle's events at dt.
+const (
+	oracleSpan      = 2000.0
+	oracleThreshold = 40.0
+	oracleDt        = 0.25
+)
+
+var shellOracleOnce = sync.OnceValues(func() ([]propagation.Satellite, []oracleEvent) {
 	// Random phases on crossing orbits rarely coincide, so the population
 	// mixes a random shell with engineered encounters of varied geometry
 	// (inclination gap, radial offset above/below threshold, meeting time).
@@ -91,7 +98,7 @@ func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
 	rng := mathx.NewSplitMix64(7)
 	id := int32(len(sats))
 	for k := 0; k < 10; k++ {
-		tMeet := rng.UniformRange(100, span-100)
+		tMeet := rng.UniformRange(100, oracleSpan-100)
 		incA := rng.UniformRange(0.2, 1.2)
 		incB := incA + rng.UniformRange(0.3, 1.5)
 		offset := rng.UniformRange(0, 60) // some above, some below threshold
@@ -104,10 +111,31 @@ func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
 			propagation.MustSatellite(id+1, elB))
 		id += 2
 	}
-	oracle := bruteForceOracle(sats, span, dt, threshold)
+	return sats, bruteForceOracle(sats, oracleSpan, oracleDt, oracleThreshold)
+})
+
+// shellOracle returns the oracle shell and its events, computed once per
+// test binary.
+func shellOracle(t *testing.T) ([]propagation.Satellite, []oracleEvent) {
+	t.Helper()
+	sats, oracle := shellOracleOnce()
 	if len(oracle) < 3 {
 		t.Fatalf("oracle found only %d events; population not dense enough for a meaningful test", len(oracle))
 	}
+	return sats, oracle
+}
+
+// TestDetectorsAgainstBruteForceOracle is the repository's central
+// correctness check: on a dense random shell, both spatial detectors must
+// find every encounter the dense-sampling oracle finds (no false
+// negatives), with matching TCAs and PCAs, and report no pair the oracle
+// rejects (no false positives beyond threshold-edge jitter).
+func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle sweep is seconds-long; skipped with -short")
+	}
+	sats, oracle := shellOracle(t)
+	const span, threshold = oracleSpan, oracleThreshold
 	t.Logf("oracle: %d events across %d pairs", len(oracle), len(sats)*(len(sats)-1)/2)
 
 	warmPool := pool.New()
@@ -145,18 +173,11 @@ func TestDetectorsAgainstBruteForceOracle(t *testing.T) {
 		// Completeness: every oracle event matched by TCA within a few
 		// seconds and PCA within oracle sampling error.
 		for _, oe := range oracle {
-			matched := false
-			for _, c := range events {
-				if c.A == oe.a && c.B == oe.b && math.Abs(c.TCA-oe.tca) < 5 {
-					matched = true
-					if math.Abs(c.PCA-oe.pca) > 0.5 {
-						t.Errorf("%s: pair (%d,%d) PCA %.4f vs oracle %.4f", name, oe.a, oe.b, c.PCA, oe.pca)
-					}
-					break
-				}
-			}
+			c, matched := oe.match(events)
 			if !matched {
 				t.Errorf("%s: MISSED oracle event pair (%d,%d) tca=%.1f pca=%.3f", name, oe.a, oe.b, oe.tca, oe.pca)
+			} else if math.Abs(c.PCA-oe.pca) > 0.5 {
+				t.Errorf("%s: pair (%d,%d) PCA %.4f vs oracle %.4f", name, oe.a, oe.b, c.PCA, oe.pca)
 			}
 		}
 

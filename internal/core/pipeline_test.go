@@ -104,7 +104,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 	base := Config{ThresholdKm: 40, SecondsPerSample: sps, DurationSeconds: span, halfExtentKm: 6000, ablation: ablation{noGate: true}}
 	newTestRun := func(cfg Config) *run {
 		cfg.Pool = pool.New()
-		r, err := newRun(context.Background(), cfg, sats, sps, nil)
+		r, err := newRun(context.Background(), cfg, sats, sps, knotSeconds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestScreenAtCubeEdge(t *testing.T) {
 		var coords []spatial.Coord
 		var who []int32
 		for i := range sats {
-			c, ok := ref.grid.CoordOf(ref.positionAt(i, float64(step)*sps))
+			_, c, ok := ref.positionAt(i, step)
 			if ok {
 				coords, who = append(coords, c), append(who, sats[i].ID)
 			}

@@ -200,7 +200,7 @@ func assertRDotDecisive(t *testing.T, res *Result, sats []propagation.Satellite,
 // into r.keys; radialOnly takes the motion test out of its gate.
 func sampledGridRun(t *testing.T, cfg Config, sats []propagation.Satellite, radialOnly bool) *run {
 	t.Helper()
-	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, nil)
+	r, err := newRun(context.Background(), cfg, sats, cfg.SecondsPerSample, knotSeconds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,15 @@ func TestWarmStartMatchesColdScreen(t *testing.T) {
 }
 
 func TestColdPropagatorsThroughBuildKernel(t *testing.T) {
-	// A propagator without a warm solve — J2 — feeds State into the same
-	// build kernel on a one-slot and a two-slot ring. The two differ only in scheduling, so the candidates and
-	// the conjunctions must come out equal, and non-empty.
+	// The propagators without a warm solve — J2 and Numeric — feed State into
+	// the same build kernel on a one-slot and a two-slot ring, every step
+	// solved: neither has a knot bound (knotBound). The two rings differ only
+	// in scheduling, so the candidates and the conjunctions must come out
+	// equal, and non-empty.
 	sats := denseShellPopulation(1500, 21)
 	for name, prop := range map[string]propagation.Propagator{
-		"j2": propagation.J2{},
+		"j2":      propagation.J2{},
+		"numeric": propagation.Numeric{},
 	} {
 		t.Run(name, func(t *testing.T) {
 			twoSlot := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 120, Workers: 2, Propagator: prop}
@@ -66,6 +69,9 @@ func TestColdPropagatorsThroughBuildKernel(t *testing.T) {
 			}
 			if len(want.Conjunctions) == 0 {
 				t.Fatal("no conjunctions: the comparison would be vacuous")
+			}
+			if want.Stats.KnotStride != 1 || want.Stats.PositionPadKm != 0 {
+				t.Fatalf("knot stride %d, pad %g km: want every step solved", want.Stats.KnotStride, want.Stats.PositionPadKm)
 			}
 			got, err := newGrid(twoSlot).Screen(sats)
 			if err != nil {

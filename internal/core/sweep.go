@@ -98,6 +98,7 @@ func groupCells(sorted []lockfree.Cell, ids []int32, radii []float32) []lockfree
 type radialGate struct {
 	rows   []lockfree.GateRow // by population index
 	g      float32
+	pad    float32     // what the radial test adds to g for the build's interpolated radii (knotStride)
 	motion *motionTest // nil: the radial test alone
 }
 
@@ -114,12 +115,12 @@ func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, t
 	n, xs, rs := len(buf), ids[from:to], radii[from:to]
 	out := slices.Grow(buf, len(xs))[:n+len(xs)]
 	var pb, vb vec3.V
-	fetched := false
+	fetched, radialG := false, g.g+g.pad
 	for k, x := range xs {
 		a := &g.rows[x]
 		dr := rs[k] - rb
 		reach := math.Float32frombits(max(math.Float32bits(a.Reach), bReach))
-		bound := g.g + (a.RDot+b.RDot)*reach
+		bound := radialG + (a.RDot+b.RDot)*reach
 		out[n] = lockfree.PackPair(a.ID, b.ID, step)
 		switch {
 		case dr*dr > bound*bound:
@@ -196,9 +197,11 @@ const gateSlack = 1.0 / (1 << 20)
 // newGate fills the run's pooled gate tables: each object's ID, pads and
 // acceleration bound. g is the grid's threshold d + 2·u_max plus slack, or
 // +Inf — every pair kept — if the propagator may change a or e or the gate
-// is ablated; the motion test is on whenever g is finite.
-func (r *run) newGate(gridThreshold float64) radialGate {
-	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1))}
+// is ablated; the motion test is on whenever g is finite. The radial test
+// reads the build's radii, so it adds pad, the interpolation's 2ε_max; the
+// motion test's states are solved, so it does not.
+func (r *run) newGate(gridThreshold, pad float64) radialGate {
+	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(pad)}
 	m := &r.motion
 	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
 	exact, rMax, dvMax := !r.cfg.ablation.noGate, 0.0, 0.0
@@ -241,6 +244,32 @@ func gateBounds(prop propagation.Propagator, s *propagation.Satellite, rounding 
 		return rdot * k, k*k*acc + 2*w*k*vp + 2*w*w*ra, dv + math.Abs(k-1)*vp + w*ra, true
 	}
 	return rdot, acc, dv, false
+}
+
+// knotBound bounds, for s under prop, how far the build kernel's Hermite
+// interpolant over knots h seconds apart (positionAt) lies from the orbit;
+// ok only for TwoBody. Each position component is off by at most
+// (h⁴/384)·max‖r⁗‖, and with r̈ = −u·r, u = μ/r³:
+//
+//	r⁗ = −ü·r − 2u̇·v + u²·r,  u̇ = −3μṙ/r⁴,  ü = 12μṙ²/r⁵ − 3μr̈_r/r⁴,
+//
+// where ṙ² ≤ e²μ/p, |r̈_r| = (μ/r²)|e·cos f| ≤ eμ/r², v ≤ v_p and r ≥ r_p give
+// ‖r⁗‖ ≤ (1 + 9e + 12e²/(1+e))·μ²/r_p⁵. To that ε adds the float32 rounding of
+// the stored tangents (Knots: each D is under h²‖r̈‖/2 and rounded at most
+// twice, weighted by u(1−u) ≤ 1/4) and a floor for the knots' solves, the
+// reference's and the arithmetic's, 1e-12·a(1+e)/(1−e): ten times what the
+// solver's 1e-13 residual moves a position. J2's State returns the conic's
+// velocity, not ṙ (gateBounds), so its tangents are not the curve's; Numeric
+// has no bound. Both get none.
+func knotBound(prop propagation.Propagator, s *propagation.Satellite, h float64) (eps float64, ok bool) {
+	if _, ok := prop.(propagation.TwoBody); !ok {
+		return 0, false
+	}
+	el := s.Elements
+	e, rp, acc := el.Eccentricity, el.PerigeeRadius(), peakAccel(s)
+	m4 := (1 + 9*e + 12*e*e/(1+e)) * acc * acc / rp // μ²/r_p⁵ = (μ/r_p²)²/r_p
+	h2 := h * h
+	return math.Sqrt2*h2*h2/384*m4 + h2*acc/(1<<26) + 1e-12*el.SemiMajorAxis*(1+e)/(1-e), true
 }
 
 // reach bounds how far from its step a grid-rule refinement window of s

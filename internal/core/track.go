@@ -1,7 +1,7 @@
 package core
 
 // The key track and the session that carries it (DESIGN.md §11). A row of cell
-// keys is a pure function of one object's elements, s_ps and the step count, so
+// keys is a pure function of one object's elements and the run's trackShape, so
 // within one delta chain a pass's clean objects have the keys the pass before
 // computed. The track keeps them — per object the step-0 key, then one byte per
 // step, the move from the previous cell — and the stamping pass (delta.go) reads
@@ -46,7 +46,9 @@ func (t *keyTrack) moveCode(from, to uint64) (code byte, ok bool) {
 type trackShape struct {
 	n, steps  int
 	sps, cell float64
-	maxAbs    int32 // grid.MaxAbsCoord(): a dirty object can move autoHalfExtent, and the key layout with it
+	maxAbs    int32   // grid.MaxAbsCoord(): a dirty object can move autoHalfExtent, and the key layout with it
+	stride    int     // m: which steps positionAt solves
+	pad       float64 // which interpolated positions it solves too, near a cell face
 }
 
 // keyTrack holds the rows. moves is step-major — object i's move into step s is
@@ -242,7 +244,7 @@ func (s *Session) drop(reason string) {
 // while its rows still describe the run, a fresh one (no row valid) when they
 // do not, noTrack without a session or past the budget.
 func (s *Session) trackFor(r *run) *keyTrack {
-	shape := trackShape{n: len(r.sats), steps: r.steps, sps: r.sps, cell: r.cellSize, maxAbs: r.grid.MaxAbsCoord()}
+	shape := trackShape{n: len(r.sats), steps: r.steps, sps: r.sps, cell: r.cellSize, maxAbs: r.grid.MaxAbsCoord(), stride: r.stride, pad: r.pad}
 	switch {
 	case s == nil:
 		return noTrack

@@ -106,9 +106,11 @@ func TestNewKindsDrain(t *testing.T) {
 	p := New()
 	kb := p.GetKeyBuf(64)
 	kc := p.GetKeplerCache(16)
+	kn := p.GetKnots(16)
 	cb := append(p.GetCellBuf(64), lockfree.Cell{Key: 1})
 	p.PutKeyBuf(kb)
 	p.PutKeplerCache(kc)
+	p.PutKnots(kn)
 	p.PutCellBuf(cb)
 	p.Drain()
 	if got := p.GetCellBuf(64)[:1]; &got[0] == &cb[0] {
@@ -116,6 +118,9 @@ func TestNewKindsDrain(t *testing.T) {
 	}
 	if got := p.GetKeplerCache(16); &got[0] == &kc[0] {
 		t.Fatal("kepler cache survived Drain")
+	}
+	if got := p.GetKnots(16); &got[0] == &kn[0] {
+		t.Fatal("knot table survived Drain")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
 // stamp tables, entry and sort buffers, gate tables, Kepler warm-start
-// caches, candidate key buffers and ID-index maps — across sampling steps,
-// runs and concurrent HTTP requests.
+// caches, knot tables, candidate key buffers and ID-index maps — across
+// sampling steps, runs and concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -23,11 +23,11 @@
 //     table at the start of every sampling step anyway, so this costs nothing.)
 //   - ID-index maps are cleared on Put.
 //   - Motion tables are zeroed on Get: no row's stamp names a step.
-//   - Pair-key buffers, cell buffers, radial-gate tables and Kepler warm-start
-//     caches are returned with stale contents: key and cell buffers are handed
-//     out with length 0 (a step's build overwrites every entry the scan reads),
-//     and the detectors refill the tables and caches before the first step
-//     (DESIGN.md §10).
+//   - Pair-key buffers, cell buffers, radial-gate tables, Kepler warm-start
+//     caches and knot tables are returned with stale contents: key and cell
+//     buffers are handed out with length 0 (a step's build overwrites every
+//     entry the scan reads), and the detectors refill the tables and caches
+//     before the first step (DESIGN.md §10).
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so
@@ -75,6 +75,7 @@ type Pool struct {
 	gateRows [][]lockfree.GateRow
 	motion   [][]lockfree.MotionRow
 	kcaches  [][]propagation.KeplerCache
+	knots    [][]propagation.Knots
 	bitsets  [][]uint64
 
 	gets atomic.Int64
@@ -124,6 +125,7 @@ func (p *Pool) Drain() {
 	p.gateRows = nil
 	p.motion = nil
 	p.kcaches = nil
+	p.knots = nil
 	p.bitsets = nil
 	p.mu.Unlock()
 }
@@ -277,6 +279,13 @@ func (p *Pool) GetKeplerCache(n int) []propagation.KeplerCache {
 
 // PutKeplerCache returns a warm-start cache to the pool. nil is ignored.
 func (p *Pool) PutKeplerCache(c []propagation.KeplerCache) { putBuf(p, &p.kcaches, c, maxIdleBuffers) }
+
+// GetKnots returns a knot table of length n with stale contents; the build
+// kernel solves every row's first interval at step 0.
+func (p *Pool) GetKnots(n int) []propagation.Knots { return getBuf(p, &p.knots, n, true)[:n] }
+
+// PutKnots returns a knot table to the pool. nil is ignored.
+func (p *Pool) PutKnots(k []propagation.Knots) { putBuf(p, &p.knots, k, maxIdleBuffers) }
 
 // GetBitset returns a zeroed ID bitset of exactly `words` uint64 words —
 // the dirty/touched membership sets of an incremental (delta) screen. The

@@ -168,28 +168,20 @@ func stateFromEccentric(s *Satellite, ecc float64) (pos, vel vec3.V) {
 // positionFromSincos is the position half of stateFromEccentric, from sin E
 // and cos E.
 func positionFromSincos(s *Satellite, se, ce float64) vec3.V {
-	rp := s.sma * (ce - s.ecc) // position component along P̂
-	rq := s.smb * se           // position component along Q̂
-	bp, bq := s.basisP, s.basisQ
-	return vec3.V{
-		X: rp*bp.X + rq*bq.X,
-		Y: rp*bp.Y + rq*bq.Y,
-		Z: rp*bp.Z + rq*bq.Z,
-	}
+	return s.FromPerifocal([2]float64{s.sma * (ce - s.ecc), s.smb * se})
 }
 
 // stateFromSincos is stateFromEccentric from sin E and cos E.
 func stateFromSincos(s *Satellite, se, ce float64) (pos, vel vec3.V) {
+	p, v := perifocalFromSincos(s, se, ce)
+	return s.FromPerifocal(p), s.FromPerifocal(v)
+}
+
+// perifocalFromSincos is stateFromSincos in the perifocal frame: the
+// components along P̂ and Q̂.
+func perifocalFromSincos(s *Satellite, se, ce float64) (pos, vel [2]float64) {
 	inv := 1 / (s.sma * (1 - s.ecc*ce))
-	vp := -s.velP * se * inv
-	vq := s.velQ * ce * inv
-	bp, bq := s.basisP, s.basisQ
-	vel = vec3.V{
-		X: vp*bp.X + vq*bq.X,
-		Y: vp*bp.Y + vq*bq.Y,
-		Z: vp*bp.Z + vq*bq.Z,
-	}
-	return positionFromSincos(s, se, ce), vel
+	return [2]float64{s.sma * (ce - s.ecc), s.smb * se}, [2]float64{-s.velP * se * inv, s.velQ * ce * inv}
 }
 
 // stateFromTrue evaluates the conic at true anomaly f with basis (bp, bq).

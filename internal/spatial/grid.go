@@ -100,6 +100,19 @@ func (g *Grid) CoordOf(pos vec3.V) (Coord, bool) {
 	return Coord{cx, cy, cz}, true
 }
 
+// CoordNear is CoordOf for a position known to within margin km, and
+// reports whether a cell face lies within margin of pos on some axis: only
+// then may the point it stands for lie in another cell, or outside the cube.
+func (g *Grid) CoordNear(pos vec3.V, margin float64) (c Coord, ok, near bool) {
+	tx, ty, tz := pos.X*g.invCell, pos.Y*g.invCell, pos.Z*g.invCell
+	fx, fy, fz := math.Floor(tx), math.Floor(ty), math.Floor(tz)
+	lo := margin * g.invCell
+	hi := 1 - lo
+	near = tx-fx < lo || tx-fx > hi || ty-fy < lo || ty-fy > hi || tz-fz < lo || tz-fz > hi
+	c = Coord{int32(fx), int32(fy), int32(fz)}
+	return c, g.inRange(c.X) && g.inRange(c.Y) && g.inRange(c.Z), near
+}
+
 func (g *Grid) inRange(c int32) bool { return c >= -g.maxIdx && c <= g.maxIdx }
 
 // KeyOf returns the packed cell key for pos, and ok == false when pos is

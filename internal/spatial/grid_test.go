@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +106,41 @@ func TestKeyCoordRoundTrip(t *testing.T) {
 				t.Errorf("maxIdx %d: roundtrip %v → %v", m-1, c, got)
 			}
 		}
+	}
+}
+
+func TestCoordNearIsCoordOfAwayFromFaces(t *testing.T) {
+	// CoordNear's cell is CoordOf's. Inside the cube, where it reports no
+	// face within the margin, no shift along an axis by less than the margin
+	// leaves the cell (or the cube); where it reports one, a shift by a
+	// little more does.
+	g, _ := NewGrid(10, 100)
+	const margin = 0.4
+	shifts := []vec3.V{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1}}
+	leaves := func(pos vec3.V, c Coord, by float64) bool {
+		for _, d := range shifts {
+			if dc, ok := g.CoordOf(pos.Add(d.Scale(by))); !ok || dc != c {
+				return true
+			}
+		}
+		return false
+	}
+	f := func(x, y, z int16) bool {
+		pos := vec3.V{X: float64(x) / 300, Y: float64(y) / 300, Z: float64(z) / 300} // ±109 km: past the cube too
+		c, ok, near := g.CoordNear(pos, margin)
+		if wc, wok := g.CoordOf(pos); ok != wok || ok && c != wc {
+			return false
+		}
+		if !ok {
+			return true
+		}
+		if near {
+			return leaves(pos, c, 1.001*margin)
+		}
+		return !leaves(pos, c, 0.999*margin)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
 	}
 }
 
