@@ -22,7 +22,7 @@ package core
 //
 //   - Collect_PairSet: the paper's structure — every key CAS-inserted into a
 //     roomy lockfree.PairSet by the workers, drained in slot order, sorted
-//   - Collect_Sort:    what the detectors run — concatenate, sort, compact
+//   - Collect_Sort:    what the detectors run — concatenate, sort
 
 import (
 	"context"

@@ -58,7 +58,7 @@ type Config struct {
 	// threshold should cover the position uncertainties). The grid is
 	// sized for the worst pair automatically.
 	Uncertainty UncertaintyMap
-	// Pool supplies the recycled stamp-table/buffer/state structures of the run.
+	// Pool supplies the recycled buffer/table/state structures of the run.
 	// nil selects the process-wide pool.Default, so back-to-back runs (and
 	// concurrent server requests) reuse each other's buffers;
 	// pool.Disabled() opts out of all reuse. See pool's package doc for the
@@ -172,13 +172,14 @@ func CompareConjunctions(a, b Conjunction) int {
 }
 
 // PhaseStats records where the run spent its time — the §V-C1 breakdown —
-// plus pipeline counters. On a delta pass (delta.go) Insertion is stamp +
-// probe, candidate emission included, and Detection the collect alone.
+// plus pipeline counters. A delta pass (delta.go) runs the same step loop, so
+// its phases mean the same: Insertion is its build, stamps and stamp filter
+// included, and Detection its sort, sweep and collect.
 type PhaseStats struct {
 	Insertion   time.Duration // propagation + one {cell key, ID} entry per object (INS)
 	Freeze      time.Duration // always zero — no detector freezes anything; kept because bench/ reads it
 	Detection   time.Duration // candidate generation: per step entry sort + group into cells + sweep, per run one collect of the keys (CD)
-	Sort        time.Duration // the serial sort + group share of Detection; zero on stamping delta passes
+	Sort        time.Duration // the serial sort + group share of Detection
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
@@ -196,7 +197,6 @@ type PhaseStats struct {
 	Refinements       int     // Brent searches performed
 	RefineBatches     int     // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds       uint64  // satellite samples outside the simulation cube
-	GridSlots         int     // per-step entry-buffer length, one slot per object (delta passes: the stamp table's hash slots)
 	KnotStride        int     // m: the build solves Kepler every m-th step and interpolates between (1: every step solved)
 	PositionPadKm     float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate's radial test adds it to g (0 at m = 1)
 	PairSetGrowths    int     // always zero — the candidates are a list, nothing grows; kept because bench/ reads it

@@ -251,10 +251,9 @@ func TestStatsPhaseAccounting(t *testing.T) {
 		t.Error("Total() <= 0")
 	}
 
-	// The collect (concatenate, sort, compact) is candidate generation: it
-	// runs before the sample phase is reported, so PhaseSample already knows
-	// the final candidate count, and its span is Detection's — on a stamping
-	// delta pass, which has no scan, it is all of Detection.
+	// The collect (concatenate, sort) is candidate generation: it runs
+	// before the sample phase is reported, so PhaseSample already knows the
+	// final candidate count, and its span is Detection's.
 	for name, screen := range map[string]func(Config) (*Result, error){
 		"grid":   func(c Config) (*Result, error) { return newGrid(c).Screen(sats) },
 		"hybrid": func(c Config) (*Result, error) { return newHybrid(c).Screen(sats) },

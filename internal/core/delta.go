@@ -2,22 +2,22 @@ package core
 
 // Incremental (delta) screening: re-screening a catalogue version that
 // differs from an already-screened one by a small dirty set of k objects.
-// Only pairs with a dirty member can be new, so the grid is used inside out
-// (stamp-and-probe, DESIGN.md §11): per sampling step each dirty object
-// stamps its own cell and the in-cube cells around it in a small lock-free
-// grid set, and every object looks at the one cell it is in — finding a
-// stamp exactly when the two cells are adjacent, the full scan's criterion.
-// The refined conjunctions are merged with the prior result: prior entries
-// touching a dirty or removed object are stale and dropped, the rest are
-// retained verbatim. An object's cell comes from one of two sources: a valid
-// row of the session's key track (track.go), or positionAt, which then notes
-// the key into the row. delta_test.go pins candidates and merge against a
-// fresh full screen over chained deltas.
+// Only pairs with a dirty member can be new, so a delta pass runs the full
+// screen's step loop over the dirty objects' neighbourhoods only (DESIGN.md
+// §11): per sampling step each dirty object stamps its own cell and the 26
+// around it into a small bitset, every clean object outside a stamped cell
+// is left out of the step's sort and sweep, and the collect keeps the pairs
+// with a dirty member. The refined conjunctions are merged with the prior
+// result: prior entries touching a dirty or removed object are stale and
+// dropped, the rest are retained verbatim. An object's cell comes from one of
+// two sources: a valid row of the session's key track (track.go), or
+// positionAt, which then notes the key into the row. delta_test.go pins
+// candidates and merge against a fresh full screen over chained deltas.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/lockfree"
 )
@@ -38,9 +38,10 @@ type DeltaInput struct {
 	session *Session
 }
 
-// bitset helpers over ID-indexed []uint64 words. IDs are validated
-// non-negative before any set; has tolerates IDs beyond the sized range
-// (clean objects above every dirty ID) by reporting false.
+// bitset helpers over []uint64 words indexed by ID or, in the stamp filter,
+// by stampBit. IDs are validated non-negative before any set; has tolerates
+// IDs beyond the sized range (clean objects above every dirty ID) by
+// reporting false.
 func bitsetWords(maxID int32) int { return (int(maxID) >> 6) + 1 }
 
 func bitsetSet(b []uint64, id int32) { b[int(id)>>6] |= 1 << (uint(id) & 63) }
@@ -53,18 +54,13 @@ func bitsetHas(b []uint64, id int32) bool {
 	return b[w]>>(uint(id)&63)&1 != 0
 }
 
-// Stamp-table geometry: own cell plus 26 neighbours, and 8 slots per stamp so
-// the probe of an unstamped cell — nearly every probe — ends on its first slot.
-const (
-	stampsPerObject    = 27
-	stampSlotsPerEntry = 8
-)
-
-// stampingPays is the crossover between stamping and a full screen: 27
-// insertions per dirty object per step, into a table that outgrows the cache
-// with k, against one per object. Measured (DESIGN.md §11), the passes cost
-// the same at k = N/8 when sampling is all the work, and stamping is still
-// ahead there when candidate volume is. Computed from the pass's own inputs.
+// stampingPays is the crossover between a delta pass and a full screen. Both
+// build N objects per step; a delta pass adds 27 stamps per dirty object and
+// refines ungated candidates, and saves the sort and sweep away from the dirty
+// objects and, in a session, the solves of valid rows. Measured (DESIGN.md
+// §11), at k = N/8 a pass without a track costs 1.03–1.18× a full screen and a
+// session pass 0.61–0.64×; at N/4, 1.25–1.52× and 0.80–1.10×. Computed from the
+// pass's own inputs.
 func stampingPays(dirty, objects int) bool { return 8*dirty <= objects }
 
 // validate checks a delta against the population's ID index — IDs in the
@@ -92,10 +88,10 @@ func (delta *DeltaInput) validate(idx map[int32]int32) (maxID int32, err error) 
 
 // setDelta validates the delta and decides, once, whether the pass is
 // incremental: below the crossover (stampingPays) it is. An incremental pass
-// stamps r.dirtyIdx into the stamp table, so it emits only pairs with a dirty
-// member, and the frame's merge consults r.touched (dirty ∪ removed).
-// Everything drawn here is pooled and handed back by release with the run's
-// other structures.
+// sweeps only the entries its stamp filter lets through and collects only
+// pairs with a dirty member (r.dirty), and the frame's merge consults
+// r.touched (dirty ∪ removed). Everything drawn here is pooled and handed back
+// by release with the run's other structures.
 func (r *run) setDelta(delta *DeltaInput) error {
 	maxID, err := delta.validate(r.idx)
 	if err != nil {
@@ -120,129 +116,103 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		bitsetSet(r.touched, id)
 	}
 	r.stats.DirtyObjects = len(delta.Dirty)
-	if k := len(r.dirtyIdx); r.incremental {
-		r.gset = r.pool.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k)
-		r.stats.GridSlots = r.gset.Slots()
-		r.dirtyKeys = r.pool.GetKeyBuf(k)[:k]
+	if r.incremental {
+		// At least 64 bits per stamp, a power of two: a clean object in a cell
+		// no dirty object stamped passes the filter with odds under 1/64.
+		stampWords := 1 << bits.Len(uint(27*len(r.dirtyIdx)))
+		r.stamps = r.pool.GetBitset(stampWords)
+		r.stampShift = uint(64 - bits.Len(uint(64*stampWords-1)))
+		// A cell's key and its neighbours' differ by ±1 in each field, which
+		// never carries (spatial.Grid): an out-of-cube neighbour's key is one
+		// no entry has.
+		fb := r.grid.FieldBits()
+		for n := range r.around {
+			r.around[n] = uint64(int64(n/9-1)<<(2*fb) + int64(n/3%3-1)<<fb + int64(n%3-1))
+		}
 		r.track = delta.session.trackFor(r)
 		r.stats.TrackBytes = r.track.bytes()
 	}
 	return nil
 }
 
-// sampleStepsStamped is the delta pass's step loop: reset the stamp table,
-// stamp every dirty object, let every object probe its own cell into the
-// per-worker candidate buffers. Insertion accounts all of it (propagation
-// included); Detection is the collect's. Keys come from positionAt or from
-// rows positionAt filled, so they and the out-of-bounds count are the full
-// screen's. The rows this pass writes count only once every step is through.
-func (r *run) sampleStepsStamped() error {
-	stampFn, probeFn := r.stampRange, r.probeRange
-	r.stats.TrackedObjects = r.track.begin(r.dirtyIdx)
-	for step := 0; step < r.steps; step++ {
-		if err := r.cancelled(); err != nil {
-			return err
-		}
-		oobBefore := r.oob.Load()
-		tIns := time.Now()
-		r.buildStep, r.scanStep = step, uint32(step)
-		r.gset.Reset()
-		if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), stampFn); err != nil {
-			return err
-		}
-		if err, ok := r.insertErr.Load().(error); ok {
-			return err
-		}
-		// Dirty objects probe too, now that every stamp is in, from the cell
-		// they stamped: their position is already taken. A dirty–dirty pair is
-		// found from both sides; collectPairs drops the repeat.
-		for j, key := range r.dirtyKeys {
-			if key != lockfree.EmptySlot {
-				r.scanBufs[0] = r.appendStamped(r.scanBufs[0], key, r.sats[r.dirtyIdx[j]].ID)
+// buildDelta is a delta pass's build kernel for one step, in place of the full
+// screen's buildRange: solve the dirty objects into their entry slots, stamp
+// each one's cell and the 26 around it into the step's filter, then key every
+// clean object and keep its entry only if its cell is stamped. A pair the
+// sweep finds between two kept entries with a dirty member is therefore
+// exactly a pair the full screen's sweep finds (DESIGN.md §11); a false
+// positive of the filter only adds an entry no dirty object can pair with.
+// The stamps, 27·k, are set serially: the filter is a plain bitset.
+func (r *run) buildDelta() error {
+	if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil {
+		return err
+	}
+	clear(r.stamps)
+	for _, i := range r.dirtyIdx {
+		if key := r.stepEntries[i].Key; key != lockfree.EmptySlot {
+			for _, d := range r.around {
+				bitsetSet(r.stamps, r.stampBit(key+d))
 			}
 		}
-		if err := parallelForWorkers(r.ctx, r.workers, len(r.sats), probeFn); err != nil {
-			return err
-		}
-		r.stats.Insertion += time.Since(tIns)
-		r.observeStep(step, len(r.sats)-int(r.oob.Load()-oobBefore))
 	}
-	r.track.commit()
-	return nil
+	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.cleanFn)
 }
 
-// stampRange stamps dirty objects [lo, hi) of r.dirtyIdx at the published
-// step time; object j owns stamp-table entries 27·j … 27·j+26. Only in-cube
-// cells are stamped (the scan's bounds rule); an object outside the cube stamps
-// nothing and counts out of bounds. The first insertion failure is latched.
-// A dirty object's row was opened by begin, so its new keys replace the old.
-func (r *run) stampRange(_, lo, hi int) {
-	var nbuf [stampsPerObject - 1]uint64
-	for j := lo; j < hi; j++ {
-		i := int(r.dirtyIdx[j])
-		pos, coord, ok := r.positionAt(i, r.buildStep)
-		if !ok {
-			r.dirtyKeys[j] = lockfree.EmptySlot
-			r.track.note(i, r.scanStep, lockfree.EmptySlot)
-			r.oob.Add(1)
-			continue
-		}
-		r.dirtyKeys[j] = r.grid.Key(coord)
-		r.track.note(i, r.scanStep, r.dirtyKeys[j])
-		id, entry := r.sats[i].ID, int32(stampsPerObject*j)
-		err := r.gset.Insert(r.dirtyKeys[j], entry, id, pos)
-		for n, key := range r.grid.NeighborKeys(coord, nbuf[:0]) {
-			if err == nil {
-				err = r.gset.Insert(key, entry+1+int32(n), id, pos)
-			}
-		}
-		if err != nil {
-			r.insertErr.CompareAndSwap(nil, fmt.Errorf("core: grid insertion: %w", err))
-			return
-		}
+// dirtyRange solves dirty objects [lo, hi) of r.dirtyIdx into their entry
+// slots and notes their keys into their rows, which begin opened, so the new
+// keys replace the old. One outside the cube gets lockfree.EmptySlot, which
+// the sort drops, and stamps nothing.
+func (r *run) dirtyRange(_, lo, hi int) {
+	oob := 0
+	for _, i := range r.dirtyIdx[lo:hi] {
+		r.stepEntries[i] = lockfree.Cell{Key: r.solveKey(int(i), &oob), Lo: i}
 	}
-}
-
-// probeRange lets the clean objects of [lo, hi) look up the one cell they are
-// in, into worker w's buffer; sampleStepsStamped probed the dirty ones already.
-// A valid row supplies the key and the ID; a dirty row is never valid (begin),
-// so stampRange and probeRange never solve or note the same object.
-func (r *run) probeRange(w, lo, hi int) {
-	buf, oob, tr := r.scanBufs[w], 0, r.track
-	for i := lo; i < hi; i++ {
-		if tr.valid(i) {
-			buf = r.appendStamped(buf, tr.advance(i, r.scanStep), tr.ids[i])
-			continue
-		}
-		id := r.sats[i].ID
-		if bitsetHas(r.dirty, id) {
-			continue
-		}
-		_, coord, ok := r.positionAt(i, r.buildStep)
-		if !ok {
-			tr.note(i, r.scanStep, lockfree.EmptySlot)
-			oob++
-			continue
-		}
-		key := r.grid.Key(coord)
-		tr.note(i, r.scanStep, key)
-		buf = r.appendStamped(buf, key, id)
-	}
-	r.scanBufs[w] = buf
 	if oob > 0 {
 		r.oob.Add(uint64(oob))
 	}
 }
 
-// appendStamped appends to buf a packed (id, dirty object) candidate for
-// every stamp in the cell with the given key, the object's own stamp aside.
-func (r *run) appendStamped(buf []uint64, key uint64, id int32) []uint64 {
-	for e := r.gset.Head(key); e >= 0; e = r.gset.Next(e) {
-		if other := r.gset.Entry(e).ID; other != id {
-			buf = append(buf, lockfree.PackPair(id, other, r.scanStep))
+// stampBit is a cell key's bit in the stamp filter: a Fibonacci hash.
+func (r *run) stampBit(key uint64) int32 { return int32(key * 0x9e3779b97f4a7c15 >> r.stampShift) }
+
+// cleanRange keys the clean objects of [lo, hi) — from a valid row of the key
+// track, else from positionAt, noting the key into the row — and writes each
+// one's entry, its key lockfree.EmptySlot unless its cell is stamped.
+// dirtyRange wrote the dirty objects' slots; a dirty row is never valid
+// (begin), so the two never solve or note the same object.
+func (r *run) cleanRange(_, lo, hi int) {
+	oob, tr, step := 0, r.track, uint32(r.buildStep)
+	for i := lo; i < hi; i++ {
+		var key uint64
+		switch {
+		case tr.valid(i):
+			key = tr.advance(i, step)
+		case bitsetHas(r.dirty, r.sats[i].ID):
+			continue
+		default:
+			key = r.solveKey(i, &oob)
 		}
+		if key != lockfree.EmptySlot && !bitsetHas(r.stamps, r.stampBit(key)) {
+			key = lockfree.EmptySlot
+		}
+		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: int32(i)}
 	}
-	return buf
+	if oob > 0 {
+		r.oob.Add(uint64(oob))
+	}
+}
+
+// solveKey is object i's cell key at the build step from positionAt, noted
+// into its row; lockfree.EmptySlot, counted in *oob, outside the cube.
+func (r *run) solveKey(i int, oob *int) uint64 {
+	key := uint64(lockfree.EmptySlot)
+	if _, c, ok := r.positionAt(i, r.buildStep); ok {
+		key = r.grid.Key(c)
+	} else {
+		*oob++
+	}
+	r.track.note(i, uint32(r.buildStep), key)
+	return key
 }
 
 // mergeWithPrior folds the retained prior conjunctions into the freshly

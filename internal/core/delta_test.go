@@ -108,8 +108,8 @@ func assertConjunctionsEqual(t *testing.T, name string, got, want []Conjunction)
 
 // dirtyCandidates counts the (pair, step) candidates of a fresh full sampling
 // of sats under the variant's configuration that have a dirty member — what a
-// delta pass must emit, no more and no fewer. A stamping pass has no radii, so
-// it emits without the radial gate, and the count is of an ungated sampling.
+// delta pass must collect, no more and no fewer. A delta pass's build has no
+// radii, so its gate keeps every pair, and the count is of an ungated sampling.
 func dirtyCandidates(t *testing.T, variant Variant, cfg Config, sats []propagation.Satellite, dirty []int32) int {
 	t.Helper()
 	cfg.ablation.noGate = true
@@ -193,7 +193,7 @@ func TestScreenDeltaMatchesFullScreen(t *testing.T) {
 				case 5:
 					// Two new objects on one orbit 0.8 km apart radially, both
 					// dirty and in the same or adjacent cells at every step: the
-					// pair is found from both sides and must be reported once.
+					// pair is swept once, like any other, and must be reported.
 					el := sats[0].Elements
 					el.Inclination += 0.3
 					twins = [2]int32{nextID, nextID + 1}
@@ -421,9 +421,11 @@ func (o *stepRecorder) OnStep(s StepInfo) {
 
 func (o *stepRecorder) OnPhase(PhaseInfo) {}
 
-// TestScreenDeltaObserverSeesEveryStepInOrder: one delta step loop, in step
-// order, whatever the ablation switches say (run it under -race: the stamp
-// and probe phases share the table across four workers).
+// TestScreenDeltaObserverSeesEveryStepInOrder: a delta pass's steps reach the
+// observer in step order on either ring, each with its in-cube count, not the
+// count of entries the stamp filter let through (run it under -race: the
+// build's two ranges share the step's filter and entry buffer across four
+// workers).
 func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 	const span = 300.0
 	sats := denseShellPopulation(400, 9)
@@ -447,109 +449,61 @@ func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 	}
 }
 
-// TestScreenDeltaPoolDraw: a delta pass draws one stamp-sized grid set and
-// neither a full screen's cell buffers nor a population-sized grid set, and
-// hands everything back on every exit — completion, cancellation mid-window and a
-// latched insertion failure. The two failing exits happen to a session's pass:
-// the session stays usable and its next pass equals a fresh screen.
+// TestScreenDeltaPoolDraw: a delta pass draws what a full screen's step loop
+// draws — the entry ring, the scan's sort buffer and the gate rows — but no
+// motion rows, and hands everything back on every exit: completion and
+// cancellation mid-window. The cancelled pass is a session's: the session
+// stays usable and its next pass equals a fresh screen.
 func TestScreenDeltaPoolDraw(t *testing.T) {
 	const span = 300.0
 	sats := denseShellPopulation(2000, 13)
 	dirty := []int32{sats[1].ID, sats[700].ID}
-	delta := &DeltaInput{Dirty: dirty}
 	base := Config{DurationSeconds: span, Workers: 2}
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-	// primed returns a session on cfg whose full screen ran on a pool of its
-	// own: the free lists probed below are to show what the delta pass drew.
-	primed := func(t *testing.T, variant Variant, cfg Config) *Session {
-		t.Helper()
-		pl := cfg.Pool
-		cfg.Pool = pool.New()
-		sess, err := NewSession(variant, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch}); err != nil {
-			t.Fatal(err)
-		}
-		sess.cfg.Pool = pl
-		return sess
-	}
-	// recovers demands that nothing of the failed pass is outstanding and that
-	// the session's next pass over the same delta equals a fresh screen.
-	recovers := func(t *testing.T, sess *Session) {
-		t.Helper()
-		if out := sess.cfg.Pool.Stats().Outstanding(); out != 0 {
-			t.Fatalf("%d pooled structures outstanding after the failed pass", out)
-		}
-		inc, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch, Dirty: dirty, Covered: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sess.cfg
-		cfg.Pool = pool.New()
-		fresh, err := sess.desc.New(cfg).ScreenContext(context.Background(), sats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertConjunctionsEqual(t, "pass after a failed one", inc.Conjunctions, fresh.Conjunctions)
-		if inc.Stats.TrackedObjects != 0 || inc.Stats.TrackBytes == 0 {
-			t.Fatalf("pass after a failed priming pass read %d rows of a %d B track", inc.Stats.TrackedObjects, inc.Stats.TrackBytes)
-		}
-	}
-
 	exits := map[string]func(t *testing.T, cfg Config){
 		"completed": func(t *testing.T, cfg Config) {
-			if _, err := newGrid(cfg).ScreenDelta(context.Background(), sats, *delta); err != nil {
+			if _, err := newGrid(cfg).ScreenDelta(context.Background(), sats, DeltaInput{Dirty: dirty}); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"cancelled": func(t *testing.T, cfg Config) {
-			sess := primed(t, VariantHybrid, cfg)
+			// The session's full screen runs on a pool of its own: the free
+			// lists probed below are to show what the delta passes drew.
+			pl := cfg.Pool
+			cfg.Pool = pool.New()
+			sess, err := NewSession(VariantHybrid, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch}); err != nil {
+				t.Fatal(err)
+			}
+			sess.cfg.Pool = pl
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			p := Pass{Epoch: epoch, Dirty: dirty, Covered: true, Observer: &cancelAtStep{at: 5, cancel: cancel}}
 			if _, err := sess.Screen(ctx, sats, p); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			recovers(t, sess)
-		},
-		"insertion-full": func(t *testing.T, cfg Config) {
-			sess := primed(t, VariantGrid, cfg)
-			func() {
-				r, err := newRun(context.Background(), cfg, sats, DefaultGridSeconds, knotSeconds, &DeltaInput{Dirty: dirty, session: sess})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.release()
-				// The stamp table cannot fill by construction; swap in one that
-				// can, with the arena intact, to drive the latch.
-				cfg.Pool.PutGridSet(r.gset)
-				r.gset = lockfree.NewGridSet(2, stampsPerObject*len(dirty))
-				cfg.Pool.GetGridSet(0, 0) // keeps the counters level with the set put back above
-				if err := r.sampleAllSteps(); !errors.Is(err, lockfree.ErrFull) {
-					t.Fatalf("err = %v, want ErrFull", err)
-				}
-			}()
-			recovers(t, sess)
+			if out := pl.Stats().Outstanding(); out != 0 {
+				t.Fatalf("%d pooled structures outstanding after the failed pass", out)
+			}
+			// The session's next pass over the same delta equals a fresh screen.
+			inc, err := sess.Screen(context.Background(), sats, Pass{Epoch: epoch, Dirty: dirty, Covered: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sess.desc.New(cfg).ScreenContext(context.Background(), sats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertConjunctionsEqual(t, "pass after a failed one", inc.Conjunctions, fresh.Conjunctions)
+			if inc.Stats.TrackedObjects != 0 || inc.Stats.TrackBytes == 0 {
+				t.Fatalf("pass after a failed priming pass read %d rows of a %d B track", inc.Stats.TrackedObjects, inc.Stats.TrackBytes)
+			}
 		},
 	}
-	t.Run("beside-an-idle-full-grid", func(t *testing.T) {
-		// A far larger delta left its stamp table idle in the pool, inside the
-		// slot-oversize window of this one's request but not the arena's; the
-		// pass must still get a table of its own size.
-		cfg := base
-		cfg.Pool = pool.New()
-		cfg.Pool.PutGridSet(cfg.Pool.GetGridSet(2*len(sats), len(sats)))
-		res, err := newGrid(cfg).ScreenDelta(context.Background(), sats, *delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := lockfree.NewGridSet(stampSlotsPerEntry*stampsPerObject*len(dirty), 0).Slots(); res.Stats.GridSlots != want {
-			t.Fatalf("stamp table has %d slots, want %d", res.Stats.GridSlots, want)
-		}
-	})
 	for name, exit := range exits {
 		t.Run(name, func(t *testing.T) {
 			pl := pool.New()
@@ -559,21 +513,73 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 			if out := pl.Stats().Outstanding(); out != 0 {
 				t.Fatalf("%d pooled structures outstanding", out)
 			}
-			// What the pass drew is what it put back: probe the free lists.
-			hits := func() int64 { return pl.Stats().Hits }
-			h := hits()
-			pl.PutCellBuf(pl.GetCellBuf(1))
-			if hits() != h {
-				t.Error("the pass drew a cell buffer")
+			// What the pass drew is what it put back: empty the free lists,
+			// counting.
+			drained := func(get func()) (drawn int) {
+				for {
+					before := pl.Stats().Hits
+					get()
+					if pl.Stats().Hits == before {
+						return drawn
+					}
+					drawn++
+				}
 			}
-			pl.PutGridSet(pl.GetGridSet(2*len(sats), len(sats)))
-			if hits() != h {
-				t.Error("the pass drew a population-sized grid set")
+			if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != 3 {
+				t.Errorf("the pass drew %d cell buffers, want a ring of 2 and the scan's one", drawn)
 			}
-			k := len(dirty)
-			pl.PutGridSet(pl.GetGridSet(stampSlotsPerEntry*stampsPerObject*k, stampsPerObject*k))
-			if hits() != h+1 {
-				t.Error("the pass left no stamp-sized grid set behind")
+			if drawn := drained(func() { pl.GetGateRows(len(sats)) }); drawn != 1 {
+				t.Errorf("the pass drew %d gate tables, want 1", drawn)
+			}
+			if drawn := drained(func() { pl.GetMotionRows(len(sats)) }); drawn != 0 {
+				t.Errorf("the pass drew %d motion tables, want none", drawn)
+			}
+		})
+	}
+}
+
+// TestScreenDeltaFalsePositivesChangeNothing: the stamp filter only has to
+// pass every entry a dirty object can pair with. With a filter whose one bit
+// every key hashes to, every in-cube object reaches the sweep, and the pass
+// returns the same candidates and conjunctions as with the sized filter.
+func TestScreenDeltaFalsePositivesChangeNothing(t *testing.T) {
+	const span = 900.0
+	sats := seededEncounterPopulation(11, span)
+	for _, s := range denseShellPopulation(32, 12) {
+		sats = append(sats, propagation.MustSatellite(int32(len(sats)), s.Elements))
+	}
+	dirty := []int32{sats[16].ID, sats[19].ID, sats[22].ID} // one member of three engineered encounters
+	for _, variant := range []Variant{VariantGrid, VariantHybrid} {
+		t.Run(string(variant), func(t *testing.T) {
+			cfg := Config{DurationSeconds: span, Workers: 2, halfExtentKm: 9000, Pool: pool.New()}
+			d := newDetector(variant, cfg)
+			delta := &DeltaInput{Dirty: dirty}
+			pass := func(saturate bool) (*Result, int) {
+				r, err := newRun(context.Background(), cfg, sats, d.sps, knotSeconds, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.release()
+				if saturate {
+					r.stampShift = 64 // every key's bit is bit 0, which every step's first stamp sets
+				}
+				res, err := d.screenRun(r, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, r.candidates()
+			}
+			want, swept := pass(false)
+			got, sweptAll := pass(true)
+			if sweptAll <= swept {
+				t.Fatalf("the saturated filter swept %d candidates, the sized one %d: no false positive reached the sweep", sweptAll, swept)
+			}
+			if got.Stats.CandidatePairs != want.Stats.CandidatePairs {
+				t.Fatalf("%d candidates through the saturated filter, %d through the sized one", got.Stats.CandidatePairs, want.Stats.CandidatePairs)
+			}
+			assertConjunctionsEqual(t, string(variant), got.Conjunctions, want.Conjunctions)
+			if len(want.Conjunctions) == 0 {
+				t.Fatal("no conjunction to compare")
 			}
 		})
 	}

@@ -65,9 +65,9 @@ func (d *detector) ScreenContext(ctx context.Context, sats []propagation.Satelli
 
 // ScreenDelta screens incrementally; see DeltaInput for the contract. The
 // result is equivalent to a full screen of the same population at the
-// candidate cost of the dirty set only. Past the crossover (stampingPays)
-// the delta is validated and a plain full screen runs instead, with
-// PriorRetained = 0.
+// candidate cost of the dirty set's neighbourhood. Past the crossover
+// (stampingPays) the delta is validated and a plain full screen runs instead,
+// with PriorRetained = 0.
 func (d *detector) ScreenDelta(ctx context.Context, sats []propagation.Satellite, delta DeltaInput) (*Result, error) {
 	return d.screen(ctx, sats, &delta)
 }
@@ -83,13 +83,15 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Variant: d.variant, Backend: "cpu"}
 	if r == nil { // degenerate population (<2 satellites)
-		res.Conjunctions = degenerateDeltaMerge(delta)
-		return res, nil
+		return &Result{Variant: d.variant, Backend: "cpu", Conjunctions: degenerateDeltaMerge(delta)}, nil
 	}
 	defer r.release()
+	return d.screenRun(r, delta)
+}
 
+// screenRun runs steps 2–4 of the frame on a run newRun built.
+func (d *detector) screenRun(r *run, delta *DeltaInput) (*Result, error) {
 	tSample := time.Now()
 	if err := r.sampleAllSteps(); err != nil {
 		return nil, err
@@ -100,6 +102,7 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	var interval func(k int) (center, radius float64, ok bool)
 	if d.filter != nil {
 		tFil := time.Now()
+		var err error
 		if pairs, interval, err = d.filter(r); err != nil {
 			return nil, err
 		}
@@ -118,14 +121,12 @@ func (d *detector) screen(ctx context.Context, sats []propagation.Satellite, del
 	r.stats.Refine += time.Since(tRef)
 	r.observePhase(PhaseRefine, time.Since(tRef), len(conjs))
 
-	res.Conjunctions = conjs
-	res.Stats = r.finishStats()
-	return res, nil
+	return &Result{Variant: d.variant, Backend: "cpu", Conjunctions: conjs, Stats: r.finishStats()}, nil
 }
 
 // run holds the shared state of one screening execution.
-// Its buffers, ID index and (delta passes) stamp table are pooled: release
-// returns them, after which the run must not be used.
+// Its buffers, tables and ID index are pooled: release returns them, after
+// which the run must not be used.
 type run struct {
 	cfg         Config
 	pool        *pool.Pool
@@ -135,15 +136,14 @@ type run struct {
 	threshold   float64
 	cellSize    float64
 	grid        *spatial.Grid
-	gset        *lockfree.GridSet // stamping delta pass only: the stamp table
-	entries     []lockfree.Cell   // full screen: slot 0 of the step loop's entry ring, one {key, index, radius} per object
-	cellBuf     []lockfree.Cell   // the scan's two sort buffers, back to back: a step's cells in key order land in one
-	sortHist    []radixHist       // the scan's radix histograms, one per pass
-	gate        radialGate        // full screen: the sweep's gate; its tables are pooled
-	motion      motionTest        // full screen: the gate's motion test, on if gate.motion points here
-	gated       gateCounts        // candidates each test of the gate dropped
-	scanBufs    [][]uint64        // per-worker packed candidate keys, appended to for the whole run
-	keys        []uint64          // collectPairs: every candidate of the run, in (A, B, Step) order
+	entries     []lockfree.Cell // slot 0 of the step loop's entry ring, one {key, index, radius} per object
+	cellBuf     []lockfree.Cell // the scan's two sort buffers, back to back: a step's cells in key order land in one
+	sortHist    []radixHist     // the scan's radix histograms, one per pass
+	gate        radialGate      // the sweep's gate; its tables are pooled
+	motion      motionTest      // full screen: the gate's motion test, on if gate.motion points here
+	gated       gateCounts      // candidates each test of the gate dropped
+	scanBufs    [][]uint64      // per-worker packed candidate keys, appended to for the whole run
+	keys        []uint64        // collectPairs: every candidate of the run, in (A, B, Step) order
 	workers     int
 	prop        propagation.Propagator
 	kcache      []propagation.KeplerCache // per-satellite warm-start state of positionAt
@@ -159,12 +159,14 @@ type run struct {
 	// Delta screening state (delta.go); zero on full screens.
 	dirty   []uint64 // pooled bitset: IDs whose pairs a delta pass emits
 	touched []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
-	// incremental: the pass stamps, emits dirty pairs only and merges the
-	// prior (setDelta); gset is the stamp table.
+	// incremental: the pass filters its entries through the stamps, collects
+	// dirty pairs only and merges the prior (setDelta).
 	incremental bool
-	dirtyIdx    []int32   // stamping: population index of each distinct dirty object present
-	dirtyKeys   []uint64  // stamping, pooled: the cell each of those stamped this step (EmptySlot: out of the cube)
-	track       *keyTrack // stamping, owned by the delta's session: the rows this pass reads and writes; nil keeps none
+	dirtyIdx    []int32    // population index of each distinct dirty object present
+	stamps      []uint64   // pooled bitset: the step's stamped cells, by stampBit
+	stampShift  uint       // stampBit's shift: 64 − log2 of the filter's bits
+	around      [27]uint64 // what a cell's key and its 26 neighbours' add to it
+	track       *keyTrack  // owned by the delta's session: the rows this pass reads and writes; noTrack keeps none
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -192,17 +194,15 @@ type run struct {
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
 	scanIDs     []int32         // the population-index array their ranges index, one slot per object
 	scanRadii   []float32       // the objects' radii at the step, beside scanIDs
-	insertErr   atomic.Value    // stamping: the first stamp-table insertion failure
 
-	buildFn, scanFn func(w, lo, hi int)
+	buildFn, scanFn, dirtyFn, cleanFn func(w, lo, hi int)
 }
 
 // newRun validates inputs and allocates every structure up front — the
 // paper's step 1. A nil run (with nil error) signals a trivially empty
 // population. A context already cancelled on entry aborts before sampling,
-// with the pooled structures returned. A delta is validated here; below the
-// crossover the stamp table replaces the step loop's entry, sort and ID
-// buffers. h is the build kernel's knot spacing (knotStride).
+// with the pooled structures returned. A delta is validated here. h is the
+// build kernel's knot spacing (knotStride).
 func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, h float64, delta *DeltaInput) (*run, error) {
 	tAlloc := time.Now()
 	if cfg.DurationSeconds <= 0 {
@@ -273,7 +273,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 		sink:        cfg.Sink,
 		observer:    cfg.Observer,
 	}
-	r.buildFn, r.scanFn = r.buildRange, r.scanRange
+	r.buildFn, r.scanFn, r.dirtyFn, r.cleanFn = r.buildRange, r.scanRange, r.dirtyRange, r.cleanRange
 	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
 	if delta != nil {
 		if err := r.setDelta(delta); err != nil {
@@ -300,16 +300,13 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 		r.knots = pl.GetKnots(len(sats))
 	}
 	r.stats.KnotStride, r.stats.PositionPadKm = stride, pad
-	if !r.incremental {
-		// A step has one entry per object, so at most that many cells and IDs.
-		n := len(sats)
-		r.entries = pl.GetCellBuf(n)[:n]
-		r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-		r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
-		r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
-		r.stats.GridSlots = n
-		r.gate = r.newGate(gridThreshold, pad)
-	}
+	// A step has one entry per object, so at most that many cells and IDs.
+	n := len(sats)
+	r.entries = pl.GetCellBuf(n)[:n]
+	r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
+	r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
+	r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
+	r.gate = r.newGate(gridThreshold, pad)
 	if err := r.cancelled(); err != nil {
 		r.release()
 		return nil, err
@@ -362,7 +359,6 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 	r.observer.OnPhase(PhaseInfo{
 		Phase:             p,
 		Elapsed:           elapsed,
-		GridSlots:         r.stats.GridSlots,
 		Candidates:        r.stats.CandidatePairs,
 		FilterRejected:    r.stats.FilterRejected,
 		PrefilterRejected: r.stats.PrefilterRejected,
@@ -379,7 +375,6 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 // independently allocated memory, so releasing before Screen returns is
 // safe; the run itself must not be used afterwards.
 func (r *run) release() {
-	r.pool.PutGridSet(r.gset)
 	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
 	r.pool.PutGateRows(r.gate.rows)
@@ -393,14 +388,14 @@ func (r *run) release() {
 	r.pool.PutKnots(r.knots)
 	r.pool.PutBitset(r.dirty)
 	r.pool.PutBitset(r.touched)
-	r.pool.PutKeyBuf(r.dirtyKeys)
-	r.gset, r.keys, r.idx = nil, nil, nil
+	r.pool.PutBitset(r.stamps)
+	r.keys, r.idx = nil, nil
 	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.knots, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil, nil
-	r.dirty, r.touched, r.dirtyKeys = nil, nil, nil
+	r.dirty, r.touched, r.stamps = nil, nil, nil
 }
 
 // candidates is the number of keys emitted so far. It reads the per-worker
-// buffers, so only call it with no scan or probe in flight.
+// buffers, so only call it with no scan in flight.
 func (r *run) candidates() int {
 	n := 0
 	for _, buf := range r.scanBufs {
@@ -411,19 +406,27 @@ func (r *run) candidates() int {
 
 // collectPairs is the conjunction set of §IV-A3 as a list (DESIGN.md §2): the
 // per-worker buffers concatenated into one pooled buffer owned (and later
-// released) by the run, sorted into (A, B, Step) order — the candidates of one
-// pair are one run of the list and the refinements of one satellite sit
-// adjacent — and compacted. Every sweep emits a (pair, step) once; only a
-// stamping pass's dirty–dirty pairs, found from both sides, have a repeat to
-// drop. The span is candidate generation, so Detection's.
+// released) by the run and sorted into (A, B, Step) order — the candidates of
+// one pair are one run of the list and the refinements of one satellite sit
+// adjacent. Every sweep emits a (pair, step) once. An incremental pass keeps
+// only the pairs with a dirty member. The span is candidate generation, so
+// Detection's.
 func (r *run) collectPairs() {
 	tCD := time.Now()
 	keys := r.pool.GetKeyBuf(r.candidates())
 	for _, buf := range r.scanBufs {
-		keys = append(keys, buf...)
+		if !r.incremental {
+			keys = append(keys, buf...)
+			continue
+		}
+		for _, k := range buf {
+			if p := lockfree.UnpackPair(k); bitsetHas(r.dirty, p.A) || bitsetHas(r.dirty, p.B) {
+				keys = append(keys, k)
+			}
+		}
 	}
 	sortPairsBySatellite(keys)
-	r.keys = slices.Compact(keys)
+	r.keys = keys
 	r.stats.CandidatePairs = len(r.keys)
 	r.stats.MotionGated = int(r.gated.motion.Load())
 	r.stats.GridCandidates = len(r.keys) + int(r.gated.radial.Load()) + r.stats.MotionGated
@@ -432,21 +435,24 @@ func (r *run) collectPairs() {
 
 // sampleAllSteps is the grid's step 2 for every sampling step — propagate,
 // key, and identify candidate pairs — and collects the candidates into
-// r.keys. An incremental pass stamps (delta.go), and samples nothing when
-// nothing is dirty: no candidate is new. Every other run takes sampleSteps.
+// r.keys. An incremental pass builds through its stamp filter (delta.go),
+// opens and commits its key track's rows around the loop, and samples nothing
+// when nothing is dirty: no candidate is new.
 func (r *run) sampleAllSteps() error {
-	var err error
 	r.stats.Steps = r.steps
 	switch {
 	case r.incremental && len(r.dirtyIdx) == 0:
 		r.stats.Steps = 0
 	case r.incremental:
-		err = r.sampleStepsStamped()
+		r.stats.TrackedObjects = r.track.begin(r.dirtyIdx)
+		if err := r.sampleSteps(); err != nil {
+			return err
+		}
+		r.track.commit()
 	default:
-		err = r.sampleSteps()
-	}
-	if err != nil {
-		return err
+		if err := r.sampleSteps(); err != nil {
+			return err
+		}
 	}
 	r.collectPairs()
 	return nil
@@ -565,9 +571,13 @@ func (r *run) buildRange(_, lo, hi int) {
 }
 
 // buildEntries fills entries for one step: §IV-A2's parallel build, with the
-// grouping by cell left to the scan's sort.
+// grouping by cell left to the scan's sort; an incremental pass's build is
+// buildDelta.
 func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
 	r.buildStep, r.stepEntries = step, entries
+	if r.incremental {
+		return r.buildDelta()
+	}
 	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
 }
 

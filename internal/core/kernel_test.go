@@ -196,8 +196,9 @@ func TestExtrapolatedGuessNeverFallsBackOnShellPopulation(t *testing.T) {
 func TestSortPairsBySatelliteMatchesComparator(t *testing.T) {
 	// 10⁵ distinct triples — uniform ones, a dense block sharing A (buckets
 	// far above the comparison cutoff at every level), the field corners —
-	// then ties, which a delta pass's dirty–dirty pairs bring: every tenth key
-	// twice, one key 500 times (a bucket of identical keys above the cutoff).
+	// then ties, which no emitter produces but the sort must still order:
+	// every tenth key twice, one key 500 times (a bucket of identical keys
+	// above the cutoff).
 	rng := mathx.NewSplitMix64(77)
 	seen := map[uint64]bool{}
 	var keys []uint64

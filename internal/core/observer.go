@@ -50,7 +50,7 @@ type StepInfo struct {
 	Steps       int    // total steps of the run
 	Completed   int    // steps finished so far
 	GridEntries int    // objects inside the cube at this step, the scan's entry count
-	Candidates  int    // candidate (pair, step) keys emitted so far (a delta pass may count a dirty–dirty pair twice)
+	Candidates  int    // candidate (pair, step) keys emitted so far (a delta pass's include the pairs with no dirty member that its collect drops)
 	OutOfBounds uint64 // cumulative out-of-cube samples
 }
 
@@ -61,7 +61,6 @@ type PhaseInfo struct {
 	Phase   Phase
 	Elapsed time.Duration // wall time of the phase
 
-	GridSlots         int // PhaseStats.GridSlots (known from PhaseAllocate on)
 	Candidates        int // distinct (pair, step) candidates (PhaseSample on)
 	FilterRejected    int // candidates dropped by the filters (PhaseFilter)
 	PrefilterRejected int // candidates rejected analytically before Brent (PhaseRefine)

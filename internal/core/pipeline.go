@@ -1,12 +1,14 @@
 package core
 
-// The full-screen step loop. Each step is build → scan: the build writes every
-// object's {cell key, ID} into the step's entry buffer, plain stores into
-// disjoint ranges; the scan sorts that buffer by key into the run's sort
-// buffers, groups equal keys into cells and sweeps the cells for candidate
-// pairs into the per-worker key buffers. The scan only reads the entry buffer,
-// so with a second one the scan of step N runs beside the build of step N+1:
-// steps build into a ring of entry buffers, ring[step&1], of one slot or two.
+// The step loop, of full screens and delta passes alike. Each step is build →
+// scan: the build writes every object's {cell key, ID} into the step's entry
+// buffer, plain stores into disjoint ranges; the scan sorts that buffer by key
+// into the run's sort buffers, groups equal keys into cells and sweeps the
+// cells for candidate pairs into the per-worker key buffers. A delta pass's
+// build (buildDelta) leaves out the objects away from its dirty ones. The
+// scan only reads the entry buffer, so with a second one the scan of step N
+// runs beside the build of step N+1: steps build into a ring of entry
+// buffers, ring[step&1], of one slot or two.
 //
 // On two slots ownership is handed off over a pair of depth-1 channels, never
 // shared: the build writes ring[step&1] while the one scan in flight reads
@@ -24,12 +26,13 @@ import (
 type scanJob struct {
 	step    uint32
 	entries []lockfree.Cell
+	inCube  int // objects inside the cube at the step, for the observer
 }
 
 // scanResult reports one completed scan back to the build side.
 type scanResult struct {
 	step        int
-	entries     int           // in-cube objects of the step, for the observer
+	inCube      int           // scanJob.inCube
 	sort, sweep time.Duration // the serial sort + group span and the parallel sweep span: together the CD share
 	err         error
 }
@@ -61,7 +64,7 @@ func (r *run) sampleSteps() error {
 		r.stats.Detection += res.sort + res.sweep
 		if err == nil {
 			if err = res.err; err == nil {
-				r.observeStep(res.step, res.entries)
+				r.observeStep(res.step, res.inCube)
 			}
 		}
 	}
@@ -71,11 +74,12 @@ func (r *run) sampleSteps() error {
 			break
 		}
 		// On two slots the in-flight scan reads ring[(step-1)&1].
-		tIns := time.Now()
+		tIns, oob := time.Now(), r.oob.Load()
 		job := scanJob{step: uint32(step), entries: ring[step&1]}
 		if err = r.buildEntries(step, job.entries); err != nil {
 			break
 		}
+		job.inCube = len(r.sats) - int(r.oob.Load()-oob)
 		r.stats.Insertion += time.Since(tIns)
 
 		if jobs == nil {
@@ -117,7 +121,7 @@ func (r *run) scan(j scanJob) scanResult {
 	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
 	tSweep := time.Now()
 	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
-	return scanResult{step: int(j.step), entries: len(sorted), sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
+	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 
 // scanLoop is the scan goroutine: one scan per job, results posted in job

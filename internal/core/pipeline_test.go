@@ -31,8 +31,7 @@ func (g goroutineCeiling) OnStep(s StepInfo) {
 
 func (goroutineCeiling) OnPhase(PhaseInfo) {}
 
-// TestFullScreenPoolDraw: a full screen draws no grid set; a one-worker run
-// draws one entry buffer and starts no goroutine, a two-worker run draws the
+// TestFullScreenPoolDraw: a one-worker run draws one entry buffer and starts no goroutine, a two-worker run draws the
 // ring's second slot, either draws the scan's sort buffer, and every exit —
 // completion, cancellation at step k — hands back what it drew.
 func TestFullScreenPoolDraw(t *testing.T) {
@@ -80,11 +79,6 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				}
 				if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != workers+1 {
 					t.Errorf("the run drew %d cell buffers, want a ring of %d and the scan's one", drawn, workers)
-				}
-				for _, n := range []int{1, len(sats)} {
-					if drawn := drained(func() { pl.GetGridSet(2*n, n) }); drawn != 0 {
-						t.Errorf("the run drew %d grid sets, want none", drawn)
-					}
 				}
 			})
 		}

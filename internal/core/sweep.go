@@ -199,9 +199,16 @@ const gateSlack = 1.0 / (1 << 20)
 // +Inf — every pair kept — if the propagator may change a or e or the gate
 // is ablated; the motion test is on whenever g is finite. The radial test
 // reads the build's radii, so it adds pad, the interpolation's 2ε_max; the
-// motion test's states are solved, so it does not.
+// motion test's states are solved, so it does not. An incremental pass's
+// build has no radii: its gate is g = +Inf on rows of IDs alone.
 func (r *run) newGate(gridThreshold, pad float64) radialGate {
 	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(pad)}
+	if r.incremental {
+		for i := range r.sats {
+			gate.rows[i] = lockfree.GateRow{ID: r.sats[i].ID}
+		}
+		return gate
+	}
 	m := &r.motion
 	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
 	exact, rMax, dvMax := !r.cfg.ablation.noGate, 0.0, 0.0

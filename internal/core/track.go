@@ -4,7 +4,7 @@ package core
 // keys is a pure function of one object's elements and the run's trackShape, so
 // within one delta chain a pass's clean objects have the keys the pass before
 // computed. The track keeps them — per object the step-0 key, then one byte per
-// step, the move from the previous cell — and the stamping pass (delta.go) reads
+// step, the move from the previous cell — and the delta pass (delta.go) reads
 // a valid row instead of solving Kepler, and writes every row it does solve.
 
 import (
@@ -57,7 +57,7 @@ type keyTrack struct {
 	trackShape
 	grid      *spatial.Grid // a grid of the run that made the track: same maxAbs, so same key layout
 	moveDelta [125]uint64   // code (dx+2)·25 + (dy+2)·5 + (dz+2) → what the move adds to a key of grid
-	ids       []int32       // sats[i].ID, dense: the probe reads it, not the 168-byte satellite
+	ids       []int32       // sats[i].ID: trackFor checks the membership against them
 	key0, cur []uint64      // the step-0 key; the key at the step last read or noted
 	moves     []byte
 	state     []rowState
@@ -240,7 +240,7 @@ func (s *Session) drop(reason string) {
 	}
 }
 
-// trackFor returns the track a stamping pass reads and writes: the session's
+// trackFor returns the track a delta pass reads and writes: the session's
 // while its rows still describe the run, a fresh one (no row valid) when they
 // do not, noTrack without a session or past the budget.
 func (s *Session) trackFor(r *run) *keyTrack {

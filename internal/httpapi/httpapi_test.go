@@ -137,7 +137,7 @@ func TestScreenValidation(t *testing.T) {
 // and a pipeline failure deep enough to have acquired pooled structures —
 // and asserts both the status code and that the shared buffer pool balances
 // back to its starting level: an error reply must never strand a pooled
-// grid set.
+// structure.
 func TestScreenErrorPaths(t *testing.T) {
 	h := NewServer(Config{MaxObjects: 50, MaxBody: 2048})
 	before := pool.Default.Stats().Outstanding()

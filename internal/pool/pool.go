@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// stamp tables, entry and sort buffers, gate tables, Kepler warm-start
-// caches, knot tables, candidate key buffers and ID-index maps — across
-// sampling steps, runs and concurrent HTTP requests.
+// entry and sort buffers, gate tables, Kepler warm-start caches, knot tables,
+// candidate key buffers, bitsets and ID-index maps — across runs and
+// concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -10,19 +10,17 @@
 // exactly the structures the next window needs. Pool closes that loop with
 // capacity-aware freelists — a Get returns a previously released structure
 // whose capacity fits the request (best-fit, within a bounded oversize
-// window so a million-slot set is never wasted on a thousand-object run),
-// or allocates fresh when nothing fits.
+// window so a million-object table is never wasted on a thousand-object
+// run), or allocates fresh when nothing fits.
 //
 // # Ownership and lifetime invariants
 //
 //   - A Get transfers exclusive ownership to the caller; a Put transfers it
 //     back. Using a structure after Put, or putting it twice, is a data
 //     race — exactly like free().
-//   - GridSets are returned from Get in an unspecified fill state; callers
-//     must Reset before relying on emptiness. (A delta pass resets its stamp
-//     table at the start of every sampling step anyway, so this costs nothing.)
 //   - ID-index maps are cleared on Put.
-//   - Motion tables are zeroed on Get: no row's stamp names a step.
+//   - Motion tables and bitsets are zeroed on Get: no row's stamp names a
+//     step, no bit is set.
 //   - Pair-key buffers, cell buffers, radial-gate tables, Kepler warm-start
 //     caches and knot tables are returned with stale contents: key and cell
 //     buffers are handed out with length 0 (a step's build overwrites every
@@ -31,8 +29,7 @@
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so
-// lock-freedom buys nothing here; the lock-free structures themselves live
-// in package lockfree).
+// lock-freedom buys nothing here).
 package pool
 
 import (
@@ -43,22 +40,20 @@ import (
 	"repro/internal/propagation"
 )
 
-// Per-kind idle caps. A delta pass holds one grid set, its stamp table; a full
-// screen holds none, and at most three cell buffers (an entry ring of two and
-// the sort pair). The caps leave room for a few runs at once — concurrent
-// server requests, or a screen beside a delta pass — to hand theirs back; maps
-// retain their buckets forever, so only a few are kept.
+// Per-kind idle caps. A run holds at most three cell buffers (an entry ring of
+// two and the sort pair). The caps leave room for a few runs at once —
+// concurrent server requests, or a screen beside a delta pass — to hand
+// theirs back; maps retain their buckets forever, so only a few are kept.
 const (
-	maxIdleGridSets = 4
-	maxIdleBuffers  = 16
-	maxIdleIndexes  = 8
-	maxIdleKeyBufs  = 128 // runs hold one per worker and one for the collected list
-	maxIdleBitsets  = 8   // delta screens hold two (dirty + touched) per run
+	maxIdleBuffers = 16
+	maxIdleIndexes = 8
+	maxIdleKeyBufs = 128 // runs hold one per worker and one for the collected list
+	maxIdleBitsets = 8   // delta passes hold three (dirty, touched, stamps) per run
 )
 
 // oversizeFactor bounds how much larger than requested a reused structure
-// may be: resetting (and scanning) a structure costs O(capacity), so
-// handing a 1M-slot set to a 1k-slot request would make every step pay for
+// may be: clearing (and scanning) a structure costs O(capacity), so handing
+// a 1M-word bitset to a 1k-word request would make every step pay for
 // capacity the run cannot use.
 const oversizeFactor = 8
 
@@ -68,7 +63,6 @@ type Pool struct {
 	disabled bool
 
 	mu       sync.Mutex
-	gridSets []*lockfree.GridSet
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
@@ -118,7 +112,6 @@ func (p *Pool) Stats() Stats {
 // GC. Outstanding structures are unaffected.
 func (p *Pool) Drain() {
 	p.mu.Lock()
-	p.gridSets = nil
 	p.indexes = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
@@ -128,19 +121,6 @@ func (p *Pool) Drain() {
 	p.knots = nil
 	p.bitsets = nil
 	p.mu.Unlock()
-}
-
-// nextPow2 mirrors the rounding of lockfree.NewGridSet so fit checks compare
-// like with like.
-func nextPow2(n int) int {
-	if n < 2 {
-		n = 2
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // take counts a get and removes from *list the smallest idle element that
@@ -186,32 +166,6 @@ func put[E any](p *Pool, list *[]E, e E, maxIdle int) {
 		*list = append(*list, e)
 	}
 	p.mu.Unlock()
-}
-
-// GetGridSet returns a grid set with at least slotHint slots (rounded up to
-// a power of two) and room for maxEntries entries — a delta pass's stamp
-// table, the one grid set the pipeline draws. The set's fill state is
-// unspecified; Reset before relying on emptiness. The oversize window applies
-// to the entry arena as well as the slots: a small delta's table (a few
-// hundred entries, reset every step) must not be served by an idle one whose
-// slot count happens to sit inside the window but whose arena does not.
-func (p *Pool) GetGridSet(slotHint, maxEntries int) *lockfree.GridSet {
-	want := nextPow2(slotHint)
-	g, ok := take(p, &p.gridSets, func(g *lockfree.GridSet) (int, bool) {
-		return g.Slots(), g.Slots() >= want && g.EntryCapacity() >= maxEntries &&
-			g.Slots() <= oversizeFactor*want && g.EntryCapacity() <= oversizeFactor*(maxEntries+1)
-	})
-	if !ok {
-		return lockfree.NewGridSet(slotHint, maxEntries)
-	}
-	return g
-}
-
-// PutGridSet returns a grid set to the pool. nil is ignored.
-func (p *Pool) PutGridSet(g *lockfree.GridSet) {
-	if g != nil {
-		put(p, &p.gridSets, g, maxIdleGridSets)
-	}
 }
 
 // getBuf serves every slice kind: the smallest idle buffer of *list with
@@ -287,10 +241,10 @@ func (p *Pool) GetKnots(n int) []propagation.Knots { return getBuf(p, &p.knots, 
 // PutKnots returns a knot table to the pool. nil is ignored.
 func (p *Pool) PutKnots(k []propagation.Knots) { putBuf(p, &p.knots, k, maxIdleBuffers) }
 
-// GetBitset returns a zeroed ID bitset of exactly `words` uint64 words —
-// the dirty/touched membership sets of an incremental (delta) screen. The
-// zeroing pass is what makes reuse correct, so Get pays O(words); words is
-// maxID/64, tiny next to the structures the screen itself holds.
+// GetBitset returns a zeroed bitset of exactly `words` uint64 words — the
+// dirty/touched ID sets and the stamp filter of a delta pass. The zeroing
+// pass is what makes reuse correct, so Get pays O(words); words is maxID/64,
+// or about 27 per dirty object, small next to the structures the pass holds.
 func (p *Pool) GetBitset(words int) []uint64 {
 	b := getBuf(p, &p.bitsets, words, true)[:words]
 	clear(b)

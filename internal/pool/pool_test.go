@@ -3,17 +3,19 @@ package pool
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/lockfree"
 )
 
-func TestGridSetRoundTrip(t *testing.T) {
+func TestBitsetRoundTrip(t *testing.T) {
 	p := New()
-	g := p.GetGridSet(64, 32)
-	p.PutGridSet(g)
-	got := p.GetGridSet(64, 32)
-	if got != g {
-		t.Fatal("matching request did not reuse the idle grid set")
+	b := p.GetBitset(64)
+	b[3] = 7
+	p.PutBitset(b)
+	got := p.GetBitset(64)
+	if &got[0] != &b[0] {
+		t.Fatal("matching request did not reuse the idle bitset")
+	}
+	if got[3] != 0 {
+		t.Fatal("reused bitset was not zeroed")
 	}
 	st := p.Stats()
 	if st.Gets != 2 || st.Puts != 1 || st.Hits != 1 {
@@ -24,40 +26,33 @@ func TestGridSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGridSetFitWindow(t *testing.T) {
+func TestBitsetFitWindow(t *testing.T) {
 	p := New()
-	small := p.GetGridSet(64, 32)
-	p.PutGridSet(small)
+	small := p.GetBitset(64)
+	p.PutBitset(small)
 
 	// Undersized for the request: must allocate fresh.
-	if got := p.GetGridSet(1024, 32); got == small {
-		t.Fatal("reused a grid set with too few slots")
-	}
-	// Entry arena too small: must allocate fresh.
-	p2 := New()
-	p2.PutGridSet(lockfree.NewGridSet(64, 8))
-	p2.gets.Store(1) // balance the direct Put for the counter invariant
-	if got := p2.GetGridSet(64, 1000); got.EntryCapacity() < 1000 {
-		t.Fatal("reused a grid set with too small an entry arena")
+	if got := p.GetBitset(1024); len(got) != 1024 || &got[0] == &small[0] {
+		t.Fatal("reused a bitset with too few words")
 	}
 
 	// Pathologically oversized: outside the fit window, must allocate fresh.
-	p3 := New()
-	huge := p3.GetGridSet(1<<16, 32)
-	p3.PutGridSet(huge)
-	if got := p3.GetGridSet(16, 32); got == huge {
-		t.Fatalf("reused a %d-slot set for a 16-slot request", huge.Slots())
+	p2 := New()
+	huge := p2.GetBitset(1 << 16)
+	p2.PutBitset(huge)
+	if got := p2.GetBitset(16); len(got) != 16 || &got[0] == &huge[0] {
+		t.Fatalf("reused a %d-word bitset for a 16-word request", len(huge))
 	}
 }
 
-func TestGridSetBestFit(t *testing.T) {
+func TestBitsetBestFit(t *testing.T) {
 	p := New()
-	big := p.GetGridSet(512, 32)
-	snug := p.GetGridSet(128, 32)
-	p.PutGridSet(big)
-	p.PutGridSet(snug)
-	if got := p.GetGridSet(128, 32); got != snug {
-		t.Fatalf("best-fit picked %d slots, want the %d-slot set", got.Slots(), snug.Slots())
+	big := p.GetBitset(512)
+	snug := p.GetBitset(128)
+	p.PutBitset(big)
+	p.PutBitset(snug)
+	if got := p.GetBitset(128); &got[0] != &snug[0] {
+		t.Fatalf("best-fit picked a %d-word bitset, want the %d-word one", cap(got), cap(snug))
 	}
 }
 
@@ -74,9 +69,9 @@ func TestIDIndexClearedOnPut(t *testing.T) {
 
 func TestDisabledNeverReuses(t *testing.T) {
 	p := Disabled()
-	g := p.GetGridSet(64, 32)
-	p.PutGridSet(g)
-	if got := p.GetGridSet(64, 32); got == g {
+	b := p.GetBitset(64)
+	p.PutBitset(b)
+	if got := p.GetBitset(64); &got[0] == &b[0] {
 		t.Fatal("disabled pool reused a structure")
 	}
 	st := p.Stats()
@@ -104,10 +99,10 @@ func TestIdleCapBoundsRetention(t *testing.T) {
 
 func TestDrain(t *testing.T) {
 	p := New()
-	g := p.GetGridSet(64, 32)
-	p.PutGridSet(g)
+	b := p.GetBitset(64)
+	p.PutBitset(b)
 	p.Drain()
-	if got := p.GetGridSet(64, 32); got == g {
+	if got := p.GetBitset(64); &got[0] == &b[0] {
 		t.Fatal("drained structure was handed out again")
 	}
 }
@@ -122,7 +117,7 @@ func TestConcurrentGetPut(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				g := p.GetGridSet(64, 32)
+				b := p.GetBitset(64)
 				ks := p.GetKeyBuf(64)
 				kc := p.GetKeplerCache(16)
 				m := p.GetIDIndex(4)
@@ -130,31 +125,12 @@ func TestConcurrentGetPut(t *testing.T) {
 				p.PutIDIndex(m)
 				p.PutKeplerCache(kc)
 				p.PutKeyBuf(ks)
-				p.PutGridSet(g)
+				p.PutBitset(b)
 			}
 		}()
 	}
 	wg.Wait()
 	if out := p.Stats().Outstanding(); out != 0 {
 		t.Fatalf("Outstanding = %d after quiesce", out)
-	}
-}
-
-// TestGridSetOversizeWindowCoversEntries: a small request must not be served
-// by a set whose slots fit the window but whose entry arena is far larger —
-// the shape of a delta pass's stamp table next to an idle population grid.
-func TestGridSetOversizeWindowCoversEntries(t *testing.T) {
-	p := New()
-	p.PutGridSet(p.GetGridSet(16000, 8000)) // 16384 slots, 8000 entries
-	small := p.GetGridSet(8*27*16, 27*16)   // wants 4096 slots: 16384 is inside 8×
-	if small.Slots() != 4096 || small.EntryCapacity() != 27*16 {
-		t.Fatalf("got %d slots / %d entries, want a fresh 4096 / %d", small.Slots(), small.EntryCapacity(), 27*16)
-	}
-	p.PutGridSet(small)
-	if again := p.GetGridSet(8*27*16, 27*16); again != small {
-		t.Fatal("the right-sized set was not reused")
-	}
-	if big := p.GetGridSet(16000, 8000); big.Slots() != 16384 || p.Stats().Hits != 2 {
-		t.Fatalf("the population-sized set was not reused: %d slots, %+v", big.Slots(), p.Stats())
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"repro/internal/vec3"
 )
 
-// The build kernel calls KeyOf/CoordOf once per object per step and a delta
-// pass NeighborKeys once per dirty object per step, with a recycled
-// destination slice. The steady-state allocation budget in internal/core
-// relies on these staying allocation-free when given adequate capacity —
-// pin that here, next to the implementation.
+// The build kernel calls KeyOf/CoordOf once per object per step, and the
+// steady-state allocation budget in internal/core relies on them staying
+// allocation-free — pin that here, next to the implementation, with
+// NeighborKeys, the reference neighbourhood of the tests, given a recycled
+// destination slice.
 func TestHotPathHelpersDoNotAllocate(t *testing.T) {
 	g, err := NewGrid(10, 0)
 	if err != nil {

@@ -6,8 +6,8 @@
 // objects) for close approaches below a distance threshold over a time
 // window, using a uniform spatial grid: each sampling step sorts the objects
 // by cell key and sweeps neighbouring cells for candidate pairs (an
-// incremental pass stamps the changed objects into a lock-free hash set
-// instead). Screening algorithms are registered with the central detector
+// incremental pass sorts and sweeps only the objects near a changed one).
+// Screening algorithms are registered with the central detector
 // registry (see Variants for the live list); the built-in set is:
 //
 //   - VariantGrid — the paper's purely grid-based method: fine time
@@ -209,11 +209,12 @@ func Screen(sats []Satellite, o Options) (*Result, error) {
 // ScreenDelta incrementally re-screens after a catalogue delta: candidate
 // pairs are generated — and refined — only when at least one member is
 // dirty, and conjunctions among untouched objects are carried over from
-// delta.Prior. The grid variants do it by stamp-and-probe (each dirty object
-// registers in the 27 cells it can interact with, every object looks at its
-// own), so a pass with k changed objects costs one propagation of the
-// population per step plus O(k) stamps, and the refinement work scales with
-// N·k instead of N², while the result matches a full Screen of the same
+// delta.Prior. The grid variants do it with a stamp filter (each dirty object
+// stamps the 27 cells it can interact with, and only objects in a stamped
+// cell reach the step's sort and sweep), so a pass with k changed objects
+// costs one propagation of the population per step plus O(k) stamps and the
+// sort and sweep of the objects near them, and the refinement work scales
+// with N·k instead of N², while the result matches a full Screen of the same
 // population (the delta differential battery in internal/core pins this).
 // A delta touching more than an eighth of the population is screened in
 // full instead. Incremental variants (VariantDescriptor.Incremental) only.
