@@ -35,15 +35,17 @@ loc:
 ## that break them are rare (a reader falling KeepRevisions behind the
 ## writer is a few percent of runs), so one pass proves little. The step
 ## loop's stress test rides along: its cancellation timers land at a
-## different point of the build/scan handoff every run. So does the tracked
-## session chain: neighbouring bytes of the key track are written by
-## different workers, and its cancelled passes stop at a different chunk. So
-## does the gate's motion table: four scan workers publish and read its rows.
+## different point of the build/scan handoff every run. So do the tracked
+## session chains: a delta pass solves only the objects its windows list, and
+## neighbouring bytes of the key track's moves, row states and window refs are
+## written by different workers; the cancelled passes stop at a different
+## chunk. So does the gate's motion table: four scan workers publish and read
+## its rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
 	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress' ./internal/core
-	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid' ./internal/core
+	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid|TestSessionBoxIndexChain' ./internal/core
 
 ## mem-smoke: screen a 131072-object catalogue with the grid detector under
 ## GOMEMLIMIT=48MiB; fails if the sampled peak heap passes the limit.
@@ -76,13 +78,14 @@ bench-alloc:
 store-bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/store
 
-## delta-smoke: the delta path with a live key track — the session chain
-## against fresh screens and trackless passes, then the socket level: a
+## delta-smoke: the delta path with a live key track — the session chains
+## (the second across the window index's rebuild) against fresh screens and
+## trackless passes, then the socket level: a
 ## conjserver stack on loopback taking deltas, each published snapshot
 ## checked against a from-scratch screen; exits non-zero on any failed op
 ## (~5 s).
 delta-smoke:
-	$(GO) test -count=1 -run 'TestSessionUpdateChain' ./internal/core
+	$(GO) test -count=1 -run 'TestSessionUpdateChain|TestSessionBoxIndexChain' ./internal/core
 	bash bench/run.sh --verify --smoke
 
 ## counters-repeat: the smoke benchmark traced twice and the two captures

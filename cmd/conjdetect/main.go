@@ -164,7 +164,8 @@ func main() {
 		fmt.Printf("out-of-cube samples: %d\n", st.OutOfBounds)
 	}
 	if st.TrackBytes > 0 || st.TrackDropped != "" {
-		fmt.Printf("key track:        %d objects read of %d B (dropped: %q)\n", st.TrackedObjects, st.TrackBytes, st.TrackDropped)
+		fmt.Printf("key track:        %d rows valid of %d B, %d object-steps visited (dropped: %q)\n",
+			st.TrackedObjects, st.TrackBytes, st.VisitedObjectSteps, st.TrackDropped)
 	}
 }
 

@@ -58,7 +58,8 @@ var candgenPopulations = map[string]func(b *testing.B) []propagation.Satellite{
 	},
 }
 
-// candgenRun builds a run with step 0 propagated and keyed into r.entries.
+// candgenRun builds a run with step 0 propagated and keyed into r.entries,
+// and the scan's ID and radius arrays sized for them.
 func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 	b.Helper()
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: workers}
@@ -67,9 +68,10 @@ func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 		b.Fatal(err)
 	}
 	b.Cleanup(r.release)
-	if err := r.buildEntries(0, r.entries); err != nil {
+	if _, err := r.buildEntries(0, r.entries); err != nil {
 		b.Fatal(err)
 	}
+	r.scanIDs, r.scanRadii = make([]int32, len(sats)), make([]float32, len(sats))
 	return r
 }
 

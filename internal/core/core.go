@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/filters"
@@ -183,24 +184,25 @@ type PhaseStats struct {
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 
-	Steps             int     // sampling steps processed (0 on a delta pass with nothing dirty)
-	GridCandidates    int     // distinct (pair, step) candidates from the grid, before the gate: the paper's c′ (Eqs. 3/4)
-	CandidatePairs    int     // the grid candidates the gate kept: what the filters and refinement see
-	MotionGated       int     // grid candidates the gate's radial test kept and its motion test dropped
-	DirtyObjects      int     // delta screens: size of the dirty set (0 on full screens)
-	PriorRetained     int     // delta screens: prior conjunctions carried over unrefined
-	TrackedObjects    int     // delta passes of a Session: objects whose keys were read from the key track instead of solved
-	TrackBytes        int     // delta passes of a Session: size of the key track the pass read and wrote
-	TrackDropped      string  // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
-	FilterRejected    int     // candidates dropped by the orbital filters (hybrid)
-	PrefilterRejected int     // candidates rejected analytically before any Brent evaluation
-	Refinements       int     // Brent searches performed
-	RefineBatches     int     // warm-refiner satellite batches (first-satellite rebinds)
-	OutOfBounds       uint64  // satellite samples outside the simulation cube
-	KnotStride        int     // m: the build solves Kepler every m-th step and interpolates between (1: every step solved)
-	PositionPadKm     float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate's radial test adds it to g (0 at m = 1)
-	PairSetGrowths    int     // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
-	FilterStats       filters.Stats
+	Steps              int     // sampling steps processed (0 on a delta pass with nothing dirty)
+	GridCandidates     int     // distinct (pair, step) candidates from the grid, before the gate: the paper's c′ (Eqs. 3/4)
+	CandidatePairs     int     // the grid candidates the gate kept: what the filters and refinement see
+	MotionGated        int     // grid candidates the gate's radial test kept and its motion test dropped
+	DirtyObjects       int     // delta screens: size of the dirty set (0 on full screens)
+	PriorRetained      int     // delta screens: prior conjunctions carried over unrefined
+	TrackedObjects     int     // delta passes of a Session: rows of the key track valid at the start of the pass
+	VisitedObjectSteps int     // object-steps the build keyed, solved or read from a row: N·steps on a full screen and a trackless pass
+	TrackBytes         int     // delta passes of a Session: size of the key track the pass read and wrote
+	TrackDropped       string  // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
+	FilterRejected     int     // candidates dropped by the orbital filters (hybrid)
+	PrefilterRejected  int     // candidates rejected analytically before any Brent evaluation
+	Refinements        int     // Brent searches performed
+	RefineBatches      int     // warm-refiner satellite batches (first-satellite rebinds)
+	OutOfBounds        uint64  // satellite samples outside the simulation cube
+	KnotStride         int     // m: the build solves Kepler every m-th step and interpolates between (1: every step solved)
+	PositionPadKm      float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate's radial test adds it to g (0 at m = 1)
+	PairSetGrowths     int     // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
+	FilterStats        filters.Stats
 }
 
 // Total returns the accounted wall time of the phases. On a two-slot ring
@@ -287,10 +289,10 @@ func validatePopulation(idx map[int32]int32, sats []propagation.Satellite) error
 		if id < 0 || id > lockfree.MaxID {
 			return fmt.Errorf("%w: id %d (max %d)", ErrTooManyIDs, id, lockfree.MaxID)
 		}
-		if prev, dup := idx[id]; dup {
+		if idx[id] = int32(i); len(idx) <= i { // one map write, no lookup: a repeat leaves the size
+			prev := slices.IndexFunc(sats, func(s propagation.Satellite) bool { return s.ID == id })
 			return fmt.Errorf("core: duplicate satellite ID %d (indices %d and %d)", id, prev, i)
 		}
-		idx[id] = int32(i)
 	}
 	return nil
 }

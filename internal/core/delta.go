@@ -4,22 +4,21 @@ package core
 // differs from an already-screened one by a small dirty set of k objects.
 // Only pairs with a dirty member can be new, so a delta pass runs the full
 // screen's step loop over the dirty objects' neighbourhoods only (DESIGN.md
-// §11): per sampling step each dirty object stamps its own cell and the 26
-// around it into a small bitset, every clean object outside a stamped cell
-// is left out of the step's sort and sweep, and the collect keeps the pairs
-// with a dirty member. The refined conjunctions are merged with the prior
-// result: prior entries touching a dirty or removed object are stale and
-// dropped, the rest are retained verbatim. An object's cell comes from one of
-// two sources: a valid row of the session's key track (track.go), or
-// positionAt, which then notes the key into the row. delta_test.go pins
-// candidates and merge against a fresh full screen over chained deltas.
+// §11): per window it builds the objects whose boxes meet a dirty object's
+// (track.go), per step a stamp filter of the dirty cells and the 26 around
+// each drops the rest from the sort and sweep, and the collect keeps pairs
+// with a dirty member. Prior entries touching a dirty or removed object are
+// dropped, the rest retained verbatim. delta_test.go and window_test.go pin
+// candidates and merge against fresh full screens over chained deltas.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
 
 	"repro/internal/lockfree"
+	"repro/internal/spatial"
 )
 
 // DeltaInput parameterises an incremental screen. Prior must be the
@@ -54,13 +53,13 @@ func bitsetHas(b []uint64, id int32) bool {
 	return b[w]>>(uint(id)&63)&1 != 0
 }
 
-// stampingPays is the crossover between a delta pass and a full screen. Both
-// build N objects per step; a delta pass adds 27 stamps per dirty object and
-// refines ungated candidates, and saves the sort and sweep away from the dirty
-// objects and, in a session, the solves of valid rows. Measured (DESIGN.md
-// §11), at k = N/8 a pass without a track costs 1.03–1.18× a full screen and a
-// session pass 0.61–0.64×; at N/4, 1.25–1.52× and 0.80–1.10×. Computed from the
-// pass's own inputs.
+// stampingPays is the crossover between a delta pass and a full screen. A
+// trackless pass builds N objects per step plus 27 stamps per dirty object, a
+// session pass the objects whose boxes meet a dirty one's, and both refine
+// ungated candidates. Measured (DESIGN.md §11) at k = N/8, a trackless pass
+// costs 1.06–1.16× a full screen and a session pass 1.24–1.40×, at N/16
+// 0.93–0.96× and 0.68–0.71×: past N/8 neither pays. Computed from the pass's
+// own inputs.
 func stampingPays(dirty, objects int) bool { return 8*dirty <= objects }
 
 // validate checks a delta against the population's ID index — IDs in the
@@ -131,87 +130,139 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		}
 		r.track = delta.session.trackFor(r)
 		r.stats.TrackBytes = r.track.bytes()
+		r.dirtyKeys = make([]uint64, boxSteps*len(r.dirtyIdx))
 	}
 	return nil
 }
 
-// buildDelta is a delta pass's build kernel for one step, in place of the full
-// screen's buildRange: solve the dirty objects into their entry slots, stamp
-// each one's cell and the 26 around it into the step's filter, then key every
-// clean object and keep its entry only if its cell is stamped. A pair the
-// sweep finds between two kept entries with a dirty member is therefore
-// exactly a pair the full screen's sweep finds (DESIGN.md §11); a false
-// positive of the filter only adds an entry no dirty object can pair with.
-// The stamps, 27·k, are set serially: the filter is a plain bitset.
-func (r *run) buildDelta() error {
-	if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil {
-		return err
-	}
-	clear(r.stamps)
-	for _, i := range r.dirtyIdx {
-		if key := r.stepEntries[i].Key; key != lockfree.EmptySlot {
-			for _, d := range r.around {
-				bitsetSet(r.stamps, r.stampBit(key+d))
-			}
+// listUnread starts the pass's build list: the dirty objects, then every
+// other object whose row is not valid — every object, without a track.
+func (r *run) listUnread() {
+	r.listed = append(r.listed[:0], r.dirtyIdx...)
+	for i := range r.sats {
+		if !r.track.valid(i) && !bitsetHas(r.dirty, r.sats[i].ID) {
+			r.listed = append(r.listed, int32(i))
 		}
 	}
-	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.cleanFn)
+	r.unread = len(r.listed)
 }
 
-// dirtyRange solves dirty objects [lo, hi) of r.dirtyIdx into their entry
-// slots and notes their keys into their rows, which begin opened, so the new
-// keys replace the old. One outside the cube gets lockfree.EmptySlot, which
-// the sort drops, and stamps nothing.
-func (r *run) dirtyRange(_, lo, hi int) {
-	oob := 0
-	for _, i := range r.dirtyIdx[lo:hi] {
-		r.stepEntries[i] = lockfree.Cell{Key: r.solveKey(int(i), &oob), Lo: i}
+// listWindow opens the window at the build step: it solves the dirty objects
+// over its steps, in order, and lists the valid rows whose boxes meet a dirty
+// object's grown by one cell (hits) — an object Chebyshev-adjacent to a dirty
+// one at a step of the window has a cell in both (DESIGN.md §11).
+func (r *run) listWindow() error {
+	if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil || r.track.index == nil {
+		return err
 	}
-	if oob > 0 {
-		r.oob.Add(uint64(oob))
+	boxes, steps := make([][2]spatial.Coord, 0, len(r.dirtyIdx)), min(boxSteps, r.steps-r.buildStep)
+	for d := range r.dirtyIdx {
+		box := lockfree.Cell{Key: lockfree.EmptySlot}
+		for _, key := range r.dirtyKeys[d*boxSteps : d*boxSteps+steps] {
+			if key != lockfree.EmptySlot {
+				box = r.track.grown(box, r.grid.Coord(key))
+			}
+		}
+		if lo, hi := r.track.refBox(box); box.Key != lockfree.EmptySlot {
+			boxes = append(boxes, [2]spatial.Coord{{X: lo.X - 1, Y: lo.Y - 1, Z: lo.Z - 1}, {X: hi.X + 1, Y: hi.Y + 1, Z: hi.Z + 1}})
+		}
+	}
+	// A row meeting several boxes is one hit, in row order for the reads.
+	hits := r.track.meeting(r.buildStep/boxSteps, boxes, nil)
+	slices.SortFunc(hits, func(a, b lockfree.Cell) int { return cmp.Compare(a.Lo, b.Lo) })
+	r.listed, r.starts = r.listed[:r.unread], r.starts[:0]
+	for _, h := range slices.Compact(hits) {
+		r.listed, r.starts = append(r.listed, h.Lo), append(r.starts, r.track.refStart(h))
+	}
+	return nil
+}
+
+// buildDelta is a delta pass's build kernel for one step, buildRange's: list
+// the window at its first step, write the dirty entries, stamp each one's cell
+// and the 26 around it (serially), and key the other listed objects into
+// entries j, kept only if stamped — so a pair swept with a dirty member is one
+// the full screen sweeps (DESIGN.md §11); a false positive pairs with nothing.
+func (r *run) buildDelta() ([]lockfree.Cell, error) {
+	j := r.buildStep % boxSteps
+	if j == 0 {
+		if err := r.listWindow(); err != nil {
+			return nil, err
+		}
+	}
+	clear(r.stamps)
+	oob := 0
+	for d, i := range r.dirtyIdx {
+		key := r.dirtyKeys[d*boxSteps+j]
+		r.stepEntries[d] = lockfree.Cell{Key: key, Lo: i}
+		if key == lockfree.EmptySlot {
+			oob++
+			continue
+		}
+		for _, a := range r.around {
+			bitsetSet(r.stamps, r.stampBit(key+a))
+		}
+	}
+	r.oob.Add(uint64(oob))
+	r.stats.VisitedObjectSteps += len(r.listed)
+	clean := len(r.listed) - len(r.dirtyIdx)
+	err := parallelForWorkers(r.ctx, r.stepWorkers(clean, r.unread == len(r.dirtyIdx)), clean, r.cleanFn)
+	return r.stepEntries[:len(r.listed)], err
+}
+
+// stepWorkers is the workers for a step's n entries: one for fewer than
+// stepGrain cheap ones (rows read, cells swept ungated): waking two costs more.
+func (r *run) stepWorkers(n int, cheap bool) int {
+	if cheap && n < stepGrain {
+		return 1
+	}
+	return r.workers
+}
+
+const stepGrain = 256
+
+// dirtyRange solves dirty objects [lo, hi) over the window at the build step
+// into r.dirtyKeys (EmptySlot off the cube), noted into their rows.
+func (r *run) dirtyRange(_, lo, hi int) {
+	var oob int
+	for d := lo; d < hi; d++ {
+		for s := r.buildStep; s < min(r.buildStep+boxSteps, r.steps); s++ {
+			r.dirtyKeys[d*boxSteps+s-r.buildStep] = r.solveKey(int(r.dirtyIdx[d]), d, s, &oob)
+		}
 	}
 }
 
 // stampBit is a cell key's bit in the stamp filter: a Fibonacci hash.
 func (r *run) stampBit(key uint64) int32 { return int32(key * 0x9e3779b97f4a7c15 >> r.stampShift) }
 
-// cleanRange keys the clean objects of [lo, hi) — from a valid row of the key
-// track, else from positionAt, noting the key into the row — and writes each
-// one's entry, its key lockfree.EmptySlot unless its cell is stamped.
-// dirtyRange wrote the dirty objects' slots; a dirty row is never valid
-// (begin), so the two never solve or note the same object.
+// cleanRange keys listed objects [lo, hi) past the dirty ones — the unread
+// solved and noted, the hits read — into entries, EmptySlot if not stamped.
 func (r *run) cleanRange(_, lo, hi int) {
-	oob, tr, step := 0, r.track, uint32(r.buildStep)
-	for i := lo; i < hi; i++ {
-		var key uint64
-		switch {
-		case tr.valid(i):
-			key = tr.advance(i, step)
-		case bitsetHas(r.dirty, r.sats[i].ID):
-			continue
-		default:
-			key = r.solveKey(i, &oob)
+	oob, k := 0, len(r.dirtyIdx)
+	for j := k + lo; j < k+hi; j++ {
+		i, key := int(r.listed[j]), uint64(0)
+		if j < r.unread {
+			key = r.solveKey(i, j, r.buildStep, &oob)
+		} else {
+			key = r.track.advance(i, uint32(r.buildStep), r.starts[j-r.unread])
 		}
 		if key != lockfree.EmptySlot && !bitsetHas(r.stamps, r.stampBit(key)) {
 			key = lockfree.EmptySlot
 		}
-		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: int32(i)}
+		r.stepEntries[j] = lockfree.Cell{Key: key, Lo: int32(i)}
 	}
-	if oob > 0 {
-		r.oob.Add(uint64(oob))
-	}
+	r.oob.Add(uint64(oob))
 }
 
-// solveKey is object i's cell key at the build step from positionAt, noted
-// into its row; lockfree.EmptySlot, counted in *oob, outside the cube.
-func (r *run) solveKey(i int, oob *int) uint64 {
+// solveKey is object i's cell key at step from positionAt, noted into its row
+// (its place j in the pass's list); EmptySlot, counted in *oob, off the cube.
+func (r *run) solveKey(i, j, step int, oob *int) uint64 {
 	key := uint64(lockfree.EmptySlot)
-	if _, c, ok := r.positionAt(i, r.buildStep); ok {
+	if _, c, ok := r.positionAt(i, step); ok {
 		key = r.grid.Key(c)
 	} else {
 		*oob++
 	}
-	r.track.note(i, uint32(r.buildStep), key)
+	r.track.note(i, j, uint32(step), key)
 	return key
 }
 

@@ -167,6 +167,10 @@ type run struct {
 	stampShift  uint       // stampBit's shift: 64 − log2 of the filter's bits
 	around      [27]uint64 // what a cell's key and its 26 neighbours' add to it
 	track       *keyTrack  // owned by the delta's session: the rows this pass reads and writes; noTrack keeps none
+	dirtyKeys   []uint64   // dirty object d's key at the window's step j, at d·boxSteps+j
+	listed      []int32    // what the window's steps build: dirtyIdx, the unread rows, the hits (listWindow)
+	unread      int        // the length of listed's first two parts, the same every window
+	starts      []uint64   // each hit's key at the window's first step, beside listed[unread:]
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -192,7 +196,7 @@ type run struct {
 	stepEntries []lockfree.Cell // the ring slot this step's build writes
 	scanStep    uint32
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
-	scanIDs     []int32         // the population-index array their ranges index, one slot per object
+	scanIDs     []int32         // the population-index array their ranges index, one slot per entry, grown by the scan
 	scanRadii   []float32       // the objects' radii at the step, beside scanIDs
 
 	buildFn, scanFn, dirtyFn, cleanFn func(w, lo, hi int)
@@ -300,11 +304,10 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 		r.knots = pl.GetKnots(len(sats))
 	}
 	r.stats.KnotStride, r.stats.PositionPadKm = stride, pad
-	// A step has one entry per object, so at most that many cells and IDs.
+	// A step has at most one entry per object, so at most that many cells.
 	n := len(sats)
 	r.entries = pl.GetCellBuf(n)[:n]
 	r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-	r.scanIDs, r.scanRadii = make([]int32, n), make([]float32, n)
 	r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
 	r.gate = r.newGate(gridThreshold, pad)
 	if err := r.cancelled(); err != nil {
@@ -435,9 +438,9 @@ func (r *run) collectPairs() {
 
 // sampleAllSteps is the grid's step 2 for every sampling step — propagate,
 // key, and identify candidate pairs — and collects the candidates into
-// r.keys. An incremental pass builds through its stamp filter (delta.go),
-// opens and commits its key track's rows around the loop, and samples nothing
-// when nothing is dirty: no candidate is new.
+// r.keys. An incremental pass builds what its windows list through its stamp
+// filter (delta.go), opens and commits its key track's rows around the loop,
+// and samples nothing when nothing is dirty: no candidate is new.
 func (r *run) sampleAllSteps() error {
 	r.stats.Steps = r.steps
 	switch {
@@ -445,6 +448,7 @@ func (r *run) sampleAllSteps() error {
 		r.stats.Steps = 0
 	case r.incremental:
 		r.stats.TrackedObjects = r.track.begin(r.dirtyIdx)
+		r.listUnread()
 		if err := r.sampleSteps(); err != nil {
 			return err
 		}
@@ -570,15 +574,15 @@ func (r *run) buildRange(_, lo, hi int) {
 	}
 }
 
-// buildEntries fills entries for one step: §IV-A2's parallel build, with the
-// grouping by cell left to the scan's sort; an incremental pass's build is
-// buildDelta.
-func (r *run) buildEntries(step int, entries []lockfree.Cell) error {
+// buildEntries fills entries for one step, the part it returns: §IV-A2's build,
+// the grouping by cell left to the scan's sort; a delta pass's is buildDelta.
+func (r *run) buildEntries(step int, entries []lockfree.Cell) ([]lockfree.Cell, error) {
 	r.buildStep, r.stepEntries = step, entries
 	if r.incremental {
 		return r.buildDelta()
 	}
-	return parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
+	r.stats.VisitedObjectSteps += len(r.sats)
+	return entries, parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate

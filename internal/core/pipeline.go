@@ -75,8 +75,8 @@ func (r *run) sampleSteps() error {
 		}
 		// On two slots the in-flight scan reads ring[(step-1)&1].
 		tIns, oob := time.Now(), r.oob.Load()
-		job := scanJob{step: uint32(step), entries: ring[step&1]}
-		if err = r.buildEntries(step, job.entries); err != nil {
+		job := scanJob{step: uint32(step)}
+		if job.entries, err = r.buildEntries(step, ring[step&1]); err != nil {
 			break
 		}
 		job.inCube = len(r.sats) - int(r.oob.Load()-oob)
@@ -118,9 +118,12 @@ func (r *run) scan(j scanJob) scanResult {
 	r.scanStep = j.step
 	n := len(r.cellBuf) / 2
 	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
+	if len(r.scanIDs) < len(sorted) { // a delta pass lists few objects
+		r.scanIDs, r.scanRadii = make([]int32, len(j.entries)), make([]float32, len(j.entries))
+	}
 	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
 	tSweep := time.Now()
-	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
+	err := parallelForWorkers(r.ctx, r.stepWorkers(len(r.scanCells), r.incremental), len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 

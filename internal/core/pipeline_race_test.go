@@ -131,10 +131,14 @@ func TestMotionTableConcurrentRaceStress(t *testing.T) {
 			rng := mathx.NewSplitMix64(uint64(5000 + g))
 			for iter := 0; iter < 3; iter++ {
 				ctx, cancel := context.WithCancel(context.Background())
+				var timer *time.Timer
 				if iter%3 != 0 {
-					time.AfterFunc(time.Duration(rng.Intn(40))*time.Millisecond, cancel)
+					timer = time.AfterFunc(time.Duration(rng.Intn(40))*time.Millisecond, cancel)
 				}
 				res, err := newGrid(cfg).ScreenContext(ctx, sats)
+				if timer != nil {
+					timer.Stop() // a timer left armed fires in a later test, one goroutine more
+				}
 				cancel()
 				switch {
 				case err == nil:

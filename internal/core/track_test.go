@@ -69,11 +69,11 @@ func TestTrackMoveCode(t *testing.T) {
 		tr := newKeyTrack(trackShape{n: 2, steps: 3}, g, make([]propagation.Satellite, 2))
 		tr.begin(nil)
 		for i := 0; i < 2; i++ {
-			tr.note(i, 0, key(0))
-			tr.note(i, 1, key(1))
+			tr.note(i, i, 0, key(0))
+			tr.note(i, i, 1, key(1))
 		}
-		tr.note(0, 2, bad)
-		tr.note(1, 2, key(3))
+		tr.note(0, 0, 2, bad)
+		tr.note(1, 1, 2, key(3))
 		if tr.state[0] != rowUnencodable || tr.state[1] != rowOpen {
 			t.Fatalf("%s: row states %v", name, tr.state)
 		}
@@ -81,8 +81,9 @@ func TestTrackMoveCode(t *testing.T) {
 		if tr.valid(0) || !tr.valid(1) {
 			t.Fatalf("%s: after commit row states %v", name, tr.state)
 		}
+		start := tr.refStart(refOf(t, tr, 0, 1))
 		for step, want := range []uint64{key(0), key(1), key(3)} {
-			if got := tr.advance(1, uint32(step)); got != want {
+			if got := tr.advance(1, uint32(step), start); got != want {
 				t.Fatalf("%s: row 1 at step %d = %v, want %v", name, step, g.Coord(got), g.Coord(want))
 			}
 		}

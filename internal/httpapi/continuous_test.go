@@ -503,6 +503,9 @@ func TestRescreenerExplainsTrackDrops(t *testing.T) {
 		if want := fmt.Sprintf("conjserver_rescreen_track_bytes %d\n", last.TrackBytes); !strings.Contains(metrics, want) {
 			t.Fatalf("%s: /metrics lacks %q", step.name, want)
 		}
+		if want := fmt.Sprintf("conjserver_rescreen_visited_object_steps %d\n", last.VisitedObjectSteps); last.VisitedObjectSteps == 0 || !strings.Contains(metrics, want) {
+			t.Fatalf("%s: /v1/runs visited %d object-steps, /metrics lacks %q", step.name, last.VisitedObjectSteps, want)
+		}
 	}
 }
 

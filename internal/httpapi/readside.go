@@ -37,6 +37,7 @@ type serverMetrics struct {
 	rescreenCandidates   *observability.CounterVec
 	rescreenTracked      *observability.Gauge
 	rescreenTrackBytes   *observability.Gauge
+	rescreenVisited      *observability.Gauge
 	lastRescreen         *observability.Gauge
 	httpRequests         *observability.CounterVec
 
@@ -67,9 +68,11 @@ func newServerMetrics(reg *observability.Registry) *serverMetrics {
 	m.rescreenCandidates = reg.NewCounterVec("conjserver_rescreen_candidates_total",
 		"Cumulative rescreen (pair, step) candidates by stage: grid (the grid's, c′), radial (past the gate's radial test) and gated (past its motion test too).", []string{"stage"})
 	m.rescreenTracked = reg.NewGauge("conjserver_rescreen_tracked_objects",
-		"Objects whose cells the last rescreen pass read from the key track instead of solving.", nil)
+		"Rows of the key track valid at the start of the last rescreen pass.", nil)
 	m.rescreenTrackBytes = reg.NewGauge("conjserver_rescreen_track_bytes",
 		"Size of the key track the last rescreen pass read and wrote.", nil)
+	m.rescreenVisited = reg.NewGauge("conjserver_rescreen_visited_object_steps",
+		"Object-steps the last rescreen pass's build keyed, solved or read from the key track: N·steps on a full screen.", nil)
 	m.lastRescreen = reg.NewGauge("conjserver_last_rescreen_timestamp_seconds",
 		"Unix time of the last successful rescreen pass.", nil)
 	m.httpRequests = reg.NewCounterVec("conjserver_http_requests_total",
@@ -295,6 +298,7 @@ func (h *Handler) publishRescreen(version uint64, epoch time.Time, objects int, 
 	m.observePhases(res.Stats)
 	m.rescreenTracked.Set(float64(res.Stats.TrackedObjects))
 	m.rescreenTrackBytes.Set(float64(res.Stats.TrackBytes))
+	m.rescreenVisited.Set(float64(res.Stats.VisitedObjectSteps))
 	m.lastRescreen.Set(float64(now.UnixNano()) / float64(time.Second))
 	h.lastRescreenNano.Store(now.UnixNano())
 }

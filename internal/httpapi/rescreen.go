@@ -170,8 +170,8 @@ func (s *Rescreener) pass(ctx context.Context) bool {
 	if res.Stats.TrackDropped != "" {
 		dropped = ", dropped: " + res.Stats.TrackDropped
 	}
-	s.logf("rescreen: version %d, %d objects, %d dirty, %d conjunctions (%s, %.2fs; key track %d rows read, %d B%s)",
+	s.logf("rescreen: version %d, %d objects, %d dirty, %d conjunctions (%s, %.2fs; key track %d rows read, %d B%s; %d object-steps visited)",
 		version, len(sats), len(dirty), len(res.Conjunctions), mode, time.Since(start).Seconds(),
-		res.Stats.TrackedObjects, res.Stats.TrackBytes, dropped)
+		res.Stats.TrackedObjects, res.Stats.TrackBytes, dropped, res.Stats.VisitedObjectSteps)
 	return true
 }

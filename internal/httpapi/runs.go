@@ -43,12 +43,14 @@ type RunInfo struct {
 	Conjunctions   int        `json:"conjunctions"`
 	Error          string     `json:"error,omitempty"`
 	ElapsedSeconds float64    `json:"elapsed_seconds"`
-	// Rescreen passes: objects whose cells were read from the session's key
-	// track instead of solved, the track's size, and why it was dropped before
-	// this pass (satconj.PhaseStats) — a slow pass explains itself here.
-	TrackedObjects int    `json:"tracked_objects,omitempty"`
-	TrackBytes     int    `json:"track_bytes,omitempty"`
-	TrackDropped   string `json:"track_dropped,omitempty"`
+	// Rescreen passes: the rows of the session's key track valid at the
+	// pass's start, the track's size, why it was dropped before this pass, and
+	// the object-steps the build keyed (satconj.PhaseStats) — a slow pass
+	// explains itself here.
+	TrackedObjects     int    `json:"tracked_objects,omitempty"`
+	TrackBytes         int    `json:"track_bytes,omitempty"`
+	TrackDropped       string `json:"track_dropped,omitempty"`
+	VisitedObjectSteps int    `json:"visited_object_steps,omitempty"`
 }
 
 // runEntry is one registered run; info is guarded by mu because the
@@ -87,6 +89,7 @@ func (e *runEntry) observer() satconj.Observer {
 func (e *runEntry) recordTrack(st satconj.PhaseStats) {
 	e.mu.Lock()
 	e.info.TrackedObjects, e.info.TrackBytes, e.info.TrackDropped = st.TrackedObjects, st.TrackBytes, st.TrackDropped
+	e.info.VisitedObjectSteps = st.VisitedObjectSteps
 	e.mu.Unlock()
 }
 

@@ -3,10 +3,11 @@
 // find last night" without re-screening. The format favours crash safety
 // over compactness: every record is length-prefixed and checksummed, and
 // Open recovers from a torn tail (a crash mid-append) by truncating the
-// log back to the last intact record. Queries are served from an
-// in-memory index rebuilt on Open — the catalogue sizes this targets
-// (thousands of runs, each with at most a few thousand conjunctions) fit
-// comfortably in memory, and the disk format stays a dumb log.
+// log back to the last intact record. Run headers and each record's offset
+// are kept in an in-memory index rebuilt on Open; the conjunction payloads
+// stay in the log and are read back for Run and Query, so memory grows by a
+// header per pass, not by every pass's conjunctions, and the disk format
+// stays a dumb log.
 package store
 
 import (
@@ -82,7 +83,8 @@ type Store struct {
 	f      *os.File
 	path   string
 	nextID uint64
-	runs   []Run // index order == log order == ascending ID
+	runs   []Run   // index order == log order == ascending ID; Conjunctions left in the log
+	at     []int64 // each run's record offset in the log, and then the log's length
 }
 
 // Open opens (or creates) the store in dir, scanning the log to rebuild
@@ -120,7 +122,8 @@ func (s *Store) recover() error {
 		if !ok {
 			break
 		}
-		s.runs = append(s.runs, rec)
+		rec.Conjunctions = nil
+		s.runs, s.at = append(s.runs, rec), append(s.at, int64(off))
 		if rec.ID >= s.nextID {
 			s.nextID = rec.ID + 1
 		}
@@ -142,6 +145,7 @@ func (s *Store) recover() error {
 			return fmt.Errorf("store: sync after truncate: %w", err)
 		}
 	}
+	s.at = append(s.at, int64(off))
 	if _, err := s.f.Seek(int64(off), io.SeekStart); err != nil {
 		return fmt.Errorf("store: seek: %w", err)
 	}
@@ -273,9 +277,8 @@ func (s *Store) Append(r Run) (uint64, error) {
 		return 0, fmt.Errorf("store: sync run %d: %w", r.ID, err)
 	}
 	s.nextID++
-	// Decouple the index from caller-held slices.
-	r.Conjunctions = append([]core.Conjunction(nil), r.Conjunctions...)
-	s.runs = append(s.runs, r)
+	r.Conjunctions = nil
+	s.runs, s.at = append(s.runs, r), append(s.at, s.at[len(s.at)-1]+int64(len(buf)))
 	return r.ID, nil
 }
 
@@ -305,10 +308,25 @@ func (s *Store) Run(id uint64) (Run, bool) {
 	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].ID >= id })
 	if i < len(s.runs) && s.runs[i].ID == id {
 		r := s.runs[i]
-		r.Conjunctions = append([]core.Conjunction(nil), r.Conjunctions...)
-		return r, true
+		var ok bool
+		r.Conjunctions, ok = s.payload(i)
+		return r, ok
 	}
 	return Run{}, false
+}
+
+// payload reads run i's conjunctions back from the log; false if the store
+// is closed or the record no longer reads back intact. The caller holds mu.
+func (s *Store) payload(i int) ([]core.Conjunction, bool) {
+	if s.f == nil {
+		return nil, false
+	}
+	buf := make([]byte, s.at[i+1]-s.at[i])
+	if _, err := s.f.ReadAt(buf, s.at[i]); err != nil {
+		return nil, false
+	}
+	rec, _, ok := decodeRecord(buf)
+	return rec.Conjunctions, ok
 }
 
 // Len reports the number of persisted runs.
@@ -330,7 +348,8 @@ func (s *Store) Query(q Query) []Match {
 		if q.HasRun && r.ID != q.Run {
 			continue
 		}
-		for _, c := range r.Conjunctions {
+		conjs, _ := s.payload(i)
+		for _, c := range conjs {
 			if !q.Match(c) {
 				continue
 			}

@@ -211,11 +211,13 @@ func Screen(sats []Satellite, o Options) (*Result, error) {
 // dirty, and conjunctions among untouched objects are carried over from
 // delta.Prior. The grid variants do it with a stamp filter (each dirty object
 // stamps the 27 cells it can interact with, and only objects in a stamped
-// cell reach the step's sort and sweep), so a pass with k changed objects
-// costs one propagation of the population per step plus O(k) stamps and the
-// sort and sweep of the objects near them, and the refinement work scales
-// with N·k instead of N², while the result matches a full Screen of the same
-// population (the delta differential battery in internal/core pins this).
+// cell reach the step's sort and sweep), so a stateless pass with k changed
+// objects costs one propagation of the population per step plus O(k) stamps
+// and the sort and sweep of the objects near them — a Session's pass builds
+// only the objects whose window boxes meet a changed one's — and the
+// refinement work scales with N·k instead of N², while the result matches a
+// full Screen of the same population (the delta differential battery in
+// internal/core pins this).
 // A delta touching more than an eighth of the population is screened in
 // full instead. Incremental variants (VariantDescriptor.Incremental) only.
 func ScreenDelta(sats []Satellite, o Options, delta DeltaInput) (*Result, error) {
@@ -237,7 +239,8 @@ func ScreenDeltaContext(ctx context.Context, sats []Satellite, o Options, delta 
 
 // Session chains the passes of one continuously screened catalogue: it owns
 // the prior conjunctions, their epoch and the key track (the clean objects'
-// cell keys, read by the next delta pass instead of solved again), and runs
+// cell keys and window boxes, indexed, so the next delta pass builds only the
+// objects near a changed one and reads their keys instead of solving), and runs
 // each Pass as a delta pass or, when the chain cannot be extended, a full
 // screen. See core.Session and core.Pass.
 type (
