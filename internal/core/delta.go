@@ -53,14 +53,17 @@ func bitsetHas(b []uint64, id int32) bool {
 	return b[w]>>(uint(id)&63)&1 != 0
 }
 
-// stampingPays is the crossover between a delta pass and a full screen. A
-// trackless pass builds N objects per step plus 27 stamps per dirty object, a
-// session pass the objects whose boxes meet a dirty one's, and both refine
-// ungated candidates. Measured (DESIGN.md §11) at k = N/8, a trackless pass
-// costs 1.06–1.16× a full screen and a session pass 1.24–1.40×, at N/16
-// 0.93–0.96× and 0.68–0.71×: past N/8 neither pays. Computed from the pass's
+// stampingPays is the crossover between a delta pass and a full screen.
+// Measured (DESIGN.md §11) at k = N/8, a trackless pass costs 1.06–1.16× a
+// full screen and a session pass, listing every valid row (boxesPay),
+// 0.58–0.72×; at N/16 0.93–0.96× and 0.43–0.55×. Computed from the pass's
 // own inputs.
 func stampingPays(dirty, objects int) bool { return 8*dirty <= objects }
+
+// boxesPay is the crossover between listing a window's hits and every valid
+// row: the index walks grow with k, the reads they save do not. Measured
+// (DESIGN.md §11) between N/16 and N/32 on 4k grid, N/32 and N/64 on 8k hybrid.
+func boxesPay(dirty, objects int) bool { return 32*dirty <= objects }
 
 // validate checks a delta against the population's ID index — IDs in the
 // packed-pair range, nothing removed still present — and returns the largest
@@ -129,6 +132,7 @@ func (r *run) setDelta(delta *DeltaInput) error {
 			r.around[n] = uint64(int64(n/9-1)<<(2*fb) + int64(n/3%3-1)<<fb + int64(n%3-1))
 		}
 		r.track = delta.session.trackFor(r)
+		r.everyRow = r.track.index != nil && !boxesPay(len(r.dirtyIdx), len(r.sats))
 		r.stats.TrackBytes = r.track.bytes()
 		r.dirtyKeys = make([]uint64, boxSteps*len(r.dirtyIdx))
 	}
@@ -150,29 +154,46 @@ func (r *run) listUnread() {
 // listWindow opens the window at the build step: it solves the dirty objects
 // over its steps, in order, and lists the valid rows whose boxes meet a dirty
 // object's grown by one cell (hits) — an object Chebyshev-adjacent to a dirty
-// one at a step of the window has a cell in both (DESIGN.md §11).
+// one at a step of the window has a cell in both (DESIGN.md §11) — or, when
+// boxes do not pay, every valid row.
 func (r *run) listWindow() error {
 	if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil || r.track.index == nil {
 		return err
+	}
+	w, t := r.buildStep/boxSteps, r.track
+	r.listed = r.listed[:r.unread]
+	if r.everyRow { // in row order, each entered from its current ref
+		for l, refs := range [2][]lockfree.Cell{t.index[w], t.overlay[w]} {
+			for _, h := range refs {
+				if t.valid(int(h.Lo)) && (l == 1 || !t.rewritten[h.Lo]) {
+					t.cur[h.Lo] = t.refStart(h)
+				}
+			}
+		}
+		for i := range r.sats {
+			if t.valid(i) {
+				r.listed = append(r.listed, int32(i))
+			}
+		}
+		return nil
 	}
 	boxes, steps := make([][2]spatial.Coord, 0, len(r.dirtyIdx)), min(boxSteps, r.steps-r.buildStep)
 	for d := range r.dirtyIdx {
 		box := lockfree.Cell{Key: lockfree.EmptySlot}
 		for _, key := range r.dirtyKeys[d*boxSteps : d*boxSteps+steps] {
 			if key != lockfree.EmptySlot {
-				box = r.track.grown(box, r.grid.Coord(key))
+				box = t.grown(box, r.grid.Coord(key))
 			}
 		}
-		if lo, hi := r.track.refBox(box); box.Key != lockfree.EmptySlot {
+		if lo, hi := t.refBox(box); box.Key != lockfree.EmptySlot {
 			boxes = append(boxes, [2]spatial.Coord{{X: lo.X - 1, Y: lo.Y - 1, Z: lo.Z - 1}, {X: hi.X + 1, Y: hi.Y + 1, Z: hi.Z + 1}})
 		}
 	}
-	// A row meeting several boxes is one hit, in row order for the reads.
-	hits := r.track.meeting(r.buildStep/boxSteps, boxes, nil)
+	// A row meeting several boxes is one hit, entered from its ref, in row order.
+	hits := t.meeting(w, boxes, nil)
 	slices.SortFunc(hits, func(a, b lockfree.Cell) int { return cmp.Compare(a.Lo, b.Lo) })
-	r.listed, r.starts = r.listed[:r.unread], r.starts[:0]
 	for _, h := range slices.Compact(hits) {
-		r.listed, r.starts = append(r.listed, h.Lo), append(r.starts, r.track.refStart(h))
+		r.listed, t.cur[h.Lo] = append(r.listed, h.Lo), t.refStart(h)
 	}
 	return nil
 }
@@ -205,20 +226,9 @@ func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	r.oob.Add(uint64(oob))
 	r.stats.VisitedObjectSteps += len(r.listed)
 	clean := len(r.listed) - len(r.dirtyIdx)
-	err := parallelForWorkers(r.ctx, r.stepWorkers(clean, r.unread == len(r.dirtyIdx)), clean, r.cleanFn)
+	err := parallelForWorkers(r.ctx, r.workers, clean, r.cleanFn)
 	return r.stepEntries[:len(r.listed)], err
 }
-
-// stepWorkers is the workers for a step's n entries: one for fewer than
-// stepGrain cheap ones (rows read, cells swept ungated): waking two costs more.
-func (r *run) stepWorkers(n int, cheap bool) int {
-	if cheap && n < stepGrain {
-		return 1
-	}
-	return r.workers
-}
-
-const stepGrain = 256
 
 // dirtyRange solves dirty objects [lo, hi) over the window at the build step
 // into r.dirtyKeys (EmptySlot off the cube), noted into their rows.
@@ -243,7 +253,7 @@ func (r *run) cleanRange(_, lo, hi int) {
 		if j < r.unread {
 			key = r.solveKey(i, j, r.buildStep, &oob)
 		} else {
-			key = r.track.advance(i, uint32(r.buildStep), r.starts[j-r.unread])
+			key = r.track.advance(i, uint32(r.buildStep))
 		}
 		if key != lockfree.EmptySlot && !bitsetHas(r.stamps, r.stampBit(key)) {
 			key = lockfree.EmptySlot

@@ -168,9 +168,9 @@ type run struct {
 	around      [27]uint64 // what a cell's key and its 26 neighbours' add to it
 	track       *keyTrack  // owned by the delta's session: the rows this pass reads and writes; noTrack keeps none
 	dirtyKeys   []uint64   // dirty object d's key at the window's step j, at d·boxSteps+j
-	listed      []int32    // what the window's steps build: dirtyIdx, the unread rows, the hits (listWindow)
+	listed      []int32    // what the window's steps build: dirtyIdx, the unread rows, the hits or every valid row (listWindow)
 	unread      int        // the length of listed's first two parts, the same every window
-	starts      []uint64   // each hit's key at the window's first step, beside listed[unread:]
+	everyRow    bool       // a window lists every valid row, not its hits (boxesPay)
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer

@@ -123,7 +123,7 @@ func (r *run) scan(j scanJob) scanResult {
 	}
 	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
 	tSweep := time.Now()
-	err := parallelForWorkers(r.ctx, r.stepWorkers(len(r.scanCells), r.incremental), len(r.scanCells), r.scanFn)
+	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 

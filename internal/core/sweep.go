@@ -22,9 +22,6 @@ type radixHist [1 << sortDigitBits]int32
 // fieldBits wide: three up to maxIdx 1,022, four up to 8,190, six at most.
 func sortPasses(fieldBits int) int { return (3*fieldBits + sortDigitBits - 1) / sortDigitBits }
 
-// smallSort: sortCells sorts up to this many entries by comparison, stably.
-const smallSort = 256
-
 // sortCells returns src's entries in ascending key order, in a or b (each at
 // least len(src) long), minus the lockfree.EmptySlot entries of out-of-cube
 // objects, which the first pass drops; src is only read. It is a stable LSD
@@ -33,11 +30,6 @@ const smallSort = 256
 // — every digit up to maxIdx 8,190 — so each pass is a scatter only.
 func sortCells(src, a, b []lockfree.Cell, hist []radixHist) []lockfree.Cell {
 	const mask = 1<<sortDigitBits - 1
-	if len(src) <= smallSort {
-		sorted := slices.DeleteFunc(append(a[:0], src...), func(e lockfree.Cell) bool { return e.Key == lockfree.EmptySlot })
-		slices.SortStableFunc(sorted, byKey)
-		return sorted
-	}
 	clear(hist)
 	var dump radixHist // counts of digits past the key's top, which are all zero
 	n := int32(0)

@@ -67,7 +67,7 @@ type keyTrack struct {
 	grid      *spatial.Grid // a grid of the run that made the track: same maxAbs, so same key layout
 	moveDelta [125]uint64   // code (dx+2)·25 + (dy+2)·5 + (dz+2) → what the move adds to a key of grid
 	ids       []int32       // sats[i].ID: trackFor checks the membership against them
-	cur       []uint64      // the key at the step last read or noted
+	cur       []uint64      // the key at the step last read, entered or noted
 	moves     []byte
 	state     []rowState
 
@@ -118,6 +118,8 @@ func (t *keyTrack) windows() int { return (t.steps + boxSteps - 1) / boxSteps }
 
 // begin opens a pass — the dirty rows, then every other row not valid, will
 // be solved and noted (listUnread) — and returns the rows valid at its start.
+// Its ref slots start empty: a row gone unencodable before a window writes
+// none there, and commit drops what no row wrote.
 func (t *keyTrack) begin(dirtyIdx []int32) (valid int) {
 	for _, i := range dirtyIdx {
 		if t.valid(int(i)) {
@@ -134,6 +136,9 @@ func (t *keyTrack) begin(dirtyIdx []int32) (valid int) {
 	if t.n > 0 { // noTrack is shared
 		t.opened = t.n - valid
 		t.fresh = slices.Grow(t.fresh[:0], t.opened*t.windows())[:t.opened*t.windows()]
+		for j := range t.fresh {
+			t.fresh[j] = lockfree.Cell{Key: lockfree.EmptySlot}
+		}
 	}
 	return valid
 }
@@ -146,7 +151,7 @@ func (t *keyTrack) commit() {
 	if t.n == 0 {
 		return
 	}
-	open, first := func(r lockfree.Cell) bool { return t.state[r.Lo] == rowOpen }, t.index == nil
+	open, first := func(r lockfree.Cell) bool { return r.Key != lockfree.EmptySlot && t.state[r.Lo] == rowOpen }, t.index == nil
 	if first {
 		t.index, t.reach = make([][]lockfree.Cell, t.windows()), make([][3]int32, t.windows())
 	}
@@ -154,7 +159,7 @@ func (t *keyTrack) commit() {
 		fresh := slices.DeleteFunc(t.fresh[w*t.opened:(w+1)*t.opened:(w+1)*t.opened], func(r lockfree.Cell) bool { return !open(r) })
 		slices.SortFunc(fresh, byKey)
 		for _, r := range fresh {
-			t.reach[w] = maxReach(t.reach[w], r)
+			t.reach[w] = [3]int32{max(t.reach[w][0], r.Hi&31), max(t.reach[w][1], r.Hi>>5&31), max(t.reach[w][2], r.Hi>>10&31)}
 		}
 		if first {
 			t.index[w] = fresh
@@ -219,10 +224,6 @@ func (t *keyTrack) grown(r lockfree.Cell, c spatial.Coord) lockfree.Cell {
 		(s.X-lo.X)<<15 | (s.Y-lo.Y)<<20 | (s.Z-lo.Z)<<25}
 }
 
-func maxReach(reach [3]int32, r lockfree.Cell) [3]int32 {
-	return [3]int32{max(reach[0], r.Hi&31), max(reach[1], r.Hi>>5&31), max(reach[2], r.Hi>>10&31)}
-}
-
 // meeting appends to hits the refs of the valid rows whose window-w boxes
 // meet a box of boxes (a row once per box), from the index less its stale
 // refs and from the overlay: per x, one key range of the y it allows.
@@ -250,15 +251,13 @@ func (t *keyTrack) meeting(w int, boxes [][2]spatial.Coord, hits []lockfree.Cell
 // valid reports whether the pass reads object i's keys from its row.
 func (t *keyTrack) valid(i int) bool { return i < len(t.state) && t.state[i] == rowValid }
 
-// advance moves valid row i to step, entered at a window's first step from
-// the start of its ref and read in order, and returns its key there.
-func (t *keyTrack) advance(i int, step uint32, start uint64) uint64 {
-	key := start
+// advance moves valid row i to step, read in order from the key its window
+// was entered at (set into cur from its ref), and returns its key there.
+func (t *keyTrack) advance(i int, step uint32) uint64 {
 	if step%boxSteps != 0 {
-		key = t.cur[i] + t.moveDelta[t.moves[(int(step)-1)*t.n+i]]
+		t.cur[i] += t.moveDelta[t.moves[(int(step)-1)*t.n+i]]
 	}
-	t.cur[i] = key
-	return key
+	return t.cur[i]
 }
 
 // note writes the key object i was solved to at step (lockfree.EmptySlot:
@@ -280,10 +279,8 @@ func (t *keyTrack) note(i, j int, step uint32, key uint64) {
 		t.moves[(int(step)-1)*t.n+i] = code
 	}
 	t.cur[i] = key
-	ref := &t.fresh[int(step/boxSteps)*t.opened+j]
-	if step%boxSteps == 0 {
-		*ref = lockfree.Cell{Key: lockfree.EmptySlot, Lo: int32(i)}
-	}
+	ref := &t.fresh[int(step/boxSteps)*t.opened+j] // empty until its row's window starts (begin)
+	ref.Lo = int32(i)
 	*ref = t.grown(*ref, t.grid.Coord(key))
 }
 

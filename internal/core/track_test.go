@@ -81,9 +81,9 @@ func TestTrackMoveCode(t *testing.T) {
 		if tr.valid(0) || !tr.valid(1) {
 			t.Fatalf("%s: after commit row states %v", name, tr.state)
 		}
-		start := tr.refStart(refOf(t, tr, 0, 1))
+		tr.cur[1] = tr.refStart(refOf(t, tr, 0, 1)) // entered at window 0
 		for step, want := range []uint64{key(0), key(1), key(3)} {
-			if got := tr.advance(1, uint32(step), start); got != want {
+			if got := tr.advance(1, uint32(step)); got != want {
 				t.Fatalf("%s: row 1 at step %d = %v, want %v", name, step, g.Coord(got), g.Coord(want))
 			}
 		}

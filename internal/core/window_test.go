@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -93,6 +94,57 @@ func TestDeltaPassVisitsScale(t *testing.T) {
 			t.Logf("N = %d: visited %d of %d object-steps (%.2f %%), %d candidates", n, st.VisitedObjectSteps, all,
 				100*float64(st.VisitedObjectSteps)/float64(all), st.CandidatePairs)
 		})
+	}
+}
+
+// TestMidSizeDeltaReadsEveryRow: past the boxes' crossover (boxesPay) a
+// session pass lists every valid row in every window, entered from its ref,
+// and finds a fresh screen's conjunctions and a trackless pass's candidates;
+// a small delta after it walks the boxes again, through the refs the large
+// pass wrote.
+func TestMidSizeDeltaReadsEveryRow(t *testing.T) {
+	const n, span = 4000, 600.0
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	ctx := context.Background()
+	sats := population.MustGenerate(population.Config{N: n, Seed: 1})
+	cfg := Config{DurationSeconds: span, Workers: 2, Pool: pool.New()}
+	det := newHybrid(cfg)
+	sess, err := NewSession(VariantHybrid, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nudger := &deltaNudger{sats: sats, rng: mathx.NewSplitMix64(11)}
+	for round, k := range []int{0, 16, n / 16, 16} {
+		var dirty []int32
+		if k > 0 {
+			sats = append([]propagation.Satellite(nil), sats...)
+			nudger.sats = sats
+			dirty = nudger.next(k)
+		}
+		fresh, err := det.ScreenContext(ctx, sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trackless, err := det.ScreenDelta(ctx, sats, DeltaInput{Prior: sess.prior, Dirty: dirty})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty, Covered: round > 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConjunctionsEqual(t, fmt.Sprintf("round %d", round), inc.Conjunctions, fresh.Conjunctions)
+		if round < 2 {
+			continue
+		}
+		st, ref := inc.Stats, trackless.Stats
+		if st.CandidatePairs != ref.CandidatePairs || st.GridCandidates != ref.GridCandidates || st.TrackedObjects != n-k {
+			t.Fatalf("round %d: %d/%d candidates, trackless pass %d/%d; %d rows valid, want %d",
+				round, st.CandidatePairs, st.GridCandidates, ref.CandidatePairs, ref.GridCandidates, st.TrackedObjects, n-k)
+		}
+		if all := n * st.Steps; (st.VisitedObjectSteps == all) != !boxesPay(k, n) || (round == 3 && 20*st.VisitedObjectSteps >= all) {
+			t.Fatalf("round %d: %d dirty, visited %d of %d object-steps", round, k, st.VisitedObjectSteps, all)
+		}
 	}
 }
 
@@ -267,6 +319,100 @@ func TestSessionBoxIndexChain(t *testing.T) {
 	}
 	if out := pl.Stats().Outstanding(); out != 0 {
 		t.Fatalf("pool leak: %d structures outstanding", out)
+	}
+}
+
+// assertOneRefPerRow fails unless each window of tr holds exactly one ref
+// per valid row — from the overlay if the row was rewritten since the last
+// build, else from the index — and none for another row.
+func assertOneRefPerRow(t *testing.T, name string, tr *keyTrack) {
+	t.Helper()
+	valid := 0
+	for i := range tr.state {
+		if tr.valid(i) {
+			valid++
+		}
+	}
+	for w := 0; w < tr.windows(); w++ {
+		seen := make(map[int32]bool)
+		for l, refs := range [2][]lockfree.Cell{tr.index[w], tr.overlay[w]} {
+			for _, r := range refs {
+				if !tr.valid(int(r.Lo)) || (l == 0 && tr.rewritten[r.Lo]) {
+					continue
+				}
+				if seen[r.Lo] {
+					t.Fatalf("%s, window %d: row %d has two refs", name, w, r.Lo)
+				}
+				seen[r.Lo] = true
+			}
+		}
+		if len(seen) != valid {
+			t.Fatalf("%s, window %d: %d rows with a ref, %d valid", name, w, len(seen), valid)
+		}
+	}
+}
+
+// TestTrackRefsAfterUnencodableRow: a pass writes each window's ref into the
+// slot of the row's place in its list, and a row that goes unencodable
+// before a window writes none there. Round 1 opens a new track with U out of
+// the cube from its first step; round 2 is cancelled after its first window,
+// so its slots hold refs of the rows it listed; round 3 lists U, again out of
+// the cube, first, in the slot round 2's first dirty row wrote. After every
+// completed pass each window holds one ref per valid row, and the pass
+// equals a fresh screen.
+func TestTrackRefsAfterUnencodableRow(t *testing.T) {
+	const span = 600.0
+	const u = 12
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	cfg := Config{DurationSeconds: span, Workers: 2, halfExtentKm: 7300}
+	det := newHybrid(cfg)
+	sess, err := NewSession(VariantHybrid, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sats := denseShellPopulation(96, 41)
+	if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch}); err != nil {
+		t.Fatal(err)
+	}
+	// Equatorial at 7600 km on the +x axis at the epoch: outside the cube
+	// (x < 103 cells of 72.2 km) for its first 220 s, a window and more.
+	outside := func(dm float64) int32 {
+		el := orbit.Elements{SemiMajorAxis: 7600, Eccentricity: 1e-5, Inclination: 1e-3, MeanAnomaly: dm}
+		sats[u] = propagation.MustSatellite(sats[u].ID, el)
+		return sats[u].ID
+	}
+	nudge := func(i int) int32 {
+		el := sats[i].Elements
+		el.MeanAnomaly = mathx.NormalizeAngle(el.MeanAnomaly + 2e-4)
+		sats[i] = propagation.MustSatellite(sats[i].ID, el)
+		return sats[i].ID
+	}
+	for round, dirty := range [][]int32{{nudge(20), nudge(21), outside(0)}, {nudge(22), nudge(23), nudge(24)}, {outside(1e-4), nudge(25)}} {
+		sats = append([]propagation.Satellite(nil), sats...)
+		if round == 1 {
+			cctx, cancel := context.WithCancel(ctx)
+			p := Pass{Epoch: epoch, Dirty: dirty, Covered: true, Observer: &cancelAtStep{at: 2 * boxSteps, cancel: cancel}}
+			_, err := sess.Screen(cctx, sats, p)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("round 1: err = %v, want context.Canceled", err)
+			}
+			continue
+		}
+		fresh, err := det.ScreenContext(ctx, sats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty, Covered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConjunctionsEqual(t, fmt.Sprintf("round %d", round), inc.Conjunctions, fresh.Conjunctions)
+		if tr := sess.track; tr.state[u] != rowUnencodable {
+			t.Fatalf("round %d: U's row state %v, want unencodable", round, tr.state[u])
+		}
+		assertOneRefPerRow(t, fmt.Sprintf("round %d", round), sess.track)
 	}
 }
 

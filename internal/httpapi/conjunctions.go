@@ -280,7 +280,11 @@ func (h *Handler) queryStoreConjunctions(w http.ResponseWriter, q conjQuery) {
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no store attached (start the server with -store-dir to persist runs) and no snapshot published yet"})
 		return
 	}
-	matches := h.store.Query(q.Query)
+	matches, err := h.store.Query(q.Query)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		return
+	}
 	out := ConjunctionsResponse{Matches: make([]StoredConjunctionJSON, len(matches))}
 	for i, m := range matches {
 		out.Matches[i] = StoredConjunctionJSON{RunID: m.RunID, A: m.A, B: m.B, TCA: m.TCA, PCA: m.PCA}

@@ -168,9 +168,9 @@ func TestRescreenerDeltaChain(t *testing.T) {
 	if st.Len() != 3 {
 		t.Fatalf("persisted runs = %d, want 3", st.Len())
 	}
-	last, ok := st.Run(3)
+	last, ok, err := st.Run(3)
 	if !ok {
-		t.Fatal("run 3 missing")
+		t.Fatal("run 3 missing", err)
 	}
 	if !last.Incremental || last.CatalogVersion != 3 || last.Objects != 3 {
 		t.Fatalf("delta run header: %+v", last)

@@ -70,8 +70,8 @@ func BenchmarkQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.Query(q); len(got) == 0 {
-			b.Fatal("empty result")
+		if got, err := s.Query(q); len(got) == 0 {
+			b.Fatal("empty result", err)
 		}
 	}
 }

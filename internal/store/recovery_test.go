@@ -52,9 +52,9 @@ func reopenExpecting(t *testing.T, dir string, wantRuns int) {
 		t.Fatalf("recovered %d runs, want %d", s.Len(), wantRuns)
 	}
 	for id := uint64(1); id <= uint64(wantRuns); id++ {
-		r, ok := s.Run(id)
+		r, ok, err := s.Run(id)
 		if !ok || len(r.Conjunctions) != 3 {
-			t.Fatalf("run %d damaged after recovery: ok=%v conj=%d", id, ok, len(r.Conjunctions))
+			t.Fatalf("run %d damaged after recovery: ok=%v (%v) conj=%d", id, ok, err, len(r.Conjunctions))
 		}
 	}
 	// The next append must not collide with a lost ID: it reuses the ID of

@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,7 +85,7 @@ type Store struct {
 	path   string
 	nextID uint64
 	runs   []Run   // index order == log order == ascending ID; Conjunctions left in the log
-	at     []int64 // each run's record offset in the log, and then the log's length
+	at     []int64 // each run's record offset in the log, and then the log's end
 }
 
 // Open opens (or creates) the store in dir, scanning the log to rebuild
@@ -118,7 +119,7 @@ func (s *Store) recover() error {
 	}
 	off := 0
 	for off < len(data) {
-		rec, n, ok := decodeRecord(data[off:])
+		rec, n, ok := decodeRecord(data[off:], nil)
 		if !ok {
 			break
 		}
@@ -134,7 +135,7 @@ func (s *Store) recover() error {
 		// look like the start of another intact record.
 		rest := data[off:]
 		for probe := 1; probe < len(rest); probe++ {
-			if _, _, ok := decodeRecord(rest[probe:]); ok {
+			if _, _, ok := decodeRecord(rest[probe:], nil); ok {
 				return fmt.Errorf("store: corrupt record at offset %d with intact records after it", off)
 			}
 		}
@@ -152,9 +153,10 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// decodeRecord parses one record from the front of b. n is the total
-// bytes consumed. ok is false when b does not start with an intact record.
-func decodeRecord(b []byte) (rec Run, n int, ok bool) {
+// decodeRecord parses one record from the front of b, its conjunctions into
+// conjs' array if it has room. n is the total bytes consumed. ok is false
+// when b does not start with an intact record.
+func decodeRecord(b []byte, conjs []core.Conjunction) (rec Run, n int, ok bool) {
 	if len(b) < headerSize {
 		return Run{}, 0, false
 	}
@@ -170,14 +172,14 @@ func decodeRecord(b []byte) (rec Run, n int, ok bool) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return Run{}, 0, false
 	}
-	rec, ok = decodePayload(payload)
+	rec, ok = decodePayload(payload, conjs)
 	if !ok {
 		return Run{}, 0, false
 	}
 	return rec, headerSize + payloadLen, true
 }
 
-func decodePayload(p []byte) (Run, bool) {
+func decodePayload(p []byte, conjs []core.Conjunction) (Run, bool) {
 	const fixed = 8 + 8 + 8 + 8 + 8 + 8 + 4 + 1 + 1
 	if len(p) < fixed {
 		return Run{}, false
@@ -204,7 +206,7 @@ func decodePayload(p []byte) (Run, bool) {
 		return Run{}, false
 	}
 	if nconj > 0 {
-		r.Conjunctions = make([]core.Conjunction, nconj)
+		r.Conjunctions = slices.Grow(conjs[:0], nconj)[:nconj]
 		for i := range r.Conjunctions {
 			q := p[i*conjSize:]
 			r.Conjunctions[i] = core.Conjunction{
@@ -269,16 +271,23 @@ func (s *Store) Append(r Run) (uint64, error) {
 	if r.StartedAt.IsZero() {
 		r.StartedAt = time.Now().UTC()
 	}
+	// The record goes where the file ends; a failed write or sync is cut
+	// back off, so the next record starts there and no offset goes stale.
+	off, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, fmt.Errorf("store: seek to append run %d: %w", r.ID, err)
+	}
 	buf := encodeRecord(r)
 	if _, err := s.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("store: append run %d: %w", r.ID, err)
+		return 0, errors.Join(fmt.Errorf("store: append run %d: %w", r.ID, err), s.f.Truncate(off))
 	}
 	if err := s.f.Sync(); err != nil {
-		return 0, fmt.Errorf("store: sync run %d: %w", r.ID, err)
+		return 0, errors.Join(fmt.Errorf("store: sync run %d: %w", r.ID, err), s.f.Truncate(off))
 	}
 	s.nextID++
 	r.Conjunctions = nil
-	s.runs, s.at = append(s.runs, r), append(s.at, s.at[len(s.at)-1]+int64(len(buf)))
+	s.at[len(s.at)-1] = off // past what a failed truncate left
+	s.runs, s.at = append(s.runs, r), append(s.at, off+int64(len(buf)))
 	return r.ID, nil
 }
 
@@ -300,33 +309,38 @@ func (s *Store) Runs(limit int) []Run {
 	return out
 }
 
-// Run returns one run with its full conjunction list.
-func (s *Store) Run(id uint64) (Run, bool) {
+// Run returns one run with its full conjunction list, read back from the
+// log; ok is false if no run has the ID, err set if its record does not read
+// back intact.
+func (s *Store) Run(id uint64) (r Run, ok bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// IDs are appended in ascending order; binary search.
 	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].ID >= id })
-	if i < len(s.runs) && s.runs[i].ID == id {
-		r := s.runs[i]
-		var ok bool
-		r.Conjunctions, ok = s.payload(i)
-		return r, ok
+	if i == len(s.runs) || s.runs[i].ID != id {
+		return Run{}, false, nil
 	}
-	return Run{}, false
+	r = s.runs[i]
+	r.Conjunctions, _, err = s.payload(i, nil, nil)
+	return r, err == nil, err
 }
 
-// payload reads run i's conjunctions back from the log; false if the store
-// is closed or the record no longer reads back intact. The caller holds mu.
-func (s *Store) payload(i int) ([]core.Conjunction, bool) {
+// payload reads run i's record back from the log into buf and returns its
+// conjunctions, decoded into conjs; both arrays are reused if they have
+// room. The caller holds mu.
+func (s *Store) payload(i int, conjs []core.Conjunction, buf []byte) ([]core.Conjunction, []byte, error) {
 	if s.f == nil {
-		return nil, false
+		return nil, buf, errors.New("store: closed")
 	}
-	buf := make([]byte, s.at[i+1]-s.at[i])
+	buf = slices.Grow(buf[:0], int(s.at[i+1]-s.at[i]))[:s.at[i+1]-s.at[i]]
 	if _, err := s.f.ReadAt(buf, s.at[i]); err != nil {
-		return nil, false
+		return nil, buf, fmt.Errorf("store: read run %d: %w", s.runs[i].ID, err)
 	}
-	rec, _, ok := decodeRecord(buf)
-	return rec.Conjunctions, ok
+	rec, _, ok := decodeRecord(buf, conjs)
+	if !ok || rec.ID != s.runs[i].ID {
+		return nil, buf, fmt.Errorf("store: run %d at offset %d does not read back intact", s.runs[i].ID, s.at[i])
+	}
+	return rec.Conjunctions, buf, nil
 }
 
 // Len reports the number of persisted runs.
@@ -337,18 +351,24 @@ func (s *Store) Len() int {
 }
 
 // Query returns conjunctions matching q, in log order (run ID ascending,
-// then record order within a run).
-func (s *Store) Query(q Query) []Match {
+// then record order within a run), reading the runs' records back from the
+// log; err is set if one does not read back intact.
+func (s *Store) Query(q Query) ([]Match, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Match
+	var conjs []core.Conjunction
+	var buf []byte
 	skip := q.Offset
 	for i := range s.runs {
 		r := &s.runs[i]
 		if q.HasRun && r.ID != q.Run {
 			continue
 		}
-		conjs, _ := s.payload(i)
+		var err error
+		if conjs, buf, err = s.payload(i, conjs, buf); err != nil {
+			return nil, err
+		}
 		for _, c := range conjs {
 			if !q.Match(c) {
 				continue
@@ -359,11 +379,11 @@ func (s *Store) Query(q Query) []Match {
 			}
 			out = append(out, Match{RunID: r.ID, Conjunction: c})
 			if q.Limit > 0 && len(out) >= q.Limit {
-				return out
+				return out, nil
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Close syncs and closes the log. The store rejects appends afterwards.

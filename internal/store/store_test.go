@@ -62,9 +62,9 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", s2.Len())
 	}
 	for i, id := range ids {
-		got, ok := s2.Run(id)
+		got, ok, err := s2.Run(id)
 		if !ok {
-			t.Fatalf("run %d missing after reopen", id)
+			t.Fatalf("run %d missing after reopen: %v", id, err)
 		}
 		want := sampleRun(i*2, float64(i)*1000)
 		if got.CatalogVersion != want.CatalogVersion || !got.StartedAt.Equal(want.StartedAt) ||
@@ -104,37 +104,45 @@ func TestQuery(t *testing.T) {
 	if _, err := s.Append(sampleRun(5, 1000)); err != nil { // TCAs 1000..1400
 		t.Fatal(err)
 	}
+	query := func(q Query) []Match {
+		t.Helper()
+		m, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
-	if got := s.Query(Query{}); len(got) != 10 {
+	if got := query(Query{}); len(got) != 10 {
 		t.Fatalf("unbounded query: %d matches, want 10", len(got))
 	}
-	if got := s.Query(Query{Run: 2, HasRun: true}); len(got) != 5 || got[0].RunID != 2 {
+	if got := query(Query{Run: 2, HasRun: true}); len(got) != 5 || got[0].RunID != 2 {
 		t.Fatalf("run filter: %v", got)
 	}
 	// Object 0 appears only as A of the first conjunction of each run.
-	if got := s.Query(Query{Filter: core.Filter{Object: 0, HasObject: true}}); len(got) != 2 {
+	if got := query(Query{Filter: core.Filter{Object: 0, HasObject: true}}); len(got) != 2 {
 		t.Fatalf("object filter: %d matches, want 2", len(got))
 	}
 	// Object 1 appears as B of conj 0 and A of conj 1.
-	if got := s.Query(Query{Filter: core.Filter{Object: 1, HasObject: true}, Run: 1, HasRun: true}); len(got) != 2 {
+	if got := query(Query{Filter: core.Filter{Object: 1, HasObject: true}, Run: 1, HasRun: true}); len(got) != 2 {
 		t.Fatalf("object-1 filter: %d matches, want 2", len(got))
 	}
-	if got := s.Query(Query{Filter: core.Filter{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}}); len(got) != 4 {
+	if got := query(Query{Filter: core.Filter{TCAMin: 300, HasTCAMin: true, TCAMax: 1100, HasTCAMax: true}}); len(got) != 4 {
 		t.Fatalf("TCA window: %d matches, want 4 (300,400,1000,1100)", len(got))
 	}
-	if got := s.Query(Query{Filter: core.Filter{MaxPCAKm: 0.25, HasMaxPCA: true}}); len(got) != 4 {
+	if got := query(Query{Filter: core.Filter{MaxPCAKm: 0.25, HasMaxPCA: true}}); len(got) != 4 {
 		t.Fatalf("PCA cap: %d matches, want 4 (two runs × PCA 0.1,0.2)", len(got))
 	}
-	if got := s.Query(Query{Limit: 3}); len(got) != 3 {
+	if got := query(Query{Limit: 3}); len(got) != 3 {
 		t.Fatalf("limit: %d matches, want 3", len(got))
 	}
-	if got := s.Query(Query{Run: 0, HasRun: true}); len(got) != 0 {
+	if got := query(Query{Run: 0, HasRun: true}); len(got) != 0 {
 		t.Fatalf("run 0 names no run: %d matches, want 0", len(got))
 	}
-	if got := s.Query(Query{Offset: 8, Limit: 5}); len(got) != 2 || got[0].RunID != 2 || got[0].TCA != 1300 {
+	if got := query(Query{Offset: 8, Limit: 5}); len(got) != 2 || got[0].RunID != 2 || got[0].TCA != 1300 {
 		t.Fatalf("offset 8: %v, want run 2's last two", got)
 	}
-	if got := s.Query(Query{Offset: math.MaxInt, Limit: 10000}); len(got) != 0 {
+	if got := query(Query{Offset: math.MaxInt, Limit: 10000}); len(got) != 0 {
 		t.Fatalf("offset past the end: %d matches, want 0", len(got))
 	}
 }
@@ -252,13 +260,13 @@ func TestStoreConcurrentAppendAndRead(t *testing.T) {
 					return
 				}
 				if n > 0 {
-					if run, ok := s.Run(uint64(n)); !ok || len(run.Conjunctions) != conjs {
-						t.Errorf("run %d: ok=%v with %d conjunctions, want %d", n, ok, len(run.Conjunctions), conjs)
+					if run, ok, err := s.Run(uint64(n)); !ok || len(run.Conjunctions) != conjs {
+						t.Errorf("run %d: ok=%v (%v) with %d conjunctions, want %d", n, ok, err, len(run.Conjunctions), conjs)
 						return
 					}
 				}
-				if m := s.Query(Query{}); len(m)%conjs != 0 || len(m) < n*conjs {
-					t.Errorf("Query saw %d matches with %d runs committed: a partial run is visible", len(m), n)
+				if m, err := s.Query(Query{}); err != nil || len(m)%conjs != 0 || len(m) < n*conjs {
+					t.Errorf("Query saw %d matches (%v) with %d runs committed: a partial run is visible", len(m), err, n)
 					return
 				}
 			}
@@ -274,5 +282,41 @@ func TestStoreConcurrentAppendAndRead(t *testing.T) {
 	wg.Wait()
 	if s.Len() != runs {
 		t.Fatalf("Len = %d, want %d", s.Len(), runs)
+	}
+}
+
+// TestReadsReportADamagedRecord: Run and Query read conjunctions back from
+// the log, and a record damaged under an open store is an error for every
+// read that needs it, not a run that looks missing or empty.
+func TestReadsReportADamagedRecord(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Append(sampleRun(4, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{0xff}, headerSize+60) // inside run 1's conjunctions
+	if cerr := f.Close(); err != nil || cerr != nil {
+		t.Fatal(err, cerr)
+	}
+	if _, ok, err := s.Run(1); ok || err == nil {
+		t.Fatalf("Run(1) on a damaged record: ok=%v err=%v", ok, err)
+	}
+	if m, err := s.Query(Query{}); err == nil {
+		t.Fatalf("Query over a damaged record: %d matches, no error", len(m))
+	}
+	if r, ok, err := s.Run(2); !ok || err != nil || len(r.Conjunctions) != 4 {
+		t.Fatalf("Run(2): ok=%v err=%v, %d conjunctions", ok, err, len(r.Conjunctions))
+	}
+	if m, err := s.Query(Query{Run: 2, HasRun: true}); err != nil || len(m) != 4 {
+		t.Fatalf("Query of run 2: %d matches, err %v", len(m), err)
 	}
 }
