@@ -40,12 +40,13 @@ loc:
 ## neighbouring bytes of the key track's moves, row states and window refs are
 ## written by different workers; the cancelled passes stop at a different
 ## chunk. So does the gate's motion table: four scan workers publish and read
-## its rows.
+## its rows. So do the kept-population tests: a pass writes the warm-start
+## state and gate row of what it lists while the last step's scan reads rows.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
 	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress' ./internal/core
-	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid|TestSessionBoxIndexChain' ./internal/core
+	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid|TestSessionBoxIndexChain|TestSessionKept' ./internal/core
 
 ## mem-smoke: screen a 131072-object catalogue with the grid detector under
 ## GOMEMLIMIT=48MiB; fails if the sampled peak heap passes the limit.
@@ -67,11 +68,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 ## bench-alloc: the steady-state screening benchmark with allocation
-## reporting, plus the checked-in allocation budget (alloc_test.go) that
-## fails if the pooled pipeline regresses past it.
+## reporting, plus the checked-in allocation budgets (alloc_test.go) of a
+## full screen and a session's delta pass, which fail if the pooled pipeline
+## regresses past them.
 bench-alloc:
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateScreen -benchtime=5x ./internal/core
-	$(GO) test -run=TestSteadyStateAllocationBudget -v ./internal/core
+	$(GO) test -run='TestSteadyStateAllocationBudget|TestDeltaPassAllocationBudget' -v ./internal/core
 
 ## store-bench: append/recover/query benchmarks for the persistent
 ## conjunction store (fsync-per-append dominates Append).
@@ -80,12 +82,13 @@ store-bench:
 
 ## delta-smoke: the delta path with a live key track — the session chains
 ## (the second across the window index's rebuild) against fresh screens and
-## trackless passes, then the socket level: a
+## trackless passes, and the population a session keeps (its ID index, its
+## largest apogee, the states a pass seeds), then the socket level: a
 ## conjserver stack on loopback taking deltas, each published snapshot
 ## checked against a from-scratch screen; exits non-zero on any failed op
 ## (~5 s).
 delta-smoke:
-	$(GO) test -count=1 -run 'TestSessionUpdateChain|TestSessionBoxIndexChain' ./internal/core
+	$(GO) test -count=1 -run 'TestSessionUpdateChain|TestSessionBoxIndexChain|TestSessionKept' ./internal/core
 	bash bench/run.sh --verify --smoke
 
 ## counters-repeat: the smoke benchmark traced twice and the two captures

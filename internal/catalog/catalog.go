@@ -24,6 +24,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -238,14 +239,15 @@ func (c *Catalog) ApplyDelta(d Delta) (*Revision, error) {
 		removed[id] = struct{}{}
 	}
 
-	// Copy-on-write: build the new element array from the old one. Only a
-	// removal or an add moves or makes a position, so only then is the index
-	// rebuilt.
-	sats := make([]propagation.Satellite, 0, len(prev.sats)+len(d.Adds)-len(d.Removes))
-	for i := range prev.sats {
-		if _, gone := removed[prev.sats[i].ID]; !gone {
-			sats = append(sats, prev.sats[i])
-		}
+	// Copy-on-write: build the new element array from the old one — without
+	// removals, one copy of it. Only a removal or an add moves or makes a
+	// position, so only then is the index rebuilt.
+	sats := slices.Clone(prev.sats)
+	if len(d.Removes) > 0 {
+		sats = slices.DeleteFunc(sats, func(s propagation.Satellite) bool {
+			_, gone := removed[s.ID]
+			return gone
+		})
 	}
 	sats = append(sats, d.Adds...)
 	index := prev.index

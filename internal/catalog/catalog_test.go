@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/orbit"
 	"repro/internal/propagation"
@@ -83,6 +85,45 @@ func TestCatalogVersioningAndCopyOnWrite(t *testing.T) {
 	if _, ok := c.At(99); ok {
 		t.Fatal("At(99) reported ok for an unknown version")
 	}
+
+	// An update-only delta and an add-only delta each copy the elements into
+	// an array of their own: the earlier revision reads as it did.
+	for _, d := range []Delta{
+		{Updates: []propagation.Satellite{sat(3, 3.3), sat(4, 4.4)}},
+		{Adds: []propagation.Satellite{sat(5, 0.5), sat(6, 0.6)}},
+	} {
+		before := c.Latest()
+		want := slices.Clone(before.Satellites())
+		after, err := c.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(before.Satellites(), want) {
+			t.Fatalf("version %d changed under delta %d", before.Version(), after.Version())
+		}
+		if sharesArray(before.Satellites(), after.Satellites()) {
+			t.Fatalf("versions %d and %d share a backing array", before.Version(), after.Version())
+		}
+		got := ids(after.Satellites())
+		for _, s := range append(d.Updates, d.Adds...) {
+			if got[s.ID] != s.Elements.MeanAnomaly {
+				t.Fatalf("version %d: ID %d has mean anomaly %v, want %v", after.Version(), s.ID, got[s.ID], s.Elements.MeanAnomaly)
+			}
+		}
+		if len(got) != before.Len()+len(d.Adds) {
+			t.Fatalf("version %d holds %d objects, want %d", after.Version(), len(got), before.Len()+len(d.Adds))
+		}
+	}
+}
+
+// sharesArray reports whether a and b overlap anywhere in their capacity.
+func sharesArray(a, b []propagation.Satellite) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[0])
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
 }
 
 func TestCatalogDeltaValidation(t *testing.T) {

@@ -8,9 +8,14 @@ package core
 // benchmark graph.
 
 import (
+	"context"
+	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/pool"
+	"repro/internal/population"
 	"repro/internal/propagation"
 )
 
@@ -41,6 +46,68 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	if avg > steadyStateAllocBudget {
 		t.Errorf("steady-state window averaged %.0f allocs, budget %d — pooling regressed", avg, steadyStateAllocBudget)
 	}
+}
+
+// deltaPassAllocBudget caps allocations per delta pass — the workload of
+// BenchmarkSessionDeltaPass at 8k (a primed hybrid session, 16 dirty
+// objects, 600 s, two workers, warm pool). Measured: 729 allocs/pass while
+// every fork of a parallel range built its closure, WaitGroup and cursor, the
+// window listing grew its boxes and hits afresh and each run made its sort
+// histograms; 65 with the fork state run-owned and the scratch kept. Most of
+// what is left is once per pass: the run, its ID and dirty lists, the hybrid
+// filter's and refinement's forks. One allocation per step (67) or per fork
+// (about 140) coming back fails it.
+const deltaPassAllocBudget = 100
+
+func TestDeltaPassAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	ctx := context.Background()
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	sats := population.MustGenerate(population.Config{N: 8000, Seed: 1})
+	sess, err := NewSession(VariantHybrid, Config{DurationSeconds: 600, Workers: 2, Pool: pool.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deltas are drawn before the measurement: each is a list of updates.
+	const passes = 8
+	nudger := &deltaNudger{sats: slices.Clone(sats), rng: mathx.NewSplitMix64(7)}
+	type update struct {
+		at  int
+		sat propagation.Satellite
+	}
+	var dirty [passes][]int32
+	var updates [passes][]update
+	for p := range passes {
+		dirty[p] = nudger.next(16)
+		for _, id := range dirty[p] {
+			at := slices.IndexFunc(nudger.sats, func(s propagation.Satellite) bool { return s.ID == id })
+			updates[p] = append(updates[p], update{at, nudger.sats[at]})
+		}
+	}
+	pass := func(p int) {
+		for _, u := range updates[p] {
+			sats[u.at] = u.sat
+		}
+		if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch, Dirty: dirty[p], Covered: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Screen(ctx, sats, Pass{Epoch: epoch}); err != nil {
+		t.Fatal(err)
+	}
+	pass(0) // opens the track
+	pass(1) // reads it, and warms the pool and the scratch
+	next := 2
+	avg := testing.AllocsPerRun(passes-3, func() {
+		pass(next)
+		next++
+	})
+	if avg > deltaPassAllocBudget {
+		t.Errorf("a delta pass averaged %.0f allocs, budget %d — per-step or per-fork allocation is back", avg, deltaPassAllocBudget)
+	}
+	t.Logf("%.0f allocs per delta pass", avg)
 }
 
 // screenFn runs one detector flavour against a dedicated pool.

@@ -107,9 +107,9 @@ func BenchmarkBuild_HashGrid(b *testing.B) {
 		}
 		return func() {
 			gset.Reset()
-			_ = parallelForWorkers(r.ctx, r.workers, n, insert)
+			_ = r.buildFork.do(r.ctx, r.workers, n, insert)
 			snap.Freeze(gset, r.workers)
-			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
+			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], &r.sortHist)
 		}
 	})
 }
@@ -124,8 +124,8 @@ func BenchmarkBuild_Sort(b *testing.B) {
 			}
 		}
 		return func() {
-			_ = parallelForWorkers(r.ctx, r.workers, n, store)
-			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist), r.scanIDs, r.scanRadii)
+			_ = r.buildFork.do(r.ctx, r.workers, n, store)
+			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], &r.sortHist), r.scanIDs, r.scanRadii)
 		}
 	})
 }
@@ -134,19 +134,31 @@ func BenchmarkBuild_Sort(b *testing.B) {
 var sortedCellsSink []lockfree.Cell
 
 // BenchmarkSortCells is the radix sort in isolation: warm buffers, one
-// goroutine. Measured on a 2-vCPU Xeon host: 13–18 ns per entry (the ns/cell
-// metric) on all three populations — in a run the entries were last written
-// by another core and it costs about twice that.
+// goroutine, a step's entries of each population, and the first 64, 256 and
+// 1,024 of kde-16k's, the lists of delta passes. Measured on a 2-vCPU Xeon
+// host: 13–18 ns per entry (the ns/cell metric) on all three populations — in
+// a run the entries were last written by another core and it costs about
+// twice that.
 func BenchmarkSortCells(b *testing.B) {
+	sortFirst := func(b *testing.B, r *run, n int) {
+		for i := 0; i < b.N; i++ {
+			m := len(r.cellBuf) / 2
+			sortedCellsSink = sortCells(r.entries[:n], r.cellBuf[:m], r.cellBuf[m:], &r.sortHist)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
+	}
 	for name, sats := range candgenPopulations {
 		b.Run(name, func(b *testing.B) {
 			r := candgenRun(b, sats(b), 1)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := len(r.cellBuf) / 2
-				sortedCellsSink = sortCells(r.entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.entries)), "ns/cell")
+			sortFirst(b, r, len(r.entries))
+		})
+	}
+	for _, n := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("kde-16k-first-%d", n), func(b *testing.B) {
+			r := candgenRun(b, candgenPopulations["kde-16k"](b), 1)
+			b.ResetTimer()
+			sortFirst(b, r, n)
 		})
 	}
 }
@@ -208,7 +220,7 @@ func BenchmarkCollect_PairSet(b *testing.B) {
 		var keys []uint64
 		return func() {
 			set.Reset()
-			_ = parallelForWorkers(r.ctx, r.workers, len(r.scanBufs), insert)
+			_ = r.buildFork.do(r.ctx, r.workers, len(r.scanBufs), insert)
 			pairs, keys = set.Items(pairs[:0]), keys[:0]
 			for _, p := range pairs {
 				keys = append(keys, lockfree.PackPair(p.A, p.B, p.Step))

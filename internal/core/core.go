@@ -28,7 +28,6 @@ import (
 	"repro/internal/lockfree"
 	"repro/internal/pool"
 	"repro/internal/propagation"
-	"repro/internal/spatial"
 )
 
 // Variant names a detector flavour in results and reports.
@@ -297,18 +296,17 @@ func validatePopulation(idx map[int32]int32, sats []propagation.Satellite) error
 	return nil
 }
 
-// autoHalfExtent sizes the simulation cube to just cover the population's
-// largest apogee (plus guard cells), so even sub-kilometre cells stay within
-// the packed coordinate range. Populations beyond the paper's default
-// GEO-covering cube simply get a bigger cube.
-func autoHalfExtent(sats []propagation.Satellite, cellSize float64) float64 {
-	maxApogee := 0.0
+// largestApogee is the population's largest apogee radius, which sizes the
+// simulation cube (spatial.RequiredHalfExtent), and the index of an object
+// with it; 0 and −1 for no objects.
+func largestApogee(sats []propagation.Satellite) (apogee float64, at int32) {
+	at = -1
 	for i := range sats {
-		if ap := sats[i].Elements.ApogeeRadius(); ap > maxApogee {
-			maxApogee = ap
+		if ap := sats[i].Elements.ApogeeRadius(); ap > apogee || at < 0 {
+			apogee, at = ap, int32(i)
 		}
 	}
-	return spatial.RequiredHalfExtent(maxApogee, cellSize)
+	return apogee, at
 }
 
 // stepCount returns the number of samples covering [0, duration].

@@ -131,7 +131,7 @@ func (r *run) setDelta(delta *DeltaInput) error {
 		for n := range r.around {
 			r.around[n] = uint64(int64(n/9-1)<<(2*fb) + int64(n/3%3-1)<<fb + int64(n%3-1))
 		}
-		r.track = delta.session.trackFor(r)
+		r.track = r.session.trackFor(r)
 		r.everyRow = r.track.index != nil && !boxesPay(len(r.dirtyIdx), len(r.sats))
 		r.stats.TrackBytes = r.track.bytes()
 		r.dirtyKeys = make([]uint64, boxSteps*len(r.dirtyIdx))
@@ -140,7 +140,9 @@ func (r *run) setDelta(delta *DeltaInput) error {
 }
 
 // listUnread starts the pass's build list: the dirty objects, then every
-// other object whose row is not valid — every object, without a track.
+// other object whose row is not valid — every object, without a track — and
+// readies what solving and sweeping them reads: their warm-start states and
+// gate rows. The pass writes no other object's.
 func (r *run) listUnread() {
 	r.listed = append(r.listed[:0], r.dirtyIdx...)
 	for i := range r.sats {
@@ -149,6 +151,20 @@ func (r *run) listUnread() {
 		}
 	}
 	r.unread = len(r.listed)
+	for _, i := range r.listed {
+		r.seed(int(i))
+		r.gateRow(i)
+	}
+}
+
+// gateRow writes object i's row of an incremental pass's gate, its ID — at
+// g = +Inf the gate keeps every pair whatever else a row holds — unless the
+// row has it: every row the scan of the last step may read does, so none is
+// written under it.
+func (r *run) gateRow(i int32) {
+	if id := r.sats[i].ID; r.gate.rows[i].ID != id {
+		r.gate.rows[i] = lockfree.GateRow{ID: id}
+	}
 }
 
 // listWindow opens the window at the build step: it solves the dirty objects
@@ -157,7 +173,7 @@ func (r *run) listUnread() {
 // one at a step of the window has a cell in both (DESIGN.md §11) — or, when
 // boxes do not pay, every valid row.
 func (r *run) listWindow() error {
-	if err := parallelForWorkers(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil || r.track.index == nil {
+	if err := r.buildFork.do(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil || r.track.index == nil {
 		return err
 	}
 	w, t := r.buildStep/boxSteps, r.track
@@ -173,11 +189,13 @@ func (r *run) listWindow() error {
 		for i := range r.sats {
 			if t.valid(i) {
 				r.listed = append(r.listed, int32(i))
+				r.gateRow(int32(i))
 			}
 		}
 		return nil
 	}
-	boxes, steps := make([][2]spatial.Coord, 0, len(r.dirtyIdx)), min(boxSteps, r.steps-r.buildStep)
+	t.boxes = t.boxes[:0]
+	steps := min(boxSteps, r.steps-r.buildStep)
 	for d := range r.dirtyIdx {
 		box := lockfree.Cell{Key: lockfree.EmptySlot}
 		for _, key := range r.dirtyKeys[d*boxSteps : d*boxSteps+steps] {
@@ -186,14 +204,15 @@ func (r *run) listWindow() error {
 			}
 		}
 		if lo, hi := t.refBox(box); box.Key != lockfree.EmptySlot {
-			boxes = append(boxes, [2]spatial.Coord{{X: lo.X - 1, Y: lo.Y - 1, Z: lo.Z - 1}, {X: hi.X + 1, Y: hi.Y + 1, Z: hi.Z + 1}})
+			t.boxes = append(t.boxes, [2]spatial.Coord{{X: lo.X - 1, Y: lo.Y - 1, Z: lo.Z - 1}, {X: hi.X + 1, Y: hi.Y + 1, Z: hi.Z + 1}})
 		}
 	}
 	// A row meeting several boxes is one hit, entered from its ref, in row order.
-	hits := t.meeting(w, boxes, nil)
-	slices.SortFunc(hits, func(a, b lockfree.Cell) int { return cmp.Compare(a.Lo, b.Lo) })
-	for _, h := range slices.Compact(hits) {
+	t.hits = t.meeting(w, t.boxes, t.hits[:0])
+	slices.SortFunc(t.hits, func(a, b lockfree.Cell) int { return cmp.Compare(a.Lo, b.Lo) })
+	for _, h := range slices.Compact(t.hits) {
 		r.listed, t.cur[h.Lo] = append(r.listed, h.Lo), t.refStart(h)
+		r.gateRow(h.Lo)
 	}
 	return nil
 }
@@ -226,7 +245,7 @@ func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	r.oob.Add(uint64(oob))
 	r.stats.VisitedObjectSteps += len(r.listed)
 	clean := len(r.listed) - len(r.dirtyIdx)
-	err := parallelForWorkers(r.ctx, r.workers, clean, r.cleanFn)
+	err := r.buildFork.do(r.ctx, r.workers, clean, r.cleanFn)
 	return r.stepEntries[:len(r.listed)], err
 }
 

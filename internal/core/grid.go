@@ -125,8 +125,8 @@ func (d *detector) screenRun(r *run, delta *DeltaInput) (*Result, error) {
 }
 
 // run holds the shared state of one screening execution.
-// Its buffers, tables and ID index are pooled: release returns them, after
-// which the run must not be used.
+// Its buffers and tables, and its ID index unless a session owns it, are
+// pooled: release returns them, after which the run must not be used.
 type run struct {
 	cfg         Config
 	pool        *pool.Pool
@@ -138,7 +138,7 @@ type run struct {
 	grid        *spatial.Grid
 	entries     []lockfree.Cell // slot 0 of the step loop's entry ring, one {key, index, radius} per object
 	cellBuf     []lockfree.Cell // the scan's two sort buffers, back to back: a step's cells in key order land in one
-	sortHist    []radixHist     // the scan's radix histograms, one per pass
+	sortHist    sortHist        // the scan's radix histograms
 	gate        radialGate      // the sweep's gate; its tables are pooled
 	motion      motionTest      // full screen: the gate's motion test, on if gate.motion points here
 	gated       gateCounts      // candidates each test of the gate dropped
@@ -157,6 +157,7 @@ type run struct {
 	uncertainty UncertaintyMap
 
 	// Delta screening state (delta.go); zero on full screens.
+	session *Session // the delta's, if Session.Screen runs it: it owns idx then
 	dirty   []uint64 // pooled bitset: IDs whose pairs a delta pass emits
 	touched []uint64 // pooled bitset: dirty ∪ removed, for the prior merge
 	// incremental: the pass filters its entries through the stamps, collects
@@ -200,6 +201,7 @@ type run struct {
 	scanRadii   []float32       // the objects' radii at the step, beside scanIDs
 
 	buildFn, scanFn, dirtyFn, cleanFn func(w, lo, hi int)
+	buildFork, scanFork               forkJoin // what the two sides fork their kernels with
 }
 
 // newRun validates inputs and allocates every structure up front — the
@@ -212,77 +214,71 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 	if cfg.DurationSeconds <= 0 {
 		return nil, ErrNoDuration
 	}
-	pl := cfg.pool()
-	idx := pl.GetIDIndex(len(sats))
-	if err := validatePopulation(idx, sats); err != nil {
-		pl.PutIDIndex(idx)
+	r := &run{cfg: cfg, pool: cfg.pool(), sats: sats, sps: sps, workers: cfg.workers(), prop: cfg.propagator(),
+		uncertainty: cfg.Uncertainty, ctx: ctx, done: ctx.Done(), sink: cfg.Sink, observer: cfg.Observer}
+	if delta != nil {
+		r.session = delta.session
+	}
+	r.buildFn, r.scanFn, r.dirtyFn, r.cleanFn = r.buildRange, r.scanRange, r.dirtyRange, r.cleanRange
+	if err := r.init(delta, h); err != nil || len(sats) < 2 {
+		r.release()
 		return nil, err
 	}
-	if len(sats) < 2 {
-		pl.PutIDIndex(idx)
-		return nil, nil
+	r.observePhase(PhaseAllocate, time.Since(tAlloc), 0)
+	return r, nil
+}
+
+// init is newRun's body past the run's fields from cfg: on an error, or with
+// fewer than two satellites, newRun releases what it drew.
+func (r *run) init(delta *DeltaInput, h float64) error {
+	sats, cfg, pl := r.sats, r.cfg, r.pool
+	var apogee float64
+	var err error
+	if r.session != nil {
+		r.idx, apogee, err = r.session.population(sats, delta.Dirty)
+	} else {
+		r.idx = pl.GetIDIndex(len(sats))
+		err = validatePopulation(r.idx, sats)
+		apogee, _ = largestApogee(sats)
 	}
-	threshold := cfg.threshold()
+	if err != nil || len(sats) < 2 {
+		return err
+	}
+	r.threshold = cfg.threshold()
 	// With per-object uncertainties the grid must cover the worst pair's
 	// effective threshold d + 2·u_max.
-	gridThreshold := threshold
+	gridThreshold := r.threshold
 	if cfg.Uncertainty != nil {
 		maxU, err := maxUncertainty(cfg.Uncertainty, sats)
 		if err != nil {
-			pl.PutIDIndex(idx)
-			return nil, err
+			return err
 		}
 		gridThreshold += 2 * maxU
 	}
 	// Interpolated positions lie up to ε_max from the orbit (knotStride). The
 	// pad, ≥ 2ε_max, is what positionAt keeps from a cell face and what the
 	// gate's radial test adds to g; the grid is Eq. 1's.
-	stride, eps := knotStride(cfg.propagator(), sats, sps, h)
-	pad := 0.0
+	stride, eps := knotStride(r.prop, sats, r.sps, h)
 	if stride > 1 && !cfg.ablation.noKnotPad {
-		pad = pow2Above(2 * eps)
+		r.pad = pow2Above(2 * eps)
 	}
-	cellSize := spatial.CellSize(gridThreshold, sps)
+	r.stride, r.cellSize = stride, spatial.CellSize(gridThreshold, r.sps)
+	// The cube just covers the largest apogee, plus guard cells, so even
+	// sub-kilometre cells stay within the key range.
 	halfExtent := cfg.halfExtentKm
 	if halfExtent <= 0 {
-		halfExtent = autoHalfExtent(sats, cellSize)
+		halfExtent = spatial.RequiredHalfExtent(apogee, r.cellSize)
 	}
-	grid, err := spatial.NewGrid(cellSize, halfExtent)
-	if err != nil {
-		pl.PutIDIndex(idx)
-		return nil, fmt.Errorf("core: %w", err)
+	if r.grid, err = spatial.NewGrid(r.cellSize, halfExtent); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	steps := stepCount(cfg.DurationSeconds, sps)
-	if steps-1 > lockfree.MaxStep {
-		pl.PutIDIndex(idx)
-		return nil, fmt.Errorf("core: %d sampling steps exceed the packed-pair step limit %d", steps, lockfree.MaxStep)
+	if r.steps = stepCount(cfg.DurationSeconds, r.sps); r.steps-1 > lockfree.MaxStep {
+		return fmt.Errorf("core: %d sampling steps exceed the packed-pair step limit %d", r.steps, lockfree.MaxStep)
 	}
-	r := &run{
-		cfg:         cfg,
-		pool:        pl,
-		sats:        sats,
-		idx:         idx,
-		sps:         sps,
-		threshold:   threshold,
-		cellSize:    cellSize,
-		grid:        grid,
-		workers:     cfg.workers(),
-		prop:        cfg.propagator(),
-		steps:       steps,
-		stride:      stride,
-		pad:         pad,
-		uncertainty: cfg.Uncertainty,
-		ctx:         ctx,
-		done:        ctx.Done(),
-		sink:        cfg.Sink,
-		observer:    cfg.Observer,
-	}
-	r.buildFn, r.scanFn, r.dirtyFn, r.cleanFn = r.buildRange, r.scanRange, r.dirtyRange, r.cleanRange
-	r.refiner = newRefiner(r.prop, threshold, cfg.DurationSeconds)
+	r.refiner = newRefiner(r.prop, r.threshold, cfg.DurationSeconds)
 	if delta != nil {
 		if err := r.setDelta(delta); err != nil {
-			r.release()
-			return nil, err
+			return err
 		}
 	}
 	// Candidate emission gets one private buffer per worker, for the whole run.
@@ -290,32 +286,33 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 	for w := range r.scanBufs {
 		r.scanBufs[w] = pl.GetKeyBuf(0)
 	}
-	// Every loop samples in step order, so consecutive solves of one
-	// satellite differ by the fixed mean-anomaly delta n·m·s_ps — the
-	// warm-start precondition.
 	r.kcache = pl.GetKeplerCache(len(sats))
-	for i := range sats {
-		dm := sats[i].MeanMotion() * sps * float64(stride)
-		// Seed E so the first solve's guess E+DeltaE is the mean anomaly
-		// itself (the e → 0 root); SolveFrom handles the rest.
-		r.kcache[i] = propagation.KeplerCache{E: sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
+	if !r.incremental { // an incremental pass seeds what it solves (listUnread)
+		for i := range sats {
+			r.seed(i)
+		}
 	}
 	if stride > 1 {
 		r.knots = pl.GetKnots(len(sats))
 	}
-	r.stats.KnotStride, r.stats.PositionPadKm = stride, pad
+	r.stats.KnotStride, r.stats.PositionPadKm = stride, r.pad
 	// A step has at most one entry per object, so at most that many cells.
 	n := len(sats)
 	r.entries = pl.GetCellBuf(n)[:n]
 	r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-	r.sortHist = make([]radixHist, sortPasses(grid.FieldBits()))
-	r.gate = r.newGate(gridThreshold, pad)
-	if err := r.cancelled(); err != nil {
-		r.release()
-		return nil, err
-	}
-	r.observePhase(PhaseAllocate, time.Since(tAlloc), 0)
-	return r, nil
+	r.sortHist.keyBits = 3 * r.grid.FieldBits()
+	r.gate = r.newGate(gridThreshold, r.pad)
+	return r.cancelled()
+}
+
+// seed readies object i's warm-start state. Every loop samples in step
+// order, so consecutive solves of one satellite differ by the fixed
+// mean-anomaly delta n·m·s_ps — the warm-start precondition. E is seeded so
+// the first solve's guess E+DeltaE is the mean anomaly itself (the e → 0
+// root); SolveFrom handles the rest.
+func (r *run) seed(i int) {
+	dm := r.sats[i].MeanMotion() * r.sps * float64(r.stride)
+	r.kcache[i] = propagation.KeplerCache{E: r.sats[i].Elements.MeanAnomaly - dm, DeltaE: dm}
 }
 
 // cancelled reports the run context's error once it is done. The nil-Done
@@ -383,7 +380,9 @@ func (r *run) release() {
 	r.pool.PutGateRows(r.gate.rows)
 	r.pool.PutMotionRows(r.motion.rows)
 	r.pool.PutKeyBuf(r.keys)
-	r.pool.PutIDIndex(r.idx)
+	if r.session == nil {
+		r.pool.PutIDIndex(r.idx)
+	}
 	for w := range r.scanBufs {
 		r.pool.PutKeyBuf(r.scanBufs[w])
 	}
@@ -582,7 +581,7 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) ([]lockfree.Cell, 
 		return r.buildDelta()
 	}
 	r.stats.VisitedObjectSteps += len(r.sats)
-	return entries, parallelForWorkers(r.ctx, r.workers, len(r.sats), r.buildFn)
+	return entries, r.buildFork.do(r.ctx, r.workers, len(r.sats), r.buildFn)
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
@@ -613,7 +612,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 	var all []Conjunction
 	var refinements, prefiltered, batches atomic.Int64
 	usePrefilter := !r.cfg.ablation.noPrefilter
-	perr := parallelFor(r.ctx, r.workers, len(pairs), func(lo, hi int) {
+	perr := r.buildFork.do(r.ctx, r.workers, len(pairs), func(_, lo, hi int) {
 		ev := &pairEvaluator{prop: r.prop}
 		f := ev.dist2Offset // hoisted: binding the method per pair would allocate
 		var out []Conjunction
@@ -697,74 +696,47 @@ func (r *run) finishStats() PhaseStats {
 	return st
 }
 
-// parallelFor is parallelForWorkers for callers with no per-worker state.
-func parallelFor(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
-	return parallelForWorkers(ctx, workers, n, func(_, lo, hi int) { fn(lo, hi) })
+// forkJoin splits [0, n) across workers goroutines and waits, each pinned to
+// a distinct w in [0, workers) that it passes to fn, so callers can give
+// every worker a private scratch buffer with no synchronisation. Ranges are
+// dispatched as bounded chunks pulled from a shared cursor so cancellation
+// takes effect between chunks: once ctx is cancelled no unstarted chunk runs,
+// in-flight chunks run to completion (callers release pooled structures the
+// moment do returns) and the result is ctx.Err(). The state is kept from call
+// to call, one call at a time, so a call allocates nothing: a run keeps one
+// for its build side and one for its scan side, which fork at once (the scan
+// of one step beside the build of the next), each about once a step. The
+// single-worker uncancellable path is a direct call.
+type forkJoin struct {
+	fn           func(w, lo, hi int)
+	done         <-chan struct{}
+	n, chunk     int
+	next, joined atomic.Int64 // the chunk cursor; the workers started
+	wg           sync.WaitGroup
+	worker       func() // f.work, bound once: go f.worker() allocates nothing
 }
 
-// parallelForWorkers splits [0, n) across workers goroutines and waits. Each
-// goroutine is pinned to a distinct w in [0, workers) and passes it to fn, so
-// callers can give every worker a private scratch buffer with no
-// synchronisation. Ranges are dispatched as bounded chunks pulled from a
-// shared cursor so cancellation takes effect between chunks: once ctx is
-// cancelled no unstarted chunk runs, in-flight chunks run to completion
-// (callers release pooled structures the moment this returns) and the result
-// is ctx.Err(). It is safe to call from several goroutines at once — the
-// scan of one step and the build of the next do. The single-worker
-// uncancellable path stays a direct call with zero allocations.
-func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
-	if n <= 0 {
-		return nil
-	}
+func (f *forkJoin) do(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
 	done := ctx.Done()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if done == nil {
+	if workers = min(workers, n); n <= 0 || workers <= 1 && done == nil {
+		if n > 0 {
 			fn(0, 0, n)
-			return nil
-		}
-		// Sequential but cooperative: bounded chunks with a cancellation
-		// check before each, so a cancelled single-worker run still unwinds
-		// mid-range.
-		chunk := (n + 15) / 16
-		for lo := 0; lo < n; lo += chunk {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			fn(0, lo, min(lo+chunk, n))
 		}
 		return nil
 	}
 	// Oversubscribe the chunking (4 per worker) so workers re-check the
 	// context at sub-range granularity and tail imbalance stays small.
-	chunk := (n + 4*workers - 1) / (4 * workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				fn(w, lo, min(lo+chunk, n))
-			}
-		}()
+	f.fn, f.done, f.n, f.chunk = fn, done, n, (n+4*workers-1)/(4*workers)
+	f.next.Store(0)
+	f.joined.Store(0)
+	if f.worker == nil {
+		f.worker = f.work
 	}
-	wg.Wait()
+	f.wg.Add(workers)
+	for range workers {
+		go f.worker()
+	}
+	f.wg.Wait()
 	if done != nil {
 		select {
 		case <-done:
@@ -773,6 +745,27 @@ func parallelForWorkers(ctx context.Context, workers, n int, fn func(w, lo, hi i
 		}
 	}
 	return nil
+}
+
+// work is one worker of a do: chunks from the cursor until it passes n or
+// the context is done.
+func (f *forkJoin) work() {
+	defer f.wg.Done()
+	w := int(f.joined.Add(1)) - 1
+	for {
+		if f.done != nil {
+			select {
+			case <-f.done:
+				return
+			default:
+			}
+		}
+		lo := int(f.next.Add(int64(f.chunk))) - f.chunk
+		if lo >= f.n {
+			return
+		}
+		f.fn(w, lo, min(lo+f.chunk, f.n))
+	}
 }
 
 // sortPairsBySatellite sorts packed candidate keys ascending, which is (A, B,

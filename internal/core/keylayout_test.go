@@ -107,7 +107,7 @@ func TestKeyLayouts(t *testing.T) {
 				}
 				slices.Sort(cuts)
 				bufs := make([][]uint64, len(cuts)-1)
-				err := parallelForWorkers(context.Background(), len(bufs), len(bufs), func(w, lo, hi int) {
+				err := new(forkJoin).do(context.Background(), len(bufs), len(bufs), func(w, lo, hi int) {
 					for r := lo; r < hi; r++ {
 						bufs[r] = sweepOpen(cells, ids, cuts[r], cuts[r+1], fb, bufs[r])
 					}

@@ -117,13 +117,13 @@ func (r *run) scan(j scanJob) scanResult {
 	tSort := time.Now()
 	r.scanStep = j.step
 	n := len(r.cellBuf) / 2
-	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], r.sortHist)
+	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], &r.sortHist)
 	if len(r.scanIDs) < len(sorted) { // a delta pass lists few objects
 		r.scanIDs, r.scanRadii = make([]int32, len(j.entries)), make([]float32, len(j.entries))
 	}
 	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
 	tSweep := time.Now()
-	err := parallelForWorkers(r.ctx, r.workers, len(r.scanCells), r.scanFn)
+	err := r.scanFork.do(r.ctx, r.workers, len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 

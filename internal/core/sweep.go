@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -12,58 +13,62 @@ import (
 	"repro/internal/vec3"
 )
 
-// sortDigitBits is the radix of sortCells.
+// sortDigitBits is the widest digit of sortCells.
 const sortDigitBits = 11
 
-// radixHist is one sortCells pass's digit histogram.
-type radixHist [1 << sortDigitBits]int32
-
-// sortPasses is how many digits sortCells takes of a key whose fields are
-// fieldBits wide: three up to maxIdx 1,022, four up to 8,190, six at most.
-func sortPasses(fieldBits int) int { return (3*fieldBits + sortDigitBits - 1) / sortDigitBits }
+// sortHist is sortCells' scratch for the keys of one grid: their width, and
+// the histograms of the passes, 1<<d counts each, with room past the last
+// for the up to three a fused count writes and never reads.
+type sortHist struct {
+	keyBits int
+	counts  [8 << sortDigitBits]int32
+}
 
 // sortCells returns src's entries in ascending key order, in a or b (each at
 // least len(src) long), minus the lockfree.EmptySlot entries of out-of-cube
 // objects, which the first pass drops; src is only read. It is a stable LSD
-// radix sort of the key as one integer, one pass per histogram of hist (the
-// caller's scratch, sortPasses long). One walk counts four digits' histograms
-// — every digit up to maxIdx 8,190 — so each pass is a scatter only.
-func sortCells(src, a, b []lockfree.Cell, hist []radixHist) []lockfree.Cell {
-	const mask = 1<<sortDigitBits - 1
-	clear(hist)
-	var dump radixHist // counts of digits past the key's top, which are all zero
+// radix sort of the key as one integer, in digits of d = bits.Len(len(src))
+// bits, at least 4 and at most sortDigitBits, so its fixed cost — clearing
+// and summing 1<<d counts a pass — follows the list: a full screen's step
+// sorts in 11-bit digits, a delta pass's hundred entries in 7-bit ones. One
+// walk counts four digits' histograms, so each pass is a scatter only.
+func sortCells(src, a, b []lockfree.Cell, hist *sortHist) []lockfree.Cell {
+	const most = 1<<sortDigitBits - 1 // bounds every digit: no histogram index is checked
+	type counts = [1 << sortDigitBits]int32
+	d := uint(min(max(bits.Len(uint(len(src))), 4), sortDigitBits))
+	passes, mask := (hist.keyBits+int(d)-1)/int(d), uint64(1)<<d-1
+	clear(hist.counts[:passes<<d])
 	n := int32(0)
-	for g := 0; g < len(hist); g += 4 {
-		h := [4]*radixHist{&dump, &dump, &dump, &dump}
-		for p := g; p < min(g+4, len(hist)); p++ {
-			h[p-g] = &hist[p]
-		}
+	for g := 0; g < passes; g += 4 {
+		h0, h1 := (*counts)(hist.counts[g<<d:]), (*counts)(hist.counts[(g+1)<<d:])
+		h2, h3 := (*counts)(hist.counts[(g+2)<<d:]), (*counts)(hist.counts[(g+3)<<d:])
+		shift, d2, d3 := uint(g)*d&63, 2*d&63, 3*d&63
 		n = 0
 		for i := range src {
 			if k := src[i].Key; k != lockfree.EmptySlot {
 				n++
-				k >>= g * sortDigitBits
-				h[0][k&mask]++
-				h[1][k>>sortDigitBits&mask]++
-				h[2][k>>(2*sortDigitBits)&mask]++
-				h[3][k>>(3*sortDigitBits)&mask]++
+				k >>= shift
+				h0[k&mask&most]++
+				h1[k>>d&mask&most]++
+				h2[k>>d2&mask&most]++
+				h3[k>>d3&mask&most]++
 			}
 		}
 	}
-	for p := range hist {
-		at := int32(0)
-		for d, c := range hist[p] {
-			hist[p][d], at = at, at+c
+	for p := range passes {
+		h, at := hist.counts[p<<d:(p+1)<<d], int32(0)
+		for i, c := range h {
+			h[i], at = at, at+c
 		}
 	}
 	from, to, spare := src, a, b
-	for p := range hist {
-		shift, next := p*sortDigitBits, &hist[p]
+	for p := range passes {
+		shift, next := uint(p)*d&63, (*counts)(hist.counts[p<<d:])
 		for i := range from {
 			if k := from[i].Key; k != lockfree.EmptySlot { // only the first pass meets one
-				d := k >> shift & mask
-				to[next[d]] = from[i]
-				next[d]++
+				dg := k >> shift & mask & most
+				to[next[dg]] = from[i]
+				next[dg]++
 			}
 		}
 		from, to, spare = to[:n], spare, to
@@ -200,13 +205,11 @@ const gateSlack = 1.0 / (1 << 20)
 // is ablated; the motion test is on whenever g is finite. The radial test
 // reads the build's radii, so it adds pad, the interpolation's 2ε_max; the
 // motion test's states are solved, so it does not. An incremental pass's
-// build has no radii: its gate is g = +Inf on rows of IDs alone.
+// build has no radii: its gate is g = +Inf, and the pass writes the rows of
+// what it lists, their IDs alone (gateRow).
 func (r *run) newGate(gridThreshold, pad float64) radialGate {
 	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(pad)}
 	if r.incremental {
-		for i := range r.sats {
-			gate.rows[i] = lockfree.GateRow{ID: r.sats[i].ID}
-		}
 		return gate
 	}
 	m := &r.motion

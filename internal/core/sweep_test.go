@@ -31,7 +31,7 @@ func entriesOf(g *spatial.Grid, coords []spatial.Coord) []lockfree.Cell {
 }
 
 // histFor is sortCells' scratch for keys of g.
-func histFor(g *spatial.Grid) []radixHist { return make([]radixHist, sortPasses(g.FieldBits())) }
+func histFor(g *spatial.Grid) *sortHist { return &sortHist{keyBits: 3 * g.FieldBits()} }
 
 // groupedCells is a step's build as the detectors run it: the entry buffer,
 // sorted and grouped.
@@ -207,7 +207,7 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 			cells, ids := groupedCells(p.grid, p.coords)
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
-			err := parallelForWorkers(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
+			err := new(forkJoin).do(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
 				bufs[w] = sweepOpen(cells, ids, lo, hi, p.grid.FieldBits(), bufs[w])
 			})
 			if err != nil {
@@ -261,27 +261,50 @@ func TestSweepSplitInvariant(t *testing.T) {
 	}
 }
 
-// TestSortCells: over every key layout of keyLayoutMaxIdx, the output is the
-// input in ascending key order, whichever buffer it lands in, and the input is
-// left as it was.
+// sortLengths are the list lengths TestSortCells sorts: every one to 70, each
+// side of every power of two from 16 to 4,096 — where the digit widens — and
+// a full screen's 16k and 100k.
+func sortLengths() []int {
+	var ns []int
+	for n := range 71 {
+		ns = append(ns, n)
+	}
+	for b := 4; b <= 12; b++ {
+		ns = append(ns, 1<<b-1, 1<<b, 1<<b+1)
+	}
+	return append(ns, 16_000, 100_000)
+}
+
+// TestSortCells: over every key layout of keyLayoutMaxIdx and one of every
+// FieldBits a grid can have, 3 to 21, and every length of sortLengths, so
+// every digit width, the output is the input's in-cube entries stably sorted
+// by key, whichever buffer it lands in, and the input is left as it was.
 func TestSortCells(t *testing.T) {
 	rng := mathx.NewSplitMix64(23)
 	landed := map[string]bool{}
-	for _, maxIdx := range keyLayoutMaxIdx {
+	layouts, widths := slices.Clone(keyLayoutMaxIdx), map[int]bool{}
+	for fb := 3; fb <= 21; fb++ {
+		layouts = append(layouts, 1<<(fb-2)) // 2·maxIdx+2 = 2^(fb−1)+2
+	}
+	for _, maxIdx := range layouts {
 		g := keyLayoutGrid(t, maxIdx)
 		hist := histFor(g)
-		for _, n := range []int{0, 1, 2, 100_000} {
+		widths[g.FieldBits()] = true
+		for _, n := range sortLengths() {
 			src := make([]lockfree.Cell, n)
 			for i := range src {
 				c := spatial.Coord{X: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Y: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx, Z: int32(rng.Intn(int(2*maxIdx+1))) - maxIdx}
 				src[i] = lockfree.Cell{Key: g.Key(c), Lo: int32(i), Hi: int32(i + 1)}
+				if rng.Intn(8) == 0 { // out of the cube
+					src[i].Key = lockfree.EmptySlot
+				}
 			}
 			if n >= 2 { // the extreme corners, wherever they were drawn
 				src[0].Key = g.Key(spatial.Coord{X: maxIdx, Y: maxIdx, Z: maxIdx})
 				src[n-1].Key = g.Key(spatial.Coord{X: -maxIdx, Y: -maxIdx, Z: -maxIdx})
 			}
 			before := slices.Clone(src)
-			want := slices.Clone(src)
+			want := slices.DeleteFunc(slices.Clone(src), func(c lockfree.Cell) bool { return c.Key == lockfree.EmptySlot })
 			slices.SortStableFunc(want, func(x, y lockfree.Cell) int { return cmp.Compare(x.Key, y.Key) })
 
 			a, b := make([]lockfree.Cell, n, n+3), make([]lockfree.Cell, n)
@@ -292,7 +315,7 @@ func TestSortCells(t *testing.T) {
 			if !slices.Equal(src, before) {
 				t.Fatalf("maxIdx %d, %d cells: the input was written", maxIdx, n)
 			}
-			if n > 0 {
+			if len(got) > 0 {
 				switch &got[0] {
 				case &a[0]:
 					landed["a"] = true
@@ -304,8 +327,8 @@ func TestSortCells(t *testing.T) {
 			}
 		}
 	}
-	if !landed["a"] || !landed["b"] {
-		t.Fatalf("results landed in %v: both buffers should have been exercised", landed)
+	if !landed["a"] || !landed["b"] || len(widths) != 19 {
+		t.Fatalf("results landed in %v: both buffers should have been exercised; %d field widths", landed, len(widths))
 	}
 }
 

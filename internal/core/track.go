@@ -66,7 +66,6 @@ type keyTrack struct {
 	trackShape
 	grid      *spatial.Grid // a grid of the run that made the track: same maxAbs, so same key layout
 	moveDelta [125]uint64   // code (dx+2)·25 + (dy+2)·5 + (dz+2) → what the move adds to a key of grid
-	ids       []int32       // sats[i].ID: trackFor checks the membership against them
 	cur       []uint64      // the key at the step last read, entered or noted
 	moves     []byte
 	state     []rowState
@@ -77,6 +76,9 @@ type keyTrack struct {
 	rewritten []bool            // the row's refs are in overlay, its index refs stale
 	fresh     []lockfree.Cell   // window-major: the refs the open pass notes, by the row's place in its list
 	opened    int               // fresh's stride: the rows the open pass opened
+
+	boxes [][2]spatial.Coord // listWindow's scratch, kept from pass to pass: the window's dirty boxes
+	hits  []lockfree.Cell    // and the refs meeting them
 }
 
 // noTrack has no rows: a stateless ScreenDelta, or a session past the budget,
@@ -94,13 +96,10 @@ func trackBytes(n, steps int) int64 {
 
 func trackFits(n, steps int) bool { return trackBytes(n, steps) <= trackBudgetBytes }
 
-func newKeyTrack(shape trackShape, grid *spatial.Grid, sats []propagation.Satellite) *keyTrack {
+func newKeyTrack(shape trackShape, grid *spatial.Grid) *keyTrack {
 	n := shape.n
-	t := &keyTrack{trackShape: shape, grid: grid, ids: make([]int32, n), cur: make([]uint64, n),
+	t := &keyTrack{trackShape: shape, grid: grid, cur: make([]uint64, n),
 		moves: make([]byte, (shape.steps-1)*n), state: make([]rowState, n), rewritten: make([]bool, n)}
-	for i := range sats {
-		t.ids[i] = sats[i].ID
-	}
 	t.overlay = make([][]lockfree.Cell, t.windows())
 	// Keys are linear in the biased coordinates, and between two in-cube
 	// cells no field carries into the next (spatial.Grid).
@@ -226,7 +225,8 @@ func (t *keyTrack) grown(r lockfree.Cell, c spatial.Coord) lockfree.Cell {
 
 // meeting appends to hits the refs of the valid rows whose window-w boxes
 // meet a box of boxes (a row once per box), from the index less its stale
-// refs and from the overlay: per x, one key range of the y it allows.
+// refs and from the overlay: per x, one key range of the y it allows, found
+// by galloping from the last.
 func (t *keyTrack) meeting(w int, boxes [][2]spatial.Coord, hits []lockfree.Cell) []lockfree.Cell {
 	m, reach := t.grid.MaxAbsCoord(), t.reach[w]
 	for _, b := range boxes {
@@ -234,8 +234,7 @@ func (t *keyTrack) meeting(w int, boxes [][2]spatial.Coord, hits []lockfree.Cell
 		for l, refs := range [2][]lockfree.Cell{t.index[w], t.overlay[w]} {
 			for x, j := max(b[0].X-reach[0], -m), 0; x <= min(b[1].X, m); x++ {
 				from, to := t.grid.Key(spatial.Coord{X: x, Y: y0, Z: -m}), t.grid.Key(spatial.Coord{X: x, Y: y1, Z: m})
-				k, _ := slices.BinarySearchFunc(refs[j:], lockfree.Cell{Key: from}, byKey)
-				for j += k; j < len(refs) && refs[j].Key <= to; j++ {
+				for j = gallop(refs, j, from); j < len(refs) && refs[j].Key <= to; j++ {
 					lo, hi := t.refBox(refs[j])
 					if lo.X <= b[1].X && b[0].X <= hi.X && lo.Y <= b[1].Y && b[0].Y <= hi.Y && lo.Z <= b[1].Z && b[0].Z <= hi.Z &&
 						t.valid(int(refs[j].Lo)) && (l == 1 || !t.rewritten[refs[j].Lo]) {
@@ -246,6 +245,23 @@ func (t *keyTrack) meeting(w int, boxes [][2]spatial.Coord, hits []lockfree.Cell
 		}
 	}
 	return hits
+}
+
+// gallop is the first index from j of key-sorted refs whose key is at least
+// key: steps of 1, 2, 4, … past j, then a binary search of the last step.
+func gallop(refs []lockfree.Cell, j int, key uint64) int {
+	hi := j
+	for step := 1; hi < len(refs) && refs[hi].Key < key; step *= 2 {
+		j, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(refs)); j < hi; {
+		if h := int(uint(j+hi) >> 1); refs[h].Key < key {
+			j = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return j
 }
 
 // valid reports whether the pass reads object i's keys from its row.
@@ -308,6 +324,14 @@ type Session struct {
 	primed  bool      // a pass has completed: prior (possibly empty) and epoch are its
 	track   *keyTrack // nil: none yet, or dropped
 	dropped string    // why rows were last dropped, until a completed pass reports it (PhaseStats.TrackDropped)
+
+	// The population of the last delta pass, kept for the next (population):
+	// its IDs in order, their index, its largest apogee and the object with
+	// it — −1 when a pass since may have changed any object's.
+	ids      []int32
+	idx      map[int32]int32
+	apogee   float64
+	apogeeAt int32
 }
 
 // NewSession returns a session screening under cfg with the named variant,
@@ -348,13 +372,15 @@ func (s *Session) Screen(ctx context.Context, sats []propagation.Satellite, p Pa
 		if !p.Epoch.Equal(s.epoch) {
 			reason = "epoch"
 		}
-		s.drop(reason) // a full screen writes no rows, so no track outlives one
+		s.drop(reason)  // a full screen writes no rows, so no track outlives one
+		s.apogeeAt = -1 // and reports no changes: the apogee is recomputed
 		res, err = det.ScreenContext(ctx, sats)
 	}
 	if err != nil {
 		if s.track != nil {
 			s.dropped = "failed-pass" // what the pass had opened is solved again
 		}
+		s.apogeeAt = -1 // the next pass's changes are since the last completed one
 		return nil, err
 	}
 	s.prior, s.epoch, s.primed = res.Conjunctions, p.Epoch, true
@@ -369,9 +395,47 @@ func (s *Session) drop(reason string) {
 	}
 }
 
+// population returns the ID index of sats, a delta pass's population with
+// the dirty IDs, and its largest apogee. While sats has the IDs, in order, of
+// the last delta pass — the membership check, the one walk over sats a pass
+// makes — the index stands and the apogee is raised by the dirty objects',
+// or recomputed when the object with it is lowered or a pass since may have
+// changed any; otherwise the track, whose rows are positional, is dropped
+// ("membership") and both are rebuilt.
+func (s *Session) population(sats []propagation.Satellite, dirty []int32) (map[int32]int32, float64, error) {
+	same := len(s.ids) == len(sats)
+	for i := 0; same && i < len(sats); i++ {
+		same = sats[i].ID == s.ids[i]
+	}
+	if !same {
+		s.drop("membership")
+		s.idx, s.ids, s.apogeeAt = make(map[int32]int32, len(sats)), s.ids[:0], -1
+		if err := validatePopulation(s.idx, sats); err != nil {
+			return nil, 0, err
+		}
+		for i := range sats {
+			s.ids = append(s.ids, sats[i].ID)
+		}
+	}
+	for _, id := range dirty {
+		if i, present := s.idx[id]; present && s.apogeeAt >= 0 {
+			if ap := sats[i].Elements.ApogeeRadius(); ap >= s.apogee {
+				s.apogee, s.apogeeAt = ap, i
+			} else if i == s.apogeeAt { // lowered: any object may hold the largest now
+				s.apogeeAt = -1
+			}
+		}
+	}
+	if s.apogeeAt < 0 {
+		s.apogee, s.apogeeAt = largestApogee(sats)
+	}
+	return s.idx, s.apogee, nil
+}
+
 // trackFor returns the track a delta pass reads and writes: the session's
-// while its rows still describe the run, a fresh one (no row valid) when they
-// do not, noTrack without a session or past the budget.
+// while its rows still describe the run — the same shape, and the same
+// membership (population) — a fresh one (no row valid) when they do not,
+// noTrack without a session or past the budget.
 func (s *Session) trackFor(r *run) *keyTrack {
 	shape := trackShape{n: len(r.sats), steps: r.steps, sps: r.sps, cell: r.cellSize, maxAbs: r.grid.MaxAbsCoord(), stride: r.stride, pad: r.pad}
 	switch {
@@ -381,20 +445,11 @@ func (s *Session) trackFor(r *run) *keyTrack {
 		s.track, s.dropped = nil, "budget"
 		return noTrack
 	}
-	if t := s.track; t != nil {
-		same := t.n == shape.n
-		for i := 0; same && i < t.n; i++ {
-			same = r.sats[i].ID == t.ids[i]
-		}
-		switch {
-		case !same:
-			s.drop("membership") // rows are positional
-		case t.trackShape != shape:
-			s.drop("geometry")
-		}
+	if s.track != nil && s.track.trackShape != shape {
+		s.drop("geometry")
 	}
 	if s.track == nil {
-		s.track = newKeyTrack(shape, r.grid, r.sats)
+		s.track = newKeyTrack(shape, r.grid)
 	}
 	return s.track
 }

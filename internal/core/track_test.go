@@ -31,7 +31,7 @@ func checkMoveCodes(t *testing.T, g *spatial.Grid) {
 		}
 		return face - d
 	}
-	tr := newKeyTrack(trackShape{n: 1, steps: 2}, g, make([]propagation.Satellite, 1))
+	tr := newKeyTrack(trackShape{n: 1, steps: 2}, g)
 	seen := make(map[byte]bool)
 	for dx := int32(-moveSpan); dx <= moveSpan; dx++ {
 		for dy := int32(-moveSpan); dy <= moveSpan; dy++ {
@@ -66,7 +66,7 @@ func TestTrackMoveCode(t *testing.T) {
 
 	key := func(x int32) uint64 { return g.Key(spatial.Coord{X: x, Y: 1, Z: -1}) }
 	for name, bad := range map[string]uint64{"three-cell jump": key(4), "out of the cube": lockfree.EmptySlot} {
-		tr := newKeyTrack(trackShape{n: 2, steps: 3}, g, make([]propagation.Satellite, 2))
+		tr := newKeyTrack(trackShape{n: 2, steps: 3}, g)
 		tr.begin(nil)
 		for i := 0; i < 2; i++ {
 			tr.note(i, i, 0, key(0))

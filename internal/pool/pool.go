@@ -24,8 +24,10 @@
 //   - Pair-key buffers, cell buffers, radial-gate tables, Kepler warm-start
 //     caches and knot tables are returned with stale contents: key and cell
 //     buffers are handed out with length 0 (a step's build overwrites every
-//     entry the scan reads), and the detectors refill the tables and caches
-//     before the first step (DESIGN.md §10).
+//     entry the scan reads), and the detectors write every entry of the
+//     tables and caches they read before reading it — all of them on a full
+//     screen, those of what it solves or lists on a delta pass (DESIGN.md
+//     §§10–11).
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so
@@ -226,7 +228,7 @@ func (p *Pool) GetMotionRows(n int) []lockfree.MotionRow {
 func (p *Pool) PutMotionRows(b []lockfree.MotionRow) { putBuf(p, &p.motion, b, maxIdleBuffers) }
 
 // GetKeplerCache returns a warm-start cache of length n with stale contents;
-// the detectors reinitialise every entry before the first sampling step.
+// the detectors seed every entry they solve before its first solve.
 func (p *Pool) GetKeplerCache(n int) []propagation.KeplerCache {
 	return getBuf(p, &p.kcaches, n, true)[:n]
 }
