@@ -157,6 +157,10 @@ func main() {
 	switch {
 	case st.KnotStride > 1:
 		fmt.Printf("positions:        solved every %d steps, Hermite between, pad %.2g km\n", st.KnotStride, st.PositionPadKm)
+		if all := len(sats) * st.Steps; all > 0 && st.DirtyObjects == 0 {
+			fmt.Printf("listed:           %.1f%% of object-steps built: every object at knot steps, between them those whose knot-interval boxes meet another's\n",
+				100*float64(st.VisitedObjectSteps)/float64(all))
+		}
 	case st.KnotStride == 1:
 		fmt.Println("positions:        solved every step")
 	}

@@ -58,8 +58,7 @@ var candgenPopulations = map[string]func(b *testing.B) []propagation.Satellite{
 	},
 }
 
-// candgenRun builds a run with step 0 propagated and keyed into r.entries,
-// and the scan's ID and radius arrays sized for them.
+// candgenRun builds a run with step 0 propagated and keyed into r.entries.
 func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 	b.Helper()
 	cfg := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60, Workers: workers}
@@ -71,12 +70,11 @@ func candgenRun(b *testing.B, sats []propagation.Satellite, workers int) *run {
 	if _, err := r.buildEntries(0, r.entries); err != nil {
 		b.Fatal(err)
 	}
-	r.scanIDs, r.scanRadii = make([]int32, len(sats)), make([]float32, len(sats))
 	return r
 }
 
 // benchBuild times one step's build per iteration — what setup returns, given
-// a run whose r.entries are step 0's and whose r.cellBuf is the sort buffers —
+// a run whose r.entries are step 0's and whose r.cellBuf is the sort buffer —
 // and reports ns per object-step.
 func benchBuild(b *testing.B, setup func(b *testing.B, r *run) (build func())) {
 	for name, sats := range candgenPopulations {
@@ -97,7 +95,7 @@ func benchBuild(b *testing.B, setup func(b *testing.B, r *run) (build func())) {
 func BenchmarkBuild_HashGrid(b *testing.B) {
 	benchBuild(b, func(b *testing.B, r *run) func() {
 		from, n := r.entries, len(r.entries)
-		gset, snap := lockfree.NewGridSet(2*n, n), lockfree.NewGridSnapshot(2*n, n)
+		gset, snap, spare := lockfree.NewGridSet(2*n, n), lockfree.NewGridSnapshot(2*n, n), make([]lockfree.Cell, n)
 		insert := func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if err := gset.Insert(from[i].Key, int32(i), from[i].Lo, vec3.Zero); err != nil {
@@ -109,7 +107,7 @@ func BenchmarkBuild_HashGrid(b *testing.B) {
 			gset.Reset()
 			_ = r.buildFork.do(r.ctx, r.workers, n, insert)
 			snap.Freeze(gset, r.workers)
-			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf[:n], r.cellBuf[n:], &r.sortHist)
+			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf, spare, &r.sortHist)
 		}
 	})
 }
@@ -117,7 +115,7 @@ func BenchmarkBuild_HashGrid(b *testing.B) {
 func BenchmarkBuild_Sort(b *testing.B) {
 	benchBuild(b, func(_ *testing.B, r *run) func() {
 		from, n := r.entries, len(r.entries)
-		entries := make([]lockfree.Cell, n)
+		entries, cells := make([]lockfree.Cell, n), make([]lockfree.Cell, n)
 		store := func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				entries[i] = lockfree.Cell{Key: from[i].Key, Lo: from[i].Lo}
@@ -125,7 +123,7 @@ func BenchmarkBuild_Sort(b *testing.B) {
 		}
 		return func() {
 			_ = r.buildFork.do(r.ctx, r.workers, n, store)
-			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf[:n], r.cellBuf[n:], &r.sortHist), r.scanIDs, r.scanRadii)
+			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf, entries, &r.sortHist), cells)
 		}
 	})
 }
@@ -141,9 +139,10 @@ var sortedCellsSink []lockfree.Cell
 // twice that.
 func BenchmarkSortCells(b *testing.B) {
 	sortFirst := func(b *testing.B, r *run, n int) {
+		spare := make([]lockfree.Cell, n)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m := len(r.cellBuf) / 2
-			sortedCellsSink = sortCells(r.entries[:n], r.cellBuf[:m], r.cellBuf[m:], &r.sortHist)
+			sortedCellsSink = sortCells(r.entries[:n], r.cellBuf, spare, &r.sortHist)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
 	}

@@ -117,9 +117,9 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 					passing++
 				}
 			}
-			if dec.class != g.Class || len(dec.nodes) != passing {
+			if dec.class != g.Class || dec.passes != passing {
 				t.Fatalf("%s: run %d of %+v: class %v with %d node windows, Classify says %v with %d",
-					name, i, lockfree.UnpackPair(pairs[lo]), dec.class, len(dec.nodes), g.Class, passing)
+					name, i, lockfree.UnpackPair(pairs[lo]), dec.class, dec.passes, g.Class, passing)
 			}
 			lo = dec.end
 		}

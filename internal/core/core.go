@@ -190,7 +190,7 @@ type PhaseStats struct {
 	DirtyObjects       int     // delta screens: size of the dirty set (0 on full screens)
 	PriorRetained      int     // delta screens: prior conjunctions carried over unrefined
 	TrackedObjects     int     // delta passes of a Session: rows of the key track valid at the start of the pass
-	VisitedObjectSteps int     // object-steps the build keyed, solved or read from a row: N·steps on a full screen and a trackless pass
+	VisitedObjectSteps int     // object-steps the build keyed, solved or read from a row: N·steps on a trackless pass and a full screen without knots; with knots N at each knot step and the interval's listed objects between (listing.go)
 	TrackBytes         int     // delta passes of a Session: size of the key track the pass read and wrote
 	TrackDropped       string  // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
 	FilterRejected     int     // candidates dropped by the orbital filters (hybrid)

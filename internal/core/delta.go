@@ -217,11 +217,12 @@ func (r *run) listWindow() error {
 	return nil
 }
 
-// buildDelta is a delta pass's build kernel for one step, buildRange's: list
-// the window at its first step, write the dirty entries, stamp each one's cell
-// and the 26 around it (serially), and key the other listed objects into
-// entries j, kept only if stamped — so a pair swept with a dirty member is one
-// the full screen sweeps (DESIGN.md §11); a false positive pairs with nothing.
+// buildDelta is a delta pass's build for one step: list the window at its
+// first step, write the dirty entries, stamp each one's cell and the 26 around
+// it (serially), and key the other listed objects into entries j with the
+// full screen's kernel (buildRange), kept only if stamped — so a pair swept
+// with a dirty member is one the full screen sweeps (DESIGN.md §11); a false
+// positive pairs with nothing.
 func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	j := r.buildStep % boxSteps
 	if j == 0 {
@@ -245,7 +246,7 @@ func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	r.oob.Add(uint64(oob))
 	r.stats.VisitedObjectSteps += len(r.listed)
 	clean := len(r.listed) - len(r.dirtyIdx)
-	err := r.buildFork.do(r.ctx, r.workers, clean, r.cleanFn)
+	err := r.buildFork.do(r.ctx, r.workers, clean, r.buildFn)
 	return r.stepEntries[:len(r.listed)], err
 }
 
@@ -255,7 +256,7 @@ func (r *run) dirtyRange(_, lo, hi int) {
 	var oob int
 	for d := lo; d < hi; d++ {
 		for s := r.buildStep; s < min(r.buildStep+boxSteps, r.steps); s++ {
-			r.dirtyKeys[d*boxSteps+s-r.buildStep] = r.solveKey(int(r.dirtyIdx[d]), d, s, &oob)
+			r.dirtyKeys[d*boxSteps+s-r.buildStep], _ = r.solveKey(int(r.dirtyIdx[d]), d, s, &oob)
 		}
 	}
 }
@@ -263,36 +264,21 @@ func (r *run) dirtyRange(_, lo, hi int) {
 // stampBit is a cell key's bit in the stamp filter: a Fibonacci hash.
 func (r *run) stampBit(key uint64) int32 { return int32(key * 0x9e3779b97f4a7c15 >> r.stampShift) }
 
-// cleanRange keys listed objects [lo, hi) past the dirty ones — the unread
-// solved and noted, the hits read — into entries, EmptySlot if not stamped.
-func (r *run) cleanRange(_, lo, hi int) {
-	oob, k := 0, len(r.dirtyIdx)
-	for j := k + lo; j < k+hi; j++ {
-		i, key := int(r.listed[j]), uint64(0)
-		if j < r.unread {
-			key = r.solveKey(i, j, r.buildStep, &oob)
-		} else {
-			key = r.track.advance(i, uint32(r.buildStep))
-		}
-		if key != lockfree.EmptySlot && !bitsetHas(r.stamps, r.stampBit(key)) {
-			key = lockfree.EmptySlot
-		}
-		r.stepEntries[j] = lockfree.Cell{Key: key, Lo: int32(i)}
-	}
-	r.oob.Add(uint64(oob))
-}
-
-// solveKey is object i's cell key at step from positionAt, noted into its row
-// (its place j in the pass's list); EmptySlot, counted in *oob, off the cube.
-func (r *run) solveKey(i, j, step int, oob *int) uint64 {
+// solveKey is object i's cell key at step from positionAt, and its radius,
+// noted into its row if the pass keeps a track (its place j in the pass's
+// list); EmptySlot, counted in *oob, off the cube.
+func (r *run) solveKey(i, j, step int, oob *int) (uint64, float32) {
 	key := uint64(lockfree.EmptySlot)
-	if _, c, ok := r.positionAt(i, step); ok {
+	pos, c, ok := r.positionAt(i, step)
+	if ok {
 		key = r.grid.Key(c)
 	} else {
 		*oob++
 	}
-	r.track.note(i, j, uint32(step), key)
-	return key
+	if r.track != nil {
+		r.track.note(i, j, uint32(step), key)
+	}
+	return key, float32(pos.Norm())
 }
 
 // mergeWithPrior folds the retained prior conjunctions into the freshly

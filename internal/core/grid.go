@@ -137,8 +137,8 @@ type run struct {
 	cellSize    float64
 	grid        *spatial.Grid
 	entries     []lockfree.Cell // slot 0 of the step loop's entry ring, one {key, index, radius} per object
-	cellBuf     []lockfree.Cell // the scan's two sort buffers, back to back: a step's cells in key order land in one
-	sortHist    sortHist        // the scan's radix histograms
+	cellBuf     []lockfree.Cell // the scan's sort buffer: a step's cells in key order land in it or back in the entries
+	sortHist    sortHist        // the scan's radix histograms, pooled
 	gate        radialGate      // the sweep's gate; its tables are pooled
 	motion      motionTest      // full screen: the gate's motion test, on if gate.motion points here
 	gated       gateCounts      // candidates each test of the gate dropped
@@ -151,6 +151,8 @@ type run struct {
 	pad         float64                   // PositionPadKm: an interpolated position nearer a cell face is solved instead
 	knots       []propagation.Knots       // m > 1, pooled: each object's interpolant over its current knot interval
 	steps       int
+	listed      []int32 // what the step's build keys, by place: nil, every object; a full screen's interval (listInterval), or a delta pass's dirtyIdx first (listWindow)
+	unread      int     // places below it are solved and the rest read from the track: the length of a delta pass's first two parts, the same every window; N on a full screen
 	oob         atomic.Uint64
 	stats       PhaseStats
 	refiner     *refiner
@@ -169,9 +171,15 @@ type run struct {
 	around      [27]uint64 // what a cell's key and its 26 neighbours' add to it
 	track       *keyTrack  // owned by the delta's session: the rows this pass reads and writes; noTrack keeps none
 	dirtyKeys   []uint64   // dirty object d's key at the window's step j, at d·boxSteps+j
-	listed      []int32    // what the window's steps build: dirtyIdx, the unread rows, the hits or every valid row (listWindow)
-	unread      int        // the length of listed's first two parts, the same every window
 	everyRow    bool       // a window lists every valid row, not its hits (boxesPay)
+
+	// A full screen's knot-interval listing (listing.go); off without knots
+	// and on delta passes.
+	listing  bool            // between knot steps the build keys interval alone: on until an interval lists too much
+	boxes    []lockfree.Cell // pooled, by object: its box over the current knot interval, then the join's entries
+	boxMarks []uint64        // pooled bitset, by object: the interval lists it
+	boxHist  sortHist        // the join's radix histograms, pooled: the scan's sort runs beside it
+	interval []int32         // pooled: the objects the current interval lists, ascending
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -197,11 +205,10 @@ type run struct {
 	stepEntries []lockfree.Cell // the ring slot this step's build writes
 	scanStep    uint32
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
-	scanIDs     []int32         // the population-index array their ranges index, one slot per entry, grown by the scan
-	scanRadii   []float32       // the objects' radii at the step, beside scanIDs
+	scanMembers []lockfree.Cell // the sorted entries their ranges index
 
-	buildFn, scanFn, dirtyFn, cleanFn func(w, lo, hi int)
-	buildFork, scanFork               forkJoin // what the two sides fork their kernels with
+	buildFn, scanFn, dirtyFn func(w, lo, hi int)
+	buildFork, scanFork      forkJoin // what the two sides fork their kernels with
 }
 
 // newRun validates inputs and allocates every structure up front — the
@@ -219,7 +226,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 	if delta != nil {
 		r.session = delta.session
 	}
-	r.buildFn, r.scanFn, r.dirtyFn, r.cleanFn = r.buildRange, r.scanRange, r.dirtyRange, r.cleanRange
+	r.buildFn, r.scanFn, r.dirtyFn = r.buildRange, r.scanRange, r.dirtyRange
 	if err := r.init(delta, h); err != nil || len(sats) < 2 {
 		r.release()
 		return nil, err
@@ -299,8 +306,15 @@ func (r *run) init(delta *DeltaInput, h float64) error {
 	// A step has at most one entry per object, so at most that many cells.
 	n := len(sats)
 	r.entries = pl.GetCellBuf(n)[:n]
-	r.cellBuf = pl.GetCellBuf(2 * n)[:2*n]
-	r.sortHist.keyBits = 3 * r.grid.FieldBits()
+	r.cellBuf = pl.GetCellBuf(n)[:n]
+	if !r.incremental {
+		r.unread = n
+		if r.listing = stride > 1; r.listing {
+			r.boxes, r.boxMarks, r.interval = pl.GetCellBuf(n)[:n], pl.GetBitset(bitsetWords(int32(n-1))), pl.GetInt32Buf(n)
+			r.boxHist.counts = pl.GetInt32Buf(histLen)[:histLen]
+		}
+	}
+	r.sortHist = sortHist{keyBits: 3 * r.grid.FieldBits(), counts: pl.GetInt32Buf(histLen)[:histLen]}
 	r.gate = r.newGate(gridThreshold, r.pad)
 	return r.cancelled()
 }
@@ -377,6 +391,11 @@ func (r *run) observePhase(p Phase, elapsed time.Duration, conjunctions int) {
 func (r *run) release() {
 	r.pool.PutCellBuf(r.entries)
 	r.pool.PutCellBuf(r.cellBuf)
+	r.pool.PutCellBuf(r.boxes)
+	r.pool.PutBitset(r.boxMarks)
+	r.pool.PutInt32Buf(r.sortHist.counts)
+	r.pool.PutInt32Buf(r.boxHist.counts)
+	r.pool.PutInt32Buf(r.interval)
 	r.pool.PutGateRows(r.gate.rows)
 	r.pool.PutMotionRows(r.motion.rows)
 	r.pool.PutKeyBuf(r.keys)
@@ -392,8 +411,9 @@ func (r *run) release() {
 	r.pool.PutBitset(r.touched)
 	r.pool.PutBitset(r.stamps)
 	r.keys, r.idx = nil, nil
-	r.entries, r.cellBuf, r.scanBufs, r.kcache, r.knots, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil, nil
-	r.dirty, r.touched, r.stamps = nil, nil, nil
+	r.entries, r.cellBuf, r.boxes, r.scanBufs, r.kcache, r.knots, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil, nil, nil
+	r.dirty, r.touched, r.stamps, r.boxMarks = nil, nil, nil, nil
+	r.sortHist.counts, r.boxHist.counts, r.interval = nil, nil, nil
 }
 
 // candidates is the number of keys emitted so far. It reads the per-worker
@@ -551,22 +571,36 @@ func pow2Above(x float64) float64 {
 	return math.Ldexp(1, exp)
 }
 
-// buildRange is the build kernel of a sampling step, for satellites [lo, hi)
-// at the published step time: propagate, key, and store object i's {cell key,
-// i, float32 bits of |r|} in slot i of the step's entry buffer — no other
-// chunk's range, so plain stores. An object outside the cube stores the key
-// lockfree.EmptySlot, which the scan's sort drops, and counts out of bounds.
+// buildRange is the build kernel of a sampling step, of full screens and
+// delta passes alike: places [lo, hi) of the step's list past the dirty
+// objects (every object at a full listing, object i at place i) key their
+// object — solved by positionAt below r.unread, read from its track row above
+// — and store {cell key, i, float32 bits of |r|, 0 if read} in the same place
+// of the step's entries, no other chunk's, so plain stores. A key off the
+// cube is lockfree.EmptySlot, which the scan's sort drops, and counts out of
+// bounds; a delta pass also empties a key its stamp filter does not hold. At a
+// knot step a listing screen also writes each object's box over the new knot
+// interval (knotBox).
 func (r *run) buildRange(_, lo, hi int) {
-	oob := 0
-	for i := lo; i < hi; i++ {
-		pos, c, ok := r.positionAt(i, r.buildStep)
-		key := uint64(lockfree.EmptySlot)
-		if ok {
-			key = r.grid.Key(c)
-		} else {
-			oob++
+	oob, first, step := 0, len(r.dirtyIdx), r.buildStep
+	knot := r.listing && step&(r.stride-1) == 0
+	for j := first + lo; j < first+hi; j++ {
+		i, key, radius := j, uint64(0), float32(0)
+		if r.listed != nil {
+			i = int(r.listed[j])
 		}
-		r.stepEntries[i] = lockfree.Cell{Key: key, Lo: int32(i), Hi: int32(math.Float32bits(float32(pos.Norm())))}
+		if j < r.unread {
+			key, radius = r.solveKey(i, j, step, &oob)
+			if knot {
+				r.boxes[i] = r.knotBox(i)
+			}
+		} else {
+			key = r.track.advance(i, uint32(step))
+		}
+		if r.incremental && key != lockfree.EmptySlot && !bitsetHas(r.stamps, r.stampBit(key)) {
+			key = lockfree.EmptySlot
+		}
+		r.stepEntries[j] = lockfree.Cell{Key: key, Lo: int32(i), Hi: int32(math.Float32bits(radius))}
 	}
 	if oob > 0 {
 		r.oob.Add(uint64(oob))
@@ -574,21 +608,36 @@ func (r *run) buildRange(_, lo, hi int) {
 }
 
 // buildEntries fills entries for one step, the part it returns: §IV-A2's build,
-// the grouping by cell left to the scan's sort; a delta pass's is buildDelta.
+// the grouping by cell left to the scan's sort. A full screen keys every
+// object at a knot step and between them what the interval lists; a delta
+// pass's is buildDelta.
 func (r *run) buildEntries(step int, entries []lockfree.Cell) ([]lockfree.Cell, error) {
 	r.buildStep, r.stepEntries = step, entries
 	if r.incremental {
 		return r.buildDelta()
 	}
-	r.stats.VisitedObjectSteps += len(r.sats)
-	return entries, r.buildFork.do(r.ctx, r.workers, len(r.sats), r.buildFn)
+	r.listed = nil
+	if j := step & (r.stride - 1); r.listing && j != 0 {
+		if j == 1 {
+			r.listInterval(entries)
+		}
+		if r.listing {
+			r.listed = r.interval
+		}
+	}
+	n := len(r.sats)
+	if r.listed != nil {
+		n = len(r.listed)
+	}
+	r.stats.VisitedObjectSteps += n
+	return entries[:n], r.buildFork.do(r.ctx, r.workers, n, r.buildFn)
 }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
 // pairs, appending the packed keys of those the gate keeps to worker w's
 // private buffer and counting the rest.
 func (r *run) scanRange(w, lo, hi int) {
-	r.scanBufs[w] = sweepCells(r.scanCells, r.scanIDs, r.scanRadii, r.gate, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w], &r.gated)
+	r.scanBufs[w] = sweepCells(r.scanCells, r.scanMembers, r.gate, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w], &r.gated)
 }
 
 // refineCandidates runs the parallel PCA/TCA phase over the candidate list.

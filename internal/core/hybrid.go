@@ -31,9 +31,10 @@ const DefaultHybridSeconds = 9.0
 // pair, which is one run of equal (A, B) in the sorted candidate list: a pair
 // flagged at many sampling steps is classified once.
 type pairDecision struct {
-	class filters.Class
-	end   int // the run is candidates [previous decision's end, end)
-	nodes []nodeTiming
+	class  filters.Class
+	end    int           // the run is candidates [previous decision's end, end)
+	passes int           // nodes[:passes] are the passing nodes' schedules
+	nodes  [2]nodeTiming // one per node of filters.Geometry.Nodes: no slice to allocate per decision
 }
 
 // nodeTiming precomputes the crossing schedule of one passing node for the
@@ -80,7 +81,7 @@ func (r *run) filterCandidates() (kept []uint64, interval func(k int) (center, r
 		gridRadius := 2 * r.cellSize / 7.0 // generous fallback bound, ~km/s
 		best, bestDist := 0.0, math.Inf(1)
 		bestRadius := 0.0
-		for _, n := range dec.nodes {
+		for _, n := range dec.nodes[:dec.passes] {
 			// Crossing of the node ray nearest to the sampling step.
 			tc := n.refTime + math.Round((ts-n.refTime)/n.period)*n.period
 			if d := math.Abs(tc - ts); d < bestDist {
@@ -132,7 +133,8 @@ func (r *run) classifyPairs(pairs []uint64) ([]pairDecision, error) {
 			if g.Class == filters.NodeCrossing {
 				for _, n := range g.Nodes {
 					if n.Passes {
-						dec.nodes = append(dec.nodes, nodeTimingFor(a, b, n))
+						dec.nodes[dec.passes] = nodeTimingFor(a, b, n)
+						dec.passes++
 					}
 				}
 			}

@@ -132,7 +132,7 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 		b.Fatal(err)
 	}
 	pts := stepPositions(sats, 500)
-	entries, ids, radii := make([]lockfree.Cell, len(sats)), make([]int32, len(sats)), make([]float32, len(sats))
+	entries, spare := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	gate, dropped := openGate(len(sats)), gateCounts{}
 	bufA, bufB := make([]lockfree.Cell, len(sats)), make([]lockfree.Cell, len(sats))
 	hist := histFor(grid)
@@ -147,8 +147,9 @@ func BenchmarkStepCandidates_Grid(b *testing.B) {
 			}
 			entries[j] = lockfree.Cell{Key: key, Lo: int32(j)}
 		}
-		cells := groupCells(sortCells(entries, bufA, bufB, hist), ids, radii)
-		keys = sweepCells(cells, ids, radii, gate, 0, len(cells), 0, grid.FieldBits(), keys[:0], &dropped)
+		members := sortCells(entries, bufA, bufB, hist)
+		cells := groupCells(members, spare)
+		keys = sweepCells(cells, members, gate, 0, len(cells), 0, grid.FieldBits(), keys[:0], &dropped)
 	}
 }
 

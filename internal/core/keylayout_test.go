@@ -97,7 +97,7 @@ func TestKeyLayouts(t *testing.T) {
 					}
 				}
 			}
-			cells, ids := groupedCells(g, coords)
+			cells, members := groupedCells(g, coords)
 			want := referencePairs(g, coords)
 			n := len(cells)
 			for trial := 0; trial < 6; trial++ {
@@ -109,7 +109,7 @@ func TestKeyLayouts(t *testing.T) {
 				bufs := make([][]uint64, len(cuts)-1)
 				err := new(forkJoin).do(context.Background(), len(bufs), len(bufs), func(w, lo, hi int) {
 					for r := lo; r < hi; r++ {
-						bufs[r] = sweepOpen(cells, ids, cuts[r], cuts[r+1], fb, bufs[r])
+						bufs[r] = sweepOpen(cells, members, cuts[r], cuts[r+1], fb, bufs[r])
 					}
 				})
 				if err != nil {

@@ -1,17 +1,19 @@
 package core
 
 // The step loop, of full screens and delta passes alike. Each step is build →
-// scan: the build writes every object's {cell key, ID} into the step's entry
-// buffer, plain stores into disjoint ranges; the scan sorts that buffer by key
-// into the run's sort buffers, groups equal keys into cells and sweeps the
-// cells for candidate pairs into the per-worker key buffers. A delta pass's
-// build (buildDelta) leaves out the objects away from its dirty ones. The
-// scan only reads the entry buffer, so with a second one the scan of step N
-// runs beside the build of step N+1: steps build into a ring of entry
-// buffers, ring[step&1], of one slot or two.
+// scan: the build writes the {cell key, ID} of every object it lists into the
+// step's entry buffer, plain stores into disjoint ranges; the scan sorts that
+// buffer by key, through the run's sort buffer and back, groups equal keys
+// into cells and sweeps the cells for candidate pairs into the per-worker key
+// buffers. A full screen's build between knot steps leaves out the objects
+// whose knot-interval boxes meet nobody's (listInterval), a delta pass's
+// (buildDelta) those away from its dirty ones. The scan owns its entry buffer
+// until it is joined, so with a second one the scan of step N runs beside the
+// build of step N+1: steps build into a ring of entry buffers, ring[step&1],
+// of one slot or two.
 //
 // On two slots ownership is handed off over a pair of depth-1 channels, never
-// shared: the build writes ring[step&1] while the one scan in flight reads
+// shared: the build writes ring[step&1] while the one scan in flight sorts
 // ring[(step−1)&1] — scan step−2 was joined before scan step−1 was dispatched
 // — and every exit path (error, cancellation, completion) drains that scan
 // before returning, so release() never races it and the pool stays balanced.
@@ -110,18 +112,19 @@ func (r *run) sampleSteps() error {
 }
 
 // scan is §IV-A3's scan of one built step, timed in its two spans: sort the
-// entry buffer (only read) stably into a sort buffer, out-of-cube entries
-// dropped, and group it into cells there — serial, beside the next build on a
-// two-slot ring — then sweep the cells into the per-worker buffers.
+// entry buffer stably between the sort buffer and itself, out-of-cube entries
+// dropped, and group the sorted entries into cells in the buffer they did not
+// land in — serial, beside the next build on a two-slot ring — then sweep the
+// cells into the per-worker buffers.
 func (r *run) scan(j scanJob) scanResult {
 	tSort := time.Now()
 	r.scanStep = j.step
-	n := len(r.cellBuf) / 2
-	sorted := sortCells(j.entries, r.cellBuf[:n], r.cellBuf[n:], &r.sortHist)
-	if len(r.scanIDs) < len(sorted) { // a delta pass lists few objects
-		r.scanIDs, r.scanRadii = make([]int32, len(j.entries)), make([]float32, len(j.entries))
+	r.scanMembers = sortCells(j.entries, r.cellBuf, j.entries, &r.sortHist)
+	cells := r.cellBuf
+	if len(r.scanMembers) > 0 && &r.scanMembers[0] == &cells[0] {
+		cells = j.entries
 	}
-	r.scanCells = groupCells(sorted, r.scanIDs, r.scanRadii)
+	r.scanCells = groupCells(r.scanMembers, cells)
 	tSweep := time.Now()
 	err := r.scanFork.do(r.ctx, r.workers, len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}

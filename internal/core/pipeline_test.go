@@ -32,8 +32,10 @@ func (g goroutineCeiling) OnStep(s StepInfo) {
 func (goroutineCeiling) OnPhase(PhaseInfo) {}
 
 // TestFullScreenPoolDraw: a one-worker run draws one entry buffer and starts no goroutine, a two-worker run draws the
-// ring's second slot, either draws the scan's sort buffer, and every exit —
-// completion, cancellation at step k — hands back what it drew.
+// ring's second slot, either draws the scan's sort buffer and histograms and,
+// with knots (1 s steps), the knot-interval listing's boxes, histograms, list
+// and marks, and every exit — completion, cancellation at step k — hands back
+// what it drew.
 func TestFullScreenPoolDraw(t *testing.T) {
 	sats := denseShellPopulation(400, 13)
 	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60}
@@ -77,8 +79,17 @@ func TestFullScreenPoolDraw(t *testing.T) {
 						drawn++
 					}
 				}
-				if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != workers+1 {
-					t.Errorf("the run drew %d cell buffers, want a ring of %d and the scan's one", drawn, workers)
+				if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != workers+2 {
+					t.Errorf("the run drew %d cell buffers, want a ring of %d, the scan's one and the listing's boxes", drawn, workers)
+				}
+				if drawn := drained(func() { pl.GetInt32Buf(histLen) }); drawn != 2 {
+					t.Errorf("the run drew %d histogram buffers, want the scan's and the listing join's", drawn)
+				}
+				if drawn := drained(func() { pl.GetInt32Buf(len(sats)) }); drawn != 1 {
+					t.Errorf("the run drew %d list buffers, want the listing's", drawn)
+				}
+				if drawn := drained(func() { pl.GetBitset(bitsetWords(int32(len(sats) - 1))) }); drawn != 1 {
+					t.Errorf("the run drew %d bitsets, want the listing's marks", drawn)
 				}
 			})
 		}

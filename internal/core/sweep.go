@@ -18,15 +18,18 @@ const sortDigitBits = 11
 
 // sortHist is sortCells' scratch for the keys of one grid: their width, and
 // the histograms of the passes, 1<<d counts each, with room past the last
-// for the up to three a fused count writes and never reads.
+// for the up to three a fused count writes and never reads: histLen counts.
 type sortHist struct {
 	keyBits int
-	counts  [8 << sortDigitBits]int32
+	counts  []int32
 }
+
+const histLen = 8 << sortDigitBits
 
 // sortCells returns src's entries in ascending key order, in a or b (each at
 // least len(src) long), minus the lockfree.EmptySlot entries of out-of-cube
-// objects, which the first pass drops; src is only read. It is a stable LSD
+// objects, which the first pass drops. Only the first pass reads src, so b may
+// be src; otherwise src is only read. It is a stable LSD
 // radix sort of the key as one integer, in digits of d = bits.Len(len(src))
 // bits, at least 4 and at most sortDigitBits, so its fixed cost — clearing
 // and summing 1<<d counts a pass — follows the list: a full screen's step
@@ -76,21 +79,19 @@ func sortCells(src, a, b []lockfree.Cell, hist *sortHist) []lockfree.Cell {
 	return from
 }
 
-// groupCells turns sorted {key, index, radius} entries into cells, in place:
-// each run of equal keys becomes one Cell{Key, Lo, Hi} at the front of sorted
-// (written at or before the run's first entry, after the run was read) with
-// its population indices, in the entries' order, in ids[Lo:Hi] and radii in
-// radii[Lo:Hi], each at least len(sorted) long.
-func groupCells(sorted []lockfree.Cell, ids []int32, radii []float32) []lockfree.Cell {
-	cells := 0
-	for i := 0; i < len(sorted); cells++ {
+// groupCells writes into cells, at least len(sorted) long, one Cell{Key, Lo,
+// Hi} for each run of equal keys of sorted {key, index, radius} entries: its
+// members are sorted[Lo:Hi], in the entries' order.
+func groupCells(sorted, cells []lockfree.Cell) []lockfree.Cell {
+	n := 0
+	for i := 0; i < len(sorted); n++ {
 		key, lo := sorted[i].Key, i
-		for ; i < len(sorted) && sorted[i].Key == key; i++ {
-			ids[i], radii[i] = sorted[i].Lo, math.Float32frombits(uint32(sorted[i].Hi))
+		for i < len(sorted) && sorted[i].Key == key {
+			i++
 		}
-		sorted[cells] = lockfree.Cell{Key: key, Lo: int32(lo), Hi: int32(i)}
+		cells[n] = lockfree.Cell{Key: key, Lo: int32(lo), Hi: int32(i)}
 	}
-	return sorted[:cells]
+	return cells[:n]
 }
 
 // radialGate is the sweep's test on a (pair, step) before it emits one
@@ -111,19 +112,22 @@ type radialGate struct {
 type gateCounts struct{ radial, motion atomic.Int64 }
 
 // pairs appends to buf the keys of member y's pairs with members [from, to)
-// that the gate keeps and counts the rest: each key is written, only kept ones
-// stepped past. Reaches and |Δr| are ≥ 0: bits and squares order. Member y's
-// state is fetched at the first pair the motion test sees.
-func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, to int32, step uint32, radial, motion *int) []uint64 {
-	b, rb := g.rows[ids[y]], radii[y]
+// — {key, population index, float32 bits of the radius} entries — that the
+// gate keeps and counts the rest: each key is written, only kept ones stepped
+// past. Reaches and |Δr| are ≥ 0: bits and squares order. Member y's state is
+// fetched at the first pair the motion test sees.
+func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int32, step uint32, radial, motion *int) []uint64 {
+	yi := members[y].Lo
+	b, rb := g.rows[yi], math.Float32frombits(uint32(members[y].Hi))
 	bReach := math.Float32bits(b.Reach)
-	n, xs, rs := len(buf), ids[from:to], radii[from:to]
+	n, xs := len(buf), members[from:to]
 	out := slices.Grow(buf, len(xs))[:n+len(xs)]
 	var pb, vb vec3.V
 	fetched, radialG := false, g.g+g.pad
-	for k, x := range xs {
+	for _, m := range xs {
+		x := m.Lo
 		a := &g.rows[x]
-		dr := rs[k] - rb
+		dr := math.Float32frombits(uint32(m.Hi)) - rb
 		reach := math.Float32frombits(max(math.Float32bits(a.Reach), bReach))
 		bound := radialG + (a.RDot+b.RDot)*reach
 		out[n] = lockfree.PackPair(a.ID, b.ID, step)
@@ -134,10 +138,10 @@ func (g radialGate) pairs(buf []uint64, ids []int32, radii []float32, y, from, t
 			n++
 		default:
 			if !fetched {
-				pb, vb = g.motion.state(ids[y], step)
+				pb, vb = g.motion.state(yi, step)
 				fetched = true
 			}
-			if g.motion.separates(x, ids[y], pb, vb, step, reach, g.g) {
+			if g.motion.separates(x, yi, pb, vb, step, reach, g.g) {
 				*motion++
 			} else {
 				n++
@@ -205,8 +209,8 @@ const gateSlack = 1.0 / (1 << 20)
 // is ablated; the motion test is on whenever g is finite. The radial test
 // reads the build's radii, so it adds pad, the interpolation's 2ε_max; the
 // motion test's states are solved, so it does not. An incremental pass's
-// build has no radii: its gate is g = +Inf, and the pass writes the rows of
-// what it lists, their IDs alone (gateRow).
+// entries read from the key track carry no radius: its gate is g = +Inf, and
+// the pass writes the rows of what it lists, their IDs alone (gateRow).
 func (r *run) newGate(gridThreshold, pad float64) radialGate {
 	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(pad)}
 	if r.incremental {
@@ -294,41 +298,53 @@ func (r *run) reach(s *propagation.Satellite) float64 {
 // sweepCells appends to buf the candidate pairs of sorted cells [lo, hi) at the
 // step that the gate keeps, and adds those each test drops to gated: every
 // pair inside a cell, and every pair between a cell and its thirteen upper
-// half-neighbours (greater keys; the other thirteen reach it from their side),
-// which may lie past hi. ids and radii are the arrays the cells' ranges index.
-// A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a field, so with
-// Y = 2^fieldBits and X = 2^2·fieldBits those neighbours lie in two key ranges,
-// one walk each:
-//   - (key, key+Y+1]: the rest of column (x, y), then row (x, y+1) up to z+1;
+// half-neighbours (walkCells). members are the entries the cells' ranges
+// index.
+func sweepCells(cells, members []lockfree.Cell, gate radialGate, lo, hi int, step uint32, fieldBits int, buf []uint64, gated *gateCounts) []uint64 {
+	radial, motion := 0, 0
+	for _, c := range cells[lo:hi] { // the pairs inside c
+		for y := c.Lo + 1; y < c.Hi; y++ {
+			buf = gate.pairs(buf, members, y, c.Lo, y, step, &radial, &motion)
+		}
+	}
+	walkCells(cells, lo, hi, fieldBits, func(c, nb lockfree.Cell) {
+		for y := nb.Lo; y < nb.Hi; y++ {
+			buf = gate.pairs(buf, members, y, c.Lo, c.Hi, step, &radial, &motion)
+		}
+	})
+	gated.radial.Add(int64(radial))
+	gated.motion.Add(int64(motion))
+	return buf
+}
+
+// walkCells calls cross(c, nb) for every cell c of key-sorted cells [lo, hi)
+// and every later cell nb, which may lie past hi, whose key is c's own (a
+// listing join's entries repeat keys; the sweep's cells do not) or one of its
+// thirteen upper half-neighbours' (greater keys; the other thirteen reach c
+// from their side). A spatial.Grid key is x‖y‖z, z lowest, fieldBits to a
+// field, so with Y = 2^fieldBits and X = 2^2·fieldBits those cells lie in two
+// key ranges, one walk each:
+//   - [key, key+Y+1]: the rest of column (x, y), then row (x, y+1) up to z+1;
 //     the neighbours are key+1 and key+Y−1 … key+Y+1. From the successor.
 //   - [key+X−Y−1, key+X+Y+1]: slab x+1's rows y−1 … y+1; the neighbours are
 //     the cells with |Δz| ≤ 1. From a cursor whose start, cell to cell, only
-//     grows, found by binary search, so any split into ranges gives one sweep.
+//     grows, found by binary search, so any split into ranges gives one walk.
 //
 // ±1 never carries between fields, so nothing is bounds-checked, hashed or
 // probed: a neighbour outside the cube is an absent key.
-func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radialGate, lo, hi int, step uint32, fieldBits int, buf []uint64, gated *gateCounts) []uint64 {
+func walkCells(cells []lockfree.Cell, lo, hi, fieldBits int, cross func(c, nb lockfree.Cell)) {
 	if lo >= hi {
-		return buf
+		return
 	}
 	dy, dx := uint64(1)<<fieldBits, uint64(1)<<(2*fieldBits)
 	zMask := dy - 1
 	slab, _ := slices.BinarySearchFunc(cells, cells[lo].Key+dx-dy-1, func(c lockfree.Cell, k uint64) int {
 		return cmp.Compare(c.Key, k)
 	})
-	radial, motion := 0, 0
-	cross := func(c, nb lockfree.Cell) {
-		for y := nb.Lo; y < nb.Hi; y++ {
-			buf = gate.pairs(buf, ids, radii, y, c.Lo, c.Hi, step, &radial, &motion)
-		}
-	}
 	for i := lo; i < hi; i++ {
 		c := cells[i]
-		for y := c.Lo + 1; y < c.Hi; y++ { // the pairs inside c
-			buf = gate.pairs(buf, ids, radii, y, c.Lo, y, step, &radial, &motion)
-		}
 		for j := i + 1; j < len(cells) && cells[j].Key <= c.Key+dy+1; j++ {
-			if k := cells[j].Key; k == c.Key+1 || k >= c.Key+dy-1 {
+			if k := cells[j].Key; k <= c.Key+1 || k >= c.Key+dy-1 {
 				cross(c, cells[j])
 			}
 		}
@@ -341,7 +357,4 @@ func sweepCells(cells []lockfree.Cell, ids []int32, radii []float32, gate radial
 			}
 		}
 	}
-	gated.radial.Add(int64(radial))
-	gated.motion.Add(int64(motion))
-	return buf
 }

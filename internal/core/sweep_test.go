@@ -31,14 +31,16 @@ func entriesOf(g *spatial.Grid, coords []spatial.Coord) []lockfree.Cell {
 }
 
 // histFor is sortCells' scratch for keys of g.
-func histFor(g *spatial.Grid) *sortHist { return &sortHist{keyBits: 3 * g.FieldBits()} }
+func histFor(g *spatial.Grid) *sortHist {
+	return &sortHist{keyBits: 3 * g.FieldBits(), counts: make([]int32, histLen)}
+}
 
 // groupedCells is a step's build as the detectors run it: the entry buffer,
-// sorted and grouped.
-func groupedCells(g *spatial.Grid, coords []spatial.Coord) ([]lockfree.Cell, []int32) {
+// sorted, and its cells, whose ranges index the sorted entries (members).
+func groupedCells(g *spatial.Grid, coords []spatial.Coord) (cells, members []lockfree.Cell) {
 	n := len(coords)
-	ids := make([]int32, n)
-	return groupCells(sortCells(entriesOf(g, coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g)), ids, make([]float32, n)), ids
+	members = sortCells(entriesOf(g, coords), make([]lockfree.Cell, n), make([]lockfree.Cell, n), histFor(g))
+	return groupCells(members, make([]lockfree.Cell, n)), members
 }
 
 // openGate keeps every pair; row i carries ID i.
@@ -52,8 +54,8 @@ func openGate(n int) radialGate {
 
 // sweepOpen is sweepCells at step 0 with every pair kept, for cells whose
 // entries carry object i as index i.
-func sweepOpen(cells []lockfree.Cell, ids []int32, lo, hi, fieldBits int, buf []uint64) []uint64 {
-	return sweepCells(cells, ids, make([]float32, len(ids)), openGate(len(ids)), lo, hi, 0, fieldBits, buf, new(gateCounts))
+func sweepOpen(cells, members []lockfree.Cell, lo, hi, fieldBits int, buf []uint64) []uint64 {
+	return sweepCells(cells, members, openGate(len(members)), lo, hi, 0, fieldBits, buf, new(gateCounts))
 }
 
 // sortedFrozenCells is the reference build: object i (ID i) goes into cell
@@ -204,11 +206,11 @@ func sweepPopulations(t testing.TB) map[string]struct {
 func TestSweepMatchesNeighborReference(t *testing.T) {
 	for name, p := range sweepPopulations(t) {
 		t.Run(name, func(t *testing.T) {
-			cells, ids := groupedCells(p.grid, p.coords)
+			cells, members := groupedCells(p.grid, p.coords)
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
 			err := new(forkJoin).do(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
-				bufs[w] = sweepOpen(cells, ids, lo, hi, p.grid.FieldBits(), bufs[w])
+				bufs[w] = sweepOpen(cells, members, lo, hi, p.grid.FieldBits(), bufs[w])
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -231,9 +233,9 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 func TestSweepSplitInvariant(t *testing.T) {
 	rng := mathx.NewSplitMix64(17)
 	for name, p := range sweepPopulations(t) {
-		cells, ids := groupedCells(p.grid, p.coords)
+		cells, members := groupedCells(p.grid, p.coords)
 		n := len(cells)
-		want := sweepOpen(cells, ids, 0, n, p.grid.FieldBits(), nil)
+		want := sweepOpen(cells, members, 0, n, p.grid.FieldBits(), nil)
 		slices.Sort(want)
 		singles := make([]int, n+1)
 		for i := range singles {
@@ -251,7 +253,7 @@ func TestSweepSplitInvariant(t *testing.T) {
 		for _, cuts := range partitions {
 			var got []uint64
 			for i := 1; i < len(cuts); i++ {
-				got = sweepOpen(cells, ids, cuts[i-1], cuts[i], p.grid.FieldBits(), got)
+				got = sweepOpen(cells, members, cuts[i-1], cuts[i], p.grid.FieldBits(), got)
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
@@ -365,13 +367,13 @@ func TestSortGroupMatchesFrozenGrid(t *testing.T) {
 		for pattern, place := range patterns {
 			entries := place(real)
 			before := slices.Clone(entries)
-			a, b, ids := make([]lockfree.Cell, len(entries)), make([]lockfree.Cell, len(entries)+2), make([]int32, len(entries))
+			a, b, spare := make([]lockfree.Cell, len(entries)), make([]lockfree.Cell, len(entries)+2), make([]lockfree.Cell, len(entries))
 			sorted := sortCells(entries, a, b, histFor(p.grid))
 			if !slices.Equal(entries, before) {
 				t.Fatalf("%s/%s: the entry buffer was written", name, pattern)
 			}
 			if pattern == "all" {
-				if cells := groupCells(sorted, ids, make([]float32, len(ids))); len(cells) != 0 {
+				if cells := groupCells(sorted, spare); len(cells) != 0 {
 					t.Fatalf("%s/all: %d cells from sentinel entries", name, len(cells))
 				}
 				continue
@@ -387,12 +389,16 @@ func TestSortGroupMatchesFrozenGrid(t *testing.T) {
 			default:
 				t.Fatalf("%s/%s: output is neither buffer", name, pattern)
 			}
-			cells := groupCells(sorted, ids, make([]float32, len(ids)))
+			cells := groupCells(sorted, spare)
 			if len(cells) != len(wantCells) {
 				t.Fatalf("%s/%s: %d cells, frozen grid has %d", name, pattern, len(cells), len(wantCells))
 			}
 			for c, cell := range cells {
-				got, want := ids[cell.Lo:cell.Hi], slices.Clone(wantIDs[wantCells[c].Lo:wantCells[c].Hi])
+				var got []int32
+				for _, m := range sorted[cell.Lo:cell.Hi] {
+					got = append(got, m.Lo)
+				}
+				want := slices.Clone(wantIDs[wantCells[c].Lo:wantCells[c].Hi])
 				slices.Sort(want)
 				if cell.Key != wantCells[c].Key || !slices.Equal(got, want) {
 					t.Fatalf("%s/%s: cell %d is key %#x IDs %v, frozen grid has key %#x IDs %v (sorted)",

@@ -1,7 +1,7 @@
 // Package pool recycles the screening pipeline's large per-run structures —
-// entry and sort buffers, gate tables, Kepler warm-start caches, knot tables,
-// candidate key buffers, bitsets and ID-index maps — across runs and
-// concurrent HTTP requests.
+// entry and sort buffers, radix histograms, gate tables, Kepler warm-start
+// caches, knot tables, candidate key buffers, bitsets and ID-index maps —
+// across runs and concurrent HTTP requests.
 //
 // The paper's pipeline allocates everything up front (step 1 of §III) and
 // then mutates in place; what it never does is hold allocations across
@@ -21,10 +21,11 @@
 //   - ID-index maps are cleared on Put.
 //   - Motion tables and bitsets are zeroed on Get: no row's stamp names a
 //     step, no bit is set.
-//   - Pair-key buffers, cell buffers, radial-gate tables, Kepler warm-start
-//     caches and knot tables are returned with stale contents: key and cell
-//     buffers are handed out with length 0 (a step's build overwrites every
-//     entry the scan reads), and the detectors write every entry of the
+//   - Pair-key buffers, cell buffers, int32 buffers, radial-gate tables,
+//     Kepler warm-start caches and knot tables are returned with stale
+//     contents: key, cell and int32 buffers are handed out with length 0 (a
+//     step's build overwrites every entry the scan reads, a sort clears the
+//     histograms it counts into), and the detectors write every entry of the
 //     tables and caches they read before reading it — all of them on a full
 //     screen, those of what it solves or lists on a delta pass (DESIGN.md
 //     §§10–11).
@@ -42,8 +43,8 @@ import (
 	"repro/internal/propagation"
 )
 
-// Per-kind idle caps. A run holds at most three cell buffers (an entry ring of
-// two and the sort pair). The caps leave room for a few runs at once —
+// Per-kind idle caps. A run holds at most four cell buffers (an entry ring of
+// two, the sort buffer and a listing's boxes) and three int32 buffers. The caps leave room for a few runs at once —
 // concurrent server requests, or a screen beside a delta pass — to hand
 // theirs back; maps retain their buckets forever, so only a few are kept.
 const (
@@ -68,6 +69,7 @@ type Pool struct {
 	indexes  []map[int32]int32
 	keyBufs  [][]uint64
 	cellBufs [][]lockfree.Cell
+	int32s   [][]int32
 	gateRows [][]lockfree.GateRow
 	motion   [][]lockfree.MotionRow
 	kcaches  [][]propagation.KeplerCache
@@ -117,6 +119,7 @@ func (p *Pool) Drain() {
 	p.indexes = nil
 	p.keyBufs = nil
 	p.cellBufs = nil
+	p.int32s = nil
 	p.gateRows = nil
 	p.motion = nil
 	p.kcaches = nil
@@ -202,14 +205,21 @@ func (p *Pool) GetKeyBuf(capHint int) []uint64 { return getBuf(p, &p.keyBufs, ca
 func (p *Pool) PutKeyBuf(b []uint64) { putBuf(p, &p.keyBufs, b, maxIdleKeyBufs) }
 
 // GetCellBuf returns a zero-length cell buffer with capacity at least capHint
-// — a full screen's build writes each step's entries into one, and its scan
-// sorts them between two more (drawn as one buffer of twice the length).
+// — a full screen's build writes each step's entries into one, its scan sorts
+// them through one more, and a knot-interval listing keys its boxes in one.
 func (p *Pool) GetCellBuf(capHint int) []lockfree.Cell {
 	return getBuf(p, &p.cellBufs, capHint, false)
 }
 
 // PutCellBuf returns a cell buffer to the pool. nil is ignored.
 func (p *Pool) PutCellBuf(b []lockfree.Cell) { putBuf(p, &p.cellBufs, b, maxIdleBuffers) }
+
+// GetInt32Buf returns a zero-length int32 buffer with capacity at least
+// capHint — a run's radix histograms and a listing's list of objects.
+func (p *Pool) GetInt32Buf(capHint int) []int32 { return getBuf(p, &p.int32s, capHint, true) }
+
+// PutInt32Buf returns an int32 buffer to the pool. nil is ignored.
+func (p *Pool) PutInt32Buf(b []int32) { putBuf(p, &p.int32s, b, maxIdleBuffers) }
 
 // GetGateRows returns a radial-gate table of length n with stale contents.
 func (p *Pool) GetGateRows(n int) []lockfree.GateRow { return getBuf(p, &p.gateRows, n, true)[:n] }
