@@ -42,10 +42,12 @@ loc:
 ## chunk. So does the gate's motion table: four scan workers publish and read
 ## its rows. So do the kept-population tests: a pass writes the warm-start
 ## state and gate row of what it lists while the last step's scan reads rows.
+## So do the knot-interval join's tests: one to four build workers walk the
+## join into their own marks and stop at a shared test count.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
-	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress' ./internal/core
+	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress|TestKnotIntervalJoinListsExactlyTheMeetingBoxes|TestKnotIntervalJoinStopsPastItsBudget' ./internal/core
 	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid|TestSessionBoxIndexChain|TestSessionKept' ./internal/core
 
 ## mem-smoke: screen a 131072-object catalogue with the grid detector under

@@ -139,8 +139,9 @@ func main() {
 	fmt.Printf("wall time:        %v\n", elapsed.Round(time.Millisecond))
 	st := res.Stats
 	if st.Total() > 0 {
-		fmt.Printf("phase breakdown:  INS %.0f%%  CD %.0f%% (sort %.0f%%)  REF %.0f%%  coplanarity %.0f%%\n",
+		fmt.Printf("phase breakdown:  INS %.0f%% (join %.0f%%)  CD %.0f%% (sort %.0f%%)  REF %.0f%%  coplanarity %.0f%%\n",
 			100*float64(st.Insertion)/float64(st.Total()),
+			100*float64(st.Join)/float64(st.Total()),
 			100*float64(st.Detection)/float64(st.Total()),
 			100*float64(st.Sort)/float64(st.Total()),
 			100*float64(st.Refine)/float64(st.Total()),
@@ -158,7 +159,7 @@ func main() {
 	case st.KnotStride > 1:
 		fmt.Printf("positions:        solved every %d steps, Hermite between, pad %.2g km\n", st.KnotStride, st.PositionPadKm)
 		if all := len(sats) * st.Steps; all > 0 && st.DirtyObjects == 0 {
-			fmt.Printf("listed:           %.1f%% of object-steps built: every object at knot steps, between them those whose knot-interval boxes meet another's\n",
+			fmt.Printf("listed:           %.1f%% of object-steps built: every object at knot steps (swept: those the interval it closes listed), between them those whose knot-interval boxes meet another's\n",
 				100*float64(st.VisitedObjectSteps)/float64(all))
 		}
 	case st.KnotStride == 1:

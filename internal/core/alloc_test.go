@@ -48,6 +48,37 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	}
 }
 
+// listingAllocBudget caps allocations per listing screen — KDE 4k at 1 s
+// steps over 300 s, two workers, warm pool: 19 knot intervals, each joined in
+// two forks of the build side (listing.go). Measured: 20; 21 with the join
+// serial and a closure per build kernel. The ceiling fails one allocation per
+// interval (+18).
+const listingAllocBudget = 30
+
+func TestListingScreenAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sats := population.MustGenerate(population.Config{N: 4000, Seed: 1})
+	det := newGrid(Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 300, Workers: 2, Pool: pool.New()})
+	res, err := det.Screen(sats) // warms the pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := len(sats) * res.Stats.Steps; 2*res.Stats.VisitedObjectSteps > all {
+		t.Fatalf("the screen keyed %d of %d object-steps: it did not list", res.Stats.VisitedObjectSteps, all)
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := det.Screen(sats); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > listingAllocBudget {
+		t.Errorf("a listing screen averaged %.0f allocs, budget %d — an allocation per interval is back", avg, listingAllocBudget)
+	}
+	t.Logf("%.0f allocs per listing screen", avg)
+}
+
 // deltaPassAllocBudget caps allocations per delta pass — the workload of
 // BenchmarkSessionDeltaPass at 8k (a primed hybrid session, 16 dirty
 // objects, 600 s, two workers, warm pool). Measured: 729 allocs/pass while
@@ -56,8 +87,9 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 // histograms; 65 with the fork state run-owned and the scratch kept; 44 once
 // the hybrid filter's decisions held their node schedules in place instead
 // of a slice each (46) and the scan swept its sorted entries instead of
-// copying their IDs and radii out. Most of what is left is once per pass: the
-// run, its ID and dirty lists, the hybrid filter's and refinement's forks.
+// copying their IDs and radii out; 43 with one closure for every build-side
+// kernel. Most of what is left is once per pass: the run, its ID and dirty
+// lists, the hybrid filter's and refinement's forks.
 // The ceiling keeps the headroom it had over 65: one allocation per step (67)
 // or per fork (about 140) coming back fails it.
 const deltaPassAllocBudget = 80

@@ -180,6 +180,7 @@ type PhaseStats struct {
 	Freeze      time.Duration // always zero — no detector freezes anything; kept because bench/ reads it
 	Detection   time.Duration // candidate generation: per step entry sort + group into cells + sweep, per run one collect of the keys (CD)
 	Sort        time.Duration // the serial sort + group share of Detection
+	Join        time.Duration // the build side's wall in the knot-interval join (listing.go), part of Insertion
 	Refine      time.Duration // PCA/TCA refinement: pre-filter + Brent (REF)
 	Coplanarity time.Duration // orbital filter classification (hybrid only)
 

@@ -173,7 +173,7 @@ func (r *run) gateRow(i int32) {
 // one at a step of the window has a cell in both (DESIGN.md §11) — or, when
 // boxes do not pay, every valid row.
 func (r *run) listWindow() error {
-	if err := r.buildFork.do(r.ctx, r.workers, len(r.dirtyIdx), r.dirtyFn); err != nil || r.track.index == nil {
+	if err := r.forkBuild((*run).dirtyRange, len(r.dirtyIdx)); err != nil || r.track.index == nil {
 		return err
 	}
 	w, t := r.buildStep/boxSteps, r.track
@@ -246,7 +246,7 @@ func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	r.oob.Add(uint64(oob))
 	r.stats.VisitedObjectSteps += len(r.listed)
 	clean := len(r.listed) - len(r.dirtyIdx)
-	err := r.buildFork.do(r.ctx, r.workers, clean, r.buildFn)
+	err := r.forkBuild((*run).buildRange, clean)
 	return r.stepEntries[:len(r.listed)], err
 }
 

@@ -175,11 +175,13 @@ type run struct {
 
 	// A full screen's knot-interval listing (listing.go); off without knots
 	// and on delta passes.
-	listing  bool            // between knot steps the build keys interval alone: on until an interval lists too much
-	boxes    []lockfree.Cell // pooled, by object: its box over the current knot interval, then the join's entries
-	boxMarks []uint64        // pooled bitset, by object: the interval lists it
-	boxHist  sortHist        // the join's radix histograms, pooled: the scan's sort runs beside it
-	interval []int32         // pooled: the objects the current interval lists, ascending
+	listing   bool            // between knot steps the build keys interval alone: on until an interval lists too much
+	boxes     []lockfree.Cell // pooled, by object: its box over the current knot interval, then the join's entries
+	boxWidths []int32         // pooled, widthSlots a worker: the knot build's count of its boxes by largest extent
+	boxMarks  []uint64        // pooled bitset, N bits a worker: the join's marks; the first worker's, merged, hold the interval's list
+	boxHist   sortHist        // the join's radix histograms, pooled: the scan's sort runs beside it
+	interval  []int32         // pooled: the objects the current interval lists, ascending
+	join      joinState       // listInterval's inputs to its forks
 
 	// Cancellation and observability plumbing. done caches ctx.Done() so
 	// the uncancellable (Background) path pays nothing; sink and observer
@@ -207,8 +209,9 @@ type run struct {
 	scanCells   []lockfree.Cell // the current scan's cells, in key order
 	scanMembers []lockfree.Cell // the sorted entries their ranges index
 
-	buildFn, scanFn, dirtyFn func(w, lo, hi int)
-	buildFork, scanFork      forkJoin // what the two sides fork their kernels with
+	buildFn, scanFn     func(w, lo, hi int)
+	buildKernel         func(r *run, w, lo, hi int) // what buildFn runs (forkBuild)
+	buildFork, scanFork forkJoin                    // what the two sides fork their kernels with
 }
 
 // newRun validates inputs and allocates every structure up front — the
@@ -226,7 +229,7 @@ func newRun(ctx context.Context, cfg Config, sats []propagation.Satellite, sps, 
 	if delta != nil {
 		r.session = delta.session
 	}
-	r.buildFn, r.scanFn, r.dirtyFn = r.buildRange, r.scanRange, r.dirtyRange
+	r.buildFn, r.scanFn = r.buildSide, r.scanRange
 	if err := r.init(delta, h); err != nil || len(sats) < 2 {
 		r.release()
 		return nil, err
@@ -310,7 +313,8 @@ func (r *run) init(delta *DeltaInput, h float64) error {
 	if !r.incremental {
 		r.unread = n
 		if r.listing = stride > 1; r.listing {
-			r.boxes, r.boxMarks, r.interval = pl.GetCellBuf(n)[:n], pl.GetBitset(bitsetWords(int32(n-1))), pl.GetInt32Buf(n)
+			r.boxes, r.boxMarks, r.interval = pl.GetCellBuf(n)[:n], pl.GetBitset(r.workers*bitsetWords(int32(n-1))), pl.GetInt32Buf(n)
+			r.boxWidths = pl.GetInt32Buf(r.workers * widthSlots)[:r.workers*widthSlots]
 			r.boxHist.counts = pl.GetInt32Buf(histLen)[:histLen]
 		}
 	}
@@ -396,6 +400,7 @@ func (r *run) release() {
 	r.pool.PutInt32Buf(r.sortHist.counts)
 	r.pool.PutInt32Buf(r.boxHist.counts)
 	r.pool.PutInt32Buf(r.interval)
+	r.pool.PutInt32Buf(r.boxWidths)
 	r.pool.PutGateRows(r.gate.rows)
 	r.pool.PutMotionRows(r.motion.rows)
 	r.pool.PutKeyBuf(r.keys)
@@ -413,7 +418,7 @@ func (r *run) release() {
 	r.keys, r.idx = nil, nil
 	r.entries, r.cellBuf, r.boxes, r.scanBufs, r.kcache, r.knots, r.gate.rows, r.motion.rows = nil, nil, nil, nil, nil, nil, nil, nil
 	r.dirty, r.touched, r.stamps, r.boxMarks = nil, nil, nil, nil
-	r.sortHist.counts, r.boxHist.counts, r.interval = nil, nil, nil
+	r.sortHist.counts, r.boxHist.counts, r.interval, r.boxWidths = nil, nil, nil, nil
 }
 
 // candidates is the number of keys emitted so far. It reads the per-worker
@@ -580,8 +585,11 @@ func pow2Above(x float64) float64 {
 // cube is lockfree.EmptySlot, which the scan's sort drops, and counts out of
 // bounds; a delta pass also empties a key its stamp filter does not hold. At a
 // knot step a listing screen also writes each object's box over the new knot
-// interval (knotBox).
-func (r *run) buildRange(_, lo, hi int) {
+// interval (knotBox) and counts it by width into worker w's row, and past the
+// first it empties the key of each object the interval it closes did not list:
+// the knot is that interval's P1, inside its box, so a candidate there has
+// both objects listed.
+func (r *run) buildRange(w, lo, hi int) {
 	oob, first, step := 0, len(r.dirtyIdx), r.buildStep
 	knot := r.listing && step&(r.stride-1) == 0
 	for j := first + lo; j < first+hi; j++ {
@@ -593,6 +601,10 @@ func (r *run) buildRange(_, lo, hi int) {
 			key, radius = r.solveKey(i, j, step, &oob)
 			if knot {
 				r.boxes[i] = r.knotBox(i)
+				r.boxWidths[w*widthSlots+int(boxWidth(r.boxes[i]))]++
+				if step > 0 && !bitsetHas(r.boxMarks, int32(i)) {
+					key = lockfree.EmptySlot
+				}
 			}
 		} else {
 			key = r.track.advance(i, uint32(step))
@@ -608,30 +620,48 @@ func (r *run) buildRange(_, lo, hi int) {
 }
 
 // buildEntries fills entries for one step, the part it returns: §IV-A2's build,
-// the grouping by cell left to the scan's sort. A full screen keys every
-// object at a knot step and between them what the interval lists; a delta
-// pass's is buildDelta.
+// the grouping by cell left to the scan's sort. A full screen solves every
+// object at a knot step and between them what the interval lists, which the
+// step after a knot step joins (PhaseStats.Join); a delta pass's is
+// buildDelta.
 func (r *run) buildEntries(step int, entries []lockfree.Cell) ([]lockfree.Cell, error) {
 	r.buildStep, r.stepEntries = step, entries
 	if r.incremental {
 		return r.buildDelta()
 	}
 	r.listed = nil
-	if j := step & (r.stride - 1); r.listing && j != 0 {
-		if j == 1 {
-			r.listInterval(entries)
+	j := step & (r.stride - 1)
+	switch {
+	case r.listing && j == 0:
+		clear(r.boxWidths)
+	case r.listing && j == 1:
+		tJoin := time.Now()
+		err := r.listInterval(entries)
+		r.stats.Join += time.Since(tJoin)
+		if err != nil {
+			return nil, err
 		}
-		if r.listing {
-			r.listed = r.interval
-		}
+	}
+	if r.listing && j != 0 {
+		r.listed = r.interval
 	}
 	n := len(r.sats)
 	if r.listed != nil {
 		n = len(r.listed)
 	}
 	r.stats.VisitedObjectSteps += n
-	return entries[:n], r.buildFork.do(r.ctx, r.workers, n, r.buildFn)
+	return entries[:n], r.forkBuild((*run).buildRange, n)
 }
+
+// forkBuild forks kernel over [0, n) on the build side. Each fork goes through
+// buildFn, bound once per run: a closure per fork would allocate.
+func (r *run) forkBuild(kernel func(r *run, w, lo, hi int), n int) error {
+	r.buildKernel = kernel
+	return r.buildFork.do(r.ctx, r.workers, n, r.buildFn)
+}
+
+// buildSide runs the build side's kernel of the fork on [lo, hi).
+func (r *run) buildSide(w, lo, hi int) { r.buildKernel(r, w, lo, hi) }
 
 // scanRange sweeps sorted cells [lo, hi) of the published step for candidate
 // pairs, appending the packed keys of those the gate keeps to worker w's

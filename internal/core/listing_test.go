@@ -156,54 +156,154 @@ func TestKnotIntervalListingChangesNothing(t *testing.T) {
 	}
 }
 
+func TestKnotIntervalJoinTimed(t *testing.T) {
+	// PhaseStats.Join is the build side's wall in the join: some on a
+	// screen that lists, inside Insertion; none on the hybrid (no knots) or
+	// on a delta pass (its own listing).
+	sats := population.MustGenerate(population.Config{N: 2000, Seed: 1})
+	cfg := Config{ThresholdKm: 2, DurationSeconds: 300, Workers: 2, Pool: pool.New()}
+	grid, err := newGrid(cfg).Screen(sats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := grid.Stats; st.Join <= 0 || st.Join > st.Insertion {
+		t.Errorf("listing grid screen: join %v, insertion %v", st.Join, st.Insertion)
+	}
+	hybrid, err := newHybrid(cfg).Screen(sats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := newGrid(cfg).ScreenDelta(context.Background(), sats, DeltaInput{Prior: grid.Conjunctions, Dirty: []int32{sats[3].ID, sats[700].ID}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Stats.DirtyObjects == 0 {
+		t.Fatal("the delta ran as a full screen")
+	}
+	if hybrid.Stats.Join != 0 || delta.Stats.Join != 0 {
+		t.Errorf("join %v on the hybrid, %v on a delta pass, want 0", hybrid.Stats.Join, delta.Stats.Join)
+	}
+}
+
 func TestKnotIntervalJoinListsExactlyTheMeetingBoxes(t *testing.T) {
 	// The join against every pair of boxes, over the first four intervals of a
 	// KDE shell on the screens' 2 km grid (boxes 2 to 16 cells wide, so a few
 	// as wide as a lattice cell) and on 100 km cells (a cell or two): an object
-	// is listed iff its box, grown by one cell, meets another object's.
+	// is listed iff its box, grown by one cell, meets another object's. The
+	// join forks on the build side, so it runs at one to four workers, each
+	// against the same reference.
 	for _, c := range []struct {
 		n         int
 		threshold float64
 	}{{4000, 2}, {1000, 100}} {
 		sats := population.MustGenerate(population.Config{N: c.n, Seed: 1})
-		cfg := Config{ThresholdKm: c.threshold, DurationSeconds: 600, SecondsPerSample: 1, Workers: 2, Pool: pool.New()}
-		r, err := newRun(context.Background(), cfg, sats, 1, knotSeconds, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		los, his := make([]spatial.Coord, len(sats)), make([]spatial.Coord, len(sats))
-		for step := 0; step < 4*r.stride; step++ {
-			if j := step % r.stride; j > 1 {
-				continue
-			}
-			if _, err := r.buildEntries(step, r.entries); err != nil {
-				t.Fatal(err)
-			}
-			if step%r.stride == 0 {
-				for i := range sats {
-					var ok bool
-					if los[i], his[i], ok = r.intervalBox(i); !ok {
-						t.Fatalf("object %d: box off the cube", i)
-					}
+		var want [][]int32 // by interval
+		for workers := 1; workers <= 4; workers++ {
+			r := joinRun(t, sats, c.threshold, workers)
+			for k := range 4 {
+				los, his := joinBoxes(t, r, k)
+				if workers == 1 {
+					want = append(want, meetingBoxes(los, his, nil))
 				}
-				continue
-			}
-			var want []int32
-			for a := range sats {
-				for b := range sats {
-					if a != b && los[a].X <= his[b].X+1 && los[b].X <= his[a].X+1 && los[a].Y <= his[b].Y+1 &&
-						los[b].Y <= his[a].Y+1 && los[a].Z <= his[b].Z+1 && los[b].Z <= his[a].Z+1 {
-						want = append(want, int32(a))
-						break
-					}
+				if !r.listing || !slices.Equal(r.interval, want[k]) {
+					t.Fatalf("N = %d, %g km, %d workers: interval %d: the join listed %d objects (listing on: %v), the pairs %d",
+						c.n, c.threshold, workers, k, len(r.interval), r.listing, len(want[k]))
+				}
+				if workers == 1 {
+					t.Logf("N = %d, %g km: interval %d: %d of %d objects listed", c.n, c.threshold, k, len(want[k]), len(sats))
 				}
 			}
-			if !r.listing || !slices.Equal(r.interval, want) {
-				t.Fatalf("N = %d, %g km: interval at step %d: the join listed %d objects (listing on: %v), the pairs %d",
-					c.n, c.threshold, step-1, len(r.interval), r.listing, len(want))
-			}
-			t.Logf("N = %d, %g km: interval at step %d: %d of %d objects listed", c.n, c.threshold, step-1, len(want), len(sats))
+			r.release()
 		}
+	}
+}
+
+func TestKnotIntervalJoinStopsPastItsBudget(t *testing.T) {
+	// A debris cloud a minute after breakup, on 100 km cells: every box meets
+	// every other, in one or two lattice cells, so a walk to the end would
+	// test every pair. The join must stop once its tests pass joinTests·N, at
+	// every worker count, and so stop the listing.
+	debris, err := population.Fragmentation(population.FragmentationConfig{
+		Parent:        orbit.Elements{SemiMajorAxis: 7100, Eccentricity: 0.001, Inclination: 1.7, RAAN: 1, ArgPerigee: 0.5, MeanAnomaly: 0.3},
+		TimeOfBreakup: -60, N: 2000, DeltaVKmS: 0.05, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := joinTests * int64(len(debris))
+	var pairs int64
+	for workers := 1; workers <= 4; workers++ {
+		r := joinRun(t, debris, 100, workers)
+		los, his := joinBoxes(t, r, 0)
+		if workers == 1 {
+			meetingBoxes(los, his, &pairs)
+			if pairs <= 4*budget {
+				t.Fatalf("%d meeting pairs, budget %d: the cloud is too sparse to test the stop", pairs, budget)
+			}
+		}
+		tests := r.join.tests.Load()
+		if r.listing || tests <= budget || tests >= pairs {
+			t.Fatalf("%d workers: listing on %v after %d tests, budget %d, %d meeting pairs", workers, r.listing, tests, budget, pairs)
+		}
+		t.Logf("%d workers: stopped after %d tests of %d meeting pairs (budget %d)", workers, tests, pairs, budget)
 		r.release()
 	}
+}
+
+// joinRun is a listing run of sats at 1 s steps on the cells of threshold.
+func joinRun(t *testing.T, sats []propagation.Satellite, threshold float64, workers int) *run {
+	t.Helper()
+	cfg := Config{ThresholdKm: threshold, DurationSeconds: 600, SecondsPerSample: 1, Workers: workers, Pool: pool.New()}
+	r, err := newRun(context.Background(), cfg, sats, 1, knotSeconds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// joinBoxes builds the knot step of interval k and the step after it, whose
+// build joins the interval's boxes, and returns the boxes' least and greatest
+// cells.
+func joinBoxes(t *testing.T, r *run, k int) (los, his []spatial.Coord) {
+	t.Helper()
+	los, his = make([]spatial.Coord, len(r.sats)), make([]spatial.Coord, len(r.sats))
+	if _, err := r.buildEntries(k*r.stride, r.entries); err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.sats {
+		var ok bool
+		if los[i], his[i], ok = r.intervalBox(i); !ok {
+			t.Fatalf("object %d: box off the cube", i)
+		}
+	}
+	if _, err := r.buildEntries(k*r.stride+1, r.entries); err != nil {
+		t.Fatal(err)
+	}
+	return los, his
+}
+
+// meetingBoxes lists, ascending, the objects whose box, grown by one cell,
+// meets another's, testing every pair; pairs, if not nil, counts the pairs
+// that meet.
+func meetingBoxes(los, his []spatial.Coord, pairs *int64) []int32 {
+	var listed []int32
+	for a := range los {
+		met := false
+		for b := range los {
+			if a != b && los[a].X <= his[b].X+1 && los[b].X <= his[a].X+1 && los[a].Y <= his[b].Y+1 &&
+				los[b].Y <= his[a].Y+1 && los[a].Z <= his[b].Z+1 && los[b].Z <= his[a].Z+1 {
+				met = true
+				if pairs == nil {
+					break
+				}
+				if a < b {
+					*pairs++
+				}
+			}
+		}
+		if met {
+			listed = append(listed, int32(a))
+		}
+	}
+	return listed
 }

@@ -33,8 +33,8 @@ func (goroutineCeiling) OnPhase(PhaseInfo) {}
 
 // TestFullScreenPoolDraw: a one-worker run draws one entry buffer and starts no goroutine, a two-worker run draws the
 // ring's second slot, either draws the scan's sort buffer and histograms and,
-// with knots (1 s steps), the knot-interval listing's boxes, histograms, list
-// and marks, and every exit — completion, cancellation at step k — hands back
+// with knots (1 s steps), the knot-interval listing's boxes, histograms, list,
+// per-worker marks and width rows, and every exit — completion, cancellation at step k — hands back
 // what it drew.
 func TestFullScreenPoolDraw(t *testing.T) {
 	sats := denseShellPopulation(400, 13)
@@ -90,6 +90,9 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				}
 				if drawn := drained(func() { pl.GetBitset(bitsetWords(int32(len(sats) - 1))) }); drawn != 1 {
 					t.Errorf("the run drew %d bitsets, want the listing's marks", drawn)
+				}
+				if drawn := drained(func() { pl.GetInt32Buf(workers * widthSlots) }); drawn != 1 {
+					t.Errorf("the run drew %d width-row buffers, want the listing's", drawn)
 				}
 			})
 		}
