@@ -1,6 +1,6 @@
 package satconj
 
-// One benchmark per paper table/figure (DESIGN.md §4). These are the
+// One benchmark per paper table/figure (DESIGN.md §8). These are the
 // laptop-scale counterparts of cmd/paperbench: small populations and short
 // spans so `go test -bench=.` completes in minutes; the harness command
 // reproduces the full tables. Custom metrics attach the experiment's

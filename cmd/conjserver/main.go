@@ -33,7 +33,7 @@
 // crash-safe log, so /v1/conjunctions and the /v1/runs history survive
 // restarts.
 //
-// Read-side fan-out (DESIGN.md §15): every successful rescreen pass
+// Read-side fan-out (DESIGN.md §4): every successful rescreen pass
 // publishes an immutable snapshot of the conjunction set, so cached
 // readers revalidate /v1/conjunctions with If-None-Match (304s never
 // touch screening state), /v1/subscribe pushes per-object conjunction

@@ -24,7 +24,7 @@ func runTab1(ctx *benchCtx) error {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	t.AddRow("Go heap in use", fmt.Sprintf("%d MiB", ms.HeapInuse>>20))
-	t.AddRow("Note", "the paper's GPU rows are not reproduced (DESIGN.md §2)")
+	t.AddRow("Note", "the paper's GPU rows are not reproduced (DESIGN.md §7)")
 	return t.WriteASCII(os.Stdout)
 }
 
@@ -527,7 +527,7 @@ func runTDP(ctx *benchCtx) error {
 		return err
 	}
 	fmt.Println("\nNOTE: the table reproduces the paper's energy *accounting method*, not its")
-	fmt.Println("silicon comparison; the GPU row is not reproduced (DESIGN.md §2).")
+	fmt.Println("silicon comparison; the GPU row is not reproduced (DESIGN.md §7).")
 	return nil
 }
 

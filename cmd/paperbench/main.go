@@ -1,5 +1,5 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index and
+// evaluation section (see DESIGN.md §8 for the experiment index and
 // EXPERIMENTS.md for recorded results).
 //
 // Usage:

@@ -35,7 +35,7 @@ func TestVetconjSelfCheck(t *testing.T) {
 }
 
 // TestLoadSubsetClosure loads a single deep package rather than ./... —
-// the -only/-subset workflow DESIGN.md §7 documents. The loader must pull
+// the -only/-subset workflow DESIGN.md §6 documents. The loader must pull
 // the package's module-internal dependency closure into the shared type
 // universe; before closeOverDeps, those deps resolved through the
 // source-based fallback importer and its private stdlib instances made

@@ -9,7 +9,7 @@
 // The four repository-specific analyzers live in subpackages; the registry
 // subpackage holds the canonical list. Each one has been shown to flag the
 // bug it exists for when that bug is seeded into the real tree (DESIGN.md
-// §7); an invariant a test or the type system already guards has no
+// §6); an invariant a test or the type system already guards has no
 // analyzer. Three are AST pattern-matchers:
 //
 //   - ctxfirst: exported functions must take context.Context first, and

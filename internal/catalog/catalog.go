@@ -12,9 +12,9 @@
 //     stable — for as long as the caller holds them, so an in-flight
 //     screen never observes a concurrent delta.
 //   - A per-version dirty journal records which object IDs each delta
-//     added, updated, or removed. DirtyBetween folds the journal over any
-//     version pair into the dirty/removed ID sets that parameterise a
-//     delta screen, reconciling intermediate churn (an object updated then
+//     added, updated, or removed. DirtySince folds it from any version to
+//     the latest into the dirty/removed ID sets that parameterise a delta
+//     screen, reconciling intermediate churn (an object updated then
 //     removed within the window is reported removed, not dirty).
 //
 // The catalogue retains the last few revisions (so screens pinned to a
@@ -51,7 +51,7 @@ type Options struct {
 	// only drops the catalogue's own reference.
 	KeepRevisions int
 	// KeepJournal bounds the dirty journal's length in versions (≤ 0
-	// selects DefaultKeepJournal). DirtyBetween over a window that
+	// selects DefaultKeepJournal). DirtySince over a window that
 	// reaches past the journal reports ok = false, and the caller falls
 	// back to a full screen.
 	KeepJournal int
@@ -282,33 +282,22 @@ func (c *Catalog) ApplyDelta(d Delta) (*Revision, error) {
 	return rev, nil
 }
 
-// DirtyBetween folds the journal over (from, to] into the inputs of an
-// incremental screen against version `to`: dirty is every ID present at
-// `to` that a delta in the window added or updated (or removed and
-// re-added), removed is every journalled ID absent at `to`. Both are sorted
-// and duplicate-free. ok is false when the window is not answerable — `to`
-// is pruned or unknown, from > to, or the journal no longer covers
-// (from, to] — and the caller must fall back to a full screen. from == to
-// yields empty sets for every version the catalogue has ever had, pruned or
-// not: an empty window needs no membership data.
-func (c *Catalog) DirtyBetween(from, to Version) (dirty, removed []int32, ok bool) {
+// DirtySince folds the journal over (from, latest] into the inputs of an
+// incremental screen against the latest revision, which it returns too so the
+// caller screens exactly the population the sets describe. dirty is every ID
+// present at the latest revision that a delta in the window added or updated
+// (or removed and re-added), removed is every journalled ID absent there.
+// Both are sorted and duplicate-free. ok is false when from is past the
+// latest version or the journal no longer covers the window, and the caller
+// must fall back to a full screen. from == latest yields empty sets.
+func (c *Catalog) DirtySince(from Version) (rev *Revision, dirty, removed []int32, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.dirtyBetweenLocked(from, to)
-}
-
-func (c *Catalog) dirtyBetweenLocked(from, to Version) (dirty, removed []int32, ok bool) {
-	if from == to {
-		return nil, nil, from >= 1 && to <= c.latestLocked().version
+	rev = c.latestLocked()
+	if from > rev.version || from < c.journalBase {
+		return rev, nil, nil, false
 	}
-	toRev, have := c.atLocked(to)
-	if !have || from > to {
-		return nil, nil, false
-	}
-	if from < c.journalBase {
-		return nil, nil, false
-	}
-	present := toRev.index
+	present := rev.index
 	seen := make(map[int32]struct{})
 	classify := func(id int32) {
 		if _, dup := seen[id]; dup {
@@ -321,7 +310,7 @@ func (c *Catalog) dirtyBetweenLocked(from, to Version) (dirty, removed []int32, 
 			removed = append(removed, id)
 		}
 	}
-	for v := from + 1; v <= to; v++ {
+	for v := from + 1; v <= rev.version; v++ {
 		e := c.journal[v-c.journalBase-1]
 		for _, id := range e.dirty {
 			classify(id)
@@ -332,18 +321,7 @@ func (c *Catalog) dirtyBetweenLocked(from, to Version) (dirty, removed []int32, 
 	}
 	sortIDs(dirty)
 	sortIDs(removed)
-	return dirty, removed, true
-}
-
-// DirtySince is DirtyBetween against the latest revision, returning that
-// revision too so the caller screens exactly the population the sets
-// describe.
-func (c *Catalog) DirtySince(from Version) (rev *Revision, dirty, removed []int32, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	latest := c.latestLocked()
-	dirty, removed, ok = c.dirtyBetweenLocked(from, latest.version)
-	return latest, dirty, removed, ok
+	return rev, dirty, removed, true
 }
 
 func sortIDs(ids []int32) {

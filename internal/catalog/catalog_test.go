@@ -172,9 +172,9 @@ func TestDirtyBetweenReconcilesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dirty, removed, ok := c.DirtyBetween(1, 4)
-	if !ok {
-		t.Fatal("DirtyBetween(1,4) not answerable")
+	rev, dirty, removed, ok := c.DirtySince(1)
+	if !ok || rev.Version() != 4 {
+		t.Fatalf("DirtySince(1): rev=%v ok=%v", rev.Version(), ok)
 	}
 	wantDirty := []int32{2, 4}
 	wantRemoved := []int32{1}
@@ -185,24 +185,21 @@ func TestDirtyBetweenReconcilesChurn(t *testing.T) {
 		t.Fatalf("removed = %v, want %v", removed, wantRemoved)
 	}
 
-	// Identity window.
-	dirty, removed, ok = c.DirtyBetween(4, 4)
-	if !ok || len(dirty) != 0 || len(removed) != 0 {
-		t.Fatalf("DirtyBetween(4,4) = %v, %v, %v", dirty, removed, ok)
-	}
-	// Inverted window.
-	if _, _, ok := c.DirtyBetween(4, 1); ok {
-		t.Fatal("DirtyBetween(4,1) reported ok")
-	}
-
-	// DirtySince pairs the sets with the revision they describe.
-	rev, dirty, removed, ok := c.DirtySince(2)
-	if !ok || rev.Version() != 4 {
-		t.Fatalf("DirtySince(2): rev=%v ok=%v", rev.Version(), ok)
-	}
 	// Window (2,4]: v3 added 4 and removed 1; v4 re-added 2.
-	if len(dirty) != 2 || dirty[0] != 2 || dirty[1] != 4 || len(removed) != 1 || removed[0] != 1 {
-		t.Fatalf("DirtySince(2) = dirty %v removed %v", dirty, removed)
+	_, dirty, removed, ok = c.DirtySince(2)
+	if !ok || len(dirty) != 2 || dirty[0] != 2 || dirty[1] != 4 || len(removed) != 1 || removed[0] != 1 {
+		t.Fatalf("DirtySince(2) = dirty %v removed %v ok %v", dirty, removed, ok)
+	}
+	// Identity window.
+	_, dirty, removed, ok = c.DirtySince(4)
+	if !ok || len(dirty) != 0 || len(removed) != 0 {
+		t.Fatalf("DirtySince(4) = %v, %v, %v", dirty, removed, ok)
+	}
+	// Versions the catalogue never had: before the first, past the latest.
+	for _, v := range []Version{0, 5} {
+		if _, _, _, ok := c.DirtySince(v); ok {
+			t.Fatalf("DirtySince(%d) reported ok", v)
+		}
 	}
 }
 
@@ -223,44 +220,13 @@ func TestCatalogRetentionBounds(t *testing.T) {
 	if r, ok := c.At(6); !ok || r.Len() != 5 {
 		t.Fatalf("revision 6: ok=%v len=%d", ok, r.Len())
 	}
-	// Journal keeps 3 entries: versions (4,7] answerable, (3,7] not.
-	if _, _, ok := c.DirtyBetween(4, 7); !ok {
-		t.Fatal("DirtyBetween(4,7) should be answerable with KeepJournal=3")
+	// Journal keeps 3 entries: versions (4,7] answerable, (3,7] not, though
+	// revision 4 itself is pruned.
+	if _, _, _, ok := c.DirtySince(4); !ok {
+		t.Fatal("DirtySince(4) should be answerable with KeepJournal=3")
 	}
-	if _, _, ok := c.DirtyBetween(3, 7); ok {
-		t.Fatal("DirtyBetween(3,7) should fall past the journal")
-	}
-	// A pruned `to` revision is not answerable either (membership unknown).
-	if _, _, ok := c.DirtyBetween(4, 5); ok {
-		t.Fatal("DirtyBetween(4,5) should fail: revision 5 is pruned")
-	}
-}
-
-func TestDirtyBetweenIdentityWindowSurvivesPruning(t *testing.T) {
-	// A reader that took Latest() and fell more than KeepRevisions behind
-	// still asks DirtyBetween(v, v); the empty window needs no membership
-	// data, so it stays answerable after revision v is pruned.
-	c, err := New(nil, time.Time{}, Options{KeepRevisions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := c.Latest().Version()
-	for i := int32(0); i < 5; i++ {
-		if _, err := c.ApplyDelta(Delta{Adds: []propagation.Satellite{sat(i, float64(i))}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := c.At(held); ok {
-		t.Fatalf("revision %d should be pruned with KeepRevisions=2", held)
-	}
-	if dirty, removed, ok := c.DirtyBetween(held, held); !ok || len(dirty) != 0 || len(removed) != 0 {
-		t.Fatalf("DirtyBetween(%d,%d) = %v, %v, %v; want empty and answerable", held, held, dirty, removed, ok)
-	}
-	// Versions the catalogue never had are still refused.
-	for _, v := range []Version{0, c.Version() + 1} {
-		if _, _, ok := c.DirtyBetween(v, v); ok {
-			t.Fatalf("DirtyBetween(%d,%d) reported ok for a version that never existed", v, v)
-		}
+	if _, _, _, ok := c.DirtySince(3); ok {
+		t.Fatal("DirtySince(3) should fall past the journal")
 	}
 }
 
@@ -291,8 +257,8 @@ func TestCatalogConcurrentReadersAndWriter(t *testing.T) {
 					sum += sats[i].Elements.MeanAnomaly
 				}
 				_ = sum
-				if _, _, ok := c.DirtyBetween(rev.Version(), rev.Version()); !ok {
-					t.Error("identity window not answerable")
+				if _, _, _, ok := c.DirtySince(rev.Version()); !ok {
+					t.Error("window from a held revision not answerable")
 					return
 				}
 			}

@@ -1,6 +1,6 @@
 package core
 
-// Ablation benchmarks for the design choices called out in DESIGN.md §5.
+// Ablation benchmarks for the design choices called out in DESIGN.md §8.
 
 import (
 	"math"

@@ -4,7 +4,7 @@ package core
 // differs from an already-screened one by a small dirty set of k objects.
 // Only pairs with a dirty member can be new, so a delta pass runs the full
 // screen's step loop over the dirty objects' neighbourhoods only (DESIGN.md
-// §11): per window it builds the objects whose boxes meet a dirty object's
+// §3): per window it builds the objects whose boxes meet a dirty object's
 // (track.go), per step a stamp filter of the dirty cells and the 26 around
 // each drops the rest from the sort and sweep, and the collect keeps pairs
 // with a dirty member. Prior entries touching a dirty or removed object are
@@ -25,7 +25,7 @@ import (
 // conjunction set of a screen of the previous catalogue version with the
 // same variant and configuration (threshold, sampling, duration, epoch);
 // Dirty the IDs added or updated since that screen; Removed the IDs removed
-// since. The catalogue layer (internal/catalog, DirtyBetween) produces
+// since. The catalogue layer (internal/catalog, DirtySince) produces
 // exactly these sets.
 type DeltaInput struct {
 	Prior   []Conjunction
@@ -54,7 +54,7 @@ func bitsetHas(b []uint64, id int32) bool {
 }
 
 // stampingPays is the crossover between a delta pass and a full screen.
-// Measured (DESIGN.md §11) at k = N/8, a trackless pass costs 1.06–1.16× a
+// Measured (DESIGN.md §3.1) at k = N/8, a trackless pass costs 1.06–1.16× a
 // full screen and a session pass, listing every valid row (boxesPay),
 // 0.58–0.72×; at N/16 0.93–0.96× and 0.43–0.55×. Computed from the pass's
 // own inputs.
@@ -62,7 +62,7 @@ func stampingPays(dirty, objects int) bool { return 8*dirty <= objects }
 
 // boxesPay is the crossover between listing a window's hits and every valid
 // row: the index walks grow with k, the reads they save do not. Measured
-// (DESIGN.md §11) between N/16 and N/32 on 4k grid, N/32 and N/64 on 8k hybrid.
+// (DESIGN.md §3.3) between N/16 and N/32 on 4k grid, N/32 and N/64 on 8k hybrid.
 func boxesPay(dirty, objects int) bool { return 32*dirty <= objects }
 
 // validate checks a delta against the population's ID index — IDs in the
@@ -170,7 +170,7 @@ func (r *run) gateRow(i int32) {
 // listWindow opens the window at the build step: it solves the dirty objects
 // over its steps, in order, and lists the valid rows whose boxes meet a dirty
 // object's grown by one cell (hits) — an object Chebyshev-adjacent to a dirty
-// one at a step of the window has a cell in both (DESIGN.md §11) — or, when
+// one at a step of the window has a cell in both (DESIGN.md §5) — or, when
 // boxes do not pay, every valid row.
 func (r *run) listWindow() error {
 	if err := r.forkBuild((*run).dirtyRange, len(r.dirtyIdx)); err != nil || r.track.index == nil {
@@ -221,7 +221,7 @@ func (r *run) listWindow() error {
 // first step, write the dirty entries, stamp each one's cell and the 26 around
 // it (serially), and key the other listed objects into entries j with the
 // full screen's kernel (buildRange), kept only if stamped — so a pair swept
-// with a dirty member is one the full screen sweeps (DESIGN.md §11); a false
+// with a dirty member is one the full screen sweeps (DESIGN.md §5); a false
 // positive pairs with nothing.
 func (r *run) buildDelta() ([]lockfree.Cell, error) {
 	j := r.buildStep % boxSteps

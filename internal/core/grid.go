@@ -431,7 +431,7 @@ func (r *run) candidates() int {
 	return n
 }
 
-// collectPairs is the conjunction set of §IV-A3 as a list (DESIGN.md §2): the
+// collectPairs is the conjunction set of §IV-A3 as a list (DESIGN.md §7): the
 // per-worker buffers concatenated into one pooled buffer owned (and later
 // released) by the run and sorted into (A, B, Step) order — the candidates of
 // one pair are one run of the list and the refinements of one satellite sit
@@ -738,7 +738,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 			tca, pca, outcome := r.refiner.refineOffsets(f, center, oLo, oHi, loClamped, hiClamped, threshold)
 			// The reach rule: a node window is centred on a crossing, not on the
 			// step, so its minimum may lie past every grid-rule window of the step
-			// (≤ W_ab); a step nearer owns it (§IV-C's edge-rule logic, DESIGN.md §10).
+			// (≤ W_ab); a step nearer owns it (§IV-C's edge-rule logic, DESIGN.md §2.6).
 			unreached := nodeWindow && !r.cfg.ablation.noReachRule && math.Abs(tca-tStep) > max(r.reach(a), r.reach(b))
 			if outcome == refineBelowThreshold && !unreached {
 				out = append(out, Conjunction{A: min(p.A, p.B), B: max(p.A, p.B), Step: p.Step, TCA: tca, PCA: pca})

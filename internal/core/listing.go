@@ -1,6 +1,6 @@
 package core
 
-// The knot-interval listing of a full screen (DESIGN.md §10). At a knot step
+// The knot-interval listing of a full screen (DESIGN.md §2.4). At a knot step
 // the build advances every object's knots and writes its box of cells over
 // the new knot interval (knotBox); at the interval's first other step a join
 // of the boxes lists the objects whose box, grown by one cell, meets another's
@@ -26,8 +26,8 @@ const (
 	maxBoxExtent = 30
 	// An interval that lists more than 1/listShare of the objects, or whose
 	// join tests more than joinTests·N pairs (checked every joinChunk
-	// entries), stops the listing (DESIGN.md §10 has the measurement); at most
-	// maxWide boxes may be as wide as a lattice cell.
+	// entries), stops the listing (DESIGN.md §2.4 names the measurement); at
+	// most maxWide boxes may be as wide as a lattice cell.
 	listShare, joinTests, joinChunk, maxWide = 2, 16, 256, 4
 	// The knot build counts its boxes by boxWidth, widthSlots a worker.
 	widthSlots = maxBoxExtent + 2

@@ -95,7 +95,7 @@ func groupCells(sorted, cells []lockfree.Cell) []lockfree.Cell {
 }
 
 // radialGate is the sweep's test on a (pair, step) before it emits one
-// (DESIGN.md §10), in two parts, each over the pair's reach W_ab = max(W_a,
+// (DESIGN.md §2.5), in two parts, each over the pair's reach W_ab = max(W_a,
 // W_b) from the objects' rows of the run's table. The radial test keeps the
 // pair iff its radii at the step differ by at most g + (ṙ_a + ṙ_b)·W_ab. The
 // motion test, if the gate has one, then drops it iff prefilterReject proves
@@ -152,7 +152,7 @@ func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int
 }
 
 // motionTest is the gate's second test: the pre-filter's bound over the whole
-// reach, from states computed at most once per object per step (DESIGN.md §10).
+// reach, from states computed at most once per object per step (DESIGN.md §2.5).
 type motionTest struct {
 	rows      []lockfree.MotionRow // by population index, pooled; Stamp = step+1 once a row holds the step
 	pad       float32              // p: the velocity error two of the table's states may carry, km/s

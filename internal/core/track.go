@@ -1,6 +1,6 @@
 package core
 
-// The key track and the session that carries it (DESIGN.md §11). A row of cell
+// The key track and the session that carries it (DESIGN.md §3.2). A row of cell
 // keys is a pure function of one object's elements and the run's trackShape, so
 // within one delta chain a pass's clean objects have the keys the pass before
 // computed. The track keeps them — per step the move from the previous cell,

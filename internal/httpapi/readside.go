@@ -1,6 +1,6 @@
 package httpapi
 
-// The read-side fan-out surface (DESIGN.md §15): snapshot publication from
+// The read-side fan-out surface (DESIGN.md §4): snapshot publication from
 // the rescreen loop into internal/serve, the /v1/subscribe SSE and
 // long-poll endpoints, the /healthz staleness gate, the /metrics
 // Prometheus exporter, and the per-route instrumentation + admission

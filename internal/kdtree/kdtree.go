@@ -8,7 +8,7 @@
 // kd-based candidate generator produces the same conjunction candidates as
 // the grid (it is validated against it), and the ablation benchmark
 // measures rebuild+query cost against grid reset+insert+scan per sampling
-// step (DESIGN.md §5).
+// step (DESIGN.md §8).
 //
 // The implementation is a classic median-split static tree built over one
 // sampling step's positions: O(n log n) construction with an in-place

@@ -18,7 +18,7 @@
 //
 // Newton–Raphson and Danby (quartic-convergence) iterations are provided as
 // baselines: the paper's evaluation of the solver swap and our ablation
-// benchmark (DESIGN.md §5) compare all three.
+// benchmark (DESIGN.md §8) compare all three.
 package kepler
 
 import (

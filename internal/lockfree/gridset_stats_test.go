@@ -10,7 +10,7 @@ import (
 )
 
 // Stats coverage: the probe/insert numbers feed the slot-factor ablation
-// (DESIGN.md §5) and the paperbench occupancy tables, so their arithmetic is
+// (DESIGN.md §8) and the paperbench occupancy tables, so their arithmetic is
 // pinned here. Insert counts nothing; Stats reads both off the table.
 
 func TestGridSetStatsExactCounters(t *testing.T) {

@@ -279,7 +279,7 @@ func TestGridSetAvgProbesReasonable(t *testing.T) {
 }
 
 // shardedMap is a conventional mutex-sharded map — the ablation baseline the
-// non-blocking design is benchmarked against (DESIGN.md §5).
+// non-blocking design is benchmarked against (DESIGN.md §8).
 type shardedMap struct {
 	shards [64]struct {
 		mu sync.Mutex

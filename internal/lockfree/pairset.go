@@ -57,7 +57,7 @@ func UnpackPair(key uint64) Pair {
 //
 // The screening pipeline does not use it: its sweeps emit each (pair, step)
 // once, so the candidates are a sorted key list (core's collectPairs; DESIGN.md
-// §2 has the substitution row). The set stays as the paper's structure, under
+// §7 has the substitution row). The set stays as the paper's structure, under
 // its concurrency tests, and as the subject of bench's lockfree.pair_insert_ns.
 type PairSet struct {
 	slots []atomic.Uint64

@@ -162,33 +162,6 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 	return SolveLinear(xtx, xty)
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (n−1 denominator),
-// or 0 when fewer than two samples are given.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // SplitMix64 is a tiny, fast, splittable PRNG (Steele et al. 2014). Each
 // satellite/time-step tuple can derive an independent deterministic stream
 // from (seed, index) without any shared state, which keeps parallel

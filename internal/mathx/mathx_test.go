@@ -179,19 +179,6 @@ func TestLeastSquaresErrors(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("empty/short-slice stats should be 0")
-	}
-}
-
 func TestSplitMix64Deterministic(t *testing.T) {
 	a := NewSplitMix64(42)
 	b := NewSplitMix64(42)

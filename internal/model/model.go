@@ -47,7 +47,7 @@ type Observation struct {
 }
 
 // Fit performs the log–log least-squares fit of the power law over the
-// observations — the Extra-P substitution (DESIGN.md §2). Observations with
+// observations — the Extra-P substitution (DESIGN.md §7). Observations with
 // non-positive counts are skipped (log undefined); at least five usable
 // observations spanning more than one value per varied parameter are needed.
 func Fit(obs []Observation) (PowerLaw, error) {

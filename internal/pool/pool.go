@@ -28,7 +28,7 @@
 //     histograms it counts into), and the detectors write every entry of the
 //     tables and caches they read before reading it — all of them on a full
 //     screen, those of what it solves or lists on a delta pass (DESIGN.md
-//     §§10–11).
+//     §2.1).
 //
 // All methods are safe for concurrent use; the freelists are small
 // mutex-protected stacks (Get/Put are rare — per run, not per step — so

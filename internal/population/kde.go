@@ -4,7 +4,7 @@
 // active-satellite catalogue's cluster structure (Fig. 9), and the remaining
 // Kepler elements are drawn uniformly from the Table II ranges.
 //
-// Substitution note (DESIGN.md §2): the paper seeds its KDE from the
+// Substitution note (DESIGN.md §7): the paper seeds its KDE from the
 // Celestrak TLE list, which is proprietary-by-date network data. The seed
 // set embedded here reproduces the catalogue's density landscape — the LEO
 // bulk near a ≈ 7000 km / e ≈ 0.0025, the sun-synchronous and upper-LEO

@@ -214,27 +214,3 @@ func (n Numeric) rk4(pos, vel vec3.V, t, dt float64) (vec3.V, vec3.V) {
 	vel = vel.Add(k1v.Add(k2v.Scale(2)).Add(k3v.Scale(2)).Add(k4v).Scale(dt / 6))
 	return pos, vel
 }
-
-// Trajectory integrates once and samples the state every sampleDt from t0
-// to t1 inclusive — the efficient batch interface for numeric propagation
-// (State integrates from epoch per call; Trajectory shares one pass).
-func (n Numeric) Trajectory(s *Satellite, t0, t1, sampleDt float64) []State {
-	if t1 < t0 || sampleDt <= 0 {
-		return nil
-	}
-	// Integrate from epoch to t0 first.
-	pos, vel := n.State(s, t0)
-	var out []State
-	out = append(out, State{Pos: pos, Vel: vel})
-	h := n.step()
-	t := t0
-	for target := t0 + sampleDt; target <= t1+1e-9; target += sampleDt {
-		for t < target-1e-12 {
-			dt := math.Min(h, target-t)
-			pos, vel = n.rk4(pos, vel, t, dt)
-			t += dt
-		}
-		out = append(out, State{Pos: pos, Vel: vel})
-	}
-	return out
-}

@@ -96,29 +96,6 @@ func TestNumericDragDecaysOrbit(t *testing.T) {
 	}
 }
 
-func TestNumericTrajectorySampling(t *testing.T) {
-	s := leoSat(t)
-	num := Numeric{StepSeconds: 5}
-	traj := num.Trajectory(&s, 100, 400, 100)
-	if len(traj) != 4 { // samples at 100, 200, 300, 400
-		t.Fatalf("trajectory has %d samples, want 4", len(traj))
-	}
-	analytic := TwoBody{}
-	for i, st := range traj {
-		tt := 100 + float64(i)*100
-		pa, _ := analytic.State(&s, tt)
-		if d := st.Pos.Dist(pa); d > 1e-3 {
-			t.Errorf("sample %d (t=%v) differs by %v km", i, tt, d)
-		}
-	}
-	if got := num.Trajectory(&s, 400, 100, 100); got != nil {
-		t.Error("reversed interval returned samples")
-	}
-	if got := num.Trajectory(&s, 0, 100, -1); got != nil {
-		t.Error("negative sample step returned samples")
-	}
-}
-
 func TestForceNames(t *testing.T) {
 	for _, f := range []Force{PointMass{}, J2Force{}, Drag{}} {
 		if f.Name() == "" {

@@ -1,5 +1,5 @@
 // Package serve is the read-side fan-out subsystem between the continuous
-// screening loop and the HTTP layer (DESIGN.md §15). The write side — the
+// screening loop and the HTTP layer (DESIGN.md §4). The write side — the
 // Rescreener — produces a complete conjunction set per catalogue version;
 // this package turns each one into an immutable Snapshot published through
 // an atomic pointer, so any number of readers revalidate or page through

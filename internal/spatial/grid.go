@@ -37,7 +37,8 @@ func CellSize(thresholdKm, secondsPerSample float64) float64 {
 	return thresholdKm + orbit.LEOSpeed*secondsPerSample
 }
 
-// Grid maps positions to cells of a cube [-HalfExtent, +HalfExtent]³.
+// Grid maps positions to cells of a cube [-h, +h]³, h the half extent
+// NewGrid was given.
 //
 // The grid owns its key layout. A key is x‖y‖z, z lowest, each field
 // FieldBits() = bits.Len32(2·maxIdx+2) wide and holding its coordinate biased
@@ -48,11 +49,10 @@ func CellSize(thresholdKm, secondsPerSample float64) float64 {
 // computes for a neighbour outside the cube (field 0 or 2·maxIdx+2) is simply
 // a key nothing was built under.
 type Grid struct {
-	cell       float64 // edge length of one cell, km
-	invCell    float64
-	halfExtent float64
-	maxIdx     int32 // cells span [-maxIdx, +maxIdx] per axis
-	fb         uint  // key bits per axis field
+	cell    float64 // edge length of one cell, km
+	invCell float64
+	maxIdx  int32 // cells span [-maxIdx, +maxIdx] per axis
+	fb      uint  // key bits per axis field
 }
 
 // NewGrid returns a grid with the given cell size (km) and half extent (km).
@@ -71,15 +71,9 @@ func NewGrid(cellSize, halfExtent float64) (*Grid, error) {
 			cellSize, halfExtent, cells, limit)
 	}
 	maxIdx := int32(cells)
-	return &Grid{cell: cellSize, invCell: 1 / cellSize, halfExtent: halfExtent, maxIdx: maxIdx,
+	return &Grid{cell: cellSize, invCell: 1 / cellSize, maxIdx: maxIdx,
 		fb: uint(bits.Len32(uint32(2*maxIdx + 2)))}, nil
 }
-
-// HalfExtent returns the half edge length of the simulation cube in km.
-func (g *Grid) HalfExtent() float64 { return g.halfExtent }
-
-// CellsPerAxis returns the number of cells along one axis.
-func (g *Grid) CellsPerAxis() int { return int(2*g.maxIdx + 1) }
 
 // Coord is a signed three-dimensional cell coordinate.
 type Coord struct {

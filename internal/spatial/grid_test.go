@@ -38,8 +38,8 @@ func TestNewGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.HalfExtent() != DefaultHalfExtent {
-		t.Errorf("default half extent = %v", g.HalfExtent())
+	if got := g.MaxAbsCoord(); got != DefaultHalfExtent/10 {
+		t.Errorf("default cube spans ±%d cells, want ±%v", got, DefaultHalfExtent/10)
 	}
 }
 
@@ -295,7 +295,7 @@ func TestRequiredHalfExtent(t *testing.T) {
 
 func TestCellsPerAxis(t *testing.T) {
 	g, _ := NewGrid(10, 100)
-	if got := g.CellsPerAxis(); got != 21 { // indices -10..10
-		t.Errorf("CellsPerAxis = %d, want 21", got)
+	if got := 2*g.MaxAbsCoord() + 1; got != 21 { // indices -10..10
+		t.Errorf("cells per axis = %d, want 21", got)
 	}
 }

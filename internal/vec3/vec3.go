@@ -78,22 +78,6 @@ func (v V) Angle(w V) float64 {
 	return math.Atan2(v.Cross(w).Norm(), v.Dot(w))
 }
 
-// Lerp returns the linear interpolation v + t·(w - v).
-func (v V) Lerp(w V, t float64) V {
-	return V{
-		v.X + t*(w.X-v.X),
-		v.Y + t*(w.Y-v.Y),
-		v.Z + t*(w.Z-v.Z),
-	}
-}
-
-// IsFinite reports whether all components are finite (neither NaN nor ±Inf).
-func (v V) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
-
 // String implements fmt.Stringer.
 func (v V) String() string {
 	return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z)

@@ -104,19 +104,6 @@ func TestAngleNearParallelStable(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	a, b := New(0, 0, 0), New(2, 4, 6)
-	if got := a.Lerp(b, 0.5); !vecAlmost(got, New(1, 2, 3)) {
-		t.Errorf("Lerp = %v", got)
-	}
-	if got := a.Lerp(b, 0); !vecAlmost(got, a) {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); !vecAlmost(got, b) {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-}
-
 func TestRotations(t *testing.T) {
 	x := New(1, 0, 0)
 	if got := x.RotZ(math.Pi / 2); !vecAlmost(got, New(0, 1, 0)) {
@@ -125,18 +112,6 @@ func TestRotations(t *testing.T) {
 	y := New(0, 1, 0)
 	if got := y.RotX(math.Pi / 2); !vecAlmost(got, New(0, 0, 1)) {
 		t.Errorf("RotX(π/2)y = %v, want z", got)
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	if !New(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if New(math.NaN(), 0, 0).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if New(0, math.Inf(1), 0).IsFinite() {
-		t.Error("Inf vector reported finite")
 	}
 }
 
