@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -449,7 +450,7 @@ func runTimeshare(ctx *benchCtx) error {
 // ------------------------------------------------------------------ V-C2
 
 func runThreads(ctx *benchCtx) error {
-	n := 4000
+	n := 16000
 	if ctx.full {
 		n = 64000
 	}
@@ -459,24 +460,23 @@ func runThreads(ctx *benchCtx) error {
 	}
 	maxW := runtime.NumCPU()
 	var workerCounts []int
-	for w := 1; w <= maxW; w *= 2 {
-		workerCounts = append(workerCounts, w)
+	for w := 1; w < 2*maxW; w *= 2 { // powers of two, then maxW
+		workerCounts = append(workerCounts, min(w, maxW))
 	}
-	if workerCounts[len(workerCounts)-1] != maxW {
-		workerCounts = append(workerCounts, maxW)
-	}
-	t := report.NewTable(fmt.Sprintf("Thread scaling at n=%d, span %.0f s (host has %d CPUs)", n, ctx.duration, maxW),
+	t := report.NewTable(fmt.Sprintf("Thread scaling at n=%d, span %.0f s, best of 5 screens (host has %d CPUs)", n, ctx.duration, maxW),
 		"Variant", "Threads", "Runtime [s]", "Speedup", "Efficiency")
 	for _, v := range []satconj.Variant{satconj.VariantGrid, satconj.VariantHybrid} {
 		var t1 float64
 		for _, w := range workerCounts {
-			_, elapsed, err := screenTimed(ctx, sats, satconj.Options{
-				Variant: v, ThresholdKm: ctx.threshold, DurationSeconds: ctx.duration, Workers: w,
-			})
-			if err != nil {
-				return err
+			o := satconj.Options{Variant: v, ThresholdKm: ctx.threshold, DurationSeconds: ctx.duration, Workers: w}
+			secs := math.Inf(1)
+			for range 5 { // the fastest screen, the one the rest of the host disturbed least
+				start := time.Now()
+				if _, err := satconj.ScreenContext(ctx.runCtx(), sats, o); err != nil {
+					return err
+				}
+				secs = min(secs, time.Since(start).Seconds())
 			}
-			secs := elapsed.Seconds()
 			if w == 1 {
 				t1 = secs
 			}

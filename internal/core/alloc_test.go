@@ -88,8 +88,9 @@ func TestListingScreenAllocationBudget(t *testing.T) {
 // the hybrid filter's decisions held their node schedules in place instead
 // of a slice each (46) and the scan swept its sorted entries instead of
 // copying their IDs and radii out; 43 with one closure for every build-side
-// kernel. Most of what is left is once per pass: the run, its ID and dirty
-// lists, the hybrid filter's and refinement's forks.
+// kernel; 36 with its scans inline, no scan goroutine and channels. Most of
+// what is left is once per pass: the run, its ID and dirty lists, the hybrid
+// filter's and refinement's forks.
 // The ceiling keeps the headroom it had over 65: one allocation per step (67)
 // or per fork (about 140) coming back fails it.
 const deltaPassAllocBudget = 80

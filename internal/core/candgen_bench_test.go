@@ -105,7 +105,7 @@ func BenchmarkBuild_HashGrid(b *testing.B) {
 		}
 		return func() {
 			gset.Reset()
-			_ = r.buildFork.do(r.ctx, r.workers, n, insert)
+			_ = r.buildFork.do(r.ctx, r.workers, forkGrain, n, insert)
 			snap.Freeze(gset, r.workers)
 			sortedCellsSink = sortCells(snap.Cells(), r.cellBuf, spare, &r.sortHist)
 		}
@@ -122,7 +122,7 @@ func BenchmarkBuild_Sort(b *testing.B) {
 			}
 		}
 		return func() {
-			_ = r.buildFork.do(r.ctx, r.workers, n, store)
+			_ = r.buildFork.do(r.ctx, r.workers, forkGrain, n, store)
 			sortedCellsSink = groupCells(sortCells(entries, r.cellBuf, entries, &r.sortHist), cells)
 		}
 	})
@@ -219,7 +219,7 @@ func BenchmarkCollect_PairSet(b *testing.B) {
 		var keys []uint64
 		return func() {
 			set.Reset()
-			_ = r.buildFork.do(r.ctx, r.workers, len(r.scanBufs), insert)
+			_ = r.buildFork.do(r.ctx, r.workers, 1, len(r.scanBufs), insert)
 			pairs, keys = set.Items(pairs[:0]), keys[:0]
 			for _, p := range pairs {
 				keys = append(keys, lockfree.PackPair(p.A, p.B, p.Step))

@@ -157,15 +157,9 @@ func (r *run) listUnread() {
 	}
 }
 
-// gateRow writes object i's row of an incremental pass's gate, its ID — at
-// g = +Inf the gate keeps every pair whatever else a row holds — unless the
-// row has it: every row the scan of the last step may read does, so none is
-// written under it.
-func (r *run) gateRow(i int32) {
-	if id := r.sats[i].ID; r.gate.rows[i].ID != id {
-		r.gate.rows[i] = lockfree.GateRow{ID: id}
-	}
-}
+// gateRow writes object i's row of an incremental pass's gate: its ID, all a
+// row needs at g = +Inf, where the gate keeps every pair.
+func (r *run) gateRow(i int32) { r.gate.rows[i] = lockfree.GateRow{ID: r.sats[i].ID} }
 
 // listWindow opens the window at the build step: it solves the dirty objects
 // over its steps, in order, and lists the valid rows whose boxes meet a dirty

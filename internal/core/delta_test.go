@@ -449,9 +449,9 @@ func TestScreenDeltaObserverSeesEveryStepInOrder(t *testing.T) {
 	}
 }
 
-// TestScreenDeltaPoolDraw: a delta pass draws what a full screen's step loop
-// draws — the entry ring, the scan's sort buffer and the gate rows — but no
-// motion rows, and hands everything back on every exit: completion and
+// TestScreenDeltaPoolDraw: a delta pass draws one slot of the entry ring — it
+// scans inline, on two workers too — the scan's sort buffer and the gate rows,
+// but no motion rows, and hands everything back on every exit: completion and
 // cancellation mid-window. The cancelled pass is a session's: the session
 // stays usable and its next pass equals a fresh screen.
 func TestScreenDeltaPoolDraw(t *testing.T) {
@@ -525,8 +525,8 @@ func TestScreenDeltaPoolDraw(t *testing.T) {
 					drawn++
 				}
 			}
-			if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != 3 {
-				t.Errorf("the pass drew %d cell buffers, want a ring of 2 and the scan's one", drawn)
+			if drawn := drained(func() { pl.GetCellBuf(1) }); drawn != 2 {
+				t.Errorf("the pass drew %d cell buffers, want a ring of 1 and the scan's one", drawn)
 			}
 			if drawn := drained(func() { pl.GetGateRows(len(sats)) }); drawn != 1 {
 				t.Errorf("the pass drew %d gate tables, want 1", drawn)

@@ -657,7 +657,7 @@ func (r *run) buildEntries(step int, entries []lockfree.Cell) ([]lockfree.Cell, 
 // buildFn, bound once per run: a closure per fork would allocate.
 func (r *run) forkBuild(kernel func(r *run, w, lo, hi int), n int) error {
 	r.buildKernel = kernel
-	return r.buildFork.do(r.ctx, r.workers, n, r.buildFn)
+	return r.buildFork.do(r.ctx, r.workers, forkGrain, n, r.buildFn)
 }
 
 // buildSide runs the build side's kernel of the fork on [lo, hi).
@@ -691,7 +691,7 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 	var all []Conjunction
 	var refinements, prefiltered, batches atomic.Int64
 	usePrefilter := !r.cfg.ablation.noPrefilter
-	perr := r.buildFork.do(r.ctx, r.workers, len(pairs), func(_, lo, hi int) {
+	perr := r.buildFork.do(r.ctx, r.workers, forkGrain, len(pairs), func(_, lo, hi int) {
 		ev := &pairEvaluator{prop: r.prop}
 		f := ev.dist2Offset // hoisted: binding the method per pair would allocate
 		var out []Conjunction
@@ -775,55 +775,61 @@ func (r *run) finishStats() PhaseStats {
 	return st
 }
 
-// forkJoin splits [0, n) across workers goroutines and waits, each pinned to
-// a distinct w in [0, workers) that it passes to fn, so callers can give
-// every worker a private scratch buffer with no synchronisation. Ranges are
-// dispatched as bounded chunks pulled from a shared cursor so cancellation
-// takes effect between chunks: once ctx is cancelled no unstarted chunk runs,
-// in-flight chunks run to completion (callers release pooled structures the
-// moment do returns) and the result is ctx.Err(). The state is kept from call
-// to call, one call at a time, so a call allocates nothing: a run keeps one
-// for its build side and one for its scan side, which fork at once (the scan
-// of one step beside the build of the next), each about once a step. The
-// single-worker uncancellable path is a direct call.
+// forkJoin splits [0, n) across workers and waits, each pinned to a distinct
+// w in [0, workers) that it passes to fn, so callers can give every worker a
+// private scratch buffer with no synchronisation. A fork takes one worker and
+// one more per grain items; with one the calling goroutine runs it, as a
+// hand-off would cost more than the work, else each worker is a goroutine.
+// Ranges are chunks pulled from a shared cursor so cancellation takes effect
+// between chunks: once ctx is cancelled no unstarted chunk runs, in-flight
+// chunks run to completion (callers release pooled structures the moment do
+// returns) and the result is ctx.Err(). The state is kept from call to call,
+// one call at a time, so a call allocates nothing: a run keeps one for its
+// build side and one for its scan side, which fork at once.
 type forkJoin struct {
 	fn           func(w, lo, hi int)
 	done         <-chan struct{}
 	n, chunk     int
 	next, joined atomic.Int64 // the chunk cursor; the workers started
 	wg           sync.WaitGroup
-	worker       func() // f.work, bound once: go f.worker() allocates nothing
+	worker       func() // f.work, bound by the first fork that starts a goroutine: go f.worker() allocates nothing
 }
 
-func (f *forkJoin) do(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
-	done := ctx.Done()
-	if workers = min(workers, n); n <= 0 || workers <= 1 && done == nil {
-		if n > 0 {
-			fn(0, 0, n)
-		}
+// forkGrain is the grain of every kernel a run forks, in items of any kind
+// (EXPERIMENTS.md "Forks sized by their work").
+const forkGrain = 256
+
+func (f *forkJoin) do(ctx context.Context, workers, grain, n int, fn func(w, lo, hi int)) error {
+	if n <= 0 {
 		return nil
 	}
+	workers = min(workers, n, n/grain+1)
 	// Oversubscribe the chunking (4 per worker) so workers re-check the
 	// context at sub-range granularity and tail imbalance stays small.
-	f.fn, f.done, f.n, f.chunk = fn, done, n, (n+4*workers-1)/(4*workers)
+	f.fn, f.done, f.n, f.chunk = fn, ctx.Done(), n, (n+4*workers-1)/(4*workers)
+	if workers == 1 && f.done == nil {
+		f.chunk = n // nothing to check between chunks
+	}
 	f.next.Store(0)
 	f.joined.Store(0)
-	if f.worker == nil {
-		f.worker = f.work
-	}
 	f.wg.Add(workers)
-	for range workers {
-		go f.worker()
-	}
-	f.wg.Wait()
-	if done != nil {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
+	if workers == 1 {
+		f.work()
+	} else {
+		if f.worker == nil {
+			f.worker = f.work
 		}
+		for range workers {
+			go f.worker()
+		}
+		f.wg.Wait()
 	}
-	return nil
+	select { // a nil done, Background's, is never ready
+	case <-f.done:
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // work is one worker of a do: chunks from the cursor until it passes n or
@@ -832,12 +838,10 @@ func (f *forkJoin) work() {
 	defer f.wg.Done()
 	w := int(f.joined.Add(1)) - 1
 	for {
-		if f.done != nil {
-			select {
-			case <-f.done:
-				return
-			default:
-			}
+		select {
+		case <-f.done:
+			return
+		default:
 		}
 		lo := int(f.next.Add(int64(f.chunk))) - f.chunk
 		if lo >= f.n {

@@ -120,7 +120,7 @@ func (r *run) classifyPairs(pairs []uint64) ([]pairDecision, error) {
 		decs[len(decs)-1].end = k + 1
 	}
 	var mu sync.Mutex
-	perr := r.buildFork.do(r.ctx, r.workers, len(decs), func(_, lo, hi int) {
+	perr := r.buildFork.do(r.ctx, r.workers, forkGrain, len(decs), func(_, lo, hi int) {
 		var local filters.Stats
 		for i := lo; i < hi; i++ {
 			dec := &decs[i]

@@ -107,7 +107,7 @@ func TestKeyLayouts(t *testing.T) {
 				}
 				slices.Sort(cuts)
 				bufs := make([][]uint64, len(cuts)-1)
-				err := new(forkJoin).do(context.Background(), len(bufs), len(bufs), func(w, lo, hi int) {
+				err := new(forkJoin).do(context.Background(), len(bufs), 1, len(bufs), func(w, lo, hi int) {
 					for r := lo; r < hi; r++ {
 						bufs[r] = sweepOpen(cells, members, cuts[r], cuts[r+1], fb, bufs[r])
 					}

@@ -10,7 +10,8 @@ package core
 // (buildDelta) those away from its dirty ones. The scan owns its entry buffer
 // until it is joined, so with a second one the scan of step N runs beside the
 // build of step N+1: steps build into a ring of entry buffers, ring[step&1],
-// of one slot or two.
+// of two slots on a full screen with workers to overlap, else of one. A delta
+// pass lists tens of objects a step: a hand-off would cost more than its scan.
 //
 // On two slots ownership is handed off over a pair of depth-1 channels, never
 // shared: the build writes ring[step&1] while the one scan in flight sorts
@@ -39,17 +40,17 @@ type scanResult struct {
 	err         error
 }
 
-// sampleSteps runs every sampling step in order, warm-start caches intact.
-// The ring gets its second slot, and the scan its own goroutine, when the run
-// has workers to overlap with and more than one step to overlap; otherwise
-// (one worker is also where the steady-state allocation budget is measured)
-// each scan runs inline. Detection time on two slots overlaps insertion wall
-// time, so the phase *shares* remain the meaningful quantity.
+// sampleSteps runs every sampling step in order, warm-start caches intact. A
+// full screen with workers to overlap and more than one step gets the ring's
+// second slot and a scan goroutine; otherwise each scan runs inline (one
+// worker is where the steady-state allocation budget is measured). Detection
+// time on two slots overlaps insertion wall time, so the phase *shares*
+// remain the meaningful quantity.
 func (r *run) sampleSteps() error {
 	ring := [2][]lockfree.Cell{r.entries, r.entries}
 	var jobs chan scanJob
 	var results chan scanResult
-	if r.workers >= 2 && r.steps > 1 && !r.cfg.ablation.oneSlotRing {
+	if r.workers >= 2 && r.steps > 1 && !r.incremental && !r.cfg.ablation.oneSlotRing {
 		ring[1] = r.pool.GetCellBuf(len(r.sats))[:len(r.sats)]
 		defer r.pool.PutCellBuf(ring[1])
 		// One long-lived scan goroutine per run, fed over depth-1 channels
@@ -126,7 +127,7 @@ func (r *run) scan(j scanJob) scanResult {
 	}
 	r.scanCells = groupCells(r.scanMembers, cells)
 	tSweep := time.Now()
-	err := r.scanFork.do(r.ctx, r.workers, len(r.scanCells), r.scanFn)
+	err := r.scanFork.do(r.ctx, r.workers, forkGrain, len(r.scanCells), r.scanFn)
 	return scanResult{step: int(j.step), inCube: j.inCube, sort: tSweep.Sub(tSort), sweep: time.Since(tSweep), err: err}
 }
 

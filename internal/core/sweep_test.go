@@ -209,7 +209,7 @@ func TestSweepMatchesNeighborReference(t *testing.T) {
 			cells, members := groupedCells(p.grid, p.coords)
 			// Swept the way a run does: three workers pulling ranges.
 			bufs := make([][]uint64, 3)
-			err := new(forkJoin).do(context.Background(), len(bufs), len(cells), func(w, lo, hi int) {
+			err := new(forkJoin).do(context.Background(), len(bufs), 1, len(cells), func(w, lo, hi int) {
 				bufs[w] = sweepOpen(cells, members, lo, hi, p.grid.FieldBits(), bufs[w])
 			})
 			if err != nil {

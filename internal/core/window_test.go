@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -418,11 +419,20 @@ func TestTrackRefsAfterUnencodableRow(t *testing.T) {
 
 // BenchmarkSessionDeltaPass: one 16-object delta pass of a primed hybrid
 // session over the KDE population, 600 s, two workers, reporting the
-// object-steps the pass keyed.
+// object-steps the pass keyed. Each pass runs as a rescreen loop's does
+// (httpapi.Rescreener): under a context it can cancel, with an observer that
+// takes a lock per step and phase.
 func BenchmarkSessionDeltaPass(b *testing.B) {
 	for _, n := range []int{8000, 131072} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ctx := context.Background()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var mu sync.Mutex
+			var steps, phases int
+			observer := ObserverFuncs{
+				Step:  func(StepInfo) { mu.Lock(); steps++; mu.Unlock() },
+				Phase: func(PhaseInfo) { mu.Lock(); phases++; mu.Unlock() },
+			}
 			epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 			sats := population.MustGenerate(population.Config{N: n, Seed: 1})
 			sess, err := NewSession(VariantHybrid, Config{DurationSeconds: 600, Workers: 2})
@@ -431,6 +441,7 @@ func BenchmarkSessionDeltaPass(b *testing.B) {
 			}
 			nudger := &deltaNudger{sats: sats, rng: mathx.NewSplitMix64(7)}
 			pass := func(p Pass) *Result {
+				p.Observer = observer
 				res, err := sess.Screen(ctx, sats, p)
 				if err != nil {
 					b.Fatal(err)
