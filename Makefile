@@ -46,11 +46,13 @@ loc:
 ## join into their own marks and stop at a shared test count. So do the fork
 ## tests: one to four workers pull chunks from one cursor, a cancel lands
 ## between any two chunks, and a service-sized delta pass runs every fork and
-## scan on its caller.
+## scan on its caller. So do the run-refinement tests: any split of a
+## debris cloud's candidates over one to four refiners returns the same
+## records, and the fuzz corpus's runs their dense-sampling minima.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestCatalogConcurrentReadersAndWriter|TestConcurrentGetPut|TestStoreConcurrentAppendAndRead' ./internal/catalog ./internal/pool ./internal/store
-	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress|TestKnotIntervalJoinListsExactlyTheMeetingBoxes|TestKnotIntervalJoinStopsPastItsBudget|TestForkJoinDo|TestServiceDeltaPassStartsNoGoroutine' ./internal/core
+	$(GO) test -race -count=50 -run 'TestPipelinedScreenConcurrentRaceStress|TestMotionTableConcurrentRaceStress|TestKnotIntervalJoinListsExactlyTheMeetingBoxes|TestKnotIntervalJoinStopsPastItsBudget|TestForkJoinDo|TestServiceDeltaPassStartsNoGoroutine|TestRefineRunOwnsEachMinimumOnce|FuzzRefineRun' ./internal/core
 	$(GO) test -race -count=50 -run 'TestSessionUpdateChain/hybrid|TestSessionBoxIndexChain|TestSessionKept' ./internal/core
 
 ## mem-smoke: screen a 131072-object catalogue with the grid detector under
@@ -61,13 +63,15 @@ mem-smoke:
 ## fuzz: short fuzz sessions — MurmurHash3 invariants (determinism,
 ## streaming/one-shot agreement, finaliser avalanche), TLE parsing and
 ## CCSDS CDM/KVN parsing (no-panic on arbitrary input, guarded
-## write/parse round trips), and the Brent minimiser (no-panic,
-## bracketing invariant, value/abscissa consistency).
+## write/parse round trips), the Brent minimiser (no-panic,
+## bracketing invariant, value/abscissa consistency), and run refinement
+## (a run's records are its dense-sampling minima below d, once each).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMurmur3 -fuzztime=20s ./internal/hash
 	$(GO) test -run=^$$ -fuzz=FuzzTLEParse -fuzztime=20s ./internal/tle
 	$(GO) test -run=^$$ -fuzz=FuzzParseKVN -fuzztime=20s ./internal/ccsds
 	$(GO) test -run=^$$ -fuzz=FuzzBrent -fuzztime=20s ./internal/brent
+	$(GO) test -run=^$$ -fuzz=FuzzRefineRun -fuzztime=20s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

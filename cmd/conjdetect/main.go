@@ -34,7 +34,7 @@ func main() {
 		sps       = flag.Float64("sps", 0, "seconds per sample (0 = variant default)")
 		workers   = flag.Int("workers", 0, "CPU workers (0 = all)")
 		useJ2     = flag.Bool("j2", false, "propagate with the secular J2 perturbation")
-		eventsTol = flag.Float64("events-tol", 10, "merge window (s) for multi-step duplicates; 0 prints raw conjunctions")
+		eventsTol = flag.Float64("events-tol", 10, "merge window (s) for distinct minima of one pair; 0 prints raw conjunctions")
 		maxPrint  = flag.Int("max-print", 50, "print at most this many conjunctions (0 = all)")
 		quiet     = flag.Bool("q", false, "suppress the conjunction listing, print only the summary")
 		cdmFile   = flag.String("cdm", "", "write CCSDS Conjunction Data Messages to this file ('-' = stdout)")
@@ -147,13 +147,13 @@ func main() {
 			100*float64(st.Refine)/float64(st.Total()),
 			100*float64(st.Coplanarity)/float64(st.Total()))
 	}
+	g := func(v int) string { return report.GroupThousands(fmt.Sprint(v)) }
 	if st.GridCandidates > 0 {
-		fmt.Printf("grid candidates:  %s, %s past the radial test, %s past the motion test (filter-rejected %s, refinements %s)\n",
-			report.GroupThousands(fmt.Sprint(st.GridCandidates)),
-			report.GroupThousands(fmt.Sprint(st.CandidatePairs+st.MotionGated)),
-			report.GroupThousands(fmt.Sprint(st.CandidatePairs)),
-			report.GroupThousands(fmt.Sprint(st.FilterRejected)),
-			report.GroupThousands(fmt.Sprint(st.Refinements)))
+		fmt.Printf("grid candidates:  %s, %s past the radial test, %s past the motion test (filter-rejected %s)\n", g(st.GridCandidates), g(st.CandidatePairs+st.MotionGated), g(st.CandidatePairs), g(st.FilterRejected))
+	}
+	if st.RefineRuns > 0 {
+		fmt.Printf("refinement:       %s runs over %s lattice intervals, %s brackets; proved empty by the pre-filter %s, curvature %s, chord %s; %s Brent runs → %s records, %s encounters (1 s)\n",
+			g(st.RefineRuns), g(st.RefineIntervals), g(st.Brackets), g(st.Proved[0]), g(st.Proved[1]), g(st.Proved[2]), g(st.Refinements), g(len(res.Conjunctions)), g(len(res.Events(1))))
 	}
 	switch {
 	case st.KnotStride > 1:

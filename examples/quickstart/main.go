@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	events := res.Events(10) // merge multi-step duplicates within 10 s
+	events := res.Events(10) // one record per encounter; join minima within 10 s
 	fmt.Printf("screened %d objects for 1 hour (%s backend)\n", len(sats), res.Backend)
 	fmt.Printf("grid candidates: %d, filter-rejected: %d, refinements: %d\n",
 		res.Stats.CandidatePairs, res.Stats.FilterRejected, res.Stats.Refinements)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/lockfree"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/propagation"
@@ -29,26 +30,20 @@ func benchShellPopulation(b testing.TB, n int) []propagation.Satellite {
 	return sats
 }
 
-// Interval radius rule sensitivity: the paper's two-cell crossing rule vs a
-// fixed-width interval. The adaptive rule keeps refinement intervals small
-// for fast LEO objects while staying safe for slow high-altitude ones.
-func BenchmarkRefine_TwoCellRule(b *testing.B) {
+// BenchmarkRefineRun refines one encounter's run of candidates: the steps
+// around the meeting, as the grid flags them.
+func BenchmarkRefineRun(b *testing.B) {
 	a, c := benchMeetingPair()
-	r := newRefiner(propagation.TwoBody{}, 2, 4000)
-	prop := propagation.TwoBody{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		radius := intervalRadius(9.8, &a, &c, prop, 1000)
-		_, _, _ = r.refine(&a, &c, 1000, radius)
+	r := refineRunFor(propagation.TwoBody{}, []propagation.Satellite{a, c}, 1, 4000, 2)
+	var keys []uint64
+	for k := uint32(996); k <= 1004; k++ {
+		keys = append(keys, lockfree.PackPair(0, 1, k))
 	}
-}
-
-func BenchmarkRefine_FixedWide(b *testing.B) {
-	a, c := benchMeetingPair()
-	r := newRefiner(propagation.TwoBody{}, 2, 4000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = r.refine(&a, &c, 1000, 120)
+		if _, err := r.refineCandidates(keys); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

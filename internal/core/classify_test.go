@@ -110,16 +110,9 @@ func TestClassifyPairsMatchesPairByPairClassify(t *testing.T) {
 					t.Fatalf("%s: run %d holds two pairs: %+v, %+v", name, i, lockfree.UnpackPair(pairs[lo]), lockfree.UnpackPair(k))
 				}
 			}
-			g := want[stepless(pairs[lo])]
-			passing := 0
-			for _, n := range g.Nodes {
-				if g.Class == filters.NodeCrossing && n.Passes {
-					passing++
-				}
-			}
-			if dec.class != g.Class || dec.passes != passing {
-				t.Fatalf("%s: run %d of %+v: class %v with %d node windows, Classify says %v with %d",
-					name, i, lockfree.UnpackPair(pairs[lo]), dec.class, dec.passes, g.Class, passing)
+			if g := want[stepless(pairs[lo])]; dec.class != g.Class {
+				t.Fatalf("%s: run %d of %+v: class %v, Classify says %v",
+					name, i, lockfree.UnpackPair(pairs[lo]), dec.class, g.Class)
 			}
 			lo = dec.end
 		}

@@ -92,8 +92,6 @@ type ablation struct {
 	oneSlotRing bool
 	// noGate keeps every pair the sweep finds: no radial, no motion test (radialGate).
 	noGate bool
-	// noReachRule keeps node-window records however far from the step.
-	noReachRule bool
 	// noKnotPad bins and gates interpolated positions as if they were exact:
 	// none near a cell face is solved, and the radial test adds nothing to g.
 	noKnotPad bool
@@ -131,7 +129,7 @@ func (c Config) pool() *pool.Pool {
 // that flagged it, and the refined time and distance of closest approach.
 type Conjunction struct {
 	A, B int32   // satellite IDs, A < B
-	Step uint32  // sampling step that produced the candidate
+	Step uint32  // sampling step of the record: for grid and hybrid, the one nearest the TCA
 	TCA  float64 // time of closest approach, seconds from epoch
 	PCA  float64 // point-of-closest-approach distance, km
 }
@@ -195,7 +193,11 @@ type PhaseStats struct {
 	TrackBytes         int     // delta passes of a Session: size of the key track the pass read and wrote
 	TrackDropped       string  // Session passes: why the key track (or the rows a failed pass opened) was dropped before this pass; empty when kept
 	FilterRejected     int     // candidates dropped by the orbital filters (hybrid)
-	PrefilterRejected  int     // candidates rejected analytically before any Brent evaluation
+	PrefilterRejected  int     // candidates whose window the pre-filter proved conjunction-free: they join no run
+	RefineRuns         int     // runs: a pair's overlapping surviving windows, refined on the sampling lattice (refine.go)
+	RefineIntervals    int     // lattice intervals the runs examined
+	Brackets           int     // of those, intervals with ρ̇(t_k) < 0 ≤ ρ̇(t_k+1), one Brent search each unless the pre-filter clears them
+	Proved             [3]int  // non-bracket intervals proved free of an interior minimum by the pre-filter, the curvature bound and the chord bound
 	Refinements        int     // Brent searches performed
 	RefineBatches      int     // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds        uint64  // satellite samples outside the simulation cube
@@ -243,7 +245,7 @@ type Result struct {
 
 // UniquePairs returns the number of distinct satellite pairs among the
 // conjunctions — the paper's "possibly colliding pairs" count, as opposed to
-// the conjunction count which may include one event seen at several steps.
+// the conjunction count, one per encounter (a pair can meet more than once).
 func (r *Result) UniquePairs() int {
 	seen := make(map[uint64]struct{}, len(r.Conjunctions))
 	for _, c := range r.Conjunctions {
@@ -253,8 +255,9 @@ func (r *Result) UniquePairs() int {
 }
 
 // Events merges conjunctions of the same pair whose TCAs lie within
-// tolSeconds of each other, keeping the smallest PCA of each cluster: one
-// entry per physical encounter. It relies on the list's order.
+// tolSeconds, keeping the smallest PCA of each cluster. A grid or hybrid
+// record is already one minimum, so this joins only distinct minima (and
+// legacy's repeats). It relies on the list's order.
 func (r *Result) Events(tolSeconds float64) []Conjunction {
 	var out []Conjunction
 	for _, c := range r.Conjunctions {

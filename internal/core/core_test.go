@@ -322,41 +322,6 @@ func TestStepCount(t *testing.T) {
 	}
 }
 
-func TestRefinerEdgeDiscard(t *testing.T) {
-	// A pair whose minimum lies beyond the interval edge must be discarded
-	// (the neighbouring interval owns it). Build the interval by hand.
-	a, b := meetingPair(0, 1, 1000, 1.1, 0)
-	r := newRefiner(propagation.TwoBody{}, 2, 4000)
-	// Interval well before the encounter: distance is monotonically
-	// decreasing toward t=1000, so the minimum sits at the right edge.
-	_, _, outcome := r.refine(&a, &b, 900, 20)
-	if outcome != refineEdgeDiscard {
-		t.Errorf("outcome = %v, want edge discard", outcome)
-	}
-	// Interval containing the encounter: accepted.
-	tca, pca, outcome := r.refine(&a, &b, 1000, 50)
-	if outcome != refineBelowThreshold {
-		t.Fatalf("outcome = %v, want below-threshold", outcome)
-	}
-	if math.Abs(tca-1000) > 1 || pca > 0.5 {
-		t.Errorf("tca=%v pca=%v", tca, pca)
-	}
-}
-
-func TestRefinerSpanClampNoDiscard(t *testing.T) {
-	// Minimum exactly at the screening-span boundary: the edge rule must
-	// not discard it (no neighbouring interval exists).
-	a, b := meetingPair(0, 1, 0, 1.1, 0) // encounter at t=0
-	r := newRefiner(propagation.TwoBody{}, 2, 2000)
-	tca, pca, outcome := r.refine(&a, &b, 0, 30)
-	if outcome != refineBelowThreshold {
-		t.Fatalf("outcome = %v, want below-threshold at span start", outcome)
-	}
-	if tca > 1 || pca > 0.5 {
-		t.Errorf("tca=%v pca=%v", tca, pca)
-	}
-}
-
 func TestOutOfBoundsCounted(t *testing.T) {
 	// A cube too small for the orbits: every sample lands outside and is
 	// counted, producing no conjunctions and no crash.

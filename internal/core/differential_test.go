@@ -87,11 +87,6 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64) 
 	prop := propagation.TwoBody{}
 	cell := spatial.CellSize(threshold, sps)
 	steps := stepCount(span, sps)
-	ref := newRefiner(prop, threshold, span)
-	idx := make(map[int32]int, len(sats))
-	for i := range sats {
-		idx[sats[i].ID] = i
-	}
 	seen := make(map[uint64]lockfree.Pair)
 	pts := make([]kdtree.Point, len(sats))
 	for step := 0; step < steps; step++ {
@@ -105,16 +100,14 @@ func screenWithTree(sats []propagation.Satellite, threshold, sps, span float64) 
 			seen[lockfree.PackPair(a.ID, b.ID, s)] = lockfree.Pair{A: min(a.ID, b.ID), B: max(a.ID, b.ID), Step: s}
 		})
 	}
-	var out []Conjunction
-	for _, p := range seen {
-		a := &sats[idx[p.A]]
-		b := &sats[idx[p.B]]
-		center := float64(p.Step) * sps
-		radius := intervalRadius(cell, a, b, prop, center)
-		tca, pca, outcome := ref.refineThreshold(a, b, center, radius, threshold)
-		if outcome == refineBelowThreshold {
-			out = append(out, Conjunction{A: p.A, B: p.B, Step: p.Step, TCA: tca, PCA: pca})
-		}
+	keys := make([]uint64, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out, err := refineRunFor(prop, sats, sps, span, threshold).refineCandidates(keys)
+	if err != nil {
+		panic(err)
 	}
 	slices.SortFunc(out, CompareConjunctions)
 	return &Result{Conjunctions: out}

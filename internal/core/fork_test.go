@@ -325,7 +325,7 @@ func BenchmarkForkCrossover(b *testing.B) {
 		r := sampled(b)
 		pairs := r.keys[:min(len(r.keys), 512)]
 		for i := 0; i < b.N; i++ {
-			if _, err := r.refineCandidates(pairs, nil); err != nil {
+			if _, err := r.refineCandidates(pairs); err != nil {
 				b.Fatal(err)
 			}
 		}

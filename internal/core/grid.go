@@ -33,9 +33,8 @@ const DefaultGridSeconds = 1.0
 type frame struct {
 	variant Variant
 	sps     float64 // default sampling step s_ps
-	// filter, when non-nil, is step 3: the candidates refinement sees, and
-	// the search window of each (a false ok falls back to the grid rule).
-	filter func(r *run) (kept []uint64, interval func(k int) (center, radius float64, ok bool), err error)
+	// filter, when non-nil, is step 3: the candidates refinement sees.
+	filter func(r *run) (kept []uint64, err error)
 }
 
 // register adds f to the registry as a detector.
@@ -99,11 +98,10 @@ func (d *detector) screenRun(r *run, delta *DeltaInput) (*Result, error) {
 	r.observePhase(PhaseSample, time.Since(tSample), 0)
 
 	pairs := r.keys
-	var interval func(k int) (center, radius float64, ok bool)
 	if d.filter != nil {
 		tFil := time.Now()
 		var err error
-		if pairs, interval, err = d.filter(r); err != nil {
+		if pairs, err = d.filter(r); err != nil {
 			return nil, err
 		}
 		r.stats.Coplanarity += time.Since(tFil)
@@ -111,7 +109,7 @@ func (d *detector) screenRun(r *run, delta *DeltaInput) (*Result, error) {
 	}
 
 	tRef := time.Now()
-	conjs, err := r.refineCandidates(pairs, interval)
+	conjs, err := r.refineCandidates(pairs)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +153,6 @@ type run struct {
 	unread      int     // places below it are solved and the rest read from the track: the length of a delta pass's first two parts, the same every window; N on a full screen
 	oob         atomic.Uint64
 	stats       PhaseStats
-	refiner     *refiner
 	uncertainty UncertaintyMap
 
 	// Delta screening state (delta.go); zero on full screens.
@@ -285,7 +282,6 @@ func (r *run) init(delta *DeltaInput, h float64) error {
 	if r.steps = stepCount(cfg.DurationSeconds, r.sps); r.steps-1 > lockfree.MaxStep {
 		return fmt.Errorf("core: %d sampling steps exceed the packed-pair step limit %d", r.steps, lockfree.MaxStep)
 	}
-	r.refiner = newRefiner(r.prop, r.threshold, cfg.DurationSeconds)
 	if delta != nil {
 		if err := r.setDelta(delta); err != nil {
 			return err
@@ -670,94 +666,46 @@ func (r *run) scanRange(w, lo, hi int) {
 	r.scanBufs[w] = sweepCells(r.scanCells, r.scanMembers, r.gate, lo, hi, r.scanStep, r.grid.FieldBits(), r.scanBufs[w], &r.gated)
 }
 
-// refineCandidates runs the parallel PCA/TCA phase over the candidate list.
-// interval, when non-nil, supplies a custom search window for candidate k of
-// the list (the hybrid variant's node-window intervals); a nil function or a
-// false ok falls back to the grid rule. Confirmed conjunctions stream to the
-// run's sink (if any) as each worker chunk completes, under the same mutex
-// that merges them into the result — the Sink contract's serialisation point.
-//
-// The phase is batched by satellite: candidates arrive in (A, B, Step) order
-// (collectPairs), so each worker chunk sees runs of identical satellites, and
-// the per-chunk pairEvaluator warm-starts the Kepler solves within each
-// candidate instead of solving cold. Before any Brent evaluation, the
-// analytic pre-filter (refine.go) rejects candidates whose separation
-// provably stays above the pair threshold over the whole interval; rejections
-// are counted separately from refinements. Workers re-check the run context
-// every 16 candidates so large refine phases abort promptly under
-// cancellation.
-func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, radius float64, ok bool)) ([]Conjunction, error) {
+// refineCandidates runs the parallel PCA/TCA phase over the candidate list
+// (refine.go, DESIGN.md §2.6). A chunk of the list refines the pairs whose
+// first candidate lies in it, reading past its end to finish the last one, so
+// every pair is refined once, by one worker, however the list is split. Each
+// worker keeps its refiner for the phase. Records stream to the run's sink
+// (if any) as each chunk completes, under the same mutex that merges them
+// into the result — the Sink contract's serialisation point. Workers re-check
+// the run context between pairs so large refine phases abort promptly.
+func (r *run) refineCandidates(pairs []uint64) ([]Conjunction, error) {
 	var mu sync.Mutex
 	var all []Conjunction
-	var refinements, prefiltered, batches atomic.Int64
-	usePrefilter := !r.cfg.ablation.noPrefilter
-	perr := r.buildFork.do(r.ctx, r.workers, forkGrain, len(pairs), func(_, lo, hi int) {
-		ev := &pairEvaluator{prop: r.prop}
-		f := ev.dist2Offset // hoisted: binding the method per pair would allocate
-		var out []Conjunction
-		for k := lo; k < hi; k++ {
-			if r.done != nil && (k-lo)&15 == 0 {
-				select {
-				case <-r.done:
-					return
-				default:
-				}
-			}
-			p := lockfree.UnpackPair(pairs[k])
-			a := &r.sats[r.idx[p.A]]
-			b := &r.sats[r.idx[p.B]]
-			tStep := float64(p.Step) * r.sps
-			center, radius, nodeWindow := tStep, 0.0, false
-			if interval != nil {
-				if c2, rad, ok := interval(k); ok {
-					center, radius, nodeWindow = c2, rad, true
-				}
-			}
-			if ev.bind(a, b) {
-				batches.Add(1)
-			}
-			ev.center = center
-			pa, va, pb, vb := ev.statesAt(center)
-			if radius <= 0 {
-				// Grid rule (§IV-C): time for the slower satellite to cross
-				// two cells, from its speed at the sampling step — the same
-				// states the pre-filter consumes.
-				v := math.Min(va.Norm(), vb.Norm())
-				if v < 1e-9 {
-					v = 1e-9
-				}
-				radius = 2 * r.cellSize / v
-			}
-			threshold := r.pairThreshold(p.A, p.B)
-			oLo, oHi, loClamped, hiClamped := r.refiner.clampOffsets(center, radius)
-			if usePrefilter && ev.separated(pa, va, pb, vb, oLo, oHi, threshold) {
-				prefiltered.Add(1)
-				continue
-			}
-			refinements.Add(1)
-			tca, pca, outcome := r.refiner.refineOffsets(f, center, oLo, oHi, loClamped, hiClamped, threshold)
-			// The reach rule: a node window is centred on a crossing, not on the
-			// step, so its minimum may lie past every grid-rule window of the step
-			// (≤ W_ab); a step nearer owns it (§IV-C's edge-rule logic, DESIGN.md §2.6).
-			unreached := nodeWindow && !r.cfg.ablation.noReachRule && math.Abs(tca-tStep) > max(r.reach(a), r.reach(b))
-			if outcome == refineBelowThreshold && !unreached {
-				out = append(out, Conjunction{A: min(p.A, p.B), B: max(p.A, p.B), Step: p.Step, TCA: tca, PCA: pca})
-			}
+	lat := newLattice(r.sps, r.cfg.DurationSeconds, r.steps)
+	refiners := make([]*pairRefiner, r.workers)
+	perr := r.buildFork.do(r.ctx, r.workers, forkGrain, len(pairs), func(w, lo, hi int) {
+		if refiners[w] == nil {
+			refiners[w] = newPairRefiner(r.prop, lat)
 		}
-		if len(out) > 0 {
+		p := refiners[w]
+		p.out = p.out[:0]
+		r.refineRange(p, pairs, lo, hi)
+		if len(p.out) > 0 {
 			mu.Lock()
-			all = append(all, out...)
+			all = append(all, p.out...)
 			if r.sink != nil {
-				for _, c := range out {
+				for _, c := range p.out {
 					r.sink.Emit(c)
 				}
 			}
 			mu.Unlock()
 		}
 	})
-	r.stats.Refinements += int(refinements.Load())
-	r.stats.PrefilterRejected += int(prefiltered.Load())
-	r.stats.RefineBatches += int(batches.Load())
+	for _, p := range refiners {
+		if p == nil {
+			continue
+		}
+		n, st := p.n, &r.stats
+		st.Refinements, st.PrefilterRejected, st.RefineBatches = st.Refinements+n.brent, st.PrefilterRejected+n.prefiltered, st.RefineBatches+n.batches
+		st.RefineRuns, st.RefineIntervals, st.Brackets = st.RefineRuns+n.runs, st.RefineIntervals+n.intervals, st.Brackets+n.brackets
+		st.Proved = [3]int{st.Proved[0] + n.proved[0], st.Proved[1] + n.proved[1], st.Proved[2] + n.proved[2]}
+	}
 	if perr == nil {
 		perr = r.cancelled()
 	}
@@ -766,6 +714,24 @@ func (r *run) refineCandidates(pairs []uint64, interval func(k int) (center, rad
 	}
 	slices.SortFunc(all, CompareConjunctions)
 	return all, nil
+}
+
+// refineRange refines with p the pairs whose first candidate lies in
+// pairs[lo:hi], appending their records to p.out. Two keys of one pair differ
+// in their step bits only.
+func (r *run) refineRange(p *pairRefiner, pairs []uint64, lo, hi int) {
+	k := lo
+	for k > 0 && k < hi && pairs[k]^pairs[k-1] <= lockfree.MaxStep {
+		k++
+	}
+	for k < hi && r.cancelled() == nil {
+		e := k + 1
+		for e < len(pairs) && pairs[e]^pairs[k] <= lockfree.MaxStep {
+			e++
+		}
+		p.refinePair(r, pairs[k:e], !r.cfg.ablation.noPrefilter)
+		k = e
+	}
 }
 
 // finishStats seals the run counters into the result stats.

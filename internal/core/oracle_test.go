@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/brent"
+	"repro/internal/lockfree"
 	"repro/internal/mathx"
 	"repro/internal/orbit"
 	"repro/internal/pool"
@@ -232,137 +235,94 @@ func randomOracleSat(rng *mathx.SplitMix64, id int32, class int) propagation.Sat
 	return propagation.MustSatellite(id, el)
 }
 
-// TestRefineOracleBattery pins the batched warm refiner — pairEvaluator
-// feeding refineOffsets, warm-started Kepler solves shared across a run of
-// refinements on one pair — against two references, pair for pair:
-//
-//  1. the sequential cold refiner (refineThreshold, every propagation a cold
-//     contour solve): identical outcome, TCA and PCA on every interval; and
-//  2. a dense-sampling ground truth of the same interval: whenever the
-//     interval holds interior distance minima, the reported (TCA, PCA) must
-//     coincide with one of them.
-//
-// Randomised LEO/GEO/eccentric pairings with random centers, radii and
-// thresholds; four consecutive refinements per pair so the warm caches are
-// genuinely reused, not rebuilt per call.
+// TestRefineOracleBattery pins run refinement — cold lattice states, the
+// bounds, warm Brent searches of brackets — against dense sampling, pair for
+// pair: near twins, LEO crossings and Molniya × LEO meeting within 40 km, and
+// random LEO/GEO/eccentric pairings; thresholds of 5–50 km, steps of 1 or
+// 9 s, and runs of candidate steps aimed at the pair's sampled minima or
+// drawn at random. Every dense minimum below threshold in a run is one
+// record, and each record's PCA is the cold separation at its TCA.
 func TestRefineOracleBattery(t *testing.T) {
-	const span = 4000.0
+	const span, dt = 1000.0, 0.02
 	prop := propagation.TwoBody{}
 	rng := mathx.NewSplitMix64(20260807)
-	ref := newRefiner(prop, 25, span)
-	ev := &pairEvaluator{prop: prop}
-	f := ev.dist2Offset
-
 	const trials = 40
-	sats := make([]propagation.Satellite, 2*trials)
+	pinned := 0
 	for i := 0; i < trials; i++ {
-		sats[2*i] = randomOracleSat(rng, int32(2*i), i%3)
-		sats[2*i+1] = randomOracleSat(rng, int32(2*i+1), rng.Intn(3))
-	}
-
-	agreed, discards, interiorPinned := 0, 0, 0
-	for i := 0; i < trials; i++ {
-		a, b := &sats[2*i], &sats[2*i+1]
-
-		// Coarse scan of the pair's separation so half the intervals can be
-		// aimed at genuine minima — unaimed random intervals over unrelated
-		// orbits are monotone and exercise only the edge rule.
-		var coarseMins []float64
-		{
-			const cdt = 0.5
-			prev2, prev1 := math.Inf(1), math.Inf(1)
-			for tt := 0.0; tt <= span; tt += cdt {
-				pa, _ := prop.State(a, tt)
-				pb, _ := prop.State(b, tt)
-				cur := pa.Dist(pb)
-				if prev1 < prev2 && prev1 <= cur {
-					coarseMins = append(coarseMins, tt-cdt)
+		a, b := encounterPair(rng, i%4, rng.UniformRange(100, span-100), rng.UniformRange(-40, 40))
+		threshold := rng.UniformRange(5, 50)
+		sps := []float64{1, 9}[i%2]
+		mins := denseMinima(prop, &a, &b, span, dt)
+		r := refineRunFor(prop, []propagation.Satellite{a, b}, sps, span, threshold)
+		// Candidate steps: around two sampled minima, and a random stretch.
+		var steps []uint32
+		pick := func(t0 float64, n int) {
+			for k := range n {
+				if s := int(t0/sps) + k - n/2; s >= 0 && s < r.steps && !slices.Contains(steps, uint32(s)) {
+					steps = append(steps, uint32(s))
 				}
-				prev2, prev1 = prev1, cur
 			}
 		}
-
-		ev.bind(a, b)
-		for k := 0; k < 4; k++ {
-			radius := rng.UniformRange(5, 120)
-			threshold := rng.UniformRange(5, 50)
-			var center float64
-			if k%2 == 0 && len(coarseMins) > 0 {
-				// Aim at a known minimum, jittered within the interval.
-				center = coarseMins[rng.Intn(len(coarseMins))] + rng.UniformRange(-0.4, 0.4)*radius
-				center = math.Max(0, math.Min(span, center))
-			} else {
-				center = rng.UniformRange(0, span)
+		for range 2 {
+			if len(mins) > 0 {
+				pick(mins[rng.Intn(len(mins))].t, 1+rng.Intn(12))
 			}
-
-			tcaC, pcaC, outC := ref.refineThreshold(a, b, center, radius, threshold)
-			lo, hi, loCl, hiCl := ref.clampOffsets(center, radius)
-			ev.center = center
-			tcaW, pcaW, outW := ref.refineOffsets(f, center, lo, hi, loCl, hiCl, threshold)
-
-			if outC != outW {
-				t.Errorf("pair %d interval %d: cold outcome %d vs warm %d (center %.1f radius %.1f)",
-					i, k, outC, outW, center, radius)
-				continue
+		}
+		pick(rng.UniformRange(0, span), 1+rng.Intn(30))
+		slices.Sort(steps)
+		keys := make([]uint64, len(steps))
+		for k, s := range steps {
+			keys[k] = lockfree.PackPair(0, 1, s)
+		}
+		recs, err := r.refineCandidates(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecords(t, fmt.Sprintf("pair %d", i), recs, mins, covered(r, &a, &b, steps), newLattice(sps, span, r.steps), threshold, dt, prop, &a, &b)
+		for _, c := range recs {
+			pa, _ := prop.State(&a, c.TCA)
+			pb, _ := prop.State(&b, c.TCA)
+			if d := pa.Dist(pb); math.Abs(d-c.PCA) > 1e-6 {
+				t.Errorf("pair %d: PCA %.9f but separation at TCA is %.9f", i, c.PCA, d)
 			}
-			agreed++
-			if outC == refineEdgeDiscard {
-				discards++
-				continue
-			}
-			if math.Abs(tcaC-tcaW) > 0.05 {
-				t.Errorf("pair %d interval %d: cold TCA %.6f vs warm %.6f", i, k, tcaC, tcaW)
-			}
-			if math.Abs(pcaC-pcaW) > 1e-5 {
-				t.Errorf("pair %d interval %d: cold PCA %.9f vs warm %.9f", i, k, pcaC, pcaW)
-			}
-
-			// Consistency: the reported PCA is the separation at the
-			// reported TCA (recomputed independently with cold propagation).
-			pa, _ := prop.State(a, tcaC)
-			pb, _ := prop.State(b, tcaC)
-			if d := pa.Dist(pb); math.Abs(d-pcaC) > 1e-6 {
-				t.Errorf("pair %d interval %d: PCA %.9f but separation at TCA is %.9f", i, k, pcaC, d)
-			}
-
-			// Dense-sampling ground truth: strict interior minima of the
-			// sampled separation over the interval. When any exist and the
-			// refiner's minimum is interior, it must be one of them.
-			const n = 1500
-			dt := (hi - lo) / n
-			d := make([]float64, n+1)
-			for s := 0; s <= n; s++ {
-				tt := center + lo + float64(s)*dt
-				qa, _ := prop.State(a, tt)
-				qb, _ := prop.State(b, tt)
-				d[s] = qa.Dist(qb)
-			}
-			interior := tcaC-(center+lo) > 1 && (center+hi)-tcaC > 1
-			if !interior {
-				continue
-			}
-			matched := false
-			for s := 1; s < n; s++ {
-				if d[s] < d[s-1] && d[s] <= d[s+1] {
-					if math.Abs(tcaC-(center+lo+float64(s)*dt)) <= 2*dt && math.Abs(pcaC-d[s]) <= 1e-2 {
-						matched = true
-						break
-					}
-				}
-			}
-			if !matched {
-				t.Errorf("pair %d interval %d: interior minimum (tca %.4f, pca %.6f) not found by dense sampling",
-					i, k, tcaC, pcaC)
-			} else {
-				interiorPinned++
+			if c.TCA > 0 && c.TCA < span {
+				pinned++
 			}
 		}
 	}
-	t.Logf("battery: %d agreed, %d edge discards, %d interior minima pinned to ground truth",
-		agreed, discards, interiorPinned)
-	if interiorPinned < 20 {
-		t.Errorf("only %d interior minima pinned against the oracle; battery too weak", interiorPinned)
+	t.Logf("battery: %d interior minima pinned to dense sampling", pinned)
+	if pinned < 20 {
+		t.Errorf("only %d interior minima pinned against the oracle; battery too weak", pinned)
 	}
+}
+
+// encounterPair is a pair of kind 0–2 (near twins, LEO crossing, Molniya at
+// perigee × LEO) meeting at tMeet with B's orbit miss km higher, or of kind
+// 3 a random pairing.
+func encounterPair(rng *mathx.SplitMix64, kind int, tMeet, miss float64) (propagation.Satellite, propagation.Satellite) {
+	leo := func(r float64) orbit.Elements {
+		return orbit.Elements{SemiMajorAxis: r, Eccentricity: 5e-4, Inclination: rng.UniformRange(0.05, 3.05)}
+	}
+	var elA, elB orbit.Elements
+	switch kind {
+	case 0:
+		elA = leo(rng.UniformRange(6700, 7300))
+		elB = elA
+		elB.Inclination = math.Min(math.Abs(elB.Inclination+rng.UniformRange(-0.2, 0.2)), 3.1)
+	case 1:
+		elA = leo(rng.UniformRange(6700, 7300))
+		elB = leo(elA.SemiMajorAxis)
+	case 2:
+		rp := rng.UniformRange(6700, 7000)
+		elA = orbit.Elements{SemiMajorAxis: 26600, Eccentricity: 1 - rp/26600, Inclination: 1.107}
+		elB = leo(rp)
+	default:
+		return randomOracleSat(rng, 0, rng.Intn(3)), randomOracleSat(rng, 1, rng.Intn(3))
+	}
+	elB.SemiMajorAxis += miss
+	elA.MeanAnomaly = mathx.NormalizeAngle(-elA.MeanMotion() * tMeet)
+	elB.MeanAnomaly = mathx.NormalizeAngle(-elB.MeanMotion() * tMeet)
+	return propagation.MustSatellite(0, elA), propagation.MustSatellite(1, elB)
 }
 
 // TestPrefilterSoundnessAgainstDenseSampling is the pre-filter's oracle: a
@@ -411,8 +371,6 @@ func minSeparation(prop propagation.Propagator, a, b *propagation.Satellite, cen
 func randomPrefilterBattery(t *testing.T, prop propagation.Propagator, trials int) {
 	const span = 4000.0
 	rng := mathx.NewSplitMix64(777)
-	ref := newRefiner(prop, 10, span)
-
 	sats := make([]propagation.Satellite, 40)
 	for i := range sats {
 		sats[i] = randomOracleSat(rng, int32(i), i%3)
@@ -429,7 +387,7 @@ func randomPrefilterBattery(t *testing.T, prop propagation.Propagator, trials in
 	}
 
 	rejected, kept := 0, 0
-	ev := &pairEvaluator{prop: prop}
+	ev := newPairRefiner(prop, lattice{}).ev
 	for trial := 0; trial < trials; trial++ {
 		var a, b *propagation.Satellite
 		if trial%5 == 4 {
@@ -445,10 +403,10 @@ func randomPrefilterBattery(t *testing.T, prop propagation.Propagator, trials in
 		center := rng.UniformRange(0, span)
 		radius := rng.UniformRange(5, 60)
 		threshold := rng.UniformRange(1, 10)
-		lo, hi, _, _ := ref.clampOffsets(center, radius)
+		lo, hi := clampWindow(center, radius, span)
 		ev.bind(a, b)
-		pa, va, pb, vb := ev.statesAt(center)
-		if !ev.separated(pa, va, pb, vb, lo, hi, threshold) {
+		pa, va, pb, vb := ev.coldStates(center)
+		if !ev.separated(pa.Sub(pb), va.Sub(vb), lo, hi, threshold) {
 			kept++
 			continue
 		}
@@ -478,8 +436,7 @@ func randomPrefilterBattery(t *testing.T, prop propagation.Propagator, trials in
 func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator, trials int) {
 	const span = 4000.0
 	rng := mathx.NewSplitMix64(35)
-	ref := newRefiner(prop, 10, span)
-	ev := &pairEvaluator{prop: prop}
+	ev := newPairRefiner(prop, lattice{}).ev
 	leo := func(r float64) orbit.Elements {
 		return orbit.Elements{SemiMajorAxis: r, Eccentricity: 5e-4, Inclination: rng.UniformRange(0.05, 3.05)}
 	}
@@ -505,7 +462,7 @@ func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator, trials
 		elB.MeanAnomaly = mathx.NormalizeAngle(-elB.MeanMotion() * tMeet)
 		a, b := propagation.MustSatellite(0, elA), propagation.MustSatellite(1, elB)
 		ev.bind(&a, &b)
-		_, va, _, vb := ev.statesAt(tMeet)
+		_, va, _, vb := ev.coldStates(tMeet)
 		var radius float64
 		switch trial / 3 % 3 {
 		case 0:
@@ -516,13 +473,13 @@ func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator, trials
 			radius = rng.UniformRange(5, 60)
 		}
 		center := tMeet + rng.UniformRange(-1.2, 1.2)*radius
-		lo, hi, _, _ := ref.clampOffsets(center, radius)
-		pa, va, pb, vb := ev.statesAt(center)
+		lo, hi := clampWindow(center, radius, span)
+		pa, va, pb, vb := ev.coldStates(center)
 		minD := minSeparation(prop, &a, &b, center, lo, hi, 400)
-		if ev.separated(pa, va, pb, vb, lo, hi, minD) {
+		if ev.separated(pa.Sub(pb), va.Sub(vb), lo, hi, minD) {
 			t.Errorf("trial %d: pre-filter rejects at the window's true minimum %.4f km (centre %.2f, radius %.2f s)", trial, minD, center, radius)
 		}
-		if ev.separated(pa, va, pb, vb, lo, hi, minD-0.2) {
+		if ev.separated(pa.Sub(pb), va.Sub(vb), lo, hi, minD-0.2) {
 			tight++
 		}
 	}
@@ -530,89 +487,6 @@ func encounterPrefilterBattery(t *testing.T, prop propagation.Propagator, trials
 	if 12*tight < trials {
 		t.Errorf("the bound came within 200 m of the truth in only %d windows; battery too weak", tight)
 	}
-}
-
-// TestRefineEdgeDiscardOwnedByNeighbouringInterval is the §IV-C edge rule's
-// property test: slide overlapping grid-style search intervals across the
-// span; every interval that discards its minimum as edge-owned must be
-// vindicated — each true (dense-sampled) distance minimum is re-found by
-// the neighbouring interval that holds it in its interior, so the discard
-// rule loses nothing.
-func TestRefineEdgeDiscardOwnedByNeighbouringInterval(t *testing.T) {
-	const span = 1500.0
-	elA := orbit.Elements{SemiMajorAxis: 7000, Eccentricity: 0.0005, Inclination: 0.3}
-	elB := orbit.Elements{SemiMajorAxis: 7000, Eccentricity: 0.0005, Inclination: 2.8}
-	elA.MeanAnomaly = mathx.NormalizeAngle(-elA.MeanMotion() * 777)
-	elB.MeanAnomaly = mathx.NormalizeAngle(-elB.MeanMotion() * 777)
-	a := propagation.MustSatellite(0, elA)
-	b := propagation.MustSatellite(1, elB)
-	prop := propagation.TwoBody{}
-	ref := newRefiner(prop, 2, span)
-
-	// Dense ground truth: all strict interior minima of the separation.
-	const dt = 0.02
-	var minima []float64
-	prev2, prev1 := math.Inf(1), math.Inf(1)
-	for tt := 0.0; tt <= span; tt += dt {
-		pa, _ := prop.State(&a, tt)
-		pb, _ := prop.State(&b, tt)
-		cur := pa.Dist(pb)
-		if prev1 < prev2 && prev1 <= cur {
-			minima = append(minima, tt-dt)
-		}
-		prev2, prev1 = prev1, cur
-	}
-	if len(minima) == 0 {
-		t.Fatal("no interior distance minima in the span; property test is vacuous")
-	}
-
-	const radius, stride = 30.0, 40.0
-	type accept struct{ tca float64 }
-	var accepts []accept
-	discards := 0
-	for c := 0.0; c <= span; c += stride {
-		tca, _, outcome := ref.refineThreshold(&a, &b, c, radius, 2)
-		if outcome == refineEdgeDiscard {
-			discards++
-			continue
-		}
-		accepts = append(accepts, accept{tca: tca})
-	}
-	if discards == 0 {
-		t.Error("no interval ever discarded an edge minimum; property test exercised nothing")
-	}
-
-	// Completeness: every true minimum is claimed by some interval.
-	for _, m := range minima {
-		found := false
-		for _, ac := range accepts {
-			if math.Abs(ac.tca-m) <= 0.5 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("dense minimum at t=%.2f was never re-found: the edge rule lost it", m)
-		}
-	}
-	// Soundness: every accepted minimum is a true minimum (or a span
-	// boundary, where clamped edges legitimately accept without a neighbour).
-	for _, ac := range accepts {
-		if ac.tca < radius || ac.tca > span-radius {
-			continue
-		}
-		found := false
-		for _, m := range minima {
-			if math.Abs(ac.tca-m) <= 0.5 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("accepted minimum at t=%.2f matches no dense minimum", ac.tca)
-		}
-	}
-	t.Logf("edge-discard property: %d minima, %d accepts, %d discards", len(minima), len(accepts), discards)
 }
 
 // TestGridFindsSubSampleEncounter checks the Eq. 1 guarantee directly: an

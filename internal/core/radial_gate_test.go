@@ -149,50 +149,38 @@ func TestRadialGateIsRecordExact(t *testing.T) {
 				if name == "molniya-leo" {
 					assertRDotDecisive(t, gated, pc.sats, cfg)
 				}
-				if variant != VariantHybrid {
-					return
-				}
-				// Without the gate and the reach rule: the screen as it was
-				// before both. Same encounters, same pairs.
-				before := screenAblated(t, variant, cfg, ablation{noGate: true, noReachRule: true}, pc.sats)
-				got, want := gated.Events(1), before.Events(1)
-				t.Logf("records %d, %d without the reach rule; %d encounters", len(gated.Conjunctions), len(before.Conjunctions), len(want))
-				if len(got) != len(want) || gated.UniquePairs() != before.UniquePairs() {
-					t.Fatalf("%d encounters over %d pairs, %d over %d without the reach rule",
-						len(got), gated.UniquePairs(), len(want), before.UniquePairs())
-				}
-				for i := range got {
-					if got[i].A != want[i].A || got[i].B != want[i].B || math.Abs(got[i].TCA-want[i].TCA) > 1 {
-						t.Fatalf("encounter %d is %+v, %+v without the reach rule", i, got[i], want[i])
-					}
-				}
 			})
 		}
 	}
 }
 
-// assertRDotDecisive finds, among the Molniya × LEO records, one flagged at a
-// step more than half a step from its TCA whose radii at that step differ by
-// more than d + (ṙ_a + ṙ_b)·s_ps/2: only the full ṙ·W pad keeps it.
+// assertRDotDecisive finds, among the Molniya × LEO candidates the gate
+// kept, one more than half a step from a record's TCA, with the TCA in its
+// grid-rule window, whose radii at its step differ by more than d + (ṙ_a +
+// ṙ_b)·s_ps/2: only the full ṙ·W pad keeps it.
 func assertRDotDecisive(t *testing.T, res *Result, sats []propagation.Satellite, cfg Config) {
 	t.Helper()
-	sps := map[Variant]float64{VariantGrid: DefaultGridSeconds, VariantHybrid: DefaultHybridSeconds}[res.Variant]
-	prop := propagation.TwoBody{}
+	cfg.SecondsPerSample = map[Variant]float64{VariantGrid: DefaultGridSeconds, VariantHybrid: DefaultHybridSeconds}[res.Variant]
+	sps, prop := cfg.SecondsPerSample, propagation.TwoBody{}
+	r := sampledGridRun(t, cfg, sats, false)
 	pad := cfg.ThresholdKm
 	for i := range sats {
 		rdot, _, _, _ := gateBounds(prop, &sats[i], gateSlack)
 		pad += rdot * sps / 2
 	}
-	for _, c := range res.Conjunctions {
-		ts := float64(c.Step) * sps
-		pa, _ := prop.State(&sats[0], ts)
-		pb, _ := prop.State(&sats[1], ts)
-		if dr := math.Abs(pa.Norm() - pb.Norm()); math.Abs(c.TCA-ts) > sps/2 && dr > pad {
-			t.Logf("record at step %d, %.2f s from its TCA: radii differ by %.2f km, half-step pad %.2f km", c.Step, c.TCA-ts, dr, pad)
-			return
+	for _, k := range r.keys {
+		ts := float64(lockfree.UnpackPair(k).Step) * sps
+		pa, va := prop.State(&sats[0], ts)
+		pb, vb := prop.State(&sats[1], ts)
+		w := 2 * r.cellSize / min(va.Norm(), vb.Norm())
+		for _, c := range res.Conjunctions {
+			if dr := math.Abs(pa.Norm() - pb.Norm()); math.Abs(c.TCA-ts) > sps/2 && math.Abs(c.TCA-ts) < w && dr > pad {
+				t.Logf("candidate at step %d, %.2f s from the TCA: radii differ by %.2f km, half-step pad %.2f km", lockfree.UnpackPair(k).Step, c.TCA-ts, dr, pad)
+				return
+			}
 		}
 	}
-	t.Fatalf("no record at a step where the ṙ·W pad is decisive among %d", len(res.Conjunctions))
+	t.Fatalf("no candidate at a step where the ṙ·W pad is decisive among %d", len(r.keys))
 }
 
 // sampledGridRun is a grid run over sats under cfg, sampled every

@@ -191,7 +191,7 @@ func (m *motionTest) separates(x, y int32, pb, vb vec3.V, step uint32, w, g floa
 	pa, va := m.state(x, step)
 	t, wd := float64(step)*m.sps, float64(w)
 	acc := float64(m.rows[x].Acc) + float64(m.rows[y].Acc)
-	return prefilterReject(pa, va, pb, vb, max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.pad)*wd)
+	return prefilterReject(pa.Sub(pb), va.Sub(vb), max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.pad)*wd)
 }
 
 func round32(v vec3.V) [3]float32 { return [3]float32{float32(v.X), float32(v.Y), float32(v.Z)} }
@@ -248,7 +248,7 @@ func gateBounds(prop propagation.Propagator, s *propagation.Satellite, rounding 
 	el := s.Elements
 	vc := math.Sqrt(orbit.MuEarth / el.SemiLatusRectum())
 	vp := vc * (1 + el.Eccentricity)
-	rdot, acc, dv = el.Eccentricity*vc, peakAccel(s), rounding*vp
+	rdot, acc, dv = el.Eccentricity*vc, orbit.MuEarth/(el.PerigeeRadius()*el.PerigeeRadius()), rounding*vp
 	switch p := prop.(type) {
 	case propagation.TwoBody:
 		return rdot, acc, dv, true
@@ -280,7 +280,8 @@ func knotBound(prop propagation.Propagator, s *propagation.Satellite, h float64)
 		return 0, false
 	}
 	el := s.Elements
-	e, rp, acc := el.Eccentricity, el.PerigeeRadius(), peakAccel(s)
+	e, rp := el.Eccentricity, el.PerigeeRadius()
+	acc := orbit.MuEarth / (rp * rp)
 	m4 := (1 + 9*e + 12*e*e/(1+e)) * acc * acc / rp // μ²/r_p⁵ = (μ/r_p²)²/r_p
 	h2 := h * h
 	return math.Sqrt2*h2*h2/384*m4 + h2*acc/(1<<26) + 1e-12*el.SemiMajorAxis*(1+e)/(1-e), true
