@@ -40,7 +40,8 @@ loc:
 ## neighbouring bytes of the key track's moves, row states and window refs are
 ## written by different workers; the cancelled passes stop at a different
 ## chunk. So does the gate's motion table: four scan workers publish and read
-## its rows. So do the kept-population tests: a pass writes the warm-start
+## its rows, and at 1 s steps read the knots a knot step's build rewrites
+## once the scan in flight is joined. So do the kept-population tests: a pass writes the warm-start
 ## state and gate row of what it lists while the last step's scan reads rows.
 ## So do the knot-interval join's tests: one to four build workers walk the
 ## join into their own marks and stop at a shared test count. So do the fork
@@ -64,14 +65,16 @@ mem-smoke:
 ## streaming/one-shot agreement, finaliser avalanche), TLE parsing and
 ## CCSDS CDM/KVN parsing (no-panic on arbitrary input, guarded
 ## write/parse round trips), the Brent minimiser (no-panic,
-## bracketing invariant, value/abscissa consistency), and run refinement
-## (a run's records are its dense-sampling minima below d, once each).
+## bracketing invariant, value/abscissa consistency), run refinement
+## (a run's records are its dense-sampling minima below d, once each), and
+## the motion test's knot states (within ε_i and ε_v,i of the orbit).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzMurmur3 -fuzztime=20s ./internal/hash
 	$(GO) test -run=^$$ -fuzz=FuzzTLEParse -fuzztime=20s ./internal/tle
 	$(GO) test -run=^$$ -fuzz=FuzzParseKVN -fuzztime=20s ./internal/ccsds
 	$(GO) test -run=^$$ -fuzz=FuzzBrent -fuzztime=20s ./internal/brent
 	$(GO) test -run=^$$ -fuzz=FuzzRefineRun -fuzztime=20s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzKnotState -fuzztime=20s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -155,15 +155,22 @@ func main() {
 		fmt.Printf("refinement:       %s runs over %s lattice intervals, %s brackets; proved empty by the pre-filter %s, curvature %s, chord %s; %s Brent runs → %s records, %s encounters (1 s)\n",
 			g(st.RefineRuns), g(st.RefineIntervals), g(st.Brackets), g(st.Proved[0]), g(st.Proved[1]), g(st.Proved[2]), g(st.Refinements), g(len(res.Conjunctions)), g(len(res.Events(1))))
 	}
+	gate := "motion test off"
+	switch {
+	case st.VelocityPadKmS > 0 && st.KnotStride > 1:
+		gate = fmt.Sprintf("gate states off the knots, velocity pad %.2g km/s", st.VelocityPadKmS)
+	case st.VelocityPadKmS > 0:
+		gate = fmt.Sprintf("gate states solved, velocity pad %.2g km/s", st.VelocityPadKmS)
+	}
 	switch {
 	case st.KnotStride > 1:
-		fmt.Printf("positions:        solved every %d steps, Hermite between, pad %.2g km\n", st.KnotStride, st.PositionPadKm)
+		fmt.Printf("positions:        solved every %d steps, Hermite between, pad %.2g km; %s\n", st.KnotStride, st.PositionPadKm, gate)
 		if all := len(sats) * st.Steps; all > 0 && st.DirtyObjects == 0 {
 			fmt.Printf("listed:           %.1f%% of object-steps built: every object at knot steps (swept: those the interval it closes listed), between them those whose knot-interval boxes meet another's\n",
 				100*float64(st.VisitedObjectSteps)/float64(all))
 		}
 	case st.KnotStride == 1:
-		fmt.Println("positions:        solved every step")
+		fmt.Printf("positions:        solved every step; %s\n", gate)
 	}
 	if st.OutOfBounds > 0 {
 		fmt.Printf("out-of-cube samples: %d\n", st.OutOfBounds)

@@ -93,7 +93,7 @@ type ablation struct {
 	// noGate keeps every pair the sweep finds: no radial, no motion test (radialGate).
 	noGate bool
 	// noKnotPad bins and gates interpolated positions as if they were exact:
-	// none near a cell face is solved, and the radial test adds nothing to g.
+	// none near a cell face is solved, and the gate adds nothing to g.
 	noKnotPad bool
 }
 
@@ -202,7 +202,8 @@ type PhaseStats struct {
 	RefineBatches      int     // warm-refiner satellite batches (first-satellite rebinds)
 	OutOfBounds        uint64  // satellite samples outside the simulation cube
 	KnotStride         int     // m: the build solves Kepler every m-th step and interpolates between (1: every step solved)
-	PositionPadKm      float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate's radial test adds it to g (0 at m = 1)
+	PositionPadKm      float64 // 2ε_max rounded up to a power of two: an interpolated position this near a cell face is solved instead, and the gate adds it to g (0 at m = 1)
+	VelocityPadKmS     float64 // p: the velocity error two of the motion test's states may carry, times W in its threshold (0 with the motion test off); with knots (KnotStride > 1) it holds 2ε_v,max, as the states are read off the interpolant
 	PairSetGrowths     int     // always zero — the candidates are a list, nothing grows; kept because bench/ reads it
 	FilterStats        filters.Stats
 }

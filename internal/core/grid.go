@@ -264,8 +264,8 @@ func (r *run) init(delta *DeltaInput, h float64) error {
 	}
 	// Interpolated positions lie up to ε_max from the orbit (knotStride). The
 	// pad, ≥ 2ε_max, is what positionAt keeps from a cell face and what the
-	// gate's radial test adds to g; the grid is Eq. 1's.
-	stride, eps := knotStride(r.prop, sats, r.sps, h)
+	// gate adds to g; the grid is Eq. 1's.
+	stride, eps, epsV := knotStride(r.prop, sats, r.sps, h)
 	if stride > 1 && !cfg.ablation.noKnotPad {
 		r.pad = pow2Above(2 * eps)
 	}
@@ -315,7 +315,7 @@ func (r *run) init(delta *DeltaInput, h float64) error {
 		}
 	}
 	r.sortHist = sortHist{keyBits: 3 * r.grid.FieldBits(), counts: pl.GetInt32Buf(histLen)[:histLen]}
-	r.gate = r.newGate(gridThreshold, r.pad)
+	r.gate = r.newGate(gridThreshold, epsV)
 	return r.cancelled()
 }
 
@@ -547,22 +547,23 @@ const knotSeconds = 16.0
 
 // knotStride is a run's knot plan: the stride m, the largest power of two
 // with m·s_ps ≤ h (so a step's phase is a mask and its u exact), and the
-// largest bound ε_i of the population's interpolants over m·s_ps seconds.
-// m = 1, every step solved, unless knotBound bounds every object under prop.
-func knotStride(prop propagation.Propagator, sats []propagation.Satellite, sps, h float64) (m int, eps float64) {
+// largest bounds ε_i and ε_v,i of the population's interpolants and their
+// tangents over m·s_ps seconds. m = 1, every step solved, unless knotBound
+// bounds every object under prop.
+func knotStride(prop propagation.Propagator, sats []propagation.Satellite, sps, h float64) (m int, eps, epsV float64) {
 	n := int(h / sps)
 	if n < 2 {
-		return 1, 0
+		return 1, 0, 0
 	}
 	m = 1 << (bits.Len(uint(n)) - 1)
 	for i := range sats {
-		e, ok := knotBound(prop, &sats[i], float64(m)*sps)
+		e, ev, ok := knotBound(prop, &sats[i], float64(m)*sps)
 		if !ok {
-			return 1, 0
+			return 1, 0, 0
 		}
-		eps = max(eps, e)
+		eps, epsV = max(eps, e), max(epsV, ev)
 	}
-	return m, eps
+	return m, eps, epsV
 }
 
 // pow2Above is the power of two in (x, 2x], x > 0. A pad rounded so stays put,

@@ -151,7 +151,7 @@ func TestExtrapolatedGuessReachesTheConstantGuessRoot(t *testing.T) {
 					}
 					tol := 1e-6
 					if r.stride > 1 {
-						tol, _ = knotBound(propagation.TwoBody{}, s, h)
+						tol, _, _ = knotBound(propagation.TwoBody{}, s, h)
 					}
 					if cold, _ := (propagation.TwoBody{}).State(s, tSec); pos.Dist(cold) > tol {
 						t.Fatalf("e=%g sps=%g object %d step %d: position %v, cold %v, %g km apart (bound %g)", e, sps, i, step, pos, cold, pos.Dist(cold), tol)

@@ -18,6 +18,9 @@ package core
 // ring[(step−1)&1] — scan step−2 was joined before scan step−1 was dispatched
 // — and every exit path (error, cancellation, completion) drains that scan
 // before returning, so release() never races it and the pool stays balanced.
+// The scan's gate may read the knots (motionTest.state), which only a knot
+// step's build writes: with such a gate, a knot step joins the scan in flight
+// before it builds, one step in m.
 
 import (
 	"time"
@@ -72,9 +75,20 @@ func (r *run) sampleSteps() error {
 		}
 	}
 	inFlight := false
+	join := func() { // settle the scan in flight, if any
+		if inFlight {
+			inFlight = false
+			settle(<-results)
+		}
+	}
 	for step := 0; step < r.steps && err == nil; step++ {
 		if err = r.cancelled(); err != nil {
 			break
+		}
+		if r.motion.knots != nil && step&(r.stride-1) == 0 {
+			if join(); err != nil {
+				break
+			}
 		}
 		// On two slots the in-flight scan reads ring[(step-1)&1].
 		tIns, oob := time.Now(), r.oob.Load()
@@ -91,11 +105,8 @@ func (r *run) sampleSteps() error {
 		}
 		// Join scan N−1 before dispatching scan N: at most one job is ever
 		// in flight, and the observer still sees steps complete in order.
-		if inFlight {
-			inFlight = false
-			if settle(<-results); err != nil {
-				break
-			}
+		if join(); err != nil {
+			break
 		}
 		jobs <- job
 		inFlight = true
@@ -106,9 +117,7 @@ func (r *run) sampleSteps() error {
 	// Drain the outstanding scan on every exit path: the scan goroutine
 	// touches the sort and candidate buffers until its result is posted, and
 	// release() runs as soon as screen unwinds.
-	if inFlight {
-		settle(<-results)
-	}
+	join()
 	return err
 }
 

@@ -103,22 +103,38 @@ func TestPipelinedScreenConcurrentRaceStress(t *testing.T) {
 	}
 }
 
-// TestMotionTableConcurrentRaceStress stresses the motion test's shared state
-// table: four scan workers of one run compute, publish and read its rows at
-// once, several such runs draw the table from one pool, and most arm a
-// randomised cancellation (`make race` repeats it fifty times). Every screen
-// that completes must return the single-worker screen's list bit for bit,
-// with its counters, and the pool must balance once the runs drain.
+// TestMotionTableConcurrentRaceStress stresses the motion test's shared
+// state: at 1 s steps (knot stride 16) four scan workers read the knots the
+// build rewrites at each knot step, which joins the scan in flight first; at
+// 20 s steps (no knots) they compute, publish and read the motion table's rows
+// at once. Several such runs draw from one pool, and most arm a randomised
+// cancellation (`make race` repeats it fifty times). Every screen that
+// completes must return the single-worker screen's list bit for bit, with its
+// counters, and the pool must balance once the runs drain.
 func TestMotionTableConcurrentRaceStress(t *testing.T) {
 	sats := gatePopulations(t)["debris-1500"].sats[:300]
-	cfg := Config{ThresholdKm: 2, DurationSeconds: 90, Workers: 1}
-	want, err := newGrid(cfg).Screen(sats)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name      string
+		sps, span float64
+		stride    int
+	}{{"knots", 1, 90, 16}, {"table", 20, 600, 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{ThresholdKm: 2, SecondsPerSample: c.sps, DurationSeconds: c.span, Workers: 1}
+			want, err := newGrid(cfg).Screen(sats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Stats.MotionGated == 0 || len(want.Conjunctions) == 0 || want.Stats.KnotStride != c.stride {
+				t.Fatalf("vacuous: %d motion-gated, %d records, stride %d", want.Stats.MotionGated, len(want.Conjunctions), want.Stats.KnotStride)
+			}
+			motionStress(t, cfg, sats, want)
+		})
 	}
-	if want.Stats.MotionGated == 0 || len(want.Conjunctions) == 0 {
-		t.Fatalf("vacuous: %d motion-gated, %d records", want.Stats.MotionGated, len(want.Conjunctions))
-	}
+}
+
+// motionStress is TestMotionTableConcurrentRaceStress's body for one
+// configuration: three goroutines, three screens each, on four workers.
+func motionStress(t *testing.T, cfg Config, sats []propagation.Satellite, want *Result) {
 	p := pool.New()
 	cfg.Workers, cfg.Pool = 4, p
 	var wg sync.WaitGroup

@@ -34,8 +34,9 @@ func (goroutineCeiling) OnPhase(PhaseInfo) {}
 // TestFullScreenPoolDraw: a one-worker run draws one entry buffer and starts no goroutine, a two-worker run draws the
 // ring's second slot, either draws the scan's sort buffer and histograms and,
 // with knots (1 s steps), the knot-interval listing's boxes, histograms, list,
-// per-worker marks and width rows, and every exit — completion, cancellation at step k — hands back
-// what it drew.
+// per-worker marks and width rows but no motion table, whose states the gate
+// reads off the knots; and every exit — completion, cancellation at step k — hands back
+// what it drew. Without knots (20 s steps) a screen draws the motion table.
 func TestFullScreenPoolDraw(t *testing.T) {
 	sats := denseShellPopulation(400, 13)
 	base := Config{ThresholdKm: 2, SecondsPerSample: 1, DurationSeconds: 60}
@@ -94,8 +95,22 @@ func TestFullScreenPoolDraw(t *testing.T) {
 				if drawn := drained(func() { pl.GetInt32Buf(workers * widthSlots) }); drawn != 1 {
 					t.Errorf("the run drew %d width-row buffers, want the listing's", drawn)
 				}
+				if drawn := drained(func() { pl.GetMotionRows(len(sats)) }); drawn != 0 {
+					t.Errorf("the run drew %d motion tables, want none with knots", drawn)
+				}
 			})
 		}
+	}
+	pl := pool.New()
+	coarse := base
+	coarse.SecondsPerSample, coarse.Pool = 20, pl
+	if _, err := newGrid(coarse).Screen(sats); err != nil {
+		t.Fatal(err)
+	}
+	before := pl.Stats().Hits
+	pl.GetMotionRows(len(sats))
+	if pl.Stats().Hits != before+1 {
+		t.Error("a screen at 20 s steps drew no motion table")
 	}
 }
 

@@ -309,11 +309,23 @@ func (e *pairEvaluator) monotone(s0, s1 *latticeState) (curvature bool, chord in
 //	d(dt) ≥ ‖d₀ + w·dt‖ − ½(a_A + a_B)·dt²,
 //
 // minimised in closed form for the linear term and taken at the wider end for
-// the quadratic one: a sound lower bound.
+// the quadratic one: a sound lower bound. It compares squares and divides
+// nothing: with the line closest at dt* = −d₀·w/|w|² inside [lo, hi], its
+// squared distance there is |d₀ × w|²/|w|² (Lagrange's identity); else it
+// is that at the nearer end.
 func prefilterReject(d0, w vec3.V, lo, hi, accSum, threshold float64) bool {
-	dtStar := 0.0
-	if w2 := w.Dot(w); w2 > 1e-18 {
-		dtStar = min(max(-d0.Dot(w)/w2, lo), hi)
+	r := threshold + 0.5*accSum*max(lo*lo, hi*hi)
+	w2, p := w.Dot(w), -d0.Dot(w)
+	switch {
+	case r < 0:
+		return true
+	case p < lo*w2:
+		d0 = d0.Add(w.Scale(lo))
+	case p > hi*w2:
+		d0 = d0.Add(w.Scale(hi))
+	default:
+		c := d0.Cross(w)
+		return c.Dot(c) > r*r*w2
 	}
-	return d0.Add(w.Scale(dtStar)).Norm()-0.5*accSum*max(lo*lo, hi*hi) > threshold
+	return d0.Dot(d0) > r*r
 }

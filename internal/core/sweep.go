@@ -99,12 +99,12 @@ func groupCells(sorted, cells []lockfree.Cell) []lockfree.Cell {
 // W_b) from the objects' rows of the run's table. The radial test keeps the
 // pair iff its radii at the step differ by at most g + (ṙ_a + ṙ_b)·W_ab. The
 // motion test, if the gate has one, then drops it iff prefilterReject proves
-// that the separation stays above g + p·W_ab over [t − W_ab, t + W_ab] ∩
+// that the separation stays above g + pad + p·W_ab over [t − W_ab, t + W_ab] ∩
 // [0, span]. g = +Inf keeps every pair.
 type radialGate struct {
 	rows   []lockfree.GateRow // by population index
 	g      float32
-	pad    float32     // what the radial test adds to g for the build's interpolated radii (knotStride)
+	pad    float32     // what the radial test adds to g for the build's interpolated radii (knotStride), and the knots' motion test too
 	motion *motionTest // nil: the radial test alone
 }
 
@@ -141,7 +141,7 @@ func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int
 				pb, vb = g.motion.state(yi, step)
 				fetched = true
 			}
-			if g.motion.separates(x, yi, pb, vb, step, reach, g.g) {
+			if g.motion.separates(x, pb, vb, step, reach, g.g, float64(a.Acc)+float64(b.Acc)) {
 				*motion++
 			} else {
 				n++
@@ -152,30 +152,42 @@ func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int
 }
 
 // motionTest is the gate's second test: the pre-filter's bound over the whole
-// reach, from states computed at most once per object per step (DESIGN.md §2.5).
+// reach, from each object's state at the step (DESIGN.md §2.5). A run with
+// knots reads it off the build's interpolant; any other computes it at most
+// once per object per step into the motion table.
 type motionTest struct {
-	rows      []lockfree.MotionRow // by population index, pooled; Stamp = step+1 once a row holds the step
-	pad       float32              // p: the velocity error two of the table's states may carry, km/s
-	sats      []propagation.Satellite
-	prop      propagation.Propagator
-	sps, span float64
+	knots      []propagation.Knots  // m > 1: the build's, over the interval that holds the scanned step
+	rows       []lockfree.MotionRow // m = 1, pooled; Stamp = step+1 once a row holds the step
+	pad        float32              // p: the velocity error two of the test's states may carry, km/s
+	posPad     float32              // the position error two of them may carry, km: the build's pad with knots, else 0
+	mask       uint32               // m − 1: a step's place in its knot interval
+	invM, invH float64              // 1/m and 1/h: u = j/m, and velocity = tangent/h
+	sats       []propagation.Satellite
+	prop       propagation.Propagator
+	sps, span  float64
 }
 
 // rowBusy is the stamp of a row a worker is writing.
 const rowBusy = math.MaxUint32
 
-// state returns object i's position and velocity at step, rounded to
-// float32: from its row if the row holds the step, else computed as
-// refinement computes them and, unless another worker holds the row,
-// published. A row is a function of (i, step) alone, so either way every
-// worker gets the same values.
+// state returns object i's position and velocity at step. With knots it is the
+// interpolant at u = j/m and its tangent over h, which the build rewrites only
+// at a knot step, with no scan in flight (sampleSteps). Otherwise it is read
+// from its row if the row holds the step, else computed as refinement computes
+// it, rounded to float32 and, unless another worker holds the row, published.
+// Either way it is a function of (i, step) alone, so every worker gets the
+// same values.
 func (m *motionTest) state(i int32, step uint32) (pos, vel vec3.V) {
+	s := &m.sats[i]
+	if m.knots != nil {
+		return s.KnotState(&m.knots[i], float64(step&m.mask)*m.invM, m.invH)
+	}
 	row := &m.rows[i]
 	stamp := row.Stamp.Load()
 	if stamp == step+1 {
 		return vec32(row.Pos), vec32(row.Vel)
 	}
-	s, t := &m.sats[i], float64(step)*m.sps
+	t := float64(step) * m.sps
 	pos, vel, _ = m.prop.StateWarm(s, t, s.Elements.MeanAnomaly+s.MeanMotion()*t)
 	p32, v32 := round32(pos), round32(vel)
 	if stamp != rowBusy && row.Stamp.CompareAndSwap(stamp, rowBusy) {
@@ -185,13 +197,13 @@ func (m *motionTest) state(i int32, step uint32) (pos, vel vec3.V) {
 	return vec32(p32), vec32(v32)
 }
 
-// separates reports whether prefilterReject proves that objects x and y, y
-// at (pb, vb), stay more than g + p·w apart over [t − w, t + w] ∩ [0, span].
-func (m *motionTest) separates(x, y int32, pb, vb vec3.V, step uint32, w, g float32) bool {
+// separates reports whether prefilterReject proves that object x and one at
+// (pb, vb), accelerations summing to at most acc, stay more than g + pad + p·w
+// apart over [t − w, t + w] ∩ [0, span].
+func (m *motionTest) separates(x int32, pb, vb vec3.V, step uint32, w, g float32, acc float64) bool {
 	pa, va := m.state(x, step)
 	t, wd := float64(step)*m.sps, float64(w)
-	acc := float64(m.rows[x].Acc) + float64(m.rows[y].Acc)
-	return prefilterReject(pa.Sub(pb), va.Sub(vb), max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.pad)*wd)
+	return prefilterReject(pa.Sub(pb), va.Sub(vb), max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.posPad)+float64(m.pad)*wd)
 }
 
 func round32(v vec3.V) [3]float32 { return [3]float32{float32(v.X), float32(v.Y), float32(v.Z)} }
@@ -207,29 +219,39 @@ const gateSlack = 1.0 / (1 << 20)
 // acceleration bound. g is the grid's threshold d + 2·u_max plus slack, or
 // +Inf — every pair kept — if the propagator may change a or e or the gate
 // is ablated; the motion test is on whenever g is finite. The radial test
-// reads the build's radii, so it adds pad, the interpolation's 2ε_max; the
-// motion test's states are solved, so it does not. An incremental pass's
-// entries read from the key track carry no radius: its gate is g = +Inf, and
-// the pass writes the rows of what it lists, their IDs alone (gateRow).
-func (r *run) newGate(gridThreshold, pad float64) radialGate {
-	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(pad)}
+// reads the build's radii, so it adds the pad, the interpolation's 2ε_max.
+// With knots the motion test's states are interpolated too, so it adds the
+// pad and, to p, 2ε_v,max for their velocities (epsV, knotBound); without,
+// they are solved into a motion table, which only such a run draws. An
+// incremental pass's entries read from the key track carry no radius: its
+// gate is g = +Inf, and the pass writes the rows of what it lists, their IDs
+// alone (gateRow).
+func (r *run) newGate(gridThreshold, epsV float64) radialGate {
+	gate := radialGate{rows: r.pool.GetGateRows(len(r.sats)), g: float32(math.Inf(1)), pad: float32(r.pad)}
 	if r.incremental {
 		return gate
 	}
-	m := &r.motion
-	*m = motionTest{rows: r.pool.GetMotionRows(len(r.sats)), sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
 	exact, rMax, dvMax := !r.cfg.ablation.noGate, 0.0, 0.0
 	for i := range r.sats {
 		s := &r.sats[i]
 		rdot, acc, dv, ok := gateBounds(r.prop, s, gateSlack)
 		exact, rMax, dvMax = exact && ok, max(rMax, s.Elements.ApogeeRadius()), max(dvMax, dv)
-		gate.rows[i] = lockfree.GateRow{ID: s.ID, RDot: float32(rdot * (1 + gateSlack)), Reach: float32(r.reach(s) * (1 + gateSlack))}
-		m.rows[i].Acc = float32(acc * (1 + gateSlack))
+		gate.rows[i] = lockfree.GateRow{ID: s.ID, RDot: float32(rdot * (1 + gateSlack)), Reach: float32(r.reach(s) * (1 + gateSlack)), Acc: float32(acc * (1 + gateSlack))}
+	}
+	if !exact {
+		return gate
+	}
+	m := &r.motion
+	*m = motionTest{sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
+	if r.knots != nil {
+		m.knots, m.posPad, dvMax = r.knots, gate.pad, dvMax+epsV
+		m.mask, m.invM, m.invH = uint32(r.stride-1), 1/float64(r.stride), 1/(float64(r.stride)*r.sps)
+	} else {
+		m.rows = r.pool.GetMotionRows(len(r.sats))
 	}
 	m.pad = float32(2 * dvMax * (1 + gateSlack))
-	if exact {
-		gate.g, gate.motion = float32(gridThreshold+gateSlack*rMax), m
-	}
+	gate.g, gate.motion = float32(gridThreshold+gateSlack*rMax), m
+	r.stats.VelocityPadKmS = float64(m.pad)
 	return gate
 }
 
@@ -261,30 +283,36 @@ func gateBounds(prop propagation.Propagator, s *propagation.Satellite, rounding 
 }
 
 // knotBound bounds, for s under prop, how far the build kernel's Hermite
-// interpolant over knots h seconds apart (positionAt) lies from the orbit;
-// ok only for TwoBody. Each position component is off by at most
-// (h⁴/384)·max‖r⁗‖, and with r̈ = −u·r, u = μ/r³:
+// interpolant over knots h seconds apart (positionAt) lies from the orbit, eps,
+// and how far its tangent over h (motionTest.state) lies from the velocity,
+// epsV; ok only for TwoBody. A component of the one errs by at most
+// (h⁴/384)·max‖r⁗‖, of the other by (√3/216)·h³·max‖r⁗‖, and with r̈ = −u·r,
+// u = μ/r³:
 //
 //	r⁗ = −ü·r − 2u̇·v + u²·r,  u̇ = −3μṙ/r⁴,  ü = 12μṙ²/r⁵ − 3μr̈_r/r⁴,
 //
 // where ṙ² ≤ e²μ/p, |r̈_r| = (μ/r²)|e·cos f| ≤ eμ/r², v ≤ v_p and r ≥ r_p give
-// ‖r⁗‖ ≤ (1 + 9e + 12e²/(1+e))·μ²/r_p⁵. To that ε adds the float32 rounding of
-// the stored tangents (Knots: each D is under h²‖r̈‖/2 and rounded at most
-// twice, weighted by u(1−u) ≤ 1/4) and a floor for the knots' solves, the
+// ‖r⁗‖ ≤ (1 + 9e + 12e²/(1+e))·μ²/r_p⁵. To each it adds the float32 rounding
+// of the stored tangents (Knots: each D is under h²‖r̈‖/2 and rounded at most
+// twice, weighted by u(1−u) ≤ 1/4 in a position, by at most 1 each in a
+// tangent, which is then divided by h) and a floor for the knots' solves, the
 // reference's and the arithmetic's, 1e-12·a(1+e)/(1−e): ten times what the
-// solver's 1e-13 residual moves a position. J2's State returns the conic's
-// velocity, not ṙ (gateBounds), so its tangents are not the curve's; Numeric
-// has no bound. Both get none.
-func knotBound(prop propagation.Propagator, s *propagation.Satellite, h float64) (eps float64, ok bool) {
+// solver's 1e-13 residual moves a position. A tangent weighs the chord, two
+// such errors, by at most 3/2, so its floor is four over h. J2's State returns
+// the conic's velocity, not ṙ (gateBounds), so its tangents are not the
+// curve's; Numeric has no bound. Both get none.
+func knotBound(prop propagation.Propagator, s *propagation.Satellite, h float64) (eps, epsV float64, ok bool) {
 	if _, ok := prop.(propagation.TwoBody); !ok {
-		return 0, false
+		return 0, 0, false
 	}
 	el := s.Elements
 	e, rp := el.Eccentricity, el.PerigeeRadius()
 	acc := orbit.MuEarth / (rp * rp)
 	m4 := (1 + 9*e + 12*e*e/(1+e)) * acc * acc / rp // μ²/r_p⁵ = (μ/r_p²)²/r_p
-	h2 := h * h
-	return math.Sqrt2*h2*h2/384*m4 + h2*acc/(1<<26) + 1e-12*el.SemiMajorAxis*(1+e)/(1-e), true
+	h2, floor := h*h, 1e-12*el.SemiMajorAxis*(1+e)/(1-e)
+	eps = math.Sqrt2*h2*h2/384*m4 + h2*acc/(1<<26) + floor
+	epsV = math.Sqrt2*(math.Sqrt(3)/216*h2*h*m4+h*acc/(1<<23)) + 4*floor/h
+	return eps, epsV, true
 }
 
 // reach bounds how far from its step a grid-rule refinement window of s

@@ -22,19 +22,19 @@ type Cell struct {
 }
 
 // GateRow is one object's row of a full screen's radial-gate table
-// (internal/core): the ID its keys carry, a bound on its radial speed (km/s)
-// and how far from a step its refinement windows reach (s).
+// (internal/core): the ID its keys carry, a bound on its radial speed (km/s),
+// how far from a step its refinement windows reach (s) and a bound on its
+// acceleration (km/s²).
 type GateRow struct {
-	ID          int32
-	RDot, Reach float32
+	ID               int32
+	RDot, Reach, Acc float32
 }
 
 // MotionRow is one object's row of a full screen's motion-test table
 // (internal/core): its position (km) and velocity (km/s) at the step Stamp
-// names, rounded to float32, and a bound on its acceleration (km/s²).
+// names, rounded to float32.
 type MotionRow struct {
 	Pos, Vel [3]float32
-	Acc      float32
 	Stamp    atomic.Uint32
 }
 

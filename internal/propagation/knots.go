@@ -61,3 +61,21 @@ func (k *Knots) At(u float64) [2]float64 {
 		k.P0[1] + u*(k.P1[1]-k.P0[1]) + uv*(v*float64(k.D0[1])-u*float64(k.D1[1])),
 	}
 }
+
+// KnotState returns the ECI position and velocity of s at t₀ + u·h on its
+// interpolant k, given 1/h: At(u), and the derivative in u over h,
+// (P1 − P0 + (1−u)(1−3u)·D0 − u(2−3u)·D1)/h, which is w0/h at u = 0 and w1/h
+// at u = 1.
+func (s *Satellite) KnotState(k *Knots, u, invH float64) (pos, vel vec3.V) {
+	v := 1 - u
+	uv := u * v
+	c0, c1 := (v-3*uv)*invH, (3*uv-u)*invH // (1−u)(1−3u)/h and u(2−3u)/h
+	cx, cy := k.P1[0]-k.P0[0], k.P1[1]-k.P0[1]
+	dx0, dy0, dx1, dy1 := float64(k.D0[0]), float64(k.D0[1]), float64(k.D1[0]), float64(k.D1[1])
+	px, py := k.P0[0]+u*cx+uv*(v*dx0-u*dx1), k.P0[1]+u*cy+uv*(v*dy0-u*dy1) // At's expression
+	wx, wy := cx*invH+c0*dx0-c1*dx1, cy*invH+c0*dy0-c1*dy1
+	bp, bq := s.basisP, s.basisQ
+	pos = vec3.V{X: px*bp.X + py*bq.X, Y: px*bp.Y + py*bq.Y, Z: px*bp.Z + py*bq.Z}
+	vel = vec3.V{X: wx*bp.X + wy*bq.X, Y: wx*bp.Y + wy*bq.Y, Z: wx*bp.Z + wy*bq.Z}
+	return pos, vel
+}
