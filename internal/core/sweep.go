@@ -104,7 +104,7 @@ func groupCells(sorted, cells []lockfree.Cell) []lockfree.Cell {
 type radialGate struct {
 	rows   []lockfree.GateRow // by population index
 	g      float32
-	pad    float32     // what the radial test adds to g for the build's interpolated radii (knotStride), and the knots' motion test too
+	pad    float32     // what both tests add to g for the build's interpolated states (knotStride; 0 without knots)
 	motion *motionTest // nil: the radial test alone
 }
 
@@ -123,7 +123,7 @@ func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int
 	n, xs := len(buf), members[from:to]
 	out := slices.Grow(buf, len(xs))[:n+len(xs)]
 	var pb, vb vec3.V
-	fetched, radialG := false, g.g+g.pad
+	fetched, radialG, motionG := false, g.g+g.pad, float64(g.g)+float64(g.pad)
 	for _, m := range xs {
 		x := m.Lo
 		a := &g.rows[x]
@@ -141,7 +141,7 @@ func (g radialGate) pairs(buf []uint64, members []lockfree.Cell, y, from, to int
 				pb, vb = g.motion.state(yi, step)
 				fetched = true
 			}
-			if g.motion.separates(x, pb, vb, step, reach, g.g, float64(a.Acc)+float64(b.Acc)) {
+			if g.motion.separates(x, pb, vb, step, reach, motionG, float64(a.Acc)+float64(b.Acc)) {
 				*motion++
 			} else {
 				n++
@@ -159,7 +159,6 @@ type motionTest struct {
 	knots      []propagation.Knots  // m > 1: the build's, over the interval that holds the scanned step
 	rows       []lockfree.MotionRow // m = 1, pooled; Stamp = step+1 once a row holds the step
 	pad        float32              // p: the velocity error two of the test's states may carry, km/s
-	posPad     float32              // the position error two of them may carry, km: the build's pad with knots, else 0
 	mask       uint32               // m − 1: a step's place in its knot interval
 	invM, invH float64              // 1/m and 1/h: u = j/m, and velocity = tangent/h
 	sats       []propagation.Satellite
@@ -198,12 +197,12 @@ func (m *motionTest) state(i int32, step uint32) (pos, vel vec3.V) {
 }
 
 // separates reports whether prefilterReject proves that object x and one at
-// (pb, vb), accelerations summing to at most acc, stay more than g + pad + p·w
+// (pb, vb), accelerations summing to at most acc, stay more than g + p·w
 // apart over [t − w, t + w] ∩ [0, span].
-func (m *motionTest) separates(x int32, pb, vb vec3.V, step uint32, w, g float32, acc float64) bool {
+func (m *motionTest) separates(x int32, pb, vb vec3.V, step uint32, w float32, g, acc float64) bool {
 	pa, va := m.state(x, step)
 	t, wd := float64(step)*m.sps, float64(w)
-	return prefilterReject(pa.Sub(pb), va.Sub(vb), max(-wd, -t), min(wd, m.span-t), acc, float64(g)+float64(m.posPad)+float64(m.pad)*wd)
+	return prefilterReject(pa.Sub(pb), va.Sub(vb), max(-wd, -t), min(wd, m.span-t), acc, g+float64(m.pad)*wd)
 }
 
 func round32(v vec3.V) [3]float32 { return [3]float32{float32(v.X), float32(v.Y), float32(v.Z)} }
@@ -244,7 +243,7 @@ func (r *run) newGate(gridThreshold, epsV float64) radialGate {
 	m := &r.motion
 	*m = motionTest{sats: r.sats, prop: r.prop, sps: r.sps, span: r.cfg.DurationSeconds}
 	if r.knots != nil {
-		m.knots, m.posPad, dvMax = r.knots, gate.pad, dvMax+epsV
+		m.knots, dvMax = r.knots, dvMax+epsV
 		m.mask, m.invM, m.invH = uint32(r.stride-1), 1/float64(r.stride), 1/(float64(r.stride)*r.sps)
 	} else {
 		m.rows = r.pool.GetMotionRows(len(r.sats))
